@@ -13,7 +13,8 @@ the principal moment about the rotation axis:
 * langmuir    the isosceles relative equilibrium of two like charges and an
               opposite charge, rotating about an in-plane principal axis;
 * collinear   Euler-type configurations on the boundary of the shape space,
-              located by a one-dimensional critical-point search.
+              the real roots of Euler's collinear quintic (signed couplings)
+              per ordering, found as polynomial roots with no search grid.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .coords import (
     Shape,
@@ -50,6 +52,8 @@ class CriticalValue:
     collinear configurations and collision directions of the infinity
     family).  ``axis`` is the principal-axis index of the rotation where
     meaningful.  Entries merged by the catalog carry ``multiplicity`` > 1.
+    ``residual`` certifies an entry found as a root: |dnu/dt| there over
+    max(1, nu) for collinear entries, None for the closed forms.
     """
 
     nu: float
@@ -59,6 +63,7 @@ class CriticalValue:
     detail: str = ""
     multiplicity: int = 1
     physical: bool = True
+    residual: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -94,13 +99,12 @@ class LangmuirGeometry:
 
 def nu_infinity(system: BodySystem) -> list[CriticalValue]:
     """Critical values at infinity, one per attractive pair."""
+    geometry = dict(zip(((1, 2), (1, 3), (2, 3)), pair_geometry(system)))
     out = []
-    for k, (i, jj) in enumerate(PAIRS, start=1):
-        alpha = system.alphas[k - 1]
+    for i, jj in PAIRS:
+        mu, alpha, psi = geometry[(i, jj)]
         if alpha <= 0.0:
             continue
-        mu = system.pair_reduced_mass(i, jj)
-        psi = _pair_angles(system)[(i, jj)]
         out.append(
             CriticalValue(
                 nu=0.5 * mu * alpha * alpha,
@@ -110,11 +114,6 @@ def nu_infinity(system: BodySystem) -> list[CriticalValue]:
             )
         )
     return sorted(out, key=lambda cv: cv.nu)
-
-
-def _pair_angles(system: BodySystem) -> dict[tuple[int, int], float]:
-    geo = pair_geometry(system)
-    return {(1, 2): geo[0][2], (1, 3): geo[1][2], (2, 3): geo[2][2]}
 
 
 def nu_diabolic(system: BodySystem) -> CriticalValue:
@@ -293,40 +292,90 @@ def _collinear_nu_of_t(system: BodySystem, order: tuple[int, int, int]):
     return nu, dnu
 
 
-def collinear_configs(system: BodySystem, grid: int = 10_000) -> list[CriticalValue]:
+def _collinear_polynomials(
+    system: BodySystem, order: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power-series coefficients of the quintic P(x) and the quadratic A(x).
+
+    Bodies (i, j, k) sit at (0, x, 1 + x), the positions (0, t, 1) scaled by
+    1/(1-t), so x = t/(1-t) = r_ij/r_jk is Euler's distance ratio.  There
+    dnu/dx = V (1/2 I' V + I V').  With A = V x(1+x) and B = V' x^2 (1+x)^2,
+    both quadratics, the physical factor times x^2 (1+x)^2 is
+    P = 1/2 I' A x(1+x) + I B: Euler's collinear quintic with signed
+    couplings.  The roots of A are the V = 0 points.
+
+    A power series in t would blur roots next to t = 1 into rounding; in x
+    both collisions sit where a coefficient is exact: t -> 0 is x -> 0 with
+    constant term g_ij I(0), t -> 1 is x -> inf with leading term
+    -g_jk (mi mj + mi mk)/M.
+    """
+    i, j, k = order
+    mi, mj, mk = (system.masses[b - 1] for b in order)
+    gij = system.pair_coupling(i, j)
+    gjk = system.pair_coupling(j, k)
+    gik = system.pair_coupling(i, k)
+    iw = np.array([mj * mk + mi * mk, 2.0 * mi * mk, mi * mj + mi * mk]) / (mi + mj + mk)
+    a = -np.array([gij, gij + gjk + gik, gjk])
+    b = np.array([gij, 2.0 * gij, gij + gik])
+    quintic = P.polyadd(
+        0.5 * P.polymul(P.polymul(P.polyder(iw), a), [0.0, 1.0, 1.0]), P.polymul(iw, b)
+    )
+    return quintic, a
+
+
+def _roots_in_unit_interval(c: np.ndarray) -> list[float]:
+    """t = x/(1+x) in (0, 1) for the real roots x > 0 of c, Newton-polished.
+
+    polyroots drops zero leading coefficients itself (g_jk = 0), so the
+    degree drops with no extra care; zero low-order coefficients (g_ij = 0)
+    come back as exact roots x = 0, the collision, which x > 0 leaves out.
+    A double root may come back as a complex pair split by about sqrt(eps);
+    the 1e-7 relative imaginary tolerance keeps it.
+    """
+    r = P.polyroots(c)
+    x = r.real[(np.abs(r.imag) <= 1e-7 * np.abs(r)) & (r.real > 0.0)]
+    dc = P.polyder(c)
+    value = P.polyval(x, c)
+    for _ in range(3):
+        # Keep a step only where it lowers |P|: at a double root P' is as
+        # small as the rounding in P, and a raw step lands anywhere.
+        slope = P.polyval(x, dc)
+        cand = x - np.divide(value, slope, out=np.zeros_like(x), where=slope != 0.0)
+        cand_value = P.polyval(cand, c)
+        better = np.abs(cand_value) < np.abs(value)
+        x, value = np.where(better, cand, x), np.where(better, cand_value, value)
+    t = x / (1.0 + x)
+    return [float(v) for v in t if 0.0 < v < 1.0]
+
+
+def collinear_configs(system: BodySystem) -> list[CriticalValue]:
     """Critical points of nu along the three collinear orderings.
 
-    Interior critical points are located from derivative sign changes on a
-    uniform grid and polished by bisection to 1e-12 in t.  Points where the
-    potential is not strictly negative carry no relative equilibrium (the
-    required spin rate would be imaginary); they are returned flagged
-    non-physical and skipped by the catalog.
+    Bodies (i, j, k) sit at (0, t, 1).  The critical points are the real
+    roots of Euler's collinear quintic and of the quadratic A = V t(1-t) in
+    the distance ratio x = t/(1-t), found as polynomial roots and polished
+    by Newton steps, with no search grid.  Each entry's
+    ``residual`` is |dnu/dt| at its root over max(1, nu).  Points where the
+    potential is not strictly negative (the roots of A among them) carry no
+    relative equilibrium (the required spin rate would be imaginary); they
+    are returned flagged non-physical and skipped by the catalog.
     """
     out = []
-    eps = 1e-6
     for middle in (1, 2, 3):
         i, k = [b for b in (1, 2, 3) if b != middle]
         order = (i, middle, k)
         nu, dnu = _collinear_nu_of_t(system, order)
-        ts = np.linspace(eps, 1.0 - eps, grid)
-        sign = np.sign([dnu(t) for t in ts])
-        for idx in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            lo, hi = ts[idx], ts[idx + 1]
-            flo = dnu(lo)
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                fmid = dnu(mid)
-                if flo * fmid <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            t0 = 0.5 * (lo + hi)
-            out.append(_collinear_entry(system, order, t0, nu(t0)))
+        for c in _collinear_polynomials(system, order):
+            for t in _roots_in_unit_interval(c):
+                value = nu(t)
+                out.append(
+                    _collinear_entry(system, order, t, value, abs(dnu(t)) / max(1.0, value))
+                )
     return sorted(out, key=lambda cv: cv.nu)
 
 
 def _collinear_entry(
-    system: BodySystem, order: tuple[int, int, int], t: float, nu: float
+    system: BodySystem, order: tuple[int, int, int], t: float, nu: float, residual: float
 ) -> CriticalValue:
     i, j, k = order
     x = np.zeros((3, 3))
@@ -354,6 +403,7 @@ def _collinear_entry(
         w=(w1, w2),
         detail=detail,
         physical=physical,
+        residual=residual,
     )
 
 

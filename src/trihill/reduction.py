@@ -27,7 +27,6 @@ import numpy as np
 from .coords import (
     DragtCoords,
     JacobiShapeCoords,
-    distances_from_jacobi,
     pair_geometry,
 )
 from .errors import CollinearError, SingularGeometryError, TripleCollisionError
@@ -189,14 +188,6 @@ def kinetic_geometry(coords) -> KineticGeometry:
         gauge[2, 2] = -0.5 * math.sin(coords.chi)
         return KineticGeometry(metric, metric_inv, gauge, singular=singular)
     raise TypeError(f"unsupported coordinate type {type(coords).__name__}")
-
-
-def potential_jacobi(system: BodySystem, j: JacobiShapeCoords) -> float:
-    d = distances_from_jacobi(system, j)
-    if 0.0 in d.as_tuple():
-        raise ZeroDivisionError("potential is singular at a collision")
-    a1, a2, a3 = system.alphas
-    return -a3 / d.r12 - a2 / d.r13 - a1 / d.r23
 
 
 def _pair_constants(system: BodySystem) -> tuple[tuple[float, float, float, float], ...]:

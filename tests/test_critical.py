@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from trihill.critical import (
@@ -221,6 +224,131 @@ def test_collinear_drops_zero_potential_artifacts(helium, eep):
         flagged = [cv for cv in collinear_configs(system) if not cv.physical]
         for cv in flagged:
             assert cv.nu == pytest.approx(0.0, abs=1e-12)
+
+
+def oracle_collinear_terms(system, order, t):
+    """nu, dnu/dt, V and its scale sum |g|/r for bodies ``order`` at
+    positions (0, t, 1), from the centre of mass: I = sum m (x - c)^2 and
+    dI/dt = 2 m_j (t - c)."""
+    mi, mj, mk = (system.masses[b - 1] for b in order)
+    i, j, k = order
+    gij, gjk, gik = (system.pair_coupling(*p) for p in ((i, j), (j, k), (i, k)))
+    c = (mj * t + mk) / (mi + mj + mk)
+    inertia = mi * c**2 + mj * (t - c) ** 2 + mk * (1.0 - c) ** 2
+    V = -(gij / t + gjk / (1.0 - t) + gik)
+    dV = gij / t**2 - gjk / (1.0 - t) ** 2
+    vscale = abs(gij) / t + abs(gjk) / (1.0 - t) + abs(gik)
+    return 0.5 * inertia * V**2, mj * (t - c) * V**2 + inertia * V * dV, V, vscale
+
+
+def oracle_collinear_physical_nus(system, n=4000):
+    """Physical collinear critical values from sign changes of dnu/dt.
+
+    The scan clusters geometrically toward both collisions, down to 1e-12
+    from t = 0 and t = 1, and leaves out t = 1/2, a root of every symmetric
+    ordering.  brentq refines each sign change; V below zero by more than
+    1e-9 of its scale marks it physical, as the catalog requires.
+    """
+    half = np.logspace(-12.0, math.log10(0.5), n)[:-1]
+    ts = np.concatenate([half, 1.0 - half[::-1]])
+    out = []
+    for middle in (1, 2, 3):
+        i, k = [b for b in (1, 2, 3) if b != middle]
+        order = (i, middle, k)
+        dnu = oracle_collinear_terms(system, order, ts)[1]
+        for idx in np.nonzero(np.sign(dnu[:-1]) * np.sign(dnu[1:]) < 0)[0]:
+            t0 = brentq(
+                lambda t: oracle_collinear_terms(system, order, t)[1],
+                ts[idx],
+                ts[idx + 1],
+                xtol=1e-300,
+            )
+            nu, _, V, vscale = oracle_collinear_terms(system, order, t0)
+            if V < -1e-9 * vscale:
+                out.append(nu)
+    return sorted(out)
+
+
+def test_collinear_roots_next_to_a_collision():
+    # a3 = 1e-18 puts both physical critical points of the (1, 2) pair at
+    # t = 7.37e-7, inside the 1e-6 margin a sampling grid would skip; the
+    # relabellings move the weak pair so that t -> 1 is covered as well
+    base = BodySystem((1, 1, 1), (1, 1, 1e-18))
+    for perm in itertools.permutations((1, 2, 3)):
+        near = [
+            cv
+            for cv in collinear_configs(base.permuted(perm))
+            if cv.physical and abs(cv.nu - 4.0 / 3.0) < 1e-6
+        ]
+        assert len(near) == 2
+        for cv in near:
+            assert cv.nu == pytest.approx(1.3333333333360, rel=1e-12)
+            assert cv.residual <= 1e-9
+
+
+def test_collinear_zero_couplings():
+    # a non-interacting pair puts exact roots on its collision, which is no
+    # collinear configuration; the remaining roots match the dense scan
+    for alphas in ((1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 1), (2, -1, 0), (0, 0, 0)):
+        system = BodySystem((1, 2, 3), alphas)
+        got = sorted(cv.nu for cv in collinear_configs(system) if cv.physical)
+        assert got == pytest.approx(oracle_collinear_physical_nus(system), rel=1e-9)
+        assert all(cv.residual <= 1e-9 for cv in collinear_configs(system))
+
+
+def test_collinear_double_root():
+    # couplings chosen so that dnu/dt touches zero at t0 without a sign
+    # change (ordering (1, 2, 3)).  The physical factor 1/2 I' V + I V' and
+    # its t-derivative are linear in the couplings, so the null vector of the
+    # two conditions gives the system.  Rounding returns the double root as
+    # two close real roots at t0 = 0.3 and as a complex pair at the others.
+    masses = (1.0, 2.0, 3.0)
+    m1, m2, m3 = masses
+    mtot = m1 + m2 + m3
+    for t in (0.2, 0.25, 0.3, 0.4):
+        inertia = (m1 * m2 * t**2 + m2 * m3 * (1 - t) ** 2 + m1 * m3) / mtot
+        d1 = (2 * m1 * m2 * t - 2 * m2 * m3 * (1 - t)) / mtot
+        d2 = 2 * (m1 * m2 + m2 * m3) / mtot
+        # columns: unit a1 (pair 2-3), a2 (pair 1-3), a3 (pair 1-2)
+        V = np.array([-1 / (1 - t), -1.0, -1 / t])
+        dV = np.array([-1 / (1 - t) ** 2, 0.0, 1 / t**2])
+        d2V = np.array([-2 / (1 - t) ** 3, 0.0, -2 / t**3])
+        factor = 0.5 * d1 * V + inertia * dV
+        slope = 0.5 * d2 * V + 1.5 * d1 * dV + inertia * d2V
+        alphas = np.cross(factor, slope)
+        alphas *= np.sign(-alphas @ V)  # V < 0 at t0: a physical configuration
+        want = 0.5 * inertia * float(alphas @ V) ** 2
+        hits = [
+            cv
+            for cv in collinear_configs(BodySystem(masses, tuple(alphas)))
+            if abs(cv.nu - want) < 1e-6 * want
+        ]
+        assert hits
+        for cv in hits:
+            assert cv.physical
+            assert "order=(1, 2, 3)" in cv.detail
+            assert cv.nu == pytest.approx(want, rel=1e-12)
+
+
+_SIGNS = list(itertools.product((1.0, -1.0), repeat=3))
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+)
+def test_collinear_property(signs, masses, magnitudes):
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    entries = collinear_configs(system)
+    assert all(type(cv.nu) is float and type(cv.physical) is bool for cv in entries)
+    got = [cv.nu for cv in entries if cv.physical]
+    assert got == pytest.approx(oracle_collinear_physical_nus(system), rel=1e-9)
+    base = [cv.nu for cv in entries]
+    for perm in itertools.permutations((1, 2, 3)):
+        swapped = [cv.nu for cv in collinear_configs(system.permuted(perm))]
+        assert swapped == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
 def test_find_critical_shapes_lagrange(gravity):
