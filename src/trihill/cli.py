@@ -20,7 +20,7 @@ import numpy as np
 from . import critical, hill, scan, verify
 from .coords import Shape
 from .errors import TrihillError
-from .reduction import RovibState, integrate, principal_axes
+from .reduction import integrate, rigid_start
 from .systems import BodySystem, load_system, preset
 
 
@@ -149,15 +149,8 @@ def _cmd_contours(system, args) -> int:
 
 
 def _cmd_simulate(system, args) -> int:
-    shape = Shape(args.shape[0], args.shape[1])
-    j = shape.to_jacobi()
-    _, axes = principal_axes(j)
     jh = np.asarray(args.jhat, dtype=float)
-    jh = jh / np.linalg.norm(jh)
-    J = args.r * (axes @ jh)  # principal-frame direction into the body frame
-    a_phi = j.rho2**2 / (j.rho1**2 + j.rho2**2)
-    p = np.array([0.0, 0.0, J[2] * a_phi])
-    state = RovibState(np.array([j.rho1, j.rho2, j.phi]), p, J)
+    state = rigid_start(Shape(*args.shape).to_jacobi(), args.r, jh / np.linalg.norm(jh))
     traj, report = integrate(system, state, args.dt, args.steps)
     text = traj.to_csv()
     if args.csv:

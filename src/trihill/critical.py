@@ -34,7 +34,7 @@ from .coords import (
     w_from_jacobi,
 )
 from .errors import UnsupportedFamilyError
-from .hill import shape_eval
+from .hill import moments, shape_eval, shape_kernel
 from .reduction import principal_axes, relequil_residual
 from .systems import PAIRS, BodySystem, infer_gravity_constant
 
@@ -121,6 +121,8 @@ def nu_diabolic(system: BodySystem) -> CriticalValue:
 
     nu = (1/2) (sum over pairs of a_ij sqrt(mu_ij))^2 with mu_ij the pairwise
     reduced masses; equals (1/2) Mt_k Vt^2 there for either in-plane axis.
+    Vt(0, 0) is -sqrt(2) times that sum, so the entry is non-physical unless
+    the sum is positive: otherwise the centre is never admissible at nu > 0.
     """
     total = 0.0
     for k, (i, jj) in enumerate(PAIRS, start=1):
@@ -131,6 +133,7 @@ def nu_diabolic(system: BodySystem) -> CriticalValue:
         axis=1,
         w=(0.0, 0.0),
         detail="in-plane moments degenerate (Mt1 = Mt2 = 1/2)",
+        physical=total > 0.0,
     )
 
 
@@ -411,29 +414,31 @@ def _collinear_entry(
 # Generic search for non-collinear critical shapes
 
 
-def _grad_sqrtmk_v(system: BodySystem, k: int, W: np.ndarray) -> np.ndarray:
-    """Gradient of f = sqrt(Mt_k) Vt over disk points W (n, 2), vectorized."""
-    w1, w2 = W[:, 0], W[:, 1]
-    V = np.zeros_like(w1)
-    dV = np.zeros((len(w1), 2))
-    for mu, gam, psi in pair_geometry(system):
-        c, s = math.cos(psi), math.sin(psi)
-        r2 = (1.0 - w1 * c - w2 * s) / (2.0 * mu)
-        r = np.sqrt(r2)
-        V -= gam / r
-        scale = gam / (2.0 * r2 * r) / (2.0 * mu)
-        dV[:, 0] -= scale * c
-        dV[:, 1] -= scale * s
-    if k == 3:
-        return dV
-    srad = np.hypot(w1, w2)
-    mk = 0.5 * (1.0 - srad) if k == 1 else 0.5 * (1.0 + srad)
+def _sqrtmk_v_derivatives(system: BodySystem, k: int, W: np.ndarray):
+    """Gradient (g1, g2) and Hessian (h11, h12, h22) of f = sqrt(Mt_k) Vt at
+    disk points W (n, 2), stacked on the leading axis.
+
+    With u = w/s and q1, q2 the s-derivatives of sqrt(Mt_k(s)), the radius adds
+    q1 V u to grad V and q1 (u dV^T + dV u^T) + V (q2 u u^T + q1 (1 - u u^T)/s)
+    to Hess V.  Mt_3 is constant, so for k = 3 f is Vt.
+    """
+    w = W.T
+    V, dV, d2V = shape_kernel(system, w[0], w[1])
+    s = np.hypot(w[0], w[1])
+    mk = moments(s)[k - 1]
+    b = moments(1.0)[k - 1] - moments(0.0)[k - 1]  # Mt_k = a + b s
     sq = np.sqrt(mk)
-    radial = (-0.25 if k == 1 else 0.25) / sq * V
-    grad = sq[:, None] * dV
-    grad[:, 0] += radial * w1 / srad
-    grad[:, 1] += radial * w2 / srad
-    return grad
+    q1, q2 = b / (2.0 * sq), -b * b / (4.0 * mk * sq)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
+    u = w * inv_s
+    i, j = [0, 0, 1], [0, 1, 1]  # (11, 12, 22) components
+    hess = (
+        sq * d2V
+        + q1 * (u[i] * dV[j] + u[j] * dV[i])
+        + (q2 - q1 * inv_s) * V * u[i] * u[j]
+        + np.array([[1.0], [0.0], [1.0]]) * (q1 * V * inv_s)
+    )
+    return sq * dV + q1 * V * u, hess
 
 
 def find_critical_shapes(
@@ -442,11 +447,11 @@ def find_critical_shapes(
     """Interior critical points of sqrt(Mt_k) Vt, each one a certified
     relative equilibrium rotating about principal axis k.
 
-    Multi-start damped Newton on the analytic gradient from a seeds x seeds
-    grid over the disk, excluding a 1e-3 margin at the collinear boundary
-    and (for k = 1, 2) a 1e-3 disk around the diabolic point where the
-    moments are not differentiable.  Candidates must pass the
-    relative-equilibrium residual test at 1e-6.
+    Multi-start damped Newton on the analytic gradient and Hessian from a
+    seeds x seeds grid over the disk, excluding a 1e-3 margin at the
+    collinear boundary and (for k = 1, 2) a 1e-3 disk around the diabolic
+    point where the moments are not differentiable.  Candidates must pass
+    the relative-equilibrium residual test at 1e-6.
     """
     if k not in (1, 2, 3):
         raise ValueError("principal axis index must be 1, 2 or 3")
@@ -459,30 +464,24 @@ def find_critical_shapes(
         keep &= srad > core
     W = W[keep]
 
-    def gradnorm(W):
-        g = _grad_sqrtmk_v(system, k, W)
-        return g, np.einsum("ij,ij->i", g, g)
+    def newton_data(W):
+        g, h = _sqrtmk_v_derivatives(system, k, W)
+        return np.concatenate([g, h]).T, g[0] * g[0] + g[1] * g[1]
 
-    g, gn = gradnorm(W)
-    h = 1e-7
+    # Columns of D: g1, g2, h11, h12, h22.
+    D, gn = newton_data(W)
     for _ in range(80):
-        # Finite-difference Jacobian of the analytic gradient, columnwise.
-        gx = (
-            _grad_sqrtmk_v(system, k, W + [h, 0.0]) - _grad_sqrtmk_v(system, k, W - [h, 0.0])
-        ) / (2 * h)
-        gy = (
-            _grad_sqrtmk_v(system, k, W + [0.0, h]) - _grad_sqrtmk_v(system, k, W - [0.0, h])
-        ) / (2 * h)
-        det = gx[:, 0] * gy[:, 1] - gy[:, 0] * gx[:, 1]
+        g1, g2, h11, h12, h22 = D.T
+        det = h11 * h22 - h12 * h12
         bad = np.abs(det) < 1e-300
         det = np.where(bad, 1.0, det)
-        dx = (g[:, 0] * gy[:, 1] - g[:, 1] * gy[:, 0]) / det
-        dy = (gx[:, 0] * g[:, 1] - gx[:, 1] * g[:, 0]) / det
+        dx = (g1 * h22 - g2 * h12) / det
+        dy = (h11 * g2 - h12 * g1) / det
         step = np.stack([np.where(bad, 0.0, dx), np.where(bad, 0.0, dy)], axis=1)
         # Clip long steps; try damped candidates and keep the best.
         norm = np.linalg.norm(step, axis=1, keepdims=True)
         step = step * np.where(norm > 0.1, 0.1 / np.maximum(norm, 1e-300), 1.0)
-        best_W, best_gn = W, gn
+        best_W, best_D, best_gn = W, D, gn
         for damp in (1.0, 0.5, 0.25):
             cand = W - damp * step
             srad = np.hypot(cand[:, 0], cand[:, 1])
@@ -493,12 +492,12 @@ def find_critical_shapes(
                 srad = np.hypot(cand[:, 0], cand[:, 1])
                 push = np.where(srad < core, core / np.maximum(srad, 1e-12), 1.0)
                 cand = cand * push[:, None]
-            gc, gnc = gradnorm(cand)
+            Dc, gnc = newton_data(cand)
             better = gnc < best_gn
             best_W = np.where(better[:, None], cand, best_W)
+            best_D = np.where(better[:, None], Dc, best_D)
             best_gn = np.where(better, gnc, best_gn)
-        W, gn = best_W, best_gn
-        g, gn = gradnorm(W)
+        W, D, gn = best_W, best_D, best_gn
         if np.all(gn[np.isfinite(gn)] < 1e-26):
             break
 
@@ -543,11 +542,13 @@ def critical_catalog(system: BodySystem) -> list[CriticalValue]:
 
     The closed-form families are used where they apply; families that do not
     exist for the system (e.g. Lagrange with mixed-sign couplings) are
-    silently absent.  Non-physical collinear critical points are excluded.
+    silently absent.  Non-physical diabolic and collinear entries are excluded.
     """
     entries: list[CriticalValue] = [CriticalValue(0.0, "zero", detail="energy sign change")]
     entries.extend(nu_infinity(system))
-    entries.append(nu_diabolic(system))
+    diabolic = nu_diabolic(system)
+    if diabolic.physical:
+        entries.append(diabolic)
     for fam in (nu_lagrange, nu_langmuir):
         try:
             entries.append(fam(system))

@@ -80,30 +80,52 @@ def potential(system: BodySystem, dist: Distances) -> float:
     return total
 
 
+def shape_kernel(system: BodySystem, w1, w2):
+    """Vt at disk points (w1, w2), its gradient (V_1, V_2) and its Hessian
+    (V_11, V_12, V_22), the last two stacked on a leading axis.
+
+    Each pair adds -a/r with r^2 = (1 - w1 cos psi - w2 sin psi)/(2 mu),
+    affine in w; collision points give signed infinities.
+    """
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    V = np.zeros(np.broadcast_shapes(w1.shape, w2.shape))
+    grad, hess = np.zeros((2,) + V.shape), np.zeros((3,) + V.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for mu, gam, psi in pair_geometry(system):
+            c, s = math.cos(psi), math.sin(psi)
+            r2 = (1.0 - w1 * c - w2 * s) / (2.0 * mu)
+            term = gam / np.sqrt(r2)
+            V -= term
+            # In place from here: grids of 1e5 points make temporaries costly.
+            r2 *= 4.0 * mu
+            term /= r2  # a/(4 mu r^3)
+            for i, u in enumerate((c, s)):
+                grad[i] -= u * term
+            term /= r2  # a/(16 mu^2 r^5), times 3 u u^T below
+            for i, uu in enumerate((c * c, c * s, s * s)):
+                hess[i] -= (3.0 * uu) * term
+    return V, grad, hess
+
+
 def v_tilde(system: BodySystem, w1: float, w2: float) -> float:
-    """Shape-space potential at the disk point (w1, w2) using the affine
-    pair-distance forms r_ij^2 = (1 - w1 cos psi_ij - w2 sin psi_ij)/(2 mu_ij)."""
-    total = 0.0
-    for mu, gam, psi in pair_geometry(system):
-        r2 = (1.0 - w1 * math.cos(psi) - w2 * math.sin(psi)) / (2.0 * mu)
-        total -= gam / math.sqrt(r2)
-    return total
+    """Shape-space potential at the disk point (w1, w2): the kernel's value."""
+    return float(shape_kernel(system, w1, w2)[0])
+
+
+def moments(s):
+    """Principal moments (Mt1, Mt2, Mt3) = ((1-s)/2, (1+s)/2, 1) of the I = 1
+    section at disk radius s, a float or an array."""
+    return 0.5 * (1.0 - s), 0.5 * (1.0 + s), 1.0
 
 
 def shape_eval(system: BodySystem, shape: Shape) -> ShapeEvaluation:
-    """Restrict V and the principal moments to the shape space.
-
-    On the I = 1 section the moments depend only on the disk radius s:
-    Mt1 = (1-s)/2, Mt2 = (1+s)/2, Mt3 = 1.
-    """
-    s = shape.radius
-    m1, m2, m3 = 0.5 * (1.0 - s), 0.5 * (1.0 + s), 1.0
-    vt = v_tilde(system, shape.w1, shape.w2)
+    """Restrict V and the principal moments to the shape space."""
+    m1, m2, m3 = moments(shape.radius)
     return ShapeEvaluation(
         shape=shape,
-        v_tilde=vt,
+        v_tilde=v_tilde(system, shape.w1, shape.w2),
         m_tilde=(m1, m2, m3),
-        thresholds=(0.5, 0.5 / m2, 0.5 / m1),
+        thresholds=(0.5 / m3, 0.5 / m2, 0.5 / m1),
     )
 
 
@@ -191,22 +213,38 @@ def nu_thresholds(system: BodySystem, shape: Shape) -> tuple[float, float, float
     return 0.5 * m3 * v2, 0.5 * m2 * v2, 0.5 * m1 * v2
 
 
+def _count_reached(level, thresholds) -> np.ndarray:
+    return np.sum([np.greater_equal(level, t) for t in thresholds], axis=0, dtype=np.int8)
+
+
 def class_from_level(
     level: float, thresholds: tuple[float, float, float]
 ) -> OrientationClass:
     """Class of the sublevel set {E_R <= level} on the orientation sphere.
 
     ``thresholds`` is the ascending triple of critical normalized rotational
-    energies.  The membership inequality is non-strict, so a level exactly at
-    a threshold already includes the newly opened orientations.
+    energies: the class code counts those the level reaches.  The inequality
+    is non-strict, so a level at a threshold includes the opened orientations.
     """
-    if level >= thresholds[2]:
-        return OrientationClass.FULL
-    if level >= thresholds[1]:
-        return OrientationClass.RING
-    if level >= thresholds[0]:
-        return OrientationClass.CAPS
-    return OrientationClass.EMPTY
+    return OrientationClass(int(_count_reached(level, thresholds)))
+
+
+def class_codes(nu: float, v_tilde, m_tilde) -> np.ndarray:
+    """The orientation-class rule over arrays: OrientationClass codes (int8).
+
+    For nu < 0 (E > 0) all orientations are accessible; at nu >= 0 none are
+    where Vt >= 0 (or NaN), all are where Vt < 0 at nu = 0, and at nu > 0
+    the level Vt^2/(4 nu) is compared with the thresholds 1/(2 Mt_k).
+    """
+    v = np.asarray(v_tilde, dtype=float)
+    if nu < 0.0:
+        level = np.full(v.shape, np.inf)
+    elif nu == 0.0:
+        level = np.where(v < 0.0, np.inf, -np.inf)
+    else:
+        with np.errstate(over="ignore"):
+            level = np.where(v < 0.0, v * v / (4.0 * nu), -np.inf)
+    return _count_reached(level, [0.5 / m for m in m_tilde])
 
 
 def orientation_class(system: BodySystem, nu: float, shape: Shape) -> OrientationClass:
@@ -217,10 +255,4 @@ def orientation_class(system: BodySystem, nu: float, shape: Shape) -> Orientatio
     thresholds 1/(2 Mt_k).
     """
     ev = shape_eval(system, shape)
-    if nu < 0.0:
-        return OrientationClass.FULL
-    if nu == 0.0:
-        return OrientationClass.FULL if ev.v_tilde < 0.0 else OrientationClass.EMPTY
-    if ev.v_tilde >= 0.0:
-        return OrientationClass.EMPTY
-    return class_from_level(ev.v_tilde * ev.v_tilde / (4.0 * nu), ev.thresholds)
+    return OrientationClass(int(class_codes(nu, ev.v_tilde, ev.m_tilde)))

@@ -134,6 +134,16 @@ def principal_axes(j: JacobiShapeCoords) -> tuple[tuple[float, float, float], np
     return data.principal, axes
 
 
+def rigid_start(j: JacobiShapeCoords, r: float, j_hat: np.ndarray) -> RovibState:
+    """Rigidly rotating state at configuration j: angular momentum r times
+    the unit ``j_hat`` in the principal frame (axes ascending, axis 3 the
+    plane normal), momenta the gauge values p = J.A so the shape is at rest."""
+    _, axes = principal_axes(j)
+    J = r * (axes @ j_hat)
+    a_phi = j.rho2**2 / (j.rho1**2 + j.rho2**2)
+    return RovibState(np.array([j.rho1, j.rho2, j.phi]), np.array([0.0, 0.0, J[2] * a_phi]), J)
+
+
 def _inverse_inertia_entries(
     rho1: float, rho2: float, phi: float
 ) -> tuple[float, float, float, float]:

@@ -5,8 +5,8 @@ w1 = -1 + (2i+1)/N, w2 = -1 + (2j+1)/N.  Cells outside the closed unit disk
 are Outside; cells with 1 - (w1^2 + w2^2) < (2/N)^2 form a one-pixel
 Boundary band along the collinear circle (one pixel measured on the
 hemisphere the disk projects, where the height above the collinear plane is
-w3 = sqrt(1 - w1^2 - w2^2)); the rest are classified by the orientation-class
-rule at the requested nu.
+w3 = sqrt(1 - w1^2 - w2^2)); the rest are classified at the requested nu by
+:func:`trihill.hill.class_codes`, the rule of ``orientation_class``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy import ndimage
 
-from .coords import pair_geometry
+from .hill import class_codes, moments, shape_kernel
 from .systems import BodySystem
 
 
@@ -61,41 +60,11 @@ def pixel_centers(n: int) -> np.ndarray:
     return (2.0 * np.arange(n) + 1.0) / n - 1.0
 
 
-def _v_tilde_grid(system: BodySystem, W1, W2, omega=1.0):
-    V = np.zeros_like(W1)
-    for mu, gam, psi in pair_geometry(system):
-        r2 = (omega - W1 * math.cos(psi) - W2 * math.sin(psi)) / (2.0 * mu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            V = V - gam / np.sqrt(r2)
-    return V
-
-
 def classify_grid(system: BodySystem, nu: float, W1, W2):
-    """Vectorized orientation classes at disk points; arrays of CellClass codes.
-
-    Must stay comparison-for-comparison identical to
-    :func:`trihill.hill.orientation_class`.
-    """
-    s = np.hypot(W1, W2)
-    V = _v_tilde_grid(system, W1, W2)
-    if nu < 0.0:
-        return np.full(W1.shape, CellClass.FULL, dtype=np.int8)
-    if nu == 0.0:
-        return np.where(V < 0.0, CellClass.FULL, CellClass.EMPTY).astype(np.int8)
-    m1 = 0.5 * (1.0 - s)
-    m2 = 0.5 * (1.0 + s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        level = V * V / (4.0 * nu)
-        out = np.where(
-            level >= 0.5 / m1,
-            CellClass.FULL,
-            np.where(
-                level >= 0.5 / m2,
-                CellClass.RING,
-                np.where(level >= 0.5, CellClass.CAPS, CellClass.EMPTY),
-            ),
-        )
-    return np.where(V >= 0.0, CellClass.EMPTY, out).astype(np.int8)
+    """Vectorized orientation classes at disk points; arrays of CellClass codes
+    by :func:`trihill.hill.class_codes`, the rule of ``orientation_class``."""
+    V = shape_kernel(system, W1, W2)[0]
+    return class_codes(nu, V, moments(np.hypot(W1, W2))) + np.int8(CellClass.EMPTY)
 
 
 def scan_disk(system: BodySystem, nu: float, n: int) -> ShapeScan:
@@ -142,8 +111,8 @@ def contour_grid(
         W1, W2 = np.meshgrid(c, c, indexing="ij")
         s = np.hypot(W1, W2)
         valid = s <= 1.0
-    V = _v_tilde_grid(system, np.where(valid, W1, 0.0), np.where(valid, W2, 0.0))
-    mk = {1: 0.5 * (1.0 - s), 2: 0.5 * (1.0 + s), 3: np.ones_like(s)}[k]
+    V = shape_kernel(system, np.where(valid, W1, 0.0), np.where(valid, W2, 0.0))[0]
+    mk = moments(s)[k - 1]
     with np.errstate(invalid="ignore"):
         vals = np.sqrt(np.maximum(mk, 0.0)) * V
     vals = np.where(valid, vals, np.nan)
@@ -165,6 +134,8 @@ class CensusReport:
 
 def component_census(scan: ShapeScan) -> CensusReport:
     """4-connected component counts per class, plus boundary contact flags."""
+    from scipy import ndimage  # imported here: it is most of the cost of importing trihill
+
     counts: dict[CellClass, int] = {}
     touches: dict[CellClass, bool] = {}
     near_boundary = ndimage.binary_dilation(scan.cells == CellClass.BOUNDARY)

@@ -10,8 +10,9 @@ line-oriented report.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,9 +44,10 @@ from .reduction import (
     eom,
     hamiltonian,
     integrate,
-    principal_axes,
     relequil_residual,
+    rigid_start,
 )
+from .scan import CellClass, CensusReport, component_census, scan_disk
 from .systems import PRESETS, BodySystem
 
 VIRIAL_DT_FACTOR = 1e-3  # dt = factor * (2 pi r / |V|), the rotation period
@@ -72,14 +74,8 @@ def build_relequil_state(system: BodySystem, critical: CriticalValue, r: float) 
     ev = shape_eval(system, shape)
     if ev.v_tilde >= 0.0:
         raise UnsupportedFamilyError("no real spin rate: shape potential is nonnegative")
-    mk = ev.m_tilde[k - 1]
-    lam = r * r / (-mk * ev.v_tilde)
-    q = dilate(shape.to_jacobi(), lam)
-    _, axes = principal_axes(q)
-    J = r * axes[:, k - 1]
-    a_phi = q.rho2**2 / (q.rho1**2 + q.rho2**2)
-    p = np.array([0.0, 0.0, J[2] * a_phi])
-    return RovibState(np.array([q.rho1, q.rho2, q.phi]), p, J)
+    lam = r * r / (-ev.m_tilde[k - 1] * ev.v_tilde)
+    return rigid_start(dilate(shape.to_jacobi(), lam), r, np.eye(3)[k - 1])
 
 
 @dataclass
@@ -258,6 +254,16 @@ def _inertia_suite(report: VerificationReport, samples: int = 2_000) -> None:
     report.add("inertia.homogeneity", worst_hom, 1e-12, "M(d_lam q) = lam^2 M(q)")
 
 
+@functools.cache
+def _system_free_checks(deep: bool) -> tuple[Check, ...]:
+    """The coordinate and inertia suites: they take no system and a fixed
+    seed, so one run per process serves every ``verify_all`` call."""
+    report = VerificationReport()
+    _roundtrip_suite(report, 10_000 if deep else 1_000)
+    _inertia_suite(report, 2_000 if deep else 200)
+    return tuple(report.checks)
+
+
 def _eom_fd_suite(report: VerificationReport, system: BodySystem, samples: int = 300) -> None:
     rng = np.random.default_rng(13)
     worst = 0.0
@@ -301,13 +307,12 @@ def _collision_angle_check(report: VerificationReport, system: BodySystem) -> No
     report.add("coords.collision_angles", worst, 1e-10, "r_ij = 0 on collision rays")
 
 
-def _sphere_grid(step_deg: float = 2.0):
+def sphere_grid(step_deg: float = 2.0) -> np.ndarray:
+    """Latitude/longitude grid of unit vectors, (ntheta, nphi, 3), poles omitted."""
     th = np.radians(np.arange(step_deg / 2.0, 180.0, step_deg))
     ph = np.radians(np.arange(0.0, 360.0, step_deg))
     TH, PH = np.meshgrid(th, ph, indexing="ij")
-    return np.stack(
-        [np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1
-    )
+    return np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
 
 
 def _orientation_oracle(system: BodySystem, nu: float, shape, grid) -> int:
@@ -333,14 +338,14 @@ def _orientation_oracle(system: BodySystem, nu: float, shape, grid) -> int:
         return 3  # FULL
     if not acc.any():
         return 0  # EMPTY
-    n = _label_periodic(acc)
+    n = count_components_periodic(acc)
     return 1 if n == 2 else 2  # two polar caps vs one band
 
 
-def _label_periodic(mask: np.ndarray) -> int:
-    """Components on the (colatitude, longitude) grid: periodic in longitude,
-    with first- and last-row cells joined through the omitted poles (the
-    rotational energy is monotone in colatitude near each pole)."""
+def count_components_periodic(mask: np.ndarray) -> int:
+    """4-connected components on the (colatitude, longitude) grid: periodic in
+    longitude, with first- and last-row cells joined through the omitted poles
+    (the rotational energy is monotone in colatitude near each pole)."""
     from scipy import ndimage
 
     lab, n = ndimage.label(mask)
@@ -372,7 +377,7 @@ def _label_periodic(mask: np.ndarray) -> int:
 
 def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int = 150) -> None:
     rng = np.random.default_rng(5150)
-    grid = _sphere_grid()
+    grid = sphere_grid()
     lam_grid = np.logspace(-6.0, 6.0, 1_500)
     mismatch_m = mismatch_o = 0
     from .coords import Shape
@@ -389,7 +394,8 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int 
         E = float(rng.uniform(-3.0, 1.0))
         r = float(rng.uniform(0.2, 2.0))
         got = membership(system, E, r, shape, jh).member
-        want = _lambda_grid_member(system, shape, jh, E, r, lam_grid)
+        base = positions_from_jacobi(system, shape.to_jacobi())
+        want = lambda_grid_member(system, base, jh, E, r, lam_grid)
         mismatch_m += got != want
         # orientation class against the sphere-sampling census
         nu = float(rng.uniform(-0.5, 3.0)) * max(1.0, abs(shape_eval(system, shape).v_tilde))
@@ -400,17 +406,6 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int 
         mismatch_o += got_c != want_c
     report.add("hill.membership_oracle", float(mismatch_m), 0.0, f"{samples} samples")
     report.add("hill.orientation_oracle", float(mismatch_o), 0.0, f"{samples} samples")
-
-
-def _empty_full_counts(system: BodySystem, nu: float, n: int = 400) -> tuple[int, int]:
-    from scipy import ndimage
-
-    from .scan import CellClass, scan_disk
-
-    cells = scan_disk(system, nu, n).cells
-    _, ne = ndimage.label(cells == CellClass.EMPTY)
-    _, nf = ndimage.label(cells == CellClass.FULL)
-    return int(ne), int(nf)
 
 
 def _census_event_checks(report: VerificationReport, system: BodySystem) -> None:
@@ -429,50 +424,43 @@ def _census_event_checks(report: VerificationReport, system: BodySystem) -> None
         hi = nus[i + 1] - nus[i] if i + 1 < len(nus) else lo
         return lo, hi
 
+    def across(nu0: float) -> list[CensusReport]:
+        """Censuses of N = 400 scans 1% of the catalog gaps below and above nu0."""
+        lo, hi = gaps_at(nu0)
+        near = (nu0 - 0.01 * lo, nu0 + 0.01 * hi)
+        return [component_census(scan_disk(system, nu, 400)) for nu in near]
+
     for cv in catalog:
         if cv.family == "lagrange":
-            lo, hi = gaps_at(cv.nu)
-            below = _empty_full_counts(system, cv.nu - 0.01 * lo)[0]
-            above = _empty_full_counts(system, cv.nu + 0.01 * hi)[0]
+            below, above = (c.counts[CellClass.EMPTY] for c in across(cv.nu))
             report.add_flag(
                 "scan.lagrange_event",
                 below == 0 and above >= 1,
                 f"Empty components {below}->{above} across nu_Lagrange",
             )
         if cv.family == "diabolic" and cv.multiplicity == 1:
-            lo, hi = gaps_at(cv.nu)
-            if min(lo, hi) < 1e-3 * cv.nu:
+            if min(gaps_at(cv.nu)) < 1e-3 * cv.nu:
                 continue  # too close to a neighbour to separate at N = 400
-            below = _empty_full_counts(system, cv.nu - 0.01 * lo)[1]
-            above = _empty_full_counts(system, cv.nu + 0.01 * hi)[1]
+            below, above = (c.counts[CellClass.FULL] for c in across(cv.nu))
             report.add_flag(
                 "scan.diabolic_event",
                 below == 1 and above == 0,
                 f"Full components {below}->{above} across nu_diabolic",
             )
         if cv.family == "langmuir":
-            lo, hi = gaps_at(cv.nu)
+            below, above = across(cv.nu)
             if cv.axis == 1 and cv.nu > nu_diabolic(system).nu:
                 # axis-1 equilibrium above the diabolic value: this is where
                 # the fully-accessible region is born (the green dot)
-                below = _empty_full_counts(system, cv.nu - 0.01 * lo)[1]
-                above = _empty_full_counts(system, cv.nu + 0.01 * hi)[1]
+                below, above = below.counts[CellClass.FULL], above.counts[CellClass.FULL]
                 report.add_flag(
                     "scan.langmuir_event",
                     below == 1 and above == 0,
                     f"Full components {below}->{above} across nu_Langmuir",
                 )
             else:
-                ok = _census_sig(system, cv.nu - 0.01 * lo) != _census_sig(
-                    system, cv.nu + 0.01 * hi
-                )
+                ok = below.signature() != above.signature()
                 report.add_flag("scan.langmuir_event", ok, "census changes across nu_Langmuir")
-
-
-def _census_sig(system: BodySystem, nu: float):
-    from .scan import component_census, scan_disk
-
-    return component_census(scan_disk(system, nu, 400)).signature()
 
 
 def _near_threshold(system: BodySystem, shape, nu: float, margin: float = 1e-6) -> bool:
@@ -486,16 +474,14 @@ def _near_threshold(system: BodySystem, shape, nu: float, margin: float = 1e-6) 
     return abs(nu) < margin
 
 
-def _lambda_grid_member(system, shape, j_hat, E, r, lam_grid) -> bool:
-    """Hill inequality scanned over dilations, from positions and eigvalsh.
+def lambda_grid_member(system: BodySystem, base: np.ndarray, j_hat, E, r, lam_grid) -> bool:
+    """Hill inequality scanned over dilations of body positions ``base``.
 
-    Rebuilds the inertia tensor of every scaled configuration from body
-    positions; independent of the closed-form moments and of f_analysis.
+    Rebuilds the inertia tensor of every scaled configuration from positions;
+    independent of the closed-form moments and of f_analysis.
     """
-    j = shape.to_jacobi()
-    pos1 = positions_from_jacobi(system, j)
     masses = np.asarray(system.masses)
-    pos = lam_grid[:, None, None] * pos1[None, :, :]  # (L, body, xyz)
+    pos = lam_grid[:, None, None] * base[None, :, :]  # (L, body, xyz)
     a1, a2, a3 = system.alphas
     d12 = np.linalg.norm(pos[:, 0] - pos[:, 1], axis=-1)
     d13 = np.linalg.norm(pos[:, 0] - pos[:, 2], axis=-1)
@@ -578,8 +564,7 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
     report.add("catalog.nu_identity", worst, 1e-9, "nu = Mt_k Vt^2 / 2")
 
     _census_event_checks(report, system)
-    _roundtrip_suite(report, 10_000 if deep else 1_000)
-    _inertia_suite(report, 2_000 if deep else 200)
+    report.checks.extend(replace(c) for c in _system_free_checks(deep))
     _eom_fd_suite(report, system, 300 if deep else 50)
     _oracle_suites(report, system, 150 if deep else 30)
     return report

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from trihill.systems import BodySystem, preset
+from trihill.verify import count_components_periodic, lambda_grid_member, sphere_grid  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -90,69 +91,7 @@ def oracle_lambda_grid_member(
     come from numpy's eigensolver, the potential from measured distances.
     """
     base = oracle_positions(system, rho1, rho2, phi)
-    lams = np.logspace(-6.0, 6.0, n_lambda)
-    pos = lams[:, None, None] * base[None, :, :]
-    a1, a2, a3 = system.alphas
-    d12 = np.linalg.norm(pos[:, 0] - pos[:, 1], axis=-1)
-    d13 = np.linalg.norm(pos[:, 0] - pos[:, 2], axis=-1)
-    d23 = np.linalg.norm(pos[:, 1] - pos[:, 2], axis=-1)
-    V = -(a3 / d12 + a2 / d13 + a1 / d23)
-    masses = np.asarray(system.masses)
-    sq = np.einsum("lbx,lbx->lb", pos, pos)
-    M = np.einsum("b,lb,xy->lxy", masses, sq, np.eye(3)) - np.einsum(
-        "b,lbx,lby->lxy", masses, pos, pos
-    )
-    mom = np.linalg.eigvalsh(M)
-    er = 0.5 * r * r * (
-        j_hat[0] ** 2 / mom[:, 0] + j_hat[1] ** 2 / mom[:, 1] + j_hat[2] ** 2 / mom[:, 2]
-    )
-    return bool(np.min(er + V) <= E)
-
-
-def sphere_grid(step_deg: float = 2.0) -> np.ndarray:
-    """Geodesic-style latitude/longitude grid of unit vectors, (ntheta, nphi, 3)."""
-    th = np.radians(np.arange(step_deg / 2.0, 180.0, step_deg))
-    ph = np.radians(np.arange(0.0, 360.0, step_deg))
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
-    return np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
-
-
-def count_components_periodic(mask: np.ndarray, polar: bool = True) -> int:
-    """4-connected components on a (colatitude, longitude) grid.
-
-    The longitude axis is periodic.  With ``polar`` set, accessible cells of
-    the first (last) colatitude row are merged through the omitted pole: the
-    rotational energy is monotone in colatitude near the poles, so whenever a
-    first-row cell is accessible the polar cap above it is too.
-    """
-    from scipy import ndimage
-
-    lab, n = ndimage.label(mask)
-    if n == 0:
-        return 0
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for i in range(mask.shape[0]):
-        a, b = lab[i, 0], lab[i, -1]
-        if a and b:
-            union(a, b)
-    if polar:
-        for row in (0, -1):
-            labels = [x for x in np.unique(lab[row]) if x]
-            for x in labels[1:]:
-                union(labels[0], x)
-    return len({find(x) for x in range(1, n + 1)})
+    return lambda_grid_member(system, base, j_hat, E, r, np.logspace(-6.0, 6.0, n_lambda))
 
 
 def oracle_orientation_class(

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 from trihill.critical import (
     CriticalValue,
+    _sqrtmk_v_derivatives,
     catalog_csv,
     collinear_configs,
     critical_catalog,
@@ -21,7 +22,7 @@ from trihill.critical import (
     nu_langmuir,
 )
 from trihill.errors import UnsupportedFamilyError
-from trihill.hill import shape_eval
+from trihill.hill import shape_eval, v_tilde
 from trihill.systems import BodySystem, gravitational
 
 
@@ -451,3 +452,46 @@ def test_critical_value_validation():
         CriticalValue(1.0, "nonsense")
     with pytest.raises(ValueError):
         CriticalValue(-0.5, "lagrange")
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sqrtmk_v_derivatives_against_central_differences(signs, masses, magnitudes, seed):
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    rng = np.random.default_rng(seed)
+    radius = rng.uniform(0.05, 0.9, 8)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 8)
+    W = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    for k in (1, 2, 3):
+
+        def f(w1, w2):
+            s = math.hypot(w1, w2)
+            mk = {1: 0.5 * (1.0 - s), 2: 0.5 * (1.0 + s), 3: 1.0}[k]
+            return math.sqrt(mk) * v_tilde(system, w1, w2)
+
+        (g1, g2), (h11, h12, h22) = _sqrtmk_v_derivatives(system, k, W)
+        grad = np.stack([g1, g2], axis=1)
+        hess = np.stack([np.stack([h11, h12], 1), np.stack([h12, h22], 1)], 1)
+        h = 1e-6
+        for p, (w1, w2) in enumerate(W):
+            fd_grad = [
+                (f(w1 + h, w2) - f(w1 - h, w2)) / (2 * h),
+                (f(w1, w2 + h) - f(w1, w2 - h)) / (2 * h),
+            ]
+            scale = max(1.0, abs(f(w1, w2)), *np.abs(grad[p]))
+            assert np.allclose(grad[p], fd_grad, rtol=0.0, atol=1e-6 * scale)
+            shifted = np.array([[w1 + h, w2], [w1 - h, w2], [w1, w2 + h], [w1, w2 - h]])
+            (sg1, sg2), _ = _sqrtmk_v_derivatives(system, k, shifted)
+            fd_hess = np.array(
+                [
+                    [(sg1[0] - sg1[1]) / (2 * h), (sg1[2] - sg1[3]) / (2 * h)],
+                    [(sg2[0] - sg2[1]) / (2 * h), (sg2[2] - sg2[3]) / (2 * h)],
+                ]
+            )
+            hscale = max(1.0, *np.abs(hess[p]).ravel())
+            assert np.allclose(hess[p], fd_hess, rtol=0.0, atol=1e-6 * hscale)

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trihill.coords import Shape
 from trihill.critical import nu_diabolic
@@ -249,3 +252,26 @@ def test_census_deterministic(gravity):
     b = scan_disk(gravity, 7.0, 150)
     assert np.array_equal(a.cells, b.cells)
     assert render(a, "ppm") == render(b, "ppm")
+
+
+_SIGNS = list(itertools.product((1.0, -1.0), repeat=3))
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    nu_pos=st.floats(1e-3, 20.0),
+)
+def test_classify_grid_is_orientation_class_property(signs, masses, magnitudes, nu_pos):
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    n = 16
+    c = pixel_centers(n)
+    for nu in (-nu_pos, 0.0, nu_pos):
+        cells = scan_disk(system, nu, n).cells
+        ii, jj = np.nonzero(cells >= CellClass.EMPTY)
+        assert len(ii) > 0
+        for i, j in zip(ii, jj):
+            want = orientation_class(system, nu, Shape(c[i], c[j]))
+            assert int(cells[i, j]) - 2 == int(want)

@@ -103,3 +103,17 @@ def test_verify_all_non_preset_system():
     assert report.ok, "\n" + "\n".join(c.line() for c in report.checks if not c.passed)
     # no reference catalog for unknown systems
     assert "catalog.reference" not in [c.name for c in report.checks]
+
+
+def test_nonphysical_diabolic_value_is_omitted():
+    # Vt(0, 0) = -sqrt(2) sum a_ij sqrt(mu_ij) = +0.323 here, so the centre is
+    # never admissible at nu > 0 and no class changes at the diabolic value
+    from trihill.hill import v_tilde
+    from trihill.systems import BodySystem
+
+    system = BodySystem((1.0, 2.0, 3.0), (1.0, -2.0, 0.5))
+    assert v_tilde(system, 0.0, 0.0) == pytest.approx(0.3229461351, rel=1e-9)
+    assert not nu_diabolic(system).physical
+    assert "diabolic" not in [cv.family for cv in critical_catalog(system)]
+    report = verify_all(system, deep=False)
+    assert report.ok, "\n" + "\n".join(c.line() for c in report.checks if not c.passed)
