@@ -134,36 +134,19 @@ def principal_axes(j: JacobiShapeCoords) -> tuple[tuple[float, float, float], np
     return data.principal, axes
 
 
+def _gauge_momentum(j: JacobiShapeCoords, J: np.ndarray) -> np.ndarray:
+    """Momenta p = J.A that hold the shape at rest: p_phi = J3 rho2^2 / I."""
+    a_phi = j.rho2**2 / (j.rho1**2 + j.rho2**2)
+    return np.array([0.0, 0.0, J[2] * a_phi])
+
+
 def rigid_start(j: JacobiShapeCoords, r: float, j_hat: np.ndarray) -> RovibState:
     """Rigidly rotating state at configuration j: angular momentum r times
     the unit ``j_hat`` in the principal frame (axes ascending, axis 3 the
     plane normal), momenta the gauge values p = J.A so the shape is at rest."""
     _, axes = principal_axes(j)
     J = r * (axes @ j_hat)
-    a_phi = j.rho2**2 / (j.rho1**2 + j.rho2**2)
-    return RovibState(np.array([j.rho1, j.rho2, j.phi]), np.array([0.0, 0.0, J[2] * a_phi]), J)
-
-
-def _inverse_inertia_entries(
-    rho1: float, rho2: float, phi: float
-) -> tuple[float, float, float, float]:
-    """(i00, i01, i11, i22) of the block-diagonal M^-1."""
-    r1s, r2s = rho1 * rho1, rho2 * rho2
-    s, c = math.sin(phi), math.cos(phi)
-    det2 = r1s * r2s * s * s
-    if det2 == 0.0:
-        raise CollinearError("inertia tensor is singular at collinear configurations")
-    return (
-        (r1s + r2s * c * c) / det2,
-        (r2s * s * c) / det2,
-        (r2s * s * s) / det2,
-        1.0 / (r1s + r2s),
-    )
-
-
-def _inverse_inertia(j: JacobiShapeCoords) -> np.ndarray:
-    i00, i01, i11, i22 = _inverse_inertia_entries(j.rho1, j.rho2, j.phi)
-    return np.array([[i00, i01, 0.0], [i01, i11, 0.0], [0.0, 0.0, i22]])
+    return RovibState(np.array([j.rho1, j.rho2, j.phi]), _gauge_momentum(j, J), J)
 
 
 def kinetic_geometry(coords) -> KineticGeometry:
@@ -234,92 +217,54 @@ def _potential_and_grad(system: BodySystem, q: np.ndarray) -> tuple[float, np.nd
     return V, np.array([g0, g1, g2])
 
 
-def _check_chart(q: np.ndarray) -> None:
-    rho1, rho2, phi = q
-    if rho1 < COLLINEAR_TOL or rho2 < COLLINEAR_TOL or abs(math.sin(phi)) < COLLINEAR_TOL:
+def _flow(pairs, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Energy H and flat time derivative (qdot, pdot, Jdot) at flat state y.
+
+    One evaluation of the Jacobi chart serves both.  The partials are
+    analytic and J . Jdot = 0 identically.  With w = M^-1 J and
+    d(M^-1)/dq = -M^-1 (dM/dq) M^-1, the rotational part of dH/dq is minus
+    half the quadratic form of dM/dq on w.
+    """
+    rho1, rho2, phi = y[0], y[1], y[2]
+    s, c = math.sin(phi), math.cos(phi)
+    if rho1 < COLLINEAR_TOL or rho2 < COLLINEAR_TOL or abs(s) < COLLINEAR_TOL:
         raise CollinearError(
             f"state at (rho1, rho2, phi) = ({rho1}, {rho2}, {phi}) is on the "
             "collinear chart boundary"
         )
-
-
-def _inertia_derivatives(q: np.ndarray) -> list[np.ndarray]:
-    rho1, rho2, phi = q
-    s, c = math.sin(phi), math.cos(phi)
-    d1 = np.zeros((3, 3))
-    d1[1, 1] = d1[2, 2] = 2.0 * rho1
-    d2 = np.array(
-        [
-            [2.0 * rho2 * s * s, -2.0 * rho2 * s * c, 0.0],
-            [-2.0 * rho2 * s * c, 2.0 * rho2 * c * c, 0.0],
-            [0.0, 0.0, 2.0 * rho2],
-        ]
-    )
-    r2s = rho2 * rho2
-    dphi = np.array(
-        [
-            [2.0 * r2s * s * c, r2s * (s * s - c * c), 0.0],
-            [r2s * (s * s - c * c), -2.0 * r2s * s * c, 0.0],
-            [0.0, 0.0, 0.0],
-        ]
-    )
-    return [d1, d2, dphi]
-
-
-def _energy_scalar(pairs, y: np.ndarray) -> float:
-    rho1, rho2, phi = y[0], y[1], y[2]
-    i00, i01, i11, i22 = _inverse_inertia_entries(rho1, rho2, phi)
-    J1, J2, J3 = y[6], y[7], y[8]
-    I = rho1 * rho1 + rho2 * rho2
-    a_phi = rho2 * rho2 / I
-    g33 = I / (rho1 * rho1 * rho2 * rho2)
-    u3 = y[5] - J3 * a_phi
-    V, _, _, _ = _potential_and_grad_scalar(pairs, rho1, rho2, phi)
-    rot = 0.5 * (i00 * J1 * J1 + 2.0 * i01 * J1 * J2 + i11 * J2 * J2 + i22 * J3 * J3)
-    vib = 0.5 * (y[3] * y[3] + y[4] * y[4] + g33 * u3 * u3)
-    return rot + vib + V
-
-
-def _rhs_scalar(pairs, y: np.ndarray) -> np.ndarray:
-    """Flat time derivative; analytic partials, J . Jdot = 0 identically.
-
-    Uses d(M^-1)/dq = -M^-1 (dM/dq) M^-1, so the rotational derivative is
-    the quadratic form of dM/dq on w = M^-1 J with a sign flip.
-    """
-    rho1, rho2, phi = y[0], y[1], y[2]
-    _check_chart(y[0:3])
-    s, c = math.sin(phi), math.cos(phi)
-    i00, i01, i11, i22 = _inverse_inertia_entries(rho1, rho2, phi)
+    r1s, r2s = rho1 * rho1, rho2 * rho2
+    det2 = r1s * r2s * s * s
+    i00, i01, i11 = (r1s + r2s * c * c) / det2, (r2s * s * c) / det2, (r2s * s * s) / det2
+    I = r1s + r2s
+    i22 = 1.0 / I
     J1, J2, J3 = y[6], y[7], y[8]
     w1 = i00 * J1 + i01 * J2
     w2 = i01 * J1 + i11 * J2
     w3 = i22 * J3
 
-    I = rho1 * rho1 + rho2 * rho2
-    a_phi = rho2 * rho2 / I
+    a_phi = r2s / I
     g33 = I / (rho1 * rho1 * rho2 * rho2)
     u3 = y[5] - J3 * a_phi
+    V, dV1, dV2, dVphi = _potential_and_grad_scalar(pairs, rho1, rho2, phi)
+    rot = 0.5 * (i00 * J1 * J1 + 2.0 * i01 * J1 * J2 + i11 * J2 * J2 + i22 * J3 * J3)
+    vib = 0.5 * (y[3] * y[3] + y[4] * y[4] + g33 * u3 * u3)
 
     # Quadratic forms w . (dM/dq_mu) . w for mu = rho1, rho2, phi.
     quad1 = 2.0 * rho1 * (w2 * w2 + w3 * w3)
     sw = s * w1 - c * w2
     quad2 = 2.0 * rho2 * (sw * sw + w3 * w3)
-    quadphi = (rho2 * rho2) * (
-        2.0 * s * c * (w1 * w1 - w2 * w2) + 2.0 * (s * s - c * c) * w1 * w2
-    )
+    quadphi = r2s * (2.0 * s * c * (w1 * w1 - w2 * w2) + 2.0 * (s * s - c * c) * w1 * w2)
 
     dg33_1, dg33_2 = -2.0 / rho1**3, -2.0 / rho2**3
     da_1 = -2.0 * rho1 * rho2 * rho2 / (I * I)
     da_2 = 2.0 * rho2 * rho1 * rho1 / (I * I)
-    _, dV1, dV2, dVphi = _potential_and_grad_scalar(pairs, rho1, rho2, phi)
-
     coupling = g33 * u3 * J3
     pdot1 = -(-0.5 * quad1 + 0.5 * dg33_1 * u3 * u3 - coupling * da_1 + dV1)
     pdot2 = -(-0.5 * quad2 + 0.5 * dg33_2 * u3 * u3 - coupling * da_2 + dV2)
     pdotphi = -(-0.5 * quadphi + dVphi)
 
     g1, g2, g3 = w1, w2, w3 - g33 * u3 * a_phi
-    return np.array(
+    ydot = np.array(
         [
             y[3],
             y[4],
@@ -332,17 +277,17 @@ def _rhs_scalar(pairs, y: np.ndarray) -> np.ndarray:
             J1 * g2 - J2 * g1,
         ]
     )
+    return rot + vib + V, ydot
 
 
 def hamiltonian(system: BodySystem, state: RovibState) -> float:
     """Reduced ro-vibrational energy of a state."""
-    _check_chart(state.q)
-    return _energy_scalar(_pair_constants(system), state.flat())
+    return _flow(_pair_constants(system), state.flat())[0]
 
 
 def eom(system: BodySystem, state: RovibState) -> RovibState:
     """Time derivative (qdot, pdot, Jdot) of the reduced flow."""
-    return RovibState.from_flat(_rhs_scalar(_pair_constants(system), state.flat()))
+    return RovibState.from_flat(_flow(_pair_constants(system), state.flat())[1])
 
 
 def relequil_residual(
@@ -350,21 +295,15 @@ def relequil_residual(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the relative-equilibrium conditions at (q, J).
 
-    res1 = J x (M^-1 J) vanishes iff J is a principal axis; res3 is the
-    gradient of the effective potential 1/2 J.M^-1.J + V over q.  Both are
-    near zero exactly at relative equilibria (momenta are then p = J.A).
+    They are the flow at the rigidly rotating state (q, p = J.A, J), where
+    qdot = 0: res1 = Jdot = J x (M^-1 J) vanishes iff J is a principal axis;
+    res3 = -pdot is the gradient of the effective potential 1/2 J.M^-1.J + V
+    over q.  Both are near zero exactly at relative equilibria.
     """
-    q = np.array([j.rho1, j.rho2, j.phi])
-    _check_chart(q)
     J = np.asarray(J, dtype=float)
-    Minv = _inverse_inertia(j)
-    MinvJ = Minv @ J
-    res1 = np.cross(J, MinvJ)
-    _, dV = _potential_and_grad(system, q)
-    res3 = np.empty(3)
-    for mu, dM in enumerate(_inertia_derivatives(q)):
-        res3[mu] = -0.5 * J @ (Minv @ (dM @ MinvJ)) + dV[mu]
-    return res1, res3
+    y = np.concatenate([[j.rho1, j.rho2, j.phi], _gauge_momentum(j, J), J])
+    ydot = _flow(_pair_constants(system), y)[1]
+    return ydot[6:9], -ydot[3:6]
 
 
 @dataclass
@@ -376,7 +315,11 @@ class ConservationReport:
 
     @property
     def ok(self) -> bool:
-        return self.truncated_at is None
+        return (
+            self.truncated_at is None
+            and math.isfinite(self.energy_drift)
+            and math.isfinite(self.momentum_drift)
+        )
 
 
 @dataclass
@@ -405,11 +348,11 @@ def integrate(
     """Fixed-step RK4 integration of the reduced flow.
 
     Stops early with a diagnostic if the trajectory reaches the collinear
-    chart boundary.  The report carries the worst energy and |J| drifts over
-    the integrated segment.
+    chart boundary or its state stops being finite.  The report carries the
+    worst energy and |J| drifts over the integrated segment.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     pairs = _pair_constants(system)
     y = RovibState(s0.q, s0.p, s0.J).flat()
     t = np.empty(nsteps + 1)
@@ -417,22 +360,25 @@ def integrate(
     energy = np.empty(nsteps + 1)
     t[0] = 0.0
     states[0] = y
-    energy[0] = hamiltonian(system, s0)
+    energy[0], k1 = _flow(pairs, y)
     n_done = nsteps
     message = ""
     for k in range(nsteps):
         try:
-            k1 = _rhs_scalar(pairs, y)
-            k2 = _rhs_scalar(pairs, y + 0.5 * dt * k1)
-            k3 = _rhs_scalar(pairs, y + 0.5 * dt * k2)
-            k4 = _rhs_scalar(pairs, y + dt * k3)
-            ynew = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _check_chart(ynew[0:3])
-            energy[k + 1] = _energy_scalar(pairs, ynew)
-            y = ynew
+            k2 = _flow(pairs, y + 0.5 * dt * k1)[1]
+            k3 = _flow(pairs, y + 0.5 * dt * k2)[1]
+            k4 = _flow(pairs, y + dt * k3)[1]
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            energy[k + 1], k1 = _flow(pairs, y)
         except CollinearError as exc:
             n_done = k
             message = f"truncated at step {k}: {exc}"
+            break
+        # H is not finite when any state component is not, so one scalar
+        # test covers the whole state.
+        if not math.isfinite(energy[k + 1]):
+            n_done = k
+            message = f"truncated at step {k}: non-finite state"
             break
         t[k + 1] = (k + 1) * dt
         states[k + 1] = y

@@ -18,6 +18,7 @@ import numpy as np
 
 from .coords import (
     JacobiShapeCoords,
+    Shape,
     WCoords,
     collision_angles,
     dilate,
@@ -38,11 +39,13 @@ from .critical import (
     nu_langmuir,
 )
 from .errors import UnsupportedFamilyError
-from .hill import membership, orientation_class, shape_eval
+from .hill import ShapeEvaluation, membership, orientation_class, shape_eval
 from .reduction import (
     RovibState,
+    _potential_and_grad,
     eom,
     hamiltonian,
+    inertia,
     integrate,
     relequil_residual,
     rigid_start,
@@ -183,8 +186,6 @@ def _relequil_checks(
     report.add(f"{tag}.residual", max(np.linalg.norm(res1), np.linalg.norm(res3)), 1e-8)
 
     E = hamiltonian(system, state)
-    from .reduction import _potential_and_grad
-
     V, _ = _potential_and_grad(system, state.q)
     report.add(f"{tag}.virial", abs(E - 0.5 * V), 1e-10 * abs(V), "E = V/2")
     report.add(
@@ -229,8 +230,6 @@ def _roundtrip_suite(report: VerificationReport, samples: int = 10_000) -> None:
 
 
 def _inertia_suite(report: VerificationReport, samples: int = 2_000) -> None:
-    from .reduction import inertia
-
     rng = np.random.default_rng(77)
     worst_sum = worst_tr = worst_hom = 0.0
     for _ in range(samples):
@@ -315,13 +314,12 @@ def sphere_grid(step_deg: float = 2.0) -> np.ndarray:
     return np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
 
 
-def _orientation_oracle(system: BodySystem, nu: float, shape, grid) -> int:
+def _orientation_oracle(ev: ShapeEvaluation, nu: float, grid) -> int:
     """Class from sampling the membership inequality over the J sphere.
 
     Independent of the threshold shortcut: counts connected components of
     the accessible set (axis 3 of the grid is the third principal axis).
     """
-    ev = shape_eval(system, shape)
     m1, m2, m3 = ev.m_tilde
     er = 0.5 * (
         grid[..., 0] ** 2 / m1 + grid[..., 1] ** 2 / m2 + grid[..., 2] ** 2 / m3
@@ -380,8 +378,6 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int 
     grid = sphere_grid()
     lam_grid = np.logspace(-6.0, 6.0, 1_500)
     mismatch_m = mismatch_o = 0
-    from .coords import Shape
-
     for _ in range(samples):
         while True:
             w1, w2 = rng.uniform(-0.98, 0.98, 2)
@@ -398,12 +394,12 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int 
         want = lambda_grid_member(system, base, jh, E, r, lam_grid)
         mismatch_m += got != want
         # orientation class against the sphere-sampling census
-        nu = float(rng.uniform(-0.5, 3.0)) * max(1.0, abs(shape_eval(system, shape).v_tilde))
-        got_c = int(orientation_class(system, nu, shape))
-        want_c = _orientation_oracle(system, nu, shape, grid)
-        if _near_threshold(system, shape, nu):
+        ev = shape_eval(system, shape)
+        nu = float(rng.uniform(-0.5, 3.0)) * max(1.0, abs(ev.v_tilde))
+        if _near_threshold(ev, nu):
             continue
-        mismatch_o += got_c != want_c
+        got_c = int(orientation_class(system, nu, shape))
+        mismatch_o += got_c != _orientation_oracle(ev, nu, grid)
     report.add("hill.membership_oracle", float(mismatch_m), 0.0, f"{samples} samples")
     report.add("hill.orientation_oracle", float(mismatch_o), 0.0, f"{samples} samples")
 
@@ -463,8 +459,7 @@ def _census_event_checks(report: VerificationReport, system: BodySystem) -> None
                 report.add_flag("scan.langmuir_event", ok, "census changes across nu_Langmuir")
 
 
-def _near_threshold(system: BodySystem, shape, nu: float, margin: float = 1e-6) -> bool:
-    ev = shape_eval(system, shape)
+def _near_threshold(ev: ShapeEvaluation, nu: float, margin: float = 1e-6) -> bool:
     if ev.v_tilde >= 0.0:
         return abs(nu) < margin
     v2 = ev.v_tilde**2

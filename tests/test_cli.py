@@ -116,6 +116,16 @@ def test_simulate_trajectory(tmp_path, capsys):
     assert "energy_drift" in err
 
 
+def test_simulate_rejects_nan_dt(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--preset", "eep", "--shape", "0.1", "0.2",
+        "--jhat", "0", "0.6", "0.8", "--dt", "nan", "--steps", "3",
+    )
+    assert code != 0
+    assert err.startswith("error:")
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "--preset", "eep", "--quick")
     assert code == 0

@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trihill.coords import DragtCoords, JacobiShapeCoords, dilate, jacobi_from_dragt
 from trihill.errors import CollinearError, SingularGeometryError
 from trihill.reduction import (
+    ConservationReport,
     RovibState,
     eom,
     hamiltonian,
@@ -16,6 +20,7 @@ from trihill.reduction import (
     relequil_residual,
 )
 from trihill.critical import nu_lagrange, nu_langmuir
+from trihill.systems import BodySystem
 from trihill.verify import build_relequil_state
 
 from conftest import oracle_inertia_tensor, oracle_positions, oracle_potential
@@ -251,6 +256,43 @@ def test_relequil_residual_at_equilibria(helium, gravity, eep):
         assert np.linalg.norm(d.p) < 1e-8
 
 
+_SIGNS = list(itertools.product((1.0, -1.0), repeat=3))
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_relequil_residual_against_position_oracle(signs, masses, magnitudes, seed):
+    # res1 = J x (M^-1 J) and res3 = grad_q (1/2 J.M^-1.J + V), with M and V
+    # rebuilt from body positions and the gradient from central differences
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    rng = np.random.default_rng(seed)
+    j = random_jacobi(rng, 0.3, 2.0)
+    J = rng.normal(0.0, 1.0, 3)
+
+    def effective(q):
+        pos = oracle_positions(system, *q)
+        minv_j = np.linalg.solve(oracle_inertia_tensor(system, pos), J)
+        return 0.5 * J @ minv_j + oracle_potential(system, pos), minv_j
+
+    q = np.array([j.rho1, j.rho2, j.phi])
+    f0, minv_j = effective(q)
+    grad = np.empty(3)
+    for mu in range(3):
+        h = 1e-6 * max(1.0, abs(q[mu]))
+        step = h * np.eye(3)[mu]
+        grad[mu] = (effective(q + step)[0] - effective(q - step)[0]) / (2.0 * h)
+
+    res1, res3 = relequil_residual(system, j, J)
+    want1 = np.cross(J, minv_j)
+    assert np.linalg.norm(res1 - want1) <= 1e-10 * max(1.0, np.linalg.norm(want1))
+    assert np.linalg.norm(res3 - grad) <= 1e-6 * max(1.0, abs(f0), np.linalg.norm(grad))
+
+
 def test_integrate_relative_equilibrium(helium):
     from trihill.reduction import _potential_and_grad
 
@@ -302,3 +344,34 @@ def test_trajectory_csv_format(gravity):
     assert float(row[0]) == 0.0
     # 17 significant digits survive a parse round trip
     assert float(row[1]) == traj.states[0, 0]
+
+
+def test_trajectory_energy_is_hamiltonian_of_each_state(gravity, helium):
+    # a full run and a run cut at the chart boundary
+    full = build_relequil_state(helium, nu_langmuir(helium), r=1.0)
+    full.p = full.p + np.array([0.02, -0.01, 0.03])
+    edge = RovibState([1.0, 1.0, 0.3], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0])
+    for system, state, dt, truncated in ((helium, full, 1e-3, False), (gravity, edge, 0.05, True)):
+        traj, report = integrate(system, state, dt, 400)
+        assert (report.truncated_at is not None) == truncated
+        for k in range(len(traj)):
+            assert traj.energy[k] == hamiltonian(system, traj.state(k))
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+def test_integrate_rejects_bad_dt(gravity, dt):
+    state = build_relequil_state(gravity, nu_lagrange(gravity), r=1.0)
+    with pytest.raises(ValueError):
+        integrate(gravity, state, dt, 3)
+
+
+def test_integrate_truncates_non_finite_state(gravity):
+    state = RovibState([1.0, 1.0, 1.3], [math.nan, 0.0, 0.0], [0.0, 0.0, 0.5])
+    traj, report = integrate(gravity, state, 1e-3, 20)
+    assert not report.ok
+    assert report.truncated_at is not None
+    assert "non-finite" in report.message
+    assert "collinear" not in report.message
+    assert len(traj) == report.truncated_at + 1
+    assert not ConservationReport(math.nan, 0.0).ok
+    assert not ConservationReport(0.0, math.inf).ok
