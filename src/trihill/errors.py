@@ -5,6 +5,10 @@ class TrihillError(Exception):
     """Base class for package errors."""
 
 
+class DomainError(TrihillError, ValueError):
+    """Raised when an input is non-finite or outside the domain it must lie in."""
+
+
 class TripleCollisionError(TrihillError, ValueError):
     """Raised when an operation needs a nonzero configuration size."""
 

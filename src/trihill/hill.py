@@ -29,6 +29,7 @@ from enum import IntEnum
 import numpy as np
 
 from .coords import Distances, Shape, pair_geometry
+from .errors import DomainError
 from .systems import BodySystem
 
 
@@ -229,6 +230,12 @@ def class_from_level(
     return OrientationClass(int(_count_reached(level, thresholds)))
 
 
+def check_nu(nu: float) -> None:
+    """Reject a non-finite nu, which no class rule can compare."""
+    if not math.isfinite(nu):
+        raise DomainError(f"nu must be finite, got {nu}")
+
+
 def class_codes(nu: float, v_tilde, m_tilde) -> np.ndarray:
     """The orientation-class rule over arrays: OrientationClass codes (int8).
 
@@ -236,6 +243,7 @@ def class_codes(nu: float, v_tilde, m_tilde) -> np.ndarray:
     where Vt >= 0 (or NaN), all are where Vt < 0 at nu = 0, and at nu > 0
     the level Vt^2/(4 nu) is compared with the thresholds 1/(2 Mt_k).
     """
+    check_nu(nu)
     v = np.asarray(v_tilde, dtype=float)
     if nu < 0.0:
         level = np.full(v.shape, np.inf)

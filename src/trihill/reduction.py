@@ -32,8 +32,8 @@ from .coords import (
 from .errors import CollinearError, SingularGeometryError, TripleCollisionError
 from .systems import BodySystem
 
-# Chart-boundary guard: states closer than this to phi in {0, pi} or to
-# rho1 rho2 = 0 are rejected rather than extrapolated.
+# Chart-boundary guard: the chart is rho1, rho2 > 0 and 0 < phi < pi; states
+# with rho1, rho2 or sin(phi) below this are rejected rather than extrapolated.
 COLLINEAR_TOL = 1e-10
 
 
@@ -226,8 +226,13 @@ def _flow(pairs, y: np.ndarray) -> tuple[float, np.ndarray]:
     half the quadratic form of dM/dq on w.
     """
     rho1, rho2, phi = y[0], y[1], y[2]
+    if math.isinf(phi):
+        # math.sin raises on an infinite angle; the state is non-finite, as a
+        # NaN one is, and its energy and flow are NaN.
+        return math.nan, np.full(9, math.nan)
     s, c = math.sin(phi), math.cos(phi)
-    if rho1 < COLLINEAR_TOL or rho2 < COLLINEAR_TOL or abs(s) < COLLINEAR_TOL:
+    # sin(phi) < 0: a step crossed phi = 0 or pi and left the chart.
+    if rho1 < COLLINEAR_TOL or rho2 < COLLINEAR_TOL or s < COLLINEAR_TOL:
         raise CollinearError(
             f"state at (rho1, rho2, phi) = ({rho1}, {rho2}, {phi}) is on the "
             "collinear chart boundary"
@@ -335,11 +340,12 @@ class Trajectory:
         return RovibState.from_flat(self.states[k])
 
     def to_csv(self) -> str:
-        lines = ["t,q1,q2,q3,p1,p2,p3,J1,J2,J3,H"]
-        for tk, row, hk in zip(self.t, self.states, self.energy):
-            vals = [tk, *row, hk]
-            lines.append(",".join(format(v, ".17g") for v in vals))
-        return "\n".join(lines) + "\n"
+        """One line per step, 17 significant digits ('%.17g' % x gives the
+        bytes of format(x, '.17g') for every float)."""
+        rows = np.column_stack([self.t, self.states, self.energy])
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        body = (line * len(rows)) % tuple(rows.ravel().tolist())
+        return "t,q1,q2,q3,p1,p2,p3,J1,J2,J3,H\n" + body
 
 
 def integrate(

@@ -11,13 +11,14 @@ w3 = sqrt(1 - w1^2 - w2^2)); the rest are classified at the requested nu by
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .hill import class_codes, moments, shape_kernel
+from .hill import check_nu, class_codes, moments, shape_kernel
 from .systems import BodySystem
 
 
@@ -71,6 +72,7 @@ def scan_disk(system: BodySystem, nu: float, n: int) -> ShapeScan:
     """Classify every pixel of the N x N raster over [-1, 1]^2."""
     if n < 2:
         raise ValueError("resolution must be at least 2")
+    check_nu(nu)  # also where no pixel is interior and classify_grid never runs
     c = pixel_centers(n)
     W1, W2 = np.meshgrid(c, c, indexing="ij")
     s2 = W1 * W1 + W2 * W2
@@ -83,6 +85,16 @@ def scan_disk(system: BodySystem, nu: float, n: int) -> ShapeScan:
         cells[ii, jj] = classify_grid(system, nu, W1[ii, jj], W2[ii, jj])
     cells[band] = CellClass.BOUNDARY
     return ShapeScan(resolution=n, nu=nu, cells=cells, system=system)
+
+
+def _grid_axes(n: int, chi_psi: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Sample points of a contour grid's two axes: (psi, chi) over
+    [0, 2 pi) x [0, pi/2] in chi-psi mode, else the pixel centres (w1, w2)."""
+    if chi_psi:
+        centres = np.arange(n) + 0.5
+        return centres * (2.0 * math.pi / n), centres * (0.5 * math.pi / n)
+    c = pixel_centers(n)
+    return c, c
 
 
 def contour_grid(
@@ -98,17 +110,13 @@ def contour_grid(
         raise ValueError("axis index must be 1, 2 or 3")
     if n < 2:
         raise ValueError("resolution must be at least 2")
-    if chi_psi:
-        psi = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-        chi = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
-        PSI, CHI = np.meshgrid(psi, chi, indexing="ij")
-        W1 = np.cos(CHI) * np.cos(PSI)
-        W2 = np.cos(CHI) * np.sin(PSI)
-        s = np.cos(CHI)
+    A, B = np.meshgrid(*_grid_axes(n, chi_psi), indexing="ij")
+    if chi_psi:  # A holds psi, B chi
+        s = np.cos(B)
+        W1, W2 = s * np.cos(A), s * np.sin(A)
         valid = np.ones_like(W1, dtype=bool)
     else:
-        c = pixel_centers(n)
-        W1, W2 = np.meshgrid(c, c, indexing="ij")
+        W1, W2 = A, B
         s = np.hypot(W1, W2)
         valid = s <= 1.0
     V = shape_kernel(system, np.where(valid, W1, 0.0), np.where(valid, W2, 0.0))[0]
@@ -164,40 +172,50 @@ def render(obj, fmt: str) -> bytes:
 
 def _scan_ppm(scan: ShapeScan) -> bytes:
     n = scan.resolution
-    rgb = np.zeros((n, n, 3), dtype=np.uint8)
+    lut = np.array([PALETTE[cls] for cls in CellClass], dtype=np.uint8)
     # Image rows run top to bottom: w2 descending; columns: w1 ascending.
-    img = np.flipud(scan.cells.T)
-    for cls, color in PALETTE.items():
-        rgb[img == cls] = color
+    rgb = lut[np.flipud(scan.cells.T)]
     return f"P6\n{n} {n}\n255\n".encode() + rgb.tobytes()
 
 
+# The CSV writers format each axis once and leave the per-pixel work to C:
+# row i is its first coordinate followed by one tail per column, joined, and
+# the contour values fill the row with one printf-style '%'.  For every
+# float, '%.12g' % x gives the bytes of format(x, '.12g').  Rows stream into
+# one buffer, so the writer makes no large block besides its output.
+
+
+def _axis_text(x: np.ndarray) -> list[str]:
+    return ["%.12g" % v for v in x.tolist()]
+
+
+def _row(first: str, tails: list[str]) -> str:
+    """Lines first + tail for each tail, each preceded by a newline."""
+    head = "\n" + first
+    return head + head.join(tails)
+
+
+def _csv(header: str, rows) -> bytes:
+    out = io.BytesIO()
+    out.write(header.encode())
+    for row in rows:
+        out.write(row.encode())
+    out.write(b"\n")
+    return out.getvalue()
+
+
 def _scan_csv(scan: ShapeScan) -> bytes:
-    c = pixel_centers(scan.resolution)
-    lines = ["w1,w2,class"]
-    for i in range(scan.resolution):
-        for j in range(scan.resolution):
-            lines.append(
-                f"{format(c[i], '.12g')},{format(c[j], '.12g')},"
-                f"{CellClass(scan.cells[i, j]).name}"
-            )
-    return ("\n".join(lines) + "\n").encode()
+    c = _axis_text(pixel_centers(scan.resolution))
+    # tails[j, code]: the end of a line in column j whose cell has this class
+    tails = np.array([[f",{w2},{cls.name}" for cls in CellClass] for w2 in c], dtype=object)
+    cols = np.arange(scan.resolution)
+    rows = (_row(w1, tails[cols, codes].tolist()) for w1, codes in zip(c, scan.cells))
+    return _csv("w1,w2,class", rows)
 
 
 def _grid_csv(grid: ContourGrid) -> bytes:
-    n = grid.resolution
-    if grid.chi_psi:
-        a = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-        b = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
-        header = "psi,chi,value"
-    else:
-        a = b = pixel_centers(n)
-        header = "w1,w2,value"
-    lines = [header]
-    for i in range(n):
-        for j in range(n):
-            lines.append(
-                f"{format(a[i], '.12g')},{format(b[j], '.12g')},"
-                f"{format(grid.values[i, j], '.12g')}"
-            )
-    return ("\n".join(lines) + "\n").encode()
+    a, b = map(_axis_text, _grid_axes(grid.resolution, grid.chi_psi))
+    tails = [f",{y},%.12g" for y in b]
+    header = "psi,chi,value" if grid.chi_psi else "w1,w2,value"
+    rows = (_row(x, tails) % tuple(v.tolist()) for x, v in zip(a, grid.values))
+    return _csv(header, rows)

@@ -133,3 +133,50 @@ def oracle_orientation_class(
     if ncomp == 2 and acc[0].any() and acc[-1].any():
         return 1
     return 2
+
+
+# Per-pixel CSV writers as they were before the row-at-a-time ones in
+# trihill.scan and trihill.reduction: the byte-for-byte references.
+
+
+def oracle_scan_csv(scan) -> bytes:
+    from trihill.scan import CellClass, pixel_centers
+
+    c = pixel_centers(scan.resolution)
+    lines = ["w1,w2,class"]
+    for i in range(scan.resolution):
+        for j in range(scan.resolution):
+            lines.append(
+                f"{format(c[i], '.12g')},{format(c[j], '.12g')},"
+                f"{CellClass(scan.cells[i, j]).name}"
+            )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def oracle_grid_csv(grid) -> bytes:
+    from trihill.scan import pixel_centers
+
+    n = grid.resolution
+    if grid.chi_psi:
+        a = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+        b = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
+        header = "psi,chi,value"
+    else:
+        a = b = pixel_centers(n)
+        header = "w1,w2,value"
+    lines = [header]
+    for i in range(n):
+        for j in range(n):
+            lines.append(
+                f"{format(a[i], '.12g')},{format(b[j], '.12g')},"
+                f"{format(grid.values[i, j], '.12g')}"
+            )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def oracle_traj_csv(traj) -> str:
+    lines = ["t,q1,q2,q3,p1,p2,p3,J1,J2,J3,H"]
+    for tk, row, hk in zip(traj.t, traj.states, traj.energy):
+        vals = [tk, *row, hk]
+        lines.append(",".join(format(v, ".17g") for v in vals))
+    return "\n".join(lines) + "\n"

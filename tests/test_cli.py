@@ -126,6 +126,25 @@ def test_simulate_rejects_nan_dt(capsys):
     assert err.startswith("error:")
 
 
+def test_simulate_stops_at_chart_boundary(capsys):
+    # phi crosses pi at step 17; the run used to go on to energy_drift=97.4
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--preset", "eep", "--shape", "0.1", "0.2", "--jhat", "0", "0", "1",
+        "--r", "0.01", "--dt", "0.05", "--steps", "3000",
+    )
+    assert code != 0
+    assert "# steps=16 " in err
+    assert "collinear chart boundary" in err
+
+
+def test_scan_rejects_nan_nu(capsys):
+    code, out, err = run_cli(capsys, "scan", "--preset", "eep", "--nu", "nan", "--res", "8")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "--preset", "eep", "--quick")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 
 from trihill.coords import Distances, Shape
 from trihill.critical import nu_diabolic, nu_lagrange
+from trihill.errors import TrihillError
 from trihill.hill import (
     OrientationClass,
     bif_function,
@@ -295,3 +296,10 @@ def test_membership_equivalent_inequality(gravity):
         got = membership(gravity, E, r, sh, jh).member
         want = bif_function(gravity, sh, jh) <= -math.sqrt(-E * r * r)
         assert got == want
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+def test_orientation_class_rejects_non_finite_nu(helium, nu):
+    with pytest.raises(TrihillError) as info:
+        orientation_class(helium, nu, Shape(0.1, 0.2))
+    assert isinstance(info.value, ValueError)

@@ -19,11 +19,13 @@ from trihill.reduction import (
     principal_axes,
     relequil_residual,
 )
+from trihill.coords import Shape
 from trihill.critical import nu_lagrange, nu_langmuir
-from trihill.systems import BodySystem
+from trihill.reduction import rigid_start
+from trihill.systems import BodySystem, preset
 from trihill.verify import build_relequil_state
 
-from conftest import oracle_inertia_tensor, oracle_positions, oracle_potential
+from conftest import oracle_inertia_tensor, oracle_positions, oracle_potential, oracle_traj_csv
 
 
 def random_jacobi(rng, lo=0.1, hi=3.0):
@@ -375,3 +377,55 @@ def test_integrate_truncates_non_finite_state(gravity):
     assert len(traj) == report.truncated_at + 1
     assert not ConservationReport(math.nan, 0.0).ok
     assert not ConservationReport(0.0, math.inf).ok
+
+
+@pytest.mark.parametrize(
+    "q, J", [([1.0, 1.0, 1.3], [0.0, 0.0, math.inf]), ([1.0, 1.0, math.inf], [0.0, 0.0, 0.5])]
+)
+def test_integrate_truncates_infinite_start(gravity, q, J):
+    state = RovibState(q, [0.0, 0.0, 0.0], J)
+    with np.errstate(invalid="ignore"):
+        traj, report = integrate(gravity, state, 1e-3, 20)
+    assert not report.ok
+    assert report.truncated_at == 0
+    assert "non-finite" in report.message
+    assert len(traj) == 1
+
+
+def test_integrate_stops_where_phi_leaves_the_chart():
+    # a step carries phi past pi; sin(phi) < 0 is outside the chart
+    eep = preset("eep")
+    state = rigid_start(Shape(0.1, 0.2).to_jacobi(), 0.01, np.array([0.0, 0.0, 1.0]))
+    traj, report = integrate(eep, state, 0.05, 3000)
+    assert report.truncated_at == 16
+    assert "collinear" in report.message
+    assert np.all(np.sin(traj.states[:, 2]) > 0.0)
+    assert report.energy_drift < 1e-3
+
+
+def test_trajectory_csv_matches_per_row_writer(gravity, helium):
+    full = build_relequil_state(helium, nu_langmuir(helium), r=1.0)
+    full.p = full.p + np.array([0.02, -0.01, 0.03])
+    edge = RovibState([1.0, 1.0, 0.3], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0])
+    for system, state, dt in ((helium, full, 1e-3), (gravity, edge, 0.05)):
+        traj, _ = integrate(system, state, dt, 400)
+        assert traj.to_csv() == oracle_traj_csv(traj)
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trajectory_csv_matches_per_row_writer_property(signs, masses, magnitudes, seed):
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    rng = np.random.default_rng(seed)
+    state = RovibState(
+        [rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), rng.uniform(0.3, math.pi - 0.3)],
+        rng.normal(0.0, 1.0, 3),
+        rng.normal(0.0, 1.0, 3),
+    )
+    traj, _ = integrate(system, state, 1e-2, 40)
+    assert traj.to_csv() == oracle_traj_csv(traj)

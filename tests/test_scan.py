@@ -7,17 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trihill.coords import Shape
-from trihill.critical import nu_diabolic
+from trihill.critical import critical_catalog, nu_diabolic
+from trihill.errors import TrihillError
 from trihill.hill import orientation_class, v_tilde
 from trihill.scan import (
     CellClass,
+    ContourGrid,
+    classify_grid,
     component_census,
     contour_grid,
     pixel_centers,
     render,
     scan_disk,
 )
-from trihill.systems import BodySystem
+from trihill.systems import BodySystem, preset
+
+from conftest import oracle_grid_csv, oracle_scan_csv
 
 
 def parse_class_csv(payload: bytes, n: int) -> np.ndarray:
@@ -275,3 +280,74 @@ def test_classify_grid_is_orientation_class_property(signs, masses, magnitudes, 
         for i, j in zip(ii, jj):
             want = orientation_class(system, nu, Shape(c[i], c[j]))
             assert int(cells[i, j]) - 2 == int(want)
+
+
+def _sweep(system):
+    """nu below 0, at 0, between each pair of consecutive critical values
+    and above the top one."""
+    nus = sorted({cv.nu for cv in critical_catalog(system)})
+    return [-1.0, 0.0] + [0.5 * (a + b) for a, b in zip(nus, nus[1:])] + [1.25 * nus[-1] + 0.1]
+
+
+@pytest.mark.parametrize("name", ["gravity-demo", "helium", "eep"])
+@pytest.mark.parametrize("n", [2, 3, 37, 128])
+def test_scan_csv_matches_per_pixel_writer(name, n):
+    system = preset(name)
+    for nu in _sweep(system):
+        scan = scan_disk(system, nu, n)
+        assert render(scan, "csv") == oracle_scan_csv(scan)
+
+
+@pytest.mark.parametrize("name", ["gravity-demo", "helium", "eep"])
+@pytest.mark.parametrize("chi_psi", [False, True])
+def test_contour_csv_matches_per_pixel_writer(name, chi_psi):
+    system = preset(name)
+    for k in (1, 2, 3):
+        for n in (2, 3, 37):
+            grid = contour_grid(system, k, n, chi_psi=chi_psi)
+            assert render(grid, "csv") == oracle_grid_csv(grid)
+
+
+def test_contour_csv_special_values():
+    specials = [
+        math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -1 / 3, 1e-300
+    ]
+    values = np.array(specials).reshape(3, 3)
+    for chi_psi in (False, True):
+        grid = ContourGrid(resolution=3, axis=1, chi_psi=chi_psi, values=values)
+        payload = render(grid, "csv")
+        assert payload == oracle_grid_csv(grid)
+        cells = [line.split(",")[2] for line in payload.decode().split("\n")[1:-1]]
+        assert cells == [
+            "nan", "inf", "-inf", "-0", "4.94065645841e-324", "1.79769313486e+308",
+            "0.1", "-0.333333333333", "1e-300",
+        ]
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    nu=st.floats(-5.0, 20.0),
+    n=st.integers(2, 24),
+    k=st.sampled_from([1, 2, 3]),
+)
+def test_writers_match_per_pixel_writers_property(signs, masses, magnitudes, nu, n, k):
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    scan = scan_disk(system, nu, n)
+    assert render(scan, "csv") == oracle_scan_csv(scan)
+    for chi_psi in (False, True):
+        grid = contour_grid(system, k, n, chi_psi=chi_psi)
+        assert render(grid, "csv") == oracle_grid_csv(grid)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+def test_non_finite_nu_is_rejected(gravity, nu):
+    c = pixel_centers(8)
+    with pytest.raises(TrihillError):
+        classify_grid(gravity, nu, c[2:6], c[2:6])
+    for n in (2, 64):  # no interior pixel at n = 2
+        with pytest.raises(TrihillError) as info:
+            scan_disk(gravity, nu, n)
+        assert isinstance(info.value, ValueError)
