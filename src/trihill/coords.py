@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollinearError, InternalConsistencyError, TripleCollisionError
+from .errors import CollinearError, DomainError, InternalConsistencyError, TripleCollisionError
 from .systems import BodySystem, jacobi_frame
 
 RADICAND_CLAMP = 1e-12  # negative squared distances beyond this are a bug
@@ -96,6 +96,8 @@ class Shape:
     w2: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
+            raise DomainError(f"shape ({self.w1}, {self.w2}) is not finite")
         if self.w1**2 + self.w2**2 >= 1.0:
             raise CollinearError(
                 f"shape ({self.w1}, {self.w2}) lies on or outside the collinear circle"

@@ -33,7 +33,7 @@ from .coords import (
     pair_geometry,
     w_from_jacobi,
 )
-from .errors import UnsupportedFamilyError
+from .errors import DomainError, UnsupportedFamilyError
 from .hill import moments, shape_eval, shape_kernel
 from .reduction import principal_axes, relequil_residual
 from .systems import PAIRS, BodySystem, infer_gravity_constant
@@ -335,6 +335,8 @@ def _roots_in_unit_interval(c: np.ndarray) -> list[float]:
     A double root may come back as a complex pair split by about sqrt(eps);
     the 1e-7 relative imaginary tolerance keeps it.
     """
+    if not np.all(np.isfinite(c)):
+        raise DomainError("collinear polynomial coefficients overflow; rescale the system")
     r = P.polyroots(c)
     x = r.real[(np.abs(r.imag) <= 1e-7 * np.abs(r)) & (r.real > 0.0)]
     dc = P.polyder(c)
@@ -570,6 +572,8 @@ def critical_catalog(system: BodySystem) -> list[CriticalValue]:
             )
         else:
             merged.append(cv)
+    if not all(math.isfinite(cv.nu) for cv in merged):
+        raise DomainError("critical values overflow; rescale the system")
     return merged
 
 

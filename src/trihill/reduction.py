@@ -36,6 +36,9 @@ from .systems import BodySystem
 # with rho1, rho2 or sin(phi) below this are rejected rather than extrapolated.
 COLLINEAR_TOL = 1e-10
 
+# Energy and flow of a non-finite state.
+_NAN_FLOW = (math.nan, (math.nan,) * 9)
+
 
 @dataclass(frozen=True)
 class InertiaData:
@@ -217,19 +220,28 @@ def _potential_and_grad(system: BodySystem, q: np.ndarray) -> tuple[float, np.nd
     return V, np.array([g0, g1, g2])
 
 
-def _flow(pairs, y: np.ndarray) -> tuple[float, np.ndarray]:
+def _flow(pairs, y) -> tuple[float, tuple[float, ...]]:
     """Energy H and flat time derivative (qdot, pdot, Jdot) at flat state y.
+
+    ``y`` holds the nine state values (q, p, J) as plain Python floats, and
+    the derivative comes back as a 9-tuple of floats: scalar arithmetic on
+    Python floats costs a fraction of the same arithmetic on numpy scalars.
+    IEEE arithmetic gives the same bits either way as long as the order of
+    operations stays as written, so any change here must keep that order.
 
     One evaluation of the Jacobi chart serves both.  The partials are
     analytic and J . Jdot = 0 identically.  With w = M^-1 J and
     d(M^-1)/dq = -M^-1 (dM/dq) M^-1, the rotational part of dH/dq is minus
     half the quadratic form of dM/dq on w.
+
+    A non-finite state (an infinite angle, or a power or quotient that
+    overflows or divides by zero, which Python floats raise on where numpy
+    returned inf) has a NaN energy and a NaN flow.
     """
-    rho1, rho2, phi = y[0], y[1], y[2]
+    rho1, rho2, phi, p1, p2, p3, J1, J2, J3 = y
     if math.isinf(phi):
-        # math.sin raises on an infinite angle; the state is non-finite, as a
-        # NaN one is, and its energy and flow are NaN.
-        return math.nan, np.full(9, math.nan)
+        # math.sin raises on an infinite angle.
+        return _NAN_FLOW
     s, c = math.sin(phi), math.cos(phi)
     # sin(phi) < 0: a step crossed phi = 0 or pi and left the chart.
     if rho1 < COLLINEAR_TOL or rho2 < COLLINEAR_TOL or s < COLLINEAR_TOL:
@@ -237,42 +249,41 @@ def _flow(pairs, y: np.ndarray) -> tuple[float, np.ndarray]:
             f"state at (rho1, rho2, phi) = ({rho1}, {rho2}, {phi}) is on the "
             "collinear chart boundary"
         )
-    r1s, r2s = rho1 * rho1, rho2 * rho2
-    det2 = r1s * r2s * s * s
-    i00, i01, i11 = (r1s + r2s * c * c) / det2, (r2s * s * c) / det2, (r2s * s * s) / det2
-    I = r1s + r2s
-    i22 = 1.0 / I
-    J1, J2, J3 = y[6], y[7], y[8]
-    w1 = i00 * J1 + i01 * J2
-    w2 = i01 * J1 + i11 * J2
-    w3 = i22 * J3
+    try:
+        r1s, r2s = rho1 * rho1, rho2 * rho2
+        det2 = r1s * r2s * s * s
+        i00, i01, i11 = (r1s + r2s * c * c) / det2, (r2s * s * c) / det2, (r2s * s * s) / det2
+        I = r1s + r2s
+        i22 = 1.0 / I
+        w1 = i00 * J1 + i01 * J2
+        w2 = i01 * J1 + i11 * J2
+        w3 = i22 * J3
 
-    a_phi = r2s / I
-    g33 = I / (rho1 * rho1 * rho2 * rho2)
-    u3 = y[5] - J3 * a_phi
-    V, dV1, dV2, dVphi = _potential_and_grad_scalar(pairs, rho1, rho2, phi)
-    rot = 0.5 * (i00 * J1 * J1 + 2.0 * i01 * J1 * J2 + i11 * J2 * J2 + i22 * J3 * J3)
-    vib = 0.5 * (y[3] * y[3] + y[4] * y[4] + g33 * u3 * u3)
+        a_phi = r2s / I
+        g33 = I / (rho1 * rho1 * rho2 * rho2)
+        u3 = p3 - J3 * a_phi
+        V, dV1, dV2, dVphi = _potential_and_grad_scalar(pairs, rho1, rho2, phi)
+        rot = 0.5 * (i00 * J1 * J1 + 2.0 * i01 * J1 * J2 + i11 * J2 * J2 + i22 * J3 * J3)
+        vib = 0.5 * (p1 * p1 + p2 * p2 + g33 * u3 * u3)
 
-    # Quadratic forms w . (dM/dq_mu) . w for mu = rho1, rho2, phi.
-    quad1 = 2.0 * rho1 * (w2 * w2 + w3 * w3)
-    sw = s * w1 - c * w2
-    quad2 = 2.0 * rho2 * (sw * sw + w3 * w3)
-    quadphi = r2s * (2.0 * s * c * (w1 * w1 - w2 * w2) + 2.0 * (s * s - c * c) * w1 * w2)
+        # Quadratic forms w . (dM/dq_mu) . w for mu = rho1, rho2, phi.
+        quad1 = 2.0 * rho1 * (w2 * w2 + w3 * w3)
+        sw = s * w1 - c * w2
+        quad2 = 2.0 * rho2 * (sw * sw + w3 * w3)
+        quadphi = r2s * (2.0 * s * c * (w1 * w1 - w2 * w2) + 2.0 * (s * s - c * c) * w1 * w2)
 
-    dg33_1, dg33_2 = -2.0 / rho1**3, -2.0 / rho2**3
-    da_1 = -2.0 * rho1 * rho2 * rho2 / (I * I)
-    da_2 = 2.0 * rho2 * rho1 * rho1 / (I * I)
-    coupling = g33 * u3 * J3
-    pdot1 = -(-0.5 * quad1 + 0.5 * dg33_1 * u3 * u3 - coupling * da_1 + dV1)
-    pdot2 = -(-0.5 * quad2 + 0.5 * dg33_2 * u3 * u3 - coupling * da_2 + dV2)
-    pdotphi = -(-0.5 * quadphi + dVphi)
+        dg33_1, dg33_2 = -2.0 / rho1**3, -2.0 / rho2**3
+        da_1 = -2.0 * rho1 * rho2 * rho2 / (I * I)
+        da_2 = 2.0 * rho2 * rho1 * rho1 / (I * I)
+        coupling = g33 * u3 * J3
+        pdot1 = -(-0.5 * quad1 + 0.5 * dg33_1 * u3 * u3 - coupling * da_1 + dV1)
+        pdot2 = -(-0.5 * quad2 + 0.5 * dg33_2 * u3 * u3 - coupling * da_2 + dV2)
+        pdotphi = -(-0.5 * quadphi + dVphi)
 
-    g1, g2, g3 = w1, w2, w3 - g33 * u3 * a_phi
-    ydot = np.array(
-        [
-            y[3],
-            y[4],
+        g1, g2, g3 = w1, w2, w3 - g33 * u3 * a_phi
+        ydot = (
+            p1,
+            p2,
             g33 * u3,
             pdot1,
             pdot2,
@@ -280,19 +291,21 @@ def _flow(pairs, y: np.ndarray) -> tuple[float, np.ndarray]:
             J2 * g3 - J3 * g2,
             J3 * g1 - J1 * g3,
             J1 * g2 - J2 * g1,
-        ]
-    )
-    return rot + vib + V, ydot
+        )
+        return rot + vib + V, ydot
+    except (OverflowError, ZeroDivisionError):
+        return _NAN_FLOW
 
 
 def hamiltonian(system: BodySystem, state: RovibState) -> float:
     """Reduced ro-vibrational energy of a state."""
-    return _flow(_pair_constants(system), state.flat())[0]
+    return _flow(_pair_constants(system), state.flat().tolist())[0]
 
 
 def eom(system: BodySystem, state: RovibState) -> RovibState:
     """Time derivative (qdot, pdot, Jdot) of the reduced flow."""
-    return RovibState.from_flat(_flow(_pair_constants(system), state.flat())[1])
+    ydot = _flow(_pair_constants(system), state.flat().tolist())[1]
+    return RovibState.from_flat(np.array(ydot))
 
 
 def relequil_residual(
@@ -307,7 +320,7 @@ def relequil_residual(
     """
     J = np.asarray(J, dtype=float)
     y = np.concatenate([[j.rho1, j.rho2, j.phi], _gauge_momentum(j, J), J])
-    ydot = _flow(_pair_constants(system), y)[1]
+    ydot = np.array(_flow(_pair_constants(system), y.tolist())[1])
     return ydot[6:9], -ydot[3:6]
 
 
@@ -356,42 +369,55 @@ def integrate(
     Stops early with a diagnostic if the trajectory reaches the collinear
     chart boundary or its state stops being finite.  The report carries the
     worst energy and |J| drifts over the integrated segment.
+
+    The state is a list of Python floats (see ``_flow``) and every stage and
+    update sum is written per component in the order
+    y + (dt/2) k, y + dt k3 and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), the
+    order of the same sums on arrays, so trajectories do not depend on which
+    of the two carries them.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    dt = float(dt)
+    half, sixth = 0.5 * dt, dt / 6.0
     pairs = _pair_constants(system)
-    y = RovibState(s0.q, s0.p, s0.J).flat()
-    t = np.empty(nsteps + 1)
+    y = RovibState(s0.q, s0.p, s0.J).flat().tolist()
     states = np.empty((nsteps + 1, 9))
     energy = np.empty(nsteps + 1)
-    t[0] = 0.0
     states[0] = y
     energy[0], k1 = _flow(pairs, y)
     n_done = nsteps
     message = ""
     for k in range(nsteps):
         try:
-            k2 = _flow(pairs, y + 0.5 * dt * k1)[1]
-            k3 = _flow(pairs, y + 0.5 * dt * k2)[1]
-            k4 = _flow(pairs, y + dt * k3)[1]
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            energy[k + 1], k1 = _flow(pairs, y)
+            k2 = _flow(pairs, [a + half * b for a, b in zip(y, k1)])[1]
+            k3 = _flow(pairs, [a + half * b for a, b in zip(y, k2)])[1]
+            k4 = _flow(pairs, [a + dt * b for a, b in zip(y, k3)])[1]
+            y = [
+                a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+            ]
+            H, k1 = _flow(pairs, y)
         except CollinearError as exc:
             n_done = k
             message = f"truncated at step {k}: {exc}"
             break
         # H is not finite when any state component is not, so one scalar
         # test covers the whole state.
-        if not math.isfinite(energy[k + 1]):
+        if not math.isfinite(H):
             n_done = k
             message = f"truncated at step {k}: non-finite state"
             break
-        t[k + 1] = (k + 1) * dt
         states[k + 1] = y
-    traj = Trajectory(t[: n_done + 1], states[: n_done + 1], energy[: n_done + 1])
-    j0 = np.linalg.norm(states[0, 6:9])
-    jdrift = float(np.max(np.abs(np.linalg.norm(traj.states[:, 6:9], axis=1) - j0)))
-    hdrift = float(np.max(np.abs(traj.energy - traj.energy[0])))
+        energy[k + 1] = H
+    # t_k = k dt, each a single rounding as the product of int k and dt
+    traj = Trajectory(np.arange(n_done + 1) * dt, states[: n_done + 1], energy[: n_done + 1])
+    # A non-finite start overflows the norm or subtracts inf from inf here;
+    # the report's NaN or inf drift already says so.
+    with np.errstate(over="ignore", invalid="ignore"):
+        j0 = np.linalg.norm(states[0, 6:9])
+        jdrift = float(np.max(np.abs(np.linalg.norm(traj.states[:, 6:9], axis=1) - j0)))
+        hdrift = float(np.max(np.abs(traj.energy - traj.energy[0])))
     report = ConservationReport(
         energy_drift=hdrift,
         momentum_drift=jdrift,

@@ -11,9 +11,10 @@ couplings are attractive.  Gravity corresponds to a_k = G*m_i*m_j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import TrihillError
+from .errors import DomainError, TrihillError
 
 # Pair indexing used throughout: pair p couples the two bodies other than
 # body p, i.e. pair 1 = (2,3), pair 2 = (1,3), pair 3 = (1,2).
@@ -30,6 +31,10 @@ class BodySystem:
     def __post_init__(self):
         if len(self.masses) != 3 or len(self.alphas) != 3:
             raise ValueError("BodySystem needs exactly three masses and three couplings")
+        if not all(math.isfinite(v) for v in (*self.masses, *self.alphas)):
+            raise DomainError(
+                f"masses and couplings must be finite, got {self.masses} and {self.alphas}"
+            )
         if any(m <= 0 for m in self.masses):
             raise ValueError(f"masses must be strictly positive, got {self.masses}")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))

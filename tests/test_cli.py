@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import trihill
 from trihill.cli import main
 
 
@@ -136,6 +142,25 @@ def test_simulate_stops_at_chart_boundary(capsys):
     assert code != 0
     assert "# steps=16 " in err
     assert "collinear chart boundary" in err
+
+
+def test_simulate_non_finite_run_writes_only_its_summary():
+    # in a fresh interpreter, as a user runs it, so that any numpy
+    # RuntimeWarning would reach stderr under Python's default filters
+    env = {**os.environ, "PYTHONPATH": str(Path(trihill.__file__).parents[1])}
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "trihill.cli",
+            "simulate", "--preset", "eep", "--shape", "0.1", "0.2", "--jhat", "0", "0", "1",
+            "--r", "1e200", "--dt", "1e-3", "--steps", "3",
+        ],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("# steps=0 ")
+    assert lines[0].endswith("non-finite state")
 
 
 def test_scan_rejects_nan_nu(capsys):

@@ -21,7 +21,7 @@ from trihill.coords import (
     w_from_jacobi,
     xxy_section,
 )
-from trihill.errors import CollinearError, TripleCollisionError
+from trihill.errors import CollinearError, DomainError, TripleCollisionError
 from trihill.systems import jacobi_frame, BodySystem
 
 from conftest import oracle_distances, oracle_positions
@@ -226,3 +226,9 @@ def test_shape_validation():
         Shape(0.8, 0.7)
     s = Shape(0.3, -0.4)
     assert s.w3 == pytest.approx(math.sqrt(1 - 0.25), rel=1e-15)
+
+
+@pytest.mark.parametrize("w", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.1, -math.inf)])
+def test_shape_rejects_non_finite(w):
+    with pytest.raises(DomainError):
+        Shape(*w)

@@ -21,7 +21,7 @@ from trihill.critical import (
     nu_lagrange,
     nu_langmuir,
 )
-from trihill.errors import UnsupportedFamilyError
+from trihill.errors import DomainError, TrihillError, UnsupportedFamilyError
 from trihill.hill import shape_eval, v_tilde
 from trihill.systems import BodySystem, gravitational
 
@@ -495,3 +495,11 @@ def test_sqrtmk_v_derivatives_against_central_differences(signs, masses, magnitu
             )
             hscale = max(1.0, *np.abs(hess[p]).ravel())
             assert np.allclose(hess[p], fd_hess, rtol=0.0, atol=1e-6 * hscale)
+
+
+def test_catalog_rejects_overflowing_couplings():
+    # the collinear coefficients overflow at 1e308; at 1e300 nu itself does
+    with pytest.raises(DomainError):
+        critical_catalog(BodySystem((1, 1, 1), (1e308, 1, 1)))
+    with pytest.raises(TrihillError):
+        critical_catalog(BodySystem((1, 1, 1), (1e300, 1, 1)))

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trihill.coords import DragtCoords, JacobiShapeCoords, dilate, jacobi_from_dragt
+from trihill.coords import (
+    DragtCoords,
+    JacobiShapeCoords,
+    dilate,
+    jacobi_from_dragt,
+    normalize_shape,
+)
 from trihill.errors import CollinearError, SingularGeometryError
 from trihill.reduction import (
     ConservationReport,
@@ -21,11 +27,19 @@ from trihill.reduction import (
 )
 from trihill.coords import Shape
 from trihill.critical import nu_lagrange, nu_langmuir
-from trihill.reduction import rigid_start
+from trihill.hill import membership
+from trihill.reduction import _pair_constants, rigid_start
 from trihill.systems import BodySystem, preset
 from trihill.verify import build_relequil_state
 
-from conftest import oracle_inertia_tensor, oracle_positions, oracle_potential, oracle_traj_csv
+from conftest import (
+    oracle_flow,
+    oracle_inertia_tensor,
+    oracle_integrate,
+    oracle_positions,
+    oracle_potential,
+    oracle_traj_csv,
+)
 
 
 def random_jacobi(rng, lo=0.1, hi=3.0):
@@ -429,3 +443,124 @@ def test_trajectory_csv_matches_per_row_writer_property(signs, masses, magnitude
     )
     traj, _ = integrate(system, state, 1e-2, 40)
     assert traj.to_csv() == oracle_traj_csv(traj)
+
+
+def test_integrate_truncates_overflowing_start(eep):
+    # rho**3 overflows, which raises OverflowError on Python floats
+    state = RovibState([1e103, 1e103, 1.0], [0.0, 0.0, 0.0], [1e200, 0.0, 0.0])
+    traj, report = integrate(eep, state, 1e-3, 3)
+    assert report.truncated_at == 0
+    assert "non-finite state" in report.message
+    assert len(traj) == 1
+    assert math.isnan(hamiltonian(eep, state))
+
+
+def assert_same_run(got, want):
+    """Bit-equal trajectories, reports and CSV text (NaN drifts compare equal)."""
+    (traj, report), (want_traj, want_report) = got, want
+    assert np.array_equal(traj.t, want_traj.t)
+    assert np.array_equal(traj.states, want_traj.states, equal_nan=True)
+    assert np.array_equal(traj.energy, want_traj.energy, equal_nan=True)
+    assert np.array_equal(
+        [report.energy_drift, report.momentum_drift],
+        [want_report.energy_drift, want_report.momentum_drift],
+        equal_nan=True,
+    )
+    assert report.truncated_at == want_report.truncated_at
+    assert report.message == want_report.message
+    assert traj.to_csv() == want_traj.to_csv()
+
+
+def random_rigid_start(rng):
+    """A rigidly rotating start at a random disk shape, Jhat and |J|."""
+    s, theta = rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi)
+    j_hat = rng.normal(0.0, 1.0, 3)
+    shape = Shape(s * math.cos(theta), s * math.sin(theta))
+    return rigid_start(shape.to_jacobi(), rng.uniform(0.1, 3.0), j_hat / np.linalg.norm(j_hat))
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
+)
+def test_integrate_bit_identical_to_array_oracle(signs, masses, magnitudes, seed, dt):
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    rng = np.random.default_rng(seed)
+    state = random_rigid_start(rng)
+    state.p = state.p + rng.normal(0.0, 0.1, 3)
+    assert_same_run(integrate(system, state, dt, 300), oracle_integrate(system, state, dt, 300))
+
+
+@pytest.mark.parametrize(
+    "name, state, dt",
+    [
+        # phi leaves the chart at step 16
+        ("eep", rigid_start(Shape(0.1, 0.2).to_jacobi(), 0.01, np.array([0.0, 0.0, 1.0])), 0.05),
+        ("gravity-demo", RovibState([1.0, 1.0, 1.3], [math.nan, 0.0, 0.0], [0.0, 0.0, 0.5]), 1e-3),
+        ("gravity-demo", RovibState([1.0, 1.0, 1.3], [0.0, 0.0, 0.0], [0.0, 0.0, math.inf]), 1e-3),
+        ("gravity-demo", RovibState([1.0, 1.0, math.inf], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]), 1e-3),
+    ],
+)
+def test_integrate_bit_identical_to_array_oracle_at_edges(name, state, dt):
+    system = preset(name)
+    got = integrate(system, state, dt, 3000)
+    assert got[1].truncated_at is not None
+    assert_same_run(got, oracle_integrate(system, state, dt, 3000))
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flow_entry_points_bit_identical_to_array_oracle(signs, masses, magnitudes, seed):
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    pairs = _pair_constants(system)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        j = random_jacobi(rng)
+        state = RovibState([j.rho1, j.rho2, j.phi], rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3))
+        H, ydot = oracle_flow(pairs, state.flat())
+        assert hamiltonian(system, state) == H
+        assert np.array_equal(eom(system, state).flat(), ydot)
+        # the rigidly rotating state at (q, J): p = J.A with A_phi = rho2^2 / I
+        a_phi = j.rho2**2 / (j.rho1**2 + j.rho2**2)
+        y = np.array([j.rho1, j.rho2, j.phi, 0.0, 0.0, state.J[2] * a_phi, *state.J])
+        res1, res3 = relequil_residual(system, j, state.J)
+        ydot = oracle_flow(pairs, y)[1]
+        assert np.array_equal(res1, ydot[6:9])
+        assert np.array_equal(res3, -ydot[3:6])
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trajectory_stays_in_its_hill_region(signs, masses, magnitudes, seed):
+    # Every 50th state, as (shape, Jhat in the principal frame), lies in the
+    # Hill region at E = H_k + tol, r = |J|.  Kinetic energy is not negative,
+    # so that holds at tol = 0 up to the rounding of the two routes to the
+    # energy, the Jacobi chart here and the shape-space kernel in membership.
+    # tol is 1e-9 of the energy scale the run visits, max(1, |H_0|) plus its
+    # energy drift: the drift reaches 1e5 on runs that pass near a collision,
+    # where the rotational and potential terms of H_k are large and cancel.
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    rng = np.random.default_rng(seed)
+    traj, report = integrate(system, random_rigid_start(rng), 1e-2, 500)
+    tol = 1e-9 * (max(1.0, abs(traj.energy[0])) + report.energy_drift)
+    for k in range(0, len(traj), 50):
+        state = traj.state(k)
+        j = state.jacobi()
+        shape, _ = normalize_shape(j)
+        r = float(np.linalg.norm(state.J))
+        j_hat = principal_axes(j)[1].T @ state.J / r
+        assert membership(system, traj.energy[k] + tol, r, shape, j_hat).member

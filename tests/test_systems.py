@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from trihill.errors import DomainError
 from trihill.systems import (
     BodySystem,
     PRESETS,
@@ -77,3 +80,24 @@ def test_permuted_relabeling():
     assert swapped.pair_coupling(1, 2) == system.pair_coupling(2, 3)
     assert swapped.pair_coupling(1, 3) == system.pair_coupling(2, 1)
     assert swapped.pair_coupling(2, 3) == system.pair_coupling(3, 1)
+
+
+@pytest.mark.parametrize(
+    "masses, alphas",
+    [
+        ((math.nan, 1, 1), (1, 1, 1)),
+        ((1, math.inf, 1), (1, 1, 1)),
+        ((1, 1, 1), (math.inf, 1, 1)),
+        ((1, 1, 1), (1, 1, -math.nan)),
+    ],
+)
+def test_system_rejects_non_finite(masses, alphas):
+    with pytest.raises(DomainError):
+        BodySystem(masses, alphas)
+
+
+def test_parse_system_rejects_non_finite():
+    with pytest.raises(DomainError):
+        parse_system("masses nan 1 1\nalphas 1 1 1\n")
+    with pytest.raises(DomainError):
+        parse_system("masses 1 1 1\nalphas 1 inf 1\n")
