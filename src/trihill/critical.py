@@ -14,7 +14,9 @@ the principal moment about the rotation axis:
               opposite charge, rotating about an in-plane principal axis;
 * collinear   Euler-type configurations on the boundary of the shape space,
               the real roots of Euler's collinear quintic (signed couplings)
-              per ordering, found as polynomial roots with no search grid.
+              per ordering, found as polynomial roots with no search grid;
+              the same polynomials give each root's nu, residual and sign
+              of V.
 """
 
 from __future__ import annotations
@@ -259,75 +261,54 @@ def nu_langmuir(system: BodySystem) -> CriticalValue:
     )
 
 
+# Interior relative equilibria in closed form, each for the systems it
+# supports (UnsupportedFamilyError elsewhere): the catalog lists them and
+# verify checks them against the search and the dynamics.
+CLOSED_FORMS = (nu_lagrange, nu_langmuir)
+
+
 # ---------------------------------------------------------------------------
 # Collinear configurations
 
 
-def _collinear_nu_of_t(system: BodySystem, order: tuple[int, int, int]):
-    """nu(t) for bodies (i, j, k) at positions (0, t, 1) and its derivative.
-
-    nu is homogeneous of degree zero in the overall scale, so the single
-    ratio t in (0, 1) parametrizes the ordering.
-    """
-    i, j, k = order
-    m = system.masses
-    mi, mj, mk = m[i - 1], m[j - 1], m[k - 1]
-    gij = system.pair_coupling(i, j)
-    gjk = system.pair_coupling(j, k)
-    gik = system.pair_coupling(i, k)
-    mtot = mi + mj + mk
-
-    def parts(t):
-        iw = (mi * mj * t * t + mj * mk * (1.0 - t) ** 2 + mi * mk) / mtot
-        diw = (2.0 * mi * mj * t - 2.0 * mj * mk * (1.0 - t)) / mtot
-        V = -(gij / t + gjk / (1.0 - t) + gik)
-        dV = gij / (t * t) - gjk / (1.0 - t) ** 2
-        return iw, diw, V, dV
-
-    def nu(t):
-        iw, _, V, _ = parts(t)
-        return 0.5 * iw * V * V
-
-    def dnu(t):
-        iw, diw, V, dV = parts(t)
-        return 0.5 * diw * V * V + iw * V * dV
-
-    return nu, dnu
-
-
 def _collinear_polynomials(
     system: BodySystem, order: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Power-series coefficients of the quintic P(x) and the quadratic A(x).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Power-series coefficients of Euler's quintic P(x), the quadratic A(x),
+    the same quadratic built from |g| (the scale of A) and I(x).
 
-    Bodies (i, j, k) sit at (0, x, 1 + x), the positions (0, t, 1) scaled by
-    1/(1-t), so x = t/(1-t) = r_ij/r_jk is Euler's distance ratio.  There
-    dnu/dx = V (1/2 I' V + I V').  With A = V x(1+x) and B = V' x^2 (1+x)^2,
-    both quadratics, the physical factor times x^2 (1+x)^2 is
-    P = 1/2 I' A x(1+x) + I B: Euler's collinear quintic with signed
-    couplings.  The roots of A are the V = 0 points.
+    Bodies (i, j, k) sit at (0, x, 1 + x), so x = r_ij/r_jk is Euler's
+    distance ratio, and I is the moment of inertia.  With A = V x(1+x) and
+    B = V' x^2 (1+x)^2, both quadratics, P = 1/2 I' A x(1+x) + I B is
+    Euler's collinear quintic with signed couplings: for nu = 1/2 I V^2,
+    dnu/dx = V P/(x^2 (1+x)^2).  The roots of A are the V = 0 points.
 
-    A power series in t would blur roots next to t = 1 into rounding; in x
-    both collisions sit where a coefficient is exact: t -> 0 is x -> 0 with
-    constant term g_ij I(0), t -> 1 is x -> inf with leading term
-    -g_jk (mi mj + mi mk)/M.
+    A power series in t = x/(1+x) would blur roots next to t = 1 into
+    rounding; in x both collisions sit where a coefficient is exact: t -> 0
+    is x -> 0 with constant term g_ij I(0), t -> 1 is x -> inf with leading
+    term -g_jk (mi mj + mi mk)/M.  Coefficients that overflow raise
+    DomainError, with numpy's warnings on the way there silenced.
     """
     i, j, k = order
     mi, mj, mk = (system.masses[b - 1] for b in order)
-    gij = system.pair_coupling(i, j)
-    gjk = system.pair_coupling(j, k)
-    gik = system.pair_coupling(i, k)
-    iw = np.array([mj * mk + mi * mk, 2.0 * mi * mk, mi * mj + mi * mk]) / (mi + mj + mk)
-    a = -np.array([gij, gij + gjk + gik, gjk])
-    b = np.array([gij, 2.0 * gij, gij + gik])
-    quintic = P.polyadd(
-        0.5 * P.polymul(P.polymul(P.polyder(iw), a), [0.0, 1.0, 1.0]), P.polymul(iw, b)
-    )
-    return quintic, a
+    gij, gjk, gik = (system.pair_coupling(*pair) for pair in ((i, j), (j, k), (i, k)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.array([mj * mk + mi * mk, 2.0 * mi * mk, mi * mj + mi * mk]) / (mi + mj + mk)
+        a = -np.array([gij, gij + gjk + gik, gjk])
+        scale = np.array([abs(gij), abs(gij) + abs(gjk) + abs(gik), abs(gjk)])
+        b = np.array([gij, 2.0 * gij, gij + gik])
+        quintic = P.polyadd(
+            0.5 * P.polymul(P.polymul(P.polyder(iw), a), [0.0, 1.0, 1.0]), P.polymul(iw, b)
+        )
+    polys = (quintic, a, scale, iw)
+    if not all(np.isfinite(c).all() for c in polys):
+        raise DomainError("collinear polynomial coefficients overflow; rescale the system")
+    return polys
 
 
-def _roots_in_unit_interval(c: np.ndarray) -> list[float]:
-    """t = x/(1+x) in (0, 1) for the real roots x > 0 of c, Newton-polished.
+def _roots_in_unit_interval(c: np.ndarray) -> tuple[list[float], list[float]]:
+    """Real roots x > 0 of c with t = x/(1+x) in (0, 1), Newton-polished, and
+    the values of c there.
 
     polyroots drops zero leading coefficients itself (g_jk = 0), so the
     degree drops with no extra care; zero low-order coefficients (g_ij = 0)
@@ -335,69 +316,71 @@ def _roots_in_unit_interval(c: np.ndarray) -> list[float]:
     A double root may come back as a complex pair split by about sqrt(eps);
     the 1e-7 relative imaginary tolerance keeps it.
     """
-    if not np.all(np.isfinite(c)):
-        raise DomainError("collinear polynomial coefficients overflow; rescale the system")
     r = P.polyroots(c)
     x = r.real[(np.abs(r.imag) <= 1e-7 * np.abs(r)) & (r.real > 0.0)]
     dc = P.polyder(c)
     value = P.polyval(x, c)
     for _ in range(3):
-        # Keep a step only where it lowers |P|: at a double root P' is as
-        # small as the rounding in P, and a raw step lands anywhere.
+        # Keep a step only where it lowers |c|: at a double root c' is as
+        # small as the rounding in c, and a raw step lands anywhere.
         slope = P.polyval(x, dc)
         cand = x - np.divide(value, slope, out=np.zeros_like(x), where=slope != 0.0)
         cand_value = P.polyval(cand, c)
         better = np.abs(cand_value) < np.abs(value)
         x, value = np.where(better, cand, x), np.where(better, cand_value, value)
     t = x / (1.0 + x)
-    return [float(v) for v in t if 0.0 < v < 1.0]
+    inside = (0.0 < t) & (t < 1.0)
+    return x[inside].tolist(), value[inside].tolist()
+
+
+def _polyval(c: np.ndarray, x: float) -> float:
+    """c(x) on Python floats, summed in the order of numpy's polyval: no
+    array overhead for one point and no warning where it overflows."""
+    value = 0.0
+    for coef in reversed(c.tolist()):
+        value = value * x + coef
+    return value
 
 
 def collinear_configs(system: BodySystem) -> list[CriticalValue]:
     """Critical points of nu along the three collinear orderings.
 
-    Bodies (i, j, k) sit at (0, t, 1).  The critical points are the real
-    roots of Euler's collinear quintic and of the quadratic A = V t(1-t) in
-    the distance ratio x = t/(1-t), found as polynomial roots and polished
-    by Newton steps, with no search grid.  Each entry's
-    ``residual`` is |dnu/dt| at its root over max(1, nu).  Points where the
-    potential is not strictly negative (the roots of A among them) carry no
-    relative equilibrium (the required spin rate would be imaginary); they
-    are returned flagged non-physical and skipped by the catalog.
+    Bodies (i, j, k) sit at (0, x, 1 + x), or at (0, t, 1) with
+    t = x/(1+x).  The critical points are the real roots x > 0 of Euler's
+    quintic P and of the quadratic A = V x(1+x), polished by Newton steps,
+    with no search grid.  The same polynomials give each entry's
+    nu = 1/2 I V^2 with V = A/(x(1+x)) and its ``residual``
+    |dnu/dt| = |V P|/x^2 over max(1, nu).  Points where the potential is not
+    strictly negative (the roots of A among them) carry no relative
+    equilibrium (the required spin rate would be imaginary); they are
+    returned flagged non-physical and skipped by the catalog.
     """
     out = []
     for middle in (1, 2, 3):
         i, k = [b for b in (1, 2, 3) if b != middle]
         order = (i, middle, k)
-        nu, dnu = _collinear_nu_of_t(system, order)
-        for c in _collinear_polynomials(system, order):
-            for t in _roots_in_unit_interval(c):
-                value = nu(t)
-                out.append(
-                    _collinear_entry(system, order, t, value, abs(dnu(t)) / max(1.0, value))
-                )
+        quintic, quad, scale, iw = _collinear_polynomials(system, order)
+        (x5, p5), (x2, a2) = (_roots_in_unit_interval(c) for c in (quintic, quad))
+        roots = [(x, _polyval(quad, x), p) for x, p in zip(x5, p5)]
+        roots += [(x, a, _polyval(quintic, x)) for x, a in zip(x2, a2)]
+        for x, a, p in roots:
+            v = a / (x * (1.0 + x))
+            nu = 0.5 * _polyval(iw, x) * v * v
+            residual = abs(v * p / x / x) / max(1.0, nu)
+            physical = a < -1e-9 * _polyval(scale, x)
+            out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual, physical))
     return sorted(out, key=lambda cv: cv.nu)
 
 
-def _collinear_entry(
-    system: BodySystem, order: tuple[int, int, int], t: float, nu: float, residual: float
-) -> CriticalValue:
-    i, j, k = order
+def _collinear_entry(system: BodySystem, order, t, nu, residual, physical) -> CriticalValue:
+    """Entry for bodies ``order`` at (0, t, 1), a point of the disk's rim."""
     x = np.zeros((3, 3))
-    x[i - 1, 0] = 0.0
-    x[j - 1, 0] = t
-    x[k - 1, 0] = 1.0
+    x[[b - 1 for b in order], 0] = (0.0, t, 1.0)
     jac = jacobi_from_positions(system, x)
     # Boundary point of the shape disk: normalize w by omega.
     w = w_from_jacobi(jac)
     omega = moment_of_inertia(jac)
     w1, w2 = w.w1 / omega, w.w2 / omega
-    gij = system.pair_coupling(i, j)
-    gjk = system.pair_coupling(j, k)
-    gik = system.pair_coupling(i, k)
-    V = -(gij / t + gjk / (1.0 - t) + gik)
-    vscale = abs(gij) / t + abs(gjk) / (1.0 - t) + abs(gik)
-    physical = V < -1e-9 * vscale
     detail = f"order={order} t={t:.12g} psi_deg={math.degrees(math.atan2(w2, w1)):.6f}"
     if not physical:
         detail += " nonphysical(V>=0)"
@@ -551,9 +534,9 @@ def critical_catalog(system: BodySystem) -> list[CriticalValue]:
     diabolic = nu_diabolic(system)
     if diabolic.physical:
         entries.append(diabolic)
-    for fam in (nu_lagrange, nu_langmuir):
+    for closed_form in CLOSED_FORMS:
         try:
-            entries.append(fam(system))
+            entries.append(closed_form(system))
         except UnsupportedFamilyError:
             pass
     entries.extend(cv for cv in collinear_configs(system) if cv.physical)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-input check."""
+
+import math
 
 
 class TrihillError(Exception):
@@ -27,3 +29,9 @@ class InternalConsistencyError(TrihillError, RuntimeError):
 
 class UnsupportedFamilyError(TrihillError, ValueError):
     """Raised when a closed-form critical-value family does not apply to a system."""
+
+
+def check_finite(name: str, value: float) -> None:
+    """Reject a non-finite input, which no comparison or formula can use."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")

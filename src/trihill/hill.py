@@ -29,7 +29,7 @@ from enum import IntEnum
 import numpy as np
 
 from .coords import Distances, Shape, pair_geometry
-from .errors import DomainError
+from .errors import check_finite
 from .systems import BodySystem
 
 
@@ -181,8 +181,11 @@ def membership(
     """Hill-region test for one shape-orientation point.
 
     ``j_hat`` holds components along the shape's principal axes, ascending
-    (axis 3 is the normal of the configuration plane).
+    (axis 3 is the normal of the configuration plane).  A non-finite E or r
+    raises DomainError.
     """
+    check_finite("E", E)
+    check_finite("r", r)
     if r <= 0.0:
         raise ValueError("the Hill region is defined for r > 0")
     ev = shape_eval(system, shape)
@@ -214,36 +217,16 @@ def nu_thresholds(system: BodySystem, shape: Shape) -> tuple[float, float, float
     return 0.5 * m3 * v2, 0.5 * m2 * v2, 0.5 * m1 * v2
 
 
-def _count_reached(level, thresholds) -> np.ndarray:
-    return np.sum([np.greater_equal(level, t) for t in thresholds], axis=0, dtype=np.int8)
-
-
-def class_from_level(
-    level: float, thresholds: tuple[float, float, float]
-) -> OrientationClass:
-    """Class of the sublevel set {E_R <= level} on the orientation sphere.
-
-    ``thresholds`` is the ascending triple of critical normalized rotational
-    energies: the class code counts those the level reaches.  The inequality
-    is non-strict, so a level at a threshold includes the opened orientations.
-    """
-    return OrientationClass(int(_count_reached(level, thresholds)))
-
-
-def check_nu(nu: float) -> None:
-    """Reject a non-finite nu, which no class rule can compare."""
-    if not math.isfinite(nu):
-        raise DomainError(f"nu must be finite, got {nu}")
-
-
 def class_codes(nu: float, v_tilde, m_tilde) -> np.ndarray:
     """The orientation-class rule over arrays: OrientationClass codes (int8).
 
     For nu < 0 (E > 0) all orientations are accessible; at nu >= 0 none are
     where Vt >= 0 (or NaN), all are where Vt < 0 at nu = 0, and at nu > 0
-    the level Vt^2/(4 nu) is compared with the thresholds 1/(2 Mt_k).
+    the level Vt^2/(4 nu) is compared with the thresholds 1/(2 Mt_k).  The
+    code counts the thresholds the level reaches; the comparison is
+    non-strict, so a level at a threshold includes the orientations it opens.
     """
-    check_nu(nu)
+    check_finite("nu", nu)
     v = np.asarray(v_tilde, dtype=float)
     if nu < 0.0:
         level = np.full(v.shape, np.inf)
@@ -252,7 +235,8 @@ def class_codes(nu: float, v_tilde, m_tilde) -> np.ndarray:
     else:
         with np.errstate(over="ignore"):
             level = np.where(v < 0.0, v * v / (4.0 * nu), -np.inf)
-    return _count_reached(level, [0.5 / m for m in m_tilde])
+    reached = [np.greater_equal(level, 0.5 / m) for m in m_tilde]
+    return np.sum(reached, axis=0, dtype=np.int8)
 
 
 def orientation_class(system: BodySystem, nu: float, shape: Shape) -> OrientationClass:

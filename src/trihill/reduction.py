@@ -29,7 +29,7 @@ from .coords import (
     JacobiShapeCoords,
     pair_geometry,
 )
-from .errors import CollinearError, SingularGeometryError, TripleCollisionError
+from .errors import CollinearError, SingularGeometryError, TripleCollisionError, check_finite
 from .systems import BodySystem
 
 # Chart-boundary guard: the chart is rho1, rho2 > 0 and 0 < phi < pi; states
@@ -146,7 +146,9 @@ def _gauge_momentum(j: JacobiShapeCoords, J: np.ndarray) -> np.ndarray:
 def rigid_start(j: JacobiShapeCoords, r: float, j_hat: np.ndarray) -> RovibState:
     """Rigidly rotating state at configuration j: angular momentum r times
     the unit ``j_hat`` in the principal frame (axes ascending, axis 3 the
-    plane normal), momenta the gauge values p = J.A so the shape is at rest."""
+    plane normal), momenta the gauge values p = J.A so the shape is at rest.
+    A non-finite r raises DomainError."""
+    check_finite("r", r)
     _, axes = principal_axes(j)
     J = r * (axes @ j_hat)
     return RovibState(np.array([j.rho1, j.rho2, j.phi]), _gauge_momentum(j, J), J)
@@ -234,9 +236,10 @@ def _flow(pairs, y) -> tuple[float, tuple[float, ...]]:
     d(M^-1)/dq = -M^-1 (dM/dq) M^-1, the rotational part of dH/dq is minus
     half the quadratic form of dM/dq on w.
 
-    A non-finite state (an infinite angle, or a power or quotient that
+    A non-finite state (an infinite angle, a power or quotient that
     overflows or divides by zero, which Python floats raise on where numpy
-    returned inf) has a NaN energy and a NaN flow.
+    returned inf, or a squared pair distance that rounds below zero next to a
+    collision, where math.sqrt raises) has a NaN energy and a NaN flow.
     """
     rho1, rho2, phi, p1, p2, p3, J1, J2, J3 = y
     if math.isinf(phi):
@@ -293,7 +296,7 @@ def _flow(pairs, y) -> tuple[float, tuple[float, ...]]:
             J1 * g2 - J2 * g1,
         )
         return rot + vib + V, ydot
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ValueError):
         return _NAN_FLOW
 
 

@@ -18,7 +18,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .hill import check_nu, class_codes, moments, shape_kernel
+from .errors import check_finite
+from .hill import class_codes, moments, shape_kernel
 from .systems import BodySystem
 
 
@@ -72,7 +73,7 @@ def scan_disk(system: BodySystem, nu: float, n: int) -> ShapeScan:
     """Classify every pixel of the N x N raster over [-1, 1]^2."""
     if n < 2:
         raise ValueError("resolution must be at least 2")
-    check_nu(nu)  # also where no pixel is interior and classify_grid never runs
+    check_finite("nu", nu)  # also where no pixel is interior and classify_grid never runs
     c = pixel_centers(n)
     W1, W2 = np.meshgrid(c, c, indexing="ij")
     s2 = W1 * W1 + W2 * W2

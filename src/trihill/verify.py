@@ -30,15 +30,14 @@ from .coords import (
     w_from_jacobi,
 )
 from .critical import (
+    CLOSED_FORMS,
     CriticalValue,
     critical_catalog,
     find_critical_shapes,
     langmuir_geometry,
     nu_diabolic,
-    nu_lagrange,
-    nu_langmuir,
 )
-from .errors import UnsupportedFamilyError
+from .errors import UnsupportedFamilyError, check_finite
 from .hill import ShapeEvaluation, membership, orientation_class, shape_eval
 from .reduction import (
     RovibState,
@@ -62,8 +61,9 @@ def build_relequil_state(system: BodySystem, critical: CriticalValue, r: float) 
     The shape is rescaled so that the virial relation r^2 = -M_k(q) V(q)
     holds at the requested angular-momentum magnitude; J points along
     principal axis k and the momenta are the gauge values p = J.A (zero for
-    in-plane axes).
+    in-plane axes).  A non-finite r raises DomainError.
     """
+    check_finite("r", r)
     if r <= 0.0:
         raise ValueError("r must be positive")
     if critical.w is None:
@@ -314,30 +314,33 @@ def sphere_grid(step_deg: float = 2.0) -> np.ndarray:
     return np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
 
 
-def _orientation_oracle(ev: ShapeEvaluation, nu: float, grid) -> int:
+def sphere_orientation_class(m_tilde, v_tilde: float, nu: float, grid) -> int:
     """Class from sampling the membership inequality over the J sphere.
 
-    Independent of the threshold shortcut: counts connected components of
-    the accessible set (axis 3 of the grid is the third principal axis).
+    Independent of the threshold shortcut: the accessible directions of
+    ``grid`` (from ``sphere_grid``; its axis 3 is the third principal axis,
+    ``m_tilde`` the principal moments at I = 1) are counted as connected
+    components.  Two components that reach both polar rows are the caps;
+    any other partial set is the band.
     """
-    m1, m2, m3 = ev.m_tilde
+    m1, m2, m3 = m_tilde
     er = 0.5 * (
         grid[..., 0] ** 2 / m1 + grid[..., 1] ** 2 / m2 + grid[..., 2] ** 2 / m3
     )
     if nu < 0:
         acc = np.ones_like(er, dtype=bool)
     elif nu == 0:
-        acc = np.full_like(er, ev.v_tilde < 0.0, dtype=bool)
-    elif ev.v_tilde >= 0:
+        acc = np.full_like(er, v_tilde < 0.0, dtype=bool)
+    elif v_tilde >= 0:
         acc = np.zeros_like(er, dtype=bool)
     else:
-        acc = er <= ev.v_tilde**2 / (4.0 * nu)
+        acc = er <= v_tilde**2 / (4.0 * nu)
     if acc.all():
         return 3  # FULL
     if not acc.any():
         return 0  # EMPTY
-    n = count_components_periodic(acc)
-    return 1 if n == 2 else 2  # two polar caps vs one band
+    caps = count_components_periodic(acc) == 2 and acc[0].any() and acc[-1].any()
+    return 1 if caps else 2
 
 
 def count_components_periodic(mask: np.ndarray) -> int:
@@ -399,7 +402,7 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int 
         if _near_threshold(ev, nu):
             continue
         got_c = int(orientation_class(system, nu, shape))
-        mismatch_o += got_c != _orientation_oracle(ev, nu, grid)
+        mismatch_o += got_c != sphere_orientation_class(ev.m_tilde, ev.v_tilde, nu, grid)
     report.add("hill.membership_oracle", float(mismatch_m), 0.0, f"{samples} samples")
     report.add("hill.orientation_oracle", float(mismatch_o), 0.0, f"{samples} samples")
 
@@ -525,27 +528,17 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
     _collision_angle_check(report, system)
 
     # Closed-form families against the generic critical-shape search.
-    try:
-        lag = nu_lagrange(system)
-        hits = find_critical_shapes(system, 3)
-        err = min(
-            (abs(nu - lag.nu) / lag.nu for _, nu in hits), default=math.inf
-        )
-        report.add("lagrange.search_crosscheck", err, 1e-6, f"{len(hits)} critical shapes")
-        _relequil_checks(report, system, lag)
-    except UnsupportedFamilyError:
-        pass
-    try:
-        lng = nu_langmuir(system)
-        report.add("langmuir.force_balance", _langmuir_force_residual(system), 1e-12)
-        hits = find_critical_shapes(system, lng.axis)
-        err = min(
-            (abs(nu - lng.nu) / lng.nu for _, nu in hits), default=math.inf
-        )
-        report.add("langmuir.search_crosscheck", err, 1e-6, f"{len(hits)} critical shapes")
-        _relequil_checks(report, system, lng)
-    except UnsupportedFamilyError:
-        pass
+    for closed_form in CLOSED_FORMS:
+        try:
+            cv = closed_form(system)
+        except UnsupportedFamilyError:
+            continue
+        if cv.family == "langmuir":
+            report.add("langmuir.force_balance", _langmuir_force_residual(system), 1e-12)
+        hits = find_critical_shapes(system, cv.axis)
+        err = min((abs(nu - cv.nu) / cv.nu for _, nu in hits), default=math.inf)
+        report.add(f"{cv.family}.search_crosscheck", err, 1e-6, f"{len(hits)} critical shapes")
+        _relequil_checks(report, system, cv)
 
     # nu = (1/2) Mt_k Vt^2 for every stored interior shape.
     worst = 0.0

@@ -19,7 +19,11 @@ from trihill.reduction import (
     _pair_constants,
 )
 from trihill.systems import BodySystem, preset
-from trihill.verify import count_components_periodic, lambda_grid_member, sphere_grid  # noqa: F401
+from trihill.verify import (  # noqa: F401
+    lambda_grid_member,
+    sphere_grid,
+    sphere_orientation_class,
+)
 
 
 @pytest.fixture(scope="session")
@@ -112,35 +116,14 @@ def oracle_orientation_class(
 ) -> int:
     """0 empty / 1 caps / 2 ring / 3 full, from sphere sampling.
 
-    The accessibility of each sampled direction uses the discriminant
-    inequality with principal moments taken from the positions oracle, and
-    the caps/ring split comes from counting connected components (two
-    components containing the polar rows = caps; one band = ring).
+    The principal moments and Vt come from the positions oracle, not from
+    trihill.hill; the sphere census is ``sphere_orientation_class``.
     """
     pos = oracle_positions(system, rho1, rho2, phi)
-    mom = np.linalg.eigvalsh(oracle_inertia_tensor(system, pos))
-    I = 0.5 * np.trace(oracle_inertia_tensor(system, pos))
+    M = oracle_inertia_tensor(system, pos)
+    I = 0.5 * np.trace(M)
     vt = oracle_potential(system, pos) * math.sqrt(I)  # homogeneity: V at I = 1
-    momt = mom / I
-    er = 0.5 * (
-        grid[..., 0] ** 2 / momt[0] + grid[..., 1] ** 2 / momt[1] + grid[..., 2] ** 2 / momt[2]
-    )
-    if nu < 0:
-        acc = np.ones(er.shape, dtype=bool)
-    elif nu == 0:
-        acc = np.full(er.shape, vt < 0.0)
-    elif vt >= 0:
-        acc = np.zeros(er.shape, dtype=bool)
-    else:
-        acc = er <= vt * vt / (4.0 * nu)
-    if acc.all():
-        return 3
-    if not acc.any():
-        return 0
-    ncomp = count_components_periodic(acc)
-    if ncomp == 2 and acc[0].any() and acc[-1].any():
-        return 1
-    return 2
+    return sphere_orientation_class(np.linalg.eigvalsh(M) / I, vt, nu, grid)
 
 
 # Per-pixel CSV writers as they were before the row-at-a-time ones in

@@ -15,6 +15,55 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter, as a user runs it, so that any numpy
+    RuntimeWarning would reach stderr under Python's default filters."""
+    env = {**os.environ, "PYTHONPATH": str(Path(trihill.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "trihill.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
+# `trihill critical` stdout for each preset, byte for byte.
+CRITICAL_STDOUT = {
+    "gravity-demo": (
+        "nu,family,axis,multiplicity,w1,w2,detail\n"
+        "0,zero,,1,,,energy sign change\n"
+        "0.392727272727,infinity,,1,0.328671328671,-0.944444364539,co-rotating pair (2;3)\n"
+        "0.787692307692,infinity,,1,-1,1.22464679915e-16,co-rotating pair (1;3)\n"
+        "1.26390857143,infinity,,1,0.67032967033,0.742063429281,co-rotating pair (1;2)\n"
+        "6.96134853355,diabolic,1,1,0,0,in-plane moments degenerate (Mt1 = Mt2 = 1/2)\n"
+        "13.8360589474,lagrange,3,1,-0.00912646675359,-0.132062135719,G=1.0\n"
+        "18.5690443892,collinear,,1,-0.459298585814,0.88828194233,order=(2; 1; 3) t=0.509238983157 psi_deg=117.341856\n"
+        "19.1286569634,collinear,,1,0.945951025223,-0.324309509387,order=(1; 2; 3) t=0.528898528174 psi_deg=-18.923747\n"
+        "19.4429621041,collinear,,1,-0.519698598751,-0.854349674581,order=(1; 3; 2) t=0.519594956279 psi_deg=-121.312036\n"
+    ),
+    "helium": (
+        "nu,family,axis,multiplicity,w1,w2,detail\n"
+        "0,zero,,1,,,energy sign change\n"
+        "1.99972567265,infinity,,2,0.999999962372,-0.000274327346759,co-rotating pair (2;3)\n"
+        "5.42066955124,diabolic,1,1,0,0,in-plane moments degenerate (Mt1 = Mt2 = 1/2)\n"
+        "6.74814854434,langmuir,2,1,6.85677259618e-05,0.499897115486,theta_deg=30 pair=(1;2)\n"
+        "12.25,collinear,,1,-0.00013716367467,-0.999999990593,order=(1; 3; 2) t=0.5 psi_deg=-90.007859\n"
+    ),
+    "eep": (
+        "nu,family,axis,multiplicity,w1,w2,detail\n"
+        "0,zero,,1,,,energy sign change\n"
+        "0.25,infinity,,3,0.5,-0.866025403784,co-rotating pair (2;3) +merged diabolic\n"
+        "0.292559472979,langmuir,1,1,-0.163740001037,-0.283606001027,theta_deg=39.0472102 pair=(1;2)\n"
+        "2.25,collinear,,1,-0.5,-0.866025403784,order=(1; 3; 2) t=0.5 psi_deg=-120.000000\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CRITICAL_STDOUT))
+def test_critical_stdout_pinned(capsys, name):
+    code, out, _ = run_cli(capsys, "critical", "--preset", name)
+    assert code == 0
+    assert out == CRITICAL_STDOUT[name]
+
+
 def test_critical_catalog_output(capsys):
     code, out, _ = run_cli(capsys, "critical", "--preset", "gravity-demo")
     assert code == 0
@@ -145,22 +194,25 @@ def test_simulate_stops_at_chart_boundary(capsys):
 
 
 def test_simulate_non_finite_run_writes_only_its_summary():
-    # in a fresh interpreter, as a user runs it, so that any numpy
-    # RuntimeWarning would reach stderr under Python's default filters
-    env = {**os.environ, "PYTHONPATH": str(Path(trihill.__file__).parents[1])}
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "trihill.cli",
-            "simulate", "--preset", "eep", "--shape", "0.1", "0.2", "--jhat", "0", "0", "1",
-            "--r", "1e200", "--dt", "1e-3", "--steps", "3",
-        ],
-        capture_output=True, text=True, env=env, check=False,
+    proc = run_fresh(
+        "simulate", "--preset", "eep", "--shape", "0.1", "0.2", "--jhat", "0", "0", "1",
+        "--r", "1e200", "--dt", "1e-3", "--steps", "3",
     )
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("# steps=0 ")
     assert lines[0].endswith("non-finite state")
+
+
+def test_simulate_rejects_infinite_r():
+    proc = run_fresh(
+        "simulate", "--preset", "eep", "--shape", "0.1", "0.2", "--jhat", "0", "0", "1",
+        "--r", "inf", "--dt", "1e-3", "--steps", "3",
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: r must be finite, got inf"]
 
 
 def test_scan_rejects_nan_nu(capsys):

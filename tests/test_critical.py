@@ -503,3 +503,11 @@ def test_catalog_rejects_overflowing_couplings():
         critical_catalog(BodySystem((1, 1, 1), (1e308, 1, 1)))
     with pytest.raises(TrihillError):
         critical_catalog(BodySystem((1, 1, 1), (1e300, 1, 1)))
+
+
+def test_catalog_rejects_overflowing_masses_without_a_warning():
+    # 2 m1 m3 overflows in the collinear moment of inertia; the suite turns a
+    # numpy RuntimeWarning into an error, so one raised before the
+    # DomainError fails this test
+    with pytest.raises(DomainError):
+        critical_catalog(BodySystem((1e308, 1, 1), (1, 1, 1)))

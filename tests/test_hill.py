@@ -5,11 +5,11 @@ import pytest
 
 from trihill.coords import Distances, Shape
 from trihill.critical import nu_diabolic, nu_lagrange
-from trihill.errors import TrihillError
+from trihill.errors import DomainError, TrihillError
 from trihill.hill import (
     OrientationClass,
     bif_function,
-    class_from_level,
+    class_codes,
     f_analysis,
     f_lambda,
     membership,
@@ -174,13 +174,18 @@ def test_membership_against_lambda_grid_oracle(all_systems):
             checked += 1
 
 
-def test_class_from_level_tie_semantics():
-    thresholds = (0.5, 0.8, 2.0)
-    assert class_from_level(0.49, thresholds) is OrientationClass.EMPTY
-    assert class_from_level(0.5, thresholds) is OrientationClass.CAPS
-    assert class_from_level(0.8, thresholds) is OrientationClass.RING
-    assert class_from_level(2.0, thresholds) is OrientationClass.FULL
-    assert class_from_level(math.inf, thresholds) is OrientationClass.FULL
+def test_class_codes_tie_semantics():
+    # at Vt = -2 the level Vt^2/(4 nu) is 1/nu, which lands exactly on the
+    # thresholds 0.5/m = 0.5, 0.8, 2.0 at nu = 2, 1.25, 0.5; ties count
+    m_tilde = (1.0, 0.625, 0.25)
+    for nu, want in (
+        (2.5, OrientationClass.EMPTY),
+        (2.0, OrientationClass.CAPS),
+        (1.25, OrientationClass.RING),
+        (0.5, OrientationClass.FULL),
+        (0.0, OrientationClass.FULL),
+    ):
+        assert class_codes(nu, -2.0, m_tilde) == want
 
 
 def test_orientation_class_examples(helium):
@@ -303,3 +308,11 @@ def test_orientation_class_rejects_non_finite_nu(helium, nu):
     with pytest.raises(TrihillError) as info:
         orientation_class(helium, nu, Shape(0.1, 0.2))
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "E, r", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (-1.0, math.inf), (-1.0, math.nan)]
+)
+def test_membership_rejects_non_finite_energy_and_r(helium, E, r):
+    with pytest.raises(DomainError):
+        membership(helium, E, r, Shape(0.1, 0.2), np.array([0.0, 0.0, 1.0]))

@@ -13,7 +13,7 @@ from trihill.coords import (
     jacobi_from_dragt,
     normalize_shape,
 )
-from trihill.errors import CollinearError, SingularGeometryError
+from trihill.errors import CollinearError, DomainError, SingularGeometryError
 from trihill.reduction import (
     ConservationReport,
     RovibState,
@@ -453,6 +453,23 @@ def test_integrate_truncates_overflowing_start(eep):
     assert "non-finite state" in report.message
     assert len(traj) == 1
     assert math.isnan(hamiltonian(eep, state))
+
+
+def test_integrate_truncates_where_a_pair_distance_rounds_below_zero(eep):
+    # phi = 2e-10 lies inside the chart, but next to the collision ray at
+    # rho1 = sqrt(3) rho2 a squared pair distance rounds below zero
+    state = RovibState([1.7320508075688776, 1.0, 2e-10], [0.0, 0.0, 0.0], [0.0, 0.0, 0.1])
+    assert math.isnan(hamiltonian(eep, state))
+    traj, report = integrate(eep, state, 1e-3, 3)
+    assert report.truncated_at == 0
+    assert "non-finite state" in report.message
+    assert len(traj) == 1
+
+
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+def test_rigid_start_rejects_non_finite_r(r):
+    with pytest.raises(DomainError):
+        rigid_start(Shape(0.1, 0.2).to_jacobi(), r, np.array([0.0, 0.0, 1.0]))
 
 
 def assert_same_run(got, want):

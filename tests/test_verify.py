@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from trihill.critical import (
     nu_lagrange,
     nu_langmuir,
 )
-from trihill.errors import UnsupportedFamilyError
+from trihill.errors import DomainError, UnsupportedFamilyError
 from trihill.reduction import hamiltonian, relequil_residual
 from trihill.verify import VerificationReport, build_relequil_state, verify_all
 
@@ -57,6 +59,12 @@ def test_build_relequil_rejects_families_without_shape(gravity):
         build_relequil_state(gravity, coll, r=1.0)
     with pytest.raises(ValueError):
         build_relequil_state(gravity, nu_lagrange(gravity), r=0.0)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_build_relequil_rejects_non_finite_r(gravity, r):
+    with pytest.raises(DomainError):
+        build_relequil_state(gravity, nu_lagrange(gravity), r=r)
 
 
 def test_build_relequil_diabolic_has_zero_torque(helium):
