@@ -166,7 +166,10 @@ def nu_lagrange(system: BodySystem) -> CriticalValue:
         ) from exc
     m1, m2, m3 = system.masses
     pairsum = m1 * m2 + m2 * m3 + m1 * m3
-    nu = 0.5 * G * G * pairsum**3 / (m1 + m2 + m3)
+    try:
+        nu = 0.5 * G * G * pairsum**3 / (m1 + m2 + m3)
+    except OverflowError:
+        raise DomainError("Lagrange critical value overflows; rescale the system") from None
     sh = lagrange_shape(system)
     return CriticalValue(
         nu=nu, family="lagrange", axis=3, w=(sh.w1, sh.w2), detail=f"G={G!r}"
@@ -314,9 +317,15 @@ def _roots_in_unit_interval(c: np.ndarray) -> tuple[list[float], list[float]]:
     degree drops with no extra care; zero low-order coefficients (g_ij = 0)
     come back as exact roots x = 0, the collision, which x > 0 leaves out.
     A double root may come back as a complex pair split by about sqrt(eps);
-    the 1e-7 relative imaginary tolerance keeps it.
+    the 1e-7 relative imaginary tolerance keeps it.  Finite coefficients
+    can still overflow the companion matrix (a leading coefficient next to
+    zero): that raises DomainError, with numpy's warning silenced.
     """
-    r = P.polyroots(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            r = P.polyroots(c)
+        except np.linalg.LinAlgError:
+            raise DomainError("collinear polynomial roots overflow; rescale the system") from None
     x = r.real[(np.abs(r.imag) <= 1e-7 * np.abs(r)) & (r.real > 0.0)]
     dc = P.polyder(c)
     value = P.polyval(x, c)
@@ -435,14 +444,20 @@ def find_critical_shapes(
     Multi-start damped Newton on the analytic gradient and Hessian from a
     seeds x seeds grid over the disk, excluding a 1e-3 margin at the
     collinear boundary and (for k = 1, 2) a 1e-3 disk around the diabolic
-    point where the moments are not differentiable.  Candidates must pass
-    the relative-equilibrium residual test at 1e-6.
+    point where the moments are not differentiable.  Each iteration tries
+    the damped steps 1, 0.5, 0.25 and keeps a candidate only where it
+    strictly lowers |grad|^2.  A seed that none of them improves keeps its
+    point, gradient and Hessian, so it would try the same candidates on
+    every later iteration: it is a fixed point and leaves the iteration
+    there.  The loop ends after 80 iterations, when no seed is left, or
+    once every finite |grad|^2 is below 1e-26.  Candidates must pass the
+    relative-equilibrium residual test at 1e-6.
     """
     if k not in (1, 2, 3):
         raise ValueError("principal axis index must be 1, 2 or 3")
     margin, core = 1e-3, 1e-3
     ax = np.linspace(-1.0, 1.0, seeds + 2)[1:-1]
-    W = np.array([(x, y) for x in ax for y in ax])
+    W = np.stack([g.ravel() for g in np.meshgrid(ax, ax, indexing="ij")], axis=1)
     srad = np.hypot(W[:, 0], W[:, 1])
     keep = srad < 1.0 - margin
     if k != 3:
@@ -451,39 +466,51 @@ def find_critical_shapes(
 
     def newton_data(W):
         g, h = _sqrtmk_v_derivatives(system, k, W)
-        return np.concatenate([g, h]).T, g[0] * g[0] + g[1] * g[1]
+        return np.concatenate([g, h]), g[0] * g[0] + g[1] * g[1]
 
-    # Columns of D: g1, g2, h11, h12, h22.
-    D, gn = newton_data(W)
-    for _ in range(80):
-        g1, g2, h11, h12, h22 = D.T
+    def candidates(W, D):
+        """The Newton steps damped by 1, 0.5 and 0.25 from points W with
+        Newton data D, stacked (3n, 2); a function so that its temporaries
+        are freed before the kernel call on three times as many points."""
+        g1, g2, h11, h12, h22 = D
         det = h11 * h22 - h12 * h12
         bad = np.abs(det) < 1e-300
         det = np.where(bad, 1.0, det)
         dx = (g1 * h22 - g2 * h12) / det
         dy = (h11 * g2 - h12 * g1) / det
         step = np.stack([np.where(bad, 0.0, dx), np.where(bad, 0.0, dy)], axis=1)
-        # Clip long steps; try damped candidates and keep the best.
+        # Clip long steps, then clamp to the rim and push off the core.
         norm = np.linalg.norm(step, axis=1, keepdims=True)
         step = step * np.where(norm > 0.1, 0.1 / np.maximum(norm, 1e-300), 1.0)
-        best_W, best_D, best_gn = W, D, gn
-        for damp in (1.0, 0.5, 0.25):
-            cand = W - damp * step
+        cand = (W - np.array([1.0, 0.5, 0.25])[:, None, None] * step).reshape(-1, 2)
+        srad = np.hypot(cand[:, 0], cand[:, 1])
+        lim = 1.0 - margin
+        scale = np.where(srad > lim, lim / srad, 1.0)
+        cand = cand * scale[:, None]
+        if k != 3:
             srad = np.hypot(cand[:, 0], cand[:, 1])
-            lim = 1.0 - margin
-            scale = np.where(srad > lim, lim / srad, 1.0)
-            cand = cand * scale[:, None]
-            if k != 3:
-                srad = np.hypot(cand[:, 0], cand[:, 1])
-                push = np.where(srad < core, core / np.maximum(srad, 1e-12), 1.0)
-                cand = cand * push[:, None]
-            Dc, gnc = newton_data(cand)
-            better = gnc < best_gn
-            best_W = np.where(better[:, None], cand, best_W)
-            best_D = np.where(better[:, None], Dc, best_D)
-            best_gn = np.where(better, gnc, best_gn)
-        W, D, gn = best_W, best_D, best_gn
-        if np.all(gn[np.isfinite(gn)] < 1e-26):
+            push = np.where(srad < core, core / np.maximum(srad, 1e-12), 1.0)
+            cand = cand * push[:, None]
+        return cand
+
+    # Rows of D: g1, g2, h11, h12, h22, one column per seed.  Only the seeds
+    # in ``live`` move; their candidates go through the kernel in one call.
+    D, gn = newton_data(W)
+    live = np.arange(len(W))
+    for _ in range(80):
+        cand = candidates(W[live], D[:, live])
+        Dc, gnc = newton_data(cand)
+        # pick: the stacked row of the best candidate, -1 where none is better.
+        n = len(live)
+        best_gn, pick = gn[live], np.full(n, -1)
+        for rows in np.arange(3 * n).reshape(3, n):
+            better = gnc[rows] < best_gn
+            best_gn = np.where(better, gnc[rows], best_gn)
+            pick = np.where(better, rows, pick)
+        moved = pick >= 0
+        live, pick = live[moved], pick[moved]
+        W[live], D[:, live], gn[live] = cand[pick], Dc[:, pick], gnc[pick]
+        if live.size == 0 or np.all(gn[np.isfinite(gn)] < 1e-26):
             break
 
     converged = np.isfinite(gn) & (gn < 1e-22)

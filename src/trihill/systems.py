@@ -86,6 +86,8 @@ def infer_gravity_constant(system: BodySystem, rtol: float = 1e-12) -> float:
     """Return G if the couplings are exactly gravitational, else raise.
 
     Solves G from a1 and checks a2, a3 against G*m_i*m_j to ``rtol`` relative.
+    A G or G*m_i*m_j that overflows fails the check: no tolerance compares
+    with infinity.
     """
     m1, m2, m3 = system.masses
     a1, a2, a3 = system.alphas
@@ -93,7 +95,7 @@ def infer_gravity_constant(system: BodySystem, rtol: float = 1e-12) -> float:
         raise TrihillError("gravitational couplings must all be positive")
     G = a1 / (m2 * m3)
     for got, want in ((a2, G * m1 * m3), (a3, G * m1 * m2)):
-        if abs(got - want) > rtol * max(abs(got), abs(want)):
+        if not math.isfinite(want) or abs(got - want) > rtol * max(abs(got), abs(want)):
             raise TrihillError("couplings are not of the gravitational form a_k = G*m_i*m_j")
     return G
 

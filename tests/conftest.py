@@ -10,7 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from trihill.coords import Shape
+from trihill.critical import _is_relative_equilibrium, _sqrtmk_v_derivatives
 from trihill.errors import CollinearError
+from trihill.hill import shape_eval
 from trihill.reduction import (
     COLLINEAR_TOL,
     ConservationReport,
@@ -292,3 +295,73 @@ def oracle_integrate(system: BodySystem, s0, dt: float, nsteps: int):
         message=message,
     )
     return traj, report
+
+
+# The critical-shape search as it was before trihill.critical iterated only
+# the seeds that still move: damped Newton on every seed, three kernel calls
+# per iteration.  The bit-for-bit reference for find_critical_shapes.
+
+
+def oracle_find_critical_shapes(system: BodySystem, k: int, seeds: int = 64):
+    margin, core = 1e-3, 1e-3
+    ax = np.linspace(-1.0, 1.0, seeds + 2)[1:-1]
+    W = np.array([(x, y) for x in ax for y in ax])
+    srad = np.hypot(W[:, 0], W[:, 1])
+    keep = srad < 1.0 - margin
+    if k != 3:
+        keep &= srad > core
+    W = W[keep]
+
+    def newton_data(W):
+        g, h = _sqrtmk_v_derivatives(system, k, W)
+        return np.concatenate([g, h]).T, g[0] * g[0] + g[1] * g[1]
+
+    D, gn = newton_data(W)
+    for _ in range(80):
+        g1, g2, h11, h12, h22 = D.T
+        det = h11 * h22 - h12 * h12
+        bad = np.abs(det) < 1e-300
+        det = np.where(bad, 1.0, det)
+        dx = (g1 * h22 - g2 * h12) / det
+        dy = (h11 * g2 - h12 * g1) / det
+        step = np.stack([np.where(bad, 0.0, dx), np.where(bad, 0.0, dy)], axis=1)
+        norm = np.linalg.norm(step, axis=1, keepdims=True)
+        step = step * np.where(norm > 0.1, 0.1 / np.maximum(norm, 1e-300), 1.0)
+        best_W, best_D, best_gn = W, D, gn
+        for damp in (1.0, 0.5, 0.25):
+            cand = W - damp * step
+            srad = np.hypot(cand[:, 0], cand[:, 1])
+            lim = 1.0 - margin
+            scale = np.where(srad > lim, lim / srad, 1.0)
+            cand = cand * scale[:, None]
+            if k != 3:
+                srad = np.hypot(cand[:, 0], cand[:, 1])
+                push = np.where(srad < core, core / np.maximum(srad, 1e-12), 1.0)
+                cand = cand * push[:, None]
+            Dc, gnc = newton_data(cand)
+            better = gnc < best_gn
+            best_W = np.where(better[:, None], cand, best_W)
+            best_D = np.where(better[:, None], Dc, best_D)
+            best_gn = np.where(better, gnc, best_gn)
+        W, D, gn = best_W, best_D, best_gn
+        if np.all(gn[np.isfinite(gn)] < 1e-26):
+            break
+
+    converged = np.isfinite(gn) & (gn < 1e-22)
+    found = []
+    for w1, w2 in W[converged]:
+        if any(abs(w1 - s.w1) < 1e-7 and abs(w2 - s.w2) < 1e-7 for s, _ in found):
+            continue
+        srad = math.hypot(w1, w2)
+        if srad >= 1.0 - margin or (k != 3 and srad <= core):
+            continue
+        shape = Shape(w1, w2)
+        ev = shape_eval(system, shape)
+        if ev.v_tilde >= 0.0:
+            continue
+        mk = ev.m_tilde[k - 1]
+        nu = 0.5 * mk * ev.v_tilde**2
+        if not _is_relative_equilibrium(system, shape, k, ev.v_tilde, mk):
+            continue
+        found.append((shape, nu))
+    return sorted(found, key=lambda item: (item[1], item[0].w1, item[0].w2))

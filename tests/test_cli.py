@@ -215,6 +215,18 @@ def test_simulate_rejects_infinite_r():
     assert proc.stderr.splitlines() == ["error: r must be finite, got inf"]
 
 
+def test_critical_rejects_an_overflowing_lagrange_value(tmp_path):
+    # gravitational with G = 1; the Lagrange value overflows a Python float
+    path = tmp_path / "huge.sys"
+    path.write_text("masses 1e110 1e110 1e110\nalphas 1e220 1e220 1e220\n")
+    proc = run_fresh("critical", "--system", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: Lagrange critical value overflows; rescale the system"
+    ]
+
+
 def test_scan_rejects_nan_nu(capsys):
     code, out, err = run_cli(capsys, "scan", "--preset", "eep", "--nu", "nan", "--res", "8")
     assert code == 1

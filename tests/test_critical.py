@@ -25,6 +25,8 @@ from trihill.errors import DomainError, TrihillError, UnsupportedFamilyError
 from trihill.hill import shape_eval, v_tilde
 from trihill.systems import BodySystem, gravitational
 
+from conftest import oracle_find_critical_shapes
+
 
 GRAVITY_PRINTED = [
     0.0,
@@ -378,6 +380,29 @@ def test_find_critical_shapes_absent_families(gravity, eep):
     assert find_critical_shapes(eep, 3) == []
 
 
+def _search_results(search, system):
+    return [[(sh.w1, sh.w2, nu) for sh, nu in search(system, k)] for k in (1, 2, 3)]
+
+
+def test_find_critical_shapes_matches_full_batch_oracle_on_presets(all_systems):
+    for system in all_systems.values():
+        got = _search_results(find_critical_shapes, system)
+        assert got == _search_results(oracle_find_critical_shapes, system)
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+)
+def test_find_critical_shapes_matches_full_batch_oracle(signs, masses, magnitudes):
+    # dropping the seeds that no damped step improves changes no bit
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    got = _search_results(find_critical_shapes, system)
+    assert got == _search_results(oracle_find_critical_shapes, system)
+
+
 def test_catalog_gravity(gravity):
     cat = critical_catalog(gravity)
     assert [cv.family for cv in cat] == [
@@ -511,3 +536,22 @@ def test_catalog_rejects_overflowing_masses_without_a_warning():
     # DomainError fails this test
     with pytest.raises(DomainError):
         critical_catalog(BodySystem((1e308, 1, 1), (1, 1, 1)))
+
+
+def test_lagrange_rejects_couplings_whose_gravity_constant_overflows():
+    # G = 1e200/1e-300 is inf: the family is absent, no CollinearError
+    system = BodySystem((1, 1e-300, 1), (1e200, 1, 1))
+    with pytest.raises(UnsupportedFamilyError):
+        nu_lagrange(system)
+
+
+def test_catalog_rejects_an_overflowing_lagrange_value():
+    # gravitational with G = 1; pairsum**3 overflows a Python float
+    with pytest.raises(DomainError, match="Lagrange"):
+        critical_catalog(BodySystem((1e110, 1e110, 1e110), (1e220, 1e220, 1e220)))
+
+
+def test_catalog_rejects_an_overflowing_companion_matrix_without_a_warning():
+    # finite Euler coefficients whose ratio to the leading one overflows
+    with pytest.raises(DomainError, match="rescale the system"):
+        critical_catalog(BodySystem((1, 1e-300, 1), (1e200, -1, 1)))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from trihill.errors import DomainError
+from trihill.errors import DomainError, TrihillError
 from trihill.systems import (
     BodySystem,
     PRESETS,
@@ -47,6 +47,15 @@ def test_gravitational_factory():
     assert infer_gravity_constant(system) == pytest.approx(1.0)
     system = gravitational((2.0, 3.0, 4.0), G=0.5)
     assert infer_gravity_constant(system) == pytest.approx(0.5)
+
+
+def test_infer_gravity_constant_rejects_overflow():
+    # G = a1/(m2 m3) overflows; infinity passes no relative tolerance
+    with pytest.raises(TrihillError):
+        infer_gravity_constant(BodySystem((1, 1e-300, 1), (1e200, 1, 1)))
+    # G is 1 but G m1 m3 overflows
+    with pytest.raises(TrihillError):
+        infer_gravity_constant(BodySystem((1e300, 1e-300, 1e10), (1e-290, 1e10, 1)))
 
 
 def test_parse_system():
