@@ -44,6 +44,8 @@ FAMILIES = ("zero", "infinity", "diabolic", "lagrange", "langmuir", "collinear")
 
 MERGE_TOL = 1e-9  # absolute, per catalog contract
 
+SEARCH_SEEDS = 64  # seeds per side of find_critical_shapes' square start grid
+
 
 @dataclass(frozen=True)
 class CriticalValue:
@@ -148,7 +150,22 @@ def lagrange_shape(system: BodySystem) -> Shape:
             [0.0, 0.0, 0.0],
         ]
     )
-    return normalize_shape(jacobi_from_positions(system, x))[0]
+    return _configuration_shape(system, x)
+
+
+def _configuration_shape(system: BodySystem, x: np.ndarray) -> Shape:
+    """Shape of body positions ``x`` (rows = bodies 1..3) of a closed form.
+
+    The reduced masses of extreme masses can overflow (a nan angle) or
+    underflow (a collision), and a shape within rounding of the rim rounds
+    onto it; each raises a ValueError on the way, which becomes a
+    DomainError, with numpy's warnings silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return normalize_shape(jacobi_from_positions(system, x))[0]
+        except ValueError:
+            raise DomainError("closed-form shape rounds off the open shape disk") from None
 
 
 def nu_lagrange(system: BodySystem) -> CriticalValue:
@@ -232,7 +249,7 @@ def langmuir_shape(system: BodySystem, geom: LangmuirGeometry | None = None) -> 
     x[geom.like_pair[0] - 1] = (cos_t, geom.b, 0.0)
     x[geom.like_pair[1] - 1] = (cos_t, -geom.b, 0.0)
     x[geom.apex - 1] = (0.0, 0.0, 0.0)
-    return normalize_shape(jacobi_from_positions(system, x))[0]
+    return _configuration_shape(system, x)
 
 
 def nu_langmuir(system: BodySystem) -> CriticalValue:
@@ -276,7 +293,7 @@ CLOSED_FORMS = (nu_lagrange, nu_langmuir)
 
 def _collinear_polynomials(
     system: BodySystem, order: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[float], list[float], list[float], list[float]]:
     """Power-series coefficients of Euler's quintic P(x), the quadratic A(x),
     the same quadratic built from |g| (the scale of A) and I(x).
 
@@ -306,12 +323,22 @@ def _collinear_polynomials(
     polys = (quintic, a, scale, iw)
     if not all(np.isfinite(c).all() for c in polys):
         raise DomainError("collinear polynomial coefficients overflow; rescale the system")
-    return polys
+    return tuple(c.tolist() for c in polys)
 
 
-def _roots_in_unit_interval(c: np.ndarray) -> tuple[list[float], list[float]]:
-    """Real roots x > 0 of c with t = x/(1+x) in (0, 1), Newton-polished, and
-    the values of c there.
+def _polyval(c: list[float], x: float) -> float:
+    """c(x) on Python floats, summed in the order of numpy's polyval, so
+    bit for bit its value; where it overflows it gives inf or nan, with no
+    warning."""
+    value = 0.0
+    for coef in reversed(c):
+        value = value * x + coef
+    return value
+
+
+def _roots_in_unit_interval(c: list[float]) -> list[float]:
+    """Real roots x > 0 of c with t = x/(1+x) in (0, 1), each polished by
+    three Newton steps on Python floats.
 
     polyroots drops zero leading coefficients itself (g_jk = 0), so the
     degree drops with no extra care; zero low-order coefficients (g_ij = 0)
@@ -319,36 +346,32 @@ def _roots_in_unit_interval(c: np.ndarray) -> tuple[list[float], list[float]]:
     A double root may come back as a complex pair split by about sqrt(eps);
     the 1e-7 relative imaginary tolerance keeps it.  Finite coefficients
     can still overflow the companion matrix (a leading coefficient next to
-    zero): that raises DomainError, with numpy's warning silenced.
+    zero): that raises DomainError, with numpy's warning silenced.  A step
+    that lands on x <= 0 (x = -1 among them) or on a t that rounds to 1
+    drops the root.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             r = P.polyroots(c)
         except np.linalg.LinAlgError:
             raise DomainError("collinear polynomial roots overflow; rescale the system") from None
-    x = r.real[(np.abs(r.imag) <= 1e-7 * np.abs(r)) & (r.real > 0.0)]
-    dc = P.polyder(c)
-    value = P.polyval(x, c)
-    for _ in range(3):
-        # Keep a step only where it lowers |c|: at a double root c' is as
-        # small as the rounding in c, and a raw step lands anywhere.
-        slope = P.polyval(x, dc)
-        cand = x - np.divide(value, slope, out=np.zeros_like(x), where=slope != 0.0)
-        cand_value = P.polyval(cand, c)
-        better = np.abs(cand_value) < np.abs(value)
-        x, value = np.where(better, cand, x), np.where(better, cand_value, value)
-    t = x / (1.0 + x)
-    inside = (0.0 < t) & (t < 1.0)
-    return x[inside].tolist(), value[inside].tolist()
-
-
-def _polyval(c: np.ndarray, x: float) -> float:
-    """c(x) on Python floats, summed in the order of numpy's polyval: no
-    array overhead for one point and no warning where it overflows."""
-    value = 0.0
-    for coef in reversed(c.tolist()):
-        value = value * x + coef
-    return value
+        real = r.real[(np.abs(r.imag) <= 1e-7 * np.abs(r)) & (r.real > 0.0)]
+    dc = [n * c[n] for n in range(1, len(c))]
+    out = []
+    for x in real.tolist():
+        value = _polyval(c, x)
+        for _ in range(3):
+            # Keep a step only where it lowers |c|: at a double root c' is as
+            # small as the rounding in c, and a raw step lands anywhere.
+            slope = _polyval(dc, x)
+            if slope != 0.0:
+                cand = x - value / slope
+                cand_value = _polyval(c, cand)
+                if abs(cand_value) < abs(value):
+                    x, value = cand, cand_value
+        if x > 0.0 and x / (1.0 + x) < 1.0:
+            out.append(x)
+    return out
 
 
 def collinear_configs(system: BodySystem) -> list[CriticalValue]:
@@ -357,22 +380,20 @@ def collinear_configs(system: BodySystem) -> list[CriticalValue]:
     Bodies (i, j, k) sit at (0, x, 1 + x), or at (0, t, 1) with
     t = x/(1+x).  The critical points are the real roots x > 0 of Euler's
     quintic P and of the quadratic A = V x(1+x), polished by Newton steps,
-    with no search grid.  The same polynomials give each entry's
-    nu = 1/2 I V^2 with V = A/(x(1+x)) and its ``residual``
-    |dnu/dt| = |V P|/x^2 over max(1, nu).  Points where the potential is not
-    strictly negative (the roots of A among them) carry no relative
-    equilibrium (the required spin rate would be imaginary); they are
-    returned flagged non-physical and skipped by the catalog.
+    with no search grid.  At every root, of either polynomial, ``_polyval``
+    reads A and P, and from them nu = 1/2 I V^2 with V = A/(x(1+x)) and the
+    ``residual`` |dnu/dt| = |V P|/x^2 over max(1, nu).  Points where the
+    potential is not strictly negative (the roots of A among them) carry no
+    relative equilibrium (the required spin rate would be imaginary); they
+    are returned flagged non-physical and skipped by the catalog.
     """
     out = []
     for middle in (1, 2, 3):
         i, k = [b for b in (1, 2, 3) if b != middle]
         order = (i, middle, k)
         quintic, quad, scale, iw = _collinear_polynomials(system, order)
-        (x5, p5), (x2, a2) = (_roots_in_unit_interval(c) for c in (quintic, quad))
-        roots = [(x, _polyval(quad, x), p) for x, p in zip(x5, p5)]
-        roots += [(x, a, _polyval(quintic, x)) for x, a in zip(x2, a2)]
-        for x, a, p in roots:
+        for x in _roots_in_unit_interval(quintic) + _roots_in_unit_interval(quad):
+            a, p = _polyval(quad, x), _polyval(quintic, x)
             v = a / (x * (1.0 + x))
             nu = 0.5 * _polyval(iw, x) * v * v
             residual = abs(v * p / x / x) / max(1.0, nu)
@@ -389,6 +410,8 @@ def _collinear_entry(system: BodySystem, order, t, nu, residual, physical) -> Cr
     # Boundary point of the shape disk: normalize w by omega.
     w = w_from_jacobi(jac)
     omega = moment_of_inertia(jac)
+    if omega == 0.0:
+        raise DomainError("collinear moment of inertia underflows; rescale the system")
     w1, w2 = w.w1 / omega, w.w2 / omega
     detail = f"order={order} t={t:.12g} psi_deg={math.degrees(math.atan2(w2, w1)):.6f}"
     if not physical:
@@ -435,16 +458,14 @@ def _sqrtmk_v_derivatives(system: BodySystem, k: int, W: np.ndarray):
     return sq * dV + q1 * V * u, hess
 
 
-def find_critical_shapes(
-    system: BodySystem, k: int, seeds: int = 64
-) -> list[tuple[Shape, float]]:
+def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]]:
     """Interior critical points of sqrt(Mt_k) Vt, each one a certified
     relative equilibrium rotating about principal axis k.
 
     Multi-start damped Newton on the analytic gradient and Hessian from a
-    seeds x seeds grid over the disk, excluding a 1e-3 margin at the
-    collinear boundary and (for k = 1, 2) a 1e-3 disk around the diabolic
-    point where the moments are not differentiable.  Each iteration tries
+    SEARCH_SEEDS x SEARCH_SEEDS grid over the disk, excluding a 1e-3 margin
+    at the collinear boundary and (for k = 1, 2) a 1e-3 disk around the
+    diabolic point where the moments are not differentiable.  Each iteration tries
     the damped steps 1, 0.5, 0.25 and keeps a candidate only where it
     strictly lowers |grad|^2.  A seed that none of them improves keeps its
     point, gradient and Hessian, so it would try the same candidates on
@@ -456,7 +477,7 @@ def find_critical_shapes(
     if k not in (1, 2, 3):
         raise ValueError("principal axis index must be 1, 2 or 3")
     margin, core = 1e-3, 1e-3
-    ax = np.linspace(-1.0, 1.0, seeds + 2)[1:-1]
+    ax = np.linspace(-1.0, 1.0, SEARCH_SEEDS + 2)[1:-1]
     W = np.stack([g.ravel() for g in np.meshgrid(ax, ax, indexing="ij")], axis=1)
     srad = np.hypot(W[:, 0], W[:, 1])
     keep = srad < 1.0 - margin

@@ -22,7 +22,6 @@ from .coords import (
     WCoords,
     collision_angles,
     dilate,
-    distances_from_w,
     dragt_from_w,
     jacobi_from_w,
     positions_from_jacobi,
@@ -297,12 +296,14 @@ def _eom_fd_suite(report: VerificationReport, system: BodySystem, samples: int =
 
 
 def _collision_angle_check(report: VerificationReport, system: BodySystem) -> None:
-    psi12, psi23, _ = collision_angles(system)
+    """Each pair's distance, over the largest pair distance, measured from
+    body positions at the unit rim point of its ``collision_angles`` ray."""
     worst = 0.0
-    for psi, attr in ((psi12, "r12"), (psi23, "r23"), (math.pi, "r13")):
+    for n, psi in enumerate(collision_angles(system)):  # pairs (1,2), (2,3), (1,3)
         w = WCoords(math.cos(psi), math.sin(psi), 0.0)
-        d = distances_from_w(system, w)
-        worst = max(worst, getattr(d, attr))
+        x = positions_from_jacobi(system, jacobi_from_w(w))
+        d = [float(np.linalg.norm(x[a] - x[b])) for a, b in ((0, 1), (1, 2), (0, 2))]
+        worst = max(worst, d[n] / max(d))
     report.add("coords.collision_angles", worst, 1e-10, "r_ij = 0 on collision rays")
 
 
@@ -407,14 +408,16 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int 
     report.add("hill.orientation_oracle", float(mismatch_o), 0.0, f"{samples} samples")
 
 
-def _census_event_checks(report: VerificationReport, system: BodySystem) -> None:
-    """Raster-visible bifurcation events at the interior critical values.
+def _census_event_checks(
+    report: VerificationReport, system: BodySystem, catalog: list[CriticalValue]
+) -> None:
+    """Raster-visible bifurcation events at the interior critical values of
+    ``catalog``, the system's ``critical_catalog``.
 
     The forbidden region vanishes at the Lagrange value; the fully-accessible
     region is born at the diabolic value (when isolated in the catalog) or at
     the Langmuir value when that lies above it.
     """
-    catalog = critical_catalog(system)
     nus = [cv.nu for cv in catalog]
 
     def gaps_at(nu0: float) -> tuple[float, float]:
@@ -551,7 +554,7 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
         worst = max(worst, abs(0.5 * ev.m_tilde[cv.axis - 1] * ev.v_tilde**2 - cv.nu) / cv.nu)
     report.add("catalog.nu_identity", worst, 1e-9, "nu = Mt_k Vt^2 / 2")
 
-    _census_event_checks(report, system)
+    _census_event_checks(report, system, catalog)
     report.checks.extend(replace(c) for c in _system_free_checks(deep))
     _eom_fd_suite(report, system, 300 if deep else 50)
     _oracle_suites(report, system, 150 if deep else 30)

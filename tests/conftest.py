@@ -9,10 +9,16 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from trihill.coords import Shape
-from trihill.critical import _is_relative_equilibrium, _sqrtmk_v_derivatives
-from trihill.errors import CollinearError
+from trihill.critical import (
+    _collinear_entry,
+    _collinear_polynomials,
+    _is_relative_equilibrium,
+    _sqrtmk_v_derivatives,
+)
+from trihill.errors import CollinearError, DomainError
 from trihill.hill import shape_eval
 from trihill.reduction import (
     COLLINEAR_TOL,
@@ -365,3 +371,50 @@ def oracle_find_critical_shapes(system: BodySystem, k: int, seeds: int = 64):
             continue
         found.append((shape, nu))
     return sorted(found, key=lambda item: (item[1], item[0].w1, item[0].w2))
+
+
+# The collinear family as it was when the Newton polish ran on arrays with
+# numpy's polyval: the bit-for-bit reference for collinear_configs, with
+# numpy's warnings on extreme systems silenced.
+
+
+def _oracle_roots_in_unit_interval(c):
+    with np.errstate(all="ignore"):
+        try:
+            r = P.polyroots(c)
+        except np.linalg.LinAlgError:
+            raise DomainError("collinear polynomial roots overflow") from None
+        x = r.real[(np.abs(r.imag) <= 1e-7 * np.abs(r)) & (r.real > 0.0)]
+        dc = P.polyder(c)
+        value = P.polyval(x, c)
+        for _ in range(3):
+            slope = P.polyval(x, dc)
+            cand = x - np.divide(value, slope, out=np.zeros_like(x), where=slope != 0.0)
+            cand_value = P.polyval(cand, c)
+            better = np.abs(cand_value) < np.abs(value)
+            x, value = np.where(better, cand, x), np.where(better, cand_value, value)
+        t = x / (1.0 + x)
+        inside = (0.0 < t) & (t < 1.0)
+    return x[inside].tolist(), value[inside].tolist()
+
+
+def oracle_collinear_configs(system: BodySystem):
+    def at(c, x):
+        with np.errstate(all="ignore"):
+            return float(P.polyval(x, c))
+
+    out = []
+    for middle in (1, 2, 3):
+        i, k = [b for b in (1, 2, 3) if b != middle]
+        order = (i, middle, k)
+        quintic, quad, scale, iw = (np.array(c) for c in _collinear_polynomials(system, order))
+        (x5, p5), (x2, a2) = (_oracle_roots_in_unit_interval(c) for c in (quintic, quad))
+        roots = [(x, at(quad, x), p) for x, p in zip(x5, p5)]
+        roots += [(x, a, at(quintic, x)) for x, a in zip(x2, a2)]
+        for x, a, p in roots:
+            v = a / (x * (1.0 + x))
+            nu = 0.5 * at(iw, x) * v * v
+            residual = abs(v * p / x / x) / max(1.0, nu)
+            physical = a < -1e-9 * at(scale, x)
+            out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual, physical))
+    return sorted(out, key=lambda cv: cv.nu)

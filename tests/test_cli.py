@@ -227,6 +227,17 @@ def test_critical_rejects_an_overflowing_lagrange_value(tmp_path):
     ]
 
 
+def test_critical_rejects_an_underflowing_moment_of_inertia(tmp_path):
+    path = tmp_path / "tiny.sys"
+    path.write_text("masses 1.82e-74 1.73e155 2.45e-293\nalphas 2.15e146 6.13e92 -4.36e-243\n")
+    proc = run_fresh("critical", "--system", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: collinear moment of inertia underflows; rescale the system"
+    ]
+
+
 def test_scan_rejects_nan_nu(capsys):
     code, out, err = run_cli(capsys, "scan", "--preset", "eep", "--nu", "nan", "--res", "8")
     assert code == 1

@@ -1,9 +1,10 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -25,7 +26,7 @@ from trihill.errors import DomainError, TrihillError, UnsupportedFamilyError
 from trihill.hill import shape_eval, v_tilde
 from trihill.systems import BodySystem, gravitational
 
-from conftest import oracle_find_critical_shapes
+from conftest import oracle_collinear_configs, oracle_find_critical_shapes
 
 
 GRAVITY_PRINTED = [
@@ -336,6 +337,12 @@ def test_collinear_double_root():
 _SIGNS = list(itertools.product((1.0, -1.0), repeat=3))
 
 
+def _bits(entries):
+    """Entries by their reprs: every field equal to the last bit, nan too."""
+    return [repr(cv) for cv in entries]
+
+
+
 @pytest.mark.parametrize("signs", _SIGNS)
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(
@@ -346,12 +353,59 @@ def test_collinear_property(signs, masses, magnitudes):
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
     entries = collinear_configs(system)
     assert all(type(cv.nu) is float and type(cv.physical) is bool for cv in entries)
+    assert _bits(entries) == _bits(oracle_collinear_configs(system))
     got = [cv.nu for cv in entries if cv.physical]
     assert got == pytest.approx(oracle_collinear_physical_nus(system), rel=1e-9)
     base = [cv.nu for cv in entries]
+    catalog = [cv.nu for cv in critical_catalog(system)]
     for perm in itertools.permutations((1, 2, 3)):
-        swapped = [cv.nu for cv in collinear_configs(system.permuted(perm))]
-        assert swapped == pytest.approx(base, rel=1e-9, abs=1e-12)
+        swapped = system.permuted(perm)
+        got = [cv.nu for cv in collinear_configs(swapped)]
+        assert got == pytest.approx(base, rel=1e-9, abs=1e-12)
+        got = [cv.nu for cv in critical_catalog(swapped)]
+        assert got == pytest.approx(catalog, rel=1e-9, abs=1e-12)
+
+
+def test_collinear_matches_array_polish_oracle_on_presets(all_systems):
+    for system in all_systems.values():
+        assert _bits(collinear_configs(system)) == _bits(oracle_collinear_configs(system))
+
+
+_LOG_UNIFORM = st.tuples(*[st.floats(-300.0, 300.0).map(lambda e: 10.0**e)] * 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    masses=_LOG_UNIFORM,
+    magnitudes=_LOG_UNIFORM,
+    signs=st.tuples(*[st.sampled_from((1.0, -1.0))] * 3),
+)
+# Langmuir systems whose reduced masses overflow or underflow, or whose
+# shape lies within rounding of the rim
+@example(masses=(1e155, 1.0, 1e155), magnitudes=(1.0, 1.0, 1.0), signs=(1.0, -1.0, 1.0))
+@example(masses=(1e-162, 1.0, 1e-162), magnitudes=(1.0, 1.0, 1.0), signs=(1.0, -1.0, 1.0))
+@example(masses=(1e-162,) * 3, magnitudes=(1.0, 1.0, 1.0), signs=(1.0, 1.0, -1.0))
+@example(masses=(1.0, 1.0, 1.0), magnitudes=(1e25, 1.0, 1e25), signs=(1.0, -1.0, 1.0))
+def test_log_uniform_systems(masses, magnitudes, signs):
+    # masses and couplings across 600 decades: the collinear family is the
+    # array polish's to the last bit, and the catalog answers with finite
+    # values or a DomainError, never a RuntimeWarning or another exception
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            want = _bits(oracle_collinear_configs(system))
+        except DomainError:
+            with pytest.raises(DomainError):
+                collinear_configs(system)
+        else:
+            assert _bits(collinear_configs(system)) == want
+        try:
+            catalog = critical_catalog(system)
+        except DomainError:
+            return
+    assert all(math.isfinite(cv.nu) for cv in catalog)
+    assert all(math.isfinite(v) for cv in catalog if cv.w is not None for v in cv.w)
 
 
 def test_find_critical_shapes_lagrange(gravity):
@@ -555,3 +609,19 @@ def test_catalog_rejects_an_overflowing_companion_matrix_without_a_warning():
     # finite Euler coefficients whose ratio to the leading one overflows
     with pytest.raises(DomainError, match="rescale the system"):
         critical_catalog(BodySystem((1, 1e-300, 1), (1e200, -1, 1)))
+
+
+@pytest.mark.parametrize(
+    "masses, alphas",
+    [
+        ((1.82e-74, 1.73e155, 2.45e-293), (2.15e146, 6.13e92, -4.36e-243)),
+        (
+            (2.5730107699934234e-238, 2.0924637013015373e-103, 1.076614579235303e-283),
+            (-3.7918859452794536e161, -1.8210018787013085e41, 3.076441917037686e158),
+        ),
+    ],
+)
+def test_catalog_rejects_an_underflowing_moment_of_inertia(masses, alphas):
+    # the collinear moment of inertia of these tiny masses rounds to 0
+    with pytest.raises(DomainError, match="rescale the system"):
+        critical_catalog(BodySystem(masses, alphas))

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trihill.coords import Distances, Shape
 from trihill.critical import nu_diabolic, nu_lagrange
@@ -18,6 +21,7 @@ from trihill.hill import (
     potential,
     shape_eval,
 )
+from trihill.systems import BodySystem
 
 from conftest import (
     oracle_lambda_grid_member,
@@ -261,6 +265,30 @@ def test_membership_monotone_in_nu(all_systems):
             ]
             # once lost (going up in nu) membership never comes back
             assert members == sorted(members, reverse=True)
+
+
+@pytest.mark.parametrize("signs", list(itertools.product((1.0, -1.0), repeat=3)))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    polar=st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi)),
+    j=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1),
+    # an E near the float minimum would underflow to 0 in E/c^2
+    E=st.floats(-3.0, 1.0).filter(lambda e: e == 0.0 or abs(e) > 1e-200),
+    r=st.floats(0.2, 2.0),
+    c=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+)
+def test_membership_dilation_invariance(signs, masses, magnitudes, polar, j, E, r, c):
+    # E and r enter only through nu = -E r^2: (E/c^2, c r) is the same point
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    sh = Shape(polar[0] * math.cos(polar[1]), polar[0] * math.sin(polar[1]))
+    jh = np.array(j) / np.linalg.norm(j)
+    want = membership(system, E, r, sh, jh)
+    # rounding in E r^2 may move a tangent case across disc = 0
+    assume(abs(want.discriminant) > 1e-9 * (4.0 * abs(E) * r * r + 1.0))
+    got = membership(system, E / (c * c), c * r, sh, jh)
+    assert (got.member, got.region_case) == (want.member, want.region_case)
 
 
 def test_bif_function(gravity, helium):

@@ -125,3 +125,28 @@ def test_nonphysical_diabolic_value_is_omitted():
     assert "diabolic" not in [cv.family for cv in critical_catalog(system)]
     report = verify_all(system, deep=False)
     assert report.ok, "\n" + "\n".join(c.line() for c in report.checks if not c.passed)
+
+
+def test_collision_angle_check_fails_on_a_wrong_angle(monkeypatch, all_systems):
+    # the check measures distances from body positions, so a psi12 off by
+    # 0.1 rad must FAIL; distances built from the angles themselves vanish
+    # on any ray they are given
+    from trihill import coords, verify
+
+    right = coords.collision_angles
+
+    def shifted(system):
+        psi12, psi23, psi13 = right(system)
+        return psi12 + 0.1, psi23, psi13
+
+    def check(system):
+        report = VerificationReport()
+        verify._collision_angle_check(report, system)
+        (result,) = report.checks
+        assert result.name == "coords.collision_angles"
+        return result.passed
+
+    assert all(check(system) for system in all_systems.values())
+    for module in (coords, verify):
+        monkeypatch.setattr(module, "collision_angles", shifted)
+    assert not any(check(system) for system in all_systems.values())
