@@ -38,18 +38,15 @@ from .hill import (
     f_lambda,
     membership,
     orientation_class,
-    potential,
     shape_eval,
 )
 from .reduction import (
     InertiaData,
-    KineticGeometry,
     RovibState,
     eom,
     hamiltonian,
     inertia,
     integrate,
-    kinetic_geometry,
     relequil_residual,
 )
 from .scan import CellClass, component_census, contour_grid, render, scan_disk

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CollinearError, DomainError, InternalConsistencyError, TripleCollisionError
-from .systems import BodySystem, jacobi_frame
+from .systems import BodySystem, Pair, jacobi_frame
 
 RADICAND_CLAMP = 1e-12  # negative squared distances beyond this are a bug
 
@@ -240,18 +240,15 @@ def collision_angles(system: BodySystem) -> tuple[float, float, float]:
 
     Angles are radians in (-pi, pi], measured in the w3 = 0 plane; the (1,3)
     collision is always at pi.  On the unit circle,
-    r_ij = 0 exactly at psi = psi_ij.
+    r_ij = 0 exactly at psi = psi_ij.  They are read from the pair table.
     """
-    fr = jacobi_frame(system)
-    m1, _, m3 = system.masses
-    root = math.sqrt(fr.mu1 * fr.mu2)
-    psi12 = 2.0 * math.atan2(root, m1)
-    psi23 = -2.0 * math.atan2(root, m3)
-    return psi12, psi23, math.pi
+    p12, p13, p23 = system.pairs
+    return p12.psi, p23.psi, p13.psi
 
 
-def pair_geometry(system: BodySystem):
-    """Per-pair (reduced mass, coupling, collision angle) for pairs (1,2), (1,3), (2,3).
+def pair_geometry(system: BodySystem) -> tuple[Pair, Pair, Pair]:
+    """The system's pair table: rows (1,2), (1,3), (2,3) of bodies, reduced
+    mass, coupling and collision angle with its cosine and sine.
 
     Squared pair distances are affine in (omega, w1, w2):
 
@@ -259,11 +256,7 @@ def pair_geometry(system: BodySystem):
 
     which vanishes exactly on the collision ray of the pair.
     """
-    psi12, psi23, psi13 = collision_angles(system)
-    out = []
-    for (i, k), psi in (((1, 2), psi12), ((1, 3), psi13), ((2, 3), psi23)):
-        out.append((system.pair_reduced_mass(i, k), system.pair_coupling(i, k), psi))
-    return out
+    return system.pairs
 
 
 def _distances_polar(system: BodySystem, omega: float, rho2d: float, theta: float) -> Distances:
@@ -274,8 +267,8 @@ def _distances_polar(system: BodySystem, omega: float, rho2d: float, theta: floa
     keeps the radicand exact on the collision rays (no cancellation).
     """
     out = []
-    for mu, _gam, psi in pair_geometry(system):
-        r2 = (omega - rho2d * math.cos(theta - psi)) / (2.0 * mu)
+    for pair in pair_geometry(system):
+        r2 = (omega - rho2d * math.cos(theta - pair.psi)) / (2.0 * pair.mu)
         if r2 < -RADICAND_CLAMP * max(omega, 1.0):
             raise InternalConsistencyError(f"negative squared distance {r2}")
         out.append(math.sqrt(max(r2, 0.0)))

@@ -38,7 +38,7 @@ from .coords import (
 from .errors import DomainError, UnsupportedFamilyError
 from .hill import moments, shape_eval, shape_kernel
 from .reduction import principal_axes, relequil_residual
-from .systems import PAIRS, BodySystem, infer_gravity_constant
+from .systems import BodySystem, infer_gravity_constant, reduced_mass
 
 FAMILIES = ("zero", "infinity", "diabolic", "lagrange", "langmuir", "collinear")
 
@@ -103,18 +103,17 @@ class LangmuirGeometry:
 
 def nu_infinity(system: BodySystem) -> list[CriticalValue]:
     """Critical values at infinity, one per attractive pair."""
-    geometry = dict(zip(((1, 2), (1, 3), (2, 3)), pair_geometry(system)))
     out = []
-    for i, jj in PAIRS:
-        mu, alpha, psi = geometry[(i, jj)]
-        if alpha <= 0.0:
+    # Pairs (2,3), (1,3), (1,2): equal values keep this order.
+    for pair in reversed(pair_geometry(system)):
+        if pair.alpha <= 0.0:
             continue
         out.append(
             CriticalValue(
-                nu=0.5 * mu * alpha * alpha,
+                nu=0.5 * pair.mu * pair.alpha * pair.alpha,
                 family="infinity",
-                w=(math.cos(psi), math.sin(psi)),
-                detail=f"co-rotating pair ({i},{jj})",
+                w=(pair.cos, pair.sin),
+                detail=f"co-rotating pair ({pair.i},{pair.j})",
             )
         )
     return sorted(out, key=lambda cv: cv.nu)
@@ -129,8 +128,8 @@ def nu_diabolic(system: BodySystem) -> CriticalValue:
     the sum is positive: otherwise the centre is never admissible at nu > 0.
     """
     total = 0.0
-    for k, (i, jj) in enumerate(PAIRS, start=1):
-        total += system.alphas[k - 1] * math.sqrt(system.pair_reduced_mass(i, jj))
+    for pair in reversed(pair_geometry(system)):  # this order sets the last bit
+        total += pair.alpha * math.sqrt(pair.mu)
     return CriticalValue(
         nu=0.5 * total * total,
         family="diabolic",
@@ -156,10 +155,10 @@ def lagrange_shape(system: BodySystem) -> Shape:
 def _configuration_shape(system: BodySystem, x: np.ndarray) -> Shape:
     """Shape of body positions ``x`` (rows = bodies 1..3) of a closed form.
 
-    The reduced masses of extreme masses can overflow (a nan angle) or
-    underflow (a collision), and a shape within rounding of the rim rounds
-    onto it; each raises a ValueError on the way, which becomes a
-    DomainError, with numpy's warnings silenced.
+    A shape within rounding of the rim rounds onto it, and extreme masses
+    can underflow a Jacobi vector's length (a collinear angle) or overflow
+    the moment of inertia; each raises a ValueError on the way, which
+    becomes a DomainError, with numpy's warnings silenced.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -236,7 +235,7 @@ def langmuir_geometry(system: BodySystem) -> LangmuirGeometry:
         b=sin_t,
         c=2.0 * m_like * cos_t / (2.0 * m_like + m_apex),
         d=m_apex * cos_t / (2.0 * m_like + m_apex),
-        mu=2.0 * m_like * m_apex / (2.0 * m_like + m_apex),
+        mu=reduced_mass(2.0 * m_like, m_apex),
         like_pair=(i, jj),
         apex=k,
     )
@@ -385,7 +384,9 @@ def collinear_configs(system: BodySystem) -> list[CriticalValue]:
     ``residual`` |dnu/dt| = |V P|/x^2 over max(1, nu).  Points where the
     potential is not strictly negative (the roots of A among them) carry no
     relative equilibrium (the required spin rate would be imaginary); they
-    are returned flagged non-physical and skipped by the catalog.
+    are returned flagged non-physical and skipped by the catalog, or left
+    out where nu is not finite.  A physical root whose nu is not finite is
+    kept, and the catalog raises DomainError on it.
     """
     out = []
     for middle in (1, 2, 3):
@@ -398,6 +399,8 @@ def collinear_configs(system: BodySystem) -> list[CriticalValue]:
             nu = 0.5 * _polyval(iw, x) * v * v
             residual = abs(v * p / x / x) / max(1.0, nu)
             physical = a < -1e-9 * _polyval(scale, x)
+            if not (physical or math.isfinite(nu)):
+                continue
             out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual, physical))
     return sorted(out, key=lambda cv: cv.nu)
 

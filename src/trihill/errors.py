@@ -19,10 +19,6 @@ class CollinearError(TrihillError, ValueError):
     """Raised at collinear configurations, where the rotational reduction is singular."""
 
 
-class SingularGeometryError(TrihillError, ValueError):
-    """Raised when a kinetic-energy block cannot be inverted."""
-
-
 class InternalConsistencyError(TrihillError, RuntimeError):
     """Raised when intermediate values violate an internal bound (beyond rounding)."""
 

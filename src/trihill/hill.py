@@ -28,7 +28,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .coords import Distances, Shape, pair_geometry
+from .coords import Shape, pair_geometry
 from .errors import check_finite
 from .systems import BodySystem
 
@@ -66,21 +66,6 @@ class HillMembership:
     lambda_plus: float | None = None
 
 
-def potential(system: BodySystem, dist: Distances) -> float:
-    """V = -a3/r12 - a2/r13 - a1/r23; collisions give a signed infinity."""
-    a1, a2, a3 = system.alphas
-    total = 0.0
-    for gam, r in ((a3, dist.r12), (a2, dist.r13), (a1, dist.r23)):
-        if r < 0:
-            raise ValueError("distances must be nonnegative")
-        if r == 0.0:
-            if gam == 0.0:
-                continue
-            return math.copysign(math.inf, -gam)
-        total -= gam / r
-    return total
-
-
 def shape_kernel(system: BodySystem, w1, w2):
     """Vt at disk points (w1, w2), its gradient (V_1, V_2) and its Hessian
     (V_11, V_12, V_22), the last two stacked on a leading axis.
@@ -92,8 +77,7 @@ def shape_kernel(system: BodySystem, w1, w2):
     V = np.zeros(np.broadcast_shapes(w1.shape, w2.shape))
     grad, hess = np.zeros((2,) + V.shape), np.zeros((3,) + V.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for mu, gam, psi in pair_geometry(system):
-            c, s = math.cos(psi), math.sin(psi)
+        for _, _, mu, gam, _, c, s in pair_geometry(system):
             r2 = (1.0 - w1 * c - w2 * s) / (2.0 * mu)
             term = gam / np.sqrt(r2)
             V -= term

@@ -24,12 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import (
-    DragtCoords,
-    JacobiShapeCoords,
-    pair_geometry,
-)
-from .errors import CollinearError, SingularGeometryError, TripleCollisionError, check_finite
+from .coords import JacobiShapeCoords, pair_geometry
+from .errors import CollinearError, check_finite
 from .systems import BodySystem
 
 # Chart-boundary guard: the chart is rho1, rho2 > 0 and 0 < phi < pi; states
@@ -51,14 +47,6 @@ class InertiaData:
     tensor: np.ndarray
     principal: tuple[float, float, float]
     I: float
-
-
-@dataclass(frozen=True)
-class KineticGeometry:
-    metric: np.ndarray
-    metric_inv: np.ndarray
-    gauge: np.ndarray  # rows are the vectors A_mu
-    singular: bool = False
 
 
 @dataclass
@@ -154,52 +142,12 @@ def rigid_start(j: JacobiShapeCoords, r: float, j_hat: np.ndarray) -> RovibState
     return RovibState(np.array([j.rho1, j.rho2, j.phi]), _gauge_momentum(j, J), J)
 
 
-def kinetic_geometry(coords) -> KineticGeometry:
-    """Vibrational metric and gauge potential, in either chart.
-
-    Jacobi: g = diag(1, 1, rho1^2 rho2^2 / I), A_phi = (0, 0, rho2^2/I).
-    Dragt:  g = diag(1/omega, omega, omega cos^2 chi)/4, A_psi = (0, 0, -sin(chi)/2).
-    """
-    if isinstance(coords, JacobiShapeCoords):
-        r1s, r2s = coords.rho1**2, coords.rho2**2
-        if r1s == 0.0 or r2s == 0.0:
-            raise SingularGeometryError("Jacobi metric needs rho1, rho2 > 0")
-        I = r1s + r2s
-        metric = np.diag([1.0, 1.0, r1s * r2s / I])
-        metric_inv = np.diag([1.0, 1.0, I / (r1s * r2s)])
-        gauge = np.zeros((3, 3))
-        gauge[2, 2] = r2s / I
-        return KineticGeometry(metric, metric_inv, gauge)
-    if isinstance(coords, DragtCoords):
-        if coords.omega <= 0.0:
-            raise TripleCollisionError("Dragt metric undefined at omega = 0")
-        if coords.chi <= 0.0:
-            raise SingularGeometryError("collinear boundary chi = 0")
-        cchi = math.cos(coords.chi)
-        singular = cchi < 1e-9
-        g3 = coords.omega * cchi * cchi / 4.0
-        metric = np.diag([1.0 / (4.0 * coords.omega), coords.omega / 4.0, g3])
-        metric_inv = np.diag(
-            [4.0 * coords.omega, 4.0 / coords.omega, 0.0 if singular else 1.0 / g3]
-        )
-        gauge = np.zeros((3, 3))
-        gauge[2, 2] = -0.5 * math.sin(coords.chi)
-        return KineticGeometry(metric, metric_inv, gauge, singular=singular)
-    raise TypeError(f"unsupported coordinate type {type(coords).__name__}")
-
-
-def _pair_constants(system: BodySystem) -> tuple[tuple[float, float, float, float], ...]:
-    return tuple(
-        (mu, gam, math.cos(psi), math.sin(psi)) for mu, gam, psi in pair_geometry(system)
-    )
-
-
 def _potential_and_grad_scalar(
     pairs, rho1: float, rho2: float, phi: float
 ) -> tuple[float, float, float, float]:
     cphi, sphi = math.cos(phi), math.sin(phi)
     V = g0 = g1 = g2 = 0.0
-    for mu, gam, cpsi, spsi in pairs:
+    for _, _, mu, gam, _, cpsi, spsi in pairs:
         r2 = (
             rho1 * rho1 * (1.0 - cpsi)
             + rho2 * rho2 * (1.0 + cpsi)
@@ -216,14 +164,13 @@ def _potential_and_grad_scalar(
 
 def _potential_and_grad(system: BodySystem, q: np.ndarray) -> tuple[float, np.ndarray]:
     """V and dV/d(rho1, rho2, phi) from the affine pair-distance forms."""
-    V, g0, g1, g2 = _potential_and_grad_scalar(
-        _pair_constants(system), q[0], q[1], q[2]
-    )
+    V, g0, g1, g2 = _potential_and_grad_scalar(pair_geometry(system), q[0], q[1], q[2])
     return V, np.array([g0, g1, g2])
 
 
 def _flow(pairs, y) -> tuple[float, tuple[float, ...]]:
-    """Energy H and flat time derivative (qdot, pdot, Jdot) at flat state y.
+    """Energy H and flat time derivative (qdot, pdot, Jdot) at flat state y,
+    for the system of pair table ``pairs`` (``coords.pair_geometry``).
 
     ``y`` holds the nine state values (q, p, J) as plain Python floats, and
     the derivative comes back as a 9-tuple of floats: scalar arithmetic on
@@ -302,12 +249,12 @@ def _flow(pairs, y) -> tuple[float, tuple[float, ...]]:
 
 def hamiltonian(system: BodySystem, state: RovibState) -> float:
     """Reduced ro-vibrational energy of a state."""
-    return _flow(_pair_constants(system), state.flat().tolist())[0]
+    return _flow(pair_geometry(system), state.flat().tolist())[0]
 
 
 def eom(system: BodySystem, state: RovibState) -> RovibState:
     """Time derivative (qdot, pdot, Jdot) of the reduced flow."""
-    ydot = _flow(_pair_constants(system), state.flat().tolist())[1]
+    ydot = _flow(pair_geometry(system), state.flat().tolist())[1]
     return RovibState.from_flat(np.array(ydot))
 
 
@@ -323,7 +270,7 @@ def relequil_residual(
     """
     J = np.asarray(J, dtype=float)
     y = np.concatenate([[j.rho1, j.rho2, j.phi], _gauge_momentum(j, J), J])
-    ydot = np.array(_flow(_pair_constants(system), y.tolist())[1])
+    ydot = np.array(_flow(pair_geometry(system), y.tolist())[1])
     return ydot[6:9], -ydot[3:6]
 
 
@@ -383,7 +330,9 @@ def integrate(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     dt = float(dt)
     half, sixth = 0.5 * dt, dt / 6.0
-    pairs = _pair_constants(system)
+    # Plain tuples: the flow unpacks a row 4 times a step, and a NamedTuple
+    # row unpacks slower.
+    pairs = tuple(map(tuple, pair_geometry(system)))
     y = RovibState(s0.q, s0.p, s0.J).flat().tolist()
     states = np.empty((nsteps + 1, 9))
     energy = np.empty(nsteps + 1)

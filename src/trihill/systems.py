@@ -12,21 +12,58 @@ couplings are attractive.  Gravity corresponds to a_k = G*m_i*m_j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, TrihillError
 
-# Pair indexing used throughout: pair p couples the two bodies other than
-# body p, i.e. pair 1 = (2,3), pair 2 = (1,3), pair 3 = (1,2).
-PAIRS = ((2, 3), (1, 3), (1, 2))
+
+def _normal(x: float) -> bool:
+    """Whether the positive float x is normal: neither inf nor subnormal nor 0."""
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
+def reduced_mass(a: float, b: float, total: float | None = None) -> float:
+    """Reduced mass a b/(a + b) of two positive masses.
+
+    ``total`` is a + b summed as the caller sums it (a sum of three masses
+    rounds differently in another order).  Where the product a b is not a
+    normal float (it overflows, underflows or is subnormal), the value comes
+    from lo/(1 + lo/hi), which forms no product.
+    """
+    product = a * b
+    if _normal(product):
+        return product / (a + b if total is None else total)
+    lo, hi = min(a, b), max(a, b)
+    return lo / (1.0 + lo / hi)
+
+
+class Pair(NamedTuple):
+    """One row of a system's pair table: bodies i < j, their reduced mass
+    and coupling, and the polar angle psi of their collision ray on the
+    collinear circle with its cosine and sine."""
+
+    i: int
+    j: int
+    mu: float
+    alpha: float
+    psi: float
+    cos: float
+    sin: float
 
 
 @dataclass(frozen=True)
 class BodySystem:
-    """Masses and pair couplings of a charged three-body system."""
+    """Masses and pair couplings of a charged three-body system.
+
+    ``pairs`` is the pair table, built once with the system: rows (1,2),
+    (1,3), (2,3), the order of every pair sum.
+    """
 
     masses: tuple[float, float, float]
     alphas: tuple[float, float, float]
+    pairs: tuple[Pair, Pair, Pair] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.masses) != 3 or len(self.alphas) != 3:
@@ -39,11 +76,11 @@ class BodySystem:
             raise ValueError(f"masses must be strictly positive, got {self.masses}")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        object.__setattr__(self, "pairs", _pair_table(self))
 
     def pair_reduced_mass(self, i: int, j: int) -> float:
         """Reduced mass m_i*m_j/(m_i+m_j) of bodies i, j (1-based)."""
-        mi, mj = self.masses[i - 1], self.masses[j - 1]
-        return mi * mj / (mi + mj)
+        return self.pairs[i + j - 3].mu
 
     def pair_coupling(self, i: int, j: int) -> float:
         """Coupling constant of the pair (i, j) (1-based)."""
@@ -70,10 +107,30 @@ class JacobiFrame:
 
 def jacobi_frame(system: BodySystem) -> JacobiFrame:
     m1, m2, m3 = system.masses
-    return JacobiFrame(
-        mu1=m1 * m3 / (m1 + m3),
-        mu2=m2 * (m1 + m3) / (m1 + m2 + m3),
-    )
+    return JacobiFrame(mu1=reduced_mass(m1, m3), mu2=reduced_mass(m2, m1 + m3, m1 + m2 + m3))
+
+
+def _pair_table(system: BodySystem) -> tuple[Pair, Pair, Pair]:
+    """The pair table: the one place that derives a pair's reduced mass,
+    collision angle and its cosine and sine (see ``coords.pair_geometry``).
+
+    In (-pi, pi], psi12 = 2 atan2(sqrt(mu1 mu2), m1),
+    psi23 = -2 atan2(sqrt(mu1 mu2), m3) and the (1,3) collision is at pi.
+    Where mu1 mu2 is not a normal float, its root is sqrt(mu1) sqrt(mu2).
+    """
+    fr = jacobi_frame(system)
+    m1, _, m3 = system.masses
+    product = fr.mu1 * fr.mu2
+    root = math.sqrt(product) if _normal(product) else math.sqrt(fr.mu1) * math.sqrt(fr.mu2)
+    rows = []
+    for i, j, psi in (
+        (1, 2, 2.0 * math.atan2(root, m1)),
+        (1, 3, math.pi),
+        (2, 3, -2.0 * math.atan2(root, m3)),
+    ):
+        mu = reduced_mass(system.masses[i - 1], system.masses[j - 1])
+        rows.append(Pair(i, j, mu, system.pair_coupling(i, j), psi, math.cos(psi), math.sin(psi)))
+    return tuple(rows)
 
 
 def gravitational(masses: tuple[float, float, float], G: float = 1.0) -> BodySystem:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from trihill.coords import Shape
+from trihill.coords import Shape, pair_geometry
 from trihill.critical import (
     _collinear_entry,
     _collinear_polynomials,
@@ -25,7 +25,6 @@ from trihill.reduction import (
     ConservationReport,
     RovibState,
     Trajectory,
-    _pair_constants,
 )
 from trihill.systems import BodySystem, preset
 from trihill.verify import (  # noqa: F401
@@ -190,7 +189,7 @@ def oracle_traj_csv(traj) -> str:
 def _oracle_potential_and_grad(pairs, rho1, rho2, phi):
     cphi, sphi = math.cos(phi), math.sin(phi)
     V = g0 = g1 = g2 = 0.0
-    for mu, gam, cpsi, spsi in pairs:
+    for _, _, mu, gam, _, cpsi, spsi in pairs:
         r2 = (
             rho1 * rho1 * (1.0 - cpsi)
             + rho2 * rho2 * (1.0 + cpsi)
@@ -262,7 +261,7 @@ def oracle_flow(pairs, y: np.ndarray):
 def oracle_integrate(system: BodySystem, s0, dt: float, nsteps: int):
     """RK4 on arrays through ``oracle_flow``; numpy's warnings on non-finite
     states are silenced, the run's report says what happened."""
-    pairs = _pair_constants(system)
+    pairs = pair_geometry(system)
     y = RovibState(s0.q, s0.p, s0.J).flat()
     t = np.empty(nsteps + 1)
     states = np.empty((nsteps + 1, 9))
@@ -416,5 +415,7 @@ def oracle_collinear_configs(system: BodySystem):
             nu = 0.5 * at(iw, x) * v * v
             residual = abs(v * p / x / x) / max(1.0, nu)
             physical = a < -1e-9 * at(scale, x)
+            if not (physical or math.isfinite(nu)):
+                continue
             out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual, physical))
     return sorted(out, key=lambda cv: cv.nu)

@@ -547,9 +547,6 @@ def test_criterion_10_property_suites(all_systems):
         failures.append(f"round-trip error {worst:.2e}")
 
     # inertia identities and homogeneity of M and V
-    from trihill.hill import potential
-    from trihill.coords import distances_from_jacobi
-
     worst_sum = worst_tr = worst_mhom = worst_vhom = 0.0
     systems = list(all_systems.values())
     for idx in range(2_000):
@@ -569,8 +566,11 @@ def test_criterion_10_property_suites(all_systems):
             float(np.max(np.abs(scaled.tensor - lam * lam * data.tensor)))
             / (lam * lam * scale),
         )
-        v1 = potential(system, distances_from_jacobi(system, j))
-        v2 = potential(system, distances_from_jacobi(system, dilate(j, lam)))
+        # V is the energy at p = J = 0
+        v1, v2 = (
+            hamiltonian(system, RovibState([q.rho1, q.rho2, q.phi], [0.0] * 3, [0.0] * 3))
+            for q in (j, dilate(j, lam))
+        )
         worst_vhom = max(worst_vhom, abs(v2 - v1 / lam) / max(1.0, abs(v1 / lam)))
     if worst_sum >= 1e-12:
         failures.append(f"M1+M2=M3 error {worst_sum:.2e}")

@@ -229,7 +229,7 @@ def test_critical_rejects_an_overflowing_lagrange_value(tmp_path):
 
 def test_critical_rejects_an_underflowing_moment_of_inertia(tmp_path):
     path = tmp_path / "tiny.sys"
-    path.write_text("masses 1.82e-74 1.73e155 2.45e-293\nalphas 2.15e146 6.13e92 -4.36e-243\n")
+    path.write_text("masses 5e-324 5e-324 5e-324\nalphas 2 1 -1\n")
     proc = run_fresh("critical", "--system", str(path))
     assert proc.returncode == 1
     assert proc.stdout == ""

@@ -576,6 +576,18 @@ def test_sqrtmk_v_derivatives_against_central_differences(signs, masses, magnitu
             assert np.allclose(hess[p], fd_hess, rtol=0.0, atol=1e-6 * hscale)
 
 
+def test_collinear_leaves_out_non_physical_roots_with_non_finite_nu():
+    # the (2, 1, 3) ordering has a non-physical root whose nu overflows
+    system = BodySystem(
+        (2.867084900991826e-240, 0.006441468325812521, 4.334290311711508e-106),
+        (-1.5746385021905958e254, -2.3065447006623935e234, -6.263993283953582e235),
+    )
+    for cv in collinear_configs(system):
+        assert math.isfinite(cv.nu) and math.isfinite(cv.residual)
+        assert all(math.isfinite(v) for v in cv.w)
+    assert [cv.family for cv in critical_catalog(system)] == ["zero"]
+
+
 def test_catalog_rejects_overflowing_couplings():
     # the collinear coefficients overflow at 1e308; at 1e300 nu itself does
     with pytest.raises(DomainError):
@@ -614,14 +626,36 @@ def test_catalog_rejects_an_overflowing_companion_matrix_without_a_warning():
 @pytest.mark.parametrize(
     "masses, alphas",
     [
-        ((1.82e-74, 1.73e155, 2.45e-293), (2.15e146, 6.13e92, -4.36e-243)),
-        (
-            (2.5730107699934234e-238, 2.0924637013015373e-103, 1.076614579235303e-283),
-            (-3.7918859452794536e161, -1.8210018787013085e41, 3.076441917037686e158),
-        ),
+        ((5e-324,) * 3, (2.0, 1.0, -1.0)),
+        ((5e-324, 1e-323, 5e-324), (1.0, -1.0, -1.0)),
     ],
 )
 def test_catalog_rejects_an_underflowing_moment_of_inertia(masses, alphas):
-    # the collinear moment of inertia of these tiny masses rounds to 0
+    # the collinear moment of inertia of these subnormal masses rounds to 0
     with pytest.raises(DomainError, match="rescale the system"):
         critical_catalog(BodySystem(masses, alphas))
+
+
+@pytest.mark.parametrize(
+    "masses, alphas, pair",
+    [
+        ((1.82e-74, 1.73e155, 2.45e-293), (2.15e146, 6.13e92, -4.36e-243), (2, 3)),
+        (
+            (2.5730107699934234e-238, 2.0924637013015373e-103, 1.076614579235303e-283),
+            (-3.7918859452794536e161, -1.8210018787013085e41, 3.076441917037686e158),
+            (1, 2),
+        ),
+    ],
+)
+def test_catalog_of_masses_whose_products_underflow(masses, alphas, pair):
+    # products of two masses underflow, but no reduced mass and no moment
+    # of inertia does: the catalog is finite, and the attractive ``pair``
+    # co-rotates with the reduced mass of its lighter body
+    system = BodySystem(masses, alphas)
+    catalog = critical_catalog(system)
+    assert all(math.isfinite(cv.nu) for cv in catalog)
+    assert all(math.isfinite(v) for cv in catalog if cv.w is not None for v in cv.w)
+    i, j = pair
+    (cv,) = [cv for cv in nu_infinity(system) if cv.detail == f"co-rotating pair ({i},{j})"]
+    mu, alpha = min(masses[i - 1], masses[j - 1]), alphas[5 - i - j]
+    assert cv.nu == pytest.approx(0.5 * mu * alpha * alpha, rel=1e-12)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trihill.coords import Distances, Shape
-from trihill.critical import nu_diabolic, nu_lagrange
+from trihill.coords import Shape
+from trihill.critical import lagrange_shape, nu_diabolic, nu_lagrange
 from trihill.errors import DomainError, TrihillError
 from trihill.hill import (
     OrientationClass,
@@ -18,8 +18,8 @@ from trihill.hill import (
     membership,
     nu_thresholds,
     orientation_class,
-    potential,
     shape_eval,
+    shape_kernel,
 )
 from trihill.systems import BodySystem
 
@@ -31,10 +31,11 @@ from conftest import (
 
 
 def test_potential_examples(helium, eep, gravity):
-    assert potential(eep, Distances(1, 1, 1)) == pytest.approx(-1.0, abs=1e-15)
-    # helium at the diabolic distances equals -2 sqrt(nu_diabolic)
-    d = Distances(1.0, 0.7071552808581452, 0.7071552808581452)
-    v = potential(helium, d)
+    # eep at the equilateral shape: unit sides, since I = 1 there
+    assert shape_eval(eep, lagrange_shape(eep)).v_tilde == pytest.approx(-1.0, abs=1e-15)
+    # helium at the diabolic point, where the distances are
+    # (1.0, 0.7071552808581452, 0.7071552808581452), equals -2 sqrt(nu_diabolic)
+    v = shape_eval(helium, Shape(0.0, 0.0)).v_tilde
     assert v == pytest.approx(-4.656466278730084, rel=1e-12)
     assert v == pytest.approx(-2.0 * math.sqrt(nu_diabolic(helium).nu), rel=1e-12)
     sh = Shape(0.0, 0.0)
@@ -44,8 +45,10 @@ def test_potential_examples(helium, eep, gravity):
 
 
 def test_potential_collision_is_signed_infinity(helium):
-    assert potential(helium, Distances(0.0, 1.0, 1.0)) == math.inf  # repulsive pair
-    assert potential(helium, Distances(1.0, 0.0, 1.0)) == -math.inf  # attractive pair
+    # w = (-1, 0) is the (1,3) collision, coupled by a2
+    assert float(shape_kernel(helium, -1.0, 0.0)[0]) == -math.inf  # attractive pair
+    repulsive = BodySystem(helium.masses, (2.0, -2.0, -1.0))
+    assert float(shape_kernel(repulsive, -1.0, 0.0)[0]) == math.inf
 
 
 def test_shape_eval_diabolic(eep):

@@ -13,7 +13,7 @@ from trihill.coords import (
     jacobi_from_dragt,
     normalize_shape,
 )
-from trihill.errors import CollinearError, DomainError, SingularGeometryError
+from trihill.errors import CollinearError, DomainError
 from trihill.reduction import (
     ConservationReport,
     RovibState,
@@ -21,14 +21,13 @@ from trihill.reduction import (
     hamiltonian,
     inertia,
     integrate,
-    kinetic_geometry,
     principal_axes,
     relequil_residual,
 )
-from trihill.coords import Shape
+from trihill.coords import Shape, pair_geometry
 from trihill.critical import nu_lagrange, nu_langmuir
 from trihill.hill import membership
-from trihill.reduction import _pair_constants, rigid_start
+from trihill.reduction import rigid_start
 from trihill.systems import BodySystem, preset
 from trihill.verify import build_relequil_state
 
@@ -115,32 +114,6 @@ def test_principal_axes_are_eigenvectors():
             res = data.tensor @ axes[:, k] - moments[k] * axes[:, k]
             assert np.linalg.norm(res) < 1e-10 * max(1.0, data.I)
         assert np.allclose(axes.T @ axes, np.eye(3), atol=1e-12)
-
-
-def test_kinetic_geometry_jacobi_example():
-    geo = kinetic_geometry(JacobiShapeCoords(1, 1, math.pi / 2))
-    assert np.allclose(geo.metric, np.diag([1, 1, 0.5]), atol=1e-15)
-    assert np.allclose(geo.gauge[2], [0, 0, 0.5], atol=1e-15)
-    assert np.allclose(geo.metric @ geo.metric_inv, np.eye(3), atol=1e-12)
-    assert not geo.singular
-
-
-def test_kinetic_geometry_dragt_examples():
-    geo = kinetic_geometry(DragtCoords(1.0, math.pi / 2, 0.0, degenerate=True))
-    assert geo.singular
-    assert geo.metric[0, 0] == pytest.approx(0.25)
-    assert geo.metric[1, 1] == pytest.approx(0.25)
-    assert geo.metric[2, 2] == pytest.approx(0.0, abs=1e-30)
-    geo = kinetic_geometry(DragtCoords(2.0, math.pi / 6, 0.0))
-    assert np.allclose(geo.gauge[2], [0, 0, -0.25], atol=1e-15)
-    assert np.allclose(geo.metric @ geo.metric_inv, np.eye(3), atol=1e-12)
-
-
-def test_kinetic_geometry_errors():
-    with pytest.raises(SingularGeometryError):
-        kinetic_geometry(JacobiShapeCoords(0.0, 1.0, 0.5))
-    with pytest.raises(SingularGeometryError):
-        kinetic_geometry(DragtCoords(1.0, 0.0, 0.3))
 
 
 def test_hamiltonian_reduces_to_potential(all_systems):
@@ -538,7 +511,7 @@ def test_integrate_bit_identical_to_array_oracle_at_edges(name, state, dt):
 )
 def test_flow_entry_points_bit_identical_to_array_oracle(signs, masses, magnitudes, seed):
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
-    pairs = _pair_constants(system)
+    pairs = pair_geometry(system)
     rng = np.random.default_rng(seed)
     for _ in range(5):
         j = random_jacobi(rng)

@@ -2,12 +2,16 @@ import math
 
 import pytest
 
+from trihill.coords import Shape, collision_angles, pair_geometry
+from trihill.critical import langmuir_geometry
 from trihill.errors import DomainError, TrihillError
+from trihill.hill import v_tilde
 from trihill.systems import (
     BodySystem,
     PRESETS,
     gravitational,
     infer_gravity_constant,
+    jacobi_frame,
     parse_system,
     preset,
 )
@@ -32,6 +36,47 @@ def test_pair_coupling_indexing():
     assert system.pair_coupling(1, 2) == 30.0
     assert system.pair_coupling(3, 2) == 10.0
     assert system.pair_reduced_mass(1, 2) == pytest.approx(2.0 / 3.0)
+
+
+def test_pair_table(gravity):
+    # rows (1,2), (1,3), (2,3); collision_angles lists (psi12, psi23, psi13)
+    table = pair_geometry(gravity)
+    assert [(p.i, p.j) for p in table] == [(1, 2), (1, 3), (2, 3)]
+    for p in table:
+        assert p.mu == gravity.pair_reduced_mass(p.i, p.j)
+        assert p.alpha == gravity.pair_coupling(p.i, p.j)
+        assert (p.cos, p.sin) == (math.cos(p.psi), math.sin(p.psi))
+    assert collision_angles(gravity) == (table[0].psi, table[2].psi, table[1].psi)
+
+
+@pytest.mark.parametrize(
+    "masses, scale",
+    [
+        # m1 m3 overflows although mu1 = 5e154 does not
+        ((1e155, 1.0, 1e155), 1e-150),
+        # every product of two masses underflows to 0
+        ((1e-200,) * 3, 1e200),
+    ],
+)
+def test_reduced_masses_at_the_ends_of_the_float_range(masses, scale):
+    # masses times ``scale`` is an ordinary system: reduced masses scale
+    # with the masses, angles do not change and Vt scales as their root
+    alphas = (1.0, -1.0, 1.0)
+    system = BodySystem(masses, alphas)
+    ref = BodySystem(tuple(m * scale for m in masses), alphas)
+    fr, fr_ref = jacobi_frame(system), jacobi_frame(ref)
+    assert fr.mu1 == pytest.approx(fr_ref.mu1 / scale, rel=1e-15)
+    assert fr.mu2 == pytest.approx(fr_ref.mu2 / scale, rel=1e-15)
+    for p, p_ref in zip(pair_geometry(system), pair_geometry(ref)):
+        assert p.mu == pytest.approx(p_ref.mu / scale, rel=1e-15)
+    assert collision_angles(system) == pytest.approx(collision_angles(ref), rel=1e-14)
+    assert langmuir_geometry(system).mu == pytest.approx(
+        langmuir_geometry(ref).mu / scale, rel=1e-15
+    )
+    shape = Shape(0.1, 0.2)
+    assert v_tilde(system, shape.w1, shape.w2) == pytest.approx(
+        v_tilde(ref, shape.w1, shape.w2) / math.sqrt(scale), rel=1e-12
+    )
 
 
 def test_mass_validation():
