@@ -231,6 +231,10 @@ def jacobi_from_positions(system: BodySystem, positions: np.ndarray) -> JacobiSh
     rho2 = float(np.linalg.norm(s2))
     if rho1 * rho2 == 0.0:
         return JacobiShapeCoords(rho1, rho2, 0.0, degenerate=True)
+    # exact power-of-two rescale to unit size: for tiny masses the squared
+    # components of the cross product underflow and phi would read 0
+    s1 = np.ldexp(s1, -math.frexp(rho1)[1])
+    s2 = np.ldexp(s2, -math.frexp(rho2)[1])
     phi = math.atan2(float(np.linalg.norm(np.cross(s1, s2))), float(np.dot(s1, s2)))
     return JacobiShapeCoords(rho1, rho2, phi)
 

@@ -478,25 +478,21 @@ def _near_threshold(ev: ShapeEvaluation, nu: float, margin: float = 1e-6) -> boo
 def lambda_grid_member(system: BodySystem, base: np.ndarray, j_hat, E, r, lam_grid) -> bool:
     """Hill inequality scanned over dilations of body positions ``base``.
 
-    Rebuilds the inertia tensor of every scaled configuration from positions;
-    independent of the closed-form moments and of f_analysis.
+    Taken from positions once: the principal moments (numpy's eigenvalues of
+    the inertia tensor of ``base``) and the potential V0 over the three
+    measured distances.  Dilation by lam scales them by lam^2 and 1/lam, so
+    the scan tests er0/lam^2 + V0/lam <= E.  Independent of the closed-form
+    moments and of f_analysis.
     """
     masses = np.asarray(system.masses)
-    pos = lam_grid[:, None, None] * base[None, :, :]  # (L, body, xyz)
+    x1, x2, x3 = base
     a1, a2, a3 = system.alphas
-    d12 = np.linalg.norm(pos[:, 0] - pos[:, 1], axis=-1)
-    d13 = np.linalg.norm(pos[:, 0] - pos[:, 2], axis=-1)
-    d23 = np.linalg.norm(pos[:, 1] - pos[:, 2], axis=-1)
-    V = -(a3 / d12 + a2 / d13 + a1 / d23)
-    sq = np.einsum("lbx,lbx->lb", pos, pos)
-    M = np.einsum("b,lb,xy->lxy", masses, sq, np.eye(3)) - np.einsum(
-        "b,lbx,lby->lxy", masses, pos, pos
-    )
-    mom = np.linalg.eigvalsh(M)  # (L, 3) ascending
-    er = 0.5 * r * r * (
-        j_hat[0] ** 2 / mom[:, 0] + j_hat[1] ** 2 / mom[:, 1] + j_hat[2] ** 2 / mom[:, 2]
-    )
-    return bool(np.min(er + V) <= E)
+    d12, d13, d23 = (float(np.linalg.norm(d)) for d in (x1 - x2, x1 - x3, x2 - x3))
+    V0 = -(a3 / d12 + a2 / d13 + a1 / d23)
+    mx = masses[:, None] * base
+    mom = np.linalg.eigvalsh(np.sum(mx * base) * np.eye(3) - mx.T @ base)  # ascending
+    er0 = 0.5 * r * r * (j_hat[0] ** 2 / mom[0] + j_hat[1] ** 2 / mom[1] + j_hat[2] ** 2 / mom[2])
+    return bool(np.min(er0 / lam_grid**2 + V0 / lam_grid) <= E)
 
 
 def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:

@@ -107,11 +107,35 @@ def oracle_lambda_grid_member(
 ) -> bool:
     """Scan the raw Hill inequality over dilations of the configuration.
 
-    Every scaled configuration is rebuilt from positions; principal moments
-    come from numpy's eigensolver, the potential from measured distances.
+    Body positions come from ``oracle_positions``; ``lambda_grid_member``
+    takes the principal moments (numpy's eigensolver) and the potential
+    (measured distances) from them once, and dilation enters through the
+    weights lam^2 on the moments and 1/lam on the potential.
     """
     base = oracle_positions(system, rho1, rho2, phi)
     return lambda_grid_member(system, base, j_hat, E, r, np.logspace(-6.0, 6.0, n_lambda))
+
+
+def oracle_lambda_grid_rebuild(system: BodySystem, base, j_hat, E, r, lam_grid) -> bool:
+    """The dilation-grid scan with no use of homogeneity: every scaled
+    configuration lam * base is rebuilt, with its own inertia tensor,
+    eigenvalues and distances.  The reference for ``lambda_grid_member``."""
+    masses = np.asarray(system.masses)
+    pos = lam_grid[:, None, None] * base[None, :, :]  # (L, body, xyz)
+    a1, a2, a3 = system.alphas
+    d12 = np.linalg.norm(pos[:, 0] - pos[:, 1], axis=-1)
+    d13 = np.linalg.norm(pos[:, 0] - pos[:, 2], axis=-1)
+    d23 = np.linalg.norm(pos[:, 1] - pos[:, 2], axis=-1)
+    V = -(a3 / d12 + a2 / d13 + a1 / d23)
+    sq = np.einsum("lbx,lbx->lb", pos, pos)
+    M = np.einsum("b,lb,xy->lxy", masses, sq, np.eye(3)) - np.einsum(
+        "b,lbx,lby->lxy", masses, pos, pos
+    )
+    mom = np.linalg.eigvalsh(M)  # (L, 3) ascending
+    er = 0.5 * r * r * (
+        j_hat[0] ** 2 / mom[:, 0] + j_hat[1] ** 2 / mom[:, 1] + j_hat[2] ** 2 / mom[:, 2]
+    )
+    return bool(np.min(er + V) <= E)
 
 
 def oracle_orientation_class(

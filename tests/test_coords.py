@@ -221,6 +221,18 @@ def test_positions_roundtrip(all_systems):
             assert np.max(np.abs(com)) < 1e-12 * max(1.0, j.rho1, j.rho2)
 
 
+def test_jacobi_from_positions_at_tiny_masses():
+    # the Langmuir shape is built from positions at leg length 1, where the
+    # cross product of the Jacobi vectors of masses 1e-200 underflows
+    from trihill.critical import nu_langmuir
+
+    alphas = (1.0, -1.0, 1.0)
+    w = nu_langmuir(BodySystem((1e-200,) * 3, alphas)).w
+    w_ref = nu_langmuir(BodySystem((1.0,) * 3, alphas)).w
+    assert w_ref[0] == pytest.approx(0.32748, abs=1e-5) and abs(w_ref[1]) < 1e-15
+    assert w == pytest.approx(w_ref, abs=1e-12)
+
+
 def test_shape_validation():
     with pytest.raises(CollinearError):
         Shape(0.8, 0.7)

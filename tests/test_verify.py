@@ -1,8 +1,11 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from trihill import verify
 from trihill.critical import (
     CriticalValue,
     critical_catalog,
@@ -12,10 +15,12 @@ from trihill.critical import (
     nu_langmuir,
 )
 from trihill.errors import DomainError, UnsupportedFamilyError
+from trihill.hill import HillMembership, _normalized_rotational_energy, shape_eval
 from trihill.reduction import hamiltonian, relequil_residual
+from trihill.systems import BodySystem
 from trihill.verify import VerificationReport, build_relequil_state, verify_all
 
-from conftest import oracle_positions, oracle_potential
+from conftest import oracle_lambda_grid_rebuild, oracle_positions, oracle_potential
 
 
 def test_build_relequil_langmuir(helium):
@@ -150,3 +155,66 @@ def test_collision_angle_check_fails_on_a_wrong_angle(monkeypatch, all_systems):
     for module in (coords, verify):
         monkeypatch.setattr(module, "collision_angles", shifted)
     assert not any(check(system) for system in all_systems.values())
+
+
+_SIGNS = list(itertools.product((1.0, -1.0), repeat=3))
+
+
+def _oracle_checks(system, samples):
+    """The checks of ``_oracle_suites`` at ``samples``, by name."""
+    report = VerificationReport()
+    verify._oracle_suites(report, system, samples)
+    return {c.name: c for c in report.checks}
+
+
+def _signed_system(rng, signs):
+    """Masses U(0.1, 5), coupling magnitudes U(0.05, 3) with ``signs``."""
+    masses = tuple(float(m) for m in rng.uniform(0.1, 5.0, 3))
+    magnitudes = rng.uniform(0.05, 3.0, 3)
+    return BodySystem(masses, tuple(float(s * m) for s, m in zip(signs, magnitudes)))
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+def test_lambda_grid_member_matches_per_lambda_rebuild(signs):
+    # replays the deep oracle draws (seed 5150, 150 samples) through both scans
+    rng = np.random.default_rng((1500, _SIGNS.index(signs)))
+    one_tensor = verify.lambda_grid_member
+    got, want = [], []
+
+    def both(*args):
+        got.append(one_tensor(*args))
+        want.append(oracle_lambda_grid_rebuild(*args))
+        return got[-1]
+
+    with mock.patch.object(verify, "lambda_grid_member", both):
+        for _ in range(2):
+            _oracle_checks(_signed_system(rng, signs), 150)
+    assert len(got) == 300
+    assert got == want
+
+
+def test_membership_oracle_fails_on_a_wrong_discriminant(monkeypatch, all_systems):
+    # f_analysis with the factor 4 of disc = 4 E E_R + Vt^2 left out: the
+    # dilation-grid oracle must see the wrong members on every preset
+    def wrong(system, E, r, shape, j_hat):
+        ev = shape_eval(system, shape)
+        E_R = r * r * _normalized_rotational_energy(ev, j_hat)
+        disc = E * E_R + ev.v_tilde**2
+        member = E > 0.0 or (ev.v_tilde < 0.0 and disc >= 0.0)
+        return HillMembership(member, "wrong", disc)
+
+    def passes(system):
+        return _oracle_checks(system, 150)["hill.membership_oracle"].passed
+
+    assert all(passes(system) for system in all_systems.values())
+    monkeypatch.setattr(verify, "membership", wrong)
+    assert not any(passes(system) for system in all_systems.values())
+
+
+def test_oracle_suites_at_the_deep_sample_count(all_systems):
+    rng = np.random.default_rng(2026)
+    systems = [*all_systems.values(), *(_signed_system(rng, signs) for signs in _SIGNS)]
+    for system in systems:
+        checks = _oracle_checks(system, 150)
+        for name in ("hill.membership_oracle", "hill.orientation_oracle"):
+            assert checks[name].measured == 0.0, (system, checks[name].line())
