@@ -13,13 +13,14 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import critical, hill, scan, verify
 from .coords import Shape
-from .errors import TrihillError
+from .errors import DomainError, TrihillError
 from .reduction import integrate, rigid_start
 from .systems import BodySystem, load_system, preset
 
@@ -97,26 +98,41 @@ def _cmd_critical(system, args) -> int:
     return 0
 
 
+def _unit_jhat(args) -> np.ndarray:
+    """--jhat scaled to unit length; a vector whose norm is zero or not
+    finite (a NaN or infinite component, or an underflow or overflow)
+    raises DomainError."""
+    jh = np.asarray(args.jhat, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(jh))
+    if not (math.isfinite(norm) and norm > 0.0):
+        given = " ".join(map(str, args.jhat))
+        raise DomainError(f"--jhat needs a finite nonzero length, got {given}")
+    return jh / norm
+
+
 def _cmd_classify(system, args) -> int:
+    """Computes every value before it prints, so an error prints nothing."""
     shape = Shape(args.shape[0], args.shape[1])
     ev = hill.shape_eval(system, shape)
-    cls = hill.orientation_class(system, args.nu, shape)
-    print(f"shape {_fmt(shape.w1)} {_fmt(shape.w2)}")
-    print(f"V_tilde {_fmt(ev.v_tilde)}")
-    print("M_tilde " + " ".join(_fmt(m) for m in ev.m_tilde))
-    print(
-        "nu_thresholds "
-        + " ".join(_fmt(t) for t in hill.nu_thresholds(system, shape))
-    )
-    print(f"class {cls.name}")
+    lines = [
+        f"shape {_fmt(shape.w1)} {_fmt(shape.w2)}",
+        f"V_tilde {_fmt(ev.v_tilde)}",
+        "M_tilde " + " ".join(_fmt(m) for m in ev.m_tilde),
+        "nu_thresholds " + " ".join(_fmt(t) for t in hill.nu_thresholds(system, shape)),
+        f"class {hill.orientation_class(system, args.nu, shape).name}",
+    ]
     if args.jhat:
-        jh = np.asarray(args.jhat, dtype=float)
-        jh = jh / np.linalg.norm(jh)
-        E = -args.nu / (args.r * args.r)
-        mem = hill.membership(system, E, args.r, shape, jh)
-        print(f"member {str(mem.member).lower()}")
-        print(f"region {mem.region_case}")
-        print(f"bif_value {_fmt(hill.bif_function(system, shape, jh))}")
+        jh = _unit_jhat(args)
+        if not (math.isfinite(args.r) and args.r > 0.0):
+            raise DomainError(f"r must be positive and finite, got {args.r}")
+        mem = hill.membership(system, -args.nu / (args.r * args.r), args.r, shape, jh)
+        lines += [
+            f"member {str(mem.member).lower()}",
+            f"region {mem.region_case}",
+            f"bif_value {_fmt(hill.bif_function(system, shape, jh))}",
+        ]
+    print("\n".join(lines))
     return 0
 
 
@@ -149,8 +165,7 @@ def _cmd_contours(system, args) -> int:
 
 
 def _cmd_simulate(system, args) -> int:
-    jh = np.asarray(args.jhat, dtype=float)
-    state = rigid_start(Shape(*args.shape).to_jacobi(), args.r, jh / np.linalg.norm(jh))
+    state = rigid_start(Shape(*args.shape).to_jacobi(), args.r, _unit_jhat(args))
     traj, report = integrate(system, state, args.dt, args.steps)
     text = traj.to_csv()
     if args.csv:
@@ -190,10 +205,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(system, args)
-    except TrihillError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TrihillError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

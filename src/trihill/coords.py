@@ -80,9 +80,6 @@ class Distances:
     r13: float
     r23: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.r12, self.r13, self.r23)
-
 
 @dataclass(frozen=True)
 class Shape:
@@ -161,9 +158,10 @@ def jacobi_from_dragt(d: DragtCoords) -> JacobiShapeCoords:
 
 
 def dilate(j: JacobiShapeCoords, lam: float) -> JacobiShapeCoords:
-    """Dilation d_lam in the Jacobi chart; I scales by lam^2."""
-    if lam <= 0:
-        raise ValueError("dilation factor must be positive")
+    """Dilation d_lam in the Jacobi chart; I scales by lam^2.  A factor that
+    is not positive and finite raises DomainError."""
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"dilation factor must be positive and finite, got {lam}")
     return JacobiShapeCoords(lam * j.rho1, lam * j.rho2, j.phi)
 
 

@@ -37,7 +37,7 @@ from .coords import (
 )
 from .errors import DomainError, UnsupportedFamilyError
 from .hill import moments, shape_eval, shape_kernel
-from .reduction import principal_axes, relequil_residual
+from .reduction import relequil_residual, rigid_start
 from .systems import BodySystem, infer_gravity_constant, reduced_mass
 
 FAMILIES = ("zero", "infinity", "diabolic", "lagrange", "langmuir", "collinear")
@@ -558,15 +558,14 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
 
 
 def _is_relative_equilibrium(
-    system: BodySystem, shape: Shape, k: int, vt: float, mk: float, tol: float = 1e-6
+    system: BodySystem, shape: Shape, k: int, vt: float, mk: float
 ) -> bool:
+    """Whether rotation about axis k at r^2 = -Mt_k Vt has residuals below 1e-6 max(1, |Vt|)."""
     j = shape.to_jacobi()
-    _, axes = principal_axes(j)
-    r = math.sqrt(-mk * vt)
-    J = r * axes[:, k - 1]
+    J = rigid_start(j, math.sqrt(-mk * vt), np.eye(3)[k - 1]).J
     res1, res3 = relequil_residual(system, j, J)
-    scale = max(1.0, abs(vt))
-    return np.linalg.norm(res1) < tol * scale and np.linalg.norm(res3) < tol * scale
+    tol = 1e-6 * max(1.0, abs(vt))
+    return np.linalg.norm(res1) < tol and np.linalg.norm(res3) < tol
 
 
 # ---------------------------------------------------------------------------

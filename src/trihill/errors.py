@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finite-input check."""
+"""Exception types shared across the package, and the input checks."""
 
 import math
 
@@ -31,3 +31,11 @@ def check_finite(name: str, value: float) -> None:
     """Reject a non-finite input, which no comparison or formula can use."""
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
+
+
+def check_unit(name: str, vector) -> None:
+    """Reject a direction that is not a finite unit vector (to 1e-12): a NaN
+    component fails the comparison as well as an infinite or zero one."""
+    norm = math.hypot(*map(float, vector))
+    if not abs(norm - 1.0) <= 1e-12:
+        raise DomainError(f"{name} must be a finite unit vector, got norm {norm}")

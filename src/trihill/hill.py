@@ -29,7 +29,7 @@ from enum import IntEnum
 import numpy as np
 
 from .coords import Shape, pair_geometry
-from .errors import check_finite
+from .errors import DomainError, check_finite, check_unit
 from .systems import BodySystem
 
 
@@ -46,15 +46,12 @@ class OrientationClass(IntEnum):
 class ShapeEvaluation:
     """Dilation-reduced data of one shape.
 
-    ``m_tilde`` is (Mt1, Mt2, Mt3) ascending with Mt1 + Mt2 = Mt3 = 1;
-    ``thresholds`` is the ascending triple (1/(2 Mt3), 1/(2 Mt2), 1/(2 Mt1))
-    of critical normalized rotational energies.
+    ``m_tilde`` is (Mt1, Mt2, Mt3) ascending with Mt1 + Mt2 = Mt3 = 1.
     """
 
     shape: Shape
     v_tilde: float
     m_tilde: tuple[float, float, float]
-    thresholds: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,6 @@ def shape_eval(system: BodySystem, shape: Shape) -> ShapeEvaluation:
         shape=shape,
         v_tilde=v_tilde(system, shape.w1, shape.w2),
         m_tilde=(m1, m2, m3),
-        thresholds=(0.5 / m3, 0.5 / m2, 0.5 / m1),
     )
 
 
@@ -152,9 +148,8 @@ def f_analysis(E: float, E_R: float, v_tilde: float) -> HillMembership:
 
 
 def _normalized_rotational_energy(ev: ShapeEvaluation, j_hat: np.ndarray) -> float:
+    check_unit("j_hat", j_hat)
     j_hat = np.asarray(j_hat, dtype=float)
-    if abs(np.linalg.norm(j_hat) - 1.0) > 1e-12:
-        raise ValueError("J_hat must be a unit vector (principal-axis components)")
     m1, m2, m3 = ev.m_tilde
     return 0.5 * (j_hat[0] ** 2 / m1 + j_hat[1] ** 2 / m2 + j_hat[2] ** 2 / m3)
 
@@ -165,13 +160,14 @@ def membership(
     """Hill-region test for one shape-orientation point.
 
     ``j_hat`` holds components along the shape's principal axes, ascending
-    (axis 3 is the normal of the configuration plane).  A non-finite E or r
-    raises DomainError.
+    (axis 3 is the normal of the configuration plane).  A non-finite E or r,
+    an r <= 0 or a ``j_hat`` that is not a finite unit vector raises
+    DomainError.
     """
     check_finite("E", E)
     check_finite("r", r)
     if r <= 0.0:
-        raise ValueError("the Hill region is defined for r > 0")
+        raise DomainError("the Hill region is defined for r > 0")
     ev = shape_eval(system, shape)
     E_R = r * r * _normalized_rotational_energy(ev, j_hat)
     return f_analysis(E, E_R, ev.v_tilde)
@@ -182,7 +178,8 @@ def bif_function(system: BodySystem, shape: Shape, j_hat: np.ndarray) -> float:
 
     Returns Vt / (2 sqrt((1/2) Jhat . Mt^-1 . Jhat)).  Along principal axis k
     this equals Vt sqrt(Mt_k / 2), so its critical values are -sqrt(nu) at the
-    critical points of sqrt(Mt_k) Vt.
+    critical points of sqrt(Mt_k) Vt.  A ``j_hat`` that is not a finite unit
+    vector raises DomainError.
     """
     ev = shape_eval(system, shape)
     return ev.v_tilde / (2.0 * math.sqrt(_normalized_rotational_energy(ev, j_hat)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import JacobiShapeCoords, pair_geometry
-from .errors import CollinearError, check_finite
+from .errors import CollinearError, DomainError, check_finite, check_unit
 from .systems import BodySystem
 
 # Chart-boundary guard: the chart is rho1, rho2 > 0 and 0 < phi < pi; states
@@ -135,8 +135,10 @@ def rigid_start(j: JacobiShapeCoords, r: float, j_hat: np.ndarray) -> RovibState
     """Rigidly rotating state at configuration j: angular momentum r times
     the unit ``j_hat`` in the principal frame (axes ascending, axis 3 the
     plane normal), momenta the gauge values p = J.A so the shape is at rest.
-    A non-finite r raises DomainError."""
+    A non-finite r or a ``j_hat`` that is not a finite unit vector raises
+    DomainError."""
     check_finite("r", r)
+    check_unit("j_hat", j_hat)
     _, axes = principal_axes(j)
     J = r * (axes @ j_hat)
     return RovibState(np.array([j.rho1, j.rho2, j.phi]), _gauge_momentum(j, J), J)
@@ -324,10 +326,13 @@ def integrate(
     update sum is written per component in the order
     y + (dt/2) k, y + dt k3 and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), the
     order of the same sums on arrays, so trajectories do not depend on which
-    of the two carries them.
+    of the two carries them.  A dt that is not positive and finite, or a
+    negative nsteps, raises DomainError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+        raise DomainError(f"dt must be positive and finite, got {dt}")
+    if nsteps < 0:
+        raise DomainError(f"nsteps must be nonnegative, got {nsteps}")
     dt = float(dt)
     half, sixth = 0.5 * dt, dt / 6.0
     # Plain tuples: the flow unpacks a row 4 times a step, and a NamedTuple

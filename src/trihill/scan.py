@@ -47,7 +47,6 @@ class ShapeScan:
     resolution: int
     nu: float
     cells: np.ndarray  # int8, [i, j] indexed by (w1, w2)
-    system: BodySystem
 
 
 @dataclass
@@ -85,7 +84,7 @@ def scan_disk(system: BodySystem, nu: float, n: int) -> ShapeScan:
         ii, jj = np.nonzero(interior)
         cells[ii, jj] = classify_grid(system, nu, W1[ii, jj], W2[ii, jj])
     cells[band] = CellClass.BOUNDARY
-    return ShapeScan(resolution=n, nu=nu, cells=cells, system=system)
+    return ShapeScan(resolution=n, nu=nu, cells=cells)
 
 
 def _grid_axes(n: int, chi_psi: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -139,10 +139,10 @@ def gravitational(masses: tuple[float, float, float], G: float = 1.0) -> BodySys
     return BodySystem(masses, (G * m2 * m3, G * m1 * m3, G * m1 * m2))
 
 
-def infer_gravity_constant(system: BodySystem, rtol: float = 1e-12) -> float:
+def infer_gravity_constant(system: BodySystem) -> float:
     """Return G if the couplings are exactly gravitational, else raise.
 
-    Solves G from a1 and checks a2, a3 against G*m_i*m_j to ``rtol`` relative.
+    Solves G from a1 and checks a2, a3 against G*m_i*m_j to 1e-12 relative.
     A G or G*m_i*m_j that overflows fails the check: no tolerance compares
     with infinity.
     """
@@ -152,7 +152,7 @@ def infer_gravity_constant(system: BodySystem, rtol: float = 1e-12) -> float:
         raise TrihillError("gravitational couplings must all be positive")
     G = a1 / (m2 * m3)
     for got, want in ((a2, G * m1 * m3), (a3, G * m1 * m2)):
-        if not math.isfinite(want) or abs(got - want) > rtol * max(abs(got), abs(want)):
+        if not math.isfinite(want) or abs(got - want) > 1e-12 * max(abs(got), abs(want)):
             raise TrihillError("couplings are not of the gravitational form a_k = G*m_i*m_j")
     return G
 

@@ -172,14 +172,10 @@ def _langmuir_force_residual(system: BodySystem) -> float:
     return max(abs(r_apex), abs(r_side), abs(r_vert))
 
 
-def _relequil_checks(
-    report: VerificationReport,
-    system: BodySystem,
-    entry: CriticalValue,
-    r: float = 1.0,
-    nsteps: int = 10_000,
-) -> None:
+def _relequil_checks(report: VerificationReport, system: BodySystem, entry: CriticalValue) -> None:
     tag = entry.family
+    # r = 1: helium's unstable Langmuir rotation holds 10,000 steps only at r = 2^k
+    r, nsteps = 1.0, 10_000
     state = build_relequil_state(system, entry, r)
     res1, res3 = relequil_residual(system, state.jacobi(), state.J)
     report.add(f"{tag}.residual", max(np.linalg.norm(res1), np.linalg.norm(res3)), 1e-8)
@@ -307,10 +303,10 @@ def _collision_angle_check(report: VerificationReport, system: BodySystem) -> No
     report.add("coords.collision_angles", worst, 1e-10, "r_ij = 0 on collision rays")
 
 
-def sphere_grid(step_deg: float = 2.0) -> np.ndarray:
-    """Latitude/longitude grid of unit vectors, (ntheta, nphi, 3), poles omitted."""
-    th = np.radians(np.arange(step_deg / 2.0, 180.0, step_deg))
-    ph = np.radians(np.arange(0.0, 360.0, step_deg))
+def sphere_grid() -> np.ndarray:
+    """Latitude/longitude grid of unit vectors in 2-degree steps, (90, 180, 3), poles omitted."""
+    th = np.radians(np.arange(1.0, 180.0, 2.0))
+    ph = np.radians(np.arange(0.0, 360.0, 2.0))
     TH, PH = np.meshgrid(th, ph, indexing="ij")
     return np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
 
@@ -465,14 +461,15 @@ def _census_event_checks(
                 report.add_flag("scan.langmuir_event", ok, "census changes across nu_Langmuir")
 
 
-def _near_threshold(ev: ShapeEvaluation, nu: float, margin: float = 1e-6) -> bool:
+def _near_threshold(ev: ShapeEvaluation, nu: float) -> bool:
+    """Whether nu lies within 1e-6 of 0 or (scaled) of a class threshold."""
     if ev.v_tilde >= 0.0:
-        return abs(nu) < margin
+        return abs(nu) < 1e-6
     v2 = ev.v_tilde**2
     for mk in ev.m_tilde:
-        if abs(nu - 0.5 * mk * v2) < margin * max(1.0, v2):
+        if abs(nu - 0.5 * mk * v2) < 1e-6 * max(1.0, v2):
             return True
-    return abs(nu) < margin
+    return abs(nu) < 1e-6
 
 
 def lambda_grid_member(system: BodySystem, base: np.ndarray, j_hat, E, r, lam_grid) -> bool:

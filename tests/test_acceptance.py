@@ -256,7 +256,7 @@ def test_criterion_07_oracle_equivalence(all_systems):
         failures.append(f"membership mismatches: {mismatches}/1000")
 
     # orientation class vs the 2-degree sphere-sampling census, 1000 triples
-    grid = sphere_grid(2.0)
+    grid = sphere_grid()
     mismatches = 0
     checked = 0
     while checked < 1000:

@@ -262,3 +262,35 @@ def test_unknown_preset_exit_code(capsys):
     code, _, err = run_cli(capsys, "critical", "--preset", "nope")
     assert code == 2
     assert "unknown preset" in err
+
+
+# Each case overrides one option of a valid command (argparse keeps the last).
+_VALID = {
+    "classify": ("--shape", "0.1", "0.2", "--nu", "0.1", "--jhat", "0", "0", "1"),
+    "simulate": ("--shape", "0.1", "0.2", "--jhat", "0", "0", "1", "--dt", "1e-3", "--steps", "3"),
+    "scan": ("--nu", "0.1", "--res", "8"),
+    "contours": ("--axis", "3", "--res", "8"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("classify", ("--jhat", "0", "0", "0")),
+        ("classify", ("--jhat", "nan", "0", "1")),
+        ("classify", ("--r", "nan")),
+        ("classify", ("--r", "0")),
+        ("simulate", ("--steps", "-1")),
+        ("simulate", ("--jhat", "0", "0", "0")),
+        ("scan", ("--res", "1")),
+        ("scan", ("--nu", "inf")),
+        ("contours", ("--res", "1")),
+    ],
+)
+def test_cli_error_paths_print_one_error_line(command, bad):
+    proc = run_fresh(command, "--preset", "eep", *_VALID[command], *bad)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr

@@ -244,3 +244,9 @@ def test_shape_validation():
 def test_shape_rejects_non_finite(w):
     with pytest.raises(DomainError):
         Shape(*w)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_dilate_rejects_a_non_finite_or_nonpositive_factor(lam):
+    with pytest.raises(DomainError):
+        dilate(JacobiShapeCoords(1.0, 0.5, 1.0), lam)

@@ -54,7 +54,6 @@ def test_potential_collision_is_signed_infinity(helium):
 def test_shape_eval_diabolic(eep):
     ev = shape_eval(eep, Shape(0.0, 0.0))
     assert ev.m_tilde == pytest.approx((0.5, 0.5, 1.0), abs=0)
-    assert ev.thresholds == pytest.approx((0.5, 1.0, 1.0), abs=0)
     assert ev.v_tilde == pytest.approx(-1.0, rel=1e-14)  # = -2 sqrt(1/4)
 
 
@@ -342,8 +341,23 @@ def test_orientation_class_rejects_non_finite_nu(helium, nu):
 
 
 @pytest.mark.parametrize(
-    "E, r", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (-1.0, math.inf), (-1.0, math.nan)]
+    "E, r",
+    [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (-1.0, math.inf), (-1.0, math.nan),
+        (-1.0, 0.0), (-1.0, -1.0),
+    ],
 )
 def test_membership_rejects_non_finite_energy_and_r(helium, E, r):
     with pytest.raises(DomainError):
         membership(helium, E, r, Shape(0.1, 0.2), np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "j_hat", [(math.nan, 0.0, 1.0), (0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.6, 0.6)]
+)
+def test_membership_and_bif_function_reject_a_non_unit_j_hat(eep, j_hat):
+    sh = Shape(0.1, 0.2)
+    with pytest.raises(DomainError):
+        membership(eep, -0.1, 1.0, sh, np.array(j_hat))
+    with pytest.raises(DomainError):
+        bif_function(eep, sh, np.array(j_hat))

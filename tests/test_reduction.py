@@ -350,7 +350,7 @@ def test_trajectory_energy_is_hamiltonian_of_each_state(gravity, helium):
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
 def test_integrate_rejects_bad_dt(gravity, dt):
     state = build_relequil_state(gravity, nu_lagrange(gravity), r=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         integrate(gravity, state, dt, 3)
 
 
@@ -443,6 +443,22 @@ def test_integrate_truncates_where_a_pair_distance_rounds_below_zero(eep):
 def test_rigid_start_rejects_non_finite_r(r):
     with pytest.raises(DomainError):
         rigid_start(Shape(0.1, 0.2).to_jacobi(), r, np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "j_hat", [(0.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (0.0, math.inf, 0.0), (0.0, 0.0, 2.0)]
+)
+def test_rigid_start_rejects_a_non_unit_j_hat(j_hat):
+    with pytest.raises(DomainError):
+        rigid_start(Shape(0.1, 0.2).to_jacobi(), 1.0, np.array(j_hat))
+
+
+def test_integrate_rejects_a_negative_step_count(gravity):
+    state = build_relequil_state(gravity, nu_lagrange(gravity), r=1.0)
+    with pytest.raises(DomainError):
+        integrate(gravity, state, 1e-3, -1)
+    traj, report = integrate(gravity, state, 1e-3, 0)
+    assert len(traj) == 1 and report.ok
 
 
 def assert_same_run(got, want):

@@ -93,7 +93,7 @@ def test_render_ppm_header_and_all_outside_payload(gravity):
     from trihill.scan import ShapeScan
 
     cells = np.full((2, 2), CellClass.OUTSIDE, dtype=np.int8)
-    scan = ShapeScan(resolution=2, nu=1.0, cells=cells, system=gravity)
+    scan = ShapeScan(resolution=2, nu=1.0, cells=cells)
     payload = render(scan, "ppm")
     assert payload.startswith(b"P6\n2 2\n255\n")
     body = payload[len(b"P6\n2 2\n255\n") :]
