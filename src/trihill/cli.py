@@ -22,7 +22,7 @@ from . import critical, hill, scan, verify
 from .coords import Shape
 from .errors import DomainError, TrihillError
 from .reduction import integrate, rigid_start
-from .systems import BodySystem, load_system, preset
+from .systems import BodySystem, _normal, load_system, preset
 
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
@@ -126,7 +126,10 @@ def _cmd_classify(system, args) -> int:
         jh = _unit_jhat(args)
         if not (math.isfinite(args.r) and args.r > 0.0):
             raise DomainError(f"r must be positive and finite, got {args.r}")
-        mem = hill.membership(system, -args.nu / (args.r * args.r), args.r, shape, jh)
+        r2 = args.r * args.r
+        if not _normal(r2):
+            raise DomainError(f"r*r underflows or overflows, got r = {args.r}")
+        mem = hill.membership(system, -args.nu / r2, args.r, shape, jh)
         lines += [
             f"member {str(mem.member).lower()}",
             f"region {mem.region_case}",

@@ -36,7 +36,7 @@ from .coords import (
     w_from_jacobi,
 )
 from .errors import DomainError, UnsupportedFamilyError
-from .hill import moments, shape_eval, shape_kernel
+from .hill import moments, shape_kernel, shape_value
 from .reduction import relequil_residual, rigid_start
 from .systems import BodySystem, infer_gravity_constant, reduced_mass
 
@@ -537,21 +537,21 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
         if live.size == 0 or np.all(gn[np.isfinite(gn)] < 1e-26):
             break
 
-    converged = np.isfinite(gn) & (gn < 1e-22)
+    W = W[np.isfinite(gn) & (gn < 1e-22)]
+    V = shape_value(system, W[:, 0], W[:, 1])
+    # Only shapes with Vt < 0 rotate at some nu; a NaN goes on to the tests.
+    keep = ~(V >= 0.0)
     found: list[tuple[Shape, float]] = []
-    for w1, w2 in W[converged]:
+    for (w1, w2), vt in zip(W[keep], V[keep].tolist()):
         if any(abs(w1 - s.w1) < 1e-7 and abs(w2 - s.w2) < 1e-7 for s, _ in found):
             continue
         srad = math.hypot(w1, w2)
         if srad >= 1.0 - margin or (k != 3 and srad <= core):
             continue
         shape = Shape(w1, w2)
-        ev = shape_eval(system, shape)
-        if ev.v_tilde >= 0.0:
-            continue
-        mk = ev.m_tilde[k - 1]
-        nu = 0.5 * mk * ev.v_tilde**2
-        if not _is_relative_equilibrium(system, shape, k, ev.v_tilde, mk):
+        mk = moments(srad)[k - 1]
+        nu = 0.5 * mk * vt**2
+        if not _is_relative_equilibrium(system, shape, k, vt, mk):
             continue
         found.append((shape, nu))
     return sorted(found, key=lambda item: (item[1], item[0].w1, item[0].w2))

@@ -18,6 +18,11 @@ For E < 0 everything depends on (E, r) only through nu = -E r^2.  Sweeping
 Jhat over the unit sphere at fixed shape, the accessible set is empty, two
 caps around the axis-3 poles, a band (ring), or the full sphere, with
 transitions exactly at nu = (1/2) Mt_k Vt^2 for k = 3, 2, 1.
+
+Vt comes from the system's pair table in two forms that share one per-pair
+term: ``shape_value`` (Vt alone, for membership, classes, scans and contour
+grids) and ``shape_kernel`` (Vt with its gradient and Hessian, which only
+the critical-shape search's Newton steps read).
 """
 
 from __future__ import annotations
@@ -63,23 +68,46 @@ class HillMembership:
     lambda_plus: float | None = None
 
 
+def _pair_term(pair, w1, w2):
+    """One pair's squared distance at disk points (w1, w2),
+
+        r^2 = (1 - w1 cos psi - w2 sin psi)/(2 mu),
+
+    affine in w, and its share a/r of -Vt; collision points give signed
+    infinities (callers silence numpy's divide and invalid warnings)."""
+    r2 = (1.0 - w1 * pair.cos - w2 * pair.sin) / (2.0 * pair.mu)
+    return r2, pair.alpha / np.sqrt(r2)
+
+
+def shape_value(system: BodySystem, w1, w2):
+    """Vt at disk points (w1, w2), an array of their broadcast shape: the
+    sum of -a/r over the pair table."""
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    V = np.zeros(np.broadcast_shapes(w1.shape, w2.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pair in pair_geometry(system):
+            V -= _pair_term(pair, w1, w2)[1]
+    return V
+
+
 def shape_kernel(system: BodySystem, w1, w2):
     """Vt at disk points (w1, w2), its gradient (V_1, V_2) and its Hessian
     (V_11, V_12, V_22), the last two stacked on a leading axis.
 
-    Each pair adds -a/r with r^2 = (1 - w1 cos psi - w2 sin psi)/(2 mu),
-    affine in w; collision points give signed infinities.
+    The derivatives serve the Newton steps of the critical-shape search
+    (``critical._sqrtmk_v_derivatives``); every other caller reads Vt from
+    ``shape_value``, whose bits the value here equals.
     """
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     V = np.zeros(np.broadcast_shapes(w1.shape, w2.shape))
     grad, hess = np.zeros((2,) + V.shape), np.zeros((3,) + V.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _, _, mu, gam, _, c, s in pair_geometry(system):
-            r2 = (1.0 - w1 * c - w2 * s) / (2.0 * mu)
-            term = gam / np.sqrt(r2)
+        for pair in pair_geometry(system):
+            r2, term = _pair_term(pair, w1, w2)
             V -= term
+            c, s = pair.cos, pair.sin
             # In place from here: grids of 1e5 points make temporaries costly.
-            r2 *= 4.0 * mu
+            r2 *= 4.0 * pair.mu
             term /= r2  # a/(4 mu r^3)
             for i, u in enumerate((c, s)):
                 grad[i] -= u * term
@@ -90,8 +118,8 @@ def shape_kernel(system: BodySystem, w1, w2):
 
 
 def v_tilde(system: BodySystem, w1: float, w2: float) -> float:
-    """Shape-space potential at the disk point (w1, w2): the kernel's value."""
-    return float(shape_kernel(system, w1, w2)[0])
+    """Shape-space potential at the disk point (w1, w2)."""
+    return float(shape_value(system, w1, w2))
 
 
 def moments(s):

@@ -19,7 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import check_finite
-from .hill import class_codes, moments, shape_kernel
+from .hill import class_codes, moments, shape_value
 from .systems import BodySystem
 
 
@@ -64,7 +64,7 @@ def pixel_centers(n: int) -> np.ndarray:
 def classify_grid(system: BodySystem, nu: float, W1, W2):
     """Vectorized orientation classes at disk points; arrays of CellClass codes
     by :func:`trihill.hill.class_codes`, the rule of ``orientation_class``."""
-    V = shape_kernel(system, W1, W2)[0]
+    V = shape_value(system, W1, W2)
     return class_codes(nu, V, moments(np.hypot(W1, W2))) + np.int8(CellClass.EMPTY)
 
 
@@ -81,8 +81,7 @@ def scan_disk(system: BodySystem, nu: float, n: int) -> ShapeScan:
     band = inside & (1.0 - s2 < (2.0 / n) ** 2)
     interior = inside & ~band
     if interior.any():
-        ii, jj = np.nonzero(interior)
-        cells[ii, jj] = classify_grid(system, nu, W1[ii, jj], W2[ii, jj])
+        cells[interior] = classify_grid(system, nu, W1[interior], W2[interior])
     cells[band] = CellClass.BOUNDARY
     return ShapeScan(resolution=n, nu=nu, cells=cells)
 
@@ -119,7 +118,7 @@ def contour_grid(
         W1, W2 = A, B
         s = np.hypot(W1, W2)
         valid = s <= 1.0
-    V = shape_kernel(system, np.where(valid, W1, 0.0), np.where(valid, W2, 0.0))[0]
+    V = shape_value(system, np.where(valid, W1, 0.0), np.where(valid, W2, 0.0))
     mk = moments(s)[k - 1]
     with np.errstate(invalid="ignore"):
         vals = np.sqrt(np.maximum(mk, 0.0)) * V
@@ -146,7 +145,13 @@ def component_census(scan: ShapeScan) -> CensusReport:
 
     counts: dict[CellClass, int] = {}
     touches: dict[CellClass, bool] = {}
-    near_boundary = ndimage.binary_dilation(scan.cells == CellClass.BOUNDARY)
+    # The boundary band grown by one cell in the four grid directions.
+    band = scan.cells == CellClass.BOUNDARY
+    near_boundary = band.copy()
+    near_boundary[1:] |= band[:-1]
+    near_boundary[:-1] |= band[1:]
+    near_boundary[:, 1:] |= band[:, :-1]
+    near_boundary[:, :-1] |= band[:, 1:]
     for cls in (CellClass.EMPTY, CellClass.CAPS, CellClass.RING, CellClass.FULL):
         mask = scan.cells == cls
         _, n = ndimage.label(mask)
@@ -174,7 +179,7 @@ def _scan_ppm(scan: ShapeScan) -> bytes:
     n = scan.resolution
     lut = np.array([PALETTE[cls] for cls in CellClass], dtype=np.uint8)
     # Image rows run top to bottom: w2 descending; columns: w1 ascending.
-    rgb = lut[np.flipud(scan.cells.T)]
+    rgb = np.take(lut, np.flipud(scan.cells.T), axis=0)
     return f"P6\n{n} {n}\n255\n".encode() + rgb.tobytes()
 
 

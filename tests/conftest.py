@@ -6,6 +6,7 @@ paths in the package so that agreement is meaningful.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +196,48 @@ def oracle_grid_csv(grid) -> bytes:
                 f"{format(grid.values[i, j], '.12g')}"
             )
     return ("\n".join(lines) + "\n").encode()
+
+
+# The census and the PPM writer as they were with scipy's binary dilation
+# and fancy indexing: the bit-for-bit references for component_census and
+# the PPM encoder.
+
+
+def oracle_component_census(scan):
+    from scipy import ndimage
+
+    from trihill.scan import CellClass, CensusReport
+
+    counts, touches = {}, {}
+    near_boundary = ndimage.binary_dilation(scan.cells == CellClass.BOUNDARY)
+    for cls in (CellClass.EMPTY, CellClass.CAPS, CellClass.RING, CellClass.FULL):
+        mask = scan.cells == cls
+        _, n = ndimage.label(mask)
+        counts[cls] = int(n)
+        touches[cls] = bool(np.logical_and(mask, near_boundary).any())
+    return CensusReport(counts=counts, touches_boundary=touches)
+
+
+def oracle_scan_ppm(scan) -> bytes:
+    from trihill.scan import PALETTE, CellClass
+
+    n = scan.resolution
+    lut = np.array([PALETTE[cls] for cls in CellClass], dtype=np.uint8)
+    rgb = lut[np.flipud(scan.cells.T)]
+    return f"P6\n{n} {n}\n255\n".encode() + rgb.tobytes()
+
+
+def forbid(monkeypatch, func):
+    """Make every trihill module's binding of ``func`` raise when called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{func.__module__}.{func.__name__} was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "trihill":
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, refuse)
 
 
 def oracle_traj_csv(traj) -> str:

@@ -294,3 +294,11 @@ def test_cli_error_paths_print_one_error_line(command, bad):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("r", ["1e-200", "1e-160", "1e200"])
+def test_classify_rejects_r_whose_square_is_not_a_normal_float(r):
+    # E = -nu/r^2 would divide by zero, lose its digits or round to -0.0
+    proc = run_fresh("classify", "--preset", "eep", *_VALID["classify"], "--r", r)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: r*r underflows or overflows, got r = {float(r)}"]

@@ -26,7 +26,7 @@ from trihill.errors import DomainError, TrihillError, UnsupportedFamilyError
 from trihill.hill import shape_eval, v_tilde
 from trihill.systems import BodySystem, gravitational
 
-from conftest import oracle_collinear_configs, oracle_find_critical_shapes
+from conftest import forbid, oracle_collinear_configs, oracle_find_critical_shapes
 
 
 GRAVITY_PRINTED = [
@@ -455,6 +455,19 @@ def test_find_critical_shapes_matches_full_batch_oracle(signs, masses, magnitude
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
     got = _search_results(find_critical_shapes, system)
     assert got == _search_results(oracle_find_critical_shapes, system)
+
+
+def test_find_critical_shapes_makes_no_scalar_evaluation(monkeypatch):
+    # 946 seeds converge on axis 1 where Vt >= 0; they leave in one array
+    # step, not one shape_eval each.
+    system = BodySystem(
+        (1.7261747201536926, 3.098290270863728, 2.5874000334728415),
+        (-2.0622109423656503, 1.8241903347330979, -2.886816642056136),
+    )
+    want = _search_results(oracle_find_critical_shapes, system)
+    forbid(monkeypatch, shape_eval)
+    forbid(monkeypatch, v_tilde)
+    assert _search_results(find_critical_shapes, system) == want
 
 
 def test_catalog_gravity(gravity):

@@ -20,6 +20,8 @@ from trihill.hill import (
     orientation_class,
     shape_eval,
     shape_kernel,
+    shape_value,
+    v_tilde,
 )
 from trihill.systems import BodySystem
 
@@ -49,6 +51,30 @@ def test_potential_collision_is_signed_infinity(helium):
     assert float(shape_kernel(helium, -1.0, 0.0)[0]) == -math.inf  # attractive pair
     repulsive = BodySystem(helium.masses, (2.0, -2.0, -1.0))
     assert float(shape_kernel(repulsive, -1.0, 0.0)[0]) == math.inf
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("signs", list(itertools.product((1.0, -1.0), repeat=3)))
+def test_value_kernel_is_the_full_kernels_value_bit_for_bit(signs):
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        masses = tuple(rng.uniform(0.1, 5.0, 3))
+        system = BodySystem(masses, tuple(s * m for s, m in zip(signs, rng.uniform(0.05, 3.0, 3))))
+        c = (2.0 * np.arange(41) + 1.0) / 41 - 1.0
+        W1, W2 = np.meshgrid(c, c, indexing="ij")
+        # grids (the rim and beyond it included), rows, 0-d arrays and floats
+        for w1, w2 in [(W1, W2), (W1[5], W2[5]), (c[3], c[30]), (np.float64(0.25), -0.5), (0.1, 0.2)]:
+            assert _same_bits(shape_value(system, w1, w2), shape_kernel(system, w1, w2)[0])
+        # the (1,3) collision at w = (-1, 0) (a signed infinity) and the
+        # rounded collision rays of all three pairs, alone and in one array
+        points = [(-1.0, 0.0)] + [(p.cos, p.sin) for p in system.pairs]
+        for w1, w2 in points + [tuple(np.array(points).T)]:
+            assert _same_bits(shape_value(system, w1, w2), shape_kernel(system, w1, w2)[0])
+        assert v_tilde(system, -1.0, 0.0) == -math.copysign(math.inf, system.pairs[1].alpha)
 
 
 def test_shape_eval_diabolic(eep):

@@ -22,7 +22,12 @@ from trihill.scan import (
 )
 from trihill.systems import BodySystem, preset
 
-from conftest import oracle_grid_csv, oracle_scan_csv
+from conftest import (
+    oracle_component_census,
+    oracle_grid_csv,
+    oracle_scan_csv,
+    oracle_scan_ppm,
+)
 
 
 def parse_class_csv(payload: bytes, n: int) -> np.ndarray:
@@ -287,6 +292,33 @@ def _sweep(system):
     and above the top one."""
     nus = sorted({cv.nu for cv in critical_catalog(system)})
     return [-1.0, 0.0] + [0.5 * (a + b) for a, b in zip(nus, nus[1:])] + [1.25 * nus[-1] + 0.1]
+
+
+def test_census_and_ppm_match_dilation_and_fancy_index_oracles():
+    # Random cell arrays put Boundary cells anywhere, edges and corners
+    # included; small scans have a band that touches classified cells.
+    from trihill.scan import ShapeScan
+
+    rng = np.random.default_rng(7)
+    scans = []
+    sizes, band_shares, outside_shares = (2, 3, 4, 5, 8, 17, 64), (0.0, 0.05, 0.3, 0.9), (0.1, 0.9)
+    for n, p_band, p_out in itertools.product(sizes, band_shares, outside_shares):
+        # mostly Outside: a class often meets the band in one direction only
+        codes = rng.integers(CellClass.EMPTY, CellClass.FULL + 1, (n, n))
+        codes[rng.random((n, n)) < p_band] = CellClass.BOUNDARY
+        codes[rng.random((n, n)) < p_out] = CellClass.OUTSIDE
+        scans.append(ShapeScan(n, 0.0, codes.astype(np.int8)))
+    for name in ("gravity-demo", "helium", "eep"):
+        system = preset(name)
+        for n in (3, 5, 8, 16, 40):
+            scans += [scan_disk(system, nu, n) for nu in _sweep(system)]
+    touched = 0
+    for scan in scans:
+        got = component_census(scan)
+        assert got == oracle_component_census(scan)
+        assert render(scan, "ppm") == oracle_scan_ppm(scan)
+        touched += any(got.touches_boundary.values())
+    assert 0 < touched < len(scans)
 
 
 @pytest.mark.parametrize("name", ["gravity-demo", "helium", "eep"])

@@ -1,11 +1,19 @@
-"""The benchmark's span tracer must resolve every target it names in the
+"""Guards that no other test gives.
+
+The benchmark's span tracer must resolve every target it names in the
 package: it patches functions by name, so a renamed or removed function
-breaks only the traced benchmark run, which no other test starts."""
+breaks only the traced benchmark run, which no other test starts.  And the
+frame path must stay free of the derivative kernel, whose cost only a
+benchmark would show."""
 
 import os
 import sys
 
 import trihill  # noqa: F401  (loads every submodule)
+from trihill import hill, scan
+from trihill.coords import Shape
+
+from conftest import forbid
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
@@ -42,3 +50,18 @@ def test_span_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert bindings() == before
+
+
+def test_frame_path_runs_without_derivatives(monkeypatch, helium):
+    # Only the critical-shape search reads the gradient and Hessian of Vt;
+    # scans, contour grids and scalar evaluations must not pay for them.
+    forbid(monkeypatch, hill.shape_kernel)
+    frame = scan.scan_disk(helium, 3.0, 32)
+    scan.component_census(frame)
+    scan.render(frame, "ppm")
+    for k in (1, 2, 3):
+        scan.contour_grid(helium, k, 16)
+        scan.contour_grid(helium, k, 16, chi_psi=True)
+    hill.v_tilde(helium, 0.1, 0.2)
+    hill.shape_eval(helium, Shape(0.1, 0.2))
+    hill.orientation_class(helium, 3.0, Shape(0.1, 0.2))
