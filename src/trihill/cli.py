@@ -129,7 +129,10 @@ def _cmd_classify(system, args) -> int:
         r2 = args.r * args.r
         if not _normal(r2):
             raise DomainError(f"r*r underflows or overflows, got r = {args.r}")
-        mem = hill.membership(system, -args.nu / r2, args.r, shape, jh)
+        E = -args.nu / r2
+        if not math.isfinite(E):
+            raise DomainError(f"-nu/(r*r) overflows, got nu = {args.nu}, r = {args.r}")
+        mem = hill.membership(system, E, args.r, shape, jh)
         lines += [
             f"member {str(mem.member).lower()}",
             f"region {mem.region_case}",

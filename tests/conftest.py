@@ -26,6 +26,8 @@ from trihill.reduction import (
     ConservationReport,
     RovibState,
     Trajectory,
+    eom,
+    hamiltonian,
 )
 from trihill.systems import BodySystem, preset
 from trihill.verify import (  # noqa: F401
@@ -486,3 +488,92 @@ def oracle_collinear_configs(system: BodySystem):
                 continue
             out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual, physical))
     return sorted(out, key=lambda cv: cv.nu)
+
+
+# The finite-difference suite and the sphere census as they were before
+# trihill.verify perturbed the float state with reduction._flow and returned
+# the fixed classes without sampling: the bit-for-bit references.
+
+
+def oracle_eom_fd_suite(system: BodySystem, samples: int = 300) -> float:
+    """``measured`` of the check eom.finite_difference, from a RovibState and
+    a ``hamiltonian`` call per energy."""
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(samples):
+        q = np.array(
+            [rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), rng.uniform(0.3, math.pi - 0.3)]
+        )
+        p = rng.normal(0.0, 1.0, 3)
+        J = rng.normal(0.0, 1.0, 3)
+        state = RovibState(q, p, J)
+        d = eom(system, state)
+        scale = max(1.0, float(np.max(np.abs(d.q))), float(np.max(np.abs(d.p))))
+
+        def h_of(qq, pp, JJ):
+            return hamiltonian(system, RovibState(qq, pp, JJ))
+
+        for mu in range(3):
+            hh = 1e-6 * max(1.0, abs(q[mu]))
+            qp, qm = q.copy(), q.copy()
+            qp[mu] += hh
+            qm[mu] -= hh
+            fd = (h_of(qp, p, J) - h_of(qm, p, J)) / (2 * hh)
+            worst = max(worst, abs(-fd - d.p[mu]) / scale)
+            pp_, pm = p.copy(), p.copy()
+            pp_[mu] += hh
+            pm[mu] -= hh
+            fd = (h_of(q, pp_, J) - h_of(q, pm, J)) / (2 * hh)
+            worst = max(worst, abs(fd - d.q[mu]) / scale)
+        jdot_dot_j = abs(float(np.dot(d.J, J)))
+        worst = max(worst, jdot_dot_j / max(1.0, float(np.dot(J, J))))
+    return float(worst)
+
+
+def oracle_sphere_orientation_class(m_tilde, v_tilde: float, nu: float, grid) -> int:
+    """The sphere census with the accessible set built on the whole grid in
+    every case, its components counted by ``oracle_count_components_periodic``."""
+    m1, m2, m3 = m_tilde
+    er = 0.5 * (
+        grid[..., 0] ** 2 / m1 + grid[..., 1] ** 2 / m2 + grid[..., 2] ** 2 / m3
+    )
+    if nu < 0:
+        acc = np.ones_like(er, dtype=bool)
+    elif nu == 0:
+        acc = np.full_like(er, v_tilde < 0.0, dtype=bool)
+    elif v_tilde >= 0:
+        acc = np.zeros_like(er, dtype=bool)
+    else:
+        acc = er <= v_tilde**2 / (4.0 * nu)
+    if acc.all():
+        return 3  # FULL
+    if not acc.any():
+        return 0  # EMPTY
+    caps = oracle_count_components_periodic(acc) == 2 and acc[0].any() and acc[-1].any()
+    return 1 if caps else 2
+
+
+def oracle_count_components_periodic(mask: np.ndarray) -> int:
+    """Components by breadth-first search over the set cells: 4-neighbours,
+    the longitude wrapping round, every cell of the first row joined to the
+    others of that row, and likewise for the last row."""
+    rows, cols = mask.shape
+    cells = {(i, j) for i in range(rows) for j in range(cols) if mask[i, j]}
+    seen = set()
+    count = 0
+    for start in cells:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = [start]
+        while queue:
+            i, j = queue.pop()
+            near = [(i - 1, j), (i + 1, j), (i, (j - 1) % cols), (i, (j + 1) % cols)]
+            if i in (0, rows - 1):
+                near += [(i, k) for k in range(cols)]
+            for cell in near:
+                if cell in cells and cell not in seen:
+                    seen.add(cell)
+                    queue.append(cell)
+    return count

@@ -285,6 +285,7 @@ _VALID = {
         ("scan", ("--res", "1")),
         ("scan", ("--nu", "inf")),
         ("contours", ("--res", "1")),
+        ("classify", ("--nu", "1e308", "--r", "1e-100")),
     ],
 )
 def test_cli_error_paths_print_one_error_line(command, bad):
@@ -302,3 +303,12 @@ def test_classify_rejects_r_whose_square_is_not_a_normal_float(r):
     proc = run_fresh("classify", "--preset", "eep", *_VALID["classify"], "--r", r)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: r*r underflows or overflows, got r = {float(r)}"]
+
+
+def test_classify_rejects_an_energy_that_overflows():
+    # r*r = 1e-200 is a normal float, but E = -nu/(r*r) is not
+    proc = run_fresh(
+        "classify", "--preset", "eep", *_VALID["classify"], "--nu", "1e308", "--r", "1e-100"
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: -nu/(r*r) overflows, got nu = 1e+308, r = 1e-100"]

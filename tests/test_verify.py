@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from trihill import verify
+from trihill import reduction, verify
 from trihill.critical import (
     CriticalValue,
     critical_catalog,
@@ -20,7 +20,15 @@ from trihill.reduction import hamiltonian, relequil_residual
 from trihill.systems import BodySystem
 from trihill.verify import VerificationReport, build_relequil_state, verify_all
 
-from conftest import oracle_lambda_grid_rebuild, oracle_positions, oracle_potential
+from conftest import (
+    forbid,
+    oracle_count_components_periodic,
+    oracle_eom_fd_suite,
+    oracle_lambda_grid_rebuild,
+    oracle_positions,
+    oracle_potential,
+    oracle_sphere_orientation_class,
+)
 
 
 def test_build_relequil_langmuir(helium):
@@ -218,3 +226,107 @@ def test_oracle_suites_at_the_deep_sample_count(all_systems):
         checks = _oracle_checks(system, 150)
         for name in ("hill.membership_oracle", "hill.orientation_oracle"):
             assert checks[name].measured == 0.0, (system, checks[name].line())
+
+
+def _fd_measured(system):
+    report = VerificationReport()
+    verify._eom_fd_suite(report, system, 300)
+    (check,) = report.checks
+    assert check.name == "eom.finite_difference"
+    return check.measured
+
+
+def test_eom_fd_suite_matches_the_per_state_oracle(all_systems):
+    rng = np.random.default_rng(1414)
+    systems = [*all_systems.values()]
+    systems += [_signed_system(rng, signs) for signs in _SIGNS for _ in range(2)]
+    for system in systems:
+        assert _fd_measured(system).hex() == oracle_eom_fd_suite(system).hex(), system
+
+
+def test_eom_fd_suite_reads_the_flow_not_hamiltonian(monkeypatch, all_systems):
+    want = {name: oracle_eom_fd_suite(system) for name, system in all_systems.items()}
+    forbid(monkeypatch, reduction.hamiltonian)
+    for name, system in all_systems.items():
+        assert _fd_measured(system) == want[name], name
+
+
+def test_eom_fd_suite_fails_on_a_nan_flow():
+    # hamiltonian and eom are NaN at every state of this system; a worst
+    # case taken with Python's max used to drop the NaN and pass
+    system = BodySystem(
+        (2.846801426244032e256, 5.697888609670064e280, 6.66473643236869e-292),
+        (-1.5277565253222257e218, -5.212235619593877e288, 2.1188868542402605e274),
+    )
+    report = VerificationReport()
+    verify._eom_fd_suite(report, system, 20)
+    (check,) = report.checks
+    assert math.isnan(check.measured) and not check.passed
+    assert check.line().startswith("CHECK eom.finite_difference FAIL measured=nan")
+
+
+def test_worst_propagates_nan_and_keeps_max_otherwise():
+    assert math.isnan(verify._worst(0.0, math.nan, 1.0))
+    assert math.isnan(verify._worst(math.nan, 2.0))
+    assert math.isnan(verify._worst(2.0, math.nan))
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        values = rng.exponential(1.0, 5).tolist()
+        assert verify._worst(*values) == max(values)
+    assert verify._worst(0.0) == 0.0
+
+
+def _random_masks():
+    rng = np.random.default_rng(4242)
+    for shape in ((90, 180), (6, 9), (1, 12), (7, 1), (2, 2), (13, 5)):
+        yield np.zeros(shape, dtype=bool)
+        yield np.ones(shape, dtype=bool)
+        for density in (0.1, 0.3, 0.45, 0.55, 0.7, 0.9):
+            yield rng.random(shape) < density
+    # cells on both sides of the longitude seam in many rows, and rows
+    # whose only set cells sit at the two edge columns
+    for density in (0.2, 0.5, 0.8):
+        mask = rng.random((90, 180)) < 0.05
+        edge = rng.random((90, 2)) < density
+        mask[:, 0], mask[:, -1] = edge[:, 0], edge[:, 1]
+        yield mask
+        only = np.zeros((40, 30), dtype=bool)
+        only[:, 0] = rng.random(40) < density
+        only[:, -1] = rng.random(40) < density
+        yield only
+
+
+def test_count_components_periodic_matches_breadth_first_search():
+    counts = []
+    for mask in _random_masks():
+        want = oracle_count_components_periodic(mask)
+        assert verify.count_components_periodic(mask) == want, mask.shape
+        counts.append(want)
+    assert 0 in counts and 1 in counts and max(counts) > 20
+
+
+def _sphere_inputs():
+    """Random (m_tilde, Vt, nu), with the cases that need no sampling and NaNs."""
+    rng = np.random.default_rng(777)
+    for _ in range(150):
+        m1 = float(rng.uniform(0.05, 0.5))
+        m_tilde = (m1, 1.0 - m1, 1.0)
+        vt = float(rng.choice([-1.0, -1.0, -1.0, 1.0]) * rng.uniform(0.1, 3.0))
+        yield m_tilde, vt, float(rng.uniform(0.01, 1.2)) * vt * vt
+        yield m_tilde, vt, float(rng.uniform(-2.0, 0.0))
+        for special in (0.0, -0.0, math.nan):
+            yield m_tilde, vt, special
+            yield m_tilde, special, float(rng.uniform(-1.0, 3.0))
+    for vt in (0.0, -0.0, math.nan):
+        for nu in (0.0, -0.0, math.nan):
+            yield (0.25, 0.75, 1.0), vt, nu
+
+
+def test_sphere_orientation_class_matches_sampling_every_case():
+    grid = verify.sphere_grid()
+    classes = []
+    for m_tilde, vt, nu in _sphere_inputs():
+        want = oracle_sphere_orientation_class(m_tilde, vt, nu, grid)
+        assert verify.sphere_orientation_class(m_tilde, vt, nu, grid) == want, (m_tilde, vt, nu)
+        classes.append(want)
+    assert sorted(set(classes)) == [0, 1, 2, 3]
