@@ -20,6 +20,7 @@ those are treated as chart-boundary errors, not extrapolated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,43 +145,70 @@ def rigid_start(j: JacobiShapeCoords, r: float, j_hat: np.ndarray) -> RovibState
     return RovibState(np.array([j.rho1, j.rho2, j.phi]), _gauge_momentum(j, J), J)
 
 
+def _chart_table(system: BodySystem) -> tuple[tuple[float, ...], ...]:
+    """The system's pair table as the Jacobi chart reads it: per pair
+    (1 - cos psi, 1 + cos psi, sin psi, 2 mu, alpha, mu), plain floats in
+    plain tuples, built once per run or call."""
+    return tuple(
+        (1.0 - p.cos, 1.0 + p.cos, p.sin, 2.0 * p.mu, p.alpha, p.mu)
+        for p in pair_geometry(system)
+    )
+
+
 def _potential_and_grad_scalar(
-    pairs, rho1: float, rho2: float, phi: float
+    table, rho1: float, rho2: float, r1s: float, r2s: float, cphi: float, sphi: float
 ) -> tuple[float, float, float, float]:
-    cphi, sphi = math.cos(phi), math.sin(phi)
+    """V and dV/d(rho1, rho2, phi) at a Jacobi chart point, one loop over the
+    rows of the chart table, given r1s = rho1 * rho1, r2s = rho2 * rho2 and
+    the cosine and sine of phi: the one pair sum of the Jacobi chart.
+
+    A pair's squared distance is affine in the squares,
+    (r1s (1 - cos psi) + r2s (1 + cos psi) - 2 rho1 rho2 cos phi sin psi) / (2 mu).
+    The products that open the same expression in all three pairs are
+    computed once before the loop (see ``_flow`` on which may be shared).
+    """
+    cross = 2.0 * rho1 * rho2 * cphi
+    r2c, r1c = rho2 * cphi, rho1 * cphi
     V = g0 = g1 = g2 = 0.0
-    for _, _, mu, gam, _, cpsi, spsi in pairs:
-        r2 = (
-            rho1 * rho1 * (1.0 - cpsi)
-            + rho2 * rho2 * (1.0 + cpsi)
-            - 2.0 * rho1 * rho2 * cphi * spsi
-        ) / (2.0 * mu)
+    for one_minus, one_plus, spsi, two_mu, gam, mu in table:
+        r2 = (r1s * one_minus + r2s * one_plus - cross * spsi) / two_mu
         r = math.sqrt(r2)
         V -= gam / r
         scale = gam / (2.0 * r2 * r * mu)
-        g0 += scale * (rho1 * (1.0 - cpsi) - rho2 * cphi * spsi)
-        g1 += scale * (rho2 * (1.0 + cpsi) - rho1 * cphi * spsi)
+        g0 += scale * (rho1 * one_minus - r2c * spsi)
+        g1 += scale * (rho2 * one_plus - r1c * spsi)
         g2 += scale * rho1 * rho2 * sphi * spsi
     return V, g0, g1, g2
 
 
 def _potential_and_grad(system: BodySystem, q: np.ndarray) -> tuple[float, np.ndarray]:
     """V and dV/d(rho1, rho2, phi) from the affine pair-distance forms."""
-    V, g0, g1, g2 = _potential_and_grad_scalar(pair_geometry(system), q[0], q[1], q[2])
+    rho1, rho2, phi = q[0], q[1], q[2]
+    V, g0, g1, g2 = _potential_and_grad_scalar(
+        _chart_table(system), rho1, rho2, rho1 * rho1, rho2 * rho2, math.cos(phi), math.sin(phi)
+    )
     return V, np.array([g0, g1, g2])
 
 
-def _flow(pairs, y) -> tuple[float, tuple[float, ...]]:
-    """Energy H and flat time derivative (qdot, pdot, Jdot) at flat state y,
-    for the system of pair table ``pairs`` (``coords.pair_geometry``).
+def _flow(table, y) -> tuple[float, tuple[float, ...]]:
+    """Energy H and flat time derivative (qdot, pdot, Jdot) at flat state y.
 
     ``y`` holds the nine state values (q, p, J) as plain Python floats, and
     the derivative comes back as a 9-tuple of floats: scalar arithmetic on
     Python floats costs a fraction of the same arithmetic on numpy scalars.
     IEEE arithmetic gives the same bits either way as long as the order of
     operations stays as written, so any change here must keep that order.
+    A product may be computed once and shared only where it is a
+    left-associative prefix of every expression that reads it: rho1 * rho1
+    opens rho1 * rho1 * rho2 * rho2 and is shared as r1s, but
+    scale * rho1 * rho2 * sphi * spsi may not reuse rho1 * rho2 * sphi.  A
+    shared prefix repeats the same roundings; any other regrouping changes
+    trajectory bits.
 
-    One evaluation of the Jacobi chart serves both.  The partials are
+    One evaluation of the Jacobi chart serves both, and the pair sum
+    ``_potential_and_grad_scalar`` shares its squares, sine and cosine.
+    ``table`` is the system's chart table (``_chart_table``), built once per
+    run rather than derived from the pair table per call.  The partials are
     analytic and J . Jdot = 0 identically.  With w = M^-1 J and
     d(M^-1)/dq = -M^-1 (dM/dq) M^-1, the rotational part of dH/dq is minus
     half the quadratic form of dM/dq on w.
@@ -203,8 +231,9 @@ def _flow(pairs, y) -> tuple[float, tuple[float, ...]]:
         )
     try:
         r1s, r2s = rho1 * rho1, rho2 * rho2
+        r2s_s = r2s * s
         det2 = r1s * r2s * s * s
-        i00, i01, i11 = (r1s + r2s * c * c) / det2, (r2s * s * c) / det2, (r2s * s * s) / det2
+        i00, i01, i11 = (r1s + r2s * c * c) / det2, (r2s_s * c) / det2, (r2s_s * s) / det2
         I = r1s + r2s
         i22 = 1.0 / I
         w1 = i00 * J1 + i01 * J2
@@ -212,37 +241,40 @@ def _flow(pairs, y) -> tuple[float, tuple[float, ...]]:
         w3 = i22 * J3
 
         a_phi = r2s / I
-        g33 = I / (rho1 * rho1 * rho2 * rho2)
+        g33 = I / (r1s * rho2 * rho2)
         u3 = p3 - J3 * a_phi
-        V, dV1, dV2, dVphi = _potential_and_grad_scalar(pairs, rho1, rho2, phi)
+        g33u3 = g33 * u3
+        V, dV1, dV2, dVphi = _potential_and_grad_scalar(table, rho1, rho2, r1s, r2s, c, s)
         rot = 0.5 * (i00 * J1 * J1 + 2.0 * i01 * J1 * J2 + i11 * J2 * J2 + i22 * J3 * J3)
-        vib = 0.5 * (p1 * p1 + p2 * p2 + g33 * u3 * u3)
+        vib = 0.5 * (p1 * p1 + p2 * p2 + g33u3 * u3)
 
         # Quadratic forms w . (dM/dq_mu) . w for mu = rho1, rho2, phi.
-        quad1 = 2.0 * rho1 * (w2 * w2 + w3 * w3)
+        w3w3 = w3 * w3
+        quad1 = 2.0 * rho1 * (w2 * w2 + w3w3)
         sw = s * w1 - c * w2
-        quad2 = 2.0 * rho2 * (sw * sw + w3 * w3)
+        quad2 = 2.0 * rho2 * (sw * sw + w3w3)
         quadphi = r2s * (2.0 * s * c * (w1 * w1 - w2 * w2) + 2.0 * (s * s - c * c) * w1 * w2)
 
         dg33_1, dg33_2 = -2.0 / rho1**3, -2.0 / rho2**3
-        da_1 = -2.0 * rho1 * rho2 * rho2 / (I * I)
-        da_2 = 2.0 * rho2 * rho1 * rho1 / (I * I)
-        coupling = g33 * u3 * J3
+        II = I * I
+        da_1 = -2.0 * rho1 * rho2 * rho2 / II
+        da_2 = 2.0 * rho2 * rho1 * rho1 / II
+        coupling = g33u3 * J3
         pdot1 = -(-0.5 * quad1 + 0.5 * dg33_1 * u3 * u3 - coupling * da_1 + dV1)
         pdot2 = -(-0.5 * quad2 + 0.5 * dg33_2 * u3 * u3 - coupling * da_2 + dV2)
         pdotphi = -(-0.5 * quadphi + dVphi)
 
-        g1, g2, g3 = w1, w2, w3 - g33 * u3 * a_phi
+        g3 = w3 - g33u3 * a_phi
         ydot = (
             p1,
             p2,
-            g33 * u3,
+            g33u3,
             pdot1,
             pdot2,
             pdotphi,
-            J2 * g3 - J3 * g2,
-            J3 * g1 - J1 * g3,
-            J1 * g2 - J2 * g1,
+            J2 * g3 - J3 * w2,
+            J3 * w1 - J1 * g3,
+            J1 * w2 - J2 * w1,
         )
         return rot + vib + V, ydot
     except (OverflowError, ZeroDivisionError, ValueError):
@@ -251,12 +283,12 @@ def _flow(pairs, y) -> tuple[float, tuple[float, ...]]:
 
 def hamiltonian(system: BodySystem, state: RovibState) -> float:
     """Reduced ro-vibrational energy of a state."""
-    return _flow(pair_geometry(system), state.flat().tolist())[0]
+    return _flow(_chart_table(system), state.flat().tolist())[0]
 
 
 def eom(system: BodySystem, state: RovibState) -> RovibState:
     """Time derivative (qdot, pdot, Jdot) of the reduced flow."""
-    ydot = _flow(pair_geometry(system), state.flat().tolist())[1]
+    ydot = _flow(_chart_table(system), state.flat().tolist())[1]
     return RovibState.from_flat(np.array(ydot))
 
 
@@ -272,7 +304,7 @@ def relequil_residual(
     """
     J = np.asarray(J, dtype=float)
     y = np.concatenate([[j.rho1, j.rho2, j.phi], _gauge_momentum(j, J), J])
-    ydot = np.array(_flow(pair_geometry(system), y.tolist())[1])
+    ydot = np.array(_flow(_chart_table(system), y.tolist())[1])
     return ydot[6:9], -ydot[3:6]
 
 
@@ -322,39 +354,71 @@ def integrate(
     chart boundary or its state stops being finite.  The report carries the
     worst energy and |J| drifts over the integrated segment.
 
-    The state is a list of Python floats (see ``_flow``) and every stage and
-    update sum is written per component in the order
+    The state is nine local Python floats (see ``_flow``) and every stage
+    and update sum is written out per component in the order
     y + (dt/2) k, y + dt k3 and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), the
     order of the same sums on arrays, so trajectories do not depend on which
-    of the two carries them.  A dt that is not positive and finite, or a
-    negative nsteps, raises DomainError.
+    of the two carries them.  The chart table is built once per run.  A dt
+    that is not positive and finite, or an nsteps that is not a nonnegative
+    integer, raises DomainError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be positive and finite, got {dt}")
+    try:
+        nsteps = operator.index(nsteps)
+    except TypeError:
+        raise DomainError(f"nsteps must be an integer, got {nsteps!r}") from None
     if nsteps < 0:
         raise DomainError(f"nsteps must be nonnegative, got {nsteps}")
     dt = float(dt)
     half, sixth = 0.5 * dt, dt / 6.0
-    # Plain tuples: the flow unpacks a row 4 times a step, and a NamedTuple
-    # row unpacks slower.
-    pairs = tuple(map(tuple, pair_geometry(system)))
+    table = _chart_table(system)
     y = RovibState(s0.q, s0.p, s0.J).flat().tolist()
     states = np.empty((nsteps + 1, 9))
     energy = np.empty(nsteps + 1)
     states[0] = y
-    energy[0], k1 = _flow(pairs, y)
+    energy[0], (a0, a1, a2, a3, a4, a5, a6, a7, a8) = _flow(table, y)
+    y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
     n_done = nsteps
     message = ""
     for k in range(nsteps):
         try:
-            k2 = _flow(pairs, [a + half * b for a, b in zip(y, k1)])[1]
-            k3 = _flow(pairs, [a + half * b for a, b in zip(y, k2)])[1]
-            k4 = _flow(pairs, [a + dt * b for a, b in zip(y, k3)])[1]
-            y = [
-                a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-            ]
-            H, k1 = _flow(pairs, y)
+            b0, b1, b2, b3, b4, b5, b6, b7, b8 = _flow(
+                table,
+                (
+                    y0 + half * a0, y1 + half * a1, y2 + half * a2,
+                    y3 + half * a3, y4 + half * a4, y5 + half * a5,
+                    y6 + half * a6, y7 + half * a7, y8 + half * a8,
+                ),
+            )[1]
+            c0, c1, c2, c3, c4, c5, c6, c7, c8 = _flow(
+                table,
+                (
+                    y0 + half * b0, y1 + half * b1, y2 + half * b2,
+                    y3 + half * b3, y4 + half * b4, y5 + half * b5,
+                    y6 + half * b6, y7 + half * b7, y8 + half * b8,
+                ),
+            )[1]
+            d0, d1, d2, d3, d4, d5, d6, d7, d8 = _flow(
+                table,
+                (
+                    y0 + dt * c0, y1 + dt * c1, y2 + dt * c2,
+                    y3 + dt * c3, y4 + dt * c4, y5 + dt * c5,
+                    y6 + dt * c6, y7 + dt * c7, y8 + dt * c8,
+                ),
+            )[1]
+            y = (
+                y0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
+                y1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+                y2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+                y3 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+                y4 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+                y5 + sixth * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
+                y6 + sixth * (((a6 + 2.0 * b6) + 2.0 * c6) + d6),
+                y7 + sixth * (((a7 + 2.0 * b7) + 2.0 * c7) + d7),
+                y8 + sixth * (((a8 + 2.0 * b8) + 2.0 * c8) + d8),
+            )
+            H, (a0, a1, a2, a3, a4, a5, a6, a7, a8) = _flow(table, y)
         except CollinearError as exc:
             n_done = k
             message = f"truncated at step {k}: {exc}"
@@ -367,6 +431,7 @@ def integrate(
             break
         states[k + 1] = y
         energy[k + 1] = H
+        y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
     # t_k = k dt, each a single rounding as the product of int k and dt
     traj = Trajectory(np.arange(n_done + 1) * dt, states[: n_done + 1], energy[: n_done + 1])
     # A non-finite start overflows the norm or subtracts inf from inf here;

@@ -24,7 +24,6 @@ from .coords import (
     dilate,
     dragt_from_w,
     jacobi_from_w,
-    pair_geometry,
     positions_from_jacobi,
     w_from_dragt,
     w_from_jacobi,
@@ -41,6 +40,7 @@ from .errors import UnsupportedFamilyError, check_finite
 from .hill import ShapeEvaluation, membership, orientation_class, shape_eval
 from .reduction import (
     RovibState,
+    _chart_table,
     _flow,
     _potential_and_grad,
     eom,
@@ -277,15 +277,15 @@ def _eom_fd_suite(report: VerificationReport, system: BodySystem, samples: int =
     Each sample calls ``eom`` once.  The twelve energies of its differences
     come from ``reduction._flow`` on the float state y = (q, p, J) with one
     value moved: the same floats ``hamiltonian`` would pass it, without a
-    ``RovibState`` per energy.
+    ``RovibState`` per energy, on one chart table for the whole suite.
     """
     rng = np.random.default_rng(13)
-    pairs = pair_geometry(system)
+    table = _chart_table(system)
 
     def energy(y: list[float], k: int, step: float) -> float:
         y = y.copy()
         y[k] += step
-        return _flow(pairs, y)[0]
+        return _flow(table, y)[0]
 
     errs = []
     for _ in range(samples):

@@ -371,6 +371,113 @@ def oracle_integrate(system: BodySystem, s0, dt: float, nsteps: int):
     return traj, report
 
 
+# The reduced flow and RK4 loop on Python floats as they were before
+# trihill.reduction read a chart table and held the state in nine locals:
+# the bit-for-bit reference where oracle_integrate cannot serve, on states
+# where Python floats raise and numpy returns inf.
+
+
+def _oracle_float_flow(pairs, y):
+    """(H, ydot) from a list of Python floats, reading the pair table per call."""
+    rho1, rho2, phi, p1, p2, p3, J1, J2, J3 = y
+    if math.isinf(phi):
+        return math.nan, (math.nan,) * 9
+    s, c = math.sin(phi), math.cos(phi)
+    if rho1 < COLLINEAR_TOL or rho2 < COLLINEAR_TOL or s < COLLINEAR_TOL:
+        raise CollinearError(
+            f"state at (rho1, rho2, phi) = ({rho1}, {rho2}, {phi}) is on the "
+            "collinear chart boundary"
+        )
+    try:
+        r1s, r2s = rho1 * rho1, rho2 * rho2
+        det2 = r1s * r2s * s * s
+        i00, i01, i11 = (r1s + r2s * c * c) / det2, (r2s * s * c) / det2, (r2s * s * s) / det2
+        I = r1s + r2s
+        i22 = 1.0 / I
+        w1 = i00 * J1 + i01 * J2
+        w2 = i01 * J1 + i11 * J2
+        w3 = i22 * J3
+        a_phi = r2s / I
+        g33 = I / (rho1 * rho1 * rho2 * rho2)
+        u3 = p3 - J3 * a_phi
+        V, dV1, dV2, dVphi = _oracle_potential_and_grad(pairs, rho1, rho2, phi)
+        rot = 0.5 * (i00 * J1 * J1 + 2.0 * i01 * J1 * J2 + i11 * J2 * J2 + i22 * J3 * J3)
+        vib = 0.5 * (p1 * p1 + p2 * p2 + g33 * u3 * u3)
+        quad1 = 2.0 * rho1 * (w2 * w2 + w3 * w3)
+        sw = s * w1 - c * w2
+        quad2 = 2.0 * rho2 * (sw * sw + w3 * w3)
+        quadphi = r2s * (2.0 * s * c * (w1 * w1 - w2 * w2) + 2.0 * (s * s - c * c) * w1 * w2)
+        dg33_1, dg33_2 = -2.0 / rho1**3, -2.0 / rho2**3
+        da_1 = -2.0 * rho1 * rho2 * rho2 / (I * I)
+        da_2 = 2.0 * rho2 * rho1 * rho1 / (I * I)
+        coupling = g33 * u3 * J3
+        pdot1 = -(-0.5 * quad1 + 0.5 * dg33_1 * u3 * u3 - coupling * da_1 + dV1)
+        pdot2 = -(-0.5 * quad2 + 0.5 * dg33_2 * u3 * u3 - coupling * da_2 + dV2)
+        pdotphi = -(-0.5 * quadphi + dVphi)
+        g1, g2, g3 = w1, w2, w3 - g33 * u3 * a_phi
+        ydot = (
+            p1,
+            p2,
+            g33 * u3,
+            pdot1,
+            pdot2,
+            pdotphi,
+            J2 * g3 - J3 * g2,
+            J3 * g1 - J1 * g3,
+            J1 * g2 - J2 * g1,
+        )
+        return rot + vib + V, ydot
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return math.nan, (math.nan,) * 9
+
+
+def oracle_float_integrate(system: BodySystem, s0, dt: float, nsteps: int):
+    """RK4 through ``_oracle_float_flow`` with the state a list of Python
+    floats and each stage a list comprehension over zipped lists."""
+    dt = float(dt)
+    half, sixth = 0.5 * dt, dt / 6.0
+    pairs = tuple(map(tuple, pair_geometry(system)))
+    y = RovibState(s0.q, s0.p, s0.J).flat().tolist()
+    states = np.empty((nsteps + 1, 9))
+    energy = np.empty(nsteps + 1)
+    states[0] = y
+    energy[0], k1 = _oracle_float_flow(pairs, y)
+    n_done = nsteps
+    message = ""
+    for k in range(nsteps):
+        try:
+            k2 = _oracle_float_flow(pairs, [a + half * b for a, b in zip(y, k1)])[1]
+            k3 = _oracle_float_flow(pairs, [a + half * b for a, b in zip(y, k2)])[1]
+            k4 = _oracle_float_flow(pairs, [a + dt * b for a, b in zip(y, k3)])[1]
+            y = [
+                a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+            ]
+            H, k1 = _oracle_float_flow(pairs, y)
+        except CollinearError as exc:
+            n_done = k
+            message = f"truncated at step {k}: {exc}"
+            break
+        if not math.isfinite(H):
+            n_done = k
+            message = f"truncated at step {k}: non-finite state"
+            break
+        states[k + 1] = y
+        energy[k + 1] = H
+    traj = Trajectory(np.arange(n_done + 1) * dt, states[: n_done + 1], energy[: n_done + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        j0 = np.linalg.norm(states[0, 6:9])
+        jdrift = float(np.max(np.abs(np.linalg.norm(traj.states[:, 6:9], axis=1) - j0)))
+        hdrift = float(np.max(np.abs(traj.energy - traj.energy[0])))
+    report = ConservationReport(
+        energy_drift=hdrift,
+        momentum_drift=jdrift,
+        truncated_at=None if n_done == nsteps else n_done,
+        message=message,
+    )
+    return traj, report
+
+
 # The critical-shape search as it was before trihill.critical iterated only
 # the seeds that still move: damped Newton on every seed, three kernel calls
 # per iteration.  The bit-for-bit reference for find_critical_shapes.

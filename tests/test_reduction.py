@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,13 +27,16 @@ from trihill.reduction import (
     relequil_residual,
 )
 from trihill.coords import Shape, pair_geometry
-from trihill.critical import nu_lagrange, nu_langmuir
+from trihill.critical import CLOSED_FORMS, nu_lagrange, nu_langmuir
+from trihill.errors import UnsupportedFamilyError
 from trihill.hill import membership
-from trihill.reduction import rigid_start
+from trihill.reduction import _potential_and_grad, rigid_start
 from trihill.systems import BodySystem, preset
-from trihill.verify import build_relequil_state
+from trihill.verify import VIRIAL_DT_FACTOR, build_relequil_state
 
 from conftest import (
+    _oracle_potential_and_grad,
+    oracle_float_integrate,
     oracle_flow,
     oracle_inertia_tensor,
     oracle_integrate,
@@ -461,6 +466,20 @@ def test_integrate_rejects_a_negative_step_count(gravity):
     assert len(traj) == 1 and report.ok
 
 
+@pytest.mark.parametrize("nsteps", [2.5, math.nan, "3", 3.0])
+def test_integrate_rejects_a_non_integer_step_count(gravity, nsteps):
+    state = build_relequil_state(gravity, nu_lagrange(gravity), r=1.0)
+    with pytest.raises(DomainError):
+        integrate(gravity, state, 1e-3, nsteps)
+
+
+def test_integrate_accepts_numpy_integer_step_counts(gravity):
+    state = build_relequil_state(gravity, nu_lagrange(gravity), r=1.0)
+    want = integrate(gravity, state, 1e-3, 4)
+    for nsteps in (np.int64(4), np.int32(4), np.uint8(4)):
+        assert_same_run(integrate(gravity, state, 1e-3, nsteps), want)
+
+
 def assert_same_run(got, want):
     """Bit-equal trajectories, reports and CSV text (NaN drifts compare equal)."""
     (traj, report), (want_traj, want_report) = got, want
@@ -516,6 +535,60 @@ def test_integrate_bit_identical_to_array_oracle_at_edges(name, state, dt):
     got = integrate(system, state, dt, 3000)
     assert got[1].truncated_at is not None
     assert_same_run(got, oracle_integrate(system, state, dt, 3000))
+
+
+def test_integrate_bit_identical_to_float_oracle_on_log_uniform_systems():
+    # Masses and couplings log-uniform in 1e+-300, |J| in 1e+-5.  Most runs
+    # stop at the chart boundary or on a non-finite state, where Python
+    # floats raise and oracle_integrate's numpy scalars return inf, so the
+    # reference is the loop on Python floats.
+    rng = np.random.default_rng(2024)
+    outcomes = collections.Counter()
+    for _ in range(400):
+        masses = tuple(10.0 ** rng.uniform(-300.0, 300.0, 3))
+        signs = rng.choice((-1.0, 1.0), 3)
+        system = BodySystem(masses, tuple(signs * 10.0 ** rng.uniform(-300.0, 300.0, 3)))
+        s, theta = rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi)
+        j_hat = rng.normal(0.0, 1.0, 3)
+        state = rigid_start(
+            Shape(s * math.cos(theta), s * math.sin(theta)).to_jacobi(),
+            10.0 ** rng.uniform(-5.0, 5.0),
+            j_hat / np.linalg.norm(j_hat),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate(system, state, 1e-3, 50)
+            want = oracle_float_integrate(system, state, 1e-3, 50)
+        assert_same_run(got, want)
+        report = got[1]
+        if report.ok:
+            outcomes["complete"] += 1
+        else:
+            outcomes["collinear" if "collinear" in report.message else "non-finite"] += 1
+    assert set(outcomes) == {"complete", "collinear", "non-finite"}
+
+
+def test_relequil_runs_of_verify_bit_identical_to_float_oracle(all_systems):
+    # The input of verify's <family>.qp_drift check: every preset's Lagrange
+    # and Langmuir start at r = 1, at verify's dt, for 10,000 steps.
+    # Helium's Langmuir rotation is unstable and holds that long only on
+    # these exact bits.
+    runs = 0
+    for system in all_systems.values():
+        for closed_form in CLOSED_FORMS:
+            try:
+                entry = closed_form(system)
+            except UnsupportedFamilyError:
+                continue
+            state = build_relequil_state(system, entry, r=1.0)
+            V = _potential_and_grad(system, state.q)[0]
+            assert V == _oracle_potential_and_grad(pair_geometry(system), *state.q)[0]
+            dt = VIRIAL_DT_FACTOR * 2.0 * math.pi * 1.0 / abs(V)
+            got = integrate(system, state, dt, 10_000)
+            assert got[1].ok
+            assert_same_run(got, oracle_float_integrate(system, state, dt, 10_000))
+            runs += 1
+    assert runs >= 3
 
 
 @pytest.mark.parametrize("signs", _SIGNS)

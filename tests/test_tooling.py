@@ -4,14 +4,19 @@ The benchmark's span tracer must resolve every target it names in the
 package: it patches functions by name, so a renamed or removed function
 breaks only the traced benchmark run, which no other test starts.  And the
 frame path must stay free of the derivative kernel, whose cost only a
-benchmark would show."""
+benchmark would show.  And the Jacobi chart's pair sum must stay one
+helper that every entry point of the chart reads, so that its operation
+order, which trajectories depend on to the last bit, is written once."""
 
 import os
 import sys
 
+import pytest
+
 import trihill  # noqa: F401  (loads every submodule)
-from trihill import hill, scan
+from trihill import hill, reduction, scan, verify
 from trihill.coords import Shape
+from trihill.critical import nu_langmuir
 
 from conftest import forbid
 
@@ -65,3 +70,19 @@ def test_frame_path_runs_without_derivatives(monkeypatch, helium):
     hill.v_tilde(helium, 0.1, 0.2)
     hill.shape_eval(helium, Shape(0.1, 0.2))
     hill.orientation_class(helium, 3.0, Shape(0.1, 0.2))
+
+
+def test_jacobi_chart_pair_sum_is_written_once(monkeypatch, helium):
+    state = verify.build_relequil_state(helium, nu_langmuir(helium), r=1.0)
+    forbid(monkeypatch, reduction._potential_and_grad_scalar)
+    entry_points = [
+        lambda: reduction.integrate(helium, state, 1e-3, 1),
+        lambda: reduction.hamiltonian(helium, state),
+        lambda: reduction.eom(helium, state),
+        lambda: reduction.relequil_residual(helium, state.jacobi(), state.J),
+        lambda: reduction._potential_and_grad(helium, state.q),
+        lambda: verify._eom_fd_suite(verify.VerificationReport(), helium, 1),
+    ]
+    for call in entry_points:
+        with pytest.raises(AssertionError, match="_potential_and_grad_scalar was called"):
+            call()
