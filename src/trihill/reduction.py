@@ -172,7 +172,7 @@ def _potential_and_grad_scalar(
     V = g0 = g1 = g2 = 0.0
     for one_minus, one_plus, spsi, two_mu, gam, mu in table:
         r2 = (r1s * one_minus + r2s * one_plus - cross * spsi) / two_mu
-        r = math.sqrt(r2)
+        r = 0.0 if r2 < 0.0 else math.sqrt(r2)  # r2 < 0: a collision, gam / r raises
         V -= gam / r
         scale = gam / (2.0 * r2 * r * mu)
         g0 += scale * (rho1 * one_minus - r2c * spsi)
@@ -216,7 +216,8 @@ def _flow(table, y) -> tuple[float, tuple[float, ...]]:
     A non-finite state (an infinite angle, a power or quotient that
     overflows or divides by zero, which Python floats raise on where numpy
     returned inf, or a squared pair distance that rounds below zero next to a
-    collision, where math.sqrt raises) has a NaN energy and a NaN flow.
+    collision) has a NaN energy and a NaN flow.  Only that arithmetic is
+    caught: a malformed ``table`` raises.
     """
     rho1, rho2, phi, p1, p2, p3, J1, J2, J3 = y
     if math.isinf(phi):
@@ -277,7 +278,7 @@ def _flow(table, y) -> tuple[float, tuple[float, ...]]:
             J1 * w2 - J2 * w1,
         )
         return rot + vib + V, ydot
-    except (OverflowError, ZeroDivisionError, ValueError):
+    except (OverflowError, ZeroDivisionError):
         return _NAN_FLOW
 
 

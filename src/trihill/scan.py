@@ -139,10 +139,43 @@ class CensusReport:
         )
 
 
+_NO_CELLS = np.zeros(0, dtype=np.intp)
+
+
+def _count_components(mask: np.ndarray, a=_NO_CELLS, b=_NO_CELLS) -> int:
+    """4-connected components of a 2-D boolean mask in which cells ``a[k]``
+    and ``b[k]`` (flat indices into ``mask``) are joined as well.
+
+    Run-based labelling on the mask laid out flat with one False column put
+    before each row, so that no run crosses rows: a run's id is its rank in
+    raster order, and the first column of each vertical overlap joins two
+    runs.  Each root is hooked onto the least root it is joined to and
+    pointer jumping then takes every run to its root, until no join links
+    two roots.
+    """
+    cols = mask.shape[1]
+    flat = np.concatenate((np.zeros((mask.shape[0], 1), dtype=bool), mask), axis=1).ravel()
+    starts = np.flatnonzero(flat[1:] > flat[:-1]) + 1
+    over = flat[cols + 1 :] & flat[: -cols - 1]
+    top = np.flatnonzero(over[1:] > over[:-1]) + 1
+    a = np.concatenate((top, a + a // cols + 1))
+    b = np.concatenate((top + cols + 1, b + b // cols + 1))
+    a, b = (np.searchsorted(starts, cells, side="right") - 1 for cells in (a, b))
+    parent = np.arange(starts.size)
+    while True:
+        a, b = parent[a], parent[b]
+        live = a != b
+        if not live.any():
+            return int(np.count_nonzero(parent == np.arange(starts.size)))
+        a, b = a[live], b[live]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        up = parent[parent]
+        while not np.array_equal(up, parent):
+            parent, up = up, up[up]
+
+
 def component_census(scan: ShapeScan) -> CensusReport:
     """4-connected component counts per class, plus boundary contact flags."""
-    from scipy import ndimage  # imported here: it is most of the cost of importing trihill
-
     counts: dict[CellClass, int] = {}
     touches: dict[CellClass, bool] = {}
     # The boundary band grown by one cell in the four grid directions.
@@ -154,8 +187,7 @@ def component_census(scan: ShapeScan) -> CensusReport:
     near_boundary[:, :-1] |= band[:, 1:]
     for cls in (CellClass.EMPTY, CellClass.CAPS, CellClass.RING, CellClass.FULL):
         mask = scan.cells == cls
-        _, n = ndimage.label(mask)
-        counts[cls] = int(n)
+        counts[cls] = _count_components(mask)
         touches[cls] = bool(np.logical_and(mask, near_boundary).any())
     return CensusReport(counts=counts, touches_boundary=touches)
 

@@ -50,7 +50,7 @@ from .reduction import (
     relequil_residual,
     rigid_start,
 )
-from .scan import CellClass, CensusReport, component_census, scan_disk
+from .scan import CellClass, CensusReport, _count_components, component_census, scan_disk
 from .systems import PRESETS, BodySystem
 
 VIRIAL_DT_FACTOR = 1e-3  # dt = factor * (2 pi r / |V|), the rotation period
@@ -361,33 +361,13 @@ def count_components_periodic(mask: np.ndarray) -> int:
     """4-connected components on the (colatitude, longitude) grid: periodic in
     longitude, with first- and last-row cells joined through the omitted poles
     (the rotational energy is monotone in colatitude near each pole)."""
-    from scipy import ndimage
-
-    lab, n = ndimage.label(mask)
-    if n == 0:
-        return 0
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    first, last = lab[:, 0], lab[:, -1]
-    seam = (first > 0) & (last > 0)
-    for a, b in zip(first[seam].tolist(), last[seam].tolist()):
-        union(a, b)
-    for row in (lab[0], lab[-1]):
-        labels = np.unique(row[row > 0]).tolist()
-        for x in labels[1:]:
-            union(labels[0], x)
-    return len({find(x) for x in range(1, n + 1)})
+    rows, cols = mask.shape
+    seam = np.flatnonzero(mask[:, 0] & mask[:, -1]) * cols  # column 0 of rows set at both ends
+    top = np.flatnonzero(mask[0])
+    bottom = np.flatnonzero(mask[-1]) + (rows - 1) * cols
+    a = np.concatenate((seam, top[:-1], bottom[:-1]))
+    b = np.concatenate((seam + cols - 1, top[1:], bottom[1:]))
+    return _count_components(mask, a, b)
 
 
 def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int = 150) -> None:

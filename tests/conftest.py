@@ -5,6 +5,7 @@ plain mass-weighted definitions; they deliberately avoid the closed-form
 paths in the package so that agreement is meaningful.
 """
 
+import itertools
 import math
 import sys
 
@@ -684,3 +685,49 @@ def oracle_count_components_periodic(mask: np.ndarray) -> int:
                     seen.add(cell)
                     queue.append(cell)
     return count
+
+
+def spiral_mask(n: int) -> np.ndarray:
+    """One 4-connected path winding inwards on an n x n grid, its turns a
+    cell apart: a single component of diameter about n^2 / 2."""
+    mask = np.zeros((n, n), dtype=bool)
+    i = j = 0
+    mask[0, 0] = True
+    steps = [n - 1, n - 1] + [k for k in range(n - 1, 0, -2) for _ in (0, 1)][1:]
+    for step, (di, dj) in zip(steps, itertools.cycle(((0, 1), (1, 0), (0, -1), (-1, 0)))):
+        if step <= 0:
+            break
+        for _ in range(step):
+            i, j = i + di, j + dj
+            mask[i, j] = True
+    return mask
+
+
+def adversarial_masks():
+    """Masks that stress a component counter, by name: empty and full masks
+    of degenerate shapes, a checkerboard (each cell its own component), combs
+    and paths of long diameter, and seeded noise at several densities."""
+    masks = {}
+    for shape in ((1, 1), (1, 9), (9, 1), (2, 2), (5, 7)):
+        masks[f"empty{shape}"] = np.zeros(shape, dtype=bool)
+        masks[f"full{shape}"] = np.ones(shape, dtype=bool)
+    for shape in ((2, 2), (33, 34), (34, 34), (1, 9), (9, 1)):
+        masks[f"checkerboard{shape}"] = np.indices(shape).sum(axis=0) % 2 == 0
+    comb = np.zeros((60, 61), dtype=bool)
+    comb[:, ::2] = True
+    masks["teeth"] = comb.copy()
+    comb[-1] = True
+    masks["comb"] = comb
+    masks["comb.T"] = comb.T.copy()
+    masks["comb upside down"] = comb[::-1].copy()
+    for n in (3, 4, 7, 60, 61):
+        masks[f"spiral{n}"] = spiral_mask(n)
+    serpentine = np.zeros((59, 40), dtype=bool)
+    serpentine[::2] = True
+    serpentine[1::4, -1] = serpentine[3::4, 0] = True
+    masks["serpentine"] = serpentine
+    rng = np.random.default_rng(2009)
+    for shape in ((1, 50), (50, 1), (3, 3), (17, 40), (90, 180), (128, 128)):
+        for density in (0.05, 0.3, 0.5, 0.59, 0.7, 0.95):
+            masks[f"noise{shape}@{density}"] = rng.random(shape) < density
+    return masks

@@ -13,6 +13,8 @@ from trihill.hill import orientation_class, v_tilde
 from trihill.scan import (
     CellClass,
     ContourGrid,
+    ShapeScan,
+    _count_components,
     classify_grid,
     component_census,
     contour_grid,
@@ -23,6 +25,7 @@ from trihill.scan import (
 from trihill.systems import BodySystem, preset
 
 from conftest import (
+    adversarial_masks,
     oracle_component_census,
     oracle_grid_csv,
     oracle_scan_csv,
@@ -297,8 +300,6 @@ def _sweep(system):
 def test_census_and_ppm_match_dilation_and_fancy_index_oracles():
     # Random cell arrays put Boundary cells anywhere, edges and corners
     # included; small scans have a band that touches classified cells.
-    from trihill.scan import ShapeScan
-
     rng = np.random.default_rng(7)
     scans = []
     sizes, band_shares, outside_shares = (2, 3, 4, 5, 8, 17, 64), (0.0, 0.05, 0.3, 0.9), (0.1, 0.9)
@@ -319,6 +320,21 @@ def test_census_and_ppm_match_dilation_and_fancy_index_oracles():
         assert render(scan, "ppm") == oracle_scan_ppm(scan)
         touched += any(got.touches_boundary.values())
     assert 0 < touched < len(scans)
+
+
+def test_component_counter_matches_ndimage_label_on_adversarial_masks():
+    from scipy import ndimage
+
+    for name, mask in adversarial_masks().items():
+        want = ndimage.label(mask)[1]
+        assert _count_components(mask) == want, name
+        if name.startswith(("checkerboard", "spiral", "comb", "serpentine")):
+            assert want == (mask.sum() if name.startswith("checkerboard") else 1), name
+        # the same mask and its complement as two classes of a scan
+        cells = np.where(mask, CellClass.FULL, CellClass.EMPTY).astype(np.int8)
+        counts = component_census(ShapeScan(mask.shape[0], 0.0, cells)).counts
+        assert counts[CellClass.FULL] == want, name
+        assert counts[CellClass.EMPTY] == ndimage.label(~mask)[1], name
 
 
 @pytest.mark.parametrize("name", ["gravity-demo", "helium", "eep"])

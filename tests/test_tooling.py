@@ -6,14 +6,18 @@ breaks only the traced benchmark run, which no other test starts.  And the
 frame path must stay free of the derivative kernel, whose cost only a
 benchmark would show.  And the Jacobi chart's pair sum must stay one
 helper that every entry point of the chart reads, so that its operation
-order, which trajectories depend on to the last bit, is written once."""
+order, which trajectories depend on to the last bit, is written once.  And
+the package must run on numpy alone: scipy serves the tests as a reference,
+and importing it would cost every command its start-up time and memory."""
 
+import ast
 import os
+import subprocess
 import sys
 
 import pytest
 
-import trihill  # noqa: F401  (loads every submodule)
+import trihill  # loads every submodule
 from trihill import hill, reduction, scan, verify
 from trihill.coords import Shape
 from trihill.critical import nu_langmuir
@@ -86,3 +90,38 @@ def test_jacobi_chart_pair_sum_is_written_once(monkeypatch, helium):
     for call in entry_points:
         with pytest.raises(AssertionError, match="_potential_and_grad_scalar was called"):
             call()
+
+
+def test_no_module_of_the_package_imports_scipy():
+    package = os.path.dirname(trihill.__file__)
+    modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
+    assert "scan.py" in modules and "verify.py" in modules
+    for filename in modules:
+        with open(os.path.join(package, filename)) as f:
+            tree = ast.parse(f.read(), filename)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] != "scipy", f"{filename}:{node.lineno} imports {name}"
+
+
+def test_scan_census_and_verify_run_without_scipy():
+    code = """
+import sys
+from trihill import scan, systems, verify
+helium = systems.preset("helium")
+frame = scan.scan_disk(helium, 3.0, 64)
+assert sum(scan.component_census(frame).counts.values()) > 0
+scan.render(frame, "ppm"), scan.render(frame, "csv")
+assert "FAIL" not in verify.verify_all(helium).text()
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(trihill.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

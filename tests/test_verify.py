@@ -21,6 +21,7 @@ from trihill.systems import BodySystem
 from trihill.verify import VerificationReport, build_relequil_state, verify_all
 
 from conftest import (
+    adversarial_masks,
     forbid,
     oracle_count_components_periodic,
     oracle_eom_fd_suite,
@@ -28,6 +29,7 @@ from conftest import (
     oracle_positions,
     oracle_potential,
     oracle_sphere_orientation_class,
+    spiral_mask,
 )
 
 
@@ -303,6 +305,36 @@ def test_count_components_periodic_matches_breadth_first_search():
         assert verify.count_components_periodic(mask) == want, mask.shape
         counts.append(want)
     assert 0 in counts and 1 in counts and max(counts) > 20
+
+
+def _periodic_masks():
+    """Adversarial masks, and masks joined only across the seam or a pole row."""
+    masks = adversarial_masks()
+    band = np.zeros((90, 180), dtype=bool)
+    band[30:60, 170:] = band[30:60, :10] = True
+    masks["band across the seam"] = band
+    rows, cols = np.indices((90, 180))
+    masks["diagonal band round the seam"] = (cols - 2 * rows) % 180 < 5
+    masks["two diagonal bands"] = (cols - 2 * rows) % 90 < 3
+    poles = np.zeros((90, 180), dtype=bool)
+    poles[0, 5:20] = poles[0, 40:41] = poles[0, 100:170] = poles[0, 175:] = True
+    poles[-1, :3] = poles[-1, 60:90] = poles[-1, 179] = True
+    masks["pole rows of several runs"] = poles.copy()
+    poles[:, 40] = True
+    masks["pole rows joined by a meridian"] = poles
+    masks["spiral cut by the seam"] = np.roll(spiral_mask(61), 30, axis=1)
+    return masks
+
+
+def test_count_components_periodic_on_adversarial_masks():
+    masks = _periodic_masks()
+    for name, mask in masks.items():
+        want = oracle_count_components_periodic(mask)
+        assert verify.count_components_periodic(mask) == want, name
+    assert verify.count_components_periodic(masks["band across the seam"]) == 1
+    assert verify.count_components_periodic(masks["diagonal band round the seam"]) == 1
+    assert verify.count_components_periodic(masks["pole rows of several runs"]) == 2
+    assert verify.count_components_periodic(masks["spiral cut by the seam"]) == 1
 
 
 def _sphere_inputs():
