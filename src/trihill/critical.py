@@ -35,7 +35,7 @@ from .coords import (
     pair_geometry,
     w_from_jacobi,
 )
-from .errors import DomainError, UnsupportedFamilyError
+from .errors import DomainError, UnsupportedFamilyError, check_index
 from .hill import moments, shape_kernel, shape_value
 from .reduction import relequil_residual, rigid_start
 from .systems import BodySystem, infer_gravity_constant, reduced_mass
@@ -475,10 +475,10 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     every later iteration: it is a fixed point and leaves the iteration
     there.  The loop ends after 80 iterations, when no seed is left, or
     once every finite |grad|^2 is below 1e-26.  Candidates must pass the
-    relative-equilibrium residual test at 1e-6.
+    relative-equilibrium residual test at 1e-6.  A k that is not an integer
+    in {1, 2, 3} raises DomainError.
     """
-    if k not in (1, 2, 3):
-        raise ValueError("principal axis index must be 1, 2 or 3")
+    k = check_index("principal axis index", k, 1, 3)
     margin, core = 1e-3, 1e-3
     ax = np.linspace(-1.0, 1.0, SEARCH_SEEDS + 2)[1:-1]
     W = np.stack([g.ravel() for g in np.meshgrid(ax, ax, indexing="ij")], axis=1)

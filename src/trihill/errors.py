@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input checks."""
 
 import math
+import operator
 
 
 class TrihillError(Exception):
@@ -39,3 +40,16 @@ def check_unit(name: str, vector) -> None:
     norm = math.hypot(*map(float, vector))
     if not abs(norm - 1.0) <= 1e-12:
         raise DomainError(f"{name} must be a finite unit vector, got norm {norm}")
+
+
+def check_index(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int, read with ``operator.index``: reject a value that
+    is not an integer (a float included) or lies outside [lo, hi]."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if index < lo or (hi is not None and index > hi):
+        span = f"at least {lo}" if hi is None else f"from {lo} to {hi}"
+        raise DomainError(f"{name} must be {span}, got {index}")
+    return index

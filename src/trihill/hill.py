@@ -74,14 +74,23 @@ def _pair_term(pair, w1, w2):
         r^2 = (1 - w1 cos psi - w2 sin psi)/(2 mu),
 
     affine in w, and its share a/r of -Vt; collision points give signed
-    infinities (callers silence numpy's divide and invalid warnings)."""
+    infinities (callers silence numpy's divide and invalid warnings).
+
+    Monotonicity contract: every float operation here is monotone in each
+    input, so the term is monotone in w1 and in w2 separately and its
+    extremes over a block of pixels sit at the block's corners.
+    ``scan.scan_disk`` certifies whole blocks on that; keep it true."""
     r2 = (1.0 - w1 * pair.cos - w2 * pair.sin) / (2.0 * pair.mu)
     return r2, pair.alpha / np.sqrt(r2)
 
 
 def shape_value(system: BodySystem, w1, w2):
     """Vt at disk points (w1, w2), an array of their broadcast shape: the
-    sum of -a/r over the pair table."""
+    sum of -a/r over the pair table.
+
+    The sum runs in pair-table order from 0 and falls as each term rises;
+    ``scan.scan_disk`` bounds it by the same sum over bounds of the terms,
+    so it must stay monotone in each term (see ``_pair_term``)."""
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     V = np.zeros(np.broadcast_shapes(w1.shape, w2.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -124,7 +133,8 @@ def v_tilde(system: BodySystem, w1: float, w2: float) -> float:
 
 def moments(s):
     """Principal moments (Mt1, Mt2, Mt3) = ((1-s)/2, (1+s)/2, 1) of the I = 1
-    section at disk radius s, a float or an array."""
+    section at disk radius s, a float or an array.  Mt1 falls and Mt2 rises
+    with s in floats too, which ``scan.scan_disk``'s block bounds rely on."""
     return 0.5 * (1.0 - s), 0.5 * (1.0 + s), 1.0
 
 
@@ -234,6 +244,11 @@ def class_codes(nu: float, v_tilde, m_tilde) -> np.ndarray:
     the level Vt^2/(4 nu) is compared with the thresholds 1/(2 Mt_k).  The
     code counts the thresholds the level reaches; the comparison is
     non-strict, so a level at a threshold includes the orientations it opens.
+
+    The code never rises with Vt and never falls with an Mt_k, also in
+    floats: ``scan.scan_disk`` applies it to the two extreme corners of a
+    block's bounds and fills the block where both give one code, so it is
+    the certificate and must stay monotone in each input.
     """
     check_finite("nu", nu)
     v = np.asarray(v_tilde, dtype=float)

@@ -20,13 +20,12 @@ those are treated as chart-boundary errors, not extrapolated.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coords import JacobiShapeCoords, pair_geometry
-from .errors import CollinearError, DomainError, check_finite, check_unit
+from .errors import CollinearError, DomainError, check_finite, check_index, check_unit
 from .systems import BodySystem
 
 # Chart-boundary guard: the chart is rho1, rho2 > 0 and 0 < phi < pi; states
@@ -365,12 +364,7 @@ def integrate(
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be positive and finite, got {dt}")
-    try:
-        nsteps = operator.index(nsteps)
-    except TypeError:
-        raise DomainError(f"nsteps must be an integer, got {nsteps!r}") from None
-    if nsteps < 0:
-        raise DomainError(f"nsteps must be nonnegative, got {nsteps}")
+    nsteps = check_index("nsteps", nsteps, 0)
     dt = float(dt)
     half, sixth = 0.5 * dt, dt / 6.0
     table = _chart_table(system)

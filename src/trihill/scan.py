@@ -7,6 +7,15 @@ Boundary band along the collinear circle (one pixel measured on the
 hemisphere the disk projects, where the height above the collinear plane is
 w3 = sqrt(1 - w1^2 - w2^2)); the rest are classified at the requested nu by
 :func:`trihill.hill.class_codes`, the rule of ``orientation_class``.
+
+A scan first tries whole blocks of BLOCK x BLOCK pixels.  Every float
+operation from a pixel centre to its class code is monotone in each input
+(see ``hill._pair_term``), so the float values over a block lie between
+their values at its corner pixels, and ``class_codes`` applied to the two
+extreme corners of those bounds brackets every pixel's code.  Where the two
+codes agree the block is filled with that code; the other interior pixels
+go through ``classify_grid`` one by one.  The cells are those of the
+per-pixel scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import check_finite
-from .hill import class_codes, moments, shape_value
+from .coords import pair_geometry
+from .errors import check_finite, check_index
+from .hill import _pair_term, class_codes, moments, shape_value
 from .systems import BodySystem
 
 
@@ -68,22 +78,85 @@ def classify_grid(system: BodySystem, nu: float, W1, W2):
     return class_codes(nu, V, moments(np.hypot(W1, W2))) + np.int8(CellClass.EMPTY)
 
 
+BLOCK = 8  # side of the pixel blocks scan_disk certifies whole
+
+
+def _disk_masks(s2, n: int):
+    """(inside, band) at squared radii s2 of an N x N raster: inside the
+    unit disk, and inside it in the one-pixel Boundary band."""
+    inside = s2 < 1.0
+    return inside, inside & (1.0 - s2 < (2.0 / n) ** 2)
+
+
+def _block_codes(system: BodySystem, nu: float, c: np.ndarray) -> np.ndarray:
+    """Cell codes of the BLOCK x BLOCK blocks of the raster with pixel
+    centres ``c``: Outside for a block wholly outside the disk, the class of
+    an interior block that lies in one class, and -1 for every other block.
+
+    A block is outside where its nearest corner fails the scan's s2 test and
+    interior where its farthest corner passes it.  Over a block each pair
+    term lies between its values at the four corner pixels, Vt between the
+    pair-table sums of the largest and of the smallest terms, and the radius
+    between the hypot of the nearest and of the farthest |w| (0 across an
+    axis), each widened by one ulp because hypot is only faithfully rounded.
+    ``class_codes`` falls as Vt rises and rises with Mt1 and Mt2, so its
+    codes at the two extreme corners bracket the code of every pixel.  A
+    block whose two codes agree is certified unless a bound is not finite.
+    """
+    n = c.size
+    first = np.arange(0, n, BLOCK)
+    lo, hi = c[first], c[np.minimum(first + BLOCK - 1, n - 1)]
+    far = np.maximum(-lo, hi)
+    near = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+    s2_far = (far * far)[:, None] + (far * far)[None, :]
+    s2_near = (near * near)[:, None] + (near * near)[None, :]
+    codes = np.where(s2_near < 1.0, np.int8(-1), np.int8(CellClass.OUTSIDE))
+    inside, band = _disk_masks(s2_far, n)
+    i, j = np.nonzero(inside & ~band)
+    W1 = np.stack((lo[i], lo[i], hi[i], hi[i]))
+    W2 = np.stack((lo[j], hi[j], lo[j], hi[j]))
+    v_low, v_high = np.zeros(i.size), np.zeros(i.size)
+    # shape_value's errstate, and overflow too: a bound's sum of extremes
+    # taken at different corners can overflow where no pixel's sum does.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for pair in pair_geometry(system):
+            term = _pair_term(pair, W1, W2)[1]
+            v_low -= term.max(axis=0)
+            v_high -= term.min(axis=0)
+    m_near = moments(np.nextafter(np.hypot(near[i], near[j]), 0.0))
+    m_far = moments(np.nextafter(np.hypot(far[i], far[j]), 2.0))
+    easy = class_codes(nu, v_low, (m_near[0], m_far[1], m_near[2]))
+    hard = class_codes(nu, v_high, (m_far[0], m_near[1], m_near[2]))
+    sure = (easy == hard) & np.isfinite(v_low) & np.isfinite(v_high)
+    codes[i[sure], j[sure]] = easy[sure] + np.int8(CellClass.EMPTY)
+    return codes
+
+
 def scan_disk(system: BodySystem, nu: float, n: int) -> ShapeScan:
-    """Classify every pixel of the N x N raster over [-1, 1]^2."""
-    if n < 2:
-        raise ValueError("resolution must be at least 2")
+    """Classify every pixel of the N x N raster over [-1, 1]^2: whole blocks
+    where ``_block_codes`` decides them, the other pixels one by one.  An n
+    that is not an integer of at least 2 or a non-finite nu raises
+    DomainError."""
+    n = check_index("resolution", n, 2)
     check_finite("nu", nu)  # also where no pixel is interior and classify_grid never runs
     c = pixel_centers(n)
-    W1, W2 = np.meshgrid(c, c, indexing="ij")
-    s2 = W1 * W1 + W2 * W2
-    cells = np.full((n, n), CellClass.OUTSIDE, dtype=np.int8)
-    inside = s2 < 1.0
-    band = inside & (1.0 - s2 < (2.0 / n) ** 2)
+    blocks = _block_codes(system, nu, c)
+    cells = np.repeat(np.repeat(blocks, BLOCK, axis=0), BLOCK, axis=1)
+    # The pixels of the undecided blocks, those past the raster's edge dropped.
+    bi, bj = np.nonzero(blocks < 0)
+    step = np.arange(BLOCK)
+    ii, jj = np.broadcast_arrays(
+        (bi * BLOCK)[:, None, None] + step[:, None], (bj * BLOCK)[:, None, None] + step
+    )
+    keep = (ii < n) & (jj < n)
+    ii, jj = ii[keep], jj[keep]
+    inside, band = _disk_masks(c[ii] * c[ii] + c[jj] * c[jj], n)
+    codes = np.where(band, np.int8(CellClass.BOUNDARY), np.int8(CellClass.OUTSIDE))
     interior = inside & ~band
     if interior.any():
-        cells[interior] = classify_grid(system, nu, W1[interior], W2[interior])
-    cells[band] = CellClass.BOUNDARY
-    return ShapeScan(resolution=n, nu=nu, cells=cells)
+        codes[interior] = classify_grid(system, nu, c[ii[interior]], c[jj[interior]])
+    cells[ii, jj] = codes
+    return ShapeScan(resolution=n, nu=nu, cells=np.ascontiguousarray(cells[:n, :n]))
 
 
 def _grid_axes(n: int, chi_psi: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -105,10 +178,8 @@ def contour_grid(
     pixels.  chi-psi mode: grid over psi in [0, 2 pi) (index i) and chi in
     [0, pi/2] (index j).
     """
-    if k not in (1, 2, 3):
-        raise ValueError("axis index must be 1, 2 or 3")
-    if n < 2:
-        raise ValueError("resolution must be at least 2")
+    k = check_index("axis index", k, 1, 3)
+    n = check_index("resolution", n, 2)
     A, B = np.meshgrid(*_grid_axes(n, chi_psi), indexing="ij")
     if chi_psi:  # A holds psi, B chi
         s = np.cos(B)

@@ -201,6 +201,30 @@ def oracle_grid_csv(grid) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+# The scan as it was before trihill.scan certified whole pixel blocks: every
+# interior pixel through the class rule.  The bit-for-bit reference for
+# scan_disk's cells.
+
+
+def oracle_scan_disk(system: BodySystem, nu: float, n: int) -> np.ndarray:
+    from trihill.hill import class_codes, moments, shape_value
+    from trihill.scan import CellClass, pixel_centers
+
+    c = pixel_centers(n)
+    W1, W2 = np.meshgrid(c, c, indexing="ij")
+    s2 = W1 * W1 + W2 * W2
+    cells = np.full((n, n), CellClass.OUTSIDE, dtype=np.int8)
+    inside = s2 < 1.0
+    band = inside & (1.0 - s2 < (2.0 / n) ** 2)
+    interior = inside & ~band
+    if interior.any():
+        w1, w2 = W1[interior], W2[interior]
+        codes = class_codes(nu, shape_value(system, w1, w2), moments(np.hypot(w1, w2)))
+        cells[interior] = codes + np.int8(CellClass.EMPTY)
+    cells[band] = CellClass.BOUNDARY
+    return cells
+
+
 # The census and the PPM writer as they were with scipy's binary dilation
 # and fancy indexing: the bit-for-bit references for component_census and
 # the PPM encoder.

@@ -427,6 +427,12 @@ def test_find_critical_shapes_langmuir(helium, eep):
         assert best[1] == pytest.approx(cv.nu, rel=1e-6)
 
 
+@pytest.mark.parametrize("k", [1.0, 0, 4, "1"])
+def test_find_critical_shapes_rejects_an_axis_that_is_not_1_2_or_3(gravity, k):
+    with pytest.raises(DomainError):
+        find_critical_shapes(gravity, k)
+
+
 def test_find_critical_shapes_absent_families(gravity, eep):
     # no Langmuir-type equilibrium for purely attractive couplings
     assert find_critical_shapes(gravity, 1) == []

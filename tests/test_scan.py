@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trihill import scan as scan_module
 from trihill.coords import Shape
 from trihill.critical import critical_catalog, nu_diabolic
-from trihill.errors import TrihillError
+from trihill.errors import DomainError, TrihillError
 from trihill.hill import orientation_class, v_tilde
 from trihill.scan import (
+    BLOCK,
     CellClass,
     ContourGrid,
     ShapeScan,
@@ -29,6 +31,7 @@ from conftest import (
     oracle_component_census,
     oracle_grid_csv,
     oracle_scan_csv,
+    oracle_scan_disk,
     oracle_scan_ppm,
 )
 
@@ -399,3 +402,64 @@ def test_non_finite_nu_is_rejected(gravity, nu):
         with pytest.raises(TrihillError) as info:
             scan_disk(gravity, nu, n)
         assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    n=st.sampled_from([2, 3, 9, 37, 128, 400]),
+    between=st.floats(0.0, 1.0),
+    below=st.floats(1e-300, 1e300),
+)
+def test_scan_disk_matches_per_pixel_oracle_property(signs, masses, magnitudes, n, between, below):
+    # nu at and between the catalog values, below 0, at 0 and at the ends
+    # of the float range, where levels underflow or overflow
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    nus = sorted({cv.nu for cv in critical_catalog(system)})
+    between_nus = [a + between * (b - a) for a, b in zip(nus, nus[1:])]
+    for nu in [-below, 0.0, 1e-300, 1e300, *nus, *between_nus]:
+        assert np.array_equal(scan_disk(system, nu, n).cells, oracle_scan_disk(system, nu, n)), nu
+
+
+def test_helium_frame_certifies_blocks_and_classifies_the_rest(helium, monkeypatch):
+    seen = []
+
+    def recording(system, nu, W1, W2):
+        seen.append(W1.size)
+        return classify_grid(system, nu, W1, W2)
+
+    monkeypatch.setattr(scan_module, "classify_grid", recording)
+    n, nu = 400, 6.0
+    cells = scan_disk(helium, nu, n).cells
+    assert np.array_equal(cells, oracle_scan_disk(helium, nu, n))
+    interior = np.count_nonzero(cells >= CellClass.EMPTY)
+    assert len(seen) == 1 and 0 < seen[0] < interior
+    certified = interior - seen[0]  # pixels in certified blocks, all whole at n = 400
+    assert certified >= BLOCK * BLOCK and certified % (BLOCK * BLOCK) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: scan_disk(s, 1.0, 3.5),
+        lambda s: scan_disk(s, 1.0, 8.0),
+        lambda s: scan_disk(s, 1.0, 1),
+        lambda s: scan_disk(s, 1.0, "8"),
+        lambda s: contour_grid(s, 1, 3.5),
+        lambda s: contour_grid(s, 1, 1),
+        lambda s: contour_grid(s, 1.0, 8),
+        lambda s: contour_grid(s, 0, 8),
+        lambda s: contour_grid(s, 4, 8),
+    ],
+)
+def test_resolution_and_axis_must_be_integers_in_range(gravity, call):
+    with pytest.raises(DomainError):
+        call(gravity)
+
+
+def test_resolution_and_axis_accept_numpy_integers(gravity):
+    assert scan_disk(gravity, 1.0, np.int64(8)).resolution == 8
+    grid = contour_grid(gravity, np.int32(2), np.uint16(8))
+    assert (grid.axis, grid.resolution) == (2, 8) and type(grid.resolution) is int
