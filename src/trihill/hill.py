@@ -21,7 +21,8 @@ transitions exactly at nu = (1/2) Mt_k Vt^2 for k = 3, 2, 1.
 
 Vt comes from the system's pair table in two forms that share one per-pair
 term: ``shape_value`` (Vt alone, for membership, classes, scans and contour
-grids) and ``shape_kernel`` (Vt with its gradient and Hessian, which only
+grids, with ``shape_value_bounds`` bounding it over pixel blocks) and
+``shape_kernel`` (Vt with its gradient and Hessian, which only
 the critical-shape search's Newton steps read).
 """
 
@@ -76,27 +77,48 @@ def _pair_term(pair, w1, w2):
     affine in w, and its share a/r of -Vt; collision points give signed
     infinities (callers silence numpy's divide and invalid warnings).
 
-    Monotonicity contract: every float operation here is monotone in each
-    input, so the term is monotone in w1 and in w2 separately and its
-    extremes over a block of pixels sit at the block's corners.
-    ``scan.scan_disk`` certifies whole blocks on that; keep it true."""
+    Every float operation here is monotone in each input, which
+    ``shape_value_bounds`` relies on; keep it so."""
     r2 = (1.0 - w1 * pair.cos - w2 * pair.sin) / (2.0 * pair.mu)
     return r2, pair.alpha / np.sqrt(r2)
 
 
 def shape_value(system: BodySystem, w1, w2):
     """Vt at disk points (w1, w2), an array of their broadcast shape: the
-    sum of -a/r over the pair table.
-
-    The sum runs in pair-table order from 0 and falls as each term rises;
-    ``scan.scan_disk`` bounds it by the same sum over bounds of the terms,
-    so it must stay monotone in each term (see ``_pair_term``)."""
+    sum of -a/r over the pair table, in the order ``shape_value_bounds``
+    repeats."""
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     V = np.zeros(np.broadcast_shapes(w1.shape, w2.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
         for pair in pair_geometry(system):
             V -= _pair_term(pair, w1, w2)[1]
     return V
+
+
+def shape_value_bounds(system: BodySystem, W1, W2):
+    """Bounds (low, high) on ``shape_value`` over each set of points whose
+    corners run along the leading axis of W1 and W2: a block of pixels with
+    its four corner pixels there.
+
+    Every float operation of ``_pair_term`` is monotone in each input, so a
+    pair term over a block lies between its values at the corners.  The
+    ``V -=`` steps of ``shape_value`` fall as their term rises, so the same
+    sum in the same order over the largest terms is a lower bound on every
+    point's float Vt and over the smallest an upper bound; no margin is
+    needed.  ``scan.scan_disk`` fills whole blocks on these bounds, so both
+    functions must keep that order and that monotonicity.  A sum of
+    extremes taken at different corners can overflow where no point's sum
+    does; that is silenced like the collision warnings.
+    """
+    W1, W2 = np.asarray(W1, dtype=float), np.asarray(W2, dtype=float)
+    low = np.zeros(np.broadcast_shapes(W1.shape, W2.shape)[1:])
+    high = np.zeros_like(low)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for pair in pair_geometry(system):
+            term = _pair_term(pair, W1, W2)[1]
+            low -= term.max(axis=0)
+            high -= term.min(axis=0)
+    return low, high
 
 
 def shape_kernel(system: BodySystem, w1, w2):
@@ -134,7 +156,7 @@ def v_tilde(system: BodySystem, w1: float, w2: float) -> float:
 def moments(s):
     """Principal moments (Mt1, Mt2, Mt3) = ((1-s)/2, (1+s)/2, 1) of the I = 1
     section at disk radius s, a float or an array.  Mt1 falls and Mt2 rises
-    with s in floats too, which ``scan.scan_disk``'s block bounds rely on."""
+    with s in floats too; ``scan.scan_disk``'s block bounds rely on it."""
     return 0.5 * (1.0 - s), 0.5 * (1.0 + s), 1.0
 
 
@@ -246,9 +268,8 @@ def class_codes(nu: float, v_tilde, m_tilde) -> np.ndarray:
     non-strict, so a level at a threshold includes the orientations it opens.
 
     The code never rises with Vt and never falls with an Mt_k, also in
-    floats: ``scan.scan_disk`` applies it to the two extreme corners of a
-    block's bounds and fills the block where both give one code, so it is
-    the certificate and must stay monotone in each input.
+    floats: ``scan.scan_disk`` fills a pixel block where the codes at the
+    two extreme corners of its bounds agree, so keep it monotone.
     """
     check_finite("nu", nu)
     v = np.asarray(v_tilde, dtype=float)

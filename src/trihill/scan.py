@@ -10,11 +10,11 @@ w3 = sqrt(1 - w1^2 - w2^2)); the rest are classified at the requested nu by
 
 A scan first tries whole blocks of BLOCK x BLOCK pixels.  Every float
 operation from a pixel centre to its class code is monotone in each input
-(see ``hill._pair_term``), so the float values over a block lie between
-their values at its corner pixels, and ``class_codes`` applied to the two
-extreme corners of those bounds brackets every pixel's code.  Where the two
-codes agree the block is filled with that code; the other interior pixels
-go through ``classify_grid`` one by one.  The cells are those of the
+(see ``hill.shape_value_bounds``), so the float values over a block lie
+between bounds taken at its corner pixels, and ``class_codes`` applied to
+the two extreme corners of those bounds brackets every pixel's code.  Where
+the two codes agree the block is filled with that code; the other interior
+pixels go through ``classify_grid`` one by one.  The cells are those of the
 per-pixel scan, bit for bit.
 """
 
@@ -27,9 +27,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .coords import pair_geometry
 from .errors import check_finite, check_index
-from .hill import _pair_term, class_codes, moments, shape_value
+from .hill import class_codes, moments, shape_value, shape_value_bounds
 from .systems import BodySystem
 
 
@@ -88,43 +87,50 @@ def _disk_masks(s2, n: int):
     return inside, inside & (1.0 - s2 < (2.0 / n) ** 2)
 
 
-def _block_codes(system: BodySystem, nu: float, c: np.ndarray) -> np.ndarray:
-    """Cell codes of the BLOCK x BLOCK blocks of the raster with pixel
-    centres ``c``: Outside for a block wholly outside the disk, the class of
-    an interior block that lies in one class, and -1 for every other block.
-
-    A block is outside where its nearest corner fails the scan's s2 test and
-    interior where its farthest corner passes it.  Over a block each pair
-    term lies between its values at the four corner pixels, Vt between the
-    pair-table sums of the largest and of the smallest terms, and the radius
-    between the hypot of the nearest and of the farthest |w| (0 across an
-    axis), each widened by one ulp because hypot is only faithfully rounded.
-    ``class_codes`` falls as Vt rises and rises with Mt1 and Mt2, so its
-    codes at the two extreme corners bracket the code of every pixel.  A
-    block whose two codes agree is certified unless a bound is not finite.
+def _block_bounds(system: BodySystem, c: np.ndarray):
+    """Bounds over the BLOCK x BLOCK blocks of the raster with pixel centres
+    ``c``: (outside, i, j, v, s).  ``outside`` marks the blocks wholly
+    outside the disk, whose nearest corner fails the scan's s2 test;
+    (i[k], j[k]) is the k-th interior block, whose farthest corner passes
+    it; v = (low, high) bounds the float Vt and s = (low, high) the radius
+    of each of its pixels.  The radius bounds are the hypot of the nearest
+    and of the farthest |w| (0 across an axis), each widened by one ulp
+    because hypot is only faithfully rounded.
     """
     n = c.size
     first = np.arange(0, n, BLOCK)
     lo, hi = c[first], c[np.minimum(first + BLOCK - 1, n - 1)]
     far = np.maximum(-lo, hi)
     near = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-    s2_far = (far * far)[:, None] + (far * far)[None, :]
     s2_near = (near * near)[:, None] + (near * near)[None, :]
-    codes = np.where(s2_near < 1.0, np.int8(-1), np.int8(CellClass.OUTSIDE))
+    s2_far = (far * far)[:, None] + (far * far)[None, :]
     inside, band = _disk_masks(s2_far, n)
     i, j = np.nonzero(inside & ~band)
-    W1 = np.stack((lo[i], lo[i], hi[i], hi[i]))
-    W2 = np.stack((lo[j], hi[j], lo[j], hi[j]))
-    v_low, v_high = np.zeros(i.size), np.zeros(i.size)
-    # shape_value's errstate, and overflow too: a bound's sum of extremes
-    # taken at different corners can overflow where no pixel's sum does.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for pair in pair_geometry(system):
-            term = _pair_term(pair, W1, W2)[1]
-            v_low -= term.max(axis=0)
-            v_high -= term.min(axis=0)
-    m_near = moments(np.nextafter(np.hypot(near[i], near[j]), 0.0))
-    m_far = moments(np.nextafter(np.hypot(far[i], far[j]), 2.0))
+    v = shape_value_bounds(
+        system,
+        np.stack((lo[i], lo[i], hi[i], hi[i])),
+        np.stack((lo[j], hi[j], lo[j], hi[j])),
+    )
+    s = (
+        np.nextafter(np.hypot(near[i], near[j]), 0.0),
+        np.nextafter(np.hypot(far[i], far[j]), 2.0),
+    )
+    return s2_near >= 1.0, i, j, v, s
+
+
+def _block_codes(system: BodySystem, nu: float, c: np.ndarray) -> np.ndarray:
+    """Cell codes of the blocks of ``_block_bounds``: Outside for a block
+    wholly outside the disk, the class of an interior block that lies in
+    one class, and -1 for every other block.
+
+    ``class_codes`` falls as Vt rises and rises with Mt1 and Mt2, so its
+    codes at the two extreme corners of the bounds bracket the code of
+    every pixel.  A block whose two codes agree is certified unless a bound
+    is not finite.
+    """
+    outside, i, j, (v_low, v_high), (s_low, s_high) = _block_bounds(system, c)
+    codes = np.where(outside, np.int8(CellClass.OUTSIDE), np.int8(-1))
+    m_near, m_far = moments(s_low), moments(s_high)
     easy = class_codes(nu, v_low, (m_near[0], m_far[1], m_near[2]))
     hard = class_codes(nu, v_high, (m_far[0], m_near[1], m_near[2]))
     sure = (easy == hard) & np.isfinite(v_low) & np.isfinite(v_high)

@@ -10,12 +10,13 @@ from trihill import scan as scan_module
 from trihill.coords import Shape
 from trihill.critical import critical_catalog, nu_diabolic
 from trihill.errors import DomainError, TrihillError
-from trihill.hill import orientation_class, v_tilde
+from trihill.hill import orientation_class, shape_value, v_tilde
 from trihill.scan import (
     BLOCK,
     CellClass,
     ContourGrid,
     ShapeScan,
+    _block_bounds,
     _count_components,
     classify_grid,
     component_census,
@@ -421,6 +422,39 @@ def test_scan_disk_matches_per_pixel_oracle_property(signs, masses, magnitudes, 
     between_nus = [a + between * (b - a) for a, b in zip(nus, nus[1:])]
     for nu in [-below, 0.0, 1e-300, 1e300, *nus, *between_nus]:
         assert np.array_equal(scan_disk(system, nu, n).cells, oracle_scan_disk(system, nu, n)), nu
+
+
+@pytest.mark.parametrize("n", [37, 128, 400])
+def test_block_bounds_hold_at_every_pixel(all_systems, n):
+    # The premise of the block certificate, pixel by pixel: every pixel's
+    # float radius and Vt lie within its block's bounds, and every pixel of
+    # an outside block fails the disk test.  A libm whose hypot is less
+    # than faithfully rounded, or a change that breaks the monotonicity of
+    # shape_value, fails here rather than drawing a wrong cell.
+    rng = np.random.default_rng(17)
+    systems = list(all_systems.values()) + [
+        BodySystem(tuple(rng.uniform(0.1, 5.0, 3)), tuple(rng.uniform(0.05, 3.0, 3) * signs))
+        for signs in _SIGNS
+    ]
+    c = pixel_centers(n)
+    step = np.arange(BLOCK)
+
+    def pixels(bi, bj):  # (blocks, BLOCK, BLOCK) indices, a partial edge block padded with its last pixel
+        ii = np.minimum(bi[:, None, None] * BLOCK + step[:, None], n - 1)
+        jj = np.minimum(bj[:, None, None] * BLOCK + step, n - 1)
+        return np.broadcast_arrays(ii, jj)
+
+    for system in systems:
+        outside, i, j, (v_low, v_high), (s_low, s_high) = _block_bounds(system, c)
+        assert i.size > 0
+        ii, jj = pixels(i, j)
+        r = np.hypot(c[ii], c[jj])
+        assert np.all((s_low[:, None, None] <= r) & (r <= s_high[:, None, None]))
+        v = shape_value(system, c[ii], c[jj])
+        finite = (np.isfinite(v_low) & np.isfinite(v_high))[:, None, None]
+        assert np.all(~finite | ((v_low[:, None, None] <= v) & (v <= v_high[:, None, None])))
+        ii, jj = pixels(*np.nonzero(outside))
+        assert np.all(c[ii] * c[ii] + c[jj] * c[jj] >= 1.0)
 
 
 def test_helium_frame_certifies_blocks_and_classifies_the_rest(helium, monkeypatch):

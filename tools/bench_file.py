@@ -3,11 +3,12 @@
 Run from the root of a trihill checkout whose ``src/`` and ``perfbench/``
 are committed::
 
-    python3 tools/bench_file.py [--seconds 20] [--out DIR]
+    python3 tools/bench_file.py [--out DIR]
 
 It runs ``perfbench/run.py`` for each workload, untraced (``--trace 0``,
 the end-to-end metrics) and traced (``--trace 1``, the per-layer metrics),
-on seeds 1, 2 and 7, one run at a time.  The file holds every run's
+on seeds 1, 2 and 7, one run at a time, each for the ``run_seconds`` of
+``BENCHMARK.json``.  The file holds every run's
 result line and the environment from its ``# info`` line, and per
 workload and metric the median over the seeds.  A speed claim cites a
 before/after pair from two such files.
@@ -47,12 +48,13 @@ def _run(workload: str, seed: int, trace: int, seconds: float) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", default=".", help="directory to write the file to")
     args = ap.parse_args(argv)
     if not os.path.isfile(os.path.join("perfbench", "run.py")):
         print("error: run from the root of a trihill checkout", file=sys.stderr)
         return 2
+    with open("BENCHMARK.json", encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
     if _git("status", "--porcelain", "--", "src", "perfbench"):
         print("error: src/ or perfbench/ has uncommitted changes; commit them first", file=sys.stderr)
         return 2
@@ -61,7 +63,7 @@ def main(argv=None) -> int:
     for seed in SEEDS:
         for workload in WORKLOADS:
             for trace in (0, 1):
-                runs.append(_run(workload, seed, trace, args.seconds))
+                runs.append(_run(workload, seed, trace, seconds))
                 print(f"{workload} seed {seed} trace {trace}: done", file=sys.stderr)
     medians = {}
     for workload in WORKLOADS:
@@ -71,7 +73,7 @@ def main(argv=None) -> int:
                 for name, value in run["metrics"].items():
                     values.setdefault(name, []).append(value)
         medians[workload] = {name: statistics.median(v) for name, v in sorted(values.items())}
-    bench = {"commit": _git("rev-parse", "HEAD"), "seconds": args.seconds, "seeds": list(SEEDS),
+    bench = {"commit": _git("rev-parse", "HEAD"), "seconds": seconds, "seeds": list(SEEDS),
              "median_over_seeds": medians, "runs": runs}
     path = os.path.join(args.out, f"BENCH_{sha}.json")
     with open(path, "w", encoding="utf-8") as fh:
