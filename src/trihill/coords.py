@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollinearError, DomainError, InternalConsistencyError, TripleCollisionError
+from .errors import (
+    CollinearError,
+    DomainError,
+    InternalConsistencyError,
+    TripleCollisionError,
+    check_finite,
+)
 from .systems import BodySystem, Pair, jacobi_frame
 
 RADICAND_CLAMP = 1e-12  # negative squared distances beyond this are a bug
@@ -37,10 +43,12 @@ class JacobiShapeCoords:
     degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        for name in ("rho1", "rho2", "phi"):
+            check_finite(name, getattr(self, name))
         if self.rho1 < 0 or self.rho2 < 0:
-            raise ValueError("rho1, rho2 must be nonnegative")
+            raise DomainError("rho1, rho2 must be nonnegative")
         if not -1e-12 <= self.phi <= math.pi + 1e-12:
-            raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
+            raise DomainError(f"phi must lie in [0, pi], got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +58,10 @@ class WCoords:
     w3: float
 
     def __post_init__(self):
+        for name in ("w1", "w2", "w3"):
+            check_finite(name, getattr(self, name))
         if self.w3 < 0:
-            raise ValueError("w3 must be nonnegative")
+            raise DomainError("w3 must be nonnegative")
 
     @property
     def norm(self) -> float:
@@ -66,12 +76,14 @@ class DragtCoords:
     degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        for name in ("omega", "chi", "psi"):
+            check_finite(name, getattr(self, name))
         if self.omega < 0:
-            raise ValueError("omega must be nonnegative")
+            raise DomainError("omega must be nonnegative")
         if not -1e-12 <= self.chi <= math.pi / 2 + 1e-12:
-            raise ValueError(f"chi must lie in [0, pi/2], got {self.chi}")
+            raise DomainError(f"chi must lie in [0, pi/2], got {self.chi}")
         if not 0 <= self.psi < 2 * math.pi:
-            raise ValueError(f"psi must lie in [0, 2 pi), got {self.psi}")
+            raise DomainError(f"psi must lie in [0, 2 pi), got {self.psi}")
 
 
 @dataclass(frozen=True)

@@ -179,10 +179,14 @@ def f_analysis(E: float, E_R: float, v_tilde: float) -> HillMembership:
     """Classify F(lam) by the six-region decomposition of the (E, Vt) plane.
 
     Membership means F(lam) >= 0 for some lam > 0.  The coordinate axes
-    E = 0 and Vt = 0 are reported as 'axis-degenerate'.
+    E = 0 and Vt = 0 are reported as 'axis-degenerate'.  A non-finite
+    input or an E_R <= 0 raises DomainError.
     """
+    check_finite("E", E)
+    check_finite("E_R", E_R)
+    check_finite("v_tilde", v_tilde)
     if E_R <= 0.0:
-        raise ValueError("rotational energy must be positive (r > 0)")
+        raise DomainError("rotational energy must be positive (r > 0)")
     disc = 4.0 * E * E_R + v_tilde * v_tilde
     lam_minus = lam_plus = None
     if E != 0.0 and disc >= 0.0:

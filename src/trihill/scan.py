@@ -16,6 +16,11 @@ the two extreme corners of those bounds brackets every pixel's code.  Where
 the two codes agree the block is filled with that code; the other interior
 pixels go through ``classify_grid`` one by one.  The cells are those of the
 per-pixel scan, bit for bit.
+
+``euler_characteristics`` gives chi = V - E + F of the regions class >= Caps,
+class >= Ring and Full.  Across a catalog value with rotation axis k, the
+region of class >= 4 - k changes chi by exactly one; verify's event checks
+test that rule.
 """
 
 from __future__ import annotations
@@ -267,6 +272,25 @@ def component_census(scan: ShapeScan) -> CensusReport:
         counts[cls] = _count_components(mask)
         touches[cls] = bool(np.logical_and(mask, near_boundary).any())
     return CensusReport(counts=counts, touches_boundary=touches)
+
+
+def euler_characteristics(scan: ShapeScan) -> tuple[int, int, int]:
+    """Euler characteristics V - E + F of the regions class >= Caps,
+    class >= Ring and Full, each the union of its closed pixels.
+
+    On the raster padded with Outside cells all round, an edge of the pixel
+    grid lies in the union where either pixel beside it does, and a corner
+    where any of the four pixels around it does.  Closed pixels that share
+    a corner touch, so chi = b0 - b1: 8-connected components less the holes.
+    """
+    padded, count, chi = np.pad(scan.cells, 1), np.count_nonzero, []
+    for cls in (CellClass.CAPS, CellClass.RING, CellClass.FULL):
+        faces = padded >= np.int8(cls)
+        edges_i = faces[1:] | faces[:-1]  # between neighbours along i
+        edges_j = faces[:, 1:] | faces[:, :-1]
+        corners = edges_i[:, 1:] | edges_i[:, :-1]
+        chi.append(int(count(corners) - count(edges_i) - count(edges_j) + count(faces)))
+    return tuple(chi)
 
 
 def render(obj, fmt: str) -> bytes:

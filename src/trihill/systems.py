@@ -67,13 +67,13 @@ class BodySystem:
 
     def __post_init__(self):
         if len(self.masses) != 3 or len(self.alphas) != 3:
-            raise ValueError("BodySystem needs exactly three masses and three couplings")
+            raise DomainError("BodySystem needs exactly three masses and three couplings")
         if not all(math.isfinite(v) for v in (*self.masses, *self.alphas)):
             raise DomainError(
                 f"masses and couplings must be finite, got {self.masses} and {self.alphas}"
             )
         if any(m <= 0 for m in self.masses):
-            raise ValueError(f"masses must be strictly positive, got {self.masses}")
+            raise DomainError(f"masses must be strictly positive, got {self.masses}")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "pairs", _pair_table(self))

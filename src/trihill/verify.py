@@ -34,9 +34,8 @@ from .critical import (
     critical_catalog,
     find_critical_shapes,
     langmuir_geometry,
-    nu_diabolic,
 )
-from .errors import UnsupportedFamilyError, check_finite
+from .errors import DomainError, UnsupportedFamilyError, check_finite
 from .hill import ShapeEvaluation, membership, orientation_class, shape_eval
 from .reduction import (
     RovibState,
@@ -50,7 +49,7 @@ from .reduction import (
     relequil_residual,
     rigid_start,
 )
-from .scan import CellClass, CensusReport, _count_components, component_census, scan_disk
+from .scan import _count_components, euler_characteristics, scan_disk
 from .systems import PRESETS, BodySystem
 
 VIRIAL_DT_FACTOR = 1e-3  # dt = factor * (2 pi r / |V|), the rotation period
@@ -62,11 +61,11 @@ def build_relequil_state(system: BodySystem, critical: CriticalValue, r: float) 
     The shape is rescaled so that the virial relation r^2 = -M_k(q) V(q)
     holds at the requested angular-momentum magnitude; J points along
     principal axis k and the momenta are the gauge values p = J.A (zero for
-    in-plane axes).  A non-finite r raises DomainError.
+    in-plane axes).  A non-finite r or an r <= 0 raises DomainError.
     """
     check_finite("r", r)
     if r <= 0.0:
-        raise ValueError("r must be positive")
+        raise DomainError("r must be positive")
     if critical.w is None:
         raise UnsupportedFamilyError(
             f"{critical.family} entries carry no configuration to rescale"
@@ -404,58 +403,30 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int 
 def _census_event_checks(
     report: VerificationReport, system: BodySystem, catalog: list[CriticalValue]
 ) -> None:
-    """Raster-visible bifurcation events at the interior critical values of
-    ``catalog``, the system's ``critical_catalog``.
-
-    The forbidden region vanishes at the Lagrange value; the fully-accessible
-    region is born at the diabolic value (when isolated in the catalog) or at
-    the Langmuir value when that lies above it.
-    """
+    """One event rule for each entry of ``catalog``, the system's
+    ``critical_catalog``, with a rotation axis k: a critical value of
+    sqrt(Mt_k) Vt, across which the region of class >= 4 - k (Caps, Ring or
+    Full for k = 3, 2, 1) changes its Euler characteristic by exactly one.
+    chi is read on N = 400 scans 1% of the catalog gaps below and above the
+    entry.  A diabolic entry merged with another, or within 1e-3 nu of a
+    neighbour, is skipped."""
     nus = [cv.nu for cv in catalog]
-
-    def gaps_at(nu0: float) -> tuple[float, float]:
-        i = min(range(len(nus)), key=lambda k: abs(nus[k] - nu0))
+    for i, cv in enumerate(catalog):
+        if cv.axis is None:
+            continue
         lo = nus[i] - nus[i - 1] if i > 0 else nus[i]
         hi = nus[i + 1] - nus[i] if i + 1 < len(nus) else lo
-        return lo, hi
-
-    def across(nu0: float) -> list[CensusReport]:
-        """Censuses of N = 400 scans 1% of the catalog gaps below and above nu0."""
-        lo, hi = gaps_at(nu0)
-        near = (nu0 - 0.01 * lo, nu0 + 0.01 * hi)
-        return [component_census(scan_disk(system, nu, 400)) for nu in near]
-
-    for cv in catalog:
-        if cv.family == "lagrange":
-            below, above = (c.counts[CellClass.EMPTY] for c in across(cv.nu))
-            report.add_flag(
-                "scan.lagrange_event",
-                below == 0 and above >= 1,
-                f"Empty components {below}->{above} across nu_Lagrange",
-            )
-        if cv.family == "diabolic" and cv.multiplicity == 1:
-            if min(gaps_at(cv.nu)) < 1e-3 * cv.nu:
-                continue  # too close to a neighbour to separate at N = 400
-            below, above = (c.counts[CellClass.FULL] for c in across(cv.nu))
-            report.add_flag(
-                "scan.diabolic_event",
-                below == 1 and above == 0,
-                f"Full components {below}->{above} across nu_diabolic",
-            )
-        if cv.family == "langmuir":
-            below, above = across(cv.nu)
-            if cv.axis == 1 and cv.nu > nu_diabolic(system).nu:
-                # axis-1 equilibrium above the diabolic value: this is where
-                # the fully-accessible region is born (the green dot)
-                below, above = below.counts[CellClass.FULL], above.counts[CellClass.FULL]
-                report.add_flag(
-                    "scan.langmuir_event",
-                    below == 1 and above == 0,
-                    f"Full components {below}->{above} across nu_Langmuir",
-                )
-            else:
-                ok = below.signature() != above.signature()
-                report.add_flag("scan.langmuir_event", ok, "census changes across nu_Langmuir")
+        if cv.family == "diabolic" and (cv.multiplicity != 1 or min(lo, hi) < 1e-3 * cv.nu):
+            continue  # merged, or too close to a neighbour to separate at N = 400
+        below, above = (
+            euler_characteristics(scan_disk(system, nu, 400))
+            for nu in (cv.nu - 0.01 * lo, cv.nu + 0.01 * hi)
+        )
+        report.add_flag(
+            f"scan.{cv.family}_event",
+            abs(above[3 - cv.axis] - below[3 - cv.axis]) == 1,
+            f"chi {below}->{above} across nu_{cv.family}",
+        )
 
 
 def _near_threshold(ev: ShapeEvaluation, nu: float) -> bool:

@@ -21,8 +21,11 @@ from trihill.coords import (
     w_from_jacobi,
     xxy_section,
 )
+from trihill.critical import nu_lagrange
 from trihill.errors import CollinearError, DomainError, TripleCollisionError
-from trihill.systems import jacobi_frame, BodySystem
+from trihill.hill import f_analysis
+from trihill.systems import jacobi_frame, BodySystem, preset
+from trihill.verify import build_relequil_state
 
 from conftest import oracle_distances, oracle_positions
 
@@ -250,3 +253,31 @@ def test_shape_rejects_non_finite(w):
 def test_dilate_rejects_a_non_finite_or_nonpositive_factor(lam):
     with pytest.raises(DomainError):
         dilate(JacobiShapeCoords(1.0, 0.5, 1.0), lam)
+
+
+_OUT_OF_DOMAIN = {
+    "negative mass": lambda: BodySystem((1.0, -1.0, 1.0), (1.0, 1.0, 1.0)),
+    "negative r": lambda: build_relequil_state(
+        preset("gravity-demo"), nu_lagrange(preset("gravity-demo")), r=-1.0
+    ),
+    "nan E": lambda: f_analysis(math.nan, 1.0, -1.0),
+    "nan rotational energy": lambda: f_analysis(-1.0, math.nan, -1.0),
+    "nan Vt": lambda: f_analysis(-1.0, 1.0, math.nan),
+    "nonpositive rotational energy": lambda: f_analysis(-1.0, 0.0, -1.0),
+    "nan rho1": lambda: JacobiShapeCoords(math.nan, 1.0, 0.5),
+    "infinite rho2": lambda: JacobiShapeCoords(1.0, math.inf, 0.5),
+    "phi above pi": lambda: JacobiShapeCoords(1.0, 1.0, 4.0),
+    "nan w1": lambda: WCoords(math.nan, 0.0, 0.5),
+    "negative w3": lambda: WCoords(0.0, 0.0, -1.0),
+    "nan omega": lambda: DragtCoords(math.nan, 0.5, 1.0),
+    "chi above pi/2": lambda: DragtCoords(1.0, 2.0, 1.0),
+    "psi of 2 pi": lambda: DragtCoords(1.0, 0.5, 2.0 * math.pi),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_DOMAIN))
+def test_public_entry_points_reject_out_of_domain_input(case):
+    # DomainError is a TrihillError and a ValueError, so callers that catch
+    # either one see the rejection.
+    with pytest.raises(DomainError):
+        _OUT_OF_DOMAIN[case]()

@@ -21,6 +21,7 @@ from trihill.scan import (
     classify_grid,
     component_census,
     contour_grid,
+    euler_characteristics,
     pixel_centers,
     render,
     scan_disk,
@@ -339,6 +340,29 @@ def test_component_counter_matches_ndimage_label_on_adversarial_masks():
         counts = component_census(ShapeScan(mask.shape[0], 0.0, cells)).counts
         assert counts[CellClass.FULL] == want, name
         assert counts[CellClass.EMPTY] == ndimage.label(~mask)[1], name
+
+
+def test_euler_characteristics_are_components_less_holes():
+    # chi = b0 - b1 of the union of closed pixels: b0 counts 8-connected
+    # components (closed pixels that share a corner touch), b1 the
+    # 4-connected components of the padded complement less the outer one.
+    from scipy import ndimage
+
+    def oracle(mask):
+        holes = ndimage.label(~np.pad(mask, 1))[1] - 1
+        return ndimage.label(mask, structure=np.ones((3, 3)))[1] - holes
+
+    for name, mask in adversarial_masks().items():
+        scan = ShapeScan(mask.shape[0], 0.0, np.where(mask, CellClass.FULL, CellClass.EMPTY))
+        assert euler_characteristics(scan) == (oracle(mask),) * 3, name
+    # Random cells of every class, so that the three regions differ.
+    rng = np.random.default_rng(18)
+    for _ in range(1_000):
+        cells = rng.integers(CellClass.OUTSIDE, CellClass.FULL + 1, rng.integers(1, 30, 2))
+        cells[rng.random(cells.shape) < rng.random()] = CellClass.EMPTY
+        scan = ShapeScan(cells.shape[0], 0.0, cells.astype(np.int8))
+        regions = (cells >= CellClass.CAPS, cells >= CellClass.RING, cells == CellClass.FULL)
+        assert euler_characteristics(scan) == tuple(map(oracle, regions))
 
 
 @pytest.mark.parametrize("name", ["gravity-demo", "helium", "eep"])

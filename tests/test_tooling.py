@@ -7,7 +7,9 @@ frame path must stay free of the derivative kernel, whose cost only a
 benchmark would show.  And the Jacobi chart's pair sum must stay one
 helper that every entry point of the chart reads, so that its operation
 order, which trajectories depend on to the last bit, is written once.  And
-the package must run on numpy alone: scipy serves the tests as a reference,
+verify's event checks must read Euler characteristics, not the component
+census, whose counts measure pixel noise as well as topology.  And the
+package must run on numpy alone: scipy serves the tests as a reference,
 and importing it would cost every command its start-up time and memory."""
 
 import ast
@@ -18,7 +20,7 @@ import sys
 import pytest
 
 import trihill  # loads every submodule
-from trihill import hill, reduction, scan, verify
+from trihill import hill, reduction, scan, systems, verify
 from trihill.coords import Shape
 from trihill.critical import nu_langmuir
 
@@ -74,6 +76,12 @@ def test_frame_path_runs_without_derivatives(monkeypatch, helium):
     hill.v_tilde(helium, 0.1, 0.2)
     hill.shape_eval(helium, Shape(0.1, 0.2))
     hill.orientation_class(helium, 3.0, Shape(0.1, 0.2))
+
+
+@pytest.mark.parametrize("name", sorted(systems.PRESETS))
+def test_verify_finds_events_without_the_component_census(monkeypatch, name):
+    forbid(monkeypatch, scan.component_census)
+    verify.verify_all(systems.preset(name), deep=False)
 
 
 def test_jacobi_chart_pair_sum_is_written_once(monkeypatch, helium):

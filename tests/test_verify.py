@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -140,6 +141,36 @@ def test_nonphysical_diabolic_value_is_omitted():
     assert "diabolic" not in [cv.family for cv in critical_catalog(system)]
     report = verify_all(system, deep=False)
     assert report.ok, "\n" + "\n".join(c.line() for c in report.checks if not c.passed)
+
+
+@pytest.mark.parametrize(
+    "name, family",
+    [
+        ("gravity-demo", "diabolic"),
+        ("gravity-demo", "lagrange"),
+        ("helium", "diabolic"),
+        ("helium", "langmuir"),
+        ("eep", "langmuir"),
+    ],
+)
+def test_event_check_fails_when_its_entry_moves_into_the_gap_above(all_systems, name, family):
+    # The event stays where the closed form puts it, so across a value moved
+    # to the middle of its upper gap no Euler characteristic changes.
+    system = all_systems[name]
+    catalog = critical_catalog(system)
+    i = next(i for i, cv in enumerate(catalog) if cv.family == family)
+
+    def event(catalog):
+        report = VerificationReport()
+        verify._census_event_checks(report, system, catalog)
+        (check,) = [c for c in report.checks if c.name == f"scan.{family}_event"]
+        return check
+
+    check = event(catalog)
+    assert check.passed, check.line()
+    moved = replace(catalog[i], nu=0.5 * (catalog[i].nu + catalog[i + 1].nu))
+    check = event([*catalog[:i], moved, *catalog[i + 1 :]])
+    assert not check.passed, check.line()
 
 
 def test_collision_angle_check_fails_on_a_wrong_angle(monkeypatch, all_systems):
