@@ -35,7 +35,7 @@ from .coords import (
     pair_geometry,
     w_from_jacobi,
 )
-from .errors import DomainError, UnsupportedFamilyError, check_index
+from .errors import DomainError, TrihillError, UnsupportedFamilyError, check_index
 from .hill import moments, shape_kernel, shape_value
 from .reduction import relequil_residual, rigid_start
 from .systems import BodySystem, infer_gravity_constant, reduced_mass
@@ -71,9 +71,9 @@ class CriticalValue:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise DomainError(f"unknown family {self.family!r}")
         if self.physical and self.nu < 0:
-            raise ValueError("critical nu must be nonnegative")
+            raise DomainError("critical nu must be nonnegative")
 
     def shape(self) -> Shape:
         if self.w is None:
@@ -176,7 +176,7 @@ def nu_lagrange(system: BodySystem) -> CriticalValue:
     """
     try:
         G = infer_gravity_constant(system)
-    except Exception as exc:
+    except TrihillError as exc:
         raise UnsupportedFamilyError(
             "Lagrange closed form needs gravitational couplings a_k = G m_i m_j"
         ) from exc
@@ -278,12 +278,6 @@ def nu_langmuir(system: BodySystem) -> CriticalValue:
         w=(sh.w1, sh.w2),
         detail=f"theta_deg={math.degrees(geom.theta):.10g} pair=({i};{jj})",
     )
-
-
-# Interior relative equilibria in closed form, each for the systems it
-# supports (UnsupportedFamilyError elsewhere): the catalog lists them and
-# verify checks them against the search and the dynamics.
-CLOSED_FORMS = (nu_lagrange, nu_langmuir)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +578,7 @@ def critical_catalog(system: BodySystem) -> list[CriticalValue]:
     diabolic = nu_diabolic(system)
     if diabolic.physical:
         entries.append(diabolic)
-    for closed_form in CLOSED_FORMS:
+    for closed_form in (nu_lagrange, nu_langmuir):
         try:
             entries.append(closed_form(system))
         except UnsupportedFamilyError:

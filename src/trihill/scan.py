@@ -32,7 +32,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import check_finite, check_index
+from .errors import check_index
 from .hill import class_codes, moments, shape_value, shape_value_bounds
 from .systems import BodySystem
 
@@ -149,7 +149,6 @@ def scan_disk(system: BodySystem, nu: float, n: int) -> ShapeScan:
     that is not an integer of at least 2 or a non-finite nu raises
     DomainError."""
     n = check_index("resolution", n, 2)
-    check_finite("nu", nu)  # also where no pixel is interior and classify_grid never runs
     c = pixel_centers(n)
     blocks = _block_codes(system, nu, c)
     cells = np.repeat(np.repeat(blocks, BLOCK, axis=0), BLOCK, axis=1)
@@ -261,14 +260,14 @@ def component_census(scan: ShapeScan) -> CensusReport:
     counts: dict[CellClass, int] = {}
     touches: dict[CellClass, bool] = {}
     # The boundary band grown by one cell in the four grid directions.
-    band = scan.cells == CellClass.BOUNDARY
+    band = scan.cells == np.int8(CellClass.BOUNDARY)
     near_boundary = band.copy()
     near_boundary[1:] |= band[:-1]
     near_boundary[:-1] |= band[1:]
     near_boundary[:, 1:] |= band[:, :-1]
     near_boundary[:, :-1] |= band[:, 1:]
     for cls in (CellClass.EMPTY, CellClass.CAPS, CellClass.RING, CellClass.FULL):
-        mask = scan.cells == cls
+        mask = scan.cells == np.int8(cls)
         counts[cls] = _count_components(mask)
         touches[cls] = bool(np.logical_and(mask, near_boundary).any())
     return CensusReport(counts=counts, touches_boundary=touches)

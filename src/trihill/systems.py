@@ -144,12 +144,14 @@ def infer_gravity_constant(system: BodySystem) -> float:
 
     Solves G from a1 and checks a2, a3 against G*m_i*m_j to 1e-12 relative.
     A G or G*m_i*m_j that overflows fails the check: no tolerance compares
-    with infinity.
+    with infinity.  An m2*m3 that underflows to zero leaves no G to solve.
     """
     m1, m2, m3 = system.masses
     a1, a2, a3 = system.alphas
     if a1 <= 0 or a2 <= 0 or a3 <= 0:
         raise TrihillError("gravitational couplings must all be positive")
+    if m2 * m3 == 0.0:
+        raise TrihillError("m2*m3 underflows to zero; no G solves a1 = G*m2*m3")
     G = a1 / (m2 * m3)
     for got, want in ((a2, G * m1 * m3), (a3, G * m1 * m2)):
         if not math.isfinite(want) or abs(got - want) > 1e-12 * max(abs(got), abs(want)):
@@ -190,20 +192,20 @@ def parse_system(text: str) -> BodySystem:
             continue
         fields = line.split()
         if len(fields) != 4:
-            raise ValueError(f"line {lineno}: expected 'masses|alphas v1 v2 v3', got {raw!r}")
+            raise DomainError(f"line {lineno}: expected 'masses|alphas v1 v2 v3', got {raw!r}")
         key, values = fields[0].lower(), fields[1:]
         try:
             triple = tuple(float(v) for v in values)
         except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric value in {raw!r}") from None
+            raise DomainError(f"line {lineno}: non-numeric value in {raw!r}") from None
         if key == "masses":
             masses = triple
         elif key == "alphas":
             alphas = triple
         else:
-            raise ValueError(f"line {lineno}: unknown keyword {key!r}")
+            raise DomainError(f"line {lineno}: unknown keyword {key!r}")
     if masses is None or alphas is None:
-        raise ValueError("system file must define both 'masses' and 'alphas'")
+        raise DomainError("system file must define both 'masses' and 'alphas'")
     return BodySystem(masses, alphas)
 
 

@@ -1,11 +1,12 @@
 """End-to-end verification: relative-equilibrium dynamics and invariant suites.
 
 Ties the critical-value catalog to the reduced dynamics: every catalog entry
-with an interior shape yields an initial condition the integrator must hold
-fixed, with the virial identity E = V/2 and nu = -E r^2 recovered to tight
-tolerances.  ``verify_all`` aggregates these dynamical checks with catalog
-regressions against reference values and randomized invariant suites into a
-line-oriented report.
+with a rotation axis, except the diabolic pseudo-critical point, is checked
+as stored against the generic critical-shape search and yields an initial
+condition the integrator must hold fixed, with the virial identity E = V/2
+and nu = -E r^2 recovered to tight tolerances.  ``verify_all`` aggregates
+these dynamical checks with catalog regressions against reference values
+and randomized invariant suites into a line-oriented report.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .coords import (
     w_from_jacobi,
 )
 from .critical import (
-    CLOSED_FORMS,
     CriticalValue,
     critical_catalog,
     find_critical_shapes,
@@ -66,11 +66,7 @@ def build_relequil_state(system: BodySystem, critical: CriticalValue, r: float) 
     check_finite("r", r)
     if r <= 0.0:
         raise DomainError("r must be positive")
-    if critical.w is None:
-        raise UnsupportedFamilyError(
-            f"{critical.family} entries carry no configuration to rescale"
-        )
-    shape = critical.shape()  # raises for boundary points (infinity/collinear)
+    shape = critical.shape()  # raises for entries with no shape or one on the rim
     if critical.axis is None:
         raise UnsupportedFamilyError(f"{critical.family} entry has no rotation axis")
     k = critical.axis
@@ -464,9 +460,9 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
     """Run the full verification battery for a system.
 
     Reference-catalog regression applies when the system matches a preset;
-    everything else (cross-validation of closed forms against the generic
-    search, relative-equilibrium dynamics, invariant and oracle suites) runs
-    for any system.  ``deep=False`` shrinks the randomized sample counts.
+    everything else (the catalog's relative equilibria against the generic
+    search and the dynamics, invariant and oracle suites) runs for any
+    system.  ``deep=False`` shrinks the randomized sample counts.
     """
     report = VerificationReport()
     catalog = critical_catalog(system)
@@ -491,11 +487,10 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
 
     _collision_angle_check(report, system)
 
-    # Closed-form families against the generic critical-shape search.
-    for closed_form in CLOSED_FORMS:
-        try:
-            cv = closed_form(system)
-        except UnsupportedFamilyError:
+    # The catalog's relative equilibria against the generic critical-shape
+    # search and the dynamics; the diabolic point is only pseudo-critical.
+    for cv in catalog:
+        if cv.axis is None or cv.family == "diabolic":
             continue
         if cv.family == "langmuir":
             report.add("langmuir.force_balance", _langmuir_force_residual(system), 1e-12)
@@ -507,9 +502,7 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
     # nu = (1/2) Mt_k Vt^2 for every stored interior shape.
     worst = 0.0
     for cv in catalog:
-        if cv.w is None or cv.axis is None:
-            continue
-        if cv.w[0] ** 2 + cv.w[1] ** 2 >= 1.0:
+        if cv.axis is None:
             continue
         ev = shape_eval(system, cv.shape())
         worst = _worst(worst, abs(0.5 * ev.m_tilde[cv.axis - 1] * ev.v_tilde**2 - cv.nu) / cv.nu)

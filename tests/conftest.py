@@ -254,17 +254,36 @@ def oracle_scan_ppm(scan) -> bytes:
     return f"P6\n{n} {n}\n255\n".encode() + rgb.tobytes()
 
 
+def _rebind(monkeypatch, func, replacement):
+    """Bind ``replacement`` wherever a trihill module binds ``func``."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "trihill":
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def forbid(monkeypatch, func):
     """Make every trihill module's binding of ``func`` raise when called."""
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"{func.__module__}.{func.__name__} was called")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "trihill":
-            for attr, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, attr, refuse)
+    _rebind(monkeypatch, func, refuse)
+
+
+def count_calls(monkeypatch, func) -> list:
+    """Make every trihill module's binding of ``func`` record its calls:
+    the returned list gets the arguments of each call, which goes on to
+    ``func``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    _rebind(monkeypatch, func, counted)
+    return calls
 
 
 def oracle_traj_csv(traj) -> str:

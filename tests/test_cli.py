@@ -264,6 +264,14 @@ def test_unknown_preset_exit_code(capsys):
     assert "unknown preset" in err
 
 
+def test_malformed_system_file_exit_code(capsys, tmp_path):
+    path = tmp_path / "bad.sys"
+    path.write_text("masses 1 2\nalphas 1 2 3\n")
+    code, out, err = run_cli(capsys, "critical", "--system", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: line 1: expected 'masses|alphas v1 v2 v3', got 'masses 1 2'"]
+
+
 # Each case overrides one option of a valid command (argparse keeps the last).
 _VALID = {
     "classify": ("--shape", "0.1", "0.2", "--nu", "0.1", "--jhat", "0", "0", "1"),

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from trihill import critical
 from trihill.critical import (
     CriticalValue,
     _sqrtmk_v_derivatives,
@@ -628,6 +629,22 @@ def test_lagrange_rejects_couplings_whose_gravity_constant_overflows():
     system = BodySystem((1, 1e-300, 1), (1e200, 1, 1))
     with pytest.raises(UnsupportedFamilyError):
         nu_lagrange(system)
+
+
+def test_lagrange_rejects_masses_whose_product_underflows():
+    # m2 m3 = 1e-400 rounds to 0: no G solves a1 = G m2 m3
+    with pytest.raises(UnsupportedFamilyError):
+        nu_lagrange(BodySystem((1.0, 1e-200, 1e-200), (1.0, 1.0, 1.0)))
+
+
+def test_lagrange_lets_a_programming_error_through(monkeypatch, gravity):
+    # only the package's own errors mean that the family is unsupported
+    def broken(system):
+        raise RuntimeError("defect")
+
+    monkeypatch.setattr(critical, "infer_gravity_constant", broken)
+    with pytest.raises(RuntimeError, match="defect"):
+        nu_lagrange(gravity)
 
 
 def test_catalog_rejects_an_overflowing_lagrange_value():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from trihill.coords import Shape, collision_angles, pair_geometry
-from trihill.critical import langmuir_geometry
+from trihill.critical import CriticalValue, langmuir_geometry
 from trihill.errors import DomainError, TrihillError
 from trihill.hill import v_tilde
 from trihill.systems import (
@@ -124,6 +124,28 @@ def test_parse_system_errors():
         parse_system("masses 1 2 3\nalphas a b c\n")
     with pytest.raises(ValueError):
         parse_system("weights 1 2 3\nalphas 1 2 3\n")
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (CriticalValue, (1.0, "nonsense")),
+        (CriticalValue, (-0.5, "lagrange")),
+        (parse_system, ("masses 1 2\nalphas 1 2 3\n",)),
+        (parse_system, ("masses 1 2 3\n",)),
+        (parse_system, ("masses 1 2 3\nalphas a b c\n",)),
+        (parse_system, ("weights 1 2 3\nalphas 1 2 3\n",)),
+    ],
+)
+def test_invalid_inputs_raise_domain_error(make, args):
+    with pytest.raises(DomainError):
+        make(*args)
+
+
+def test_infer_gravity_constant_rejects_an_underflowing_mass_product():
+    # m2 m3 = 1e-400 rounds to 0, where a1/(m2 m3) would divide by zero
+    with pytest.raises(TrihillError, match="underflows"):
+        infer_gravity_constant(BodySystem((1.0, 1e-200, 1e-200), (1.0, 1.0, 1.0)))
 
 
 def test_permuted_relabeling():

@@ -10,7 +10,8 @@ order, which trajectories depend on to the last bit, is written once.  And
 verify's event checks must read Euler characteristics, not the component
 census, whose counts measure pixel noise as well as topology.  And the
 package must run on numpy alone: scipy serves the tests as a reference,
-and importing it would cost every command its start-up time and memory."""
+and importing it would cost every command its start-up time and memory.
+And no exception handler of the package may catch every exception."""
 
 import ast
 import os
@@ -100,13 +101,18 @@ def test_jacobi_chart_pair_sum_is_written_once(monkeypatch, helium):
             call()
 
 
-def test_no_module_of_the_package_imports_scipy():
+def package_trees():
+    """(file name, syntax tree) of every module of the package."""
     package = os.path.dirname(trihill.__file__)
     modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
     assert "scan.py" in modules and "verify.py" in modules
     for filename in modules:
         with open(os.path.join(package, filename)) as f:
-            tree = ast.parse(f.read(), filename)
+            yield filename, ast.parse(f.read(), filename)
+
+
+def test_no_module_of_the_package_imports_scipy():
+    for filename, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -116,6 +122,21 @@ def test_no_module_of_the_package_imports_scipy():
                 continue
             for name in names:
                 assert name.split(".")[0] != "scipy", f"{filename}:{node.lineno} imports {name}"
+
+
+def test_no_handler_of_the_package_catches_every_exception():
+    # A handler names the errors it expects: a broad one turns a defect
+    # into an answer, such as a family reported unsupported.
+    for filename, tree in package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for name in caught:
+                assert name is not None, f"{filename}:{node.lineno} has a bare except"
+                assert not (
+                    isinstance(name, ast.Name) and name.id in ("Exception", "BaseException")
+                ), f"{filename}:{node.lineno} catches {name.id}"
 
 
 def test_scan_census_and_verify_run_without_scipy():

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from trihill import reduction, verify
+from trihill import critical, reduction, verify
 from trihill.critical import (
     CriticalValue,
     critical_catalog,
@@ -23,6 +23,7 @@ from trihill.verify import VerificationReport, build_relequil_state, verify_all
 
 from conftest import (
     adversarial_masks,
+    count_calls,
     forbid,
     oracle_count_components_periodic,
     oracle_eom_fd_suite,
@@ -171,6 +172,33 @@ def test_event_check_fails_when_its_entry_moves_into_the_gap_above(all_systems, 
     moved = replace(catalog[i], nu=0.5 * (catalog[i].nu + catalog[i + 1].nu))
     check = event([*catalog[:i], moved, *catalog[i + 1 :]])
     assert not check.passed, check.line()
+
+
+@pytest.mark.parametrize(
+    "name, family", [("gravity-demo", "lagrange"), ("helium", "langmuir"), ("eep", "langmuir")]
+)
+def test_relequil_checks_fail_on_a_moved_stored_shape(monkeypatch, all_systems, name, family):
+    # nu is stationary in w at a critical point, so catalog.nu_identity
+    # misses a stored shape moved by 1e-4; the rotation built on that shape
+    # is out of balance, and verify builds it from the catalog it is given.
+    def moved(system):
+        return [
+            replace(cv, w=(cv.w[0] * (1.0 + 1e-4), cv.w[1])) if cv.family == family else cv
+            for cv in critical_catalog(system)
+        ]
+
+    monkeypatch.setattr(verify, "critical_catalog", moved)
+    report = verify_all(all_systems[name], deep=False)
+    (check,) = [c for c in report.checks if c.name == f"{family}.residual"]
+    assert not check.passed, check.line()
+
+
+@pytest.mark.parametrize("name", ["gravity-demo", "helium", "eep"])
+def test_verify_all_solves_each_closed_form_once(monkeypatch, all_systems, name):
+    # the catalog's call; verify checks the entries it lists
+    calls = [count_calls(monkeypatch, f) for f in (critical.nu_lagrange, critical.nu_langmuir)]
+    verify_all(all_systems[name], deep=False)
+    assert [len(c) for c in calls] == [1, 1]
 
 
 def test_collision_angle_check_fails_on_a_wrong_angle(monkeypatch, all_systems):
