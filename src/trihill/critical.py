@@ -7,16 +7,18 @@ the principal moment about the rotation axis:
 * zero        nu = 0, the energy sign change;
 * infinity    one attractive pair co-rotating, the third body at rest
               infinitely far away: nu = (1/2) mu_ij a_ij^2 per pair;
-* diabolic    the pseudo-critical point where the two in-plane principal
-              moments coincide (perpendicular equal-length Jacobi vectors);
+* diabolic    the pseudo-critical point at the disk centre, where the two
+              in-plane principal moments coincide, if Vt < 0 there;
 * lagrange    the equilateral central configuration (gravitational couplings);
 * langmuir    the isosceles relative equilibrium of two like charges and an
               opposite charge, rotating about an in-plane principal axis;
 * collinear   Euler-type configurations on the boundary of the shape space,
               the real roots of Euler's collinear quintic (signed couplings)
-              per ordering, found as polynomial roots with no search grid;
-              the same polynomials give each root's nu, residual and sign
-              of V.
+              per ordering where V < 0, found as polynomial roots with no
+              search grid; the same polynomials give each root's nu,
+              residual and sign of V.
+
+No entry has V >= 0: such a point carries no relative equilibrium.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class CriticalValue:
     family).  ``axis`` is the principal-axis index of the rotation where
     meaningful.  Entries merged by the catalog carry ``multiplicity`` > 1.
     ``residual`` certifies an entry found as a root: |dnu/dt| there over
-    max(1, nu) for collinear entries, None for the closed forms.
+    max(1, nu) for collinear entries, None for the closed forms.  A ``nu``
+    that is negative or NaN raises DomainError.
     """
 
     nu: float
@@ -66,13 +69,12 @@ class CriticalValue:
     w: tuple[float, float] | None = None
     detail: str = ""
     multiplicity: int = 1
-    physical: bool = True
     residual: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        if self.physical and self.nu < 0:
+        if not self.nu >= 0:
             raise DomainError("critical nu must be nonnegative")
 
     def shape(self) -> Shape:
@@ -124,19 +126,20 @@ def nu_diabolic(system: BodySystem) -> CriticalValue:
 
     nu = (1/2) (sum over pairs of a_ij sqrt(mu_ij))^2 with mu_ij the pairwise
     reduced masses; equals (1/2) Mt_k Vt^2 there for either in-plane axis.
-    Vt(0, 0) is -sqrt(2) times that sum, so the entry is non-physical unless
-    the sum is positive: otherwise the centre is never admissible at nu > 0.
+    Vt(0, 0) is -sqrt(2) times that sum; where it is not negative, the centre
+    is never admissible at nu > 0 and UnsupportedFamilyError is raised.
     """
     total = 0.0
     for pair in reversed(pair_geometry(system)):  # this order sets the last bit
         total += pair.alpha * math.sqrt(pair.mu)
+    if not total > 0.0:
+        raise UnsupportedFamilyError("no diabolic critical value: Vt(0, 0) >= 0")
     return CriticalValue(
         nu=0.5 * total * total,
         family="diabolic",
         axis=1,
         w=(0.0, 0.0),
         detail="in-plane moments degenerate (Mt1 = Mt2 = 1/2)",
-        physical=total > 0.0,
     )
 
 
@@ -294,7 +297,7 @@ def _collinear_polynomials(
     distance ratio, and I is the moment of inertia.  With A = V x(1+x) and
     B = V' x^2 (1+x)^2, both quadratics, P = 1/2 I' A x(1+x) + I B is
     Euler's collinear quintic with signed couplings: for nu = 1/2 I V^2,
-    dnu/dx = V P/(x^2 (1+x)^2).  The roots of A are the V = 0 points.
+    dnu/dx = V P/(x^2 (1+x)^2), and V has the sign of A.
 
     A power series in t = x/(1+x) would blur roots next to t = 1 into
     rounding; in x both collisions sit where a coefficient is exact: t -> 0
@@ -368,38 +371,35 @@ def _roots_in_unit_interval(c: list[float]) -> list[float]:
 
 
 def collinear_configs(system: BodySystem) -> list[CriticalValue]:
-    """Critical points of nu along the three collinear orderings.
+    """Collinear relative equilibria along the three collinear orderings.
 
     Bodies (i, j, k) sit at (0, x, 1 + x), or at (0, t, 1) with
     t = x/(1+x).  The critical points are the real roots x > 0 of Euler's
-    quintic P and of the quadratic A = V x(1+x), polished by Newton steps,
-    with no search grid.  At every root, of either polynomial, ``_polyval``
-    reads A and P, and from them nu = 1/2 I V^2 with V = A/(x(1+x)) and the
-    ``residual`` |dnu/dt| = |V P|/x^2 over max(1, nu).  Points where the
-    potential is not strictly negative (the roots of A among them) carry no
-    relative equilibrium (the required spin rate would be imaginary); they
-    are returned flagged non-physical and skipped by the catalog, or left
-    out where nu is not finite.  A physical root whose nu is not finite is
-    kept, and the catalog raises DomainError on it.
+    quintic P, polished by Newton steps, with no search grid.  At each
+    root ``_polyval`` reads A = V x(1+x); a root is kept only where
+    A < -1e-9 of its scale, for where the potential is not strictly
+    negative there is no relative equilibrium (the required spin rate would
+    be imaginary).  From A and P come nu = 1/2 I V^2 with V = A/(x(1+x))
+    and the ``residual`` |dnu/dt| = |V P|/x^2 over max(1, nu).  A kept root
+    whose nu is not finite stays, and the catalog raises DomainError on it.
     """
     out = []
     for middle in (1, 2, 3):
         i, k = [b for b in (1, 2, 3) if b != middle]
         order = (i, middle, k)
         quintic, quad, scale, iw = _collinear_polynomials(system, order)
-        for x in _roots_in_unit_interval(quintic) + _roots_in_unit_interval(quad):
-            a, p = _polyval(quad, x), _polyval(quintic, x)
+        for x in _roots_in_unit_interval(quintic):
+            a = _polyval(quad, x)
+            if not a < -1e-9 * _polyval(scale, x):
+                continue
             v = a / (x * (1.0 + x))
             nu = 0.5 * _polyval(iw, x) * v * v
-            residual = abs(v * p / x / x) / max(1.0, nu)
-            physical = a < -1e-9 * _polyval(scale, x)
-            if not (physical or math.isfinite(nu)):
-                continue
-            out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual, physical))
+            residual = abs(v * _polyval(quintic, x) / x / x) / max(1.0, nu)
+            out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual))
     return sorted(out, key=lambda cv: cv.nu)
 
 
-def _collinear_entry(system: BodySystem, order, t, nu, residual, physical) -> CriticalValue:
+def _collinear_entry(system: BodySystem, order, t, nu, residual) -> CriticalValue:
     """Entry for bodies ``order`` at (0, t, 1), a point of the disk's rim."""
     x = np.zeros((3, 3))
     x[[b - 1 for b in order], 0] = (0.0, t, 1.0)
@@ -411,15 +411,12 @@ def _collinear_entry(system: BodySystem, order, t, nu, residual, physical) -> Cr
         raise DomainError("collinear moment of inertia underflows; rescale the system")
     w1, w2 = w.w1 / omega, w.w2 / omega
     detail = f"order={order} t={t:.12g} psi_deg={math.degrees(math.atan2(w2, w1)):.6f}"
-    if not physical:
-        detail += " nonphysical(V>=0)"
     return CriticalValue(
         nu=nu,
         family="collinear",
         axis=None,  # rotation axis degenerate: Mt2 = Mt3 on the boundary
         w=(w1, w2),
         detail=detail,
-        physical=physical,
         residual=residual,
     )
 
@@ -569,21 +566,19 @@ def _is_relative_equilibrium(
 def critical_catalog(system: BodySystem) -> list[CriticalValue]:
     """Sorted catalog of all critical values, merged within 1e-9 absolute.
 
-    The closed-form families are used where they apply; families that do not
-    exist for the system (e.g. Lagrange with mixed-sign couplings) are
-    silently absent.  Non-physical diabolic and collinear entries are excluded.
+    Each interior closed form is listed where it applies and silently absent
+    where it raises UnsupportedFamilyError: the diabolic value where
+    Vt(0, 0) >= 0, Lagrange without gravitational couplings, Langmuir
+    without a symmetric like pair.
     """
     entries: list[CriticalValue] = [CriticalValue(0.0, "zero", detail="energy sign change")]
     entries.extend(nu_infinity(system))
-    diabolic = nu_diabolic(system)
-    if diabolic.physical:
-        entries.append(diabolic)
-    for closed_form in (nu_lagrange, nu_langmuir):
+    for closed_form in (nu_diabolic, nu_lagrange, nu_langmuir):
         try:
             entries.append(closed_form(system))
         except UnsupportedFamilyError:
             pass
-    entries.extend(cv for cv in collinear_configs(system) if cv.physical)
+    entries.extend(collinear_configs(system))
 
     order = {fam: i for i, fam in enumerate(FAMILIES)}
     entries.sort(key=lambda cv: (cv.nu, order[cv.family]))

@@ -32,7 +32,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import check_index
+from .errors import DomainError, check_index
 from .hill import class_codes, moments, shape_value, shape_value_bounds
 from .systems import BodySystem
 
@@ -299,11 +299,11 @@ def render(obj, fmt: str) -> bytes:
             return _scan_ppm(obj)
         if fmt == "csv":
             return _scan_csv(obj)
-        raise ValueError(f"unsupported scan format {fmt!r}")
+        raise DomainError(f"unsupported scan format {fmt!r}")
     if isinstance(obj, ContourGrid):
         if fmt == "csv":
             return _grid_csv(obj)
-        raise ValueError(f"unsupported grid format {fmt!r}")
+        raise DomainError(f"unsupported grid format {fmt!r}")
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 

@@ -77,6 +77,11 @@ class BodySystem:
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "pairs", _pair_table(self))
+        for pair in self.pairs:
+            if pair.mu == 0.0:
+                raise DomainError(
+                    f"reduced mass of pair ({pair.i},{pair.j}) rounds to 0; rescale the system"
+                )
 
     def pair_reduced_mass(self, i: int, j: int) -> float:
         """Reduced mass m_i*m_j/(m_i+m_j) of bodies i, j (1-based)."""

@@ -593,8 +593,9 @@ def oracle_find_critical_shapes(system: BodySystem, k: int, seeds: int = 64):
 
 
 # The collinear family as it was when the Newton polish ran on arrays with
-# numpy's polyval: the bit-for-bit reference for collinear_configs, with
-# numpy's warnings on extreme systems silenced.
+# numpy's polyval, and when the roots of the V = 0 quadratic A were solved
+# beside Euler's quintic: the bit-for-bit reference for collinear_configs,
+# with numpy's warnings on extreme systems silenced.
 
 
 def _oracle_roots_in_unit_interval(c):
@@ -617,7 +618,11 @@ def _oracle_roots_in_unit_interval(c):
     return x[inside].tolist(), value[inside].tolist()
 
 
-def oracle_collinear_configs(system: BodySystem):
+def oracle_collinear_roots(system: BodySystem, quadratic: bool = False):
+    """(order, x, A(x), P(x), I(x), physical) at each polished root x of
+    Euler's quintic P, or of A where ``quadratic``, per ordering; a root is
+    physical where A is below zero by more than 1e-9 of its scale."""
+
     def at(c, x):
         with np.errstate(all="ignore"):
             return float(P.polyval(x, c))
@@ -627,17 +632,21 @@ def oracle_collinear_configs(system: BodySystem):
         i, k = [b for b in (1, 2, 3) if b != middle]
         order = (i, middle, k)
         quintic, quad, scale, iw = (np.array(c) for c in _collinear_polynomials(system, order))
-        (x5, p5), (x2, a2) = (_oracle_roots_in_unit_interval(c) for c in (quintic, quad))
-        roots = [(x, at(quad, x), p) for x, p in zip(x5, p5)]
-        roots += [(x, a, at(quintic, x)) for x, a in zip(x2, a2)]
-        for x, a, p in roots:
+        xs, values = _oracle_roots_in_unit_interval(quad if quadratic else quintic)
+        for x, value in zip(xs, values):
+            a, p = (value, at(quintic, x)) if quadratic else (at(quad, x), value)
+            out.append((order, x, a, p, at(iw, x), a < -1e-9 * at(scale, x)))
+    return out
+
+
+def oracle_collinear_configs(system: BodySystem):
+    out = []
+    for order, x, a, p, inertia, physical in oracle_collinear_roots(system):
+        if physical:
             v = a / (x * (1.0 + x))
-            nu = 0.5 * at(iw, x) * v * v
+            nu = 0.5 * inertia * v * v
             residual = abs(v * p / x / x) / max(1.0, nu)
-            physical = a < -1e-9 * at(scale, x)
-            if not (physical or math.isfinite(nu)):
-                continue
-            out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual, physical))
+            out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual))
     return sorted(out, key=lambda cv: cv.nu)
 
 

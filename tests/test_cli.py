@@ -231,10 +231,10 @@ def test_critical_rejects_an_underflowing_moment_of_inertia(tmp_path):
     path = tmp_path / "tiny.sys"
     path.write_text("masses 5e-324 5e-324 5e-324\nalphas 2 1 -1\n")
     proc = run_fresh("critical", "--system", str(path))
-    assert proc.returncode == 1
+    assert proc.returncode == 2  # a malformed system
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        "error: collinear moment of inertia underflows; rescale the system"
+        "error: reduced mass of pair (1,2) rounds to 0; rescale the system"
     ]
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -27,7 +27,13 @@ from trihill.errors import DomainError, TrihillError, UnsupportedFamilyError
 from trihill.hill import shape_eval, v_tilde
 from trihill.systems import BodySystem, gravitational
 
-from conftest import forbid, oracle_collinear_configs, oracle_find_critical_shapes
+from conftest import (
+    count_calls,
+    forbid,
+    oracle_collinear_configs,
+    oracle_collinear_roots,
+    oracle_find_critical_shapes,
+)
 
 
 GRAVITY_PRINTED = [
@@ -177,7 +183,7 @@ def test_langmuir_shape_positions(helium):
 
 
 def test_collinear_gravity(gravity):
-    vals = [cv for cv in collinear_configs(gravity) if cv.physical]
+    vals = collinear_configs(gravity)
     assert len(vals) == 3
     assert [cv.nu for cv in vals] == pytest.approx(
         [18.56904438, 19.12865697, 19.44296212], rel=1e-6
@@ -187,7 +193,7 @@ def test_collinear_gravity(gravity):
 def test_collinear_symmetric_closed_form(helium, eep):
     # middle body 3 with m1 = m2 and a1 = a2: nu = m1 (4 a1 + a3)^2 / 4
     for system, want in ((helium, 49.0 / 4.0), (eep, 9.0 / 4.0)):
-        vals = [cv for cv in collinear_configs(system) if cv.physical]
+        vals = collinear_configs(system)
         assert len(vals) == 1
         m1 = system.masses[0]
         a1, _, a3 = system.alphas
@@ -206,7 +212,7 @@ def test_collinear_symmetric_random_systems():
         system = BodySystem((m1, m1, m3), (a1, a1, a3))
         closed = 0.25 * m1 * (4 * a1 + a3) ** 2
         best = min(
-            (abs(cv.nu - closed) for cv in collinear_configs(system) if cv.physical),
+            (abs(cv.nu - closed) for cv in collinear_configs(system)),
             default=math.inf,
         )
         assert best < 1e-9 * max(1.0, closed)
@@ -215,20 +221,28 @@ def test_collinear_symmetric_random_systems():
 def test_collinear_euler_angles(gravity):
     # boundary polar angles of the three Euler configurations
     angles = sorted(
-        math.degrees(math.atan2(cv.w[1], cv.w[0]))
-        for cv in collinear_configs(gravity)
-        if cv.physical
+        math.degrees(math.atan2(cv.w[1], cv.w[0])) for cv in collinear_configs(gravity)
     )
     assert angles == pytest.approx([-121.3, -18.9, 117.3], abs=0.2)
 
 
 def test_collinear_drops_zero_potential_artifacts(helium, eep):
-    # orderings with an electron in the middle only give the V = 0 minimum,
-    # which is not a relative equilibrium and must be flagged out
+    # orderings with an electron in the middle only reach the V = 0 minimum,
+    # a root of A, which is not a relative equilibrium: only the ordering
+    # with the nucleus in the middle is listed
     for system in (helium, eep):
-        flagged = [cv for cv in collinear_configs(system) if not cv.physical]
-        for cv in flagged:
-            assert cv.nu == pytest.approx(0.0, abs=1e-12)
+        (cv,) = collinear_configs(system)
+        assert cv.detail.startswith("order=(1, 3, 2) ")
+        zeros = oracle_collinear_roots(system, quadratic=True)
+        assert {order for order, *_ in zeros} == {(2, 1, 3), (1, 2, 3)}
+        assert not any(physical for *_, physical in zeros)
+
+
+def test_collinear_solves_only_the_quintic(monkeypatch, gravity):
+    # one polynomial per ordering: the roots of A have V = 0 and never count
+    calls = count_calls(monkeypatch, critical._roots_in_unit_interval)
+    collinear_configs(gravity)
+    assert len(calls) == 3
 
 
 def oracle_collinear_terms(system, order, t):
@@ -283,7 +297,7 @@ def test_collinear_roots_next_to_a_collision():
         near = [
             cv
             for cv in collinear_configs(base.permuted(perm))
-            if cv.physical and abs(cv.nu - 4.0 / 3.0) < 1e-6
+            if abs(cv.nu - 4.0 / 3.0) < 1e-6
         ]
         assert len(near) == 2
         for cv in near:
@@ -296,7 +310,7 @@ def test_collinear_zero_couplings():
     # collinear configuration; the remaining roots match the dense scan
     for alphas in ((1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 1), (2, -1, 0), (0, 0, 0)):
         system = BodySystem((1, 2, 3), alphas)
-        got = sorted(cv.nu for cv in collinear_configs(system) if cv.physical)
+        got = sorted(cv.nu for cv in collinear_configs(system))
         assert got == pytest.approx(oracle_collinear_physical_nus(system), rel=1e-9)
         assert all(cv.residual <= 1e-9 for cv in collinear_configs(system))
 
@@ -330,7 +344,6 @@ def test_collinear_double_root():
         ]
         assert hits
         for cv in hits:
-            assert cv.physical
             assert "order=(1, 2, 3)" in cv.detail
             assert cv.nu == pytest.approx(want, rel=1e-12)
 
@@ -343,9 +356,24 @@ def _bits(entries):
     return [repr(cv) for cv in entries]
 
 
+def _no_physical_zero_of_a(system):
+    """Whether no root of the V = 0 quadratic A passes the physical test; a
+    system whose polynomials or roots of A overflow has none."""
+    try:
+        zeros = oracle_collinear_roots(system, quadratic=True)
+    except DomainError:
+        return True
+    return not any(physical for *_, physical in zeros)
+
+
+# The bit-identity properties run without hypothesis's shrink phase: it
+# re-runs whole catalogs and searches, so a broken bit would take minutes
+# to report.
+_NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
 
 @pytest.mark.parametrize("signs", _SIGNS)
-@settings(max_examples=12, deadline=None, derandomize=True)
+@settings(max_examples=12, deadline=None, derandomize=True, phases=_NO_SHRINK)
 @given(
     masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
     magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
@@ -353,11 +381,11 @@ def _bits(entries):
 def test_collinear_property(signs, masses, magnitudes):
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
     entries = collinear_configs(system)
-    assert all(type(cv.nu) is float and type(cv.physical) is bool for cv in entries)
+    assert all(type(cv.nu) is float for cv in entries)
     assert _bits(entries) == _bits(oracle_collinear_configs(system))
-    got = [cv.nu for cv in entries if cv.physical]
-    assert got == pytest.approx(oracle_collinear_physical_nus(system), rel=1e-9)
+    assert _no_physical_zero_of_a(system)
     base = [cv.nu for cv in entries]
+    assert base == pytest.approx(oracle_collinear_physical_nus(system), rel=1e-9)
     catalog = [cv.nu for cv in critical_catalog(system)]
     for perm in itertools.permutations((1, 2, 3)):
         swapped = system.permuted(perm)
@@ -375,7 +403,7 @@ def test_collinear_matches_array_polish_oracle_on_presets(all_systems):
 _LOG_UNIFORM = st.tuples(*[st.floats(-300.0, 300.0).map(lambda e: 10.0**e)] * 3)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True, phases=_NO_SHRINK)
 @given(
     masses=_LOG_UNIFORM,
     magnitudes=_LOG_UNIFORM,
@@ -401,6 +429,7 @@ def test_log_uniform_systems(masses, magnitudes, signs):
                 collinear_configs(system)
         else:
             assert _bits(collinear_configs(system)) == want
+        assert _no_physical_zero_of_a(system)
         try:
             catalog = critical_catalog(system)
         except DomainError:
@@ -452,7 +481,7 @@ def test_find_critical_shapes_matches_full_batch_oracle_on_presets(all_systems):
 
 
 @pytest.mark.parametrize("signs", _SIGNS)
-@settings(max_examples=2, deadline=None, derandomize=True)
+@settings(max_examples=2, deadline=None, derandomize=True, phases=_NO_SHRINK)
 @given(
     masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
     magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
@@ -551,6 +580,8 @@ def test_critical_value_validation():
         CriticalValue(1.0, "nonsense")
     with pytest.raises(ValueError):
         CriticalValue(-0.5, "lagrange")
+    with pytest.raises(DomainError):
+        CriticalValue(math.nan, "zero")
 
 
 @pytest.mark.parametrize("signs", _SIGNS)
@@ -667,7 +698,7 @@ def test_catalog_rejects_an_overflowing_companion_matrix_without_a_warning():
     ],
 )
 def test_catalog_rejects_an_underflowing_moment_of_inertia(masses, alphas):
-    # the collinear moment of inertia of these subnormal masses rounds to 0
+    # a pair's reduced mass of these subnormal masses rounds to 0
     with pytest.raises(DomainError, match="rescale the system"):
         critical_catalog(BodySystem(masses, alphas))
 

@@ -137,7 +137,7 @@ def test_render_csv_roundtrip(helium):
 
 def test_render_rejects_unknown_format(gravity):
     scan = scan_disk(gravity, 1.0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         render(scan, "png")
 
 

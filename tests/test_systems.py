@@ -84,6 +84,9 @@ def test_mass_validation():
         BodySystem((1.0, -1.0, 1.0), (1, 1, 1))
     with pytest.raises(ValueError):
         BodySystem((1.0, 0.0, 1.0), (1, 1, 1))
+    # the reduced mass of the pair (1,3), 5e-324/2, rounds to 0
+    with pytest.raises(DomainError, match=r"pair \(1,3\) rounds to 0; rescale the system"):
+        BodySystem((5e-324, 1e-323, 5e-324), (1.0, -1.0, -1.0))
 
 
 def test_gravitational_factory():

@@ -138,7 +138,8 @@ def test_nonphysical_diabolic_value_is_omitted():
 
     system = BodySystem((1.0, 2.0, 3.0), (1.0, -2.0, 0.5))
     assert v_tilde(system, 0.0, 0.0) == pytest.approx(0.3229461351, rel=1e-9)
-    assert not nu_diabolic(system).physical
+    with pytest.raises(UnsupportedFamilyError):
+        nu_diabolic(system)
     assert "diabolic" not in [cv.family for cv in critical_catalog(system)]
     report = verify_all(system, deep=False)
     assert report.ok, "\n" + "\n".join(c.line() for c in report.checks if not c.passed)
