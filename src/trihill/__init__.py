@@ -2,7 +2,6 @@
 three-body systems."""
 
 from .coords import (
-    Distances,
     DragtCoords,
     JacobiShapeCoords,
     Shape,

@@ -22,16 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CollinearError,
-    DomainError,
-    InternalConsistencyError,
-    TripleCollisionError,
-    check_finite,
-)
+from .errors import CollinearError, DomainError, TripleCollisionError, check_finite
 from .systems import BodySystem, Pair, jacobi_frame
-
-RADICAND_CLAMP = 1e-12  # negative squared distances beyond this are a bug
 
 
 @dataclass(frozen=True)
@@ -47,6 +39,9 @@ class JacobiShapeCoords:
             check_finite(name, getattr(self, name))
         if self.rho1 < 0 or self.rho2 < 0:
             raise DomainError("rho1, rho2 must be nonnegative")
+        # a product overflows to inf where ``**`` raises OverflowError
+        if not math.isfinite(self.rho1 * self.rho1 + self.rho2 * self.rho2):
+            raise DomainError(f"rho1^2 + rho2^2 overflows at ({self.rho1}, {self.rho2})")
         if not -1e-12 <= self.phi <= math.pi + 1e-12:
             raise DomainError(f"phi must lie in [0, pi], got {self.phi}")
 
@@ -62,6 +57,8 @@ class WCoords:
             check_finite(name, getattr(self, name))
         if self.w3 < 0:
             raise DomainError("w3 must be nonnegative")
+        if not math.isfinite(self.w1 * self.w1 + self.w2 * self.w2 + self.w3 * self.w3):
+            raise DomainError(f"|w|^2 overflows at ({self.w1}, {self.w2}, {self.w3})")
 
     @property
     def norm(self) -> float:
@@ -84,13 +81,6 @@ class DragtCoords:
             raise DomainError(f"chi must lie in [0, pi/2], got {self.chi}")
         if not 0 <= self.psi < 2 * math.pi:
             raise DomainError(f"psi must lie in [0, 2 pi), got {self.psi}")
-
-
-@dataclass(frozen=True)
-class Distances:
-    r12: float
-    r13: float
-    r23: float
 
 
 @dataclass(frozen=True)
@@ -268,36 +258,41 @@ def pair_geometry(system: BodySystem) -> tuple[Pair, Pair, Pair]:
 
         r_ij^2 = (omega - w1 cos psi_ij - w2 sin psi_ij) / (2 mu_ij)
 
-    which vanishes exactly on the collision ray of the pair.
+    which vanishes exactly on the collision ray of the pair; ``_pair_term``
+    writes it, at omega = 1.
     """
     return system.pairs
 
 
-def _distances_polar(system: BodySystem, omega: float, rho2d: float, theta: float) -> Distances:
-    """Distances from the polar form of the affine pair expressions.
+def _pair_term(pair, w1, w2):
+    """One pair's squared distance at disk points (w1, w2),
 
-    r_pq^2 = (omega - rho2d cos(theta - psi_pq)) / (2 mu_pq), where rho2d is
-    the in-plane part of w and theta its polar angle.  The angle difference
-    keeps the radicand exact on the collision rays (no cancellation).
-    """
-    out = []
-    for pair in pair_geometry(system):
-        r2 = (omega - rho2d * math.cos(theta - pair.psi)) / (2.0 * pair.mu)
-        if r2 < -RADICAND_CLAMP * max(omega, 1.0):
-            raise InternalConsistencyError(f"negative squared distance {r2}")
-        out.append(math.sqrt(max(r2, 0.0)))
-    return Distances(*out)  # order: (1,2), (1,3), (2,3)
+        r^2 = (1 - w1 cos psi - w2 sin psi)/(2 mu),
+
+    affine in w, and its share a/r of -Vt; collision points give signed
+    infinities (callers silence numpy's divide and invalid warnings).
+
+    Every float operation here is monotone in each input, which
+    ``shape_value_bounds`` relies on; keep it so."""
+    r2 = (1.0 - w1 * pair.cos - w2 * pair.sin) / (2.0 * pair.mu)
+    return r2, pair.alpha / np.sqrt(r2)
 
 
-def distances_from_w(system: BodySystem, w: WCoords) -> Distances:
-    rho2d = math.hypot(w.w1, w.w2)
-    theta = math.atan2(w.w2, w.w1) if rho2d > 0.0 else 0.0
-    return _distances_polar(system, w.norm, rho2d, theta)
+def distances_from_w(system: BodySystem, w: WCoords) -> tuple[float, float, float]:
+    """Pair distances (r12, r13, r23), the order of ``system.pairs``:
+    ``_pair_term``'s r^2 at the unit-size point w/omega, scaled by omega,
+    with rounding below 0 clamped to 0; zeros at the triple collision."""
+    omega = w.norm
+    if omega == 0.0:
+        return 0.0, 0.0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = [omega * _pair_term(p, w.w1 / omega, w.w2 / omega)[0] for p in system.pairs]
+    return tuple(math.sqrt(max(x, 0.0)) for x in r2)
 
 
-def distances_from_dragt(system: BodySystem, d: DragtCoords) -> Distances:
-    return _distances_polar(system, d.omega, d.omega * math.cos(d.chi), d.psi)
+def distances_from_dragt(system: BodySystem, d: DragtCoords) -> tuple[float, float, float]:
+    return distances_from_w(system, w_from_dragt(d))
 
 
-def distances_from_jacobi(system: BodySystem, j: JacobiShapeCoords) -> Distances:
+def distances_from_jacobi(system: BodySystem, j: JacobiShapeCoords) -> tuple[float, float, float]:
     return distances_from_w(system, w_from_jacobi(j))

@@ -20,10 +20,6 @@ class CollinearError(TrihillError, ValueError):
     """Raised at collinear configurations, where the rotational reduction is singular."""
 
 
-class InternalConsistencyError(TrihillError, RuntimeError):
-    """Raised when intermediate values violate an internal bound (beyond rounding)."""
-
-
 class UnsupportedFamilyError(TrihillError, ValueError):
     """Raised when a closed-form critical-value family does not apply to a system."""
 

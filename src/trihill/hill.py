@@ -20,7 +20,8 @@ caps around the axis-3 poles, a band (ring), or the full sphere, with
 transitions exactly at nu = (1/2) Mt_k Vt^2 for k = 3, 2, 1.
 
 Vt comes from the system's pair table in two forms that share one per-pair
-term: ``shape_value`` (Vt alone, for membership, classes, scans and contour
+term, ``coords._pair_term``, the one place that writes the disk distance
+rule: ``shape_value`` (Vt alone, for membership, classes, scans and contour
 grids, with ``shape_value_bounds`` bounding it over pixel blocks) and
 ``shape_kernel`` (Vt with its gradient and Hessian, which only
 the critical-shape search's Newton steps read).
@@ -34,7 +35,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .coords import Shape, pair_geometry
+from .coords import Shape, _pair_term, pair_geometry
 from .errors import DomainError, check_finite, check_unit
 from .systems import BodySystem
 
@@ -67,20 +68,6 @@ class HillMembership:
     discriminant: float
     lambda_minus: float | None = None
     lambda_plus: float | None = None
-
-
-def _pair_term(pair, w1, w2):
-    """One pair's squared distance at disk points (w1, w2),
-
-        r^2 = (1 - w1 cos psi - w2 sin psi)/(2 mu),
-
-    affine in w, and its share a/r of -Vt; collision points give signed
-    infinities (callers silence numpy's divide and invalid warnings).
-
-    Every float operation here is monotone in each input, which
-    ``shape_value_bounds`` relies on; keep it so."""
-    r2 = (1.0 - w1 * pair.cos - w2 * pair.sin) / (2.0 * pair.mu)
-    return r2, pair.alpha / np.sqrt(r2)
 
 
 def shape_value(system: BodySystem, w1, w2):

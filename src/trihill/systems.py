@@ -83,10 +83,6 @@ class BodySystem:
                     f"reduced mass of pair ({pair.i},{pair.j}) rounds to 0; rescale the system"
                 )
 
-    def pair_reduced_mass(self, i: int, j: int) -> float:
-        """Reduced mass m_i*m_j/(m_i+m_j) of bodies i, j (1-based)."""
-        return self.pairs[i + j - 3].mu
-
     def pair_coupling(self, i: int, j: int) -> float:
         """Coupling constant of the pair (i, j) (1-based)."""
         k = 6 - i - j
@@ -117,7 +113,8 @@ def jacobi_frame(system: BodySystem) -> JacobiFrame:
 
 def _pair_table(system: BodySystem) -> tuple[Pair, Pair, Pair]:
     """The pair table: the one place that derives a pair's reduced mass,
-    collision angle and its cosine and sine (see ``coords.pair_geometry``).
+    collision angle and its cosine and sine (see ``coords.pair_geometry``),
+    which ``coords._pair_term`` turns into pair distances and Vt terms.
 
     In (-pi, pi], psi12 = 2 atan2(sqrt(mu1 mu2), m1),
     psi23 = -2 atan2(sqrt(mu1 mu2), m3) and the (1,3) collision is at pi.

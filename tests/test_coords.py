@@ -67,6 +67,8 @@ def test_jacobi_from_w_examples():
     j = jacobi_from_w(WCoords(1, 0, 0))
     assert (j.rho1, j.rho2, j.phi) == (1, 0, 0)
     assert j.degenerate
+    # the largest sizes whose squares are floats still convert
+    assert jacobi_from_w(WCoords(1e154, 0, 0)).rho1 == pytest.approx(1e77, rel=1e-15)
 
 
 def test_dragt_examples():
@@ -110,38 +112,43 @@ def test_roundtrips_random():
 
 def test_distances_match_position_oracle(all_systems):
     rng = np.random.default_rng(11)
-    for system in all_systems.values():
+    systems = list(all_systems.values())
+    for _ in range(20):
+        masses = tuple(10.0 ** rng.uniform(-3.0, 3.0, 3))
+        systems.append(BodySystem(masses, tuple(rng.uniform(-2.0, 2.0, 3))))
+    for system in systems:
         for _ in range(300):
             rho1, rho2 = rng.uniform(0.1, 3.0, 2)
             phi = rng.uniform(0.01, math.pi - 0.01)
             got = distances_from_jacobi(system, JacobiShapeCoords(rho1, rho2, phi))
-            r12, r13, r23 = oracle_distances(oracle_positions(system, rho1, rho2, phi))
-            assert got.r12 == pytest.approx(r12, rel=1e-10, abs=1e-12)
-            assert got.r13 == pytest.approx(r13, rel=1e-10, abs=1e-12)
-            assert got.r23 == pytest.approx(r23, rel=1e-10, abs=1e-12)
+            want = oracle_distances(oracle_positions(system, rho1, rho2, phi))
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_distances_helium_diabolic(helium):
     # perpendicular equal-length Jacobi vectors at I = 1
-    d = distances_from_dragt(helium, DragtCoords(1.0, math.pi / 2, 0.0, degenerate=True))
-    assert d.r12 == pytest.approx(1.0, rel=1e-12)
+    diabolic = DragtCoords(1.0, math.pi / 2, 0.0, degenerate=True)
+    r12, r13, r23 = distances_from_dragt(helium, diabolic)
+    assert r12 == pytest.approx(1.0, rel=1e-12)
     # frozen from sqrt((m1+m3)/(m1*m3))/sqrt(2)
-    assert d.r13 == pytest.approx(0.7071552808581452, rel=1e-12)
-    assert d.r23 == pytest.approx(0.7071552808581452, rel=1e-12)
+    assert r13 == pytest.approx(0.7071552808581452, rel=1e-12)
+    assert r23 == pytest.approx(0.7071552808581452, rel=1e-12)
 
 
 def test_distances_equal_masses_diabolic(eep):
-    d = distances_from_dragt(eep, DragtCoords(1.0, math.pi / 2, 0.0, degenerate=True))
-    assert d.r12 == pytest.approx(d.r13, rel=1e-14)
-    assert d.r13 == pytest.approx(d.r23, rel=1e-14)
+    r12, r13, r23 = distances_from_dragt(eep, DragtCoords(1.0, math.pi / 2, 0.0, degenerate=True))
+    assert r12 == pytest.approx(r13, rel=1e-14)
+    assert r13 == pytest.approx(r23, rel=1e-14)
 
 
 def test_collision_loci_have_zero_distance(all_systems):
+    # The affine rule's r^2 carries rounding: on a collision ray it lies
+    # within 2 eps/(2 mu) of 0, so r, its root, need not be below 1e-10.
+    eps = np.finfo(float).eps
     for system in all_systems.values():
-        psi12, psi23, psi13 = collision_angles(system)
-        for psi, attr in ((psi12, "r12"), (psi23, "r23"), (psi13, "r13")):
-            d = distances_from_dragt(system, DragtCoords(1.0, 0.0, psi % (2 * math.pi)))
-            assert getattr(d, attr) < 1e-10
+        for k, pair in enumerate(system.pairs):
+            r = distances_from_dragt(system, DragtCoords(1.0, 0.0, pair.psi % (2 * math.pi)))[k]
+            assert r * r * 2.0 * pair.mu <= 2.0 * eps
 
 
 def test_collision_angles_printed_values(helium, eep, gravity):
@@ -164,8 +171,7 @@ def test_triangle_inequality(all_systems):
             j = JacobiShapeCoords(
                 rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0, math.pi)
             )
-            d = distances_from_jacobi(system, j)
-            r12, r13, r23 = d.r12, d.r13, d.r23
+            r12, r13, r23 = distances_from_jacobi(system, j)
             tol = 1e-10 * max(r12, r13, r23)
             assert r12 + r13 >= r23 - tol
             assert r12 + r23 >= r13 - tol
@@ -272,6 +278,14 @@ _OUT_OF_DOMAIN = {
     "nan omega": lambda: DragtCoords(math.nan, 0.5, 1.0),
     "chi above pi/2": lambda: DragtCoords(1.0, 2.0, 1.0),
     "psi of 2 pi": lambda: DragtCoords(1.0, 0.5, 2.0 * math.pi),
+    # finite sizes whose squares are not floats, where ``**2`` would raise
+    # a bare OverflowError inside the transform
+    "jacobi_from_w overflow": lambda: jacobi_from_w(WCoords(1e200, 1e200, 0.0)),
+    "w_from_jacobi overflow": lambda: w_from_jacobi(JacobiShapeCoords(1e100, 1e100, 1.0)),
+    "normalize_shape overflow": lambda: normalize_shape(JacobiShapeCoords(1e200, 1e200, 1.0)),
+    "distances_from_jacobi overflow": lambda: distances_from_jacobi(
+        preset("helium"), JacobiShapeCoords(1e160, 1e160, 1.0)
+    ),
 }
 
 

@@ -35,7 +35,7 @@ def test_pair_coupling_indexing():
     assert system.pair_coupling(1, 3) == 20.0
     assert system.pair_coupling(1, 2) == 30.0
     assert system.pair_coupling(3, 2) == 10.0
-    assert system.pair_reduced_mass(1, 2) == pytest.approx(2.0 / 3.0)
+    assert system.pairs[0].mu == pytest.approx(2.0 / 3.0)
 
 
 def test_pair_table(gravity):
@@ -43,7 +43,6 @@ def test_pair_table(gravity):
     table = pair_geometry(gravity)
     assert [(p.i, p.j) for p in table] == [(1, 2), (1, 3), (2, 3)]
     for p in table:
-        assert p.mu == gravity.pair_reduced_mass(p.i, p.j)
         assert p.alpha == gravity.pair_coupling(p.i, p.j)
         assert (p.cos, p.sin) == (math.cos(p.psi), math.sin(p.psi))
     assert collision_angles(gravity) == (table[0].psi, table[2].psi, table[1].psi)

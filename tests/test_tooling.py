@@ -6,12 +6,15 @@ breaks only the traced benchmark run, which no other test starts.  And the
 frame path must stay free of the derivative kernel, whose cost only a
 benchmark would show.  And the Jacobi chart's pair sum must stay one
 helper that every entry point of the chart reads, so that its operation
-order, which trajectories depend on to the last bit, is written once.  And
-verify's event checks must read Euler characteristics, not the component
-census, whose counts measure pixel noise as well as topology.  And the
-package must run on numpy alone: scipy serves the tests as a reference,
-and importing it would cost every command its start-up time and memory.
-And no exception handler of the package may catch every exception."""
+order, which trajectories depend on to the last bit, is written once.  So
+must the disk distance rule, ``coords._pair_term``: every pair distance and
+every Vt on the shape disk reads it, and a second copy would drift from the
+one that scans, bounds and searches depend on.  And verify's event checks
+must read Euler characteristics, not the component census, whose counts
+measure pixel noise as well as topology.  And the package must run on
+numpy alone: scipy serves the tests as a reference, and importing it would
+cost every command its start-up time and memory.  And no exception handler
+of the package may catch every exception."""
 
 import ast
 import os
@@ -21,7 +24,7 @@ import sys
 import pytest
 
 import trihill  # loads every submodule
-from trihill import hill, reduction, scan, systems, verify
+from trihill import coords, hill, reduction, scan, systems, verify
 from trihill.coords import Shape
 from trihill.critical import nu_langmuir
 
@@ -98,6 +101,21 @@ def test_jacobi_chart_pair_sum_is_written_once(monkeypatch, helium):
     ]
     for call in entry_points:
         with pytest.raises(AssertionError, match="_potential_and_grad_scalar was called"):
+            call()
+
+
+def test_disk_distance_rule_is_written_once(monkeypatch, helium):
+    forbid(monkeypatch, hill._pair_term)
+    entry_points = [
+        lambda: coords.distances_from_w(helium, coords.WCoords(0.1, 0.2, 0.5)),
+        lambda: coords.distances_from_dragt(helium, coords.DragtCoords(1.0, 0.5, 1.0)),
+        lambda: coords.distances_from_jacobi(helium, coords.JacobiShapeCoords(1.0, 0.5, 1.0)),
+        lambda: hill.shape_value(helium, 0.1, 0.2),
+        lambda: hill.shape_value_bounds(helium, [[0.1], [0.2]], [[0.2], [0.1]]),
+        lambda: hill.shape_kernel(helium, 0.1, 0.2),
+    ]
+    for call in entry_points:
+        with pytest.raises(AssertionError, match="_pair_term was called"):
             call()
 
 
