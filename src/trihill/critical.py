@@ -425,31 +425,39 @@ def _collinear_entry(system: BodySystem, order, t, nu, residual) -> CriticalValu
 # Generic search for non-collinear critical shapes
 
 
-def _sqrtmk_v_derivatives(system: BodySystem, k: int, W: np.ndarray):
-    """Gradient (g1, g2) and Hessian (h11, h12, h22) of f = sqrt(Mt_k) Vt at
-    disk points W (n, 2), stacked on the leading axis.
+def _sqrtmk_v_derivatives(system: BodySystem, k: int, w1, w2):
+    """Gradient rows (g1, g2) and Hessian rows (h11, h12, h22) of
+    f = sqrt(Mt_k) Vt at the disk points of the 1-D rows w1 and w2.
 
     With u = w/s and q1, q2 the s-derivatives of sqrt(Mt_k(s)), the radius adds
     q1 V u to grad V and q1 (u dV^T + dV u^T) + V (q2 u u^T + q1 (1 - u u^T)/s)
-    to Hess V.  Mt_3 is constant, so for k = 3 f is Vt.
+    to Hess V, written out per component on ``shape_kernel``'s rows in place;
+    h12 keeps its 0 * q1 V/s, which carries a NaN or a signed zero through.
+    Mt_3 is constant, so for k = 3 f is Vt.
     """
-    w = W.T
-    V, dV, d2V = shape_kernel(system, w[0], w[1])
-    s = np.hypot(w[0], w[1])
+    V, (g1, g2), (h11, h12, h22) = shape_kernel(system, w1, w2)
+    s = np.hypot(w1, w2)
     mk = moments(s)[k - 1]
     b = moments(1.0)[k - 1] - moments(0.0)[k - 1]  # Mt_k = a + b s
     sq = np.sqrt(mk)
     q1, q2 = b / (2.0 * sq), -b * b / (4.0 * mk * sq)
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
-    u = w * inv_s
-    i, j = [0, 0, 1], [0, 1, 1]  # (11, 12, 22) components
-    hess = (
-        sq * d2V
-        + q1 * (u[i] * dV[j] + u[j] * dV[i])
-        + (q2 - q1 * inv_s) * V * u[i] * u[j]
-        + np.array([[1.0], [0.0], [1.0]]) * (q1 * V * inv_s)
-    )
-    return sq * dV + q1 * V * u, hess
+    u1, u2 = w1 * inv_s, w2 * inv_s
+    qv, curv = q1 * V, (q2 - q1 * inv_s) * V
+    diag = qv * inv_s
+    for h, ui, uj, di, dj, e in (
+        (h11, u1, u1, g1, g1, 1.0),
+        (h12, u1, u2, g1, g2, 0.0),
+        (h22, u2, u2, g2, g2, 1.0),
+    ):
+        h *= sq
+        h += q1 * (ui * dj + uj * di)
+        h += curv * ui * uj
+        h += e * diag
+    for g, u in ((g1, u1), (g2, u2)):
+        g *= sq
+        g += qv * u
+    return g1, g2, h11, h12, h22
 
 
 def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]]:
@@ -459,85 +467,101 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     Multi-start damped Newton on the analytic gradient and Hessian from a
     SEARCH_SEEDS x SEARCH_SEEDS grid over the disk, excluding a 1e-3 margin
     at the collinear boundary and (for k = 1, 2) a 1e-3 disk around the
-    diabolic point where the moments are not differentiable.  Each iteration tries
-    the damped steps 1, 0.5, 0.25 and keeps a candidate only where it
-    strictly lowers |grad|^2.  A seed that none of them improves keeps its
-    point, gradient and Hessian, so it would try the same candidates on
-    every later iteration: it is a fixed point and leaves the iteration
-    there.  The loop ends after 80 iterations, when no seed is left, or
-    once every finite |grad|^2 is below 1e-26.  Candidates must pass the
-    relative-equilibrium residual test at 1e-6.  A k that is not an integer
-    in {1, 2, 3} raises DomainError.
+    diabolic point where the moments are not differentiable.  Each iteration
+    evaluates the damped steps 1, 0.5 and 0.25 of every live seed in one
+    kernel call and moves a seed to its first candidate of least |grad|^2
+    that is strictly below its own.  A seed that no candidate improves
+    would try the same candidates on every later iteration: it retires with
+    its point and |grad|^2, and the live seeds stay compacted.  The loop
+    ends after 80 iterations, when no seed is live, or once every finite
+    |grad|^2, retired seeds' included, is below 1e-26.  The seeds then go
+    back into seed order; those with |grad|^2 below 1e-22 and Vt not >= 0,
+    deduplicated within 1e-7 in that order, must pass the
+    relative-equilibrium residual test at 1e-6.  Hits hold Python floats.
+    A k that is not an integer in {1, 2, 3} raises DomainError.
     """
     k = check_index("principal axis index", k, 1, 3)
     margin, core = 1e-3, 1e-3
+    lim = 1.0 - margin
     ax = np.linspace(-1.0, 1.0, SEARCH_SEEDS + 2)[1:-1]
-    W = np.stack([g.ravel() for g in np.meshgrid(ax, ax, indexing="ij")], axis=1)
-    srad = np.hypot(W[:, 0], W[:, 1])
-    keep = srad < 1.0 - margin
+    w1, w2 = (g.ravel() for g in np.meshgrid(ax, ax, indexing="ij"))
+    srad = np.hypot(w1, w2)
+    keep = srad < lim
     if k != 3:
         keep &= srad > core
-    W = W[keep]
+    w1, w2 = w1[keep], w2[keep]
 
-    def newton_data(W):
-        g, h = _sqrtmk_v_derivatives(system, k, W)
-        return np.concatenate([g, h]), g[0] * g[0] + g[1] * g[1]
+    def newton_data(w1, w2):
+        D = _sqrtmk_v_derivatives(system, k, w1, w2)
+        return D, D[0] * D[0] + D[1] * D[1]
 
-    def candidates(W, D):
-        """The Newton steps damped by 1, 0.5 and 0.25 from points W with
-        Newton data D, stacked (3n, 2); a function so that its temporaries
-        are freed before the kernel call on three times as many points."""
+    def candidates(w1, w2, D):
+        """The Newton steps damped by 1, 0.5 and 0.25 from points (w1, w2)
+        with Newton rows D, as rows of 3n points, damping-major; a function
+        so that its temporaries are freed before the kernel call on them."""
         g1, g2, h11, h12, h22 = D
         det = h11 * h22 - h12 * h12
         bad = np.abs(det) < 1e-300
         det = np.where(bad, 1.0, det)
-        dx = (g1 * h22 - g2 * h12) / det
-        dy = (h11 * g2 - h12 * g1) / det
-        step = np.stack([np.where(bad, 0.0, dx), np.where(bad, 0.0, dy)], axis=1)
+        dx = np.where(bad, 0.0, (g1 * h22 - g2 * h12) / det)
+        dy = np.where(bad, 0.0, (h11 * g2 - h12 * g1) / det)
         # Clip long steps, then clamp to the rim and push off the core.
-        norm = np.linalg.norm(step, axis=1, keepdims=True)
-        step = step * np.where(norm > 0.1, 0.1 / np.maximum(norm, 1e-300), 1.0)
-        cand = (W - np.array([1.0, 0.5, 0.25])[:, None, None] * step).reshape(-1, 2)
-        srad = np.hypot(cand[:, 0], cand[:, 1])
-        lim = 1.0 - margin
+        norm = np.sqrt(dx * dx + dy * dy)
+        clip = np.where(norm > 0.1, 0.1 / np.maximum(norm, 1e-300), 1.0)
+        damp = np.array([[1.0], [0.5], [0.25]])
+        c1, c2 = (w1 - damp * (dx * clip)).ravel(), (w2 - damp * (dy * clip)).ravel()
+        srad = np.hypot(c1, c2)
         scale = np.where(srad > lim, lim / srad, 1.0)
-        cand = cand * scale[:, None]
+        c1 *= scale
+        c2 *= scale
         if k != 3:
-            srad = np.hypot(cand[:, 0], cand[:, 1])
+            srad = np.hypot(c1, c2)
             push = np.where(srad < core, core / np.maximum(srad, 1e-12), 1.0)
-            cand = cand * push[:, None]
-        return cand
+            c1 *= push
+            c2 *= push
+        return c1, c2
 
-    # Rows of D: g1, g2, h11, h12, h22, one column per seed.  Only the seeds
-    # in ``live`` move; their candidates go through the kernel in one call.
-    D, gn = newton_data(W)
-    live = np.arange(len(W))
+    def settled(gn):
+        return np.all(gn[np.isfinite(gn)] < 1e-26)
+
+    # The live seeds: points, Newton rows, |grad|^2 and seed index; retired
+    # seeds go to (W1, W2, GN) in seed order.
+    D, gn = newton_data(w1, w2)
+    idx = np.arange(len(w1))
+    W1, W2, GN = np.empty_like(w1), np.empty_like(w2), np.empty_like(gn)
+    retired_settled = True
     for _ in range(80):
-        cand = candidates(W[live], D[:, live])
-        Dc, gnc = newton_data(cand)
-        # pick: the stacked row of the best candidate, -1 where none is better.
-        n = len(live)
-        best_gn, pick = gn[live], np.full(n, -1)
+        c1, c2 = candidates(w1, w2, D)
+        Dc, gnc = newton_data(c1, c2)
+        # pick: the row of the best candidate, -1 where none is better.
+        n = len(idx)
+        best_gn, pick = gn, np.full(n, -1)
         for rows in np.arange(3 * n).reshape(3, n):
             better = gnc[rows] < best_gn
             best_gn = np.where(better, gnc[rows], best_gn)
             pick = np.where(better, rows, pick)
         moved = pick >= 0
-        live, pick = live[moved], pick[moved]
-        W[live], D[:, live], gn[live] = cand[pick], Dc[:, pick], gnc[pick]
-        if live.size == 0 or np.all(gn[np.isfinite(gn)] < 1e-26):
+        out = ~moved
+        W1[idx[out]], W2[idx[out]], GN[idx[out]] = w1[out], w2[out], gn[out]
+        retired_settled = retired_settled and settled(gn[out])
+        pick, idx = pick[moved], idx[moved]
+        w1, w2, gn = c1[pick], c2[pick], gnc[pick]
+        D = tuple(row[pick] for row in Dc)
+        if idx.size == 0 or (retired_settled and settled(gn)):
             break
+    W1[idx], W2[idx], GN[idx] = w1, w2, gn
 
-    W = W[np.isfinite(gn) & (gn < 1e-22)]
-    V = shape_value(system, W[:, 0], W[:, 1])
+    hit = np.isfinite(GN) & (GN < 1e-22)
+    W1, W2 = W1[hit], W2[hit]
+    V = shape_value(system, W1, W2)
     # Only shapes with Vt < 0 rotate at some nu; a NaN goes on to the tests.
     keep = ~(V >= 0.0)
     found: list[tuple[Shape, float]] = []
-    for (w1, w2), vt in zip(W[keep], V[keep].tolist()):
+    for w1, w2, vt in zip(W1[keep].tolist(), W2[keep].tolist(), V[keep].tolist()):
         if any(abs(w1 - s.w1) < 1e-7 and abs(w2 - s.w2) < 1e-7 for s, _ in found):
             continue
         srad = math.hypot(w1, w2)
-        if srad >= 1.0 - margin or (k != 3 and srad <= core):
+        if srad >= lim or (k != 3 and srad <= core):
             continue
         shape = Shape(w1, w2)
         mk = moments(srad)[k - 1]

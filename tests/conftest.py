@@ -18,10 +18,9 @@ from trihill.critical import (
     _collinear_entry,
     _collinear_polynomials,
     _is_relative_equilibrium,
-    _sqrtmk_v_derivatives,
 )
 from trihill.errors import CollinearError, DomainError
-from trihill.hill import shape_eval
+from trihill.hill import moments, shape_eval, shape_kernel
 from trihill.reduction import (
     COLLINEAR_TOL,
     ConservationReport,
@@ -522,6 +521,32 @@ def oracle_float_integrate(system: BodySystem, s0, dt: float, nsteps: int):
     return traj, report
 
 
+# The derivatives of sqrt(Mt_k) Vt as they were before trihill.critical wrote
+# them out per component on 1-D rows: stacked (2, n) and (3, n) arrays over
+# disk points W (n, 2).  The bit-for-bit reference for the row kernel
+# critical._sqrtmk_v_derivatives, and the kernel of the search oracle below.
+
+
+def oracle_sqrtmk_v_derivatives(system: BodySystem, k: int, W: np.ndarray):
+    w = W.T
+    V, dV, d2V = shape_kernel(system, w[0], w[1])
+    s = np.hypot(w[0], w[1])
+    mk = moments(s)[k - 1]
+    b = moments(1.0)[k - 1] - moments(0.0)[k - 1]  # Mt_k = a + b s
+    sq = np.sqrt(mk)
+    q1, q2 = b / (2.0 * sq), -b * b / (4.0 * mk * sq)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
+    u = w * inv_s
+    i, j = [0, 0, 1], [0, 1, 1]  # (11, 12, 22) components
+    hess = (
+        sq * d2V
+        + q1 * (u[i] * dV[j] + u[j] * dV[i])
+        + (q2 - q1 * inv_s) * V * u[i] * u[j]
+        + np.array([[1.0], [0.0], [1.0]]) * (q1 * V * inv_s)
+    )
+    return sq * dV + q1 * V * u, hess
+
+
 # The critical-shape search as it was before trihill.critical iterated only
 # the seeds that still move: damped Newton on every seed, three kernel calls
 # per iteration.  The bit-for-bit reference for find_critical_shapes.
@@ -538,7 +563,7 @@ def oracle_find_critical_shapes(system: BodySystem, k: int, seeds: int = 64):
     W = W[keep]
 
     def newton_data(W):
-        g, h = _sqrtmk_v_derivatives(system, k, W)
+        g, h = oracle_sqrtmk_v_derivatives(system, k, W)
         return np.concatenate([g, h]).T, g[0] * g[0] + g[1] * g[1]
 
     D, gn = newton_data(W)

@@ -25,6 +25,7 @@ from trihill.critical import (
 )
 from trihill.errors import DomainError, TrihillError, UnsupportedFamilyError
 from trihill.hill import shape_eval, v_tilde
+from trihill.coords import pair_geometry
 from trihill.systems import BodySystem, gravitational
 
 from conftest import (
@@ -33,6 +34,7 @@ from conftest import (
     oracle_collinear_configs,
     oracle_collinear_roots,
     oracle_find_critical_shapes,
+    oracle_sqrtmk_v_derivatives,
 )
 
 
@@ -493,6 +495,42 @@ def test_find_critical_shapes_matches_full_batch_oracle(signs, masses, magnitude
     assert got == _search_results(oracle_find_critical_shapes, system)
 
 
+def test_find_critical_shapes_hits_hold_python_floats(all_systems):
+    for system in all_systems.values():
+        for k in (1, 2, 3):
+            for shape, nu in find_critical_shapes(system, k):
+                assert (type(shape.w1), type(shape.w2), type(nu)) == (float, float, float)
+
+
+def _kernel_test_points(system):
+    """Random interior points, the centre, the 1e-3 core and rim margins and
+    each pair's collision ray just inside the rim, as rows (w1, w2)."""
+    rng = np.random.default_rng(5)
+    radius = np.concatenate(
+        [np.sqrt(rng.uniform(0.0, 0.998, 40)), [0.0, 1e-3, 1e-3, 1.0 - 1e-3, 1.0 - 1e-3]]
+    )
+    angle = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 40), [0.0, 0.3, 2.0, 1.0, 4.0]])
+    w1, w2 = [radius * np.cos(angle)], [radius * np.sin(angle)]
+    inside = np.array([1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-12, np.nextafter(1.0, 0.0)])
+    for pair in pair_geometry(system):
+        w1.append(inside * pair.cos)
+        w2.append(inside * pair.sin)
+    return np.concatenate(w1), np.concatenate(w2)
+
+
+def test_sqrtmk_v_derivatives_rows_match_stacked_oracle_bit_for_bit(all_systems):
+    # the row kernel writes out the stacked kernel's operations in its order,
+    # so every bit agrees, signed zeros and NaNs at the rim too
+    for system in all_systems.values():
+        w1, w2 = _kernel_test_points(system)
+        for k in (1, 2, 3):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                got = _sqrtmk_v_derivatives(system, k, w1.copy(), w2.copy())
+                g, h = oracle_sqrtmk_v_derivatives(system, k, np.stack([w1, w2], axis=1))
+            for row, want in zip(got, [*g, *h]):
+                assert row.tobytes() == want.tobytes()
+
+
 def test_find_critical_shapes_makes_no_scalar_evaluation(monkeypatch):
     # 946 seeds converge on axis 1 where Vt >= 0; they leave in one array
     # step, not one shape_eval each.
@@ -604,7 +642,7 @@ def test_sqrtmk_v_derivatives_against_central_differences(signs, masses, magnitu
             mk = {1: 0.5 * (1.0 - s), 2: 0.5 * (1.0 + s), 3: 1.0}[k]
             return math.sqrt(mk) * v_tilde(system, w1, w2)
 
-        (g1, g2), (h11, h12, h22) = _sqrtmk_v_derivatives(system, k, W)
+        g1, g2, h11, h12, h22 = _sqrtmk_v_derivatives(system, k, W[:, 0], W[:, 1])
         grad = np.stack([g1, g2], axis=1)
         hess = np.stack([np.stack([h11, h12], 1), np.stack([h12, h22], 1)], 1)
         h = 1e-6
@@ -616,7 +654,7 @@ def test_sqrtmk_v_derivatives_against_central_differences(signs, masses, magnitu
             scale = max(1.0, abs(f(w1, w2)), *np.abs(grad[p]))
             assert np.allclose(grad[p], fd_grad, rtol=0.0, atol=1e-6 * scale)
             shifted = np.array([[w1 + h, w2], [w1 - h, w2], [w1, w2 + h], [w1, w2 - h]])
-            (sg1, sg2), _ = _sqrtmk_v_derivatives(system, k, shifted)
+            sg1, sg2 = _sqrtmk_v_derivatives(system, k, shifted[:, 0], shifted[:, 1])[:2]
             fd_hess = np.array(
                 [
                     [(sg1[0] - sg1[1]) / (2 * h), (sg1[2] - sg1[3]) / (2 * h)],

@@ -3,15 +3,22 @@
 Run from the root of a trihill checkout whose ``src/`` and ``perfbench/``
 are committed::
 
-    python3 tools/bench_file.py [--out DIR]
+    python3 tools/bench_file.py [--out DIR] [--parent REV]
 
 It runs ``perfbench/run.py`` for each workload, untraced (``--trace 0``,
 the end-to-end metrics) and traced (``--trace 1``, the per-layer metrics),
 on seeds 1, 2 and 7, one run at a time, each for the ``run_seconds`` of
 ``BENCHMARK.json``.  The file holds every run's
 result line and the environment from its ``# info`` line, and per
-workload and metric the median over the seeds.  A speed claim cites a
-before/after pair from two such files.
+workload and metric the median over the seeds.
+
+With ``--parent REV`` it checks REV out as a detached ``git worktree`` in a
+temporary directory and, for each seed, workload and trace, runs the parent
+and this commit one after the other, alternating which goes first, so that
+both sides see the same machine.  It writes
+BENCH_<short-sha>_vs_<parent-short-sha>.json with both sides' runs and
+medians and, per workload and metric, the ratio of this commit's median to
+the parent's.  A speed claim cites the ratios of one such file.
 """
 
 from __future__ import annotations
@@ -19,9 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 WORKLOADS = ("catalog", "hill", "dynamics", "verify")
 SEEDS = (1, 2, 7)
@@ -31,10 +40,10 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout.strip()
 
 
-def _run(workload: str, seed: int, trace: int, seconds: float) -> dict:
+def _run(workload: str, seed: int, trace: int, seconds: float, cwd: str = ".") -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=cwd)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("# info "):
         raise SystemExit(f"error: {' '.join(cmd[1:])} exited {proc.returncode}: {proc.stderr.strip()}")
@@ -46,9 +55,54 @@ def _run(workload: str, seed: int, trace: int, seconds: float) -> dict:
             "env": info["env"]}
 
 
+def medians(runs: list[dict]) -> dict:
+    """Per workload and metric, the median over ``runs``."""
+    out = {}
+    for workload in WORKLOADS:
+        values: dict[str, list[float]] = {}
+        for run in runs:
+            if run["workload"] == workload:
+                for name, value in run["metrics"].items():
+                    values.setdefault(name, []).append(value)
+        out[workload] = {name: statistics.median(v) for name, v in sorted(values.items())}
+    return out
+
+
+def compare(child_runs: list[dict], parent_runs: list[dict]) -> dict:
+    """Both sides' medians and, per workload and metric, child/parent; the
+    ratio is None where the parent's median is 0 or the child lacks it."""
+    child, parent = medians(child_runs), medians(parent_runs)
+    ratio = {
+        workload: {
+            name: child[workload][name] / value if value and name in child[workload] else None
+            for name, value in parent[workload].items()
+        }
+        for workload in WORKLOADS
+    }
+    return {"child_median_over_seeds": child, "parent_median_over_seeds": parent,
+            "ratio_child_over_parent": ratio}
+
+
+def _runs(seconds: float, dirs: list[str]) -> list[list[dict]]:
+    """The runs of each checkout in ``dirs``: for each seed, workload and
+    trace one run per checkout, one after the other, alternating which
+    goes first."""
+    out: list[list[dict]] = [[] for _ in dirs]
+    turn = 0
+    for seed in SEEDS:
+        for workload in WORKLOADS:
+            for trace in (0, 1):
+                for i in range(len(dirs))[:: -1 if turn % 2 else 1]:
+                    out[i].append(_run(workload, seed, trace, seconds, dirs[i]))
+                turn += 1
+                print(f"{workload} seed {seed} trace {trace}: done", file=sys.stderr)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default=".", help="directory to write the file to")
+    ap.add_argument("--parent", help="also run this revision, alternating with this commit")
     args = ap.parse_args(argv)
     if not os.path.isfile(os.path.join("perfbench", "run.py")):
         print("error: run from the root of a trihill checkout", file=sys.stderr)
@@ -59,23 +113,27 @@ def main(argv=None) -> int:
         print("error: src/ or perfbench/ has uncommitted changes; commit them first", file=sys.stderr)
         return 2
     sha = _git("rev-parse", "--short=7", "HEAD")
-    runs = []
-    for seed in SEEDS:
-        for workload in WORKLOADS:
-            for trace in (0, 1):
-                runs.append(_run(workload, seed, trace, seconds))
-                print(f"{workload} seed {seed} trace {trace}: done", file=sys.stderr)
-    medians = {}
-    for workload in WORKLOADS:
-        values: dict[str, list[float]] = {}
-        for run in runs:
-            if run["workload"] == workload:
-                for name, value in run["metrics"].items():
-                    values.setdefault(name, []).append(value)
-        medians[workload] = {name: statistics.median(v) for name, v in sorted(values.items())}
-    bench = {"commit": _git("rev-parse", "HEAD"), "seconds": seconds, "seeds": list(SEEDS),
-             "median_over_seeds": medians, "runs": runs}
-    path = os.path.join(args.out, f"BENCH_{sha}.json")
+    if args.parent is None:
+        (runs,) = _runs(seconds, ["."])
+        bench = {"commit": _git("rev-parse", "HEAD"), "seconds": seconds, "seeds": list(SEEDS),
+                 "median_over_seeds": medians(runs), "runs": runs}
+        name = f"BENCH_{sha}.json"
+    else:
+        parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+        tmp = tempfile.mkdtemp(prefix="bench_parent_")
+        parent_dir = os.path.join(tmp, "parent")
+        try:
+            _git("worktree", "add", "--detach", parent_dir, parent)
+            child_runs, parent_runs = _runs(seconds, [".", parent_dir])
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", parent_dir], capture_output=True)
+            shutil.rmtree(tmp, ignore_errors=True)
+            subprocess.run(["git", "worktree", "prune"], capture_output=True)
+        bench = {"commit": _git("rev-parse", "HEAD"), "parent": parent, "seconds": seconds,
+                 "seeds": list(SEEDS), **compare(child_runs, parent_runs),
+                 "child_runs": child_runs, "parent_runs": parent_runs}
+        name = f"BENCH_{sha}_vs_{parent[:7]}.json"
+    path = os.path.join(args.out, name)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
