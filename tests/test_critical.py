@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from trihill import critical
+from trihill.coords import pair_geometry
 from trihill.critical import (
     CriticalValue,
     _sqrtmk_v_derivatives,
@@ -25,7 +26,6 @@ from trihill.critical import (
 )
 from trihill.errors import DomainError, TrihillError, UnsupportedFamilyError
 from trihill.hill import shape_eval, v_tilde
-from trihill.coords import pair_geometry
 from trihill.systems import BodySystem, gravitational
 
 from conftest import (
@@ -477,9 +477,12 @@ def _search_results(search, system):
 
 
 def test_find_critical_shapes_matches_full_batch_oracle_on_presets(all_systems):
+    types = set()  # hits hold Python floats, as catalog shapes do
     for system in all_systems.values():
         got = _search_results(find_critical_shapes, system)
         assert got == _search_results(oracle_find_critical_shapes, system)
+        types |= {type(v) for hits in got for hit in hits for v in hit}
+    assert types == {float}
 
 
 @pytest.mark.parametrize("signs", _SIGNS)
@@ -495,11 +498,13 @@ def test_find_critical_shapes_matches_full_batch_oracle(signs, masses, magnitude
     assert got == _search_results(oracle_find_critical_shapes, system)
 
 
-def test_find_critical_shapes_hits_hold_python_floats(all_systems):
-    for system in all_systems.values():
-        for k in (1, 2, 3):
-            for shape, nu in find_critical_shapes(system, k):
-                assert (type(shape.w1), type(shape.w2), type(nu)) == (float, float, float)
+def test_find_critical_shapes_searches_in_full_on_every_call(monkeypatch, helium):
+    # no hit is kept across calls: a repeated search makes every kernel call again
+    calls = count_calls(monkeypatch, critical.shape_kernel)
+    first = _search_results(find_critical_shapes, helium)
+    n = len(calls)
+    assert n > 3 and _search_results(find_critical_shapes, helium) == first
+    assert len(calls) == 2 * n
 
 
 def _kernel_test_points(system):
