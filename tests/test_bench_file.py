@@ -30,9 +30,9 @@ def test_medians_are_taken_per_workload_and_metric_over_seeds():
 
 
 def test_compare_gives_both_medians_and_child_over_parent():
-    parent = [_run("catalog", s, op2_ms_p50=v, failed=0.0) for s, v in ((1, 180.0), (2, 200.0), (7, 190.0))]
+    parent = [_run("catalog", s, op2_ms_p50=v, failed=0) for s, v in ((1, 180), (2, 200), (7, 190))]
     parent.append(_run("verify", 1, op_ms_p50=70.0, only_parent=1.0))
-    child = [_run("catalog", s, op2_ms_p50=v, failed=0.0) for s, v in ((1, 120.0), (2, 130.0), (7, 95.0))]
+    child = [_run("catalog", s, op2_ms_p50=v, failed=0) for s, v in ((1, 120), (2, 130), (7, 95))]
     child.append(_run("verify", 1, op_ms_p50=63.0))
     got = bench_file.compare(child, parent)
     assert got["parent_median_over_seeds"]["catalog"]["op2_ms_p50"] == 190.0

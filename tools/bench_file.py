@@ -126,7 +126,8 @@ def main(argv=None) -> int:
             _git("worktree", "add", "--detach", parent_dir, parent)
             child_runs, parent_runs = _runs(seconds, [".", parent_dir])
         finally:
-            subprocess.run(["git", "worktree", "remove", "--force", parent_dir], capture_output=True)
+            remove = ["git", "worktree", "remove", "--force", parent_dir]
+            subprocess.run(remove, capture_output=True)
             shutil.rmtree(tmp, ignore_errors=True)
             subprocess.run(["git", "worktree", "prune"], capture_output=True)
         bench = {"commit": _git("rev-parse", "HEAD"), "parent": parent, "seconds": seconds,
