@@ -293,8 +293,14 @@ def euler_characteristics(scan: ShapeScan) -> tuple[int, int, int]:
 
 
 def render(obj, fmt: str) -> bytes:
-    """Encode a ShapeScan (ppm or csv) or a ContourGrid (csv)."""
+    """Encode a ShapeScan (ppm or csv) or a ContourGrid (csv).  A scan whose
+    cells are not n x n integer CellClass codes raises DomainError."""
     if isinstance(obj, ShapeScan):
+        n, cells = obj.resolution, obj.cells
+        if cells.shape != (n, n) or cells.dtype.kind not in "iu" or not (
+            0 <= cells.min(initial=0) and cells.max(initial=0) <= CellClass.FULL
+        ):
+            raise DomainError(f"scan cells must be an {n} x {n} array of CellClass codes")
         if fmt == "ppm":
             return _scan_ppm(obj)
         if fmt == "csv":
@@ -315,11 +321,12 @@ def _scan_ppm(scan: ShapeScan) -> bytes:
     return f"P6\n{n} {n}\n255\n".encode() + rgb.tobytes()
 
 
-# The CSV writers format each axis once and leave the per-pixel work to C:
-# row i is its first coordinate followed by one tail per column, joined, and
-# the contour values fill the row with one printf-style '%'.  For every
-# float, '%.12g' % x gives the bytes of format(x, '.12g').  Rows stream into
-# one buffer, so the writer makes no large block besides its output.
+# The CSV writers format each axis once and leave the per-pixel work to C.
+# A scan row is written by runs of one class: a run is the slice over its
+# columns of its class's line ends "\n," + w2 + "," + NAME, and one replace
+# puts w1 after each newline of the joined row.  The contour values fill a
+# row with one printf-style '%'.  For every float, '%.12g' % x gives the
+# bytes of format(x, '.12g').  Rows stream into one buffer.
 
 
 def _axis_text(x: np.ndarray) -> list[str]:
@@ -336,23 +343,39 @@ def _csv(header: str, rows) -> bytes:
     out = io.BytesIO()
     out.write(header.encode())
     for row in rows:
-        out.write(row.encode())
+        out.write(row)
     out.write(b"\n")
     return out.getvalue()
 
 
 def _scan_csv(scan: ShapeScan) -> bytes:
-    c = _axis_text(pixel_centers(scan.resolution))
-    # tails[j, code]: the end of a line in column j whose cell has this class
-    tails = np.array([[f",{w2},{cls.name}" for cls in CellClass] for w2 in c], dtype=object)
-    cols = np.arange(scan.resolution)
-    rows = (_row(w1, tails[cols, codes].tolist()) for w1, codes in zip(c, scan.cells))
-    return _csv("w1,w2,class", rows)
+    """numpy finds the runs of one code in each row; one Python step per
+    run takes its slice of the class's line ends, and one per row joins
+    the row's slices and puts w1 after every newline."""
+    n, cells = scan.resolution, scan.cells
+    c = _axis_text(pixel_centers(n))
+    tails = ["," + cls.name for cls in CellClass]
+    ends = [memoryview(("\n," + (t + "\n,").join(c) + t).encode()) for t in tails]
+    # at[code, j]: where column j's line end starts in ends[code]
+    width = np.cumsum([0] + [len(w2) + 2 for w2 in c])
+    at = width + np.arange(n + 1) * np.array([[len(t)] for t in tails])
+    starts = np.ones((n, n), dtype=bool)
+    np.not_equal(cells[:, 1:], cells[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    row, col = np.divmod(first, n)
+    code = cells.ravel()[first]
+    stop = np.append(first[1:], n * n) - row * n
+    runs = zip(code.tolist(), at[code, col].tolist(), at[code, stop].tolist())
+    pieces = [ends[k][a:b] for k, a, b in runs]
+    bounds = np.flatnonzero(col == 0).tolist() + [len(pieces)]
+    rows = zip(c, bounds, bounds[1:])
+    lines = (b"".join(pieces[a:b]).replace(b"\n", f"\n{w1}".encode()) for w1, a, b in rows)
+    return _csv("w1,w2,class", lines)
 
 
 def _grid_csv(grid: ContourGrid) -> bytes:
     a, b = map(_axis_text, _grid_axes(grid.resolution, grid.chi_psi))
     tails = [f",{y},%.12g" for y in b]
     header = "psi,chi,value" if grid.chi_psi else "w1,w2,value"
-    rows = (_row(x, tails) % tuple(v.tolist()) for x, v in zip(a, grid.values))
+    rows = ((_row(x, tails) % tuple(v.tolist())).encode() for x, v in zip(a, grid.values))
     return _csv(header, rows)

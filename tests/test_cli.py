@@ -130,6 +130,18 @@ def test_scan_writes_ppm_and_csv(tmp_path, capsys):
     assert "components=" in out
 
 
+def test_scan_csv_file_matches_per_pixel_writer_at_default_resolution(tmp_path, capsys):
+    from conftest import oracle_scan_csv
+
+    from trihill.scan import scan_disk
+    from trihill.systems import preset
+
+    path = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, "scan", "--preset", "eep", "--nu", "3.0", "--csv", str(path))
+    assert code == 0
+    assert path.read_bytes() == oracle_scan_csv(scan_disk(preset("eep"), 3.0, 400))
+
+
 def test_contours_stdout(capsys):
     code, out, _ = run_cli(
         capsys, "contours", "--preset", "eep", "--axis", "3", "--res", "4"

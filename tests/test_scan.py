@@ -374,6 +374,55 @@ def test_scan_csv_matches_per_pixel_writer(name, n):
         assert render(scan, "csv") == oracle_scan_csv(scan)
 
 
+def test_scan_csv_matches_per_pixel_writer_on_adversarial_rasters():
+    # Random rasters put any class next to any other, Outside beside Full
+    # included; rows of one run and rows that change class at every pixel
+    # are the two ends of the run writer.
+    rng = np.random.default_rng(24)
+    for n in (2, 3, 17, 64):
+        i, j = np.indices((n, n))
+        rasters = [rng.integers(CellClass.OUTSIDE, CellClass.FULL + 1, (n, n)) for _ in range(4)]
+        rasters += [i % 6, (i + j) % 6, np.where((i + j) % 2, CellClass.FULL, CellClass.OUTSIDE)]
+        rasters += [np.full((n, n), cls) for cls in CellClass]
+        for cells in rasters:
+            scan = ShapeScan(n, 0.0, cells.astype(np.int8))
+            assert render(scan, "csv") == oracle_scan_csv(scan), (n, cells)
+
+
+@pytest.mark.parametrize("name", ["gravity-demo", "helium", "eep"])
+def test_scan_csv_matches_per_pixel_writer_at_cli_resolution(name):
+    system = preset(name)
+    sweep = _sweep(system)
+    scan = scan_disk(system, sweep[len(sweep) // 2], 400)
+    assert len(np.unique(scan.cells)) >= 3
+    assert render(scan, "csv") == oracle_scan_csv(scan)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "ppm"])
+def test_render_rejects_impossible_cells(gravity, fmt):
+    # A code of -1 would wrap to Full under numpy indexing, and 6 would
+    # raise a bare IndexError; cells of another shape would not match the
+    # header's grid.
+    good = scan_disk(gravity, 1.0, 4).cells
+    bad = {
+        "minus one": np.where(good == CellClass.FULL, -1, good).astype(np.int8),
+        "six": np.where(good == CellClass.OUTSIDE, 6, good).astype(np.int8),
+        "not square": good[:, :3],
+        "too large": np.zeros((5, 5), dtype=np.int8),
+        "flat": good.ravel(),
+        "float codes": good + 0.5,
+    }
+    for label, cells in bad.items():
+        try:
+            render(ShapeScan(4, 1.0, cells), fmt)
+        except DomainError:
+            continue
+        pytest.fail(f"{label}: rendered without DomainError")
+    assert render(ShapeScan(4, 1.0, good.astype(np.uint8)), fmt) == render(
+        ShapeScan(4, 1.0, good), fmt
+    )
+
+
 @pytest.mark.parametrize("name", ["gravity-demo", "helium", "eep"])
 @pytest.mark.parametrize("chi_psi", [False, True])
 def test_contour_csv_matches_per_pixel_writer(name, chi_psi):
