@@ -6,8 +6,10 @@ one orientation), ``scan`` (raster classification to PPM/CSV), ``contours``
 and ``verify`` (full check suite).
 
 Sign convention: the bifurcation parameter nu = -E r^2, so nu > 0 means
-E < 0 and nu <= 0 means E >= 0 at r > 0.  Numeric output carries 12
-significant digits.
+E < 0 and nu <= 0 means E >= 0 at r > 0.  Shapes and orientations depend on
+(E, r) only through nu, so ``classify`` takes nu alone.  Numeric output
+carries 12 significant digits.  Each command computes and writes its files
+before it prints; an error, a failed write included, is one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import critical, hill, scan, verify
 from .coords import Shape
 from .errors import DomainError, TrihillError
 from .reduction import integrate, rigid_start
-from .systems import BodySystem, _normal, load_system, preset
+from .systems import BodySystem, load_system, preset
 
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
@@ -39,6 +41,15 @@ def _resolve_system(args) -> BodySystem:
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
+
+
+def _write(path: str | None, data: bytes) -> None:
+    """Write data to the file at path, or to stdout when there is none."""
+    if not path:
+        sys.stdout.write(data.decode())
+        return
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("X", "Y", "Z"),
         help="unit angular-momentum direction in the principal frame",
     )
-    p.add_argument("--r", type=float, default=1.0, help="angular momentum magnitude")
 
     p = sub.add_parser("scan", help="raster-classify the shape disk")
     _add_system_args(p)
@@ -124,15 +134,7 @@ def _cmd_classify(system, args) -> int:
     ]
     if args.jhat:
         jh = _unit_jhat(args)
-        if not (math.isfinite(args.r) and args.r > 0.0):
-            raise DomainError(f"r must be positive and finite, got {args.r}")
-        r2 = args.r * args.r
-        if not _normal(r2):
-            raise DomainError(f"r*r underflows or overflows, got r = {args.r}")
-        E = -args.nu / r2
-        if not math.isfinite(E):
-            raise DomainError(f"-nu/(r*r) overflows, got nu = {args.nu}, r = {args.r}")
-        mem = hill.membership(system, E, args.r, shape, jh)
+        mem = hill.membership(system, -args.nu, 1.0, shape, jh)  # E = -nu at r = 1
         lines += [
             f"member {str(mem.member).lower()}",
             f"region {mem.region_case}",
@@ -145,40 +147,27 @@ def _cmd_classify(system, args) -> int:
 def _cmd_scan(system, args) -> int:
     result = scan.scan_disk(system, args.nu, args.res)
     census = scan.component_census(result)
+    for path, fmt in ((args.ppm, "ppm"), (args.csv, "csv")):
+        if path:
+            _write(path, scan.render(result, fmt))
     for cls in (scan.CellClass.EMPTY, scan.CellClass.CAPS, scan.CellClass.RING, scan.CellClass.FULL):
         print(
             f"{cls.name.lower()} components={census.counts[cls]} "
             f"touches_boundary={str(census.touches_boundary[cls]).lower()}"
         )
-    if args.ppm:
-        with open(args.ppm, "wb") as fh:
-            fh.write(scan.render(result, "ppm"))
-    if args.csv:
-        with open(args.csv, "wb") as fh:
-            fh.write(scan.render(result, "csv"))
     return 0
 
 
 def _cmd_contours(system, args) -> int:
     grid = scan.contour_grid(system, args.axis, args.res, chi_psi=args.chi_psi)
-    payload = scan.render(grid, "csv")
-    if args.csv:
-        with open(args.csv, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload.decode())
+    _write(args.csv, scan.render(grid, "csv"))
     return 0
 
 
 def _cmd_simulate(system, args) -> int:
     state = rigid_start(Shape(*args.shape).to_jacobi(), args.r, _unit_jhat(args))
     traj, report = integrate(system, state, args.dt, args.steps)
-    text = traj.to_csv()
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.csv, traj.to_csv().encode())
     print(
         f"# steps={len(traj) - 1} energy_drift={report.energy_drift:.6g} "
         f"J_drift={report.momentum_drift:.6g}"
@@ -211,7 +200,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(system, args)
-    except (TrihillError, ValueError, ZeroDivisionError) as exc:
+    except (TrihillError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -97,7 +97,8 @@ class Shape:
     def __post_init__(self):
         if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
             raise DomainError(f"shape ({self.w1}, {self.w2}) is not finite")
-        if self.w1**2 + self.w2**2 >= 1.0:
+        # the bounds go first, as the square of a huge coordinate overflows
+        if not (abs(self.w1) < 1.0 and abs(self.w2) < 1.0) or self.w1**2 + self.w2**2 >= 1.0:
             raise CollinearError(
                 f"shape ({self.w1}, {self.w2}) lies on or outside the collinear circle"
             )

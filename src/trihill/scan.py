@@ -294,7 +294,8 @@ def euler_characteristics(scan: ShapeScan) -> tuple[int, int, int]:
 
 def render(obj, fmt: str) -> bytes:
     """Encode a ShapeScan (ppm or csv) or a ContourGrid (csv).  A scan whose
-    cells are not n x n integer CellClass codes raises DomainError."""
+    cells are not n x n integer CellClass codes, or a grid whose values are
+    not an n x n array of real numbers, raises DomainError."""
     if isinstance(obj, ShapeScan):
         n, cells = obj.resolution, obj.cells
         if cells.shape != (n, n) or cells.dtype.kind not in "iu" or not (
@@ -307,6 +308,11 @@ def render(obj, fmt: str) -> bytes:
             return _scan_csv(obj)
         raise DomainError(f"unsupported scan format {fmt!r}")
     if isinstance(obj, ContourGrid):
+        n, values = obj.resolution, obj.values
+        if not (
+            isinstance(values, np.ndarray) and values.shape == (n, n) and values.dtype.kind in "iuf"
+        ):
+            raise DomainError(f"grid values must be an {n} x {n} array of real numbers")
         if fmt == "csv":
             return _grid_csv(obj)
         raise DomainError(f"unsupported grid format {fmt!r}")

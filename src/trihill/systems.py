@@ -182,12 +182,13 @@ def preset(name: str) -> BodySystem:
 def parse_system(text: str) -> BodySystem:
     """Parse the system file format.
 
-    UTF-8 text, ``#`` starts a comment, tokens are whitespace separated::
+    UTF-8 text, ``#`` starts a comment, tokens are whitespace separated,
+    and each of the two lines appears once::
 
         masses <m1> <m2> <m3>
         alphas <a1> <a2> <a3>
     """
-    masses = alphas = None
+    triples = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -200,15 +201,14 @@ def parse_system(text: str) -> BodySystem:
             triple = tuple(float(v) for v in values)
         except ValueError:
             raise DomainError(f"line {lineno}: non-numeric value in {raw!r}") from None
-        if key == "masses":
-            masses = triple
-        elif key == "alphas":
-            alphas = triple
-        else:
+        if key not in ("masses", "alphas"):
             raise DomainError(f"line {lineno}: unknown keyword {key!r}")
-    if masses is None or alphas is None:
+        if key in triples:
+            raise DomainError(f"line {lineno}: second {key!r} line, got {raw!r}")
+        triples[key] = triple
+    if len(triples) < 2:
         raise DomainError("system file must define both 'masses' and 'alphas'")
-    return BodySystem(masses, alphas)
+    return BodySystem(triples["masses"], triples["alphas"])
 
 
 def load_system(path) -> BodySystem:

@@ -298,17 +298,22 @@ _VALID = {
     [
         ("classify", ("--jhat", "0", "0", "0")),
         ("classify", ("--jhat", "nan", "0", "1")),
-        ("classify", ("--r", "nan")),
-        ("classify", ("--r", "0")),
+        ("simulate", ("--shape", "1e200", "0")),
+        ("scan", ("--ppm", "MISSING/out.ppm")),
         ("simulate", ("--steps", "-1")),
         ("simulate", ("--jhat", "0", "0", "0")),
         ("scan", ("--res", "1")),
         ("scan", ("--nu", "inf")),
         ("contours", ("--res", "1")),
-        ("classify", ("--nu", "1e308", "--r", "1e-100")),
+        ("scan", ("--csv", "MISSING/out.csv")),
+        ("classify", ("--shape", "1e200", "0")),
+        ("contours", ("--csv", "MISSING/out.csv")),
+        ("simulate", ("--csv", "MISSING/out.csv")),
     ],
 )
-def test_cli_error_paths_print_one_error_line(command, bad):
+def test_cli_error_paths_print_one_error_line(tmp_path, command, bad):
+    # MISSING stands for a directory that does not exist
+    bad = [arg.replace("MISSING", str(tmp_path / "missing")) for arg in bad]
     proc = run_fresh(command, "--preset", "eep", *_VALID[command], *bad)
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -317,18 +322,8 @@ def test_cli_error_paths_print_one_error_line(command, bad):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
-@pytest.mark.parametrize("r", ["1e-200", "1e-160", "1e200"])
-def test_classify_rejects_r_whose_square_is_not_a_normal_float(r):
-    # E = -nu/r^2 would divide by zero, lose its digits or round to -0.0
-    proc = run_fresh("classify", "--preset", "eep", *_VALID["classify"], "--r", r)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [f"error: r*r underflows or overflows, got r = {float(r)}"]
-
-
-def test_classify_rejects_an_energy_that_overflows():
-    # r*r = 1e-200 is a normal float, but E = -nu/(r*r) is not
-    proc = run_fresh(
-        "classify", "--preset", "eep", *_VALID["classify"], "--nu", "1e308", "--r", "1e-100"
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.splitlines() == ["error: -nu/(r*r) overflows, got nu = 1e+308, r = 1e-100"]
+def test_classify_takes_no_r(capsys):
+    # member and region depend on E and r only through nu
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--preset", "eep", *_VALID["classify"], "--r", "2"])
+    assert exc.value.code == 2

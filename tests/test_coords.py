@@ -245,6 +245,9 @@ def test_jacobi_from_positions_at_tiny_masses():
 def test_shape_validation():
     with pytest.raises(CollinearError):
         Shape(0.8, 0.7)
+    for w in [(1e200, 0.0), (0.0, -1e200)]:  # w**2 would overflow
+        with pytest.raises(CollinearError):
+            Shape(*w)
     s = Shape(0.3, -0.4)
     assert s.w3 == pytest.approx(math.sqrt(1 - 0.25), rel=1e-15)
 

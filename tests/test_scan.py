@@ -423,6 +423,35 @@ def test_render_rejects_impossible_cells(gravity, fmt):
     )
 
 
+def test_render_rejects_impossible_grid_values(gravity):
+    # Rows of another count or length would not match the header's grid:
+    # unchecked, zip would stop at the shorter side, and a longer row would
+    # raise a bare TypeError.  NaN and inf stay legal: they mark outside and
+    # collision pixels.
+    good = contour_grid(gravity, 3, 3)
+    bad = {
+        "four rows": np.zeros((4, 3)),
+        "two rows": np.zeros((2, 3)),
+        "four columns": np.zeros((3, 4)),
+        "flat": good.values.ravel(),
+        "complex": good.values + 0j,
+        "strings": good.values.astype(str),
+        "a list": good.values.tolist(),
+    }
+    for label, values in bad.items():
+        try:
+            render(ContourGrid(3, 3, False, values), "csv")
+        except DomainError:
+            continue
+        pytest.fail(f"{label}: rendered without DomainError")
+    marks = np.array([[np.nan, np.inf, -np.inf], [0.0, 1.0, 2.0], [3, 4, 5]])
+    assert render(ContourGrid(3, 3, False, marks), "csv").count(b"nan") == 1
+    ints = np.arange(9).reshape(3, 3)
+    assert render(ContourGrid(3, 3, False, ints), "csv") == render(
+        ContourGrid(3, 3, False, ints.astype(float)), "csv"
+    )
+
+
 @pytest.mark.parametrize("name", ["gravity-demo", "helium", "eep"])
 @pytest.mark.parametrize("chi_psi", [False, True])
 def test_contour_csv_matches_per_pixel_writer(name, chi_psi):

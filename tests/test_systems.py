@@ -126,6 +126,8 @@ def test_parse_system_errors():
         parse_system("masses 1 2 3\nalphas a b c\n")
     with pytest.raises(ValueError):
         parse_system("weights 1 2 3\nalphas 1 2 3\n")
+    with pytest.raises(ValueError, match="line 3: second 'masses' line"):
+        parse_system("masses 1 1 1\nalphas 1 1 1\nmasses 2 2 2\n")
 
 
 @pytest.mark.parametrize(
@@ -137,6 +139,7 @@ def test_parse_system_errors():
         (parse_system, ("masses 1 2 3\n",)),
         (parse_system, ("masses 1 2 3\nalphas a b c\n",)),
         (parse_system, ("weights 1 2 3\nalphas 1 2 3\n",)),
+        (parse_system, ("masses 1 1 1\nalphas 1 1 1\nmasses 2 2 2\n",)),
     ],
 )
 def test_invalid_inputs_raise_domain_error(make, args):

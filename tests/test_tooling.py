@@ -14,7 +14,8 @@ must read Euler characteristics, not the component census, whose counts
 measure pixel noise as well as topology.  And the package must run on
 numpy alone: scipy serves the tests as a reference, and importing it would
 cost every command its start-up time and memory.  And no exception handler
-of the package may catch every exception."""
+of the package may catch every exception.  And the command line may use only
+public names of the package: it is a shell over the public API."""
 
 import ast
 import os
@@ -155,6 +156,26 @@ def test_no_handler_of_the_package_catches_every_exception():
                 assert not (
                     isinstance(name, ast.Name) and name.id in ("Exception", "BaseException")
                 ), f"{filename}:{node.lineno} catches {name.id}"
+
+
+def test_cli_uses_only_public_names_of_the_package():
+    trees = dict(package_trees())
+    modules = {name.removesuffix(".py") for name in trees}
+    used = []
+    for node in ast.walk(trees["cli.py"]):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "trihill"):
+            used += [(node.lineno, alias.name) for alias in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            used.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    assert used and not [
+        f"cli.py:{lineno} uses {name}"
+        for lineno, name in used
+        if name.rpartition(".")[2].startswith("_")
+    ]
 
 
 def test_scan_census_and_verify_run_without_scipy():
