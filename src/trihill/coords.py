@@ -221,10 +221,13 @@ def jacobi_from_positions(system: BodySystem, positions: np.ndarray) -> JacobiSh
     """Jacobi coordinates of explicit body positions (rows = bodies 1..3).
 
     Inverse of :func:`positions_from_jacobi` up to the overall rotation and
-    translation removed by the reduction.
+    translation removed by the reduction.  Non-3 x 3 positions raise DomainError.
     """
     fr = jacobi_frame(system)
-    x1, x2, x3 = np.asarray(positions, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    if positions.shape != (3, 3):
+        raise DomainError(f"positions must be 3 x 3, got shape {positions.shape}")
+    x1, x2, x3 = positions
     m1, _, m3 = system.masses
     s1 = math.sqrt(fr.mu1) * (x1 - x3)
     s2 = math.sqrt(fr.mu2) * (x2 - (m1 * x1 + m3 * x3) / (m1 + m3))

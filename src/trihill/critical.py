@@ -551,7 +551,7 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
             break
     W1[idx], W2[idx], GN[idx] = w1, w2, gn
 
-    hit = np.isfinite(GN) & (GN < 1e-22)
+    hit = GN < 1e-22
     W1, W2 = W1[hit], W2[hit]
     V = shape_value(system, W1, W2)
     # Only shapes with Vt < 0 rotate at some nu; a NaN goes on to the tests.

@@ -30,12 +30,14 @@ def check_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value}")
 
 
-def check_unit(name: str, vector) -> None:
-    """Reject a direction that is not a finite unit vector (to 1e-12): a NaN
+def check_unit(name: str, vector) -> tuple[float, float, float]:
+    """``vector`` as three Python floats: reject a direction that does not
+    have three components or is not a finite unit vector (to 1e-12).  A NaN
     component fails the comparison as well as an infinite or zero one."""
-    norm = math.hypot(*map(float, vector))
-    if not abs(norm - 1.0) <= 1e-12:
-        raise DomainError(f"{name} must be a finite unit vector, got norm {norm}")
+    components = tuple(map(float, vector))
+    if len(components) != 3 or not abs(math.hypot(*components) - 1.0) <= 1e-12:
+        raise DomainError(f"{name} must be a finite unit 3-vector, got {components}")
+    return components
 
 
 def check_index(name: str, value, lo: int, hi: int | None = None) -> int:

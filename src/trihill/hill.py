@@ -199,10 +199,9 @@ def f_analysis(E: float, E_R: float, v_tilde: float) -> HillMembership:
 
 
 def _normalized_rotational_energy(ev: ShapeEvaluation, j_hat: np.ndarray) -> float:
-    check_unit("j_hat", j_hat)
-    j_hat = np.asarray(j_hat, dtype=float)
+    x, y, z = check_unit("j_hat", j_hat)
     m1, m2, m3 = ev.m_tilde
-    return 0.5 * (j_hat[0] ** 2 / m1 + j_hat[1] ** 2 / m2 + j_hat[2] ** 2 / m3)
+    return 0.5 * (x**2 / m1 + y**2 / m2 + z**2 / m3)
 
 
 def membership(

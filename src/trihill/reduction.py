@@ -58,9 +58,12 @@ class RovibState:
     J: np.ndarray
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float).reshape(3).copy()
-        self.p = np.asarray(self.p, dtype=float).reshape(3).copy()
-        self.J = np.asarray(self.J, dtype=float).reshape(3).copy()
+        try:
+            self.q = np.asarray(self.q, dtype=float).reshape(3).copy()
+            self.p = np.asarray(self.p, dtype=float).reshape(3).copy()
+            self.J = np.asarray(self.J, dtype=float).reshape(3).copy()
+        except ValueError as exc:
+            raise DomainError(f"q, p and J must each hold 3 values: {exc}") from None
 
     def jacobi(self) -> JacobiShapeCoords:
         return JacobiShapeCoords(self.q[0], self.q[1], self.q[2])
@@ -138,7 +141,7 @@ def rigid_start(j: JacobiShapeCoords, r: float, j_hat: np.ndarray) -> RovibState
     A non-finite r or a ``j_hat`` that is not a finite unit vector raises
     DomainError."""
     check_finite("r", r)
-    check_unit("j_hat", j_hat)
+    j_hat = check_unit("j_hat", j_hat)
     _, axes = principal_axes(j)
     J = r * (axes @ j_hat)
     return RovibState(np.array([j.rho1, j.rho2, j.phi]), _gauge_momentum(j, J), J)
@@ -189,12 +192,14 @@ def _potential_and_grad(system: BodySystem, q: np.ndarray) -> tuple[float, np.nd
     return V, np.array([g0, g1, g2])
 
 
-def _flow(table, y) -> tuple[float, tuple[float, ...]]:
-    """Energy H and flat time derivative (qdot, pdot, Jdot) at flat state y.
+def _flow(table, y, h=0.0, slope=None) -> tuple[float, tuple[float, ...]]:
+    """Energy H and flat time derivative (qdot, pdot, Jdot) at the flat state
+    y + h slope (summed per component, y_i + h * slope_i: the RK4 stages of
+    ``integrate``), or at y when there is no slope.
 
-    ``y`` holds the nine state values (q, p, J) as plain Python floats, and
-    the derivative comes back as a 9-tuple of floats: scalar arithmetic on
-    Python floats costs a fraction of the same arithmetic on numpy scalars.
+    ``y`` and ``slope`` hold nine state values (q, p, J) as plain Python
+    floats, and the derivative comes back as a 9-tuple of floats: scalar
+    arithmetic on Python floats costs a fraction of the same on numpy scalars.
     IEEE arithmetic gives the same bits either way as long as the order of
     operations stays as written, so any change here must keep that order.
     A product may be computed once and shared only where it is a
@@ -219,6 +224,11 @@ def _flow(table, y) -> tuple[float, tuple[float, ...]]:
     caught: a malformed ``table`` raises.
     """
     rho1, rho2, phi, p1, p2, p3, J1, J2, J3 = y
+    if slope is not None:
+        k0, k1, k2, k3, k4, k5, k6, k7, k8 = slope
+        rho1, rho2, phi = rho1 + h * k0, rho2 + h * k1, phi + h * k2
+        p1, p2, p3 = p1 + h * k3, p2 + h * k4, p3 + h * k5
+        J1, J2, J3 = J1 + h * k6, J2 + h * k7, J3 + h * k8
     if math.isinf(phi):
         # math.sin raises on an infinite angle.
         return _NAN_FLOW
@@ -354,13 +364,13 @@ def integrate(
     chart boundary or its state stops being finite.  The report carries the
     worst energy and |J| drifts over the integrated segment.
 
-    The state is nine local Python floats (see ``_flow``) and every stage
-    and update sum is written out per component in the order
-    y + (dt/2) k, y + dt k3 and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), the
-    order of the same sums on arrays, so trajectories do not depend on which
-    of the two carries them.  The chart table is built once per run.  A dt
-    that is not positive and finite, or an nsteps that is not a nonnegative
-    integer, raises DomainError.
+    The state is nine Python floats (see ``_flow``).  The stages are the
+    flow at y + (dt/2) k and y + dt k3, and the update is written out per
+    component as y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4): the order of the
+    same sums on arrays, so trajectories do not depend on which of the two
+    carries them.  The chart table is built once per run.  A dt that is not
+    positive and finite, or an nsteps that is not a nonnegative integer,
+    raises DomainError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be positive and finite, got {dt}")
@@ -372,36 +382,19 @@ def integrate(
     states = np.empty((nsteps + 1, 9))
     energy = np.empty(nsteps + 1)
     states[0] = y
-    energy[0], (a0, a1, a2, a3, a4, a5, a6, a7, a8) = _flow(table, y)
-    y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
+    energy[0], a = _flow(table, y)
     n_done = nsteps
     message = ""
     for k in range(nsteps):
         try:
-            b0, b1, b2, b3, b4, b5, b6, b7, b8 = _flow(
-                table,
-                (
-                    y0 + half * a0, y1 + half * a1, y2 + half * a2,
-                    y3 + half * a3, y4 + half * a4, y5 + half * a5,
-                    y6 + half * a6, y7 + half * a7, y8 + half * a8,
-                ),
-            )[1]
-            c0, c1, c2, c3, c4, c5, c6, c7, c8 = _flow(
-                table,
-                (
-                    y0 + half * b0, y1 + half * b1, y2 + half * b2,
-                    y3 + half * b3, y4 + half * b4, y5 + half * b5,
-                    y6 + half * b6, y7 + half * b7, y8 + half * b8,
-                ),
-            )[1]
-            d0, d1, d2, d3, d4, d5, d6, d7, d8 = _flow(
-                table,
-                (
-                    y0 + dt * c0, y1 + dt * c1, y2 + dt * c2,
-                    y3 + dt * c3, y4 + dt * c4, y5 + dt * c5,
-                    y6 + dt * c6, y7 + dt * c7, y8 + dt * c8,
-                ),
-            )[1]
+            b = _flow(table, y, half, a)[1]
+            c = _flow(table, y, half, b)[1]
+            d = _flow(table, y, dt, c)[1]
+            y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+            b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+            c0, c1, c2, c3, c4, c5, c6, c7, c8 = c
+            d0, d1, d2, d3, d4, d5, d6, d7, d8 = d
             y = (
                 y0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
                 y1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
@@ -413,7 +406,7 @@ def integrate(
                 y7 + sixth * (((a7 + 2.0 * b7) + 2.0 * c7) + d7),
                 y8 + sixth * (((a8 + 2.0 * b8) + 2.0 * c8) + d8),
             )
-            H, (a0, a1, a2, a3, a4, a5, a6, a7, a8) = _flow(table, y)
+            H, a = _flow(table, y)
         except CollinearError as exc:
             n_done = k
             message = f"truncated at step {k}: {exc}"
@@ -426,7 +419,6 @@ def integrate(
             break
         states[k + 1] = y
         energy[k + 1] = H
-        y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
     # t_k = k dt, each a single rounding as the product of int k and dt
     traj = Trajectory(np.arange(n_done + 1) * dt, states[: n_done + 1], energy[: n_done + 1])
     # A non-finite start overflows the norm or subtracts inf from inf here;

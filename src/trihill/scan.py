@@ -151,22 +151,18 @@ def scan_disk(system: BodySystem, nu: float, n: int) -> ShapeScan:
     n = check_index("resolution", n, 2)
     c = pixel_centers(n)
     blocks = _block_codes(system, nu, c)
+    # The block codes on the raster's pixels; the undecided ones read -1.  A
+    # flat nonzero finds them several times faster than a 2-D one.
     cells = np.repeat(np.repeat(blocks, BLOCK, axis=0), BLOCK, axis=1)
-    # The pixels of the undecided blocks, those past the raster's edge dropped.
-    bi, bj = np.nonzero(blocks < 0)
-    step = np.arange(BLOCK)
-    ii, jj = np.broadcast_arrays(
-        (bi * BLOCK)[:, None, None] + step[:, None], (bj * BLOCK)[:, None, None] + step
-    )
-    keep = (ii < n) & (jj < n)
-    ii, jj = ii[keep], jj[keep]
+    cells = np.ascontiguousarray(cells[:n, :n])
+    ii, jj = np.divmod(np.flatnonzero(cells < 0), n)
     inside, band = _disk_masks(c[ii] * c[ii] + c[jj] * c[jj], n)
     codes = np.where(band, np.int8(CellClass.BOUNDARY), np.int8(CellClass.OUTSIDE))
     interior = inside & ~band
     if interior.any():
         codes[interior] = classify_grid(system, nu, c[ii[interior]], c[jj[interior]])
     cells[ii, jj] = codes
-    return ShapeScan(resolution=n, nu=nu, cells=np.ascontiguousarray(cells[:n, :n]))
+    return ShapeScan(resolution=n, nu=nu, cells=cells)
 
 
 def _grid_axes(n: int, chi_psi: bool) -> tuple[np.ndarray, np.ndarray]:

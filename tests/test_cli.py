@@ -106,6 +106,25 @@ def test_classify_output(capsys):
     assert "V_tilde -4.65646627873" in out
 
 
+def test_classify_at_a_huge_nu_prints_no_warning():
+    # E * E_R overflows the discriminant to -inf; that is still IIIb.
+    proc = run_fresh(
+        "classify", "--preset", "helium", "--shape", "0.1", "0.2", "--nu", "4e307",
+        "--jhat", "1", "0", "0",
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "shape 0.1 0.2\n"
+        "V_tilde -4.55969953926\n"
+        "M_tilde 0.388196601125 0.611803398875 1\n"
+        "nu_thresholds 10.3954299442 6.35995937261 4.03547057156\n"
+        "class EMPTY\n"
+        "member false\n"
+        "region IIIb\n"
+        "bif_value -2.0088480708\n"
+    )
+
+
 def test_classify_rejects_collinear_shape(capsys):
     code, _, err = run_cli(
         capsys, "classify", "--preset", "helium", "--shape", "1", "0", "--nu", "6.0"

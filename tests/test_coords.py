@@ -242,6 +242,13 @@ def test_jacobi_from_positions_at_tiny_masses():
     assert w == pytest.approx(w_ref, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3, 4), (4, 3), (9,)])
+def test_jacobi_from_positions_rejects_positions_that_are_not_3_by_3(helium, shape):
+    positions = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+    with pytest.raises(DomainError):
+        jacobi_from_positions(helium, positions)
+
+
 def test_shape_validation():
     with pytest.raises(CollinearError):
         Shape(0.8, 0.7)

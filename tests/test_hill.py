@@ -379,7 +379,11 @@ def test_membership_rejects_non_finite_energy_and_r(helium, E, r):
 
 
 @pytest.mark.parametrize(
-    "j_hat", [(math.nan, 0.0, 1.0), (0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.6, 0.6)]
+    "j_hat",
+    [
+        (math.nan, 0.0, 1.0), (0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, 0.6, 0.6),
+        (0.6, 0.8), (0.5, 0.5, 0.5, 0.5),
+    ],
 )
 def test_membership_and_bif_function_reject_a_non_unit_j_hat(eep, j_hat):
     sh = Shape(0.1, 0.2)
@@ -387,3 +391,12 @@ def test_membership_and_bif_function_reject_a_non_unit_j_hat(eep, j_hat):
         membership(eep, -0.1, 1.0, sh, np.array(j_hat))
     with pytest.raises(DomainError):
         bif_function(eep, sh, np.array(j_hat))
+
+
+def test_membership_is_plain_float_arithmetic(helium):
+    # E * E_R overflows to inf in the discriminant: a Python float does so
+    # silently where a numpy scalar warned, and the answer is IIIb either way.
+    m = membership(helium, -4e307, 1.0, Shape(0.1, 0.2), [1.0, 0.0, 0.0])
+    assert (m.member, m.region_case, m.discriminant) == (False, "IIIb", -math.inf)
+    m = membership(helium, -1.0, 1.0, Shape(0.1, 0.2), np.array([0.0, 0.6, 0.8]))
+    assert type(m.discriminant) is float

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -455,6 +456,45 @@ def test_flow_raises_on_a_malformed_chart_table(eep):
         _flow(pair_geometry(eep), y)
 
 
+def _flow_bits(table, y, h=0.0, slope=None):
+    """``_flow``'s energy and flow packed as bytes (NaN bits included), or
+    its CollinearError message."""
+    try:
+        H, ydot = _flow(table, y, h, slope)
+    except CollinearError as exc:
+        return str(exc)
+    return struct.pack("10d", H, *ydot)
+
+
+def test_displaced_flow_is_the_flow_at_the_displaced_state(all_systems):
+    # _flow(table, y, h, slope) is _flow(table, y_i + h * slope_i) bit for
+    # bit: on random states, at the chart boundary, at an infinite angle and
+    # for a slope that overflows.
+    rng = np.random.default_rng(26)
+    y = [1.0, 1.0, 1e-3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]
+    cases = [
+        (y, 0.5, [0.0, 0.0, -1.0] + [0.0] * 6),  # phi < 0: off the chart
+        (y, 0.5, [-4.0] + [0.0] * 8),  # rho1 < 0
+        (y, 0.5, [0.0, 0.0, math.inf] + [0.0] * 6),  # infinite angle
+        (y, 1e10, [0.0, 0.0, 1e300] + [0.0] * 6),  # h * slope overflows
+        (y, 1e10, [0.0] * 6 + [1e300, 0.0, 0.0]),
+        (y, 1.0, [math.nan] * 9),
+    ]
+    for _ in range(300):
+        j = random_jacobi(rng)
+        y = [j.rho1, j.rho2, j.phi, *rng.normal(0.0, 1.0, 6).tolist()]
+        h = rng.choice([5e-4, 1e-3, 0.05, 1.0])
+        cases.append((y, h, rng.normal(0.0, rng.choice([1.0, 50.0]), 9).tolist()))
+    outcomes = collections.Counter()
+    for system in all_systems.values():
+        table = _chart_table(system)
+        for y, h, slope in cases:
+            want = _flow_bits(table, [a + h * b for a, b in zip(y, slope)])
+            assert _flow_bits(table, y, h, slope) == want, (system, y, h, slope)
+            outcomes[type(want) is str or math.isnan(struct.unpack("d", want[:8])[0])] += 1
+    assert outcomes[True] > 10 and outcomes[False] > 500
+
+
 @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
 def test_rigid_start_rejects_non_finite_r(r):
     with pytest.raises(DomainError):
@@ -462,11 +502,28 @@ def test_rigid_start_rejects_non_finite_r(r):
 
 
 @pytest.mark.parametrize(
-    "j_hat", [(0.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (0.0, math.inf, 0.0), (0.0, 0.0, 2.0)]
+    "j_hat",
+    [
+        (0.0, 0.0, 0.0), (math.nan, 0.0, 1.0), (0.0, math.inf, 0.0), (0.0, 0.0, 2.0),
+        (0.6, 0.8), (0.5, 0.5, 0.5, 0.5),
+    ],
 )
 def test_rigid_start_rejects_a_non_unit_j_hat(j_hat):
     with pytest.raises(DomainError):
         rigid_start(Shape(0.1, 0.2).to_jacobi(), 1.0, np.array(j_hat))
+
+
+@pytest.mark.parametrize(
+    "q, p, J",
+    [
+        ([1.0, 1.0], [0.0] * 3, [0.0] * 3),
+        ([1.0, 1.0, 1.3], [0.0] * 4, [0.0] * 3),
+        ([1.0, 1.0, 1.3], [0.0] * 3, np.zeros(9)),
+    ],
+)
+def test_rovib_state_rejects_a_part_that_is_not_three_long(q, p, J):
+    with pytest.raises(DomainError):
+        RovibState(q, p, J)
 
 
 def test_integrate_rejects_a_negative_step_count(gravity):
