@@ -460,6 +460,26 @@ def _sqrtmk_v_derivatives(system: BodySystem, k: int, w1, w2):
     return g1, g2, h11, h12, h22
 
 
+def _clamp_to_annulus(w1, w2, lim: float, core: float | None) -> None:
+    """Scale points (w1, w2) in place by lim/s where their hypot s exceeds
+    ``lim``, then, given a ``core``, by core/s where s is below it.  Only
+    points whose squared radius lies within 1e-12 (relative) of a threshold,
+    far beyond its few ulps of rounding, take the exact hypot; the rim clamp
+    moves none of them near the core."""
+    s2 = w1 * w1 + w2 * w2
+    rim = np.flatnonzero(s2 > lim * lim * (1.0 - 1e-12))
+    srad = np.hypot(w1[rim], w2[rim])
+    scale = np.where(srad > lim, lim / srad, 1.0)
+    w1[rim] *= scale
+    w2[rim] *= scale
+    if core is not None:
+        near = np.flatnonzero(s2 < core * core * (1.0 + 1e-12))
+        srad = np.hypot(w1[near], w2[near])
+        push = np.where(srad < core, core / np.maximum(srad, 1e-12), 1.0)
+        w1[near] *= push
+        w2[near] *= push
+
+
 def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]]:
     """Interior critical points of sqrt(Mt_k) Vt, each one a certified
     relative equilibrium rotating about principal axis k.
@@ -510,15 +530,7 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
         clip = np.where(norm > 0.1, 0.1 / np.maximum(norm, 1e-300), 1.0)
         damp = np.array([[1.0], [0.5], [0.25]])
         c1, c2 = (w1 - damp * (dx * clip)).ravel(), (w2 - damp * (dy * clip)).ravel()
-        srad = np.hypot(c1, c2)
-        scale = np.where(srad > lim, lim / srad, 1.0)
-        c1 *= scale
-        c2 *= scale
-        if k != 3:
-            srad = np.hypot(c1, c2)
-            push = np.where(srad < core, core / np.maximum(srad, 1e-12), 1.0)
-            c1 *= push
-            c2 *= push
+        _clamp_to_annulus(c1, c2, lim, core if k != 3 else None)
         return c1, c2
 
     def settled(gn):

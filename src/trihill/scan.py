@@ -219,16 +219,18 @@ class CensusReport:
 _NO_CELLS = np.zeros(0, dtype=np.intp)
 
 
-def _count_components(mask: np.ndarray, a=_NO_CELLS, b=_NO_CELLS) -> int:
-    """4-connected components of a 2-D boolean mask in which cells ``a[k]``
-    and ``b[k]`` (flat indices into ``mask``) are joined as well.
+def _component_rows(mask: np.ndarray, a=_NO_CELLS, b=_NO_CELLS) -> np.ndarray:
+    """The top row of each 4-connected component of a 2-D boolean mask in
+    which cells ``a[k]`` and ``b[k]`` (flat indices into ``mask``) are
+    joined as well.
 
     Run-based labelling on the mask laid out flat with one False column put
     before each row, so that no run crosses rows: a run's id is its rank in
     raster order, and the first column of each vertical overlap joins two
     runs.  Each root is hooked onto the least root it is joined to and
     pointer jumping then takes every run to its root, until no join links
-    two roots.
+    two roots.  A root is then the least run of its component, the first in
+    raster order, so its row is the component's top row.
     """
     cols = mask.shape[1]
     flat = np.concatenate((np.zeros((mask.shape[0], 1), dtype=bool), mask), axis=1).ravel()
@@ -243,12 +245,17 @@ def _count_components(mask: np.ndarray, a=_NO_CELLS, b=_NO_CELLS) -> int:
         a, b = parent[a], parent[b]
         live = a != b
         if not live.any():
-            return int(np.count_nonzero(parent == np.arange(starts.size)))
+            return starts[parent == np.arange(starts.size)] // (cols + 1)
         a, b = a[live], b[live]
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         up = parent[parent]
         while not np.array_equal(up, parent):
             parent, up = up, up[up]
+
+
+def _count_components(mask: np.ndarray, a=_NO_CELLS, b=_NO_CELLS) -> int:
+    """Number of 4-connected components of ``_component_rows``' mask and joins."""
+    return _component_rows(mask, a, b).size
 
 
 def component_census(scan: ShapeScan) -> CensusReport:

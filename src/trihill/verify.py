@@ -36,7 +36,7 @@ from .critical import (
     langmuir_geometry,
 )
 from .errors import DomainError, UnsupportedFamilyError, check_finite
-from .hill import ShapeEvaluation, membership, orientation_class, shape_eval
+from .hill import class_codes, membership, moments, shape_eval, shape_value
 from .reduction import (
     RovibState,
     _chart_table,
@@ -49,7 +49,7 @@ from .reduction import (
     relequil_residual,
     rigid_start,
 )
-from .scan import _count_components, euler_characteristics, scan_disk
+from .scan import _component_rows, euler_characteristics, scan_disk
 from .systems import PRESETS, BodySystem
 
 VIRIAL_DT_FACTOR = 1e-3  # dt = factor * (2 pi r / |V|), the rotation period
@@ -306,15 +306,22 @@ def _collision_angle_check(report: VerificationReport, system: BodySystem) -> No
     report.add("coords.collision_angles", worst, 1e-10, "r_ij = 0 on collision rays")
 
 
+@functools.cache
 def sphere_grid() -> np.ndarray:
-    """Latitude/longitude grid of unit vectors in 2-degree steps, (90, 180, 3), poles omitted."""
+    """Latitude/longitude grid of unit vectors in 2-degree steps, (90, 180, 3),
+    poles omitted; built once per process, read-only."""
     th = np.radians(np.arange(1.0, 180.0, 2.0))
     ph = np.radians(np.arange(0.0, 360.0, 2.0))
     TH, PH = np.meshgrid(th, ph, indexing="ij")
-    return np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
+    grid = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
+    grid.setflags(write=False)
+    return grid
 
 
-def sphere_orientation_class(m_tilde, v_tilde: float, nu: float, grid) -> int:
+_CHUNK = 8  # samples per step of the batched oracles: 130 KB of sphere masks, 96 KB of lam rows
+
+
+def sphere_orientation_class(m_tilde, v_tilde, nu, grid):
     """Class from sampling the membership inequality over the J sphere.
 
     Independent of the threshold shortcut: the accessible directions of
@@ -324,69 +331,94 @@ def sphere_orientation_class(m_tilde, v_tilde: float, nu: float, grid) -> int:
     any other partial set is the band.  Three cases need no sampling, as
     every direction is alike there: nu < 0 is full, nu == 0 is full when
     v_tilde < 0 and empty otherwise, and v_tilde >= 0 at nu > 0 is empty.
-    A NaN nu, or a NaN v_tilde at nu >= 0, gives empty.
+    A NaN nu, or a NaN v_tilde at nu >= 0, gives empty.  Arrays of samples
+    (broadcast together) give an array of classes: each chunk of sampled
+    ones is stacked for one ``count_components_periodic`` call.
     """
-    if nu < 0:
-        return 3  # FULL
-    if nu == 0:
-        return 3 if v_tilde < 0.0 else 0
-    if v_tilde >= 0:
-        return 0  # EMPTY
-    m1, m2, m3 = m_tilde
-    er = 0.5 * (
-        grid[..., 0] ** 2 / m1 + grid[..., 1] ** 2 / m2 + grid[..., 2] ** 2 / m3
-    )
-    acc = er <= v_tilde**2 / (4.0 * nu)
-    if acc.all():
-        return 3  # FULL
-    if not acc.any():
-        return 0  # EMPTY
-    caps = count_components_periodic(acc) == 2 and acc[0].any() and acc[-1].any()
-    return 1 if caps else 2
+    *m, v, nu = np.broadcast_arrays(*m_tilde, v_tilde, nu)
+    shape = nu.shape
+    m1, m2, m3, v, nu = (x.ravel() for x in (*m, v, nu))
+    codes = np.select([nu < 0, nu == 0], [3, np.where(v < 0.0, 3, 0)], 0)
+    sq = [np.ascontiguousarray(grid[..., axis] ** 2) for axis in range(3)]
+    todo = np.flatnonzero((nu > 0) & (v < 0.0))
+    level = v[todo] ** 2 / (4.0 * nu[todo])
+    stack = np.empty((min(todo.size, _CHUNK), *sq[0].shape), dtype=bool)
+    for at in range(0, todo.size, _CHUNK):
+        k, acc = todo[at : at + _CHUNK], stack[: todo.size - at]
+        for layer, i, lv in zip(acc, k, level[at : at + _CHUNK]):
+            np.less_equal(0.5 * (sq[0] / m1[i] + sq[1] / m2[i] + sq[2] / m3[i]), lv, out=layer)
+        rows = acc.any(axis=2)
+        full, partial = acc.all(axis=(1, 2)), rows.any(axis=1)
+        partial &= ~full
+        caps = count_components_periodic(acc[partial]) == 2
+        codes[k] = np.where(full, 3, 0)
+        codes[k[partial]] = np.where(caps & rows[partial, 0] & rows[partial, -1], 1, 2)
+    return int(codes[0]) if shape == () else codes.reshape(shape)
 
 
-def count_components_periodic(mask: np.ndarray) -> int:
+def count_components_periodic(mask: np.ndarray):
     """4-connected components on the (colatitude, longitude) grid: periodic in
     longitude, with first- and last-row cells joined through the omitted poles
-    (the rotational energy is monotone in colatitude near each pole)."""
-    rows, cols = mask.shape
-    seam = np.flatnonzero(mask[:, 0] & mask[:, -1]) * cols  # column 0 of rows set at both ends
-    top = np.flatnonzero(mask[0])
-    bottom = np.flatnonzero(mask[-1]) + (rows - 1) * cols
-    a = np.concatenate((seam, top[:-1], bottom[:-1]))
-    b = np.concatenate((seam + cols - 1, top[1:], bottom[1:]))
-    return _count_components(mask, a, b)
+    (the rotational energy is monotone in colatitude near each pole).  A stack
+    of masks (n, rows, cols) gives n counts: laid one under another with a
+    False row after each, they are labelled in one run, and each component
+    counts for the mask that holds its top row."""
+    *lead, rows, cols = np.shape(mask)
+    n = math.prod(lead)
+    laid = np.pad(np.reshape(mask, (n, rows, cols)), ((0, 0), (0, 1), (0, 0))).reshape(-1, cols)
+    seam = np.flatnonzero(laid[:, 0] & laid[:, -1]) * cols  # column 0 of rows set at both ends
+    # consecutive set cells of each mask's first row, and of its last
+    poles = (np.arange(n)[:, None] * (rows + 1) + [0, rows - 1]).ravel()
+    pole, col = np.divmod(np.flatnonzero(laid[poles]), cols)
+    cells, same = poles[pole] * cols + col, pole[1:] == pole[:-1]
+    a = np.concatenate((seam, cells[:-1][same]))
+    b = np.concatenate((seam + cols - 1, cells[1:][same]))
+    counts = np.bincount(_component_rows(laid, a, b) // (rows + 1), minlength=n)
+    return int(counts[0]) if not lead else counts
 
 
 def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int = 150) -> None:
+    """Membership and the class rule against independent oracles.
+
+    Every sample is drawn first, in a fixed order: the shape (w1, w2),
+    redrawn until its ``math.hypot`` radius, the float of ``Shape.radius``,
+    is below 0.98; the unit Jhat; E; r; the factor u of nu = u max(1, |Vt|).
+    ``membership`` and ``class_codes`` (whose nu is a scalar) stay one call
+    per sample, as the scalar rules under test, and so do body positions on
+    the oracle side.  Vt comes from one ``shape_value`` call (the bits of
+    ``shape_eval``) and the moments from the drawn radii; the dilation grid
+    and the sphere census take all samples, ``_CHUNK`` at a time.
+    """
     rng = np.random.default_rng(5150)
-    grid = sphere_grid()
-    lam_grid = np.logspace(-6.0, 6.0, 1_500)
-    mismatch_m = mismatch_o = 0
+    draws = []
     for _ in range(samples):
         while True:
             w1, w2 = rng.uniform(-0.98, 0.98, 2)
-            if math.hypot(w1, w2) < 0.98:
+            if (s := math.hypot(w1, w2)) < 0.98:
                 break
-        shape = Shape(w1, w2)
-        # membership against the dilation-grid inequality
         jh = rng.normal(0.0, 1.0, 3)
         jh /= np.linalg.norm(jh)
-        E = float(rng.uniform(-3.0, 1.0))
-        r = float(rng.uniform(0.2, 2.0))
-        got = membership(system, E, r, shape, jh).member
-        base = positions_from_jacobi(system, shape.to_jacobi())
-        want = lambda_grid_member(system, base, jh, E, r, lam_grid)
-        mismatch_m += got != want
-        # orientation class against the sphere-sampling census
-        ev = shape_eval(system, shape)
-        nu = float(rng.uniform(-0.5, 3.0)) * max(1.0, abs(ev.v_tilde))
-        if _near_threshold(ev, nu):
-            continue
-        got_c = int(orientation_class(system, nu, shape))
-        mismatch_o += got_c != sphere_orientation_class(ev.m_tilde, ev.v_tilde, nu, grid)
-    report.add("hill.membership_oracle", float(mismatch_m), 0.0, f"{samples} samples")
-    report.add("hill.orientation_oracle", float(mismatch_o), 0.0, f"{samples} samples")
+        E, r = rng.uniform(-3.0, 1.0), rng.uniform(0.2, 2.0)
+        draws.append((w1, w2, s, jh, E, r, rng.uniform(-0.5, 3.0)))
+    w1, w2, s, jh, E, r, u = (np.array(x) for x in zip(*draws))
+    # membership against the dilation-grid inequality
+    shapes = list(map(Shape, w1, w2))
+    got = [membership(system, *x).member for x in zip(E.tolist(), r.tolist(), shapes, jh)]
+    bases = np.array([positions_from_jacobi(system, shape.to_jacobi()) for shape in shapes])
+    want = lambda_grid_member(system, bases, jh, E, r, np.logspace(-6.0, 6.0, 1_500))
+    note = f"{samples} samples"
+    report.add("hill.membership_oracle", float(np.count_nonzero(np.array(got) != want)), 0.0, note)
+    # the class rule against the sphere-sampling census
+    V, (m1, m2, m3) = shape_value(system, w1, w2), moments(s)
+    nu = u * np.fmax(1.0, np.abs(V))
+    keep = ~_near_threshold(V, (m1, m2, m3), nu)
+    V, m1, m2, nu = V[keep], m1[keep], m2[keep], nu[keep]
+    got = [
+        class_codes(n, v, (a, b, m3))
+        for n, v, a, b in zip(nu.tolist(), V.tolist(), m1.tolist(), m2.tolist())
+    ]
+    want = sphere_orientation_class((m1, m2, m3), V, nu, sphere_grid())
+    report.add("hill.orientation_oracle", float(np.count_nonzero(np.ravel(got) != want)), 0.0, note)
 
 
 def _census_event_checks(
@@ -418,35 +450,45 @@ def _census_event_checks(
         )
 
 
-def _near_threshold(ev: ShapeEvaluation, nu: float) -> bool:
-    """Whether nu lies within 1e-6 of 0 or (scaled) of a class threshold."""
-    if ev.v_tilde >= 0.0:
-        return abs(nu) < 1e-6
-    v2 = ev.v_tilde**2
-    for mk in ev.m_tilde:
-        if abs(nu - 0.5 * mk * v2) < 1e-6 * max(1.0, v2):
-            return True
-    return abs(nu) < 1e-6
+def _near_threshold(v_tilde, m_tilde, nu):
+    """Where nu lies within 1e-6 of 0 or (scaled) of a class threshold, over
+    arrays of Vt, of the moments (Mt1, Mt2, Mt3) and of nu."""
+    near = np.abs(nu) < 1e-6
+    v2 = v_tilde**2
+    for mk in m_tilde:
+        near |= ~(v_tilde >= 0.0) & (np.abs(nu - 0.5 * mk * v2) < 1e-6 * np.fmax(1.0, v2))
+    return near
 
 
-def lambda_grid_member(system: BodySystem, base: np.ndarray, j_hat, E, r, lam_grid) -> bool:
+def lambda_grid_member(system: BodySystem, base: np.ndarray, j_hat, E, r, lam_grid):
     """Hill inequality scanned over dilations of body positions ``base``.
 
     Taken from positions once: the principal moments (numpy's eigenvalues of
     the inertia tensor of ``base``) and the potential V0 over the three
     measured distances.  Dilation by lam scales them by lam^2 and 1/lam, so
     the scan tests er0/lam^2 + V0/lam <= E.  Independent of the closed-form
-    moments and of f_analysis.
+    moments and of f_analysis.  One ``base`` (3, 3) gives a bool; a stack
+    (S, 3, 3), with ``j_hat`` (S, 3) and E and r (S,), gives S verdicts.
     """
-    masses = np.asarray(system.masses)
-    x1, x2, x3 = base
+    lead = np.shape(base)[:-2]
+    base = np.reshape(base, (-1, 3, 3))
+    x1, x2, x3 = base.transpose(1, 0, 2)
     a1, a2, a3 = system.alphas
-    d12, d13, d23 = (float(np.linalg.norm(d)) for d in (x1 - x2, x1 - x3, x2 - x3))
+    # each length from one dot product: the bits of np.linalg.norm on a vector
+    dot = [d[:, None] @ d[..., None] for d in (x1 - x2, x1 - x3, x2 - x3)]
+    d12, d13, d23 = (np.sqrt(dd[:, 0, 0]) for dd in dot)
     V0 = -(a3 / d12 + a2 / d13 + a1 / d23)
-    mx = masses[:, None] * base
-    mom = np.linalg.eigvalsh(np.sum(mx * base) * np.eye(3) - mx.T @ base)  # ascending
-    er0 = 0.5 * r * r * (j_hat[0] ** 2 / mom[0] + j_hat[1] ** 2 / mom[1] + j_hat[2] ** 2 / mom[2])
-    return bool(np.min(er0 / lam_grid**2 + V0 / lam_grid) <= E)
+    mx = np.asarray(system.masses)[:, None] * base
+    trace = np.sum(mx * base, axis=(1, 2))[:, None, None]
+    mom = np.linalg.eigvalsh(trace * np.eye(3) - np.swapaxes(mx, 1, 2) @ base)  # ascending
+    j2, r = np.reshape(j_hat, (-1, 3)) ** 2, np.ravel(r)
+    er0 = 0.5 * r * r * (j2[:, 0] / mom[:, 0] + j2[:, 1] / mom[:, 1] + j2[:, 2] / mom[:, 2])
+    lam2, low = lam_grid**2, np.empty(len(base))
+    for k in range(0, len(base), _CHUNK):
+        part = slice(k, k + _CHUNK)
+        low[part] = np.min(er0[part, None] / lam2 + V0[part, None] / lam_grid, axis=1)
+    member = (low <= np.ravel(E)).reshape(lead)
+    return bool(member) if not lead else member
 
 
 def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:

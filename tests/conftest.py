@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from trihill.coords import Shape, pair_geometry
+from trihill.coords import Shape, pair_geometry, positions_from_jacobi
 from trihill.critical import (
     _collinear_entry,
     _collinear_polynomials,
     _is_relative_equilibrium,
 )
 from trihill.errors import CollinearError, DomainError
-from trihill.hill import moments, shape_eval, shape_kernel
+from trihill.hill import membership, moments, orientation_class, shape_eval, shape_kernel
 from trihill.reduction import (
     COLLINEAR_TOL,
     ConservationReport,
@@ -31,6 +31,7 @@ from trihill.reduction import (
 )
 from trihill.systems import BodySystem, preset
 from trihill.verify import (  # noqa: F401
+    VerificationReport,
     lambda_grid_member,
     sphere_grid,
     sphere_orientation_class,
@@ -762,6 +763,63 @@ def oracle_count_components_periodic(mask: np.ndarray) -> int:
                     seen.add(cell)
                     queue.append(cell)
     return count
+
+
+def _oracle_near_threshold(ev, nu: float) -> bool:
+    """Whether nu lies within 1e-6 of 0 or (scaled) of a class threshold."""
+    if ev.v_tilde >= 0.0:
+        return abs(nu) < 1e-6
+    v2 = ev.v_tilde**2
+    for mk in ev.m_tilde:
+        if abs(nu - 0.5 * mk * v2) < 1e-6 * max(1.0, v2):
+            return True
+    return abs(nu) < 1e-6
+
+
+def oracle_oracle_suites(system: BodySystem, samples: int = 150) -> str:
+    """The CHECK lines of ``verify._oracle_suites`` from its sample-by-sample
+    loop as it was before the batched one: the same draws from seed 5150,
+    each sample through the scalar public calls (``membership``,
+    ``orientation_class``, a one-configuration ``lambda_grid_member`` and a
+    one-sample ``sphere_orientation_class``) as it is drawn."""
+    rng = np.random.default_rng(5150)
+    grid = sphere_grid()
+    lam_grid = np.logspace(-6.0, 6.0, 1_500)
+    mismatch_m = mismatch_o = 0
+    for _ in range(samples):
+        while True:
+            w1, w2 = rng.uniform(-0.98, 0.98, 2)
+            if math.hypot(w1, w2) < 0.98:
+                break
+        shape = Shape(w1, w2)
+        jh = rng.normal(0.0, 1.0, 3)
+        jh /= np.linalg.norm(jh)
+        E = float(rng.uniform(-3.0, 1.0))
+        r = float(rng.uniform(0.2, 2.0))
+        got = membership(system, E, r, shape, jh).member
+        base = positions_from_jacobi(system, shape.to_jacobi())
+        mismatch_m += got != lambda_grid_member(system, base, jh, E, r, lam_grid)
+        ev = shape_eval(system, shape)
+        nu = float(rng.uniform(-0.5, 3.0)) * max(1.0, abs(ev.v_tilde))
+        if _oracle_near_threshold(ev, nu):
+            continue
+        got_c = int(orientation_class(system, nu, shape))
+        mismatch_o += got_c != sphere_orientation_class(ev.m_tilde, ev.v_tilde, nu, grid)
+    report = VerificationReport()
+    report.add("hill.membership_oracle", float(mismatch_m), 0.0, f"{samples} samples")
+    report.add("hill.orientation_oracle", float(mismatch_o), 0.0, f"{samples} samples")
+    return report.text()
+
+
+def verify_workload_systems(seed: int) -> list[BodySystem]:
+    """The 12 random systems of the benchmark's verify workload at ``seed``:
+    masses U(0.1, 5) and couplings U(-3, 3) from the stream (seed, 4)."""
+    rng = np.random.default_rng((seed, 4))
+    out = []
+    for _ in range(12):
+        masses, alphas = rng.uniform(0.1, 5.0, 3), rng.uniform(-3.0, 3.0, 3)
+        out.append(BodySystem(tuple(masses.tolist()), tuple(alphas.tolist())))
+    return out
 
 
 def spiral_mask(n: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from trihill import critical
 from trihill.coords import pair_geometry
 from trihill.critical import (
+    _clamp_to_annulus,
     CriticalValue,
     _sqrtmk_v_derivatives,
     catalog_csv,
@@ -505,6 +506,48 @@ def test_find_critical_shapes_searches_in_full_on_every_call(monkeypatch, helium
     n = len(calls)
     assert n > 3 and _search_results(find_critical_shapes, helium) == first
     assert len(calls) == 2 * n
+
+
+def _hypot_clamp(w1, w2, lim, core):
+    """The search's rim clamp and core push with an exact hypot at every
+    point: the bit-for-bit reference for ``_clamp_to_annulus``."""
+    srad = np.hypot(w1, w2)
+    with np.errstate(divide="ignore", over="ignore"):  # lim / 0 or 1e-300, dropped
+        scale = np.where(srad > lim, lim / srad, 1.0)
+    w1, w2 = w1 * scale, w2 * scale
+    if core is not None:
+        srad = np.hypot(w1, w2)
+        push = np.where(srad < core, core / np.maximum(srad, 1e-12), 1.0)
+        w1, w2 = w1 * push, w2 * push
+    return w1, w2
+
+
+def test_clamp_to_annulus_matches_an_exact_hypot_everywhere():
+    # radii up to 8 ulps and a few 1e-13 (relative) around both thresholds,
+    # well inside and outside them, 0, tiny and NaN, at random angles
+    rng = np.random.default_rng(23)
+    lim, core = 1.0 - 1e-3, 1e-3
+    radii = [0.0, 5e-324, 1e-200, 1e-9, 0.5, 1.05, 1.2, math.nan]
+    for t in (lim, core):
+        radii += [t * (1.0 + k * 2.0**-53) for k in range(-8, 9)]
+        radii += [t * (1.0 + f) for f in (-3e-12, -1e-12, -3e-13, 3e-13, 1e-12, 3e-12, 1e-6)]
+    r = np.repeat(radii, 400)
+    angle = rng.uniform(0.0, 2.0 * math.pi, r.size)
+    angle[::50] = rng.integers(0, 8, angle[::50].size) * (math.pi / 4.0)  # on the axes too
+    points = r * np.cos(angle), r * np.sin(angle)
+    # points whose squared radius and hypot fall on opposite sides of a
+    # threshold, which a test of the squared radius without margin gets wrong
+    s2, srad = points[0] ** 2 + points[1] ** 2, np.hypot(*points)
+    assert np.count_nonzero((s2 > lim * lim) != (srad > lim)) > 10
+    assert np.count_nonzero((s2 < core * core) != (srad < core)) > 10
+    moved = 0
+    for c in (core, None):
+        w1, w2 = points[0].copy(), points[1].copy()
+        _clamp_to_annulus(w1, w2, lim, c)
+        want = _hypot_clamp(*points, lim, c)
+        assert w1.tobytes() == want[0].tobytes() and w2.tobytes() == want[1].tobytes()
+        moved += np.count_nonzero(want[0] != points[0])
+    assert moved > 1000
 
 
 def _kernel_test_points(system):

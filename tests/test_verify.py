@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from trihill import critical, reduction, verify
+from trihill import critical, hill, reduction, verify
 from trihill.critical import (
     CriticalValue,
     critical_catalog,
@@ -16,7 +16,14 @@ from trihill.critical import (
     nu_langmuir,
 )
 from trihill.errors import DomainError, UnsupportedFamilyError
-from trihill.hill import HillMembership, _normalized_rotational_energy, shape_eval
+from trihill.hill import (
+    HillMembership,
+    ShapeEvaluation,
+    _normalized_rotational_energy,
+    class_codes,
+    moments,
+    shape_eval,
+)
 from trihill.reduction import hamiltonian, relequil_residual
 from trihill.systems import BodySystem
 from trihill.verify import VerificationReport, build_relequil_state, verify_all
@@ -25,13 +32,16 @@ from conftest import (
     adversarial_masks,
     count_calls,
     forbid,
+    _oracle_near_threshold,
     oracle_count_components_periodic,
     oracle_eom_fd_suite,
     oracle_lambda_grid_rebuild,
+    oracle_oracle_suites,
     oracle_positions,
     oracle_potential,
     oracle_sphere_orientation_class,
     spiral_mask,
+    verify_workload_systems,
 )
 
 
@@ -246,21 +256,43 @@ def _signed_system(rng, signs):
 
 @pytest.mark.parametrize("signs", _SIGNS)
 def test_lambda_grid_member_matches_per_lambda_rebuild(signs):
-    # replays the deep oracle draws (seed 5150, 150 samples) through both scans
+    # replays the deep oracle draws (seed 5150, 150 samples) through the
+    # batched scan and, sample by sample, through the per-lambda rebuild
     rng = np.random.default_rng((1500, _SIGNS.index(signs)))
-    one_tensor = verify.lambda_grid_member
-    got, want = [], []
+    batched = verify.lambda_grid_member
+    calls = []
 
-    def both(*args):
-        got.append(one_tensor(*args))
-        want.append(oracle_lambda_grid_rebuild(*args))
-        return got[-1]
+    def record(*args):
+        calls.append((args, batched(*args)))
+        return calls[-1][1]
 
-    with mock.patch.object(verify, "lambda_grid_member", both):
+    with mock.patch.object(verify, "lambda_grid_member", record):
         for _ in range(2):
             _oracle_checks(_signed_system(rng, signs), 150)
-    assert len(got) == 300
+    got, want = [], []
+    for (system, bases, j_hats, Es, rs, lam_grid), member in calls:
+        got += member.tolist()
+        for sample in zip(bases, j_hats, Es, rs):
+            want.append(oracle_lambda_grid_rebuild(system, *sample, lam_grid))
+    assert len(calls) == 2 and len(want) == 300
     assert got == want
+
+
+@pytest.mark.parametrize("samples", [150, 30])
+@pytest.mark.parametrize("group", ["presets and signs", 1, 2, 7])
+def test_oracle_suites_match_the_per_sample_loop(all_systems, group, samples):
+    # the batched suite's two CHECK lines against the scalar loop it
+    # replaced: presets and one system per sign pattern, and the benchmark's
+    # verify-workload systems at seeds 1, 2 and 7
+    if group == "presets and signs":
+        rng = np.random.default_rng(31)
+        systems = [*all_systems.values(), *(_signed_system(rng, signs) for signs in _SIGNS)]
+    else:
+        systems = verify_workload_systems(group)
+    for system in systems:
+        report = VerificationReport()
+        verify._oracle_suites(report, system, samples)
+        assert report.text() == oracle_oracle_suites(system, samples), system
 
 
 def test_membership_oracle_fails_on_a_wrong_discriminant(monkeypatch, all_systems):
@@ -288,6 +320,40 @@ def test_oracle_suites_at_the_deep_sample_count(all_systems):
         checks = _oracle_checks(system, 150)
         for name in ("hill.membership_oracle", "hill.orientation_oracle"):
             assert checks[name].measured == 0.0, (system, checks[name].line())
+
+
+def _threshold_one_over_m(nu, v_tilde, m_tilde):
+    # class_codes with the thresholds 1/Mt_k in place of 1/(2 Mt_k)
+    return class_codes(nu, v_tilde, tuple(0.5 * np.asarray(m) for m in m_tilde))
+
+
+def _swapped_moments(s):
+    # Mt1 and Mt2 trade places
+    m1, m2, m3 = moments(s)
+    return m2, m1, m3
+
+
+# Mutants the suites caught before they were batched, by the check that
+# catches each.  A '>' for '>=' in class_codes is caught by neither: the
+# suite skips the samples whose nu lies near a threshold.
+_MUTANTS = {
+    "class_codes 1/m": ("class_codes", _threshold_one_over_m, "hill.orientation_oracle"),
+    "swapped moments": ("moments", _swapped_moments, "hill.membership_oracle"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+def test_oracle_suites_fail_on_a_mutant(monkeypatch, all_systems, mutant):
+    name, replacement, check = _MUTANTS[mutant]
+
+    def passes(system, samples):
+        return _oracle_checks(system, samples)[check].passed
+
+    assert all(passes(system, 150) for system in all_systems.values())
+    for module in (hill, verify):
+        monkeypatch.setattr(module, name, replacement)
+    for samples in (150, 30):
+        assert not any(passes(system, samples) for system in all_systems.values()), samples
 
 
 def _fd_measured(system):
@@ -397,6 +463,34 @@ def test_count_components_periodic_on_adversarial_masks():
     assert verify.count_components_periodic(masks["spiral cut by the seam"]) == 1
 
 
+def test_stacked_count_components_periodic_counts_mask_by_mask():
+    # masks of one shape stacked on a leading axis against the
+    # 2-D counter and the breadth-first search, mask by mask
+    by_shape = {}
+    for mask in [*_periodic_masks().values(), *_random_masks()]:
+        by_shape.setdefault(mask.shape, []).append(mask)
+    stacked = 0
+    for shape, masks in by_shape.items():
+        want = [oracle_count_components_periodic(mask) for mask in masks]
+        assert [verify.count_components_periodic(mask) for mask in masks] == want, shape
+        got = verify.count_components_periodic(np.array(masks))
+        assert got.shape == (len(masks),) and got.tolist() == want, shape
+        stacked += len(masks) > 1
+    assert stacked >= 5
+    assert verify.count_components_periodic(np.zeros((0, 90, 180), dtype=bool)).shape == (0,)
+
+
+def test_sphere_grid_is_built_once_and_read_only():
+    grid = verify.sphere_grid()
+    assert verify.sphere_grid() is grid and not grid.flags.writeable
+    th = np.radians(np.arange(1.0, 180.0, 2.0))[:, None]
+    ph = np.radians(np.arange(0.0, 360.0, 2.0))[None, :]
+    assert grid.shape == (90, 180, 3)
+    assert np.allclose(grid[..., 2], np.cos(th)) and np.allclose(grid[..., 0], np.sin(th) * np.cos(ph))
+    with pytest.raises(ValueError):
+        grid[0, 0, 0] = 1.0
+
+
 def _sphere_inputs():
     """Random (m_tilde, Vt, nu), with the cases that need no sampling and NaNs."""
     rng = np.random.default_rng(777)
@@ -422,3 +516,57 @@ def test_sphere_orientation_class_matches_sampling_every_case():
         assert verify.sphere_orientation_class(m_tilde, vt, nu, grid) == want, (m_tilde, vt, nu)
         classes.append(want)
     assert sorted(set(classes)) == [0, 1, 2, 3]
+
+
+def test_batched_sphere_orientation_class_matches_one_sample_calls():
+    # every input of the census in one batch (more than a chunk of sampled
+    # ones, mixed with the cases that need no sampling) against the scalar
+    # call and the whole-grid oracle
+    grid = verify.sphere_grid()
+    inputs = list(_sphere_inputs())
+    m1, m2, m3 = (np.array(m) for m in zip(*(m for m, _, _ in inputs)))
+    vt = np.array([v for _, v, _ in inputs])
+    nu = np.array([n for _, _, n in inputs])
+    got = verify.sphere_orientation_class((m1, m2, m3), vt, nu, grid)
+    want = [oracle_sphere_orientation_class(*sample, grid) for sample in inputs]
+    assert got.shape == (len(inputs),) and got.tolist() == want
+    assert [verify.sphere_orientation_class(*sample, grid) for sample in inputs] == want
+    # a scalar third moment broadcasts over the batch
+    got2 = verify.sphere_orientation_class((m1[:150], m2[:150], 1.0), vt[:150], nu[:150], grid)
+    assert got2.tolist() == want[:150]
+
+
+def test_batched_sphere_census_tells_two_blobs_off_the_poles_from_caps():
+    # with the largest moment on axis 1 or 2 the first directions to open
+    # form two components that miss the polar rows: a band, not the caps
+    grid = verify.sphere_grid()
+    m_tilde = [(1.0, 0.3, 0.7), (0.3, 1.0, 0.7), (0.7, 0.3, 1.0)]
+    m1, m2, m3 = (np.repeat(m, 12) for m in zip(*m_tilde))
+    vt = np.full(36, -1.0)
+    nu = np.tile(np.linspace(0.3, 1.2, 12), 3)
+    want = [oracle_sphere_orientation_class(m, -1.0, n, grid) for m, n in zip(zip(m1, m2, m3), nu)]
+    assert verify.sphere_orientation_class((m1, m2, m3), vt, nu, grid).tolist() == want
+    assert want[:12].count(2) > 0 and want[24:].count(1) > 0
+
+
+def test_near_threshold_matches_the_scalar_rule():
+    rng = np.random.default_rng(66)
+    vt = rng.choice([-1.0, 1.0], 600) * rng.uniform(0.1, 3.0, 600)
+    vt[:30] = [0.0, -0.0, math.nan] * 10
+    m1 = rng.uniform(0.05, 0.5, 600)
+    m_tilde = (m1, 1.0 - m1, 1.0)
+    # nu at a threshold of either sign of Vt, at 0, or anywhere
+    pick = rng.integers(0, 5, 600)
+    nu = np.select(
+        [pick == 0, pick == 1, pick == 2, pick == 3],
+        [0.5 * m1 * vt**2, 0.5 * (1.0 - m1) * vt**2, 0.5 * vt**2, rng.normal(0.0, 1e-7, 600)],
+        rng.uniform(-0.5, 3.0, 600) * np.fmax(1.0, np.abs(vt)),
+    )
+    nu += rng.choice([0.0, 1e-9, 1e-5], 600)
+    got = verify._near_threshold(vt, m_tilde, nu)
+    want = [
+        _oracle_near_threshold(ShapeEvaluation(None, v, (a, 1.0 - a, 1.0)), n)
+        for v, a, n in zip(vt.tolist(), m1.tolist(), nu.tolist())
+    ]
+    assert got.tolist() == want
+    assert 50 < sum(want) < 550
