@@ -14,11 +14,11 @@ the principal moment about the rotation axis:
               opposite charge, rotating about an in-plane principal axis;
 * collinear   Euler-type configurations on the boundary of the shape space,
               the real roots of Euler's collinear quintic (signed couplings)
-              per ordering where V < 0, found as polynomial roots with no
-              search grid; the same polynomials give each root's nu,
-              residual and sign of V.
+              per ordering where V < 0, the three quintics in one stacked
+              eigenvalue solve with no search grid; the same polynomials
+              give each root's nu, residual and sign of V.
 
-No entry has V >= 0: such a point carries no relative equilibrium.
+No entry has V >= 0, which carries no relative equilibrium, or an infinite nu.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .coords import (
     Shape,
@@ -60,7 +59,7 @@ class CriticalValue:
     meaningful.  Entries merged by the catalog carry ``multiplicity`` > 1.
     ``residual`` certifies an entry found as a root: |dnu/dt| there over
     max(1, nu) for collinear entries, None for the closed forms.  A ``nu``
-    that is negative or NaN raises DomainError.
+    that is negative or not finite raises DomainError.
     """
 
     nu: float
@@ -76,6 +75,8 @@ class CriticalValue:
             raise DomainError(f"unknown family {self.family!r}")
         if not self.nu >= 0:
             raise DomainError("critical nu must be nonnegative")
+        if self.nu == math.inf:
+            raise DomainError("critical nu overflows; rescale the system")
 
     def shape(self) -> Shape:
         if self.w is None:
@@ -297,7 +298,8 @@ def _collinear_polynomials(
     distance ratio, and I is the moment of inertia.  With A = V x(1+x) and
     B = V' x^2 (1+x)^2, both quadratics, P = 1/2 I' A x(1+x) + I B is
     Euler's collinear quintic with signed couplings: for nu = 1/2 I V^2,
-    dnu/dx = V P/(x^2 (1+x)^2), and V has the sign of A.
+    dnu/dx = V P/(x^2 (1+x)^2), and V has the sign of A.  P, built by
+    ``np.convolve``, keeps six coefficients even where g_jk = 0.
 
     A power series in t = x/(1+x) would blur roots next to t = 1 into
     rounding; in x both collisions sit where a coefficient is exact: t -> 0
@@ -313,9 +315,8 @@ def _collinear_polynomials(
         a = -np.array([gij, gij + gjk + gik, gjk])
         scale = np.array([abs(gij), abs(gij) + abs(gjk) + abs(gik), abs(gjk)])
         b = np.array([gij, 2.0 * gij, gij + gik])
-        quintic = P.polyadd(
-            0.5 * P.polymul(P.polymul(P.polyder(iw), a), [0.0, 1.0, 1.0]), P.polymul(iw, b)
-        )
+        quintic = 0.5 * np.convolve(np.convolve(iw[1:] * (1.0, 2.0), a), (0.0, 1.0, 1.0))
+        quintic[:5] += np.convolve(iw, b)
     polys = (quintic, a, scale, iw)
     if not all(np.isfinite(c).all() for c in polys):
         raise DomainError("collinear polynomial coefficients overflow; rescale the system")
@@ -332,41 +333,60 @@ def _polyval(c: list[float], x: float) -> float:
     return value
 
 
-def _roots_in_unit_interval(c: list[float]) -> list[float]:
-    """Real roots x > 0 of c with t = x/(1+x) in (0, 1), each polished by
-    three Newton steps on Python floats.
-
-    polyroots drops zero leading coefficients itself (g_jk = 0), so the
-    degree drops with no extra care; zero low-order coefficients (g_ij = 0)
-    come back as exact roots x = 0, the collision, which x > 0 leaves out.
-    A double root may come back as a complex pair split by about sqrt(eps);
-    the 1e-7 relative imaginary tolerance keeps it.  Finite coefficients
-    can still overflow the companion matrix (a leading coefficient next to
-    zero): that raises DomainError, with numpy's warning silenced.  A step
-    that lands on x <= 0 (x = -1 among them) or on a t that rounds to 1
-    drops the root.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            r = P.polyroots(c)
-        except np.linalg.LinAlgError:
-            raise DomainError("collinear polynomial roots overflow; rescale the system") from None
-        real = r.real[(np.abs(r.imag) <= 1e-7 * np.abs(r)) & (r.real > 0.0)]
+def _polished(c: list[float], x: float) -> float:
+    """x after three Newton steps on c, each kept only where it lowers |c|:
+    at a double root c' is as small as the rounding in c."""
     dc = [n * c[n] for n in range(1, len(c))]
-    out = []
-    for x in real.tolist():
-        value = _polyval(c, x)
-        for _ in range(3):
-            # Keep a step only where it lowers |c|: at a double root c' is as
-            # small as the rounding in c, and a raw step lands anywhere.
-            slope = _polyval(dc, x)
-            if slope != 0.0:
-                cand = x - value / slope
-                cand_value = _polyval(c, cand)
-                if abs(cand_value) < abs(value):
-                    x, value = cand, cand_value
-        if x > 0.0 and x / (1.0 + x) < 1.0:
-            out.append(x)
+    value = _polyval(c, x)
+    for _ in range(3):
+        slope = _polyval(dc, x)
+        if slope != 0.0:
+            cand = x - value / slope
+            cand_value = _polyval(c, cand)
+            if abs(cand_value) < abs(value):
+                x, value = cand, cand_value
+    return x
+
+
+def _roots_in_unit_interval(polys: list[list[float]]) -> list[list[float]]:
+    """Per polynomial, its real roots x > 0 with t = x/(1+x) in (0, 1), each
+    ``_polished`` on Python floats.
+
+    Zero leading coefficients are trimmed here (g_jk = 0), so the degree
+    drops.  The companion matrices of one degree (ones below the diagonal,
+    -c[:-1]/c[-1] in the last column) go to one stacked ``eigvals`` call, a
+    1 x 1 one is its own root, and each row is sorted: the bits of numpy's
+    ``polyroots``.  Zero low-order coefficients (g_ij = 0) give exact roots
+    x = 0, the collision, which x > 0 leaves out.  A double root may come
+    back as a complex pair split by about sqrt(eps); the 1e-7 relative
+    imaginary tolerance keeps it.  Finite coefficients can still overflow a
+    companion matrix (a leading coefficient next to zero): that raises
+    DomainError, with numpy's warnings silenced.  A polished root x <= 0
+    (x = -1 among them) or whose t rounds to 1 is dropped.
+    """
+    trimmed = []
+    for c in polys:
+        while len(c) > 1 and c[-1] == 0.0:
+            c = c[:-1]
+        trimmed.append(c)
+    out: list[list[float]] = [[] for _ in polys]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in set(map(len, trimmed)) - {1}:
+            group = [p for p, c in enumerate(trimmed) if len(c) == n]
+            m = np.zeros((len(group), n - 1, n - 1))
+            m[:, 1:, :-1] = np.eye(n - 2)
+            c = np.array([trimmed[p] for p in group])
+            m[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            try:
+                r = np.sort(np.linalg.eigvals(m)) if n > 2 else m[:, 0]
+            except np.linalg.LinAlgError:
+                raise DomainError(
+                    "collinear polynomial roots overflow; rescale the system"
+                ) from None
+            keep = (np.abs(r.imag) <= 1e-7 * np.abs(r)) & (r.real > 0.0)
+            for p, row, ok in zip(group, r.real, keep):
+                xs = (_polished(trimmed[p], x) for x in row[ok].tolist())
+                out[p] = [x for x in xs if x > 0.0 and x / (1.0 + x) < 1.0]
     return out
 
 
@@ -375,20 +395,20 @@ def collinear_configs(system: BodySystem) -> list[CriticalValue]:
 
     Bodies (i, j, k) sit at (0, x, 1 + x), or at (0, t, 1) with
     t = x/(1+x).  The critical points are the real roots x > 0 of Euler's
-    quintic P, polished by Newton steps, with no search grid.  At each
-    root ``_polyval`` reads A = V x(1+x); a root is kept only where
+    quintic P, all three orderings' in one solve, with no search grid.  At
+    each root ``_polyval`` reads A = V x(1+x); a root is kept only where
     A < -1e-9 of its scale, for where the potential is not strictly
     negative there is no relative equilibrium (the required spin rate would
     be imaginary).  From A and P come nu = 1/2 I V^2 with V = A/(x(1+x))
-    and the ``residual`` |dnu/dt| = |V P|/x^2 over max(1, nu).  A kept root
-    whose nu is not finite stays, and the catalog raises DomainError on it.
+    and the ``residual`` |dnu/dt| = |V P|/x^2 over max(1, nu).  A nu that
+    overflows raises DomainError.
     """
+    orders = ((2, 1, 3), (1, 2, 3), (1, 3, 2))  # bodies (i, j, k), j in the middle
+    polys = [_collinear_polynomials(system, order) for order in orders]
+    roots = _roots_in_unit_interval([quintic for quintic, *_ in polys])
     out = []
-    for middle in (1, 2, 3):
-        i, k = [b for b in (1, 2, 3) if b != middle]
-        order = (i, middle, k)
-        quintic, quad, scale, iw = _collinear_polynomials(system, order)
-        for x in _roots_in_unit_interval(quintic):
+    for order, (quintic, quad, scale, iw), xs in zip(orders, polys, roots):
+        for x in xs:
             a = _polyval(quad, x)
             if not a < -1e-9 * _polyval(scale, x):
                 continue
@@ -605,15 +625,16 @@ def critical_catalog(system: BodySystem) -> list[CriticalValue]:
     Each interior closed form is listed where it applies and silently absent
     where it raises UnsupportedFamilyError: the diabolic value where
     Vt(0, 0) >= 0, Lagrange without gravitational couplings, Langmuir
-    without a symmetric like pair.
+    without a symmetric like pair.  A family whose nu overflows raises
+    DomainError; Lagrange goes first, so that its overflow is named.
     """
     entries: list[CriticalValue] = [CriticalValue(0.0, "zero", detail="energy sign change")]
-    entries.extend(nu_infinity(system))
-    for closed_form in (nu_diabolic, nu_lagrange, nu_langmuir):
+    for closed_form in (nu_lagrange, nu_diabolic, nu_langmuir):
         try:
             entries.append(closed_form(system))
         except UnsupportedFamilyError:
             pass
+    entries.extend(nu_infinity(system))
     entries.extend(collinear_configs(system))
 
     order = {fam: i for i, fam in enumerate(FAMILIES)}
@@ -630,8 +651,6 @@ def critical_catalog(system: BodySystem) -> list[CriticalValue]:
             )
         else:
             merged.append(cv)
-    if not all(math.isfinite(cv.nu) for cv in merged):
-        raise DomainError("critical values overflow; rescale the system")
     return merged
 
 

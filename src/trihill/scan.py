@@ -258,12 +258,23 @@ def _count_components(mask: np.ndarray, a=_NO_CELLS, b=_NO_CELLS) -> int:
     return _component_rows(mask, a, b).size
 
 
+def _check_cells(scan: ShapeScan) -> np.ndarray:
+    """The cells of a scan that ``render`` or a count reads: cells that are
+    not a 2-D integer array of CellClass codes raise DomainError."""
+    cells = scan.cells
+    if cells.ndim != 2 or cells.dtype.kind not in "iu" or not (
+        0 <= cells.min(initial=0) and cells.max(initial=0) <= CellClass.FULL
+    ):
+        raise DomainError("scan cells must be a 2-D array of CellClass codes")
+    return cells
+
+
 def component_census(scan: ShapeScan) -> CensusReport:
     """4-connected component counts per class, plus boundary contact flags."""
     counts: dict[CellClass, int] = {}
     touches: dict[CellClass, bool] = {}
     # The boundary band grown by one cell in the four grid directions.
-    band = scan.cells == np.int8(CellClass.BOUNDARY)
+    band = _check_cells(scan) == np.int8(CellClass.BOUNDARY)
     near_boundary = band.copy()
     near_boundary[1:] |= band[:-1]
     near_boundary[:-1] |= band[1:]
@@ -285,7 +296,7 @@ def euler_characteristics(scan: ShapeScan) -> tuple[int, int, int]:
     where any of the four pixels around it does.  Closed pixels that share
     a corner touch, so chi = b0 - b1: 8-connected components less the holes.
     """
-    padded, count, chi = np.pad(scan.cells, 1), np.count_nonzero, []
+    padded, count, chi = np.pad(_check_cells(scan), 1), np.count_nonzero, []
     for cls in (CellClass.CAPS, CellClass.RING, CellClass.FULL):
         faces = padded >= np.int8(cls)
         edges_i = faces[1:] | faces[:-1]  # between neighbours along i
@@ -300,10 +311,8 @@ def render(obj, fmt: str) -> bytes:
     cells are not n x n integer CellClass codes, or a grid whose values are
     not an n x n array of real numbers, raises DomainError."""
     if isinstance(obj, ShapeScan):
-        n, cells = obj.resolution, obj.cells
-        if cells.shape != (n, n) or cells.dtype.kind not in "iu" or not (
-            0 <= cells.min(initial=0) and cells.max(initial=0) <= CellClass.FULL
-        ):
+        n = obj.resolution
+        if _check_cells(obj).shape != (n, n):
             raise DomainError(f"scan cells must be an {n} x {n} array of CellClass codes")
         if fmt == "ppm":
             return _scan_ppm(obj)

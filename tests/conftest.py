@@ -14,11 +14,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from trihill.coords import Shape, pair_geometry, positions_from_jacobi
-from trihill.critical import (
-    _collinear_entry,
-    _collinear_polynomials,
-    _is_relative_equilibrium,
-)
+from trihill.critical import _collinear_entry, _is_relative_equilibrium
 from trihill.errors import CollinearError, DomainError
 from trihill.hill import membership, moments, orientation_class, shape_eval, shape_kernel
 from trihill.reduction import (
@@ -618,13 +614,35 @@ def oracle_find_critical_shapes(system: BodySystem, k: int, seeds: int = 64):
     return sorted(found, key=lambda item: (item[1], item[0].w1, item[0].w2))
 
 
-# The collinear family as it was when the Newton polish ran on arrays with
-# numpy's polyval, and when the roots of the V = 0 quadratic A were solved
-# beside Euler's quintic: the bit-for-bit reference for collinear_configs,
+# The collinear family as it was when numpy.polynomial built Euler's quintic
+# and solved it one ordering at a time, when the Newton polish ran on arrays
+# with numpy's polyval, and when the roots of the V = 0 quadratic A were
+# solved beside the quintic: the bit-for-bit reference for collinear_configs,
 # with numpy's warnings on extreme systems silenced.
 
 
-def _oracle_roots_in_unit_interval(c):
+def oracle_collinear_polynomials(system: BodySystem, order):
+    """Euler's quintic P, the quadratic A, its scale and I(x) for bodies
+    ``order`` at (0, x, 1 + x), built with numpy.polynomial: P = 1/2 I' A
+    x(1+x) + I B with B = V' x^2 (1+x)^2, trimmed of zero leading
+    coefficients."""
+    i, j, k = order
+    mi, mj, mk = (system.masses[b - 1] for b in order)
+    gij, gjk, gik = (system.pair_coupling(*pair) for pair in ((i, j), (j, k), (i, k)))
+    with np.errstate(all="ignore"):
+        iw = np.array([mj * mk + mi * mk, 2.0 * mi * mk, mi * mj + mi * mk]) / (mi + mj + mk)
+        a = -np.array([gij, gij + gjk + gik, gjk])
+        scale = np.array([abs(gij), abs(gij) + abs(gjk) + abs(gik), abs(gjk)])
+        b = np.array([gij, 2.0 * gij, gij + gik])
+        quintic = P.polyadd(
+            0.5 * P.polymul(P.polymul(P.polyder(iw), a), [0.0, 1.0, 1.0]), P.polymul(iw, b)
+        )
+    if not all(np.isfinite(c).all() for c in (quintic, a, scale, iw)):
+        raise DomainError("collinear polynomial coefficients overflow")
+    return quintic, a, scale, iw
+
+
+def oracle_roots_in_unit_interval(c):
     with np.errstate(all="ignore"):
         try:
             r = P.polyroots(c)
@@ -657,8 +675,8 @@ def oracle_collinear_roots(system: BodySystem, quadratic: bool = False):
     for middle in (1, 2, 3):
         i, k = [b for b in (1, 2, 3) if b != middle]
         order = (i, middle, k)
-        quintic, quad, scale, iw = (np.array(c) for c in _collinear_polynomials(system, order))
-        xs, values = _oracle_roots_in_unit_interval(quad if quadratic else quintic)
+        quintic, quad, scale, iw = oracle_collinear_polynomials(system, order)
+        xs, values = oracle_roots_in_unit_interval(quad if quadratic else quintic)
         for x, value in zip(xs, values):
             a, p = (value, at(quintic, x)) if quadratic else (at(quad, x), value)
             out.append((order, x, a, p, at(iw, x), a < -1e-9 * at(scale, x)))

@@ -33,7 +33,9 @@ from conftest import (
     count_calls,
     forbid,
     oracle_collinear_configs,
+    oracle_collinear_polynomials,
     oracle_collinear_roots,
+    oracle_roots_in_unit_interval,
     oracle_find_critical_shapes,
     oracle_sqrtmk_v_derivatives,
 )
@@ -242,10 +244,53 @@ def test_collinear_drops_zero_potential_artifacts(helium, eep):
 
 
 def test_collinear_solves_only_the_quintic(monkeypatch, gravity):
-    # one polynomial per ordering: the roots of A have V = 0 and never count
+    # one solve per catalog over the three orderings' quintics: the roots of
+    # A have V = 0 and never count
     calls = count_calls(monkeypatch, critical._roots_in_unit_interval)
+    eigvals, solve = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: eigvals.append(m) or solve(m))
     collinear_configs(gravity)
-    assert len(calls) == 3
+    ((polys,),) = calls
+    orders = ((2, 1, 3), (1, 2, 3), (1, 3, 2))
+    assert polys == [critical._collinear_polynomials(gravity, order)[0] for order in orders]
+    assert [len(c) for c in polys] == [6, 6, 6]
+    assert [m.shape for m in eigvals] == [(3, 5, 5)]
+
+
+def test_stacked_solve_matches_polyroots_per_polynomial():
+    # degrees 0 to 5, zero leading coefficients included, in one call: each
+    # polynomial's polished roots are those of its own polyroots call; a
+    # linear root that overflows is no root, where an eigenvalue solve of
+    # its 1 x 1 companion matrix would raise
+    rng = np.random.default_rng(7)
+    polys = [[1e300, 1e-300], [-1e300, 1e-300, 0.0]]
+    for _ in range(300):
+        c = rng.normal(size=6)
+        c[rng.integers(1, 7) :] = 0.0
+        polys.append(c.tolist())
+    assert critical._roots_in_unit_interval(polys) == [
+        oracle_roots_in_unit_interval(np.array(c))[0] for c in polys
+    ]
+
+
+def test_collinear_bits_on_seeded_systems_with_zero_couplings():
+    # a zero coupling drops a quintic's degree (to 3, or to 0 with all three
+    # zero), so the stacked solve groups the orderings by degree
+    rng = np.random.default_rng(28)
+    n = 600
+    alphas = rng.uniform(-3.0, 3.0, (n, 3)) * (rng.random((n, 3)) > 1 / 3)
+    alphas[:3] = [(1, 0, 1), (0, 1, -1), (1, 1, 0)]
+    degrees = set()
+    for masses, alpha in zip(rng.uniform(0.1, 5.0, (n, 3)).tolist(), alphas.tolist()):
+        system = BodySystem(masses, alpha)
+        assert _bits(collinear_configs(system)) == _bits(oracle_collinear_configs(system))
+        degrees.add(
+            tuple(
+                len(oracle_collinear_polynomials(system, order)[0]) - 1
+                for order in ((2, 1, 3), (1, 2, 3), (1, 3, 2))
+            )
+        )
+    assert {(5, 5, 5), (3, 5, 5), (5, 3, 3), (0, 0, 0)} <= degrees
 
 
 def oracle_collinear_terms(system, order, t):
@@ -668,6 +713,14 @@ def test_critical_value_validation():
         CriticalValue(-0.5, "lagrange")
     with pytest.raises(DomainError):
         CriticalValue(math.nan, "zero")
+
+
+def test_infinite_critical_values_are_rejected():
+    with pytest.raises(DomainError, match="rescale the system$"):
+        CriticalValue(math.inf, "collinear")
+    # 1/2 mu a^2 of the pair (1,2) overflows
+    with pytest.raises(DomainError, match="rescale the system$"):
+        nu_infinity(BodySystem((1, 1, 1), (1e300, 1, 1)))
 
 
 @pytest.mark.parametrize("signs", _SIGNS)

@@ -398,13 +398,9 @@ def test_scan_csv_matches_per_pixel_writer_at_cli_resolution(name):
     assert render(scan, "csv") == oracle_scan_csv(scan)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "ppm"])
-def test_render_rejects_impossible_cells(gravity, fmt):
-    # A code of -1 would wrap to Full under numpy indexing, and 6 would
-    # raise a bare IndexError; cells of another shape would not match the
-    # header's grid.
-    good = scan_disk(gravity, 1.0, 4).cells
-    bad = {
+def _impossible_cells(good):
+    """Rasters that are no 4 x 4 scan, by label, made from the cells ``good``."""
+    return {
         "minus one": np.where(good == CellClass.FULL, -1, good).astype(np.int8),
         "six": np.where(good == CellClass.OUTSIDE, 6, good).astype(np.int8),
         "not square": good[:, :3],
@@ -412,6 +408,15 @@ def test_render_rejects_impossible_cells(gravity, fmt):
         "flat": good.ravel(),
         "float codes": good + 0.5,
     }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "ppm"])
+def test_render_rejects_impossible_cells(gravity, fmt):
+    # A code of -1 would wrap to Full under numpy indexing, and 6 would
+    # raise a bare IndexError; cells of another shape would not match the
+    # header's grid.
+    good = scan_disk(gravity, 1.0, 4).cells
+    bad = _impossible_cells(good)
     for label, cells in bad.items():
         try:
             render(ShapeScan(4, 1.0, cells), fmt)
@@ -421,6 +426,22 @@ def test_render_rejects_impossible_cells(gravity, fmt):
     assert render(ShapeScan(4, 1.0, good.astype(np.uint8)), fmt) == render(
         ShapeScan(4, 1.0, good), fmt
     )
+
+
+@pytest.mark.parametrize("count", [component_census, euler_characteristics])
+def test_census_and_euler_characteristics_reject_impossible_cells(gravity, count):
+    # Codes of 9 everywhere matched no class: the census counted nothing.
+    # The counts read no resolution, so a raster of another 2-D shape is
+    # counted as it stands.
+    good = scan_disk(gravity, 1.0, 4).cells
+    bad = _impossible_cells(good) | {"nine": np.full((4, 4), 9, np.int8)}
+    for label in ("not square", "too large"):
+        cells = bad.pop(label)
+        assert count(ShapeScan(4, 1.0, cells)) == count(ShapeScan(len(cells), 1.0, cells))
+    for label, cells in bad.items():
+        with pytest.raises(DomainError):
+            count(ShapeScan(4, 1.0, cells))
+    assert count(ShapeScan(4, 1.0, good.astype(np.uint8))) == count(ShapeScan(4, 1.0, good))
 
 
 def test_render_rejects_impossible_grid_values(gravity):

@@ -193,3 +193,19 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_catalog_runs_without_numpy_polynomial():
+    code = """
+import sys
+import trihill
+from trihill.critical import critical_catalog
+from trihill.systems import preset
+assert len(critical_catalog(preset("helium"))) > 1
+loaded = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+assert not loaded, loaded
+"""
+    src = os.path.dirname(os.path.dirname(trihill.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
