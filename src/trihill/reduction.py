@@ -212,7 +212,9 @@ def _flow(table, y, h=0.0, slope=None) -> tuple[float, tuple[float, ...]]:
     One evaluation of the Jacobi chart serves both, and the pair sum
     ``_potential_and_grad_scalar`` shares its squares, sine and cosine.
     ``table`` is the system's chart table (``_chart_table``), built once per
-    run rather than derived from the pair table per call.  The partials are
+    run rather than derived from the pair table per call.  ``_energies``
+    repeats the energy's operations in this order over an array of states,
+    and a test pins its values to this energy's bits.  The partials are
     analytic and J . Jdot = 0 identically.  With w = M^-1 J and
     d(M^-1)/dq = -M^-1 (dM/dq) M^-1, the rotational part of dH/dq is minus
     half the quadratic form of dM/dq on w.
@@ -291,6 +293,29 @@ def _flow(table, y, h=0.0, slope=None) -> tuple[float, tuple[float, ...]]:
         return _NAN_FLOW
 
 
+def _energies(table, Y: np.ndarray) -> np.ndarray:
+    """H at each row (q, p, J) of the (N, 9) array ``Y``: the energy of
+    ``_flow``, operation for operation, over arrays.  For rows inside the
+    chart: there is no chart guard, and numpy's warnings are silenced."""
+    rho1, rho2, phi, p1, p2, p3, J1, J2, J3 = Y.T
+    with np.errstate(all="ignore"):
+        s, c = np.sin(phi), np.cos(phi)
+        r1s, r2s = rho1 * rho1, rho2 * rho2
+        r2s_s = r2s * s
+        det2 = r1s * r2s * s * s
+        i00, i01, i11 = (r1s + r2s * c * c) / det2, (r2s_s * c) / det2, (r2s_s * s) / det2
+        I = r1s + r2s
+        u3 = p3 - J3 * (r2s / I)
+        g33u3 = I / (r1s * rho2 * rho2) * u3
+        cross = 2.0 * rho1 * rho2 * c
+        V = 0.0
+        for one_minus, one_plus, spsi, two_mu, gam, _ in table:
+            V = V - gam / np.sqrt((r1s * one_minus + r2s * one_plus - cross * spsi) / two_mu)
+        rot = 0.5 * (i00 * J1 * J1 + 2.0 * i01 * J1 * J2 + i11 * J2 * J2 + 1.0 / I * J3 * J3)
+        vib = 0.5 * (p1 * p1 + p2 * p2 + g33u3 * u3)
+        return rot + vib + V
+
+
 def hamiltonian(system: BodySystem, state: RovibState) -> float:
     """Reduced ro-vibrational energy of a state."""
     return _flow(_chart_table(system), state.flat().tolist())[0]
@@ -310,9 +335,12 @@ def relequil_residual(
     They are the flow at the rigidly rotating state (q, p = J.A, J), where
     qdot = 0: res1 = Jdot = J x (M^-1 J) vanishes iff J is a principal axis;
     res3 = -pdot is the gradient of the effective potential 1/2 J.M^-1.J + V
-    over q.  Both are near zero exactly at relative equilibria.
+    over q.  Both are near zero exactly at relative equilibria.  A ``J``
+    that is not three finite values raises DomainError.
     """
     J = np.asarray(J, dtype=float)
+    if J.shape != (3,) or not np.isfinite(J).all():
+        raise DomainError(f"J must hold three finite values, got {J.tolist()}")
     y = np.concatenate([[j.rho1, j.rho2, j.phi], _gauge_momentum(j, J), J])
     ydot = np.array(_flow(_chart_table(system), y.tolist())[1])
     return ydot[6:9], -ydot[3:6]

@@ -40,9 +40,9 @@ from .hill import class_codes, membership, moments, shape_eval, shape_value
 from .reduction import (
     RovibState,
     _chart_table,
+    _energies,
     _flow,
     _potential_and_grad,
-    eom,
     hamiltonian,
     inertia,
     integrate,
@@ -262,35 +262,35 @@ def _system_free_checks(deep: bool) -> tuple[Check, ...]:
 def _eom_fd_suite(report: VerificationReport, system: BodySystem, samples: int = 300) -> None:
     """Central differences of H against the flow at random states.
 
-    Each sample calls ``eom`` once.  The twelve energies of its differences
-    come from ``reduction._flow`` on the float state y = (q, p, J) with one
-    value moved: the same floats ``hamiltonian`` would pass it, without a
-    ``RovibState`` per energy, on one chart table for the whole suite.
+    Each sample's flow is ``reduction._flow`` on its float state
+    y = (q, p, J), the bits ``eom`` gives.  The twelve energies of its
+    differences, y with one value moved by +-h, come from one ``_energies``
+    call over the rows of all samples: the bits ``hamiltonian`` gives.
     """
     rng = np.random.default_rng(13)
     table = _chart_table(system)
-
-    def energy(y: list[float], k: int, step: float) -> float:
-        y = y.copy()
-        y[k] += step
-        return _flow(table, y)[0]
-
-    errs = []
+    ys, flows, scales, errs = [], [], [], []
     for _ in range(samples):
         q = [rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), rng.uniform(0.3, math.pi - 0.3)]
         p = rng.normal(0.0, 1.0, 3)
         J = rng.normal(0.0, 1.0, 3)
-        d = eom(system, RovibState(q, p, J))
-        dq, dp = d.q.tolist(), d.p.tolist()
-        scale = max(1.0, *map(abs, dq), *map(abs, dp))
-        y = [*q, *p.tolist(), *J.tolist()]
-        for mu in range(3):
-            hh = 1e-6 * max(1.0, abs(q[mu]))  # the step of q_mu serves p_mu too
-            fd = (energy(y, mu, hh) - energy(y, mu, -hh)) / (2 * hh)
-            errs.append(abs(-fd - dp[mu]) / scale)
-            fd = (energy(y, 3 + mu, hh) - energy(y, 3 + mu, -hh)) / (2 * hh)
-            errs.append(abs(fd - dq[mu]) / scale)
-        errs.append(abs(float(np.dot(d.J, J))) / max(1.0, float(np.dot(J, J))))
+        ys.append([*q, *p.tolist(), *J.tolist()])
+        d = _flow(table, ys[-1])[1]
+        flows.append(d)
+        scales.append(max(1.0, *map(abs, d[:6])))
+        errs.append(abs(float(np.dot(np.array(d[6:]), J))) / max(1.0, float(np.dot(J, J))))
+    y, d = np.array(ys).reshape(samples, 9), np.array(flows).reshape(samples, 9)
+    k = np.arange(6)
+    hh = np.tile(1e-6 * np.maximum(1.0, np.abs(y[:, :3])), 2)  # the step of q_mu serves p_mu too
+    # rows[i, 0 or 1, k]: sample i with value k moved by +hh or -hh
+    rows = np.repeat(y[:, None, :], 12, axis=1).reshape(samples, 2, 6, 9)
+    rows[:, 0, k, k] = y[:, :6] + hh
+    rows[:, 1, k, k] = y[:, :6] - hh
+    H = _energies(table, rows.reshape(-1, 9)).reshape(samples, 2, 6)
+    with np.errstate(all="ignore"):
+        fd = (H[:, 0] - H[:, 1]) / (2 * hh)
+        err = np.abs(np.concatenate([-fd[:, :3] - d[:, 3:6], fd[:, 3:] - d[:, :3]], axis=1))
+        errs += (err / np.array(scales)[:, None]).ravel().tolist()
     report.add("eom.finite_difference", _worst(0.0, *errs), 1e-6, f"{samples} random states")
 
 

@@ -30,7 +30,7 @@ from trihill.reduction import (
 from trihill.coords import Shape, pair_geometry
 from trihill.critical import critical_catalog, nu_lagrange, nu_langmuir
 from trihill.hill import membership
-from trihill.reduction import _chart_table, _flow, _potential_and_grad, rigid_start
+from trihill.reduction import _chart_table, _energies, _flow, _potential_and_grad, rigid_start
 from trihill.systems import BodySystem, preset
 from trihill.verify import VIRIAL_DT_FACTOR, build_relequil_state
 
@@ -237,6 +237,18 @@ def test_relequil_residual_axis_properties(gravity):
     # J off-axis: torque residual appears
     res1, _ = relequil_residual(gravity, j, np.array([1.0, 1.0, 1.0]))
     assert np.linalg.norm(res1) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "J",
+    [
+        [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]],
+        [math.inf, 0.0, 0.0], [0.0, math.nan, 0.0],
+    ],
+)
+def test_relequil_residual_rejects_a_J_that_is_not_three_finite_values(helium, J):
+    with pytest.raises(DomainError, match="J must hold three finite values"):
+        relequil_residual(helium, JacobiShapeCoords(1, 1, 1), J)
 
 
 def test_relequil_residual_at_equilibria(helium, gravity, eep):
@@ -682,6 +694,49 @@ def test_flow_entry_points_bit_identical_to_array_oracle(signs, masses, magnitud
         ydot = oracle_flow(pairs, y)[1]
         assert np.array_equal(res1, ydot[6:9])
         assert np.array_equal(res3, -ydot[3:6])
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=5, deadline=None, derandomize=True, phases=_NO_SHRINK)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_energies_bit_identical_to_flow(signs, masses, magnitudes, seed):
+    # _energies repeats _flow's energy over rows of states: each finite
+    # energy keeps its bits, so a platform whose np.sin or np.cos rounds
+    # otherwise than math's fails here.  Rows: every value log-uniform over
+    # many decades with either sign, and rows as verify's finite-difference
+    # suite draws them, with one of q and p moved by +-1e-6 max(1, |q_mu|).
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    table = _chart_table(system)
+    rng = np.random.default_rng(seed)
+    n = 200
+    wide = rng.choice((-1.0, 1.0), (n, 9)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 9))
+    wide[:, :2] = np.abs(wide[:, :2])
+    fd = np.column_stack(
+        [
+            rng.uniform(0.3, 2.0, (n, 2)),
+            rng.uniform(0.3, math.pi - 0.3, n),
+            rng.normal(0.0, 1.0, (n, 6)),
+        ]
+    )
+    k, sign = rng.integers(0, 6, n), rng.choice((-1.0, 1.0), n)
+    rows = np.arange(n)
+    fd[rows, k] += sign * 1e-6 * np.maximum(1.0, np.abs(fd[rows, k % 3]))
+    Y = np.concatenate([wide, fd])
+    got = _energies(table, Y)
+    compared = 0
+    for i, y in enumerate(Y.tolist()):
+        try:
+            H = _flow(table, y)[0]
+        except CollinearError:
+            continue
+        if math.isfinite(H):
+            assert float(got[i]).hex() == H.hex(), (system, y)
+            compared += 1
+    assert compared >= n + n // 4
 
 
 @pytest.mark.parametrize("signs", _SIGNS)

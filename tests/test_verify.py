@@ -379,6 +379,32 @@ def test_eom_fd_suite_reads_the_flow_not_hamiltonian(monkeypatch, all_systems):
         assert _fd_measured(system) == want[name], name
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_eom_fd_suite_catches_a_wrong_flow_or_a_wrong_energy(monkeypatch, all_systems, k):
+    # The suite's flow comes from _flow and its energies from _energies: a
+    # relative 1e-4 in one pdot component, or an energy term the flow does
+    # not have, fails it on every preset.
+    def passes(system):
+        report = VerificationReport()
+        verify._eom_fd_suite(report, system, 300)
+        return report.checks[0].passed
+
+    flow, energies = verify._flow, verify._energies
+    assert all(passes(system) for system in all_systems.values())
+
+    def wrong_flow(table, y):
+        H, ydot = flow(table, y)
+        return H, (*ydot[:k], ydot[k] * (1.0 + 1e-4), *ydot[k + 1 :])
+
+    monkeypatch.setattr(verify, "_flow", wrong_flow)
+    assert not any(passes(system) for system in all_systems.values())
+    monkeypatch.setattr(verify, "_flow", flow)
+    monkeypatch.setattr(
+        verify, "_energies", lambda table, Y: energies(table, Y) + 1e-3 * Y[:, 0] ** 2
+    )
+    assert not any(passes(system) for system in all_systems.values())
+
+
 def test_eom_fd_suite_fails_on_a_nan_flow():
     # hamiltonian and eom are NaN at every state of this system; a worst
     # case taken with Python's max used to drop the NaN and pass

@@ -24,9 +24,11 @@ the parent's.  A speed claim cites the ratios of one such file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -43,10 +45,20 @@ def _git(*args: str) -> str:
 def _run(workload: str, seed: int, trace: int, seconds: float, cwd: str = ".") -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=cwd)
-    lines = proc.stdout.splitlines()
+    # In a session of its own, so that the worker run.py starts goes down
+    # with it when this run is cut short.
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            cwd=cwd, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    lines = stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("# info "):
-        raise SystemExit(f"error: {' '.join(cmd[1:])} exited {proc.returncode}: {proc.stderr.strip()}")
+        raise SystemExit(f"error: {' '.join(cmd[1:])} exited {proc.returncode}: {stderr.strip()}")
     info = json.loads(lines[-2][len("# info "):])
     final = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in final["metrics"].items()}
@@ -99,7 +111,14 @@ def _runs(seconds: float, dirs: list[str]) -> list[list[dict]]:
     return out
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    # A SIGTERM unwinds like an error, through the cleanup of the parent
+    # worktree and of the running workload.
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default=".", help="directory to write the file to")
     ap.add_argument("--parent", help="also run this revision, alternating with this commit")
