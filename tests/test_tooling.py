@@ -6,7 +6,9 @@ breaks only the traced benchmark run, which no other test starts.  And the
 frame path must stay free of the derivative kernel, whose cost only a
 benchmark would show.  And the Jacobi chart's pair sum must stay one
 helper that every entry point of the chart reads, so that its operation
-order, which trajectories depend on to the last bit, is written once.  So
+order, which trajectories depend on to the last bit, is written once; the
+one value-only copy, ``reduction._energies`` for verify's batch of
+displaced states, is pinned to it bit for bit in test_reduction.py.  So
 must the disk distance rule, ``coords._pair_term``: every pair distance and
 every Vt on the shape disk reads it, and a second copy would drift from the
 one that scans, bounds and searches depend on.  And verify's event checks
