@@ -25,8 +25,13 @@ class UnsupportedFamilyError(TrihillError, ValueError):
 
 
 def check_finite(name: str, value: float) -> None:
-    """Reject a non-finite input, which no comparison or formula can use."""
-    if not math.isfinite(value):
+    """Reject an input that is not a finite real number, which no comparison
+    or formula can use."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    if not finite:
         raise DomainError(f"{name} must be finite, got {value}")
 
 

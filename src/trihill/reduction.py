@@ -32,8 +32,8 @@ from .systems import BodySystem
 # with rho1, rho2 or sin(phi) below this are rejected rather than extrapolated.
 COLLINEAR_TOL = 1e-10
 
-# Energy and flow of a non-finite state.
-_NAN_FLOW = (math.nan, (math.nan,) * 9)
+# Flow of a non-finite state.
+_NAN_FLOW = (math.nan,) * 9
 
 
 @dataclass(frozen=True)
@@ -157,44 +157,9 @@ def _chart_table(system: BodySystem) -> tuple[tuple[float, ...], ...]:
     )
 
 
-def _potential_and_grad_scalar(
-    table, rho1: float, rho2: float, r1s: float, r2s: float, cphi: float, sphi: float
-) -> tuple[float, float, float, float]:
-    """V and dV/d(rho1, rho2, phi) at a Jacobi chart point, one loop over the
-    rows of the chart table, given r1s = rho1 * rho1, r2s = rho2 * rho2 and
-    the cosine and sine of phi: the one pair sum of the Jacobi chart.
-
-    A pair's squared distance is affine in the squares,
-    (r1s (1 - cos psi) + r2s (1 + cos psi) - 2 rho1 rho2 cos phi sin psi) / (2 mu).
-    The products that open the same expression in all three pairs are
-    computed once before the loop (see ``_flow`` on which may be shared).
-    """
-    cross = 2.0 * rho1 * rho2 * cphi
-    r2c, r1c = rho2 * cphi, rho1 * cphi
-    V = g0 = g1 = g2 = 0.0
-    for one_minus, one_plus, spsi, two_mu, gam, mu in table:
-        r2 = (r1s * one_minus + r2s * one_plus - cross * spsi) / two_mu
-        r = 0.0 if r2 < 0.0 else math.sqrt(r2)  # r2 < 0: a collision, gam / r raises
-        V -= gam / r
-        scale = gam / (2.0 * r2 * r * mu)
-        g0 += scale * (rho1 * one_minus - r2c * spsi)
-        g1 += scale * (rho2 * one_plus - r1c * spsi)
-        g2 += scale * rho1 * rho2 * sphi * spsi
-    return V, g0, g1, g2
-
-
-def _potential_and_grad(system: BodySystem, q: np.ndarray) -> tuple[float, np.ndarray]:
-    """V and dV/d(rho1, rho2, phi) from the affine pair-distance forms."""
-    rho1, rho2, phi = q[0], q[1], q[2]
-    V, g0, g1, g2 = _potential_and_grad_scalar(
-        _chart_table(system), rho1, rho2, rho1 * rho1, rho2 * rho2, math.cos(phi), math.sin(phi)
-    )
-    return V, np.array([g0, g1, g2])
-
-
-def _flow(table, y, h=0.0, slope=None) -> tuple[float, tuple[float, ...]]:
-    """Energy H and flat time derivative (qdot, pdot, Jdot) at the flat state
-    y + h slope (summed per component, y_i + h * slope_i: the RK4 stages of
+def _flow(table, y, h=0.0, slope=None) -> tuple[float, ...]:
+    """Flat time derivative (qdot, pdot, Jdot) at the flat state y + h slope
+    (summed per component, y_i + h * slope_i: the RK4 stages of
     ``integrate``), or at y when there is no slope.
 
     ``y`` and ``slope`` hold nine state values (q, p, J) as plain Python
@@ -209,21 +174,21 @@ def _flow(table, y, h=0.0, slope=None) -> tuple[float, tuple[float, ...]]:
     shared prefix repeats the same roundings; any other regrouping changes
     trajectory bits.
 
-    One evaluation of the Jacobi chart serves both, and the pair sum
-    ``_potential_and_grad_scalar`` shares its squares, sine and cosine.
-    ``table`` is the system's chart table (``_chart_table``), built once per
-    run rather than derived from the pair table per call.  ``_energies``
-    repeats the energy's operations in this order over an array of states,
-    and a test pins its values to this energy's bits.  The partials are
-    analytic and J . Jdot = 0 identically.  With w = M^-1 J and
+    The flow computes no energy: ``_energies`` holds the energy formula.
+    The loop over the rows of ``table``, the system's chart table
+    (``_chart_table``) built once per run, is the Jacobi chart's one sum of
+    the pair-potential gradient.  The partials are analytic and
+    J . Jdot = 0 identically.  With w = M^-1 J and
     d(M^-1)/dq = -M^-1 (dM/dq) M^-1, the rotational part of dH/dq is minus
     half the quadratic form of dM/dq on w.
 
     A non-finite state (an infinite angle, a power or quotient that
     overflows or divides by zero, which Python floats raise on where numpy
     returned inf, or a squared pair distance that rounds below zero next to a
-    collision) has a NaN energy and a NaN flow.  Only that arithmetic is
-    caught: a malformed ``table`` raises.
+    collision) has the flow ``_NAN_FLOW``.  Every state whose energy
+    divides by zero is one of them: the energy's one quotient that can
+    raise, gam / r, has the same divisor r as the gradient's ``scale``.
+    Only that arithmetic is caught: a malformed ``table`` raises.
     """
     rho1, rho2, phi, p1, p2, p3, J1, J2, J3 = y
     if slope is not None:
@@ -256,9 +221,20 @@ def _flow(table, y, h=0.0, slope=None) -> tuple[float, tuple[float, ...]]:
         g33 = I / (r1s * rho2 * rho2)
         u3 = p3 - J3 * a_phi
         g33u3 = g33 * u3
-        V, dV1, dV2, dVphi = _potential_and_grad_scalar(table, rho1, rho2, r1s, r2s, c, s)
-        rot = 0.5 * (i00 * J1 * J1 + 2.0 * i01 * J1 * J2 + i11 * J2 * J2 + i22 * J3 * J3)
-        vib = 0.5 * (p1 * p1 + p2 * p2 + g33u3 * u3)
+
+        # dV/d(rho1, rho2, phi).  A pair's squared distance is affine in the
+        # squares, (r1s (1 - cos psi) + r2s (1 + cos psi)
+        # - 2 rho1 rho2 cos phi sin psi) / (2 mu).
+        cross = 2.0 * rho1 * rho2 * c
+        r2c, r1c = rho2 * c, rho1 * c
+        dV1 = dV2 = dVphi = 0.0
+        for one_minus, one_plus, spsi, two_mu, gam, mu in table:
+            r2 = (r1s * one_minus + r2s * one_plus - cross * spsi) / two_mu
+            r = 0.0 if r2 < 0.0 else math.sqrt(r2)  # r2 < 0: a collision, scale raises
+            scale = gam / (2.0 * r2 * r * mu)
+            dV1 += scale * (rho1 * one_minus - r2c * spsi)
+            dV2 += scale * (rho2 * one_plus - r1c * spsi)
+            dVphi += scale * rho1 * rho2 * s * spsi
 
         # Quadratic forms w . (dM/dq_mu) . w for mu = rho1, rho2, phi.
         w3w3 = w3 * w3
@@ -277,7 +253,7 @@ def _flow(table, y, h=0.0, slope=None) -> tuple[float, tuple[float, ...]]:
         pdotphi = -(-0.5 * quadphi + dVphi)
 
         g3 = w3 - g33u3 * a_phi
-        ydot = (
+        return (
             p1,
             p2,
             g33u3,
@@ -288,15 +264,17 @@ def _flow(table, y, h=0.0, slope=None) -> tuple[float, tuple[float, ...]]:
             J3 * w1 - J1 * g3,
             J1 * w2 - J2 * w1,
         )
-        return rot + vib + V, ydot
     except (OverflowError, ZeroDivisionError):
         return _NAN_FLOW
 
 
 def _energies(table, Y: np.ndarray) -> np.ndarray:
-    """H at each row (q, p, J) of the (N, 9) array ``Y``: the energy of
-    ``_flow``, operation for operation, over arrays.  For rows inside the
-    chart: there is no chart guard, and numpy's warnings are silenced."""
+    """H = rot + vib + V at each row (q, p, J) of the (N, 9) array ``Y``:
+    the one energy formula and the Jacobi chart's one pair-potential sum,
+    with the operations of ``_flow``'s shared terms in ``_flow``'s order.
+    There is no chart guard, and numpy's warnings are silenced: a row whose
+    flow fails may read finite here, which ``integrate`` and ``hamiltonian``
+    overrule."""
     rho1, rho2, phi, p1, p2, p3, J1, J2, J3 = Y.T
     with np.errstate(all="ignore"):
         s, c = np.sin(phi), np.cos(phi)
@@ -316,14 +294,30 @@ def _energies(table, Y: np.ndarray) -> np.ndarray:
         return rot + vib + V
 
 
+def _potential_and_grad(system: BodySystem, q: np.ndarray) -> tuple[float, np.ndarray]:
+    """V and dV/d(rho1, rho2, phi) at a point q inside the Jacobi chart: the
+    energy and minus pdot of the state at rest there, p = J = 0.  Its
+    kinetic terms are zeros, so the energy 0.0 + 0.0 + V has V's bits."""
+    table = _chart_table(system)
+    y = [*map(float, q), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    V = float(_energies(table, np.array([y]))[0])
+    return V, -np.array(_flow(table, y)[3:6])
+
+
 def hamiltonian(system: BodySystem, state: RovibState) -> float:
-    """Reduced ro-vibrational energy of a state."""
-    return _flow(_chart_table(system), state.flat().tolist())[0]
+    """Reduced ro-vibrational energy of a state: CollinearError on the chart
+    boundary, NaN where the flow fails (``_NAN_FLOW``), else ``_energies``
+    on the one row."""
+    table = _chart_table(system)
+    y = state.flat()
+    if _flow(table, y.tolist()) is _NAN_FLOW:
+        return math.nan
+    return float(_energies(table, y[None])[0])
 
 
 def eom(system: BodySystem, state: RovibState) -> RovibState:
     """Time derivative (qdot, pdot, Jdot) of the reduced flow."""
-    ydot = _flow(_chart_table(system), state.flat().tolist())[1]
+    ydot = _flow(_chart_table(system), state.flat().tolist())
     return RovibState.from_flat(np.array(ydot))
 
 
@@ -342,7 +336,7 @@ def relequil_residual(
     if J.shape != (3,) or not np.isfinite(J).all():
         raise DomainError(f"J must hold three finite values, got {J.tolist()}")
     y = np.concatenate([[j.rho1, j.rho2, j.phi], _gauge_momentum(j, J), J])
-    ydot = np.array(_flow(_chart_table(system), y.tolist())[1])
+    ydot = np.array(_flow(_chart_table(system), y.tolist()))
     return ydot[6:9], -ydot[3:6]
 
 
@@ -396,11 +390,19 @@ def integrate(
     flow at y + (dt/2) k and y + dt k3, and the update is written out per
     component as y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4): the order of the
     same sums on arrays, so trajectories do not depend on which of the two
-    carries them.  The chart table is built once per run.  A dt that is not
+    carries them.  The chart table is built once per run.
+
+    A step makes four derivative calls and no energy.  The loop stops at a
+    new state on the chart boundary (CollinearError), at one whose flow
+    fails (``_NAN_FLOW``) and at one that is not finite.  One ``_energies``
+    call then gives the stored rows their energies; the first row after the
+    start whose energy is not finite ends the run one step before it, and
+    the start's energy is NaN where its flow failed.  A dt that is not
     positive and finite, or an nsteps that is not a nonnegative integer,
     raises DomainError.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
+    check_finite("dt", dt)
+    if not dt > 0.0:
         raise DomainError(f"dt must be positive and finite, got {dt}")
     nsteps = check_index("nsteps", nsteps, 0)
     dt = float(dt)
@@ -408,16 +410,16 @@ def integrate(
     table = _chart_table(system)
     y = RovibState(s0.q, s0.p, s0.J).flat().tolist()
     states = np.empty((nsteps + 1, 9))
-    energy = np.empty(nsteps + 1)
     states[0] = y
-    energy[0], a = _flow(table, y)
+    a = _flow(table, y)
+    nan_start = a is _NAN_FLOW
     n_done = nsteps
     message = ""
     for k in range(nsteps):
         try:
-            b = _flow(table, y, half, a)[1]
-            c = _flow(table, y, half, b)[1]
-            d = _flow(table, y, dt, c)[1]
+            b = _flow(table, y, half, a)
+            c = _flow(table, y, half, b)
+            d = _flow(table, y, dt, c)
             y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
             a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
             b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
@@ -434,19 +436,27 @@ def integrate(
                 y7 + sixth * (((a7 + 2.0 * b7) + 2.0 * c7) + d7),
                 y8 + sixth * (((a8 + 2.0 * b8) + 2.0 * c8) + d8),
             )
-            H, a = _flow(table, y)
+            a = _flow(table, y)
         except CollinearError as exc:
             n_done = k
             message = f"truncated at step {k}: {exc}"
             break
-        # H is not finite when any state component is not, so one scalar
-        # test covers the whole state.
-        if not math.isfinite(H):
+        # A state that is not finite has no finite energy, and its flow is
+        # NaN arithmetic that raises nothing, so every later step would be
+        # too.  sum(y) is finite unless a component is not or the sum
+        # overflows.
+        if a is _NAN_FLOW or not (math.isfinite(sum(y)) or all(map(math.isfinite, y))):
             n_done = k
             message = f"truncated at step {k}: non-finite state"
             break
         states[k + 1] = y
-        energy[k + 1] = H
+    energy = _energies(table, states[: n_done + 1])
+    if nan_start:
+        energy[0] = math.nan
+    late = np.flatnonzero(~np.isfinite(energy[1:]))
+    if late.size:
+        n_done = int(late[0])
+        message = f"truncated at step {n_done}: non-finite state"
     # t_k = k dt, each a single rounding as the product of int k and dt
     traj = Trajectory(np.arange(n_done + 1) * dt, states[: n_done + 1], energy[: n_done + 1])
     # A non-finite start overflows the norm or subtracts inf from inf here;

@@ -265,7 +265,8 @@ def _eom_fd_suite(report: VerificationReport, system: BodySystem, samples: int =
     Each sample's flow is ``reduction._flow`` on its float state
     y = (q, p, J), the bits ``eom`` gives.  The twelve energies of its
     differences, y with one value moved by +-h, come from one ``_energies``
-    call over the rows of all samples: the bits ``hamiltonian`` gives.
+    call over the rows of all samples: the one energy formula, which
+    ``hamiltonian`` and ``integrate`` read too.
     """
     rng = np.random.default_rng(13)
     table = _chart_table(system)
@@ -275,7 +276,7 @@ def _eom_fd_suite(report: VerificationReport, system: BodySystem, samples: int =
         p = rng.normal(0.0, 1.0, 3)
         J = rng.normal(0.0, 1.0, 3)
         ys.append([*q, *p.tolist(), *J.tolist()])
-        d = _flow(table, ys[-1])[1]
+        d = _flow(table, ys[-1])
         flows.append(d)
         scales.append(max(1.0, *map(abs, d[:6])))
         errs.append(abs(float(np.dot(np.array(d[6:]), J))) / max(1.0, float(np.dot(J, J))))

@@ -31,10 +31,12 @@ from trihill.coords import Shape, pair_geometry
 from trihill.critical import critical_catalog, nu_lagrange, nu_langmuir
 from trihill.hill import membership
 from trihill.reduction import _chart_table, _energies, _flow, _potential_and_grad, rigid_start
+from trihill.scan import scan_disk
 from trihill.systems import BodySystem, preset
 from trihill.verify import VIRIAL_DT_FACTOR, build_relequil_state
 
 from conftest import (
+    _oracle_float_flow,
     _oracle_potential_and_grad,
     oracle_float_integrate,
     oracle_flow,
@@ -463,19 +465,19 @@ def test_flow_raises_on_a_malformed_chart_table(eep):
     # Only the arithmetic of a non-finite state reads as a NaN flow: the
     # pair table's 7-field rows do not unpack into the chart table's six.
     y = [1.0, 1.0, 1.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]
-    assert math.isfinite(_flow(_chart_table(eep), y)[0])
+    assert all(map(math.isfinite, _flow(_chart_table(eep), y)))
     with pytest.raises(ValueError, match="unpack"):
         _flow(pair_geometry(eep), y)
 
 
 def _flow_bits(table, y, h=0.0, slope=None):
-    """``_flow``'s energy and flow packed as bytes (NaN bits included), or
-    its CollinearError message."""
+    """``_flow``'s derivative packed as bytes (NaN bits included), or its
+    CollinearError message."""
     try:
-        H, ydot = _flow(table, y, h, slope)
+        ydot = _flow(table, y, h, slope)
     except CollinearError as exc:
         return str(exc)
-    return struct.pack("10d", H, *ydot)
+    return struct.pack("9d", *ydot)
 
 
 def test_displaced_flow_is_the_flow_at_the_displaced_state(all_systems):
@@ -503,7 +505,7 @@ def test_displaced_flow_is_the_flow_at_the_displaced_state(all_systems):
         for y, h, slope in cases:
             want = _flow_bits(table, [a + h * b for a, b in zip(y, slope)])
             assert _flow_bits(table, y, h, slope) == want, (system, y, h, slope)
-            outcomes[type(want) is str or math.isnan(struct.unpack("d", want[:8])[0])] += 1
+            outcomes[type(want) is str or any(map(math.isnan, struct.unpack("9d", want)))] += 1
     assert outcomes[True] > 10 and outcomes[False] > 500
 
 
@@ -617,6 +619,73 @@ def test_integrate_bit_identical_to_array_oracle_at_edges(name, state, dt):
     assert_same_run(got, oracle_integrate(system, state, dt, 3000))
 
 
+_TRUNCATION_EDGES = {
+    # |J| = 1e155 at an interior shape: the start's energy overflows to inf
+    # and its flow raises nothing
+    "energy overflow at the start": (
+        "eep",
+        rigid_start(Shape(0.1, 0.2).to_jacobi(), 1e155, np.array([0.6, 0.0, 0.8])),
+        1e-3,
+        0,
+    ),
+    # rho**3 overflows: the start's flow fails where its energy is finite
+    "failed flow at the start": (
+        "eep", RovibState([1e103, 1e103, 1.0], [0.0] * 3, [1e200, 0.0, 0.0]), 1e-3, 0
+    ),
+    # p1 p1 + p2 p2 overflows: the state after step 0 and its flow are
+    # finite, its energy is not
+    "energy overflow after step 0": (
+        "eep", RovibState([1.0, 1.0, 1.3], [1.3e154, 1e154, 0.0], [0.0] * 3), 1e-160, 0
+    ),
+    # rho1 starts 3 ulps below the cube root of the largest float and moves
+    # 3.5 ulps in step 0: the last stage rounds to at most that root and has
+    # a flow, the state after the step rounds above it, so its rho1**3
+    # overflows while its energy is finite
+    "failed flow after step 0": (
+        "eep",
+        RovibState([5.643803094122358e102, 1.0, 1.3], [1.160420884956169e87, 0.0, 0.0], [0.0] * 3),
+        3.0,
+        0,
+    ),
+    # rho1 rises past the cube root of the largest float in step 2
+    "non-finite after step 2": (
+        "eep", RovibState([5.62e102, 1.0, 1.3], [1e100, 0.0, 0.0], [0.0] * 3), 1.0, 2
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRUNCATION_EDGES))
+def test_integrate_truncation_edges_bit_identical_to_float_oracle(case):
+    # Steps make no energy: the run stops where a state's flow fails or the
+    # state is not finite, and one energy call then cuts it at the first
+    # later row whose energy is not finite.  hamiltonian reads the same
+    # energies, NaN where the flow fails.
+    system, state, dt, truncated_at = _TRUNCATION_EDGES[case]
+    system = preset(system) if isinstance(system, str) else system
+    got = integrate(system, state, dt, 10)
+    assert got[1].truncated_at == truncated_at
+    assert got[1].message == f"truncated at step {truncated_at}: non-finite state"
+    assert_same_run(got, oracle_float_integrate(system, state, dt, 10))
+    pairs = tuple(map(tuple, pair_geometry(system)))
+    rows = got[0].states.tolist()
+    want = [_oracle_float_flow(pairs, y)[0] for y in rows]
+    have = [hamiltonian(system, RovibState.from_flat(np.array(y))) for y in rows]
+    assert np.array_equal(have, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("value", ["0.1", None, 1j, [0.1]])
+@pytest.mark.parametrize("name", ["dt", "nu", "r"])
+def test_an_input_that_is_not_a_real_number_raises_domain_error(gravity, name, value):
+    state = build_relequil_state(gravity, nu_lagrange(gravity), r=1.0)
+    calls = {
+        "dt": lambda: integrate(gravity, state, value, 3),
+        "nu": lambda: scan_disk(gravity, value, 10),
+        "r": lambda: rigid_start(Shape(0.1, 0.2).to_jacobi(), value, np.array([0.0, 0.0, 1.0])),
+    }
+    with pytest.raises(DomainError, match=f"{name} must be a real number"):
+        calls[name]()
+
+
 def test_integrate_bit_identical_to_float_oracle_on_log_uniform_systems():
     # Masses and couplings log-uniform in 1e+-300, |J| in 1e+-5.  Most runs
     # stop at the chart boundary or on a non-finite state, where Python
@@ -704,13 +773,14 @@ def test_flow_entry_points_bit_identical_to_array_oracle(signs, masses, magnitud
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batch_energies_bit_identical_to_flow(signs, masses, magnitudes, seed):
-    # _energies repeats _flow's energy over rows of states: each finite
-    # energy keeps its bits, so a platform whose np.sin or np.cos rounds
-    # otherwise than math's fails here.  Rows: every value log-uniform over
+    # _energies gives the energy of the float oracle's flow over rows of
+    # states: each finite energy keeps its bits, so a platform whose np.sin
+    # or np.cos rounds otherwise than math's fails here.  Rows: every value log-uniform over
     # many decades with either sign, and rows as verify's finite-difference
     # suite draws them, with one of q and p moved by +-1e-6 max(1, |q_mu|).
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
     table = _chart_table(system)
+    pairs = tuple(map(tuple, pair_geometry(system)))
     rng = np.random.default_rng(seed)
     n = 200
     wide = rng.choice((-1.0, 1.0), (n, 9)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 9))
@@ -730,7 +800,7 @@ def test_batch_energies_bit_identical_to_flow(signs, masses, magnitudes, seed):
     compared = 0
     for i, y in enumerate(Y.tolist()):
         try:
-            H = _flow(table, y)[0]
+            H = _oracle_float_flow(pairs, y)[0]
         except CollinearError:
             continue
         if math.isfinite(H):

@@ -4,12 +4,12 @@ The benchmark's span tracer must resolve every target it names in the
 package: it patches functions by name, so a renamed or removed function
 breaks only the traced benchmark run, which no other test starts.  And the
 frame path must stay free of the derivative kernel, whose cost only a
-benchmark would show.  And the Jacobi chart's pair sum must stay one
-helper that every entry point of the chart reads, so that its operation
-order, which trajectories depend on to the last bit, is written once; the
-one value-only copy, ``reduction._energies`` for verify's batch of
-displaced states, is pinned to it bit for bit in test_reduction.py.  So
-must the disk distance rule, ``coords._pair_term``: every pair distance and
+benchmark would show.  And the Jacobi chart's pair sums must each be
+written once, the gradient in ``reduction._flow`` and the value, with the
+energy formula, in ``reduction._energies``, and every entry point of the
+chart must read them, so that their operation order, which trajectories
+and energies depend on to the last bit, exists once.  So must the disk
+distance rule, ``coords._pair_term``: every pair distance and
 every Vt on the shape disk reads it, and a second copy would drift from the
 one that scans, bounds and searches depend on.  And verify's event checks
 must read Euler characteristics, not the component census, whose counts
@@ -93,18 +93,28 @@ def test_verify_finds_events_without_the_component_census(monkeypatch, name):
 
 def test_jacobi_chart_pair_sum_is_written_once(monkeypatch, helium):
     state = verify.build_relequil_state(helium, nu_langmuir(helium), r=1.0)
-    forbid(monkeypatch, reduction._potential_and_grad_scalar)
-    entry_points = [
+    gradient_readers = [
         lambda: reduction.integrate(helium, state, 1e-3, 1),
-        lambda: reduction.hamiltonian(helium, state),
         lambda: reduction.eom(helium, state),
         lambda: reduction.relequil_residual(helium, state.jacobi(), state.J),
         lambda: reduction._potential_and_grad(helium, state.q),
         lambda: verify._eom_fd_suite(verify.VerificationReport(), helium, 1),
     ]
-    for call in entry_points:
-        with pytest.raises(AssertionError, match="_potential_and_grad_scalar was called"):
-            call()
+    value_readers = [
+        lambda: reduction.integrate(helium, state, 1e-3, 1),
+        lambda: reduction.hamiltonian(helium, state),
+        lambda: reduction._potential_and_grad(helium, state.q),
+        lambda: verify._eom_fd_suite(verify.VerificationReport(), helium, 1),
+    ]
+    for pair_sum, readers in (
+        (reduction._flow, gradient_readers),
+        (reduction._energies, value_readers),
+    ):
+        with monkeypatch.context() as patch:
+            forbid(patch, pair_sum)
+            for call in readers:
+                with pytest.raises(AssertionError, match=f"{pair_sum.__name__} was called"):
+                    call()
 
 
 def test_disk_distance_rule_is_written_once(monkeypatch, helium):

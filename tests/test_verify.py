@@ -393,8 +393,8 @@ def test_eom_fd_suite_catches_a_wrong_flow_or_a_wrong_energy(monkeypatch, all_sy
     assert all(passes(system) for system in all_systems.values())
 
     def wrong_flow(table, y):
-        H, ydot = flow(table, y)
-        return H, (*ydot[:k], ydot[k] * (1.0 + 1e-4), *ydot[k + 1 :])
+        ydot = flow(table, y)
+        return (*ydot[:k], ydot[k] * (1.0 + 1e-4), *ydot[k + 1 :])
 
     monkeypatch.setattr(verify, "_flow", wrong_flow)
     assert not any(passes(system) for system in all_systems.values())
