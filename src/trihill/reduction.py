@@ -392,14 +392,13 @@ def integrate(
     same sums on arrays, so trajectories do not depend on which of the two
     carries them.  The chart table is built once per run.
 
-    A step makes four derivative calls and no energy.  The loop stops at a
-    new state on the chart boundary (CollinearError), at one whose flow
-    fails (``_NAN_FLOW``) and at one that is not finite.  One ``_energies``
-    call then gives the stored rows their energies; the first row after the
-    start whose energy is not finite ends the run one step before it, and
-    the start's energy is NaN where its flow failed.  A dt that is not
-    positive and finite, or an nsteps that is not a nonnegative integer,
-    raises DomainError.
+    A step makes four derivative calls and no energy; one ``_energies`` call
+    gives the stored rows their energies.  The loop stops at a state on the
+    chart boundary, at one whose flow fails (``_NAN_FLOW``) and at one that
+    is not finite; then the first later row whose energy is not finite ends
+    the run one step before it, and the start's energy is NaN where its
+    flow failed.  A dt that is not positive and finite, or an nsteps that
+    is not a nonnegative integer, raises DomainError.
     """
     check_finite("dt", dt)
     if not dt > 0.0:

@@ -265,8 +265,7 @@ def _eom_fd_suite(report: VerificationReport, system: BodySystem, samples: int =
     Each sample's flow is ``reduction._flow`` on its float state
     y = (q, p, J), the bits ``eom`` gives.  The twelve energies of its
     differences, y with one value moved by +-h, come from one ``_energies``
-    call over the rows of all samples: the one energy formula, which
-    ``hamiltonian`` and ``integrate`` read too.
+    call over the rows of all samples: the energy formula ``hamiltonian`` reads.
     """
     rng = np.random.default_rng(13)
     table = _chart_table(system)

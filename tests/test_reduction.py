@@ -632,8 +632,8 @@ _TRUNCATION_EDGES = {
     "failed flow at the start": (
         "eep", RovibState([1e103, 1e103, 1.0], [0.0] * 3, [1e200, 0.0, 0.0]), 1e-3, 0
     ),
-    # p1 p1 + p2 p2 overflows: the state after step 0 and its flow are
-    # finite, its energy is not
+    # p1 p1 + p2 p2 overflows from the start on: the state after step 0 and
+    # its flow are finite, its energy is not
     "energy overflow after step 0": (
         "eep", RovibState([1.0, 1.0, 1.3], [1.3e154, 1e154, 0.0], [0.0] * 3), 1e-160, 0
     ),
@@ -775,9 +775,10 @@ def test_flow_entry_points_bit_identical_to_array_oracle(signs, masses, magnitud
 def test_batch_energies_bit_identical_to_flow(signs, masses, magnitudes, seed):
     # _energies gives the energy of the float oracle's flow over rows of
     # states: each finite energy keeps its bits, so a platform whose np.sin
-    # or np.cos rounds otherwise than math's fails here.  Rows: every value log-uniform over
-    # many decades with either sign, and rows as verify's finite-difference
-    # suite draws them, with one of q and p moved by +-1e-6 max(1, |q_mu|).
+    # or np.cos rounds otherwise than math's fails here.  Rows: every value
+    # log-uniform over many decades with either sign, and rows as verify's
+    # finite-difference suite draws them, with one of q and p moved by
+    # +-1e-6 max(1, |q_mu|).
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
     table = _chart_table(system)
     pairs = tuple(map(tuple, pair_geometry(system)))
