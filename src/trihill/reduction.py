@@ -294,16 +294,6 @@ def _energies(table, Y: np.ndarray) -> np.ndarray:
         return rot + vib + V
 
 
-def _potential_and_grad(system: BodySystem, q: np.ndarray) -> tuple[float, np.ndarray]:
-    """V and dV/d(rho1, rho2, phi) at a point q inside the Jacobi chart: the
-    energy and minus pdot of the state at rest there, p = J = 0.  Its
-    kinetic terms are zeros, so the energy 0.0 + 0.0 + V has V's bits."""
-    table = _chart_table(system)
-    y = [*map(float, q), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    V = float(_energies(table, np.array([y]))[0])
-    return V, -np.array(_flow(table, y)[3:6])
-
-
 def hamiltonian(system: BodySystem, state: RovibState) -> float:
     """Reduced ro-vibrational energy of a state: CollinearError on the chart
     boundary, NaN where the flow fails (``_NAN_FLOW``), else ``_energies``

@@ -30,18 +30,15 @@ from trihill.reduction import (
 from trihill.coords import Shape, pair_geometry
 from trihill.critical import critical_catalog, nu_lagrange, nu_langmuir
 from trihill.hill import membership
-from trihill.reduction import _chart_table, _energies, _flow, _potential_and_grad, rigid_start
+from trihill.reduction import _chart_table, _energies, _flow, rigid_start
 from trihill.scan import scan_disk
 from trihill.systems import BodySystem, preset
 from trihill.verify import VIRIAL_DT_FACTOR, build_relequil_state
 
 from conftest import (
     _oracle_float_flow,
-    _oracle_potential_and_grad,
     oracle_float_integrate,
-    oracle_flow,
     oracle_inertia_tensor,
-    oracle_integrate,
     oracle_positions,
     oracle_potential,
     oracle_traj_csv,
@@ -305,10 +302,8 @@ def test_relequil_residual_against_position_oracle(signs, masses, magnitudes, se
 
 
 def test_integrate_relative_equilibrium(helium):
-    from trihill.reduction import _potential_and_grad
-
     state = build_relequil_state(helium, nu_langmuir(helium), r=1.0)
-    V, _ = _potential_and_grad(helium, state.q)
+    V = hamiltonian(helium, RovibState(state.q, np.zeros(3), np.zeros(3)))
     dt = 1e-3 * 2 * math.pi / abs(V)
     traj, report = integrate(helium, state, dt, 10_000)
     assert report.ok
@@ -319,13 +314,11 @@ def test_integrate_relative_equilibrium(helium):
 
 def test_integrate_generic_conservation(helium, eep):
     # bounded non-equilibrium motion near the Langmuir orbits
-    from trihill.reduction import _potential_and_grad
-
     for system in (helium, eep):
         state = build_relequil_state(system, nu_langmuir(system), r=1.0)
         state.p = state.p + np.array([0.02, -0.01, 0.03])
         state.J = state.J + np.array([0.01, 0.005, 0.02])
-        V, _ = _potential_and_grad(system, state.q)
+        V = hamiltonian(system, RovibState(state.q, np.zeros(3), np.zeros(3)))
         dt = 1e-4 * 2 * math.pi / abs(V)
         traj, report = integrate(system, state, dt, 10_000)
         assert report.ok
@@ -594,12 +587,13 @@ def random_rigid_start(rng):
     seed=st.integers(0, 2**32 - 1),
     dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
 )
-def test_integrate_bit_identical_to_array_oracle(signs, masses, magnitudes, seed, dt):
+def test_integrate_bit_identical_to_float_oracle(signs, masses, magnitudes, seed, dt):
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
     rng = np.random.default_rng(seed)
     state = random_rigid_start(rng)
     state.p = state.p + rng.normal(0.0, 0.1, 3)
-    assert_same_run(integrate(system, state, dt, 300), oracle_integrate(system, state, dt, 300))
+    want = oracle_float_integrate(system, state, dt, 300)
+    assert_same_run(integrate(system, state, dt, 300), want)
 
 
 @pytest.mark.parametrize(
@@ -612,11 +606,11 @@ def test_integrate_bit_identical_to_array_oracle(signs, masses, magnitudes, seed
         ("gravity-demo", RovibState([1.0, 1.0, math.inf], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]), 1e-3),
     ],
 )
-def test_integrate_bit_identical_to_array_oracle_at_edges(name, state, dt):
+def test_integrate_bit_identical_to_float_oracle_at_edges(name, state, dt):
     system = preset(name)
     got = integrate(system, state, dt, 3000)
     assert got[1].truncated_at is not None
-    assert_same_run(got, oracle_integrate(system, state, dt, 3000))
+    assert_same_run(got, oracle_float_integrate(system, state, dt, 3000))
 
 
 _TRUNCATION_EDGES = {
@@ -666,7 +660,7 @@ def test_integrate_truncation_edges_bit_identical_to_float_oracle(case):
     assert got[1].truncated_at == truncated_at
     assert got[1].message == f"truncated at step {truncated_at}: non-finite state"
     assert_same_run(got, oracle_float_integrate(system, state, dt, 10))
-    pairs = tuple(map(tuple, pair_geometry(system)))
+    pairs = pair_geometry(system)
     rows = got[0].states.tolist()
     want = [_oracle_float_flow(pairs, y)[0] for y in rows]
     have = [hamiltonian(system, RovibState.from_flat(np.array(y))) for y in rows]
@@ -689,8 +683,8 @@ def test_an_input_that_is_not_a_real_number_raises_domain_error(gravity, name, v
 def test_integrate_bit_identical_to_float_oracle_on_log_uniform_systems():
     # Masses and couplings log-uniform in 1e+-300, |J| in 1e+-5.  Most runs
     # stop at the chart boundary or on a non-finite state, where Python
-    # floats raise and oracle_integrate's numpy scalars return inf, so the
-    # reference is the loop on Python floats.
+    # floats raise and numpy scalars would return inf: the reference loop on
+    # Python floats must stop where integrate does.
     rng = np.random.default_rng(2024)
     outcomes = collections.Counter()
     for _ in range(400):
@@ -723,20 +717,27 @@ def test_relequil_runs_of_verify_bit_identical_to_float_oracle(all_systems):
     # Lagrange and Langmuir entries), at verify's dt, for 10,000 steps.
     # Helium's Langmuir rotation is unstable and holds that long only on
     # these exact bits.
+    # V, which sets dt and verify's virial check, is the energy at rest: NaN
+    # where the flow fails there, as at rho**3's overflow.
+    zeros = np.zeros(3)
     runs = 0
     for system in all_systems.values():
         for entry in critical_catalog(system):
             if entry.axis is None or entry.family == "diabolic":
                 continue
             state = build_relequil_state(system, entry, r=1.0)
-            V = _potential_and_grad(system, state.q)[0]
-            assert V == _oracle_potential_and_grad(pair_geometry(system), *state.q)[0]
+            V = hamiltonian(system, RovibState(state.q, zeros, zeros))
+            rest = state.q.tolist() + [0.0] * 6
+            assert V.hex() == _oracle_float_flow(pair_geometry(system), rest)[0].hex()
             dt = VIRIAL_DT_FACTOR * 2.0 * math.pi * 1.0 / abs(V)
             got = integrate(system, state, dt, 10_000)
             assert got[1].ok
             assert_same_run(got, oracle_float_integrate(system, state, dt, 10_000))
             runs += 1
     assert runs == 3
+    eep = all_systems["eep"]
+    assert math.isnan(hamiltonian(eep, RovibState([1e103, 1e103, 1.0], zeros, zeros)))
+    assert math.isnan(_oracle_float_flow(pair_geometry(eep), [1e103, 1e103, 1.0] + [0.0] * 6)[0])
 
 
 @pytest.mark.parametrize("signs", _SIGNS)
@@ -746,21 +747,21 @@ def test_relequil_runs_of_verify_bit_identical_to_float_oracle(all_systems):
     magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_flow_entry_points_bit_identical_to_array_oracle(signs, masses, magnitudes, seed):
+def test_flow_entry_points_bit_identical_to_float_oracle(signs, masses, magnitudes, seed):
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
     pairs = pair_geometry(system)
     rng = np.random.default_rng(seed)
     for _ in range(5):
         j = random_jacobi(rng)
         state = RovibState([j.rho1, j.rho2, j.phi], rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3))
-        H, ydot = oracle_flow(pairs, state.flat())
+        H, ydot = _oracle_float_flow(pairs, state.flat().tolist())
         assert hamiltonian(system, state) == H
         assert np.array_equal(eom(system, state).flat(), ydot)
         # the rigidly rotating state at (q, J): p = J.A with A_phi = rho2^2 / I
         a_phi = j.rho2**2 / (j.rho1**2 + j.rho2**2)
         y = np.array([j.rho1, j.rho2, j.phi, 0.0, 0.0, state.J[2] * a_phi, *state.J])
         res1, res3 = relequil_residual(system, j, state.J)
-        ydot = oracle_flow(pairs, y)[1]
+        ydot = np.array(_oracle_float_flow(pairs, y.tolist())[1])
         assert np.array_equal(res1, ydot[6:9])
         assert np.array_equal(res3, -ydot[3:6])
 
@@ -781,7 +782,7 @@ def test_batch_energies_bit_identical_to_flow(signs, masses, magnitudes, seed):
     # +-1e-6 max(1, |q_mu|).
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
     table = _chart_table(system)
-    pairs = tuple(map(tuple, pair_geometry(system)))
+    pairs = pair_geometry(system)
     rng = np.random.default_rng(seed)
     n = 200
     wide = rng.choice((-1.0, 1.0), (n, 9)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 9))

@@ -92,19 +92,20 @@ def test_verify_finds_events_without_the_component_census(monkeypatch, name):
 
 
 def test_jacobi_chart_pair_sum_is_written_once(monkeypatch, helium):
-    state = verify.build_relequil_state(helium, nu_langmuir(helium), r=1.0)
+    entry = nu_langmuir(helium)
+    state = verify.build_relequil_state(helium, entry, r=1.0)
     gradient_readers = [
         lambda: reduction.integrate(helium, state, 1e-3, 1),
         lambda: reduction.eom(helium, state),
         lambda: reduction.relequil_residual(helium, state.jacobi(), state.J),
-        lambda: reduction._potential_and_grad(helium, state.q),
         lambda: verify._eom_fd_suite(verify.VerificationReport(), helium, 1),
+        lambda: verify._relequil_checks(verify.VerificationReport(), helium, entry),
     ]
     value_readers = [
         lambda: reduction.integrate(helium, state, 1e-3, 1),
         lambda: reduction.hamiltonian(helium, state),
-        lambda: reduction._potential_and_grad(helium, state.q),
         lambda: verify._eom_fd_suite(verify.VerificationReport(), helium, 1),
+        lambda: verify._relequil_checks(verify.VerificationReport(), helium, entry),
     ]
     for pair_sum, readers in (
         (reduction._flow, gradient_readers),
