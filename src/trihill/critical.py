@@ -512,10 +512,15 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     kernel call and moves a seed to its first candidate of least |grad|^2
     that is strictly below its own.  A seed that no candidate improves
     would try the same candidates on every later iteration: it retires with
-    its point and |grad|^2, and the live seeds stay compacted.  The loop
-    ends after 80 iterations, when no seed is live, or once every finite
-    |grad|^2, retired seeds' included, is below 1e-26.  The seeds then go
-    back into seed order; those with |grad|^2 below 1e-22 and Vt not >= 0,
+    its point and |grad|^2, and the live seeds stay compacted.  So does a
+    stalled seed: on 4 iterations in a row its best candidate kept more
+    than 3/4 of its |grad|^2, which was above 1e-12.  Near a root the
+    Newton step cuts |grad|^2 by far more than a quarter per move, so a
+    converging seed does not stall; a stalled one sits at a nonzero minimum
+    of |grad|^2 or still far from every root.  The loop ends after 80
+    iterations, when no seed is live, or once every finite |grad|^2,
+    retired seeds' included, is below 1e-26.  The seeds then go back into
+    seed order; those with |grad|^2 below 1e-22 and Vt not >= 0,
     deduplicated within 1e-7 in that order, must pass the
     relative-equilibrium residual test at 1e-6.  Hits hold Python floats.
     A k that is not an integer in {1, 2, 3} raises DomainError.
@@ -556,10 +561,11 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     def settled(gn):
         return np.all(gn[np.isfinite(gn)] < 1e-26)
 
-    # The live seeds: points, Newton rows, |grad|^2 and seed index; retired
-    # seeds go to (W1, W2, GN) in seed order.
+    # The live seeds: points, Newton rows, |grad|^2, seed index and count of
+    # slow moves in a row; retired seeds go to (W1, W2, GN) in seed order.
     D, gn = newton_data(w1, w2)
     idx = np.arange(len(w1))
+    slow = np.zeros(len(w1), dtype=int)
     W1, W2, GN = np.empty_like(w1), np.empty_like(w2), np.empty_like(gn)
     retired_settled = True
     for _ in range(80):
@@ -572,11 +578,12 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
             better = gnc[rows] < best_gn
             best_gn = np.where(better, gnc[rows], best_gn)
             pick = np.where(better, rows, pick)
-        moved = pick >= 0
-        out = ~moved
+        slow = np.where((best_gn > 0.75 * gn) & (gn > 1e-12), slow + 1, 0)
+        out = (pick < 0) | (slow >= 4)
         W1[idx[out]], W2[idx[out]], GN[idx[out]] = w1[out], w2[out], gn[out]
         retired_settled = retired_settled and settled(gn[out])
-        pick, idx = pick[moved], idx[moved]
+        live = ~out
+        pick, idx, slow = pick[live], idx[live], slow[live]
         w1, w2, gn = c1[pick], c2[pick], gnc[pick]
         D = tuple(row[pick] for row in Dc)
         if idx.size == 0 or (retired_settled and settled(gn)):

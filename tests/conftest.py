@@ -446,7 +446,9 @@ def oracle_sqrtmk_v_derivatives(system: BodySystem, k: int, W: np.ndarray):
 
 # The critical-shape search as it was before trihill.critical iterated only
 # the seeds that still move: damped Newton on every seed, three kernel calls
-# per iteration.  The bit-for-bit reference for find_critical_shapes.
+# per iteration.  The reference hit set for find_critical_shapes, matched
+# within 1e-12 in w and 1e-12 relative in nu: retiring stalled seeds moves
+# a hit by ulps where another seed reaches it first.
 
 
 def oracle_find_critical_shapes(system: BodySystem, k: int, seeds: int = 64):

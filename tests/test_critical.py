@@ -522,11 +522,23 @@ def _search_results(search, system):
     return [[(sh.w1, sh.w2, nu) for sh, nu in search(system, k)] for k in (1, 2, 3)]
 
 
+def _assert_same_hits(got, want):
+    """The same number of hits per axis, and each hit of ``want`` matched to
+    the hit of ``got`` nearest in w, within 1e-12 absolute in w1 and w2 and
+    1e-12 relative in nu; by position, since mirror hits can share a nu."""
+    for hits, ref in zip(got, want):
+        assert len(hits) == len(ref)
+        for w1, w2, nu in ref:
+            g1, g2, gnu = min(hits, key=lambda hit: math.hypot(hit[0] - w1, hit[1] - w2))
+            assert abs(g1 - w1) <= 1e-12 and abs(g2 - w2) <= 1e-12
+            assert abs(gnu - nu) <= 1e-12 * abs(nu)
+
+
 def test_find_critical_shapes_matches_full_batch_oracle_on_presets(all_systems):
     types = set()  # hits hold Python floats, as catalog shapes do
     for system in all_systems.values():
         got = _search_results(find_critical_shapes, system)
-        assert got == _search_results(oracle_find_critical_shapes, system)
+        _assert_same_hits(got, _search_results(oracle_find_critical_shapes, system))
         types |= {type(v) for hits in got for hit in hits for v in hit}
     assert types == {float}
 
@@ -538,10 +550,12 @@ def test_find_critical_shapes_matches_full_batch_oracle_on_presets(all_systems):
     magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
 )
 def test_find_critical_shapes_matches_full_batch_oracle(signs, masses, magnitudes):
-    # dropping the seeds that no damped step improves changes no bit
+    # retiring the seeds that no damped step improves, and the stalled ones,
+    # loses no hit and adds none; a hit can move by ulps when another seed
+    # reaches it first
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
     got = _search_results(find_critical_shapes, system)
-    assert got == _search_results(oracle_find_critical_shapes, system)
+    _assert_same_hits(got, _search_results(oracle_find_critical_shapes, system))
 
 
 def test_find_critical_shapes_searches_in_full_on_every_call(monkeypatch, helium):
@@ -624,17 +638,34 @@ def test_sqrtmk_v_derivatives_rows_match_stacked_oracle_bit_for_bit(all_systems)
                 assert row.tobytes() == want.tobytes()
 
 
+# random0 of the catalog benchmark workload at seed 1
+_RANDOM0 = BodySystem(
+    (1.7261747201536926, 3.098290270863728, 2.5874000334728415),
+    (-2.0622109423656503, 1.8241903347330979, -2.886816642056136),
+)
+
+
 def test_find_critical_shapes_makes_no_scalar_evaluation(monkeypatch):
     # 946 seeds converge on axis 1 where Vt >= 0; they leave in one array
     # step, not one shape_eval each.
-    system = BodySystem(
-        (1.7261747201536926, 3.098290270863728, 2.5874000334728415),
-        (-2.0622109423656503, 1.8241903347330979, -2.886816642056136),
-    )
-    want = _search_results(oracle_find_critical_shapes, system)
+    want = _search_results(oracle_find_critical_shapes, _RANDOM0)
     forbid(monkeypatch, shape_eval)
     forbid(monkeypatch, v_tilde)
-    assert _search_results(find_critical_shapes, system) == want
+    _assert_same_hits(_search_results(find_critical_shapes, _RANDOM0), want)
+
+
+def test_find_critical_shapes_retires_stalled_seeds(monkeypatch):
+    # about half of the axis-3 seeds crawl at |grad|^2 ~ 7.7 where Vt >= 0;
+    # kept live, they would hold each search to the 80-iteration cap
+    # (81, 73 and 81 kernel calls)
+    want = _search_results(oracle_find_critical_shapes, _RANDOM0)
+    calls = count_calls(monkeypatch, critical.shape_kernel)
+    got = []
+    for k in (1, 2, 3):
+        del calls[:]
+        got.append([(sh.w1, sh.w2, nu) for sh, nu in find_critical_shapes(_RANDOM0, k)])
+        assert len(calls) <= 40
+    _assert_same_hits(got, want)
 
 
 def test_catalog_gravity(gravity):
