@@ -662,7 +662,7 @@ def test_find_critical_shapes_retires_stalled_seeds(monkeypatch):
     calls = count_calls(monkeypatch, critical.shape_kernel)
     got = []
     for k in (1, 2, 3):
-        del calls[:]
+        calls.clear()
         got.append([(sh.w1, sh.w2, nu) for sh, nu in find_critical_shapes(_RANDOM0, k)])
         assert len(calls) <= 40
     _assert_same_hits(got, want)
