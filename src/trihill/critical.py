@@ -518,11 +518,11 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     Newton step cuts |grad|^2 by far more than a quarter per move, so a
     converging seed does not stall; a stalled one sits at a nonzero minimum
     of |grad|^2 or still far from every root.  The loop ends after 80
-    iterations, when no seed is live, or once every finite |grad|^2,
-    retired seeds' included, is below 1e-26.  The seeds then go back into
-    seed order; those with |grad|^2 below 1e-22 and Vt not >= 0,
-    deduplicated within 1e-7 in that order, must pass the
-    relative-equilibrium residual test at 1e-6.  Hits hold Python floats.
+    iterations, when no seed is live, or once every live seed's |grad|^2 is
+    below 1e-26.  The seeds then go back into seed order; those with
+    |grad|^2 below 1e-22 and Vt not >= 0, deduplicated within 1e-7 in that
+    order, must pass the relative-equilibrium residual test at 1e-6.  Hits
+    hold Python floats.
     A k that is not an integer in {1, 2, 3} raises DomainError.
     """
     k = check_index("principal axis index", k, 1, 3)
@@ -558,16 +558,12 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
         _clamp_to_annulus(c1, c2, lim, core if k != 3 else None)
         return c1, c2
 
-    def settled(gn):
-        return np.all(gn[np.isfinite(gn)] < 1e-26)
-
     # The live seeds: points, Newton rows, |grad|^2, seed index and count of
     # slow moves in a row; retired seeds go to (W1, W2, GN) in seed order.
     D, gn = newton_data(w1, w2)
     idx = np.arange(len(w1))
     slow = np.zeros(len(w1), dtype=int)
     W1, W2, GN = np.empty_like(w1), np.empty_like(w2), np.empty_like(gn)
-    retired_settled = True
     for _ in range(80):
         c1, c2 = candidates(w1, w2, D)
         Dc, gnc = newton_data(c1, c2)
@@ -581,12 +577,11 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
         slow = np.where((best_gn > 0.75 * gn) & (gn > 1e-12), slow + 1, 0)
         out = (pick < 0) | (slow >= 4)
         W1[idx[out]], W2[idx[out]], GN[idx[out]] = w1[out], w2[out], gn[out]
-        retired_settled = retired_settled and settled(gn[out])
         live = ~out
         pick, idx, slow = pick[live], idx[live], slow[live]
         w1, w2, gn = c1[pick], c2[pick], gnc[pick]
         D = tuple(row[pick] for row in Dc)
-        if idx.size == 0 or (retired_settled and settled(gn)):
+        if idx.size == 0 or np.all(gn < 1e-26):
             break
     W1[idx], W2[idx], GN[idx] = w1, w2, gn
 

@@ -181,25 +181,27 @@ def contour_grid(
     """Values of sqrt(Mt_k) Vt at pixel centres.
 
     Disk mode: NaN outside the closed disk, signed infinities at collision
-    pixels.  chi-psi mode: grid over psi in [0, 2 pi) (index i) and chi in
-    [0, pi/2] (index j).
+    pixels.  The pixel centres go in as a column (w1) and a row (w2), so
+    the affine part of each pair term is evaluated on n values per axis
+    and broadcast over the grid; pixels outside the disk are evaluated too
+    and then set to NaN.  chi-psi mode: grid over psi in [0, 2 pi) (index
+    i) and chi in [0, pi/2] (index j), whose disk points do not separate.
     """
     k = check_index("axis index", k, 1, 3)
     n = check_index("resolution", n, 2)
-    A, B = np.meshgrid(*_grid_axes(n, chi_psi), indexing="ij")
-    if chi_psi:  # A holds psi, B chi
-        s = np.cos(B)
-        W1, W2 = s * np.cos(A), s * np.sin(A)
-        valid = np.ones_like(W1, dtype=bool)
+    a, b = _grid_axes(n, chi_psi)
+    if chi_psi:  # a holds psi, b chi
+        psi, chi = np.meshgrid(a, b, indexing="ij")
+        s = np.cos(chi)
+        W1, W2 = s * np.cos(psi), s * np.sin(psi)
     else:
-        W1, W2 = A, B
+        W1, W2 = a[:, None], b[None, :]
         s = np.hypot(W1, W2)
-        valid = s <= 1.0
-    V = shape_value(system, np.where(valid, W1, 0.0), np.where(valid, W2, 0.0))
+    V = shape_value(system, W1, W2)
     mk = moments(s)[k - 1]
     with np.errstate(invalid="ignore"):
         vals = np.sqrt(np.maximum(mk, 0.0)) * V
-    vals = np.where(valid, vals, np.nan)
+    vals[s > 1.0] = np.nan
     return ContourGrid(resolution=n, axis=k, chi_psi=chi_psi, values=vals)
 
 
@@ -342,19 +344,15 @@ def _scan_ppm(scan: ShapeScan) -> bytes:
 # The CSV writers format each axis once and leave the per-pixel work to C.
 # A scan row is written by runs of one class: a run is the slice over its
 # columns of its class's line ends "\n," + w2 + "," + NAME, and one replace
-# puts w1 after each newline of the joined row.  The contour values fill a
-# row with one printf-style '%'.  For every float, '%.12g' % x gives the
-# bytes of format(x, '.12g').  Rows stream into one buffer.
+# puts w1 after each newline of the joined row; the rows stream into one
+# buffer.  A contour row is one bytes template, its lines' axis texts with
+# a printf-style '%.12g' for each value, filled by one '%'; the filled rows
+# are joined once.  For every float, '%.12g' % x gives the text of
+# format(x, '.12g'), as str and as bytes.
 
 
 def _axis_text(x: np.ndarray) -> list[str]:
     return ["%.12g" % v for v in x.tolist()]
-
-
-def _row(first: str, tails: list[str]) -> str:
-    """Lines first + tail for each tail, each preceded by a newline."""
-    head = "\n" + first
-    return head + head.join(tails)
 
 
 def _csv(header: str, rows) -> bytes:
@@ -392,8 +390,10 @@ def _scan_csv(scan: ShapeScan) -> bytes:
 
 
 def _grid_csv(grid: ContourGrid) -> bytes:
-    a, b = map(_axis_text, _grid_axes(grid.resolution, grid.chi_psi))
-    tails = [f",{y},%.12g" for y in b]
-    header = "psi,chi,value" if grid.chi_psi else "w1,w2,value"
-    rows = ((_row(x, tails) % tuple(v.tolist())).encode() for x, v in zip(a, grid.values))
-    return _csv(header, rows)
+    axes = _grid_axes(grid.resolution, grid.chi_psi)
+    a, b = ([b"%.12g" % x for x in axis.tolist()] for axis in axes)
+    tails = [b"," + y + b",%.12g" for y in b]
+    header = b"psi,chi,value" if grid.chi_psi else b"w1,w2,value"
+    heads = [b"\n" + x for x in a]
+    rows = [(h + h.join(tails)) % tuple(v) for h, v in zip(heads, grid.values.tolist())]
+    return b"".join([header, *rows, b"\n"])

@@ -207,17 +207,19 @@ def test_membership_against_lambda_grid_oracle(all_systems):
 
 
 def test_class_codes_tie_semantics():
-    # at Vt = -2 the level Vt^2/(4 nu) is 1/nu, which lands exactly on the
-    # thresholds 0.5/m = 0.5, 0.8, 2.0 at nu = 2, 1.25, 0.5; ties count
-    m_tilde = (1.0, 0.625, 0.25)
+    # Dyadic inputs, so that every tie is exact: at Vt = -2 the level
+    # Vt^2/(4 nu) is 1/nu, which lands on the thresholds 0.5/m = 2, 1, 0.5
+    # at nu = 0.5, 1, 2; ties count, and one ulp more nu falls below them
+    m_tilde = (0.25, 0.5, 1.0)
     for nu, want in (
-        (2.5, OrientationClass.EMPTY),
-        (2.0, OrientationClass.CAPS),
-        (1.25, OrientationClass.RING),
         (0.5, OrientationClass.FULL),
+        (1.0, OrientationClass.RING),
+        (2.0, OrientationClass.CAPS),
         (0.0, OrientationClass.FULL),
     ):
         assert class_codes(nu, -2.0, m_tilde) == want
+        if nu > 0.0:
+            assert class_codes(math.nextafter(nu, math.inf), -2.0, m_tilde) == want - 1
 
 
 def test_orientation_class_examples(helium):

@@ -10,7 +10,7 @@ from trihill import scan as scan_module
 from trihill.coords import Shape
 from trihill.critical import critical_catalog, nu_diabolic
 from trihill.errors import DomainError, TrihillError
-from trihill.hill import orientation_class, shape_value, v_tilde
+from trihill.hill import moments, orientation_class, shape_value, v_tilde
 from trihill.scan import (
     BLOCK,
     CellClass,
@@ -156,9 +156,7 @@ def test_contour_grid_axis3_is_v_tilde(eep):
     for i in range(n):
         for j in range(n):
             if c[i] ** 2 + c[j] ** 2 <= 1.0:
-                assert grid.values[i, j] == pytest.approx(
-                    v_tilde(eep, c[i], c[j]), rel=1e-14
-                )
+                assert grid.values[i, j] == v_tilde(eep, c[i], c[j])
             else:
                 assert math.isnan(grid.values[i, j])
 
@@ -497,6 +495,43 @@ def test_contour_csv_special_values():
             "nan", "inf", "-inf", "-0", "4.94065645841e-324", "1.79769313486e+308",
             "0.1", "-0.333333333333", "1e-300",
         ]
+
+
+def _assert_disk_grid_bits(system, k, n):
+    """Disk-mode ``contour_grid`` equals, bit for bit, shape_value times
+    sqrt(max(Mt_k, 0)) at each pixel centre of the closed disk, taken at
+    the flat list of those centres, and NaN elsewhere."""
+    c = pixel_centers(n)
+    w1, w2 = np.repeat(c, n), np.tile(c, n)
+    s = np.hypot(w1, w2)
+    inside = s <= 1.0
+    want = np.full(n * n, np.nan)
+    mk = np.broadcast_to(moments(s[inside])[k - 1], inside.sum())
+    with np.errstate(invalid="ignore"):
+        want[inside] = shape_value(system, w1[inside], w2[inside]) * np.sqrt(np.maximum(mk, 0.0))
+    got = contour_grid(system, k, n).values
+    assert got.shape == (n, n)
+    assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
+
+
+def test_disk_contour_grid_bits_on_presets(all_systems):
+    for system in all_systems.values():
+        for k in (1, 2, 3):
+            for n in (2, 3, 37, 400):
+                _assert_disk_grid_bits(system, k, n)
+
+
+@pytest.mark.parametrize("signs", _SIGNS)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(
+    masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
+    magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    n=st.sampled_from([2, 3, 37, 400]),
+    k=st.sampled_from([1, 2, 3]),
+)
+def test_disk_contour_grid_bits_property(signs, masses, magnitudes, n, k):
+    system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
+    _assert_disk_grid_bits(system, k, n)
 
 
 @pytest.mark.parametrize("signs", _SIGNS)

@@ -127,6 +127,9 @@ def test_disk_distance_rule_is_written_once(monkeypatch, helium):
         lambda: hill.shape_value(helium, 0.1, 0.2),
         lambda: hill.shape_value_bounds(helium, [[0.1], [0.2]], [[0.2], [0.1]]),
         lambda: hill.shape_kernel(helium, 0.1, 0.2),
+        lambda: scan.contour_grid(helium, 1, 8),
+        lambda: scan.contour_grid(helium, 1, 8, chi_psi=True),
+        lambda: scan.scan_disk(helium, 3.0, 16),
     ]
     for call in entry_points:
         with pytest.raises(AssertionError, match="_pair_term was called"):
