@@ -185,7 +185,7 @@ def contour_grid(
     the affine part of each pair term is evaluated on n values per axis
     and broadcast over the grid; pixels outside the disk are evaluated too
     and then set to NaN.  chi-psi mode: grid over psi in [0, 2 pi) (index
-    i) and chi in [0, pi/2] (index j), whose disk points do not separate.
+    i) and chi in [0, pi/2] (index j), evaluated on the full mesh.
     """
     k = check_index("axis index", k, 1, 3)
     n = check_index("resolution", n, 2)

@@ -336,6 +336,7 @@ def _swapped_moments(s):
 # Mutants the suites caught before they were batched, by the check that
 # catches each.  A '>' for '>=' in class_codes is caught by neither: the
 # suite skips the samples whose nu lies near a threshold.
+# test_hill.test_class_codes_tie_semantics catches it at exact ties.
 _MUTANTS = {
     "class_codes 1/m": ("class_codes", _threshold_one_over_m, "hill.orientation_oracle"),
     "swapped moments": ("moments", _swapped_moments, "hill.membership_oracle"),
