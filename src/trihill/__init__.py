@@ -34,7 +34,6 @@ from .hill import (
     ShapeEvaluation,
     bif_function,
     f_analysis,
-    f_lambda,
     membership,
     orientation_class,
     shape_eval,

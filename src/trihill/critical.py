@@ -514,15 +514,15 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     would try the same candidates on every later iteration: it retires with
     its point and |grad|^2, and the live seeds stay compacted.  So does a
     stalled seed: on 4 iterations in a row its best candidate kept more
-    than 3/4 of its |grad|^2, which was above 1e-12.  Near a root the
-    Newton step cuts |grad|^2 by far more than a quarter per move, so a
-    converging seed does not stall; a stalled one sits at a nonzero minimum
-    of |grad|^2 or still far from every root.  The loop ends after 80
-    iterations, when no seed is live, or once every live seed's |grad|^2 is
-    below 1e-26.  The seeds then go back into seed order; those with
-    |grad|^2 below 1e-22 and Vt not >= 0, deduplicated within 1e-7 in that
-    order, must pass the relative-equilibrium residual test at 1e-6.  Hits
-    hold Python floats.
+    than 3/4 of its |grad|^2.  Near a root the Newton step cuts |grad|^2 by
+    far more than a quarter per move, so a converging seed moves until
+    rounding stops it, and then retires; a stalled one sits at a nonzero
+    minimum of |grad|^2 or still far from every root.  No step is clipped:
+    a candidate counts only if it lowers |grad|^2.  The loop ends when no
+    seed is live, or after 80 iterations.  The seeds then go back into seed
+    order; those with |grad|^2 below 1e-22 and Vt not >= 0, deduplicated
+    within 1e-7 in that order, must pass the relative-equilibrium residual
+    test at 1e-6.  Hits hold Python floats.
     A k that is not an integer in {1, 2, 3} raises DomainError.
     """
     k = check_index("principal axis index", k, 1, 3)
@@ -550,11 +550,9 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
         det = np.where(bad, 1.0, det)
         dx = np.where(bad, 0.0, (g1 * h22 - g2 * h12) / det)
         dy = np.where(bad, 0.0, (h11 * g2 - h12 * g1) / det)
-        # Clip long steps, then clamp to the rim and push off the core.
-        norm = np.sqrt(dx * dx + dy * dy)
-        clip = np.where(norm > 0.1, 0.1 / np.maximum(norm, 1e-300), 1.0)
+        # Damp the steps, then clamp to the rim and push off the core.
         damp = np.array([[1.0], [0.5], [0.25]])
-        c1, c2 = (w1 - damp * (dx * clip)).ravel(), (w2 - damp * (dy * clip)).ravel()
+        c1, c2 = (w1 - damp * dx).ravel(), (w2 - damp * dy).ravel()
         _clamp_to_annulus(c1, c2, lim, core if k != 3 else None)
         return c1, c2
 
@@ -574,14 +572,14 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
             better = gnc[rows] < best_gn
             best_gn = np.where(better, gnc[rows], best_gn)
             pick = np.where(better, rows, pick)
-        slow = np.where((best_gn > 0.75 * gn) & (gn > 1e-12), slow + 1, 0)
+        slow = np.where(best_gn > 0.75 * gn, slow + 1, 0)
         out = (pick < 0) | (slow >= 4)
         W1[idx[out]], W2[idx[out]], GN[idx[out]] = w1[out], w2[out], gn[out]
         live = ~out
         pick, idx, slow = pick[live], idx[live], slow[live]
         w1, w2, gn = c1[pick], c2[pick], gnc[pick]
         D = tuple(row[pick] for row in Dc)
-        if idx.size == 0 or np.all(gn < 1e-26):
+        if idx.size == 0:
             break
     W1[idx], W2[idx], GN[idx] = w1, w2, gn
 

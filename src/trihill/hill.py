@@ -157,11 +157,6 @@ def shape_eval(system: BodySystem, shape: Shape) -> ShapeEvaluation:
     )
 
 
-def f_lambda(E: float, E_R: float, v_tilde: float, lam: float) -> float:
-    """The dilation quadratic F(lam) = lam^2 E - E_R - lam Vt."""
-    return lam * lam * E - E_R - lam * v_tilde
-
-
 def f_analysis(E: float, E_R: float, v_tilde: float) -> HillMembership:
     """Classify F(lam) by the six-region decomposition of the (E, Vt) plane.
 

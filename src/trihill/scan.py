@@ -185,15 +185,15 @@ def contour_grid(
     the affine part of each pair term is evaluated on n values per axis
     and broadcast over the grid; pixels outside the disk are evaluated too
     and then set to NaN.  chi-psi mode: grid over psi in [0, 2 pi) (index
-    i) and chi in [0, pi/2] (index j), evaluated on the full mesh.
+    i) and chi in [0, pi/2] (index j); W1 and W2 are outer products of a
+    column cos(psi) or sin(psi) and the row s = cos(chi).
     """
     k = check_index("axis index", k, 1, 3)
     n = check_index("resolution", n, 2)
     a, b = _grid_axes(n, chi_psi)
     if chi_psi:  # a holds psi, b chi
-        psi, chi = np.meshgrid(a, b, indexing="ij")
-        s = np.cos(chi)
-        W1, W2 = s * np.cos(psi), s * np.sin(psi)
+        s = np.cos(b)[None, :]
+        W1, W2 = np.cos(a)[:, None] * s, np.sin(a)[:, None] * s
     else:
         W1, W2 = a[:, None], b[None, :]
         s = np.hypot(W1, W2)
@@ -201,7 +201,7 @@ def contour_grid(
     mk = moments(s)[k - 1]
     with np.errstate(invalid="ignore"):
         vals = np.sqrt(np.maximum(mk, 0.0)) * V
-    vals[s > 1.0] = np.nan
+    vals[np.broadcast_to(s > 1.0, vals.shape)] = np.nan
     return ContourGrid(resolution=n, axis=k, chi_psi=chi_psi, values=vals)
 
 
@@ -255,11 +255,6 @@ def _component_rows(mask: np.ndarray, a=_NO_CELLS, b=_NO_CELLS) -> np.ndarray:
             parent, up = up, up[up]
 
 
-def _count_components(mask: np.ndarray, a=_NO_CELLS, b=_NO_CELLS) -> int:
-    """Number of 4-connected components of ``_component_rows``' mask and joins."""
-    return _component_rows(mask, a, b).size
-
-
 def _check_cells(scan: ShapeScan) -> np.ndarray:
     """The cells of a scan that ``render`` or a count reads: cells that are
     not a 2-D integer array of CellClass codes raise DomainError."""
@@ -284,7 +279,7 @@ def component_census(scan: ShapeScan) -> CensusReport:
     near_boundary[:, :-1] |= band[:, 1:]
     for cls in (CellClass.EMPTY, CellClass.CAPS, CellClass.RING, CellClass.FULL):
         mask = scan.cells == np.int8(cls)
-        counts[cls] = _count_components(mask)
+        counts[cls] = _component_rows(mask).size
         touches[cls] = bool(np.logical_and(mask, near_boundary).any())
     return CensusReport(counts=counts, touches_boundary=touches)
 

@@ -549,10 +549,14 @@ def test_find_critical_shapes_matches_full_batch_oracle_on_presets(all_systems):
     masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
     magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
 )
+# masses and |couplings| log-uniform in 1e-3..1e3, with hits on axis 1
+# (signs 1, 2, 4), axis 2 (signs 2, 4) and axis 3 (signs 0)
+@example(masses=(41.63, 16.74, 0.3219), magnitudes=(426.6, 777.7, 128.1))
+@example(masses=(826.9, 198.2, 299.8), magnitudes=(17.75, 2.123, 346.3))
 def test_find_critical_shapes_matches_full_batch_oracle(signs, masses, magnitudes):
     # retiring the seeds that no damped step improves, and the stalled ones,
-    # loses no hit and adds none; a hit can move by ulps when another seed
-    # reaches it first
+    # loses no hit and adds none, with no step clipped; a hit can move by
+    # ulps when another seed reaches it first
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
     got = _search_results(find_critical_shapes, system)
     _assert_same_hits(got, _search_results(oracle_find_critical_shapes, system))
@@ -657,7 +661,8 @@ def test_find_critical_shapes_makes_no_scalar_evaluation(monkeypatch):
 def test_find_critical_shapes_retires_stalled_seeds(monkeypatch):
     # about half of the axis-3 seeds crawl at |grad|^2 ~ 7.7 where Vt >= 0;
     # kept live, they would hold each search to the 80-iteration cap
-    # (81, 73 and 81 kernel calls)
+    # (81, 73 and 81 kernel calls); converged seeds retire the same way
+    # once rounding stops them, since no step then lowers |grad|^2
     want = _search_results(oracle_find_critical_shapes, _RANDOM0)
     calls = count_calls(monkeypatch, critical.shape_kernel)
     got = []

@@ -14,7 +14,6 @@ from trihill.hill import (
     bif_function,
     class_codes,
     f_analysis,
-    f_lambda,
     membership,
     nu_thresholds,
     orientation_class,
@@ -97,17 +96,6 @@ def test_shape_eval_matches_dragt_moments(gravity):
         assert ev.m_tilde[0] + ev.m_tilde[1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_f_lambda_examples():
-    roots = sorted(
-        ((1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2)
-    )
-    for r in roots:
-        assert f_lambda(1.0, 1.0, 1.0, r) == pytest.approx(0.0, abs=1e-14)
-    assert f_lambda(-1.0, 1.0, -2.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    for r in (2 + math.sqrt(3), 2 - math.sqrt(3)):
-        assert f_lambda(-1.0, 1.0, -4.0, r) == pytest.approx(0.0, abs=1e-14)
-
-
 def test_f_analysis_cases():
     m = f_analysis(1.0, 1.0, 1.0)
     assert m.member and m.region_case == "I"
@@ -157,8 +145,8 @@ def test_f_analysis_region_root_consistency():
             assert m.discriminant < 0
         if m.lambda_minus is not None and E != 0.0:
             scale = max(1.0, abs(E), abs(vt), er)
-            assert abs(f_lambda(E, er, vt, m.lambda_minus)) < 1e-10 * scale
-            assert abs(f_lambda(E, er, vt, m.lambda_plus)) < 1e-10 * scale
+            for lam in (m.lambda_minus, m.lambda_plus):
+                assert abs(lam * lam * E - er - lam * vt) < 1e-10 * scale
 
 
 def test_membership_examples(helium):

@@ -17,7 +17,7 @@ from trihill.scan import (
     ContourGrid,
     ShapeScan,
     _block_bounds,
-    _count_components,
+    _component_rows,
     classify_grid,
     component_census,
     contour_grid,
@@ -330,7 +330,7 @@ def test_component_counter_matches_ndimage_label_on_adversarial_masks():
 
     for name, mask in adversarial_masks().items():
         want = ndimage.label(mask)[1]
-        assert _count_components(mask) == want, name
+        assert _component_rows(mask).size == want, name
         if name.startswith(("checkerboard", "spiral", "comb", "serpentine")):
             assert want == (mask.sum() if name.startswith("checkerboard") else 1), name
         # the same mask and its complement as two classes of a scan
@@ -497,28 +497,37 @@ def test_contour_csv_special_values():
         ]
 
 
-def _assert_disk_grid_bits(system, k, n):
-    """Disk-mode ``contour_grid`` equals, bit for bit, shape_value times
-    sqrt(max(Mt_k, 0)) at each pixel centre of the closed disk, taken at
-    the flat list of those centres, and NaN elsewhere."""
-    c = pixel_centers(n)
-    w1, w2 = np.repeat(c, n), np.tile(c, n)
-    s = np.hypot(w1, w2)
+def _assert_grid_bits(system, k, n, chi_psi=False):
+    """``contour_grid`` equals, bit for bit, shape_value times
+    sqrt(max(Mt_k, 0)) taken at the flat list of its sample points, and NaN
+    elsewhere: in disk mode the pixel centres of the closed disk, in chi-psi
+    mode the points cos(chi) (cos(psi), sin(psi)) of the whole flat mesh."""
+    if chi_psi:
+        centres = np.arange(n) + 0.5
+        psi = np.repeat(centres * (2.0 * math.pi / n), n)
+        s = np.cos(np.tile(centres * (0.5 * math.pi / n), n))
+        w1, w2 = s * np.cos(psi), s * np.sin(psi)
+    else:
+        c = pixel_centers(n)
+        w1, w2 = np.repeat(c, n), np.tile(c, n)
+        s = np.hypot(w1, w2)
     inside = s <= 1.0
     want = np.full(n * n, np.nan)
     mk = np.broadcast_to(moments(s[inside])[k - 1], inside.sum())
     with np.errstate(invalid="ignore"):
         want[inside] = shape_value(system, w1[inside], w2[inside]) * np.sqrt(np.maximum(mk, 0.0))
-    got = contour_grid(system, k, n).values
+    got = contour_grid(system, k, n, chi_psi).values
     assert got.shape == (n, n)
     assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
 
 
 def test_disk_contour_grid_bits_on_presets(all_systems):
+    # chi-psi mode too, whose outer products must give the mesh's bits
     for system in all_systems.values():
         for k in (1, 2, 3):
             for n in (2, 3, 37, 400):
-                _assert_disk_grid_bits(system, k, n)
+                _assert_grid_bits(system, k, n)
+                _assert_grid_bits(system, k, n, chi_psi=True)
 
 
 @pytest.mark.parametrize("signs", _SIGNS)
@@ -531,7 +540,23 @@ def test_disk_contour_grid_bits_on_presets(all_systems):
 )
 def test_disk_contour_grid_bits_property(signs, masses, magnitudes, n, k):
     system = BodySystem(masses, tuple(s * m for s, m in zip(signs, magnitudes)))
-    _assert_disk_grid_bits(system, k, n)
+    _assert_grid_bits(system, k, n)
+    _assert_grid_bits(system, k, n, chi_psi=True)
+
+
+def test_disk_contour_grid_is_nan_exactly_outside_the_closed_disk(monkeypatch, all_systems):
+    # No pixel centre of a raster lies on the unit circle, so these centres
+    # put points on it, where np.hypot gives exactly 1, and 5e-13 outside it
+    # at (1 + 5e-13, 0) and (0, 1 + 5e-13), where Vt is still finite.
+    c = np.array([-0.8, -0.6, 0.0, 0.6, 0.8, 1.0, 1.0 + 5e-13])
+    monkeypatch.setattr(scan_module, "pixel_centers", lambda n: c)
+    s = np.hypot(c[:, None], c[None, :])
+    assert np.count_nonzero(s == 1.0) == 10
+    assert np.count_nonzero((s > 1.0) & (s < 1.0 + 1e-12)) == 2
+    for system in all_systems.values():
+        for k in (1, 2, 3):
+            values = contour_grid(system, k, c.size).values
+            assert np.array_equal(~np.isnan(values), s <= 1.0)
 
 
 @pytest.mark.parametrize("signs", _SIGNS)
