@@ -550,9 +550,8 @@ def test_find_critical_shapes_matches_full_batch_oracle_on_presets(all_systems):
     magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
 )
 # masses and |couplings| log-uniform in 1e-3..1e3, with hits on axis 1
-# (signs 1, 2, 4), axis 2 (signs 2, 4) and axis 3 (signs 0)
+# (signs 1, 2, 4), axis 2 (signs 4) and axis 3 (signs 0)
 @example(masses=(41.63, 16.74, 0.3219), magnitudes=(426.6, 777.7, 128.1))
-@example(masses=(826.9, 198.2, 299.8), magnitudes=(17.75, 2.123, 346.3))
 def test_find_critical_shapes_matches_full_batch_oracle(signs, masses, magnitudes):
     # retiring the seeds that no damped step improves, and the stalled ones,
     # loses no hit and adds none, with no step clipped; a hit can move by
