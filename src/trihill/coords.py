@@ -223,14 +223,10 @@ def jacobi_from_positions(system: BodySystem, positions: np.ndarray) -> JacobiSh
     Inverse of :func:`positions_from_jacobi` up to the overall rotation and
     translation removed by the reduction.  Non-3 x 3 positions raise DomainError.
     """
-    fr = jacobi_frame(system)
     positions = np.asarray(positions, dtype=float)
     if positions.shape != (3, 3):
         raise DomainError(f"positions must be 3 x 3, got shape {positions.shape}")
-    x1, x2, x3 = positions
-    m1, _, m3 = system.masses
-    s1 = math.sqrt(fr.mu1) * (x1 - x3)
-    s2 = math.sqrt(fr.mu2) * (x2 - (m1 * x1 + m3 * x3) / (m1 + m3))
+    s1, s2 = _jacobi_vectors(system, positions)
     rho1 = float(np.linalg.norm(s1))
     rho2 = float(np.linalg.norm(s2))
     if rho1 * rho2 == 0.0:
@@ -241,6 +237,18 @@ def jacobi_from_positions(system: BodySystem, positions: np.ndarray) -> JacobiSh
     s2 = np.ldexp(s2, -math.frexp(rho2)[1])
     phi = math.atan2(float(np.linalg.norm(np.cross(s1, s2))), float(np.dot(s1, s2)))
     return JacobiShapeCoords(rho1, rho2, phi)
+
+
+def _jacobi_vectors(system: BodySystem, x):
+    """Mass-weighted Jacobi vectors s1 = sqrt(mu1) (x1 - x3) and
+    s2 = sqrt(mu2) (x2 - barycentre of bodies 1 and 3) of positions ``x``:
+    rows for bodies 1..3, either 3-vectors or numbers on one line."""
+    fr = jacobi_frame(system)
+    x1, x2, x3 = x
+    m1, _, m3 = system.masses
+    s1 = math.sqrt(fr.mu1) * (x1 - x3)
+    s2 = math.sqrt(fr.mu2) * (x2 - (m1 * x1 + m3 * x3) / (m1 + m3))
+    return s1, s2
 
 
 def collision_angles(system: BodySystem) -> tuple[float, float, float]:

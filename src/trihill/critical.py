@@ -30,11 +30,10 @@ import numpy as np
 
 from .coords import (
     Shape,
+    _jacobi_vectors,
     jacobi_from_positions,
-    moment_of_inertia,
     normalize_shape,
     pair_geometry,
-    w_from_jacobi,
 )
 from .errors import DomainError, TrihillError, UnsupportedFamilyError, check_index
 from .hill import moments, shape_kernel, shape_value
@@ -420,16 +419,20 @@ def collinear_configs(system: BodySystem) -> list[CriticalValue]:
 
 
 def _collinear_entry(system: BodySystem, order, t, nu, residual) -> CriticalValue:
-    """Entry for bodies ``order`` at (0, t, 1), a point of the disk's rim."""
-    x = np.zeros((3, 3))
-    x[[b - 1 for b in order], 0] = (0.0, t, 1.0)
-    jac = jacobi_from_positions(system, x)
-    # Boundary point of the shape disk: normalize w by omega.
-    w = w_from_jacobi(jac)
-    omega = moment_of_inertia(jac)
+    """Entry for bodies ``order`` at (0, t, 1), a point of the disk's rim.
+
+    On a line the Jacobi vectors are numbers a and b, and the rim point is
+    w = (a^2 - b^2, 2 a b)/(a^2 + b^2): the operations of ``w_from_jacobi``
+    over ``moment_of_inertia``, so the bits of the way through the Jacobi
+    chart.  The + 0.0 writes w2 = 0 unsigned where b = 0 (body 2 at the
+    barycentre of bodies 1 and 3), as the chart does.  A moment of inertia
+    that underflows to 0 raises DomainError."""
+    line = dict(zip(order, (0.0, t, 1.0)))
+    a, b = _jacobi_vectors(system, [line[body] for body in (1, 2, 3)])
+    omega = a * a + b * b
     if omega == 0.0:
         raise DomainError("collinear moment of inertia underflows; rescale the system")
-    w1, w2 = w.w1 / omega, w.w2 / omega
+    w1, w2 = (a * a - b * b) / omega, 2.0 * a * b / omega + 0.0
     detail = f"order={order} t={t:.12g} psi_deg={math.degrees(math.atan2(w2, w1)):.6f}"
     return CriticalValue(
         nu=nu,
@@ -480,60 +483,44 @@ def _sqrtmk_v_derivatives(system: BodySystem, k: int, w1, w2):
     return g1, g2, h11, h12, h22
 
 
-def _clamp_to_annulus(w1, w2, lim: float, core: float | None) -> None:
-    """Scale points (w1, w2) in place by lim/s where their hypot s exceeds
-    ``lim``, then, given a ``core``, by core/s where s is below it.  Only
-    points whose squared radius lies within 1e-12 (relative) of a threshold,
-    far beyond its few ulps of rounding, take the exact hypot; the rim clamp
-    moves none of them near the core."""
-    s2 = w1 * w1 + w2 * w2
-    rim = np.flatnonzero(s2 > lim * lim * (1.0 - 1e-12))
-    srad = np.hypot(w1[rim], w2[rim])
-    scale = np.where(srad > lim, lim / srad, 1.0)
-    w1[rim] *= scale
-    w2[rim] *= scale
-    if core is not None:
-        near = np.flatnonzero(s2 < core * core * (1.0 + 1e-12))
-        srad = np.hypot(w1[near], w2[near])
-        push = np.where(srad < core, core / np.maximum(srad, 1e-12), 1.0)
-        w1[near] *= push
-        w2[near] *= push
-
-
 def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]]:
     """Interior critical points of sqrt(Mt_k) Vt, each one a certified
     relative equilibrium rotating about principal axis k.
 
     Multi-start damped Newton on the analytic gradient and Hessian from a
-    SEARCH_SEEDS x SEARCH_SEEDS grid over the disk, excluding a 1e-3 margin
-    at the collinear boundary and (for k = 1, 2) a 1e-3 disk around the
-    diabolic point where the moments are not differentiable.  Each iteration
-    evaluates the damped steps 1, 0.5 and 0.25 of every live seed in one
-    kernel call and moves a seed to its first candidate of least |grad|^2
-    that is strictly below its own.  A seed that no candidate improves
-    would try the same candidates on every later iteration: it retires with
-    its point and |grad|^2, and the live seeds stay compacted.  So does a
-    stalled seed: on 4 iterations in a row its best candidate kept more
-    than 3/4 of its |grad|^2.  Near a root the Newton step cuts |grad|^2 by
-    far more than a quarter per move, so a converging seed moves until
-    rounding stops it, and then retires; a stalled one sits at a nonzero
-    minimum of |grad|^2 or still far from every root.  No step is clipped:
-    a candidate counts only if it lowers |grad|^2.  The loop ends when no
-    seed is live, or after 80 iterations.  The seeds then go back into seed
-    order; those with |grad|^2 below 1e-22 and Vt not >= 0, deduplicated
-    within 1e-7 in that order, must pass the relative-equilibrium residual
-    test at 1e-6.  Hits hold Python floats.
+    SEARCH_SEEDS x SEARCH_SEEDS grid over the annulus core < s < lim of the
+    disk: a 1e-3 margin at the collinear boundary and (for k = 1, 2 only) a
+    1e-3 core around the diabolic point where the moments are not
+    differentiable.  Each iteration evaluates the damped steps 1, 0.5 and
+    0.25 of every live seed in one kernel call and moves a seed to its first
+    candidate of least |grad|^2 that is strictly below its own; a candidate
+    off the annulus, or not finite (a singular Hessian), is no improvement.
+    A seed that no candidate improves would try the same candidates on
+    every later iteration: it retires with its point and |grad|^2, and the
+    live seeds stay compacted.  So does a stalled seed: on 4 iterations in a
+    row its best candidate kept more than 3/4 of its |grad|^2.  Near a root
+    the Newton step cuts |grad|^2 by far more than a quarter per move, so a
+    converging seed moves until rounding stops it, and then retires; a
+    stalled one sits at a nonzero minimum of |grad|^2 or still far from
+    every root.  No step is clipped: a candidate counts only if it lowers
+    |grad|^2.  The loop ends when no seed is live, or after 80 iterations.
+    The seeds, all on the annulus, then go back into seed order; those with
+    |grad|^2 below 1e-22 and Vt not >= 0, deduplicated within 1e-7 in that
+    order, must pass the relative-equilibrium residual test at 1e-6.  Hits
+    hold Python floats.
     A k that is not an integer in {1, 2, 3} raises DomainError.
     """
     k = check_index("principal axis index", k, 1, 3)
-    margin, core = 1e-3, 1e-3
-    lim = 1.0 - margin
+    lim, core = 1.0 - 1e-3, 1e-3
+
+    def inside(w1, w2):
+        """Whether points (w1, w2) lie strictly inside the annulus."""
+        srad = np.hypot(w1, w2)
+        return (srad < lim) & ((srad > core) | (k == 3))
+
     ax = np.linspace(-1.0, 1.0, SEARCH_SEEDS + 2)[1:-1]
     w1, w2 = (g.ravel() for g in np.meshgrid(ax, ax, indexing="ij"))
-    srad = np.hypot(w1, w2)
-    keep = srad < lim
-    if k != 3:
-        keep &= srad > core
+    keep = inside(w1, w2)
     w1, w2 = w1[keep], w2[keep]
 
     def newton_data(w1, w2):
@@ -546,15 +533,10 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
         so that its temporaries are freed before the kernel call on them."""
         g1, g2, h11, h12, h22 = D
         det = h11 * h22 - h12 * h12
-        bad = np.abs(det) < 1e-300
-        det = np.where(bad, 1.0, det)
-        dx = np.where(bad, 0.0, (g1 * h22 - g2 * h12) / det)
-        dy = np.where(bad, 0.0, (h11 * g2 - h12 * g1) / det)
-        # Damp the steps, then clamp to the rim and push off the core.
+        dx = (g1 * h22 - g2 * h12) / det
+        dy = (h11 * g2 - h12 * g1) / det
         damp = np.array([[1.0], [0.5], [0.25]])
-        c1, c2 = (w1 - damp * dx).ravel(), (w2 - damp * dy).ravel()
-        _clamp_to_annulus(c1, c2, lim, core if k != 3 else None)
-        return c1, c2
+        return (w1 - damp * dx).ravel(), (w2 - damp * dy).ravel()
 
     # The live seeds: points, Newton rows, |grad|^2, seed index and count of
     # slow moves in a row; retired seeds go to (W1, W2, GN) in seed order.
@@ -563,8 +545,10 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     slow = np.zeros(len(w1), dtype=int)
     W1, W2, GN = np.empty_like(w1), np.empty_like(w2), np.empty_like(gn)
     for _ in range(80):
-        c1, c2 = candidates(w1, w2, D)
-        Dc, gnc = newton_data(c1, c2)
+        with np.errstate(all="ignore"):
+            c1, c2 = candidates(w1, w2, D)
+            Dc, gnc = newton_data(c1, c2)
+        gnc[~inside(c1, c2)] = np.inf
         # pick: the row of the best candidate, -1 where none is better.
         n = len(idx)
         best_gn, pick = gn, np.full(n, -1)
@@ -592,11 +576,8 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     for w1, w2, vt in zip(W1[keep].tolist(), W2[keep].tolist(), V[keep].tolist()):
         if any(abs(w1 - s.w1) < 1e-7 and abs(w2 - s.w2) < 1e-7 for s, _ in found):
             continue
-        srad = math.hypot(w1, w2)
-        if srad >= lim or (k != 3 and srad <= core):
-            continue
         shape = Shape(w1, w2)
-        mk = moments(srad)[k - 1]
+        mk = moments(math.hypot(w1, w2))[k - 1]
         nu = 0.5 * mk * vt**2
         if not _is_relative_equilibrium(system, shape, k, vt, mk):
             continue

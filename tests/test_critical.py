@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scipy.optimize import brentq
 from trihill import critical
 from trihill.coords import pair_geometry
 from trihill.critical import (
-    _clamp_to_annulus,
     CriticalValue,
     _sqrtmk_v_derivatives,
     catalog_csv,
@@ -229,6 +229,53 @@ def test_collinear_euler_angles(gravity):
         math.degrees(math.atan2(cv.w[1], cv.w[0])) for cv in collinear_configs(gravity)
     )
     assert angles == pytest.approx([-121.3, -18.9, 117.3], abs=0.2)
+
+
+def _rim_point_from_positions(system, order, t):
+    """w of bodies ``order`` at (0, t, 1), built from the body positions with
+    the mass-weighted Jacobi vectors r1 = sqrt(mu1) (x1 - x3) and
+    r2 = sqrt(mu2) (x2 - (m1 x1 + m3 x3)/(m1 + m3)) written out, in exact
+    rational arithmetic apart from the one root sqrt(mu1 mu2):
+    w = (r1^2 - r2^2, 2 r1 r2)/(r1^2 + r2^2)."""
+    x = dict(zip(order, (Fraction(0), Fraction(t), Fraction(1))))
+    m1, m2, m3 = (Fraction(m) for m in system.masses)
+    mu1, mu2 = m1 * m3 / (m1 + m3), m2 * (m1 + m3) / (m1 + m2 + m3)
+    d1, d2 = x[1] - x[3], x[2] - (m1 * x[1] + m3 * x[3]) / (m1 + m3)
+    inertia = mu1 * d1 * d1 + mu2 * d2 * d2
+    w1 = float((mu1 * d1 * d1 - mu2 * d2 * d2) / inertia)
+    return w1, 2.0 * math.sqrt(mu1 * mu2) * float(d1 * d2 / inertia)
+
+
+def test_collinear_rim_points_match_body_positions(monkeypatch, all_systems):
+    # presets, systems log-uniform in 1e-3..1e3 with random signs, and
+    # symmetric ones whose middle body 2 sits at the barycentre of 1 and 3,
+    # where w2 = 0 must print unsigned
+    rng = np.random.default_rng(41)
+    systems = list(all_systems.values()) + [gravitational((1.0, 2.0, 1.0))]
+    systems += [BodySystem((1.5, 0.7, 1.5), (1.0, -0.4, 1.0))]
+    for _ in range(40):
+        masses, magnitudes = 10.0 ** rng.uniform(-3.0, 3.0, (2, 3))
+        alphas = rng.choice([-1.0, 1.0], 3) * magnitudes
+        systems.append(BodySystem(tuple(masses.tolist()), tuple(alphas.tolist())))
+    seen = []
+    entry = critical._collinear_entry
+
+    def recorded(system, order, t, nu, residual):
+        cv = entry(system, order, t, nu, residual)
+        seen.append((system, order, t, cv))
+        return cv
+
+    monkeypatch.setattr(critical, "_collinear_entry", recorded)
+    for system in systems:
+        collinear_configs(system)
+    assert len(seen) > 50
+    for system, order, t, cv in seen:
+        want = _rim_point_from_positions(system, order, t)
+        assert abs(cv.w[0] - want[0]) <= 1e-15 and abs(cv.w[1] - want[1]) <= 1e-15
+    unsigned = [cv for *_, cv in seen if cv.w[1] == 0.0]
+    assert len(unsigned) == 2
+    assert all(math.copysign(1.0, cv.w[1]) == 1.0 for cv in unsigned)
+    assert all("psi_deg=0.000000" in cv.detail for cv in unsigned)
 
 
 def test_collinear_drops_zero_potential_artifacts(helium, eep):
@@ -570,46 +617,52 @@ def test_find_critical_shapes_searches_in_full_on_every_call(monkeypatch, helium
     assert len(calls) == 2 * n
 
 
-def _hypot_clamp(w1, w2, lim, core):
-    """The search's rim clamp and core push with an exact hypot at every
-    point: the bit-for-bit reference for ``_clamp_to_annulus``."""
-    srad = np.hypot(w1, w2)
-    with np.errstate(divide="ignore", over="ignore"):  # lim / 0 or 1e-300, dropped
-        scale = np.where(srad > lim, lim / srad, 1.0)
-    w1, w2 = w1 * scale, w2 * scale
-    if core is not None:
-        srad = np.hypot(w1, w2)
-        push = np.where(srad < core, core / np.maximum(srad, 1e-12), 1.0)
-        w1, w2 = w1 * push, w2 * push
-    return w1, w2
+# masses and couplings whose axis-1 hit the undamped step loses: with the
+# damping levels 0.5 and 0.25 gone, every seed that could reach it overshoots
+_DAMPED_HIT_SYSTEMS = [
+    BodySystem(
+        (2.4494899836282245, 4.79676269901692, 1.654661417355907),
+        (1.266045128119521, 0.10266738842151073, -1.3185351506100784),
+    ),
+    BodySystem(
+        (0.11697702118956757, 4.9179058803888855, 1.498869703477249),
+        (0.4143997515973213, -0.43127399972375846, 0.15082540801012725),
+    ),
+]
 
 
-def test_clamp_to_annulus_matches_an_exact_hypot_everywhere():
-    # radii up to 8 ulps and a few 1e-13 (relative) around both thresholds,
-    # well inside and outside them, 0, tiny and NaN, at random angles
-    rng = np.random.default_rng(23)
-    lim, core = 1.0 - 1e-3, 1e-3
-    radii = [0.0, 5e-324, 1e-200, 1e-9, 0.5, 1.05, 1.2, math.nan]
-    for t in (lim, core):
-        radii += [t * (1.0 + k * 2.0**-53) for k in range(-8, 9)]
-        radii += [t * (1.0 + f) for f in (-3e-12, -1e-12, -3e-13, 3e-13, 1e-12, 3e-12, 1e-6)]
-    r = np.repeat(radii, 400)
-    angle = rng.uniform(0.0, 2.0 * math.pi, r.size)
-    angle[::50] = rng.integers(0, 8, angle[::50].size) * (math.pi / 4.0)  # on the axes too
-    points = r * np.cos(angle), r * np.sin(angle)
-    # points whose squared radius and hypot fall on opposite sides of a
-    # threshold, which a test of the squared radius without margin gets wrong
-    s2, srad = points[0] ** 2 + points[1] ** 2, np.hypot(*points)
-    assert np.count_nonzero((s2 > lim * lim) != (srad > lim)) > 10
-    assert np.count_nonzero((s2 < core * core) != (srad < core)) > 10
-    moved = 0
-    for c in (core, None):
-        w1, w2 = points[0].copy(), points[1].copy()
-        _clamp_to_annulus(w1, w2, lim, c)
-        want = _hypot_clamp(*points, lim, c)
-        assert w1.tobytes() == want[0].tobytes() and w2.tobytes() == want[1].tobytes()
-        moved += np.count_nonzero(want[0] != points[0])
-    assert moved > 1000
+@pytest.mark.parametrize("system", _DAMPED_HIT_SYSTEMS)
+def test_find_critical_shapes_keeps_the_damped_hits(system):
+    got = _search_results(find_critical_shapes, system)
+    assert len(got[0]) == 1
+    _assert_same_hits(got, _search_results(oracle_find_critical_shapes, system))
+
+
+@pytest.mark.parametrize(
+    "p, k, hits",
+    [
+        ((0.3, -0.2), 1, 1),
+        ((3e-4, 4e-4), 3, 1),
+        ((3e-4, 4e-4), 1, 0),  # in the core
+        ((3e-4, 4e-4), 2, 0),
+        ((0.6, 0.7995), 3, 0),  # in the rim margin: radius 0.9996
+        ((1.2, 0.0), 2, 0),  # off the disk
+    ],
+)
+def test_find_critical_shapes_searches_the_annulus_only(monkeypatch, gravity, p, k, hits):
+    # the bowl |w - p|^2 in place of sqrt(Mt_k) Vt: its one critical point p
+    # is a hit only inside the annulus 1e-3 < s < 1 - 1e-3 (no core for
+    # k = 3); Vt < 0 on the whole disk of gravity-demo
+    def bowl(system, k, w1, w2):
+        two = np.full_like(w1, 2.0)
+        return 2.0 * (w1 - p[0]), 2.0 * (w2 - p[1]), two, np.zeros_like(w1), two.copy()
+
+    monkeypatch.setattr(critical, "_sqrtmk_v_derivatives", bowl)
+    monkeypatch.setattr(critical, "_is_relative_equilibrium", lambda *args: True)
+    found = find_critical_shapes(gravity, k)
+    assert len(found) == hits
+    for shape, _ in found:
+        assert abs(shape.w1 - p[0]) <= 1e-12 and abs(shape.w2 - p[1]) <= 1e-12
 
 
 def _kernel_test_points(system):

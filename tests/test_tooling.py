@@ -11,7 +11,9 @@ chart must read them, so that their operation order, which trajectories
 and energies depend on to the last bit, exists once.  So must the disk
 distance rule, ``coords._pair_term``: every pair distance and
 every Vt on the shape disk reads it, and a second copy would drift from the
-one that scans, bounds and searches depend on.  And verify's event checks
+one that scans, bounds and searches depend on.  So must the Jacobi vectors
+of body positions, ``coords._jacobi_vectors``, which both the closed-form
+shapes and the collinear rim points read.  And verify's event checks
 must read Euler characteristics, not the component census, whose counts
 measure pixel noise as well as topology.  And the package must run on
 numpy alone: scipy serves the tests as a reference, and importing it would
@@ -27,7 +29,7 @@ import sys
 import pytest
 
 import trihill  # loads every submodule
-from trihill import coords, hill, reduction, scan, systems, verify
+from trihill import coords, critical, hill, reduction, scan, systems, verify
 from trihill.coords import Shape
 from trihill.critical import nu_langmuir
 
@@ -133,6 +135,19 @@ def test_disk_distance_rule_is_written_once(monkeypatch, helium):
     ]
     for call in entry_points:
         with pytest.raises(AssertionError, match="_pair_term was called"):
+            call()
+
+
+def test_jacobi_vectors_are_written_once(monkeypatch, gravity, helium):
+    forbid(monkeypatch, coords._jacobi_vectors)
+    entry_points = [
+        lambda: coords.jacobi_from_positions(helium, [[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
+        lambda: critical.collinear_configs(gravity),
+        lambda: critical.lagrange_shape(gravity),
+        lambda: critical.langmuir_shape(helium),
+    ]
+    for call in entry_points:
+        with pytest.raises(AssertionError, match="_jacobi_vectors was called"):
             call()
 
 
