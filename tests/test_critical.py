@@ -617,8 +617,9 @@ def test_find_critical_shapes_searches_in_full_on_every_call(monkeypatch, helium
     assert len(calls) == 2 * n
 
 
-# masses and couplings whose axis-1 hit the undamped step loses: with the
-# damping levels 0.5 and 0.25 gone, every seed that could reach it overshoots
+# systems whose axis-1 hit a search with fewer damping levels loses: the
+# first two with the step 1 alone, the third (log-uniform in 1e-2..1e2)
+# with the steps 1 and 0.5
 _DAMPED_HIT_SYSTEMS = [
     BodySystem(
         (2.4494899836282245, 4.79676269901692, 1.654661417355907),
@@ -627,6 +628,10 @@ _DAMPED_HIT_SYSTEMS = [
     BodySystem(
         (0.11697702118956757, 4.9179058803888855, 1.498869703477249),
         (0.4143997515973213, -0.43127399972375846, 0.15082540801012725),
+    ),
+    BodySystem(
+        (0.05199835763592814, 0.05283738078470747, 10.759962224116556),
+        (6.719221502224043, -38.469425217025645, 13.158316641907168),
     ),
 ]
 
