@@ -87,20 +87,19 @@ class CriticalValue:
 class LangmuirGeometry:
     """Isosceles configuration of the Langmuir relative equilibrium.
 
-    At unit leg length a: the two like bodies sit at height +-b, distance d
+    At unit leg length: the two like bodies sit at height +-b, distance d
     from the rotation axis; the apex body sits at distance c on the other
-    side, with m_apex c = 2 m_like d and (c + d)/a = cos(theta).
+    side, with m_apex c = 2 m_like d and c + d = cos(theta).
     mu = 2 m_like m_apex / (2 m_like + m_apex).
     """
 
     theta: float
-    a: float
     b: float
     c: float
     d: float
     mu: float
-    like_pair: tuple[int, int] = (1, 2)
-    apex: int = 3
+    like_pair: tuple[int, int]
+    apex: int
 
 
 def nu_infinity(system: BodySystem) -> list[CriticalValue]:
@@ -234,7 +233,6 @@ def langmuir_geometry(system: BodySystem) -> LangmuirGeometry:
     cos_t = math.cos(theta)
     return LangmuirGeometry(
         theta=theta,
-        a=1.0,
         b=sin_t,
         c=2.0 * m_like * cos_t / (2.0 * m_like + m_apex),
         d=m_apex * cos_t / (2.0 * m_like + m_apex),
@@ -244,8 +242,7 @@ def langmuir_geometry(system: BodySystem) -> LangmuirGeometry:
     )
 
 
-def langmuir_shape(system: BodySystem, geom: LangmuirGeometry | None = None) -> Shape:
-    geom = geom or langmuir_geometry(system)
+def langmuir_shape(system: BodySystem, geom: LangmuirGeometry) -> Shape:
     cos_t = math.cos(geom.theta)
     x = np.zeros((3, 3))
     x[geom.like_pair[0] - 1] = (cos_t, geom.b, 0.0)
@@ -448,9 +445,10 @@ def _collinear_entry(system: BodySystem, order, t, nu, residual) -> CriticalValu
 # Generic search for non-collinear critical shapes
 
 
-def _sqrtmk_v_derivatives(system: BodySystem, k: int, w1, w2):
+def _sqrtmk_v_derivatives(system: BodySystem, k: int, w1, w2, s):
     """Gradient rows (g1, g2) and Hessian rows (h11, h12, h22) of
-    f = sqrt(Mt_k) Vt at the disk points of the 1-D rows w1 and w2.
+    f = sqrt(Mt_k) Vt at the disk points of the 1-D rows w1 and w2, whose
+    radii s = hypot(w1, w2) the caller has taken.
 
     With u = w/s and q1, q2 the s-derivatives of sqrt(Mt_k(s)), the radius adds
     q1 V u to grad V and q1 (u dV^T + dV u^T) + V (q2 u u^T + q1 (1 - u u^T)/s)
@@ -459,7 +457,6 @@ def _sqrtmk_v_derivatives(system: BodySystem, k: int, w1, w2):
     Mt_3 is constant, so for k = 3 f is Vt.
     """
     V, (g1, g2), (h11, h12, h22) = shape_kernel(system, w1, w2)
-    s = np.hypot(w1, w2)
     mk = moments(s)[k - 1]
     b = moments(1.0)[k - 1] - moments(0.0)[k - 1]  # Mt_k = a + b s
     sq = np.sqrt(mk)
@@ -495,6 +492,9 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     0.25 of every live seed in one kernel call and moves a seed to its first
     candidate of least |grad|^2 that is strictly below its own; a candidate
     off the annulus, or not finite (a singular Hessian), is no improvement.
+    The radii of each batch of points, the seed grid and each iteration's
+    candidates, are taken once and serve both the annulus test and the
+    kernel.
     A seed that no candidate improves would try the same candidates on
     every later iteration: it retires with its point and |grad|^2, and the
     live seeds stay compacted.  So does a stalled seed: on 4 iterations in a
@@ -513,18 +513,18 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     k = check_index("principal axis index", k, 1, 3)
     lim, core = 1.0 - 1e-3, 1e-3
 
-    def inside(w1, w2):
-        """Whether points (w1, w2) lie strictly inside the annulus."""
-        srad = np.hypot(w1, w2)
-        return (srad < lim) & ((srad > core) | (k == 3))
+    def inside(s):
+        """Whether points of radii s lie strictly inside the annulus."""
+        return (s < lim) & ((s > core) | (k == 3))
 
     ax = np.linspace(-1.0, 1.0, SEARCH_SEEDS + 2)[1:-1]
     w1, w2 = (g.ravel() for g in np.meshgrid(ax, ax, indexing="ij"))
-    keep = inside(w1, w2)
-    w1, w2 = w1[keep], w2[keep]
+    s = np.hypot(w1, w2)
+    keep = inside(s)
+    w1, w2, s = w1[keep], w2[keep], s[keep]
 
-    def newton_data(w1, w2):
-        D = _sqrtmk_v_derivatives(system, k, w1, w2)
+    def newton_data(w1, w2, s):
+        D = _sqrtmk_v_derivatives(system, k, w1, w2, s)
         return D, D[0] * D[0] + D[1] * D[1]
 
     def candidates(w1, w2, D):
@@ -540,15 +540,16 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
 
     # The live seeds: points, Newton rows, |grad|^2, seed index and count of
     # slow moves in a row; retired seeds go to (W1, W2, GN) in seed order.
-    D, gn = newton_data(w1, w2)
+    D, gn = newton_data(w1, w2, s)
     idx = np.arange(len(w1))
     slow = np.zeros(len(w1), dtype=int)
     W1, W2, GN = np.empty_like(w1), np.empty_like(w2), np.empty_like(gn)
     for _ in range(80):
         with np.errstate(all="ignore"):
             c1, c2 = candidates(w1, w2, D)
-            Dc, gnc = newton_data(c1, c2)
-        gnc[~inside(c1, c2)] = np.inf
+            sc = np.hypot(c1, c2)
+            Dc, gnc = newton_data(c1, c2, sc)
+        gnc[~inside(sc)] = np.inf
         # pick: the row of the best candidate, -1 where none is better.
         n = len(idx)
         best_gn, pick = gn, np.full(n, -1)

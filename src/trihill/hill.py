@@ -56,7 +56,6 @@ class ShapeEvaluation:
     ``m_tilde`` is (Mt1, Mt2, Mt3) ascending with Mt1 + Mt2 = Mt3 = 1.
     """
 
-    shape: Shape
     v_tilde: float
     m_tilde: tuple[float, float, float]
 
@@ -151,7 +150,6 @@ def shape_eval(system: BodySystem, shape: Shape) -> ShapeEvaluation:
     """Restrict V and the principal moments to the shape space."""
     m1, m2, m3 = moments(shape.radius)
     return ShapeEvaluation(
-        shape=shape,
         v_tilde=v_tilde(system, shape.w1, shape.w2),
         m_tilde=(m1, m2, m3),
     )

@@ -25,7 +25,6 @@ test that rule.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -339,24 +338,11 @@ def _scan_ppm(scan: ShapeScan) -> bytes:
 # The CSV writers format each axis once and leave the per-pixel work to C.
 # A scan row is written by runs of one class: a run is the slice over its
 # columns of its class's line ends "\n," + w2 + "," + NAME, and one replace
-# puts w1 after each newline of the joined row; the rows stream into one
-# buffer.  A contour row is one bytes template, its lines' axis texts with
-# a printf-style '%.12g' for each value, filled by one '%'; the filled rows
-# are joined once.  For every float, '%.12g' % x gives the text of
-# format(x, '.12g'), as str and as bytes.
-
-
-def _axis_text(x: np.ndarray) -> list[str]:
-    return ["%.12g" % v for v in x.tolist()]
-
-
-def _csv(header: str, rows) -> bytes:
-    out = io.BytesIO()
-    out.write(header.encode())
-    for row in rows:
-        out.write(row)
-    out.write(b"\n")
-    return out.getvalue()
+# puts w1 after each newline of the joined row.  A contour row is one bytes
+# template, its lines' axis texts with a printf-style '%.12g' for each
+# value, filled by one '%'.  Each writer joins its header and rows once.
+# For every float, '%.12g' % x gives the text of format(x, '.12g'), as str
+# and as bytes.
 
 
 def _scan_csv(scan: ShapeScan) -> bytes:
@@ -364,7 +350,7 @@ def _scan_csv(scan: ShapeScan) -> bytes:
     run takes its slice of the class's line ends, and one per row joins
     the row's slices and puts w1 after every newline."""
     n, cells = scan.resolution, scan.cells
-    c = _axis_text(pixel_centers(n))
+    c = ["%.12g" % x for x in pixel_centers(n).tolist()]
     tails = ["," + cls.name for cls in CellClass]
     ends = [memoryview(("\n," + (t + "\n,").join(c) + t).encode()) for t in tails]
     # at[code, j]: where column j's line end starts in ends[code]
@@ -379,9 +365,9 @@ def _scan_csv(scan: ShapeScan) -> bytes:
     runs = zip(code.tolist(), at[code, col].tolist(), at[code, stop].tolist())
     pieces = [ends[k][a:b] for k, a, b in runs]
     bounds = np.flatnonzero(col == 0).tolist() + [len(pieces)]
-    rows = zip(c, bounds, bounds[1:])
-    lines = (b"".join(pieces[a:b]).replace(b"\n", f"\n{w1}".encode()) for w1, a, b in rows)
-    return _csv("w1,w2,class", lines)
+    spans = zip(c, bounds, bounds[1:])
+    rows = [b"".join(pieces[a:b]).replace(b"\n", f"\n{w1}".encode()) for w1, a, b in spans]
+    return b"".join([b"w1,w2,class", *rows, b"\n"])
 
 
 def _grid_csv(grid: ContourGrid) -> bytes:

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import DomainError, TrihillError
+from .errors import DomainError, TrihillError, check_index
 
 
 def _normal(x: float) -> bool:
@@ -89,7 +89,13 @@ class BodySystem:
         return self.alphas[k - 1]
 
     def permuted(self, perm: tuple[int, int, int]) -> "BodySystem":
-        """Relabel bodies: body i of the new system is body perm[i-1] of this one."""
+        """Relabel bodies: body i of the new system is body perm[i-1] of this one.
+
+        A ``perm`` that is not a permutation of (1, 2, 3) raises DomainError.
+        """
+        perm = tuple(check_index("body index", p, 1, 3) for p in perm)
+        if sorted(perm) != [1, 2, 3]:
+            raise DomainError(f"perm must be a permutation of (1, 2, 3), got {perm}")
         m = tuple(self.masses[p - 1] for p in perm)
         a = tuple(self.alphas[p - 1] for p in perm)
         return BodySystem(m, a)

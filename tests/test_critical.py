@@ -131,11 +131,11 @@ def test_langmuir_geometry_helium(helium):
     geom = langmuir_geometry(helium)
     assert math.sin(geom.theta) == pytest.approx(0.5, abs=1e-12)
     assert math.degrees(geom.theta) == pytest.approx(30.0, abs=1e-12)
-    # invariants of the configuration
+    # invariants of the configuration at unit leg length
     m1, _, m3 = helium.masses
-    assert geom.b == pytest.approx(geom.a * math.sin(geom.theta), rel=1e-15)
+    assert geom.b == pytest.approx(math.sin(geom.theta), rel=1e-15)
     assert m3 * geom.c == pytest.approx(2 * m1 * geom.d, rel=1e-12)
-    assert (geom.c + geom.d) / geom.a == pytest.approx(math.cos(geom.theta), rel=1e-14)
+    assert geom.c + geom.d == pytest.approx(math.cos(geom.theta), rel=1e-14)
 
 
 def test_langmuir_geometry_eep_against_force_balance(eep):
@@ -182,7 +182,7 @@ def test_nu_langmuir_consistent_with_shape(helium, eep):
 
 def test_langmuir_shape_positions(helium):
     # helium: nearly on the positive w2 axis, per the near-degenerate masses
-    sh = langmuir_shape(helium)
+    sh = langmuir_shape(helium, langmuir_geometry(helium))
     assert abs(sh.w1) < 1e-3
     assert sh.w2 == pytest.approx(0.5, abs=1e-3)
 
@@ -658,7 +658,8 @@ def test_find_critical_shapes_searches_the_annulus_only(monkeypatch, gravity, p,
     # the bowl |w - p|^2 in place of sqrt(Mt_k) Vt: its one critical point p
     # is a hit only inside the annulus 1e-3 < s < 1 - 1e-3 (no core for
     # k = 3); Vt < 0 on the whole disk of gravity-demo
-    def bowl(system, k, w1, w2):
+    def bowl(system, k, w1, w2, s):
+        assert s.tobytes() == np.hypot(w1, w2).tobytes()
         two = np.full_like(w1, 2.0)
         return 2.0 * (w1 - p[0]), 2.0 * (w2 - p[1]), two, np.zeros_like(w1), two.copy()
 
@@ -693,7 +694,7 @@ def test_sqrtmk_v_derivatives_rows_match_stacked_oracle_bit_for_bit(all_systems)
         w1, w2 = _kernel_test_points(system)
         for k in (1, 2, 3):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                got = _sqrtmk_v_derivatives(system, k, w1.copy(), w2.copy())
+                got = _sqrtmk_v_derivatives(system, k, w1.copy(), w2.copy(), np.hypot(w1, w2))
                 g, h = oracle_sqrtmk_v_derivatives(system, k, np.stack([w1, w2], axis=1))
             for row, want in zip(got, [*g, *h]):
                 assert row.tobytes() == want.tobytes()
@@ -836,7 +837,9 @@ def test_sqrtmk_v_derivatives_against_central_differences(signs, masses, magnitu
             mk = {1: 0.5 * (1.0 - s), 2: 0.5 * (1.0 + s), 3: 1.0}[k]
             return math.sqrt(mk) * v_tilde(system, w1, w2)
 
-        g1, g2, h11, h12, h22 = _sqrtmk_v_derivatives(system, k, W[:, 0], W[:, 1])
+        g1, g2, h11, h12, h22 = _sqrtmk_v_derivatives(
+            system, k, W[:, 0], W[:, 1], np.hypot(W[:, 0], W[:, 1])
+        )
         grad = np.stack([g1, g2], axis=1)
         hess = np.stack([np.stack([h11, h12], 1), np.stack([h12, h22], 1)], 1)
         h = 1e-6
@@ -848,7 +851,9 @@ def test_sqrtmk_v_derivatives_against_central_differences(signs, masses, magnitu
             scale = max(1.0, abs(f(w1, w2)), *np.abs(grad[p]))
             assert np.allclose(grad[p], fd_grad, rtol=0.0, atol=1e-6 * scale)
             shifted = np.array([[w1 + h, w2], [w1 - h, w2], [w1, w2 + h], [w1, w2 - h]])
-            sg1, sg2 = _sqrtmk_v_derivatives(system, k, shifted[:, 0], shifted[:, 1])[:2]
+            sg1, sg2 = _sqrtmk_v_derivatives(
+                system, k, shifted[:, 0], shifted[:, 1], np.hypot(shifted[:, 0], shifted[:, 1])
+            )[:2]
             fd_hess = np.array(
                 [
                     [(sg1[0] - sg1[1]) / (2 * h), (sg1[2] - sg1[3]) / (2 * h)],

@@ -163,6 +163,14 @@ def test_permuted_relabeling():
     assert swapped.pair_coupling(2, 3) == system.pair_coupling(3, 1)
 
 
+@pytest.mark.parametrize("perm", [(0, 1, 2), (1, 1, 2), (1, 2, 4), (1.0, 2, 3)])
+def test_permuted_rejects_what_is_not_a_relabelling(helium, perm):
+    # (0, 1, 2) would read index -1, (1, 1, 2) copy body 1; (1, 2, 4) and
+    # (1.0, 2, 3) would raise IndexError and TypeError
+    with pytest.raises(DomainError):
+        helium.permuted(perm)
+
+
 @pytest.mark.parametrize(
     "masses, alphas",
     [

@@ -17,7 +17,9 @@ shapes and the collinear rim points read.  And verify's event checks
 must read Euler characteristics, not the component census, whose counts
 measure pixel noise as well as topology.  And the package must run on
 numpy alone: scipy serves the tests as a reference, and importing it would
-cost every command its start-up time and memory.  And no exception handler
+cost every command its start-up time and memory.  And no top-level
+function, class or constant of the package may go unread, unless the
+package exports it or the span tracer names it.  And no exception handler
 of the package may catch every exception.  And the command line may use only
 public names of the package: it is a shell over the public API."""
 
@@ -144,7 +146,7 @@ def test_jacobi_vectors_are_written_once(monkeypatch, gravity, helium):
         lambda: coords.jacobi_from_positions(helium, [[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
         lambda: critical.collinear_configs(gravity),
         lambda: critical.lagrange_shape(gravity),
-        lambda: critical.langmuir_shape(helium),
+        lambda: critical.langmuir_shape(helium, critical.langmuir_geometry(helium)),
     ]
     for call in entry_points:
         with pytest.raises(AssertionError, match="_jacobi_vectors was called"):
@@ -207,6 +209,54 @@ def test_cli_uses_only_public_names_of_the_package():
         for lineno, name in used
         if name.rpartition(".")[2].startswith("_")
     ]
+
+
+def test_every_top_level_definition_is_read():
+    # A top-level function, class or constant that no code of the package
+    # reads is dead, unless the package exports it or the span tracer names
+    # it.  __init__.py only re-exports, so its own names are left out.
+    trees = dict(package_trees())
+    exported = {
+        alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    with open(os.path.join(PERFBENCH, "spans.py")) as f:
+        traced = {
+            part
+            for node in ast.walk(ast.parse(f.read()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for part in node.value.split(".")
+        }
+    defined, reads = [], []  # (file, statement, name)
+    for filename, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            if filename != "__init__.py":
+                defined += [(filename, stmt, name) for name in names]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.append((filename, stmt, node.id))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.append((filename, stmt, node.attr))
+    read = {}
+    for filename, stmt, name in reads:
+        read.setdefault(name, set()).add((filename, id(stmt)))
+    dead = [
+        f"{filename}:{stmt.lineno} {name}"
+        for filename, stmt, name in defined
+        if not read.get(name, set()) - {(filename, id(stmt))}
+        and name not in exported
+        and name not in traced
+    ]
+    assert not dead, dead
 
 
 def test_scan_census_and_verify_run_without_scipy():

@@ -204,6 +204,40 @@ def test_relequil_checks_fail_on_a_moved_stored_shape(monkeypatch, all_systems, 
     assert not check.passed, check.line()
 
 
+def _without_last(catalog):
+    return catalog[:-1]
+
+
+def _infinity_scaled(catalog):
+    return [
+        replace(cv, nu=cv.nu * (1.0 + 1e-6)) if cv.family == "infinity" else cv for cv in catalog
+    ]
+
+
+def _collinear_renamed(catalog):
+    return [replace(cv, family="infinity") if cv.family == "collinear" else cv for cv in catalog]
+
+
+@pytest.mark.parametrize(
+    "edit, passed, note",
+    [
+        (list, True, "5 values"),
+        (_without_last, False, "expected 5 entries, got 4"),
+        (_infinity_scaled, False, "5 values"),
+        (_collinear_renamed, False, "5 values"),
+    ],
+)
+def test_catalog_reference_fails_on_a_changed_entry(monkeypatch, helium, edit, passed, note):
+    # the helium entries with no axis (zero, infinity, collinear), which no
+    # other check reads: a missing entry, a nu off by 1e-6 relative and a
+    # wrong family must each FAIL
+    catalog = critical_catalog(helium)
+    monkeypatch.setattr(verify, "critical_catalog", lambda system: edit(catalog))
+    report = verify_all(helium, deep=False)
+    (check,) = [c for c in report.checks if c.name == "catalog.reference"]
+    assert check.passed == passed and check.note.startswith(note), check.line()
+
+
 @pytest.mark.parametrize("name", ["gravity-demo", "helium", "eep"])
 def test_verify_all_solves_each_closed_form_once(monkeypatch, all_systems, name):
     # the catalog's call; verify checks the entries it lists
@@ -592,7 +626,7 @@ def test_near_threshold_matches_the_scalar_rule():
     nu += rng.choice([0.0, 1e-9, 1e-5], 600)
     got = verify._near_threshold(vt, m_tilde, nu)
     want = [
-        _oracle_near_threshold(ShapeEvaluation(None, v, (a, 1.0 - a, 1.0)), n)
+        _oracle_near_threshold(ShapeEvaluation(v, (a, 1.0 - a, 1.0)), n)
         for v, a, n in zip(vt.tolist(), m1.tolist(), nu.tolist())
     ]
     assert got.tolist() == want
