@@ -229,32 +229,26 @@ def test_every_top_level_definition_is_read():
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
             for part in node.value.split(".")
         }
-    defined, reads = [], []  # (file, statement, name)
+    defined, read = [], {}  # read: name -> {(file, index of a top-level statement)}
     for filename, tree in trees.items():
-        for stmt in tree.body:
+        for n, stmt in enumerate(tree.body):
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 names = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                names = [x.id for t in targets for x in ast.walk(t) if isinstance(x, ast.Name)]
             else:
                 names = []
             if filename != "__init__.py":
-                defined += [(filename, stmt, name) for name in names]
+                defined += [(filename, n, stmt.lineno, name) for name in names]
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    reads.append((filename, stmt, node.id))
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    reads.append((filename, stmt, node.attr))
-    read = {}
-    for filename, stmt, name in reads:
-        read.setdefault(name, set()).add((filename, id(stmt)))
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    read.setdefault(name, set()).add((filename, n))
     dead = [
-        f"{filename}:{stmt.lineno} {name}"
-        for filename, stmt, name in defined
-        if not read.get(name, set()) - {(filename, id(stmt))}
-        and name not in exported
-        and name not in traced
+        f"{filename}:{line} {name}"
+        for filename, n, line, name in defined
+        if not read.get(name, set()) - {(filename, n)} and name not in exported | traced
     ]
     assert not dead, dead
 
