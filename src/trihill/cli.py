@@ -187,7 +187,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         system = _resolve_system(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except KeyError as exc:  # str() of a KeyError would quote its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     handler = {

@@ -309,26 +309,44 @@ def _collision_angle_check(report: VerificationReport, system: BodySystem) -> No
 @functools.cache
 def sphere_grid() -> np.ndarray:
     """Latitude/longitude grid of unit vectors in 2-degree steps, (90, 180, 3),
-    poles omitted; built once per process, read-only."""
-    th = np.radians(np.arange(1.0, 180.0, 2.0))
-    ph = np.radians(np.arange(0.0, 360.0, 2.0))
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
-    grid = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
+    poles omitted; built once per process, read-only.  Its first octant,
+    colatitudes 1..89 and longitudes 0..90 degrees, is mirrored onto the
+    other seven with the signs flipped, so every squared component is the
+    same, bit for bit, at a cell and at its images under x -> -x, y -> -y
+    and z -> -z."""
+    th = np.radians(np.arange(1.0, 90.0, 2.0))[:, None]
+    ph = np.radians(np.arange(0.0, 91.0, 2.0))
+    st, ct = np.sin(th), np.broadcast_to(np.cos(th), (45, 46))
+    xyz = _unfold(np.stack([st * np.cos(ph), st * np.sin(ph), ct]))
+    xyz[0, :, 46:136] *= -1.0  # longitudes 92..270: x < 0
+    xyz[1, :, 91:] *= -1.0  # longitudes 182..358: y < 0
+    xyz[2, 45:] *= -1.0  # colatitudes 91..179: z < 0
+    grid = np.ascontiguousarray(np.moveaxis(xyz, 0, -1))
     grid.setflags(write=False)
     return grid
 
 
-_CHUNK = 8  # samples per step of the batched oracles: 130 KB of sphere masks, 96 KB of lam rows
+def _unfold(octant: np.ndarray) -> np.ndarray:
+    """Values (..., 45, 46) on the first octant of ``sphere_grid`` spread to
+    its (..., 90, 180) cells: each cell takes the value of its image there."""
+    # longitudes 0..90, then 92..180, 182..270 and 272..358 from their images
+    half = np.concatenate([octant, octant[..., 44::-1], octant[..., 1:], octant[..., 44:0:-1]], -1)
+    return np.concatenate([half, half[..., ::-1, :]], axis=-2)
 
 
-def sphere_orientation_class(m_tilde, v_tilde, nu, grid):
+_CHUNK = 8  # samples per step of the batched oracles: 16 KB of octant masks, 96 KB of lam rows
+
+
+def sphere_orientation_class(m_tilde, v_tilde, nu):
     """Class from sampling the membership inequality over the J sphere.
 
     Independent of the threshold shortcut: the accessible directions of
-    ``grid`` (from ``sphere_grid``; its axis 3 is the third principal axis,
-    ``m_tilde`` the principal moments at I = 1) are counted as connected
-    components.  Two components that reach both polar rows are the caps;
-    any other partial set is the band.  Three cases need no sampling, as
+    ``sphere_grid`` (its axis 3 is the third principal axis, ``m_tilde`` the
+    principal moments at I = 1) are counted as connected components.  The
+    inequality reads only the squares of a direction, so it is evaluated on
+    the grid's first octant and each mask mirrored onto the rest.  Two
+    components that reach both polar rows are the caps; any other partial
+    set is the band.  Three cases need no sampling, as
     every direction is alike there: nu < 0 is full, nu == 0 is full when
     v_tilde < 0 and empty otherwise, and v_tilde >= 0 at nu > 0 is empty.
     A NaN nu, or a NaN v_tilde at nu >= 0, gives empty.  Arrays of samples
@@ -339,20 +357,21 @@ def sphere_orientation_class(m_tilde, v_tilde, nu, grid):
     shape = nu.shape
     m1, m2, m3, v, nu = (x.ravel() for x in (*m, v, nu))
     codes = np.select([nu < 0, nu == 0], [3, np.where(v < 0.0, 3, 0)], 0)
-    sq = [np.ascontiguousarray(grid[..., axis] ** 2) for axis in range(3)]
+    sq = [np.ascontiguousarray(sphere_grid()[:45, :46, axis] ** 2) for axis in range(3)]
     todo = np.flatnonzero((nu > 0) & (v < 0.0))
     level = v[todo] ** 2 / (4.0 * nu[todo])
     stack = np.empty((min(todo.size, _CHUNK), *sq[0].shape), dtype=bool)
     for at in range(0, todo.size, _CHUNK):
-        k, acc = todo[at : at + _CHUNK], stack[: todo.size - at]
-        for layer, i, lv in zip(acc, k, level[at : at + _CHUNK]):
+        k, octant = todo[at : at + _CHUNK], stack[: todo.size - at]
+        for layer, i, lv in zip(octant, k, level[at : at + _CHUNK]):
             np.less_equal(0.5 * (sq[0] / m1[i] + sq[1] / m2[i] + sq[2] / m3[i]), lv, out=layer)
-        rows = acc.any(axis=2)
-        full, partial = acc.all(axis=(1, 2)), rows.any(axis=1)
+        # the octant tells full from partial; its first row is both polar rows
+        rows = octant.any(axis=2)
+        full, partial = octant.all(axis=(1, 2)), rows.any(axis=1)
         partial &= ~full
-        caps = count_components_periodic(acc[partial]) == 2
+        caps = count_components_periodic(_unfold(octant[partial])) == 2
         codes[k] = np.where(full, 3, 0)
-        codes[k[partial]] = np.where(caps & rows[partial, 0] & rows[partial, -1], 1, 2)
+        codes[k[partial]] = np.where(caps & rows[partial, 0], 1, 2)
     return int(codes[0]) if shape == () else codes.reshape(shape)
 
 
@@ -387,7 +406,8 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int)
     per sample, as the scalar rules under test, and so do body positions on
     the oracle side.  Vt comes from one ``shape_value`` call (the bits of
     ``shape_eval``) and the moments from the drawn radii; the dilation grid
-    and the sphere census take all samples, ``_CHUNK`` at a time.
+    and the sphere census take all samples, ``_CHUNK`` at a time, the census
+    on one octant of ``sphere_grid`` mirrored onto the rest.
     """
     rng = np.random.default_rng(5150)
     draws = []
@@ -417,7 +437,7 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int)
         class_codes(n, v, (a, b, m3))
         for n, v, a, b in zip(nu.tolist(), V.tolist(), m1.tolist(), m2.tolist())
     ]
-    want = sphere_orientation_class((m1, m2, m3), V, nu, sphere_grid())
+    want = sphere_orientation_class((m1, m2, m3), V, nu)
     report.add("hill.orientation_oracle", float(np.count_nonzero(np.ravel(got) != want)), 0.0, note)
 
 

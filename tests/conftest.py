@@ -32,7 +32,6 @@ from trihill.systems import BodySystem, preset
 from trihill.verify import (  # noqa: F401
     VerificationReport,
     lambda_grid_member,
-    sphere_grid,
     sphere_orientation_class,
 )
 
@@ -147,7 +146,6 @@ def oracle_orientation_class(
     rho1: float,
     rho2: float,
     phi: float,
-    grid: np.ndarray,
 ) -> int:
     """0 empty / 1 caps / 2 ring / 3 full, from sphere sampling.
 
@@ -158,7 +156,7 @@ def oracle_orientation_class(
     M = oracle_inertia_tensor(system, pos)
     I = 0.5 * np.trace(M)
     vt = oracle_potential(system, pos) * math.sqrt(I)  # homogeneity: V at I = 1
-    return sphere_orientation_class(np.linalg.eigvalsh(M) / I, vt, nu, grid)
+    return sphere_orientation_class(np.linalg.eigvalsh(M) / I, vt, nu)
 
 
 # Per-pixel CSV writers as they were before the row-at-a-time ones in
@@ -703,7 +701,6 @@ def oracle_oracle_suites(system: BodySystem, samples: int = 150) -> str:
     ``orientation_class``, a one-configuration ``lambda_grid_member`` and a
     one-sample ``sphere_orientation_class``) as it is drawn."""
     rng = np.random.default_rng(5150)
-    grid = sphere_grid()
     lam_grid = np.logspace(-6.0, 6.0, 1_500)
     mismatch_m = mismatch_o = 0
     for _ in range(samples):
@@ -724,7 +721,7 @@ def oracle_oracle_suites(system: BodySystem, samples: int = 150) -> str:
         if _oracle_near_threshold(ev, nu):
             continue
         got_c = int(orientation_class(system, nu, shape))
-        mismatch_o += got_c != sphere_orientation_class(ev.m_tilde, ev.v_tilde, nu, grid)
+        mismatch_o += got_c != sphere_orientation_class(ev.m_tilde, ev.v_tilde, nu)
     report = VerificationReport()
     report.add("hill.membership_oracle", float(mismatch_m), 0.0, f"{samples} samples")
     report.add("hill.orientation_oracle", float(mismatch_o), 0.0, f"{samples} samples")

@@ -51,7 +51,6 @@ from conftest import (
     oracle_orientation_class,
     oracle_positions,
     oracle_potential,
-    sphere_grid,
 )
 
 GRAVITY_PRINTED = {
@@ -256,7 +255,6 @@ def test_criterion_07_oracle_equivalence(all_systems):
         failures.append(f"membership mismatches: {mismatches}/1000")
 
     # orientation class vs the 2-degree sphere-sampling census, 1000 triples
-    grid = sphere_grid()
     mismatches = 0
     checked = 0
     while checked < 1000:
@@ -276,7 +274,7 @@ def test_criterion_07_oracle_equivalence(all_systems):
         ):
             continue
         j = sh.to_jacobi()
-        want = oracle_orientation_class(system, nu, j.rho1, j.rho2, j.phi, grid)
+        want = oracle_orientation_class(system, nu, j.rho1, j.rho2, j.phi)
         got = int(orientation_class(system, nu, sh))
         mismatches += got != want
         checked += 1

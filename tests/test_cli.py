@@ -292,7 +292,8 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_preset_exit_code(capsys):
     code, _, err = run_cli(capsys, "critical", "--preset", "nope")
     assert code == 2
-    assert "unknown preset" in err
+    known = "eep, gravity-demo, helium"
+    assert err.splitlines() == [f"error: unknown preset 'nope'; known presets: {known}"]
 
 
 def test_malformed_system_file_exit_code(capsys, tmp_path):

@@ -27,7 +27,6 @@ from trihill.systems import BodySystem
 from conftest import (
     oracle_lambda_grid_member,
     oracle_orientation_class,
-    sphere_grid,
 )
 
 
@@ -242,7 +241,6 @@ def test_orientation_class_monotone_in_nu(all_systems):
 
 def test_orientation_class_against_sphere_oracle(all_systems):
     rng = np.random.default_rng(83)
-    grid = sphere_grid()
     for system in all_systems.values():
         checked = 0
         while checked < 60:
@@ -260,7 +258,7 @@ def test_orientation_class_against_sphere_oracle(all_systems):
             if abs(nu) < 1e-6:
                 continue
             j = sh.to_jacobi()
-            want = oracle_orientation_class(system, nu, j.rho1, j.rho2, j.phi, grid)
+            want = oracle_orientation_class(system, nu, j.rho1, j.rho2, j.phi)
             assert int(orientation_class(system, nu, sh)) == want
             checked += 1
 

@@ -574,7 +574,7 @@ def test_sphere_orientation_class_matches_sampling_every_case():
     classes = []
     for m_tilde, vt, nu in _sphere_inputs():
         want = oracle_sphere_orientation_class(m_tilde, vt, nu, grid)
-        assert verify.sphere_orientation_class(m_tilde, vt, nu, grid) == want, (m_tilde, vt, nu)
+        assert verify.sphere_orientation_class(m_tilde, vt, nu) == want, (m_tilde, vt, nu)
         classes.append(want)
     assert sorted(set(classes)) == [0, 1, 2, 3]
 
@@ -588,12 +588,12 @@ def test_batched_sphere_orientation_class_matches_one_sample_calls():
     m1, m2, m3 = (np.array(m) for m in zip(*(m for m, _, _ in inputs)))
     vt = np.array([v for _, v, _ in inputs])
     nu = np.array([n for _, _, n in inputs])
-    got = verify.sphere_orientation_class((m1, m2, m3), vt, nu, grid)
+    got = verify.sphere_orientation_class((m1, m2, m3), vt, nu)
     want = [oracle_sphere_orientation_class(*sample, grid) for sample in inputs]
     assert got.shape == (len(inputs),) and got.tolist() == want
-    assert [verify.sphere_orientation_class(*sample, grid) for sample in inputs] == want
+    assert [verify.sphere_orientation_class(*sample) for sample in inputs] == want
     # a scalar third moment broadcasts over the batch
-    got2 = verify.sphere_orientation_class((m1[:150], m2[:150], 1.0), vt[:150], nu[:150], grid)
+    got2 = verify.sphere_orientation_class((m1[:150], m2[:150], 1.0), vt[:150], nu[:150])
     assert got2.tolist() == want[:150]
 
 
@@ -606,8 +606,56 @@ def test_batched_sphere_census_tells_two_blobs_off_the_poles_from_caps():
     vt = np.full(36, -1.0)
     nu = np.tile(np.linspace(0.3, 1.2, 12), 3)
     want = [oracle_sphere_orientation_class(m, -1.0, n, grid) for m, n in zip(zip(m1, m2, m3), nu)]
-    assert verify.sphere_orientation_class((m1, m2, m3), vt, nu, grid).tolist() == want
+    assert verify.sphere_orientation_class((m1, m2, m3), vt, nu).tolist() == want
     assert want[:12].count(2) > 0 and want[24:].count(1) > 0
+
+
+def test_sphere_grid_squares_are_mirror_symmetric():
+    # the census evaluates one octant and mirrors it: x^2, y^2 and z^2 must
+    # be the same, bit for bit, at each cell and at its images under
+    # x -> -x (longitude 180 - phi), y -> -y (-phi) and z -> -z (180 - theta)
+    grid = verify.sphere_grid()
+    sq, col = grid**2, np.arange(180)
+    for image in (sq[:, (90 - col) % 180], sq[:, -col % 180], sq[::-1]):
+        assert np.array_equal(image, sq)
+    th = np.radians(np.arange(1.0, 180.0, 2.0))[:, None]
+    ph = np.radians(np.arange(0.0, 360.0, 2.0))
+    direct = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th) + 0.0 * ph], -1)
+    assert np.max(np.abs(grid - direct)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "m_tilde, cells, classes",
+    [
+        # Mt1 = Mt2: the edge runs along a colatitude row, ragged to the ulp
+        # from column to column
+        (
+            (0.5, 0.5, 1.0),
+            [(0, 0), (0, 45), (1, 90), (22, 46), (43, 135), (44, 0), (44, 89)],
+            {1, 2, 3},
+        ),
+        ((1.0, 1.0, 0.5), [(44, 0), (44, 45), (43, 91), (22, 0), (0, 0), (0, 179)], {2, 3}),
+        # the caps meet, and the set closes, on the equator rows 44 and 45
+        ((0.3, 0.7, 1.0), [(44, 0), (44, 90), (44, 45), (45, 135), (43, 0)], {1, 2, 3}),
+        # the set opens first along +-x (columns 0 and 90) or +-y (45 and 135)
+        ((1.0, 0.3, 0.7), [(44, 0), (45, 90), (44, 1), (43, 0), (44, 45)], {0, 2, 3}),
+        ((0.3, 1.0, 0.7), [(44, 45), (45, 135), (44, 44), (43, 46)], {0, 2}),
+    ],
+)
+def test_sphere_census_on_the_octant_seams(m_tilde, cells, classes):
+    # levels 1 / (4 nu) (Vt = -1) within an ulp of the rotational energy of
+    # each of ``cells``, so that the accessible set's edge passes through
+    # them, against the census on the whole grid
+    grid = verify.sphere_grid()
+    m1, m2, m3 = m_tilde
+    er = 0.5 * (grid[..., 0] ** 2 / m1 + grid[..., 1] ** 2 / m2 + grid[..., 2] ** 2 / m3)
+    nu0 = np.array([0.25 / er[cell] for cell in cells])
+    nu = np.concatenate([np.nextafter(nu0, 0.0), nu0, np.nextafter(nu0, np.inf)])
+    assert any(np.any(er == 1.0 / (4.0 * n)) for n in nu)  # an edge through cells
+    want = [oracle_sphere_orientation_class(m_tilde, -1.0, n, grid) for n in nu]
+    assert verify.sphere_orientation_class(m_tilde, np.full(nu.size, -1.0), nu).tolist() == want
+    assert [verify.sphere_orientation_class(m_tilde, -1.0, n) for n in nu] == want
+    assert set(want) == classes
 
 
 def test_near_threshold_matches_the_scalar_rule():
