@@ -217,13 +217,8 @@ class CensusReport:
         )
 
 
-_NO_CELLS = np.zeros(0, dtype=np.intp)
-
-
-def _component_rows(mask: np.ndarray, a=_NO_CELLS, b=_NO_CELLS) -> np.ndarray:
-    """The top row of each 4-connected component of a 2-D boolean mask in
-    which cells ``a[k]`` and ``b[k]`` (flat indices into ``mask``) are
-    joined as well.
+def _component_rows(mask: np.ndarray) -> np.ndarray:
+    """The top row of each 4-connected component of a 2-D boolean mask.
 
     Run-based labelling on the mask laid out flat with one False column put
     before each row, so that no run crosses rows: a run's id is its rank in
@@ -231,16 +226,16 @@ def _component_rows(mask: np.ndarray, a=_NO_CELLS, b=_NO_CELLS) -> np.ndarray:
     runs.  Each root is hooked onto the least root it is joined to and
     pointer jumping then takes every run to its root, until no join links
     two roots.  A root is then the least run of its component, the first in
-    raster order, so its row is the component's top row.
+    raster order, so its row is the component's top row.  A stack of masks
+    laid one under another, each followed by a False row, is labelled in
+    one call: each component's top row then tells its mask.
     """
     cols = mask.shape[1]
     flat = np.concatenate((np.zeros((mask.shape[0], 1), dtype=bool), mask), axis=1).ravel()
     starts = np.flatnonzero(flat[1:] > flat[:-1]) + 1
     over = flat[cols + 1 :] & flat[: -cols - 1]
     top = np.flatnonzero(over[1:] > over[:-1]) + 1
-    a = np.concatenate((top, a + a // cols + 1))
-    b = np.concatenate((top + cols + 1, b + b // cols + 1))
-    a, b = (np.searchsorted(starts, cells, side="right") - 1 for cells in (a, b))
+    a, b = (np.searchsorted(starts, cells, side="right") - 1 for cells in (top, top + cols + 1))
     parent = np.arange(starts.size)
     while True:
         a, b = parent[a], parent[b]

@@ -485,15 +485,6 @@ def _random_masks():
         yield only
 
 
-def test_count_components_periodic_matches_breadth_first_search():
-    counts = []
-    for mask in _random_masks():
-        want = oracle_count_components_periodic(mask)
-        assert verify.count_components_periodic(mask) == want, mask.shape
-        counts.append(want)
-    assert 0 in counts and 1 in counts and max(counts) > 20
-
-
 def _periodic_masks():
     """Adversarial masks, and masks joined only across the seam or a pole row."""
     masks = adversarial_masks()
@@ -513,32 +504,55 @@ def _periodic_masks():
     return masks
 
 
-def test_count_components_periodic_on_adversarial_masks():
-    masks = _periodic_masks()
-    for name, mask in masks.items():
-        want = oracle_count_components_periodic(mask)
-        assert verify.count_components_periodic(mask) == want, name
-    assert verify.count_components_periodic(masks["band across the seam"]) == 1
-    assert verify.count_components_periodic(masks["diagonal band round the seam"]) == 1
-    assert verify.count_components_periodic(masks["pole rows of several runs"]) == 2
-    assert verify.count_components_periodic(masks["spiral cut by the seam"]) == 1
+def _octant_masks():
+    """Masks on the first octant of the sphere grid, (45, 46): the first
+    octants of the 90 x 180 masks above, the adversarial masks cropped or
+    padded, census inequalities, and shapes aimed at each term of the caps
+    rule."""
+    masks = [m[:45, :46] for m in [*_random_masks(), *_periodic_masks().values()]]
+    masks = [m for m in masks if m.shape == (45, 46)]
+    for mask in adversarial_masks().values():
+        fit = np.zeros((45, 46), dtype=bool)
+        fit[: min(mask.shape[0], 45), : min(mask.shape[1], 46)] = mask[:45, :46]
+        masks.append(fit)
+    # the inequality at random moments and levels, the largest moment on
+    # axis 3 for half of them, where the caps open
+    rng = np.random.default_rng(4545)
+    sq = verify.sphere_grid()[:45, :46] ** 2
+    for k in range(120):
+        m = rng.uniform(0.1, 1.0, 3)
+        if k % 2:
+            m.sort()
+        er = 0.5 * (sq[..., 0] / m[0] + sq[..., 1] / m[1] + sq[..., 2] / m[2])
+        masks.append(er <= rng.uniform(er.min(), er.max()))
+    rows = np.arange(45)[:, None]
+    for depth in (1, 10, 30, 44, 45):
+        masks.append(np.broadcast_to(rows < depth, (45, 46)).copy())  # the pole rows only
+        teeth = (rows < depth) & (np.arange(46) % 3 == 0)
+        masks.append(teeth)  # components joined only through the pole
+        for cell in ((44, 7), (20, 45), (1, 20), (2, 0)):
+            cut = teeth.copy()
+            cut[cell] = True  # one cut-off cell, or an equator cell on a tooth
+            masks.append(cut)
+        for row in (1, 25, 43, 44):
+            crossing = teeth.copy()
+            crossing[row] = True  # a left-right crossing, joined to the teeth or not
+            masks.append(crossing)
+    lone = np.zeros((45, 46), dtype=bool)
+    lone[44, 0] = True  # one equator cell
+    masks.append(lone)
+    return masks
 
 
-def test_stacked_count_components_periodic_counts_mask_by_mask():
-    # masks of one shape stacked on a leading axis against the
-    # 2-D counter and the breadth-first search, mask by mask
-    by_shape = {}
-    for mask in [*_periodic_masks().values(), *_random_masks()]:
-        by_shape.setdefault(mask.shape, []).append(mask)
-    stacked = 0
-    for shape, masks in by_shape.items():
-        want = [oracle_count_components_periodic(mask) for mask in masks]
-        assert [verify.count_components_periodic(mask) for mask in masks] == want, shape
-        got = verify.count_components_periodic(np.array(masks))
-        assert got.shape == (len(masks),) and got.tolist() == want, shape
-        stacked += len(masks) > 1
-    assert stacked >= 5
-    assert verify.count_components_periodic(np.zeros((0, 90, 180), dtype=bool)).shape == (0,)
+def test_octant_caps_matches_the_mirrored_component_count():
+    # the octant rule against the breadth-first count on the mirrored mask:
+    # the caps are two components and reach the polar rows
+    masks = _octant_masks()
+    want = [oracle_count_components_periodic(verify._unfold(m)) == 2 and m[0].any() for m in masks]
+    assert verify._octant_caps(np.array(masks)).tolist() == want
+    assert [bool(verify._octant_caps(m[None])[0]) for m in masks] == want
+    partial = [m.any() and not m.all() for m in masks]
+    assert sum(want) >= 50 and sum(p and not w for p, w in zip(partial, want)) >= 50
 
 
 def test_sphere_grid_is_built_once_and_read_only():
@@ -595,6 +609,20 @@ def test_batched_sphere_orientation_class_matches_one_sample_calls():
     # a scalar third moment broadcasts over the batch
     got2 = verify.sphere_orientation_class((m1[:150], m2[:150], 1.0), vt[:150], nu[:150])
     assert got2.tolist() == want[:150]
+
+
+def test_sphere_census_reads_no_class_rule(monkeypatch):
+    # the census is the independent side of the orientation oracle, and the
+    # octant caps rule assumes its masks come from the inequality alone
+    inputs = list(_sphere_inputs())
+    m1, m2, m3 = (np.array(m) for m in zip(*(m for m, _, _ in inputs)))
+    vt, nu = np.array([v for _, v, _ in inputs]), np.array([n for _, _, n in inputs])
+    want = verify.sphere_orientation_class((m1, m2, m3), vt, nu).tolist()
+    rules = (hill.class_codes, hill.nu_thresholds, hill.orientation_class, hill.membership)
+    for func in (*rules, hill.f_analysis):
+        forbid(monkeypatch, func)
+    assert verify.sphere_orientation_class((m1, m2, m3), vt, nu).tolist() == want
+    assert [verify.sphere_orientation_class(*sample) for sample in inputs] == want
 
 
 def test_batched_sphere_census_tells_two_blobs_off_the_poles_from_caps():
