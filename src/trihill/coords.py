@@ -201,20 +201,22 @@ def xxy_section(j: JacobiShapeCoords) -> tuple[np.ndarray, np.ndarray]:
 def positions_from_jacobi(system: BodySystem, j: JacobiShapeCoords) -> np.ndarray:
     """Centre-of-mass body positions (3x3 array, row i = body i+1).
 
-    Un-mass-weights the gauge section; the inverse of the Jacobi construction.
+    Un-mass-weights the gauge section of ``xxy_section`` on floats, into
+    one array; the inverse of the Jacobi construction.
     """
     fr = jacobi_frame(system)
-    r1, r2 = xxy_section(j)
-    d13 = r1 / math.sqrt(fr.mu1)  # x1 - x3
-    d2 = r2 / math.sqrt(fr.mu2)  # x2 - barycentre(1,3)
+    s1, s2 = math.sqrt(fr.mu1), math.sqrt(fr.mu2)
+    r2 = (j.rho2 * math.cos(j.phi), j.rho2 * math.sin(j.phi), 0.0)
+    d13 = [x / s1 for x in (j.rho1, 0.0, 0.0)]  # x1 - x3
+    d2 = [x / s2 for x in r2]  # x2 - barycentre(1,3)
     m1, m2, m3 = system.masses
     mtot = m1 + m2 + m3
     # Solve with total centre of mass at the origin.
-    b13 = -m2 / mtot * d2  # barycentre of bodies 1 and 3
-    x1 = b13 + m3 / (m1 + m3) * d13
-    x3 = b13 - m1 / (m1 + m3) * d13
-    x2 = b13 + d2
-    return np.vstack([x1, x2, x3])
+    b13 = [-m2 / mtot * x for x in d2]  # barycentre of bodies 1 and 3
+    x1 = [b + m3 / (m1 + m3) * d for b, d in zip(b13, d13)]
+    x3 = [b - m1 / (m1 + m3) * d for b, d in zip(b13, d13)]
+    x2 = [b + d for b, d in zip(b13, d2)]
+    return np.array([x1, x2, x3])
 
 
 def jacobi_from_positions(system: BodySystem, positions: np.ndarray) -> JacobiShapeCoords:

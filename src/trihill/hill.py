@@ -25,6 +25,10 @@ rule: ``shape_value`` (Vt alone, for membership, classes, scans and contour
 grids, with ``shape_value_bounds`` bounding it over pixel blocks) and
 ``shape_kernel`` (Vt with its gradient and Hessian, which only
 the critical-shape search's Newton steps read).
+
+``shape_value`` and ``class_codes`` serve floats and arrays by one path, so
+the scalar rules (``membership``, ``orientation_class`` and the rest) run on
+Python floats, not 0-d arrays, with the bits of an array call's element.
 """
 
 from __future__ import annotations
@@ -70,11 +74,11 @@ class HillMembership:
 
 
 def shape_value(system: BodySystem, w1, w2):
-    """Vt at disk points (w1, w2), an array of their broadcast shape: the
-    sum of -a/r over the pair table, in the order ``shape_value_bounds``
-    repeats."""
-    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
-    V = np.zeros(np.broadcast_shapes(w1.shape, w2.shape))
+    """Vt at disk points (w1, w2): the sum of -a/r over the pair table, in
+    the order ``shape_value_bounds`` repeats.  Floats give a float and
+    arrays an array of their broadcast shape, by the same operations in the
+    same order, so a point's Vt has the same bits either way."""
+    V = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for pair in pair_geometry(system):
             V -= _pair_term(pair, w1, w2)[1]
@@ -241,8 +245,10 @@ def nu_thresholds(system: BodySystem, shape: Shape) -> tuple[float, float, float
     return 0.5 * m3 * v2, 0.5 * m2 * v2, 0.5 * m1 * v2
 
 
-def class_codes(nu: float, v_tilde, m_tilde) -> np.ndarray:
-    """The orientation-class rule over arrays: OrientationClass codes (int8).
+def class_codes(nu: float, v_tilde, m_tilde):
+    """The orientation-class rule: OrientationClass codes (int8), one for a
+    float Vt and an array of the broadcast shape of Vt and the moments for
+    arrays, by the same comparisons.
 
     For nu < 0 (E > 0) all orientations are accessible; at nu >= 0 none are
     where Vt >= 0 (or NaN), all are where Vt < 0 at nu = 0, and at nu > 0
@@ -255,16 +261,16 @@ def class_codes(nu: float, v_tilde, m_tilde) -> np.ndarray:
     two extreme corners of its bounds agree, so keep it monotone.
     """
     check_finite("nu", nu)
-    v = np.asarray(v_tilde, dtype=float)
     if nu < 0.0:
-        level = np.full(v.shape, np.inf)
+        level = np.full(np.shape(v_tilde), np.inf)
     elif nu == 0.0:
-        level = np.where(v < 0.0, np.inf, -np.inf)
+        level = np.where(v_tilde < 0.0, np.inf, -np.inf)
     else:
         with np.errstate(over="ignore"):
-            level = np.where(v < 0.0, v * v / (4.0 * nu), -np.inf)
-    reached = [np.greater_equal(level, 0.5 / m) for m in m_tilde]
-    return np.sum(reached, axis=0, dtype=np.int8)
+            level = np.where(v_tilde < 0.0, v_tilde * v_tilde / (4.0 * nu), -np.inf)
+    m1, m2, m3 = m_tilde
+    code = np.greater_equal(level, 0.5 / m1).astype(np.int8)  # int8 plus bool stays int8
+    return code + np.greater_equal(level, 0.5 / m2) + np.greater_equal(level, 0.5 / m3)
 
 
 def orientation_class(system: BodySystem, nu: float, shape: Shape) -> OrientationClass:

@@ -307,32 +307,19 @@ def _collision_angle_check(report: VerificationReport, system: BodySystem) -> No
 
 
 @functools.cache
-def sphere_grid() -> np.ndarray:
-    """Latitude/longitude grid of unit vectors in 2-degree steps, (90, 180, 3),
-    poles omitted; built once per process, read-only.  The census reads its
-    first octant, colatitudes 1..89 and longitudes 0..90 degrees; the full
-    grid is the reference the tests compare the census against.  The octant
-    is mirrored onto the other seven with the signs flipped, so every
-    squared component is the same, bit for bit, at a cell and at its images
-    under x -> -x, y -> -y and z -> -z."""
+def _octant_squares() -> np.ndarray:
+    """The census directions' squared components (x^2, y^2, z^2), stacked
+    (3, 45, 46): unit vectors at colatitudes 1..89 and longitudes 0..90
+    degrees in 2-degree steps, the first octant of a latitude/longitude
+    grid with the poles omitted.  Built once per process, read-only.  The
+    census reads only squares, so these cells stand for their images under
+    x -> -x, y -> -y and z -> -z, which fill the rest of the grid."""
     th = np.radians(np.arange(1.0, 90.0, 2.0))[:, None]
     ph = np.radians(np.arange(0.0, 91.0, 2.0))
     st, ct = np.sin(th), np.broadcast_to(np.cos(th), (45, 46))
-    xyz = _unfold(np.stack([st * np.cos(ph), st * np.sin(ph), ct]))
-    xyz[0, :, 46:136] *= -1.0  # longitudes 92..270: x < 0
-    xyz[1, :, 91:] *= -1.0  # longitudes 182..358: y < 0
-    xyz[2, 45:] *= -1.0  # colatitudes 91..179: z < 0
-    grid = np.ascontiguousarray(np.moveaxis(xyz, 0, -1))
-    grid.setflags(write=False)
-    return grid
-
-
-def _unfold(octant: np.ndarray) -> np.ndarray:
-    """Values (..., 45, 46) on the first octant of ``sphere_grid`` spread to
-    its (..., 90, 180) cells: each cell takes the value of its image there."""
-    # longitudes 0..90, then 92..180, 182..270 and 272..358 from their images
-    half = np.concatenate([octant, octant[..., 44::-1], octant[..., 1:], octant[..., 44:0:-1]], -1)
-    return np.concatenate([half, half[..., ::-1, :]], axis=-2)
+    sq = np.stack([st * np.cos(ph), st * np.sin(ph), ct]) ** 2
+    sq.setflags(write=False)
+    return sq
 
 
 _CHUNK = 8  # samples per step of the batched oracles: 16 KB of octant masks, 96 KB of lam rows
@@ -341,11 +328,11 @@ _CHUNK = 8  # samples per step of the batched oracles: 16 KB of octant masks, 96
 def sphere_orientation_class(m_tilde, v_tilde, nu):
     """Class from sampling the membership inequality over the J sphere.
 
-    Independent of the threshold shortcut: the accessible directions of
-    ``sphere_grid`` (its axis 3 is the third principal axis, ``m_tilde`` the
-    principal moments at I = 1) are sampled on the grid's first octant, as
-    the inequality reads only squares, and ``_octant_caps`` tells the caps
-    from the band.  Three cases need no sampling, as every direction is
+    Independent of the threshold shortcut: the accessible directions (axis
+    3 the third principal axis, ``m_tilde`` the principal moments at I = 1)
+    are sampled on the sphere's first octant, ``_octant_squares``, as the
+    inequality reads only squares, and ``_octant_caps`` tells the caps from
+    the band.  Three cases need no sampling, as every direction is
     alike there: nu < 0 is full, nu == 0 is full when v_tilde < 0 and empty
     otherwise, and v_tilde >= 0 at nu > 0 is empty.  A NaN nu, or a NaN
     v_tilde at nu >= 0, gives empty.  Arrays of samples (broadcast
@@ -355,7 +342,7 @@ def sphere_orientation_class(m_tilde, v_tilde, nu):
     shape = nu.shape
     m1, m2, m3, v, nu = (x.ravel() for x in (*m, v, nu))
     codes = np.select([nu < 0, nu == 0], [3, np.where(v < 0.0, 3, 0)], 0)
-    sq = [np.ascontiguousarray(sphere_grid()[:45, :46, axis] ** 2) for axis in range(3)]
+    sq = _octant_squares()
     todo = np.flatnonzero((nu > 0) & (v < 0.0))
     level = v[todo] ** 2 / (4.0 * nu[todo])
     stack = np.empty((min(todo.size, _CHUNK), *sq[0].shape), dtype=bool)
@@ -392,12 +379,13 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int)
     Every sample is drawn first, in a fixed order: the shape (w1, w2),
     redrawn until its ``math.hypot`` radius, the float of ``Shape.radius``,
     is below 0.98; the unit Jhat; E; r; the factor u of nu = u max(1, |Vt|).
-    ``membership`` and ``class_codes`` (whose nu is a scalar) stay one call
-    per sample, as the scalar rules under test, and so do body positions on
-    the oracle side.  Vt comes from one ``shape_value`` call (the bits of
-    ``shape_eval``) and the moments from the drawn radii; the dilation grid
-    and the sphere census take all samples, ``_CHUNK`` at a time, the census
-    on one octant of ``sphere_grid``.
+    ``membership`` (once per sample) and ``class_codes`` (once per sample
+    kept off the thresholds, on floats) stay scalar calls, as the rules
+    under test, and so do body positions on the oracle side.  Vt comes
+    from one ``shape_value`` call over all samples (the bits of
+    ``shape_eval``, which reads the same rule on floats) and the moments
+    from the drawn radii; the dilation grid and the sphere census take all
+    samples, ``_CHUNK`` at a time, the census on ``_octant_squares``.
     """
     rng = np.random.default_rng(5150)
     draws = []

@@ -8,6 +8,7 @@ replaced it, one per replaced path, kept so that the replacement is pinned
 to the last bit.
 """
 
+import functools
 import itertools
 import math
 import sys
@@ -632,6 +633,35 @@ def oracle_eom_fd_suite(system: BodySystem, samples: int = 300) -> float:
         jdot_dot_j = abs(float(np.dot(d.J, J)))
         worst = max(worst, jdot_dot_j / max(1.0, float(np.dot(J, J))))
     return float(worst)
+
+
+@functools.cache
+def sphere_grid() -> np.ndarray:
+    """Latitude/longitude grid of unit vectors in 2-degree steps, (90, 180, 3),
+    poles omitted; built once per process, read-only: the whole sphere the
+    census's octant stands for, and the tests' reference for it.  Its first
+    octant is the census's, from the same expressions, mirrored onto the
+    other seven with the signs flipped, so every squared component is the
+    same, bit for bit, at a cell and at its images under x -> -x, y -> -y
+    and z -> -z."""
+    th = np.radians(np.arange(1.0, 90.0, 2.0))[:, None]
+    ph = np.radians(np.arange(0.0, 91.0, 2.0))
+    st, ct = np.sin(th), np.broadcast_to(np.cos(th), (45, 46))
+    xyz = unfold(np.stack([st * np.cos(ph), st * np.sin(ph), ct]))
+    xyz[0, :, 46:136] *= -1.0  # longitudes 92..270: x < 0
+    xyz[1, :, 91:] *= -1.0  # longitudes 182..358: y < 0
+    xyz[2, 45:] *= -1.0  # colatitudes 91..179: z < 0
+    grid = np.ascontiguousarray(np.moveaxis(xyz, 0, -1))
+    grid.setflags(write=False)
+    return grid
+
+
+def unfold(octant: np.ndarray) -> np.ndarray:
+    """Values (..., 45, 46) on the first octant of ``sphere_grid`` spread to
+    its (..., 90, 180) cells: each cell takes the value of its image there."""
+    # longitudes 0..90, then 92..180, 182..270 and 272..358 from their images
+    half = np.concatenate([octant, octant[..., 44::-1], octant[..., 1:], octant[..., 44:0:-1]], -1)
+    return np.concatenate([half, half[..., ::-1, :]], axis=-2)
 
 
 def oracle_sphere_orientation_class(m_tilde, v_tilde: float, nu: float, grid) -> int:

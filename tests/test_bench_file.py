@@ -1,7 +1,8 @@
-"""The bench file's medians and child/parent ratios, on synthetic runs,
-and its cleanup on SIGTERM, on a stub workload: no benchmark runs here."""
+"""The bench file's medians, child/parent ratios and claim verdicts, on
+synthetic runs, and its cleanup on SIGTERM, on a stub workload: no benchmark runs here."""
 
 import importlib.util
+import json
 import os
 import signal
 import subprocess
@@ -47,6 +48,55 @@ def test_compare_gives_both_medians_and_child_over_parent():
     # no ratio over a zero parent median or for a metric the child lacks
     assert ratio["catalog"]["failed"] is None
     assert ratio["verify"]["only_parent"] is None
+
+
+# The ten alternating untraced verify pairs recorded in CHANGES.md for
+# commits 3bb5f83 and c8da6e2 (op_ms_p50, ms): the parent's median and
+# quartiles, each pair's child/parent ratio, the change's wins and the
+# verdict the rule must give.
+_RECORDED = {
+    "3bb5f83": (33.63, (31.81, 34.77),
+                (0.874, 0.826, 0.863, 0.832, 0.711, 0.853, 0.864, 0.969, 0.774, 0.794),
+                10, "claim"),
+    "c8da6e2": (25.91, (24.02, 27.08),
+                (0.807, 0.809, 1.068, 1.025, 1.008, 0.914, 0.951, 0.949, 1.150, 0.919),
+                6, "no claim"),
+}
+
+
+@pytest.mark.parametrize("commit", sorted(_RECORDED))
+def test_verdict_on_the_recorded_verify_pairs(commit):
+    median, (q1, q3), ratios, wins, want = _RECORDED[commit]
+    # parent runs with the recorded median and quartiles; child = ratio * parent
+    parent = [q1 - 1.0, q1, q1, q1, median, median, q3, q3, q3, q3 + 1.0]
+    child = [r * p for r, p in zip(ratios, parent)]
+    with open(os.path.join(os.path.dirname(_PATH), "..", "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    def runs(values):
+        return [_run("verify", 3, op_ms_p50=v, ops_per_s=1e3 / v) for v in values]
+
+    got = bench_file.verdicts(runs(child), runs(parent), better)
+    assert sorted(got) == ["op_ms_p50", "ops_per_s"]  # the metrics every run has
+    for name in got:  # lower and higher is better
+        assert got[name]["wins"] == wins and got[name]["verdict"] == want
+    ms = got["op_ms_p50"]
+    assert ms["parent_median"] == median and ms["parent_quartiles"] == pytest.approx([q1, q3])
+
+
+def test_verdict_counts_ties_for_neither_side_and_needs_the_gap():
+    parent = [10.0 + k for k in range(10)]  # quartiles 11.75 and 17.25: spread 5.5
+    faster = [p - 7.0 for p in parent]
+    assert bench_file.verdict(faster, parent, "lower")["verdict"] == "claim"
+    assert bench_file.verdict(faster, parent, "higher")["wins"] == 0
+    tied = [parent[0], *faster[1:]]  # 9 of 10 wins still claim
+    assert bench_file.verdict(tied, parent, "lower")["verdict"] == "claim"
+    tied[1] = parent[1]  # 8 of 10 do not
+    assert bench_file.verdict(tied, parent, "lower") == {
+        "better": "lower", "pairs": 10, "wins": 8, "child_median": 9.5, "parent_median": 14.5,
+        "parent_quartiles": [11.75, 17.25], "verdict": "no claim"}
+    # every pair won, but the medians 5 apart within the spread
+    assert bench_file.verdict([p - 5.0 for p in parent], parent, "lower")["verdict"] == "no claim"
 
 
 _STUB_RUN = """\

@@ -230,6 +230,26 @@ def test_positions_roundtrip(all_systems):
             assert np.max(np.abs(com)) < 1e-12 * max(1.0, j.rho1, j.rho2)
 
 
+def test_positions_from_jacobi_is_the_oracle_bit_for_bit(all_systems):
+    # the positions on floats against conftest's construction on arrays,
+    # signed zeros included: random charts, the charts of disk shapes, and
+    # the collinear and degenerate ends (phi = 0 or pi, a rho of 0)
+    rng = np.random.default_rng(1650)
+    systems = list(all_systems.values())
+    for _ in range(20):
+        masses, alphas = rng.uniform(0.1, 5.0, 3), rng.uniform(-3.0, 3.0, 3)
+        systems.append(BodySystem(tuple(masses.tolist()), tuple(alphas.tolist())))
+    ends = [(a, b, phi) for a, b in ((1.0, 0.0), (0.0, 1.0), (0.5, 2.0)) for phi in (0.0, 1.5, math.pi)]
+    for system in systems:
+        charts = [JacobiShapeCoords(*rng.uniform(0.0, 3.0, 2), rng.uniform(0.0, math.pi)) for _ in range(40)]
+        charts += [Shape(*rng.uniform(-0.7, 0.7, 2)).to_jacobi() for _ in range(20)]
+        for j in charts + [JacobiShapeCoords(*end) for end in ends]:
+            got = positions_from_jacobi(system, j)
+            want = oracle_positions(system, j.rho1, j.rho2, j.phi)
+            assert got.dtype == want.dtype and got.shape == want.shape == (3, 3)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), (system, j)
+
+
 def test_jacobi_from_positions_at_tiny_masses():
     # the Langmuir shape is built from positions at leg length 1, where the
     # cross product of the Jacobi vectors of masses 1e-200 underflows

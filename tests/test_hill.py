@@ -64,9 +64,19 @@ def test_value_kernel_is_the_full_kernels_value_bit_for_bit(signs):
         system = BodySystem(masses, tuple(s * m for s, m in zip(signs, rng.uniform(0.05, 3.0, 3))))
         c = (2.0 * np.arange(41) + 1.0) / 41 - 1.0
         W1, W2 = np.meshgrid(c, c, indexing="ij")
-        # grids (the rim and beyond it included), rows, 0-d arrays and floats
-        for w1, w2 in [(W1, W2), (W1[5], W2[5]), (c[3], c[30]), (np.float64(0.25), -0.5), (0.1, 0.2)]:
+        # grids (the rim and beyond it included), rows, 0-d arrays, floats,
+        # np.float64 and ints
+        points = [(W1, W2), (W1[5], W2[5]), (c[3], c[30]), (np.float64(0.25), -0.5), (0.1, 0.2)]
+        for w1, w2 in points + [(0, 0), (-1, 0), (0, 1)]:
             assert _same_bits(shape_value(system, w1, w2), shape_kernel(system, w1, w2)[0])
+        # a point given as numbers is a float with its bits in the grid's value
+        grid = shape_value(system, W1, W2)
+        for i, j in [(0, 0), (3, 30), (20, 20), (40, 7), (17, 40)]:
+            for cast in (float, np.float64, int):
+                if cast is int and not (W1[i, j] == 0.0 == W2[i, j]):
+                    continue
+                v = shape_value(system, cast(W1[i, j]), cast(W2[i, j]))
+                assert isinstance(v, float) and _same_bits(v, grid[i, j])
         # the (1,3) collision at w = (-1, 0) (a signed infinity) and the
         # rounded collision rays of all three pairs, alone and in one array
         points = [(-1.0, 0.0)] + [(p.cos, p.sin) for p in system.pairs]
@@ -198,15 +208,25 @@ def test_class_codes_tie_semantics():
     # Vt^2/(4 nu) is 1/nu, which lands on the thresholds 0.5/m = 2, 1, 0.5
     # at nu = 0.5, 1, 2; ties count, and one ulp more nu falls below them
     m_tilde = (0.25, 0.5, 1.0)
-    for nu, want in (
-        (0.5, OrientationClass.FULL),
-        (1.0, OrientationClass.RING),
-        (2.0, OrientationClass.CAPS),
-        (0.0, OrientationClass.FULL),
-    ):
-        assert class_codes(nu, -2.0, m_tilde) == want
-        if nu > 0.0:
-            assert class_codes(math.nextafter(nu, math.inf), -2.0, m_tilde) == want - 1
+    O = OrientationClass
+    cases = [(0.5, -2.0, O.FULL), (1.0, -2.0, O.RING), (2.0, -2.0, O.CAPS), (0.0, -2.0, O.FULL)]
+    cases += [(math.nextafter(nu, math.inf), v, want - 1) for nu, v, want in cases if nu > 0.0]
+    # nu < 0 (E > 0) is full at any Vt; at nu >= 0 a Vt >= 0 or NaN is empty,
+    # and a Vt whose square overflows reaches every threshold
+    cases += [(-1.0, v, O.FULL) for v in (-2.0, 0.0, 3.0, math.nan)]
+    cases += [(nu, v, O.EMPTY) for nu in (0.0, 0.5, 2.0) for v in (0.0, -0.0, 2.0, math.nan)]
+    cases += [(0.5, -1e200, O.FULL), (0.0, -math.inf, O.FULL), (2.0, math.inf, O.EMPTY)]
+    for nu, v, want in cases:
+        code = class_codes(nu, v, m_tilde)
+        assert code == want and np.asarray(code).dtype == np.int8, (nu, v)
+    # each case's Vt in one array call per nu, moments given as floats or as
+    # arrays: the elements are the scalar codes
+    vs = np.array([v for _, v, _ in cases])
+    for nu in sorted({nu for nu, _, _ in cases}):
+        want = [class_codes(nu, v, m_tilde) for v in vs.tolist()]
+        for m in (m_tilde, tuple(np.full(vs.shape, mk) for mk in m_tilde)):
+            got = class_codes(nu, vs, m)
+            assert got.dtype == np.int8 and got.tolist() == want, nu
 
 
 def test_orientation_class_examples(helium):

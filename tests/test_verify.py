@@ -40,7 +40,9 @@ from conftest import (
     oracle_positions,
     oracle_potential,
     oracle_sphere_orientation_class,
+    sphere_grid,
     spiral_mask,
+    unfold,
     verify_workload_systems,
 )
 
@@ -329,6 +331,25 @@ def test_oracle_suites_match_the_per_sample_loop(all_systems, group, samples):
         assert report.text() == oracle_oracle_suites(system, samples), system
 
 
+def test_oracle_suites_call_the_scalar_rules_sample_by_sample(monkeypatch, all_systems):
+    # the rules under test stay scalar calls: membership once per sample,
+    # class_codes once per sample kept off the thresholds, each on floats
+    rng = np.random.default_rng(41)
+    systems = [*all_systems.values(), *(_signed_system(rng, signs) for signs in _SIGNS[:2])]
+    member = count_calls(monkeypatch, hill.membership)
+    codes = count_calls(monkeypatch, hill.class_codes)
+    near = count_calls(monkeypatch, verify._near_threshold)
+    for system in systems:
+        for samples in (150, 30):
+            del member[:], codes[:], near[:]
+            verify._oracle_suites(VerificationReport(), system, samples)
+            (args,) = near
+            kept = int(np.count_nonzero(~verify._near_threshold(*args)))
+            assert len(member) == samples and len(codes) == kept >= samples // 2
+            assert all(isinstance(E, float) and isinstance(r, float) for _, E, r, _, _ in member)
+            assert all(isinstance(nu, float) and isinstance(v, float) for nu, v, _ in codes)
+
+
 def test_membership_oracle_fails_on_a_wrong_discriminant(monkeypatch, all_systems):
     # f_analysis with the factor 4 of disc = 4 E E_R + Vt^2 left out: the
     # dilation-grid oracle must see the wrong members on every preset
@@ -512,7 +533,7 @@ def _octant_masks():
     # the inequality at random moments and levels, the largest moment on
     # axis 3 for half of them, where the caps open
     rng = np.random.default_rng(4545)
-    sq = verify.sphere_grid()[:45, :46] ** 2
+    sq = sphere_grid()[:45, :46] ** 2
     for k in range(120):
         m = rng.uniform(0.1, 1.0, 3)
         if k % 2:
@@ -542,7 +563,7 @@ def test_octant_caps_matches_the_mirrored_component_count():
     # the octant rule against the breadth-first count on the mirrored mask:
     # the caps are two components and reach the polar rows
     masks = _octant_masks()
-    want = [oracle_count_components_periodic(verify._unfold(m)) == 2 and m[0].any() for m in masks]
+    want = [oracle_count_components_periodic(unfold(m)) == 2 and m[0].any() for m in masks]
     assert verify._octant_caps(np.array(masks)).tolist() == want
     assert [bool(verify._octant_caps(m[None])[0]) for m in masks] == want
     partial = [m.any() and not m.all() for m in masks]
@@ -550,14 +571,20 @@ def test_octant_caps_matches_the_mirrored_component_count():
 
 
 def test_sphere_grid_is_built_once_and_read_only():
-    grid = verify.sphere_grid()
-    assert verify.sphere_grid() is grid and not grid.flags.writeable
+    # the reference grid, and the census's octant: the squared components
+    # of the grid's first octant, bit for bit
+    grid, sq = sphere_grid(), verify._octant_squares()
+    assert sphere_grid() is grid and not grid.flags.writeable
+    assert verify._octant_squares() is sq and not sq.flags.writeable
     th = np.radians(np.arange(1.0, 180.0, 2.0))[:, None]
     ph = np.radians(np.arange(0.0, 360.0, 2.0))[None, :]
     assert grid.shape == (90, 180, 3)
     assert np.allclose(grid[..., 2], np.cos(th)) and np.allclose(grid[..., 0], np.sin(th) * np.cos(ph))
-    with pytest.raises(ValueError):
-        grid[0, 0, 0] = 1.0
+    want = np.moveaxis(grid[:45, :46] ** 2, -1, 0)
+    assert sq.shape == want.shape == (3, 45, 46) and sq.tobytes() == want.tobytes()
+    for array in (grid, sq):
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 1.0
 
 
 def _sphere_inputs():
@@ -578,7 +605,7 @@ def _sphere_inputs():
 
 
 def test_sphere_orientation_class_matches_sampling_every_case():
-    grid = verify.sphere_grid()
+    grid = sphere_grid()
     classes = []
     for m_tilde, vt, nu in _sphere_inputs():
         want = oracle_sphere_orientation_class(m_tilde, vt, nu, grid)
@@ -591,7 +618,7 @@ def test_batched_sphere_orientation_class_matches_one_sample_calls():
     # every input of the census in one batch (more than a chunk of sampled
     # ones, mixed with the cases that need no sampling) against the scalar
     # call and the whole-grid oracle
-    grid = verify.sphere_grid()
+    grid = sphere_grid()
     inputs = list(_sphere_inputs())
     m1, m2, m3 = (np.array(m) for m in zip(*(m for m, _, _ in inputs)))
     vt = np.array([v for _, v, _ in inputs])
@@ -622,7 +649,7 @@ def test_sphere_census_reads_no_class_rule(monkeypatch):
 def test_batched_sphere_census_tells_two_blobs_off_the_poles_from_caps():
     # with the largest moment on axis 1 or 2 the first directions to open
     # form two components that miss the polar rows: a band, not the caps
-    grid = verify.sphere_grid()
+    grid = sphere_grid()
     m_tilde = [(1.0, 0.3, 0.7), (0.3, 1.0, 0.7), (0.7, 0.3, 1.0)]
     m1, m2, m3 = (np.repeat(m, 12) for m in zip(*m_tilde))
     vt = np.full(36, -1.0)
@@ -636,7 +663,7 @@ def test_sphere_grid_squares_are_mirror_symmetric():
     # the census evaluates one octant and mirrors it: x^2, y^2 and z^2 must
     # be the same, bit for bit, at each cell and at its images under
     # x -> -x (longitude 180 - phi), y -> -y (-phi) and z -> -z (180 - theta)
-    grid = verify.sphere_grid()
+    grid = sphere_grid()
     sq, col = grid**2, np.arange(180)
     for image in (sq[:, (90 - col) % 180], sq[:, -col % 180], sq[::-1]):
         assert np.array_equal(image, sq)
@@ -668,7 +695,7 @@ def test_sphere_census_on_the_octant_seams(m_tilde, cells, classes):
     # levels 1 / (4 nu) (Vt = -1) within an ulp of the rotational energy of
     # each of ``cells``, so that the accessible set's edge passes through
     # them, against the census on the whole grid
-    grid = verify.sphere_grid()
+    grid = sphere_grid()
     m1, m2, m3 = m_tilde
     er = 0.5 * (grid[..., 0] ** 2 / m1 + grid[..., 1] ** 2 / m2 + grid[..., 2] ** 2 / m3)
     nu0 = np.array([0.25 / er[cell] for cell in cells])

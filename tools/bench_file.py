@@ -18,7 +18,22 @@ and this commit one after the other, alternating which goes first, so that
 both sides see the same machine.  It writes
 BENCH_<short-sha>_vs_<parent-short-sha>.json with both sides' runs and
 medians and, per workload and metric, the ratio of this commit's median to
-the parent's.  A speed claim cites the ratios of one such file.
+the parent's.
+
+With ``--pairs N --workload W [--seed S]`` as well, it then runs N more
+untraced pairs of workload W at seed S (default 3), alternating which side
+goes first, and adds them to the file under ``pairs`` with a verdict on
+each end-to-end metric of ``BENCHMARK.json``.  The verdict is "claim" when
+
+* the change wins at least 9 in 10 of the pairs, a win being a pair where
+  the change's value is better in the direction of the metric's ``better``
+  (a tie counts for neither side; at N = 10 a one-sided sign test gives
+  p = 11/1024), and
+* the gap between the two sides' medians, in that direction, exceeds the
+  parent's interquartile spread (``statistics.quantiles``, n = 4);
+
+otherwise it is "no claim".  A speed claim cites a metric whose verdict in
+such a file is "claim".
 """
 
 from __future__ import annotations
@@ -95,19 +110,40 @@ def compare(child_runs: list[dict], parent_runs: list[dict]) -> dict:
             "ratio_child_over_parent": ratio}
 
 
-def _runs(seconds: float, dirs: list[str]) -> list[list[dict]]:
-    """The runs of each checkout in ``dirs``: for each seed, workload and
-    trace one run per checkout, one after the other, alternating which
-    goes first."""
+def verdict(child: list[float], parent: list[float], better: str) -> dict:
+    """The claim rule of the module docstring on one metric's pairs
+    (child[i], parent[i]); ``better`` is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for c, p in zip(child, parent))
+    c_med, p_med = statistics.median(child), statistics.median(parent)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    claim = 10 * wins >= 9 * len(parent) and sign * (p_med - c_med) > q3 - q1
+    return {"better": better, "pairs": len(parent), "wins": wins, "child_median": c_med,
+            "parent_median": p_med, "parent_quartiles": [q1, q3],
+            "verdict": "claim" if claim else "no claim"}
+
+
+def verdicts(child_runs: list[dict], parent_runs: list[dict], better: dict) -> dict:
+    """``verdict`` on each metric of ``better`` (name -> direction) that
+    every run of both sides has, the runs taken in pairs by position."""
+    runs = child_runs + parent_runs
+    return {
+        name: verdict([r["metrics"][name] for r in child_runs],
+                      [r["metrics"][name] for r in parent_runs], direction)
+        for name, direction in better.items()
+        if all(name in r["metrics"] for r in runs)
+    }
+
+
+def _runs(seconds: float, dirs: list[str], jobs: list[tuple[str, int, int]]) -> list[list[dict]]:
+    """The runs of each checkout in ``dirs``: for each (workload, seed,
+    trace) of ``jobs`` one run per checkout, one after the other,
+    alternating which goes first."""
     out: list[list[dict]] = [[] for _ in dirs]
-    turn = 0
-    for seed in SEEDS:
-        for workload in WORKLOADS:
-            for trace in (0, 1):
-                for i in range(len(dirs))[:: -1 if turn % 2 else 1]:
-                    out[i].append(_run(workload, seed, trace, seconds, dirs[i]))
-                turn += 1
-                print(f"{workload} seed {seed} trace {trace}: done", file=sys.stderr)
+    for turn, (workload, seed, trace) in enumerate(jobs):
+        for i in range(len(dirs))[:: -1 if turn % 2 else 1]:
+            out[i].append(_run(workload, seed, trace, seconds, dirs[i]))
+        print(f"{workload} seed {seed} trace {trace}: done", file=sys.stderr)
     return out
 
 
@@ -122,18 +158,25 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default=".", help="directory to write the file to")
     ap.add_argument("--parent", help="also run this revision, alternating with this commit")
+    ap.add_argument("--pairs", type=int, help="with --parent: this many more untraced pairs")
+    ap.add_argument("--workload", choices=WORKLOADS, help="the workload of --pairs")
+    ap.add_argument("--seed", type=int, default=3, help="the seed of --pairs (default 3)")
     args = ap.parse_args(argv)
+    if args.pairs is not None and (args.parent is None or args.workload is None or args.pairs < 2):
+        ap.error("--pairs needs --parent, --workload and at least 2 pairs")
     if not os.path.isfile(os.path.join("perfbench", "run.py")):
         print("error: run from the root of a trihill checkout", file=sys.stderr)
         return 2
     with open("BENCHMARK.json", encoding="utf-8") as fh:
-        seconds = json.load(fh)["run_seconds"]
+        declared = json.load(fh)
+    seconds = declared["run_seconds"]
     if _git("status", "--porcelain", "--", "src", "perfbench"):
         print("error: src/ or perfbench/ has uncommitted changes; commit them first", file=sys.stderr)
         return 2
     sha = _git("rev-parse", "--short=7", "HEAD")
+    jobs = [(workload, seed, trace) for seed in SEEDS for workload in WORKLOADS for trace in (0, 1)]
     if args.parent is None:
-        (runs,) = _runs(seconds, ["."])
+        (runs,) = _runs(seconds, ["."], jobs)
         bench = {"commit": _git("rev-parse", "HEAD"), "seconds": seconds, "seeds": list(SEEDS),
                  "median_over_seeds": medians(runs), "runs": runs}
         name = f"BENCH_{sha}.json"
@@ -143,7 +186,10 @@ def main(argv=None) -> int:
         parent_dir = os.path.join(tmp, "parent")
         try:
             _git("worktree", "add", "--detach", parent_dir, parent)
-            child_runs, parent_runs = _runs(seconds, [".", parent_dir])
+            child_runs, parent_runs = _runs(seconds, [".", parent_dir], jobs)
+            if args.pairs:
+                pair_jobs = [(args.workload, args.seed, 0)] * args.pairs
+                pair_child, pair_parent = _runs(seconds, [".", parent_dir], pair_jobs)
         finally:
             remove = ["git", "worktree", "remove", "--force", parent_dir]
             subprocess.run(remove, capture_output=True)
@@ -152,6 +198,11 @@ def main(argv=None) -> int:
         bench = {"commit": _git("rev-parse", "HEAD"), "parent": parent, "seconds": seconds,
                  "seeds": list(SEEDS), **compare(child_runs, parent_runs),
                  "child_runs": child_runs, "parent_runs": parent_runs}
+        if args.pairs:
+            better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+            bench["pairs"] = {"workload": args.workload, "seed": args.seed,
+                              "verdicts": verdicts(pair_child, pair_parent, better),
+                              "child_runs": pair_child, "parent_runs": pair_parent}
         name = f"BENCH_{sha}_vs_{parent[:7]}.json"
     path = os.path.join(args.out, name)
     with open(path, "w", encoding="utf-8") as fh:
