@@ -72,16 +72,12 @@ def test_verdict_on_the_recorded_verify_pairs(commit):
     child = [r * p for r, p in zip(ratios, parent)]
     with open(os.path.join(os.path.dirname(_PATH), "..", "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-
-    def runs(values):
-        return [_run("verify", 3, op_ms_p50=v, ops_per_s=1e3 / v) for v in values]
-
-    got = bench_file.verdicts(runs(child), runs(parent), better)
-    assert sorted(got) == ["op_ms_p50", "ops_per_s"]  # the metrics every run has
-    for name in got:  # lower and higher is better
-        assert got[name]["wins"] == wins and got[name]["verdict"] == want
-    ms = got["op_ms_p50"]
+    ms = bench_file.verdict(child, parent, better["op_ms_p50"])
+    assert ms["wins"] == wins and ms["verdict"] == want
     assert ms["parent_median"] == median and ms["parent_quartiles"] == pytest.approx([q1, q3])
+    # the same runs as rates, where higher is better
+    rate = bench_file.verdict([1e3 / c for c in child], [1e3 / p for p in parent], better["ops_per_s"])
+    assert rate["wins"] == wins and rate["verdict"] == want
 
 
 def test_verdict_counts_ties_for_neither_side_and_needs_the_gap():
@@ -97,6 +93,54 @@ def test_verdict_counts_ties_for_neither_side_and_needs_the_gap():
         "parent_quartiles": [11.75, 17.25], "verdict": "no claim"}
     # every pair won, but the medians 5 apart within the spread
     assert bench_file.verdict([p - 5.0 for p in parent], parent, "lower")["verdict"] == "no claim"
+
+
+_STUB_BENCH = """\
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+ms = float(open("ms.txt").read())
+print("# info " + json.dumps({"env": {}}))
+metrics = {"op_ms_p50": {"value": ms}, "ops_per_s": {"value": 1e3 / ms},
+           "seed": {"value": float(args["--seed"])}, "trace": {"value": float(args["--trace"])}}
+print(json.dumps({"metrics": metrics, "correct": True, "attempted": 1, "failed": 0}))
+"""
+
+
+def _git(repo, *args):
+    cmd = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args]
+    return subprocess.run(cmd, cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def test_pairs_run_alternating_and_get_a_verdict(tmp_path):
+    # a throwaway repo whose perfbench/run.py prints the op time in ms.txt:
+    # 2 ms at the parent commit, 1 ms at the child
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(_STUB_BENCH)
+    end_to_end = [{"name": "op_ms_p50", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": end_to_end}))
+    _git(repo, "init", "-q")
+    for ms in ("2.0", "1.0"):
+        (repo / "ms.txt").write_text(ms)
+        _git(repo, "add", "-A")
+        _git(repo, "commit", "-q", "-m", ms)
+    cmd = [sys.executable, _PATH, "--parent", "HEAD~1", "--pairs", "3", "--workload", "hill",
+           "--seed", "5", "--out", str(tmp_path)]
+    out = subprocess.run(cmd, cwd=repo, check=True, capture_output=True, text=True).stdout
+    with open(out.strip()) as fh:
+        bench = json.load(fh)
+    pairs = bench["pairs"]
+    assert (pairs["workload"], pairs["seed"]) == ("hill", 5)
+    for side, ms in (("child_runs", 1.0), ("parent_runs", 2.0)):
+        runs = pairs[side]
+        assert len(runs) == 3 and all(r["workload"] == "hill" and r["seed"] == 5 for r in runs)
+        assert all(r["metrics"] == {"op_ms_p50": ms, "ops_per_s": 1e3 / ms, "seed": 5.0, "trace": 0.0}
+                   for r in runs)
+    assert sorted(pairs["verdicts"]) == ["op_ms_p50", "ops_per_s"]
+    for name in pairs["verdicts"]:
+        assert pairs["verdicts"][name]["wins"] == 3 and pairs["verdicts"][name]["verdict"] == "claim"
+    assert len(bench["child_runs"]) == len(bench["parent_runs"]) == 24
+    assert len(_git(repo, "worktree", "list").splitlines()) == 1
 
 
 _STUB_RUN = """\
@@ -142,13 +186,9 @@ def test_sigterm_removes_the_parent_worktree_and_the_running_workload(tmp_path):
     (repo / "src" / "keep.txt").write_text("src\n")
     (repo / "BENCHMARK.json").write_text('{"run_seconds": 1}\n')
 
-    def git(*args):
-        cmd = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args]
-        return subprocess.run(cmd, cwd=repo, check=True, capture_output=True, text=True).stdout
-
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "stub")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "stub")
     tool = subprocess.Popen(
         [sys.executable, _PATH, "--parent", "HEAD", "--out", str(tmp_path)],
         cwd=repo, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -157,11 +197,11 @@ def test_sigterm_removes_the_parent_worktree_and_the_running_workload(tmp_path):
     try:
         assert _wait_for(pid_file.exists, 30), "the stub run never started"
         child = int(pid_file.read_text())
-        assert len(git("worktree", "list").splitlines()) == 2
+        assert len(_git(repo, "worktree", "list").splitlines()) == 2
         tool.send_signal(signal.SIGTERM)
         tool.communicate(timeout=30)
         assert tool.returncode != 0
-        assert len(git("worktree", "list").splitlines()) == 1
+        assert len(_git(repo, "worktree", "list").splitlines()) == 1
         assert _wait_for(lambda: not _alive(child), 10), "the stub's child still runs"
     finally:
         if tool.poll() is None:

@@ -123,18 +123,6 @@ def verdict(child: list[float], parent: list[float], better: str) -> dict:
             "verdict": "claim" if claim else "no claim"}
 
 
-def verdicts(child_runs: list[dict], parent_runs: list[dict], better: dict) -> dict:
-    """``verdict`` on each metric of ``better`` (name -> direction) that
-    every run of both sides has, the runs taken in pairs by position."""
-    runs = child_runs + parent_runs
-    return {
-        name: verdict([r["metrics"][name] for r in child_runs],
-                      [r["metrics"][name] for r in parent_runs], direction)
-        for name, direction in better.items()
-        if all(name in r["metrics"] for r in runs)
-    }
-
-
 def _runs(seconds: float, dirs: list[str], jobs: list[tuple[str, int, int]]) -> list[list[dict]]:
     """The runs of each checkout in ``dirs``: for each (workload, seed,
     trace) of ``jobs`` one run per checkout, one after the other,
@@ -199,9 +187,11 @@ def main(argv=None) -> int:
                  "seeds": list(SEEDS), **compare(child_runs, parent_runs),
                  "child_runs": child_runs, "parent_runs": parent_runs}
         if args.pairs:
-            better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-            bench["pairs"] = {"workload": args.workload, "seed": args.seed,
-                              "verdicts": verdicts(pair_child, pair_parent, better),
+            verdicts = {}
+            for m in declared["end_to_end"]:
+                c, p = ([run["metrics"][m["name"]] for run in runs] for runs in (pair_child, pair_parent))
+                verdicts[m["name"]] = verdict(c, p, m["better"])
+            bench["pairs"] = {"workload": args.workload, "seed": args.seed, "verdicts": verdicts,
                               "child_runs": pair_child, "parent_runs": pair_parent}
         name = f"BENCH_{sha}_vs_{parent[:7]}.json"
     path = os.path.join(args.out, name)
