@@ -187,15 +187,19 @@ def normalize_shape(j: JacobiShapeCoords) -> tuple[Shape, float]:
     return Shape(w.w1 / omega, w.w2 / omega), 1.0 / math.sqrt(omega)
 
 
+def _gauge_section(j: JacobiShapeCoords) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The vectors of :func:`xxy_section` as two 3-tuples of floats."""
+    return (j.rho1, 0.0, 0.0), (j.rho2 * math.cos(j.phi), j.rho2 * math.sin(j.phi), 0.0)
+
+
 def xxy_section(j: JacobiShapeCoords) -> tuple[np.ndarray, np.ndarray]:
     """Body-frame Jacobi vectors in the gauge with r1 on the x axis.
 
     r1 = (rho1, 0, 0), r2 = (rho2 cos phi, rho2 sin phi, 0); the configuration
     plane is z = 0.
     """
-    r1 = np.array([j.rho1, 0.0, 0.0])
-    r2 = np.array([j.rho2 * math.cos(j.phi), j.rho2 * math.sin(j.phi), 0.0])
-    return r1, r2
+    r1, r2 = _gauge_section(j)
+    return np.array(r1), np.array(r2)
 
 
 def positions_from_jacobi(system: BodySystem, j: JacobiShapeCoords) -> np.ndarray:
@@ -206,8 +210,8 @@ def positions_from_jacobi(system: BodySystem, j: JacobiShapeCoords) -> np.ndarra
     """
     fr = jacobi_frame(system)
     s1, s2 = math.sqrt(fr.mu1), math.sqrt(fr.mu2)
-    r2 = (j.rho2 * math.cos(j.phi), j.rho2 * math.sin(j.phi), 0.0)
-    d13 = [x / s1 for x in (j.rho1, 0.0, 0.0)]  # x1 - x3
+    r1, r2 = _gauge_section(j)
+    d13 = [x / s1 for x in r1]  # x1 - x3
     d2 = [x / s2 for x in r2]  # x2 - barycentre(1,3)
     m1, m2, m3 = system.masses
     mtot = m1 + m2 + m3

@@ -72,37 +72,52 @@ def test_verdict_on_the_recorded_verify_pairs(commit):
     child = [r * p for r, p in zip(ratios, parent)]
     with open(os.path.join(os.path.dirname(_PATH), "..", "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    ms = bench_file.verdict(child, parent, better["op_ms_p50"])
+    ms = bench_file.verdict(child, parent, better["op_ms_p50"], (0, 0))
     assert ms["wins"] == wins and ms["verdict"] == want
     assert ms["parent_median"] == median and ms["parent_quartiles"] == pytest.approx([q1, q3])
     # the same runs as rates, where higher is better
-    rate = bench_file.verdict([1e3 / c for c in child], [1e3 / p for p in parent], better["ops_per_s"])
+    rates = [1e3 / c for c in child], [1e3 / p for p in parent]
+    rate = bench_file.verdict(*rates, better["ops_per_s"], (0, 0))
     assert rate["wins"] == wins and rate["verdict"] == want
 
 
 def test_verdict_counts_ties_for_neither_side_and_needs_the_gap():
     parent = [10.0 + k for k in range(10)]  # quartiles 11.75 and 17.25: spread 5.5
     faster = [p - 7.0 for p in parent]
-    assert bench_file.verdict(faster, parent, "lower")["verdict"] == "claim"
-    assert bench_file.verdict(faster, parent, "higher")["wins"] == 0
+    assert bench_file.verdict(faster, parent, "lower", (0, 0))["verdict"] == "claim"
+    assert bench_file.verdict(faster, parent, "higher", (0, 0))["wins"] == 0
     tied = [parent[0], *faster[1:]]  # 9 of 10 wins still claim
-    assert bench_file.verdict(tied, parent, "lower")["verdict"] == "claim"
+    assert bench_file.verdict(tied, parent, "lower", (0, 0))["verdict"] == "claim"
     tied[1] = parent[1]  # 8 of 10 do not
-    assert bench_file.verdict(tied, parent, "lower") == {
+    assert bench_file.verdict(tied, parent, "lower", (0, 0)) == {
         "better": "lower", "pairs": 10, "wins": 8, "child_median": 9.5, "parent_median": 14.5,
-        "parent_quartiles": [11.75, 17.25], "verdict": "no claim"}
+        "parent_quartiles": [11.75, 17.25], "failed": [0, 0], "verdict": "no claim"}
     # every pair won, but the medians 5 apart within the spread
-    assert bench_file.verdict([p - 5.0 for p in parent], parent, "lower")["verdict"] == "no claim"
+    assert bench_file.verdict([p - 5.0 for p in parent], parent, "lower", (0, 0))["verdict"] == "no claim"
+
+
+def test_verdict_needs_ten_pairs_and_no_more_failures():
+    parent = [10.0 + k for k in range(10)]
+    faster = [p - 7.0 for p in parent]
+    # fewer failures than the parent, or as many, may claim; more may not
+    assert bench_file.verdict(faster, parent, "lower", (2, 3))["verdict"] == "claim"
+    assert bench_file.verdict(faster, parent, "lower", (3, 3))["verdict"] == "claim"
+    assert bench_file.verdict(faster, parent, "lower", (4, 3))["verdict"] == "no claim"
+    # nine pairs, all won by far, are too few
+    assert bench_file.verdict(faster[:9], parent[:9], "lower", (0, 0)) == {
+        "better": "lower", "pairs": 9, "wins": 9, "child_median": 7.0, "parent_median": 14.0,
+        "parent_quartiles": [11.5, 16.5], "failed": [0, 0], "verdict": "no claim"}
 
 
 _STUB_BENCH = """\
 import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
-ms = float(open("ms.txt").read())
+ms, failed = open("ms.txt").read().split()
+ms = float(ms)
 print("# info " + json.dumps({"env": {}}))
 metrics = {"op_ms_p50": {"value": ms}, "ops_per_s": {"value": 1e3 / ms},
            "seed": {"value": float(args["--seed"])}, "trace": {"value": float(args["--trace"])}}
-print(json.dumps({"metrics": metrics, "correct": True, "attempted": 1, "failed": 0}))
+print(json.dumps({"metrics": metrics, "correct": True, "attempted": 1, "failed": int(failed)}))
 """
 
 
@@ -111,21 +126,23 @@ def _git(repo, *args):
     return subprocess.run(cmd, cwd=repo, check=True, capture_output=True, text=True).stdout
 
 
-def test_pairs_run_alternating_and_get_a_verdict(tmp_path):
-    # a throwaway repo whose perfbench/run.py prints the op time in ms.txt:
-    # 2 ms at the parent commit, 1 ms at the child
+@pytest.mark.parametrize("child_failed, want", [(0, "claim"), (1, "no claim")])
+def test_claim_runs_ten_alternating_pairs_and_gives_a_verdict(tmp_path, child_failed, want):
+    # a throwaway repo whose perfbench/run.py prints the op time and the
+    # failed operations in ms.txt: 2 ms and none at the parent commit, 1 ms
+    # and ``child_failed`` at the child
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(_STUB_BENCH)
     end_to_end = [{"name": "op_ms_p50", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
     (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": end_to_end}))
     _git(repo, "init", "-q")
-    for ms in ("2.0", "1.0"):
+    for ms in ("2.0 0", f"1.0 {child_failed}"):
         (repo / "ms.txt").write_text(ms)
         _git(repo, "add", "-A")
         _git(repo, "commit", "-q", "-m", ms)
-    cmd = [sys.executable, _PATH, "--parent", "HEAD~1", "--pairs", "3", "--workload", "hill",
-           "--seed", "5", "--out", str(tmp_path)]
+    cmd = [sys.executable, _PATH, "--parent", "HEAD~1", "--claim", "hill", "--seed", "5",
+           "--out", str(tmp_path)]
     out = subprocess.run(cmd, cwd=repo, check=True, capture_output=True, text=True).stdout
     with open(out.strip()) as fh:
         bench = json.load(fh)
@@ -133,12 +150,12 @@ def test_pairs_run_alternating_and_get_a_verdict(tmp_path):
     assert (pairs["workload"], pairs["seed"]) == ("hill", 5)
     for side, ms in (("child_runs", 1.0), ("parent_runs", 2.0)):
         runs = pairs[side]
-        assert len(runs) == 3 and all(r["workload"] == "hill" and r["seed"] == 5 for r in runs)
+        assert len(runs) == 10 and all(r["workload"] == "hill" and r["seed"] == 5 for r in runs)
         assert all(r["metrics"] == {"op_ms_p50": ms, "ops_per_s": 1e3 / ms, "seed": 5.0, "trace": 0.0}
                    for r in runs)
     assert sorted(pairs["verdicts"]) == ["op_ms_p50", "ops_per_s"]
-    for name in pairs["verdicts"]:
-        assert pairs["verdicts"][name]["wins"] == 3 and pairs["verdicts"][name]["verdict"] == "claim"
+    for v in pairs["verdicts"].values():
+        assert (v["wins"], v["failed"], v["verdict"]) == (10, [10 * child_failed, 0], want)
     assert len(bench["child_runs"]) == len(bench["parent_runs"]) == 24
     assert len(_git(repo, "worktree", "list").splitlines()) == 1
 

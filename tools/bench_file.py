@@ -20,17 +20,19 @@ BENCH_<short-sha>_vs_<parent-short-sha>.json with both sides' runs and
 medians and, per workload and metric, the ratio of this commit's median to
 the parent's.
 
-With ``--pairs N --workload W [--seed S]`` as well, it then runs N more
-untraced pairs of workload W at seed S (default 3), alternating which side
-goes first, and adds them to the file under ``pairs`` with a verdict on
-each end-to-end metric of ``BENCHMARK.json``.  The verdict is "claim" when
+With ``--claim W --seed S`` as well, it then runs ``PAIRS`` (10) more
+untraced pairs of workload W at seed S, alternating which side goes first,
+and adds them to the file under ``pairs`` with a verdict on each end-to-end
+metric of ``BENCHMARK.json``.  S should be a seed that no sizing run of
+the claim used.  The verdict is "claim" when
 
-* the change wins at least 9 in 10 of the pairs, a win being a pair where
-  the change's value is better in the direction of the metric's ``better``
-  (a tie counts for neither side; at N = 10 a one-sided sign test gives
-  p = 11/1024), and
+* there are at least 10 pairs, and the change wins at least 9 in 10 of
+  them, a win being a pair where the change's value is better in the
+  direction of the metric's ``better`` (a tie counts for neither side; at
+  10 pairs a one-sided sign test gives p = 11/1024),
 * the gap between the two sides' medians, in that direction, exceeds the
-  parent's interquartile spread (``statistics.quantiles``, n = 4);
+  parent's interquartile spread (``statistics.quantiles``, n = 4), and
+* the change's pair runs fail no more operations in all than the parent's;
 
 otherwise it is "no claim".  A speed claim cites a metric whose verdict in
 such a file is "claim".
@@ -51,6 +53,7 @@ import tempfile
 
 WORKLOADS = ("catalog", "hill", "dynamics", "verify")
 SEEDS = (1, 2, 7)
+PAIRS = 10
 
 
 def _git(*args: str) -> str:
@@ -110,16 +113,19 @@ def compare(child_runs: list[dict], parent_runs: list[dict]) -> dict:
             "ratio_child_over_parent": ratio}
 
 
-def verdict(child: list[float], parent: list[float], better: str) -> dict:
+def verdict(child: list[float], parent: list[float], better: str, failed: tuple[int, int]) -> dict:
     """The claim rule of the module docstring on one metric's pairs
-    (child[i], parent[i]); ``better`` is "lower" or "higher"."""
+    (child[i], parent[i]); ``better`` is "lower" or "higher", and
+    ``failed`` the failed operations of the child's and the parent's pair
+    runs in all."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for c, p in zip(child, parent))
     c_med, p_med = statistics.median(child), statistics.median(parent)
     q1, _, q3 = statistics.quantiles(parent, n=4)
-    claim = 10 * wins >= 9 * len(parent) and sign * (p_med - c_med) > q3 - q1
+    claim = (len(parent) >= PAIRS and 10 * wins >= 9 * len(parent)
+             and sign * (p_med - c_med) > q3 - q1 and failed[0] <= failed[1])
     return {"better": better, "pairs": len(parent), "wins": wins, "child_median": c_med,
-            "parent_median": p_med, "parent_quartiles": [q1, q3],
+            "parent_median": p_med, "parent_quartiles": [q1, q3], "failed": list(failed),
             "verdict": "claim" if claim else "no claim"}
 
 
@@ -146,12 +152,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default=".", help="directory to write the file to")
     ap.add_argument("--parent", help="also run this revision, alternating with this commit")
-    ap.add_argument("--pairs", type=int, help="with --parent: this many more untraced pairs")
-    ap.add_argument("--workload", choices=WORKLOADS, help="the workload of --pairs")
-    ap.add_argument("--seed", type=int, default=3, help="the seed of --pairs (default 3)")
+    ap.add_argument("--claim", choices=WORKLOADS, help=f"with --parent: {PAIRS} more untraced pairs of it")
+    ap.add_argument("--seed", type=int, help="the seed of --claim's pairs")
     args = ap.parse_args(argv)
-    if args.pairs is not None and (args.parent is None or args.workload is None or args.pairs < 2):
-        ap.error("--pairs needs --parent, --workload and at least 2 pairs")
+    if args.claim is not None and (args.parent is None or args.seed is None):
+        ap.error("--claim needs --parent and --seed")
     if not os.path.isfile(os.path.join("perfbench", "run.py")):
         print("error: run from the root of a trihill checkout", file=sys.stderr)
         return 2
@@ -175,8 +180,8 @@ def main(argv=None) -> int:
         try:
             _git("worktree", "add", "--detach", parent_dir, parent)
             child_runs, parent_runs = _runs(seconds, [".", parent_dir], jobs)
-            if args.pairs:
-                pair_jobs = [(args.workload, args.seed, 0)] * args.pairs
+            if args.claim:
+                pair_jobs = [(args.claim, args.seed, 0)] * PAIRS
                 pair_child, pair_parent = _runs(seconds, [".", parent_dir], pair_jobs)
         finally:
             remove = ["git", "worktree", "remove", "--force", parent_dir]
@@ -186,12 +191,13 @@ def main(argv=None) -> int:
         bench = {"commit": _git("rev-parse", "HEAD"), "parent": parent, "seconds": seconds,
                  "seeds": list(SEEDS), **compare(child_runs, parent_runs),
                  "child_runs": child_runs, "parent_runs": parent_runs}
-        if args.pairs:
+        if args.claim:
+            failed = tuple(sum(run["failed"] for run in runs) for runs in (pair_child, pair_parent))
             verdicts = {}
             for m in declared["end_to_end"]:
                 c, p = ([run["metrics"][m["name"]] for run in runs] for runs in (pair_child, pair_parent))
-                verdicts[m["name"]] = verdict(c, p, m["better"])
-            bench["pairs"] = {"workload": args.workload, "seed": args.seed, "verdicts": verdicts,
+                verdicts[m["name"]] = verdict(c, p, m["better"], failed)
+            bench["pairs"] = {"workload": args.claim, "seed": args.seed, "verdicts": verdicts,
                               "child_runs": pair_child, "parent_runs": pair_parent}
         name = f"BENCH_{sha}_vs_{parent[:7]}.json"
     path = os.path.join(args.out, name)
