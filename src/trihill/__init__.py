@@ -46,6 +46,7 @@ from .reduction import (
     inertia,
     integrate,
     relequil_residual,
+    relequil_spectrum,
 )
 from .scan import CellClass, component_census, contour_grid, render, scan_disk
 from .systems import BodySystem, JacobiFrame, jacobi_frame, gravitational, load_system, preset

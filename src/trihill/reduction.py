@@ -330,6 +330,83 @@ def relequil_residual(
     return ydot[6:9], -ydot[3:6]
 
 
+# Central-difference steps of ``relequil_spectrum``, relative to each value's
+# natural scale: the spectrum is read at the first, the second certifies it.
+SPECTRUM_STEPS = (1e-5, 2e-5)
+# The certificate holds when the two steps' eigenvalues (times the period)
+# agree to this, and a max Re lambda T within it of zero reads as stable.
+SPECTRUM_TOL = 1e-4
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Linearized reduced flow at a relative equilibrium.
+
+    ``jacobian`` is the flow's Jacobian at the first step of
+    ``SPECTRUM_STEPS`` in natural units: entry (i, j) times scales[j] /
+    scales[i] times the rotation period ``period``.  ``eigenvalues`` are its
+    nine eigenvalues, lambda times the period, so neither depends on scale.
+    ``disagreement`` is the largest distance from an eigenvalue at one step
+    to the nearest at the other: the certificate.
+    """
+
+    jacobian: np.ndarray
+    eigenvalues: np.ndarray
+    period: float
+    disagreement: float
+    scales: np.ndarray
+
+    @property
+    def growth(self) -> float:
+        """max Re lambda times the period (NaN when the flow failed)."""
+        return float(np.max(self.eigenvalues.real))
+
+    @property
+    def stable(self) -> bool:
+        return self.growth <= SPECTRUM_TOL
+
+
+def relequil_spectrum(system: BodySystem, state: RovibState) -> Spectrum:
+    """Spectrum of the flow's Jacobian at ``state``, a relative equilibrium.
+
+    Each column of the Jacobian is a central difference of ``_flow`` in one
+    of the nine floats, with a step of h times that value's natural scale:
+    rho_k for rho_k, 1 for phi, rho_k omega for p_k (omega = r / I), and
+    r = |J| for p3 and J.  These scales move with the state under the
+    dilation that carries a relative equilibrium from one r to another, so
+    max Re lambda times the rotation period 2 pi / |M^-1 J| does not depend
+    on r.  The Casimir |J| gives one zero eigenvalue; the rest come in pairs
+    lambda, -lambda.  A flow that fails (``_NAN_FLOW``) gives NaN
+    eigenvalues, and a step across the chart boundary raises
+    CollinearError.  A state whose J is zero or not finite has no period
+    and raises DomainError.
+    """
+    y = state.flat().tolist()
+    r = math.sqrt(sum(x * x for x in y[6:9]))
+    if not (0.0 < r < math.inf):
+        raise DomainError(f"J must be nonzero and finite, got {y[6:9]}")
+    rho1, rho2 = y[0], y[1]
+    omega = r / (rho1 * rho1 + rho2 * rho2)
+    scales = np.array([rho1, rho2, 1.0, rho1 * omega, rho2 * omega, r, r, r, r])
+    omega_vec = np.linalg.solve(inertia(state.jacobi()).tensor, state.J)  # M^-1 J
+    period = 2.0 * math.pi / float(np.linalg.norm(omega_vec))
+    table = _chart_table(system)
+    spectra = []
+    for h in SPECTRUM_STEPS:
+        jac = np.empty((9, 9))
+        for i in range(9):
+            delta = [0.0] * 9
+            delta[i] = h * scales[i]
+            ahead, behind = _flow(table, y, 1.0, delta), _flow(table, y, -1.0, delta)
+            jac[:, i] = np.subtract(ahead, behind) * (0.5 * period / h) / scales
+        eig = np.linalg.eigvals(jac) if np.isfinite(jac).all() else np.full(9, complex(math.nan))
+        spectra.append((jac, eig))
+    (jacobian, eigenvalues), (_, other) = spectra
+    gap = np.abs(eigenvalues[:, None] - other[None, :])
+    disagreement = float(np.maximum(gap.min(axis=0).max(), gap.min(axis=1).max()))
+    return Spectrum(jacobian, eigenvalues, period, disagreement, scales)
+
+
 @dataclass
 class ConservationReport:
     energy_drift: float  # max |H(t) - H(0)|

@@ -38,7 +38,9 @@ from .critical import (
 from .errors import DomainError, UnsupportedFamilyError, check_finite
 from .hill import class_codes, membership, moments, shape_eval, shape_value
 from .reduction import (
+    SPECTRUM_TOL,
     RovibState,
+    Spectrum,
     _chart_table,
     _energies,
     _flow,
@@ -46,12 +48,23 @@ from .reduction import (
     inertia,
     integrate,
     relequil_residual,
+    relequil_spectrum,
     rigid_start,
 )
 from .scan import _component_rows, euler_characteristics, scan_disk
 from .systems import PRESETS, BodySystem
 
 VIRIAL_DT_FACTOR = 1e-3  # dt = factor * (2 pi r / |V|), the rotation period
+RELEQUIL_R = 1.0  # |J| of the relative-equilibrium starts
+RELEQUIL_STEPS = 10_000  # the run of an entry that is stable over that many steps
+# The horizon of an unstable entry (see ``_relequil_checks``): its drift is
+# read over DRIFT_EFOLDS e-folds, and a start PERTURBATION away must grow at
+# max Re lambda, within GROWTH_RTOL, while its distance lies in FIT_WINDOW.
+DRIFT_EFOLDS = 10.0
+PERTURBATION = 1e-10
+FIT_WINDOW = (1e-9, 1e-4)
+GROWTH_RTOL = 0.05
+HESSIAN_STEP = 1e-4  # the steps of ``_linearization_error``, times the spectrum's scales
 
 
 def build_relequil_state(system: BodySystem, critical: CriticalValue, r: float) -> RovibState:
@@ -172,10 +185,72 @@ def _langmuir_force_residual(system: BodySystem) -> float:
     return _worst(abs(r_apex), abs(r_side), abs(r_vert))
 
 
+def _cross_matrix(v) -> np.ndarray:
+    """The matrix of v x ., so that _cross_matrix(v) @ u = v x u."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def _linearization_error(system: BodySystem, state: RovibState, spectrum: Spectrum) -> float:
+    """How far the flow's Jacobian (``spectrum.jacobian``) is from the one
+    the energy implies, as the worst entry of their difference over the
+    largest entry of the latter, both in the spectrum's natural units.
+
+    The flow is qdot = dH/dp, pdot = -dH/dq and Jdot = J x grad_J H, so
+    where it vanishes its Jacobian is P grad^2 H - [grad_J H]x, with P the
+    canonical block on (q, p) and [J]x on J.  The Hessian and grad_J H are
+    central differences of ``_energies`` with steps HESSIAN_STEP times the
+    spectrum's scales, all from one call over 342 rows.
+    """
+    y = state.flat()
+    steps = np.diag(HESSIAN_STEP * spectrum.scales)
+    signs = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+    # corner (c, i, j): y + a_c k_i e_i + b_c k_j e_j
+    corners = y + signs[:, 0, None, None, None] * steps[:, None] + signs[:, 1, None, None, None] * steps
+    rows = np.concatenate([corners.reshape(-1, 9), y + steps[6:], y - steps[6:]])
+    H = _energies(_chart_table(system), rows)
+    pp, pm, mp, mm = H[:324].reshape(4, 9, 9)
+    k = np.diag(steps)
+    hessian = (pp - pm - mp + mm) / (4.0 * np.outer(k, k))
+    grad_J = (H[324:327] - H[327:]) / (2.0 * k[6:])
+    want = np.zeros((9, 9))
+    want[:3], want[3:6] = hessian[3:6], -hessian[:3]
+    want[6:] = _cross_matrix(y[6:]) @ hessian[6:]
+    want[6:, 6:] -= _cross_matrix(grad_J)
+    want *= spectrum.period * spectrum.scales / spectrum.scales[:, None]
+    return float(np.max(np.abs(spectrum.jacobian - want)) / np.max(np.abs(want)))
+
+
 def _relequil_checks(report: VerificationReport, system: BodySystem, entry: CriticalValue) -> None:
+    """The relative equilibrium behind ``entry``, started at |J| = RELEQUIL_R.
+
+    ``residual``, ``virial`` and ``nu_roundtrip`` read the start.
+    ``stability`` is the certificate of ``relequil_spectrum`` at the start:
+    the eigenvalues at its two steps agree to ``SPECTRUM_TOL``; the note
+    gives max Re lambda times the rotation period.  ``linearization`` checks
+    the spectrum's Jacobian against the energy's (``_linearization_error``)
+    to the same tolerance, so that the spectrum is that of H and not only
+    that of the flow's code.
+
+    A float start lies about 1e-16 off the equilibrium, and an unstable one
+    multiplies that by e once per 1 / (max Re lambda dt) steps, so a run
+    checks the equilibrium only over as many e-folds as its tolerances
+    allow.  With the horizon H = ln(FIT_WINDOW[1] / PERTURBATION) /
+    (max Re lambda dt) steps:
+
+    * an entry whose horizon is RELEQUIL_STEPS or more (every stable one)
+      is run for RELEQUIL_STEPS steps, and ``qp_drift`` (1e-6),
+      ``energy_drift`` (1e-8 |E|) and ``J_drift`` (1e-10) are read over it;
+    * any other is run for H steps.  ``qp_drift`` is read over the first
+      DRIFT_EFOLDS e-folds, ``energy_drift`` and ``J_drift`` over the run.
+      A second run of H steps starts PERTURBATION away (a seeded direction,
+      in the spectrum's scales); ``growth_rate`` fits the slope of the log
+      of the two runs' scaled distance where it lies within FIT_WINDOW,
+      and it must match max Re lambda to GROWTH_RTOL.
+
+    ``complete`` says whether the (first) run reached its last step.
+    """
     tag = entry.family
-    # r = 1: helium's unstable Langmuir rotation holds 10,000 steps only at r = 2^k
-    r, nsteps = 1.0, 10_000
+    r = RELEQUIL_R
     state = build_relequil_state(system, entry, r)
     res1, res3 = relequil_residual(system, state.jacobi(), state.J)
     report.add(f"{tag}.residual", _worst(np.linalg.norm(res1), np.linalg.norm(res3)), 1e-8)
@@ -191,14 +266,49 @@ def _relequil_checks(report: VerificationReport, system: BodySystem, entry: Crit
         "nu = -E r^2 vs catalog",
     )
 
+    spectrum = relequil_spectrum(system, state)
+    report.add(
+        f"{tag}.stability",
+        spectrum.disagreement,
+        SPECTRUM_TOL,
+        f"max Re lambda T = {spectrum.growth:.6g}, {'stable' if spectrum.stable else 'unstable'}",
+    )
+    report.add(
+        f"{tag}.linearization",
+        _linearization_error(system, state, spectrum),
+        SPECTRUM_TOL,
+        "flow Jacobian vs P grad^2 H",
+    )
     dt = VIRIAL_DT_FACTOR * 2.0 * math.pi * r / abs(V)
+    lam = spectrum.growth / spectrum.period  # NaN when the spectrum is
+    horizon = math.log(FIT_WINDOW[1] / PERTURBATION) / (lam * dt) if lam * dt > 0.0 else math.inf
+    unstable = horizon < RELEQUIL_STEPS
+    nsteps = math.ceil(horizon) if unstable else RELEQUIL_STEPS
     traj, cons = integrate(system, state, dt, nsteps)
     report.add_flag(f"{tag}.complete", cons.ok, cons.message or f"{nsteps} steps")
-    qp0 = traj.states[0, :6]
-    drift = float(np.max(np.abs(traj.states[:, :6] - qp0)))
-    report.add(f"{tag}.qp_drift", drift, 1e-6)
+    qp = traj.states[:, :6]
+    if unstable:
+        qp = qp[: math.ceil(DRIFT_EFOLDS / (lam * dt)) + 1]
+    drift = float(np.max(np.abs(qp - qp[0])))
+    report.add(f"{tag}.qp_drift", drift, 1e-6, f"{len(qp) - 1} of {nsteps} steps" if unstable else "")
     report.add(f"{tag}.energy_drift", cons.energy_drift / abs(E), 1e-8, "|dH|/|E|")
     report.add(f"{tag}.J_drift", cons.momentum_drift, 1e-10)
+    if not unstable:
+        return
+
+    direction = np.random.default_rng(1875).normal(0.0, 1.0, 9)
+    kick = PERTURBATION * spectrum.scales * direction / np.linalg.norm(direction)
+    kicked, _ = integrate(system, RovibState.from_flat(state.flat() + kick), dt, nsteps)
+    n = min(len(traj), len(kicked))
+    gap = np.linalg.norm((kicked.states[:n] - traj.states[:n]) / spectrum.scales, axis=1)
+    fit = (gap >= FIT_WINDOW[0]) & (gap <= FIT_WINDOW[1])
+    rate = np.polyfit(traj.t[:n][fit], np.log(gap[fit]), 1)[0] if fit.sum() > 1 else math.nan
+    report.add(
+        f"{tag}.growth_rate",
+        abs(rate / lam - 1.0),
+        GROWTH_RTOL,
+        f"fit {rate:.6g} vs max Re lambda {lam:.6g}",
+    )
 
 
 def _roundtrip_suite(report: VerificationReport, samples: int) -> None:

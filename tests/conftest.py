@@ -9,9 +9,11 @@ to the last bit.
 """
 
 import functools
+import inspect
 import itertools
 import math
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -268,6 +270,17 @@ def forbid(monkeypatch, func):
         raise AssertionError(f"{func.__module__}.{func.__name__} was called")
 
     _rebind(monkeypatch, func, refuse)
+
+
+def mutant(monkeypatch, func, old: str, new: str):
+    """Bind, wherever a trihill module binds ``func``, a mutant of it: its
+    source with the one occurrence of ``old`` replaced by ``new``, compiled
+    in its module's namespace."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{func.__name__} does not hold {old!r} once"
+    namespace = dict(vars(sys.modules[func.__module__]))
+    exec(compile(source.replace(old, new), func.__code__.co_filename, "exec"), namespace)
+    _rebind(monkeypatch, func, namespace[func.__name__])
 
 
 def count_calls(monkeypatch, func) -> list:

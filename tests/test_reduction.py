@@ -26,13 +26,14 @@ from trihill.reduction import (
     integrate,
     principal_axes,
     relequil_residual,
+    relequil_spectrum,
 )
 from trihill.coords import Shape, pair_geometry
 from trihill.critical import critical_catalog, nu_lagrange, nu_langmuir
 from trihill.hill import membership
-from trihill.reduction import _chart_table, _energies, _flow, rigid_start
+from trihill.reduction import SPECTRUM_TOL, _chart_table, _energies, _flow, rigid_start
 from trihill.scan import scan_disk
-from trihill.systems import BodySystem, preset
+from trihill.systems import BodySystem, gravitational, preset
 from trihill.verify import VIRIAL_DT_FACTOR, build_relequil_state
 
 from conftest import (
@@ -712,11 +713,11 @@ def test_integrate_bit_identical_to_float_oracle_on_log_uniform_systems():
 
 
 def test_relequil_runs_of_verify_bit_identical_to_float_oracle(all_systems):
-    # The input of verify's <family>.qp_drift check: the start at r = 1 of
-    # every preset catalog entry with an axis but the diabolic one (the
-    # Lagrange and Langmuir entries), at verify's dt, for 10,000 steps.
-    # Helium's Langmuir rotation is unstable and holds that long only on
-    # these exact bits.
+    # The input of acceptance criterion 09: the start at r = 1 of every
+    # preset catalog entry with an axis but the diabolic one (the Lagrange
+    # and Langmuir entries), at verify's dt, for 10,000 steps.  All three
+    # rotations are unstable and hold that long only on these exact bits;
+    # verify itself runs them only for the horizon their spectrum allows.
     # V, which sets dt and verify's virial check, is the energy at rest: NaN
     # where the flow fails there, as at rho**3's overflow.
     zeros = np.zeros(3)
@@ -738,6 +739,57 @@ def test_relequil_runs_of_verify_bit_identical_to_float_oracle(all_systems):
     eep = all_systems["eep"]
     assert math.isnan(hamiltonian(eep, RovibState([1e103, 1e103, 1.0], zeros, zeros)))
     assert math.isnan(_oracle_float_flow(pair_geometry(eep), [1e103, 1e103, 1.0] + [0.0] * 6)[0])
+
+
+def _preset_relequil_entries(all_systems):
+    for name, system in all_systems.items():
+        for entry in critical_catalog(system):
+            if entry.axis is not None and entry.family != "diabolic":
+                yield name, system, entry
+
+
+@pytest.mark.parametrize("r", [1.0, 1.1])
+def test_relequil_spectrum_certificate_on_presets(all_systems, r):
+    # A Lie-Poisson linearization: one zero for the Casimir |J|, the other
+    # eigenvalues in pairs lambda, -lambda; and lambda T does not depend on r.
+    growth = {}
+    for name, system, entry in _preset_relequil_entries(all_systems):
+        spectrum = relequil_spectrum(system, build_relequil_state(system, entry, r))
+        ev = spectrum.eigenvalues
+        assert spectrum.disagreement <= SPECTRUM_TOL, name
+        assert np.abs(ev[:, None] + ev[None, :]).min(axis=1).max() <= SPECTRUM_TOL, name
+        assert np.count_nonzero(np.abs(ev) <= SPECTRUM_TOL) == 1, (name, ev)
+        growth[name] = spectrum.growth
+        reference = relequil_spectrum(system, build_relequil_state(system, entry, 1.0))
+        assert spectrum.growth == pytest.approx(reference.growth, rel=1e-8), name
+    # max Re lambda at r = 1 is 19.42, 13.77 and 0.3038 in time units
+    assert growth == pytest.approx({"gravity-demo": 4.4103, "helium": 6.4086, "eep": 3.2624}, abs=1e-4)
+
+
+def test_relequil_spectrum_matches_routh_criterion():
+    # Lagrange's triangle is linearly stable exactly when
+    # 27 (m1 m2 + m1 m3 + m2 m3) < M^2 (Routh 1875); triples within 1e-3
+    # (relative) of that boundary are redrawn.
+    rng = np.random.default_rng(1875)
+    verdicts = collections.Counter()
+    while sum(verdicts.values()) < 200:
+        m = 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        beta = 27.0 * (m[0] * m[1] + m[0] * m[2] + m[1] * m[2]) / m.sum() ** 2
+        if abs(beta - 1.0) <= 1e-3:
+            continue
+        system = gravitational(tuple(m.tolist()))
+        spectrum = relequil_spectrum(system, build_relequil_state(system, nu_lagrange(system), 1.0))
+        assert spectrum.disagreement <= SPECTRUM_TOL, m
+        assert spectrum.stable == (beta < 1.0), (m, beta, spectrum.growth)
+        verdicts[spectrum.stable] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_relequil_spectrum_needs_a_rotation(helium):
+    state = build_relequil_state(helium, nu_langmuir(helium), r=1.0)
+    for J in ([0.0, 0.0, 0.0], [math.inf, 0.0, 0.0], [math.nan, 1.0, 0.0]):
+        with pytest.raises(DomainError, match="J must be nonzero and finite"):
+            relequil_spectrum(helium, RovibState(state.q, state.p, J))
 
 
 @pytest.mark.parametrize("signs", _SIGNS)

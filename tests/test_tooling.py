@@ -102,6 +102,7 @@ def test_jacobi_chart_pair_sum_is_written_once(monkeypatch, helium):
         lambda: reduction.integrate(helium, state, 1e-3, 1),
         lambda: reduction.eom(helium, state),
         lambda: reduction.relequil_residual(helium, state.jacobi(), state.J),
+        lambda: reduction.relequil_spectrum(helium, state),
         lambda: verify._eom_fd_suite(verify.VerificationReport(), helium, 1),
         lambda: verify._relequil_checks(verify.VerificationReport(), helium, entry),
     ]

@@ -24,14 +24,15 @@ from trihill.hill import (
     moments,
     shape_eval,
 )
-from trihill.reduction import hamiltonian, relequil_residual
-from trihill.systems import BodySystem
+from trihill.reduction import hamiltonian, relequil_residual, relequil_spectrum
+from trihill.systems import BodySystem, gravitational
 from trihill.verify import VerificationReport, build_relequil_state, verify_all
 
 from conftest import (
     adversarial_masks,
     count_calls,
     forbid,
+    mutant,
     _oracle_near_threshold,
     oracle_count_components_periodic,
     oracle_eom_fd_suite,
@@ -204,6 +205,85 @@ def test_relequil_checks_fail_on_a_moved_stored_shape(monkeypatch, all_systems, 
     report = verify_all(all_systems[name], deep=False)
     (check,) = [c for c in report.checks if c.name == f"{family}.residual"]
     assert not check.passed, check.line()
+
+
+def _relequil_reports(all_systems):
+    """Each preset's _relequil_checks report on its Lagrange or Langmuir entry."""
+    for name, system in all_systems.items():
+        for entry in critical_catalog(system):
+            if entry.axis is not None and entry.family != "diabolic":
+                report = VerificationReport()
+                verify._relequil_checks(report, system, entry)
+                yield name, report
+
+
+@pytest.mark.parametrize("start", ["rho1 * (1 + 1e-12)", "r = 1.1"])
+def test_relequil_checks_hold_off_the_exact_start_bits(monkeypatch, all_systems, start):
+    # A 10,000-step run of these unstable rotations spans 33-64 e-folds and
+    # held only because the float start is nearly a fixed point of the RK4
+    # map; a start 1e-12 away drifted 3.2, 30 and 5.5, and helium at r = 1.1
+    # drifted 0.0106.  The checks now read each run within its horizon.
+    if start == "r = 1.1":
+        monkeypatch.setattr(verify, "RELEQUIL_R", 1.1)
+    else:
+        build = verify.build_relequil_state
+
+        def nudged(system, entry, r):
+            state = build(system, entry, r)
+            state.q[0] *= 1.0 + 1e-12
+            return state
+
+        monkeypatch.setattr(verify, "build_relequil_state", nudged)
+    for name, report in _relequil_reports(all_systems):
+        assert report.ok, f"{name}:\n{report.text()}"
+        assert any(c.name.endswith(".growth_rate") for c in report.checks), name
+
+
+@pytest.mark.parametrize(
+    "func, old, new",
+    [
+        # the gauge coupling J.A dropped from the kinetic momentum p - J.A
+        (reduction._flow, "u3 = p3 - J3 * a_phi", "u3 = p3"),
+        # the virial dilation off by 1e-4
+        (verify.build_relequil_state, "lam = r * r / ", "lam = (1.0 + 1e-4) * r * r / "),
+    ],
+    ids=["flow_without_gauge_coupling", "virial_rescale"],
+)
+def test_relequil_checks_catch_mutants(monkeypatch, all_systems, func, old, new):
+    # The old 10,000-step qp_drift caught the gauge mutant on gravity-demo
+    # and helium, and the virial mutant on all three presets; beyond the
+    # residual and virial checks, the horizon checks catch both on all three.
+    mutant(monkeypatch, func, old, new)
+    for name, report in _relequil_reports(all_systems):
+        failed = {c.name.split(".")[1] for c in report.checks if not c.passed}
+        assert failed - {"residual", "virial"}, f"{name}:\n{report.text()}"
+
+
+def test_relequil_checks_of_a_stable_triangle_take_the_full_run():
+    # 27 beta = 27 (m1 m2 + m1 m3 + m2 m3) / M^2 is about 0.29: Routh-stable
+    system = gravitational((1.0, 0.01, 0.001))
+    (entry,) = [cv for cv in critical_catalog(system) if cv.family == "lagrange"]
+    report = VerificationReport()
+    verify._relequil_checks(report, system, entry)
+    checks = {c.name: c for c in report.checks}
+    assert report.ok, report.text()
+    assert "lagrange.growth_rate" not in checks
+    assert checks["lagrange.stability"].note.endswith(", stable")
+    assert checks["lagrange.complete"].note == "10000 steps"
+
+
+def test_growth_rate_fails_on_a_wrong_spectrum(monkeypatch, helium):
+    # The fitted growth of a perturbed run is measured apart from the
+    # spectrum: a max Re lambda 10% off must FAIL it.
+    def scaled(system, state):
+        spectrum = relequil_spectrum(system, state)
+        return replace(spectrum, eigenvalues=1.1 * spectrum.eigenvalues)
+
+    monkeypatch.setattr(verify, "relequil_spectrum", scaled)
+    report = VerificationReport()
+    verify._relequil_checks(report, helium, nu_langmuir(helium))
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["langmuir.growth_rate"], report.text()
 
 
 def _without_last(catalog):
