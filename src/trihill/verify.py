@@ -296,7 +296,7 @@ def _relequil_checks(report: VerificationReport, system: BodySystem, entry: Crit
     if not unstable:
         return
 
-    direction = np.random.default_rng(1875).normal(0.0, 1.0, 9)
+    direction = _kick_direction()
     kick = PERTURBATION * spectrum.scales * direction / np.linalg.norm(direction)
     kicked, _ = integrate(system, RovibState.from_flat(state.flat() + kick), dt, nsteps)
     n = min(len(traj), len(kicked))
@@ -309,6 +309,15 @@ def _relequil_checks(report: VerificationReport, system: BodySystem, entry: Crit
         GROWTH_RTOL,
         f"fit {rate:.6g} vs max Re lambda {lam:.6g}",
     )
+
+
+@functools.cache
+def _kick_direction() -> np.ndarray:
+    """The seeded direction (9,) of ``_relequil_checks``' kicked start, not
+    yet normalised; drawn once per process, read-only."""
+    direction = np.random.default_rng(1875).normal(0.0, 1.0, 9)
+    direction.setflags(write=False)
+    return direction
 
 
 def _roundtrip_suite(report: VerificationReport, samples: int) -> None:
@@ -361,45 +370,75 @@ def _inertia_suite(report: VerificationReport, samples: int) -> None:
 
 @functools.cache
 def _system_free_checks(deep: bool) -> tuple[Check, ...]:
-    """The coordinate and inertia suites: they take no system and a fixed
-    seed, so one run per process serves every ``verify_all`` call."""
+    """The coordinate and inertia suites.  Seeded samples that take no
+    system are drawn once per process and are read-only; these suites take
+    no system at all, so their checks are kept whole."""
     report = VerificationReport()
     _roundtrip_suite(report, 10_000 if deep else 1_000)
     _inertia_suite(report, 2_000 if deep else 200)
     return tuple(report.checks)
 
 
-def _eom_fd_suite(report: VerificationReport, system: BodySystem, samples: int) -> None:
-    """Central differences of H against the flow at random states.
+@dataclass(frozen=True)
+class _FdSamples:
+    """The random states of ``_eom_fd_suite`` and their displaced rows."""
 
-    Each sample's flow is ``reduction._flow`` on its float state
-    y = (q, p, J), the bits ``eom`` gives.  The twelve energies of its
-    differences, y with one value moved by +-h, come from one ``_energies``
-    call over the rows of all samples: the energy formula ``hamiltonian`` reads.
-    """
+    states: tuple[tuple[float, ...], ...]  # y = (q, p, J) per sample, as floats
+    J: np.ndarray  # (samples, 3), each sample's J
+    J_scales: tuple[float, ...]  # max(1, J.J) per sample
+    hh: np.ndarray  # (samples, 6), the step of each of q and p
+    rows: np.ndarray  # (samples * 12, 9): y with one value moved by +hh or -hh
+
+
+@functools.cache
+def _fd_samples(samples: int) -> _FdSamples:
+    """The seeded states of ``_eom_fd_suite``, drawn once per process per
+    sample count, their arrays read-only."""
     rng = np.random.default_rng(13)
-    table = _chart_table(system)
-    ys, flows, scales, errs = [], [], [], []
+    states = []
     for _ in range(samples):
         q = [rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), rng.uniform(0.3, math.pi - 0.3)]
         p = rng.normal(0.0, 1.0, 3)
         J = rng.normal(0.0, 1.0, 3)
-        ys.append([*q, *p.tolist(), *J.tolist()])
-        d = _flow(table, ys[-1])
-        flows.append(d)
-        scales.append(max(1.0, *map(abs, d[:6])))
-        errs.append(abs(float(np.dot(np.array(d[6:]), J))) / max(1.0, float(np.dot(J, J))))
-    y, d = np.array(ys).reshape(samples, 9), np.array(flows).reshape(samples, 9)
+        states.append((*q, *p.tolist(), *J.tolist()))
+    y = np.array(states).reshape(samples, 9)
+    J = y[:, 6:].copy()
     k = np.arange(6)
     hh = np.tile(1e-6 * np.maximum(1.0, np.abs(y[:, :3])), 2)  # the step of q_mu serves p_mu too
     # rows[i, 0 or 1, k]: sample i with value k moved by +hh or -hh
     rows = np.repeat(y[:, None, :], 12, axis=1).reshape(samples, 2, 6, 9)
     rows[:, 0, k, k] = y[:, :6] + hh
     rows[:, 1, k, k] = y[:, :6] - hh
-    H = _energies(table, rows.reshape(-1, 9)).reshape(samples, 2, 6)
+    rows = rows.reshape(-1, 9)
+    for array in (J, hh, rows):
+        array.setflags(write=False)
+    J_scales = tuple(max(1.0, float(np.dot(j, j))) for j in J)
+    return _FdSamples(tuple(states), J, J_scales, hh, rows)
+
+
+def _eom_fd_suite(report: VerificationReport, system: BodySystem, samples: int) -> None:
+    """Central differences of H against the flow at random states.
+
+    Seeded samples that take no system are drawn once per process and are
+    read-only: ``_fd_samples`` holds the states and their displaced rows.
+    Each sample's flow is ``reduction._flow`` on its float state
+    y = (q, p, J), the bits ``eom`` gives.  The twelve energies of its
+    differences, y with one value moved by +-h, come from one ``_energies``
+    call over the rows of all samples: the energy formula ``hamiltonian`` reads.
+    """
+    fd = _fd_samples(samples)
+    table = _chart_table(system)
+    flows = [_flow(table, y) for y in fd.states]
+    scales = [max(1.0, *map(abs, d[:6])) for d in flows]
+    errs = [
+        abs(float(np.dot(np.array(d[6:]), J))) / J_scale
+        for d, J, J_scale in zip(flows, fd.J, fd.J_scales)
+    ]
+    d = np.array(flows).reshape(samples, 9)
+    H = _energies(table, fd.rows).reshape(samples, 2, 6)
     with np.errstate(all="ignore"):
-        fd = (H[:, 0] - H[:, 1]) / (2 * hh)
-        err = np.abs(np.concatenate([-fd[:, :3] - d[:, 3:6], fd[:, 3:] - d[:, :3]], axis=1))
+        diff = (H[:, 0] - H[:, 1]) / (2 * fd.hh)
+        err = np.abs(np.concatenate([-diff[:, :3] - d[:, 3:6], diff[:, 3:] - d[:, :3]], axis=1))
         errs += (err / np.array(scales)[:, None]).ravel().tolist()
     report.add("eom.finite_difference", _worst(0.0, *errs), 1e-6, f"{samples} random states")
 
@@ -483,20 +522,28 @@ def _octant_caps(octants: np.ndarray) -> np.ndarray:
     return octants[:, 0].any(axis=1) & ~octants[:, -1].any(axis=1) & (cut == 0)
 
 
-def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int) -> None:
-    """Membership and the class rule against independent oracles.
+@dataclass(frozen=True)
+class _OracleSamples:
+    """The draws of ``_oracle_suites`` and what is built from them alone."""
 
-    Every sample is drawn first, in a fixed order: the shape (w1, w2),
-    redrawn until its ``math.hypot`` radius, the float of ``Shape.radius``,
-    is below 0.98; the unit Jhat; E; r; the factor u of nu = u max(1, |Vt|).
-    ``membership`` (once per sample) and ``class_codes`` (once per sample
-    kept off the thresholds, on floats) stay scalar calls, as the rules
-    under test, and so do body positions on the oracle side.  Vt comes
-    from one ``shape_value`` call over all samples (the bits of
-    ``shape_eval``, which reads the same rule on floats) and the moments
-    from the drawn radii; the dilation grid and the sphere census take all
-    samples, ``_CHUNK`` at a time, the census on ``_octant_squares``.
-    """
+    w1: np.ndarray
+    w2: np.ndarray
+    s: np.ndarray  # math.hypot(w1, w2), the float of Shape.radius
+    jh: np.ndarray  # (samples, 3) unit Jhat
+    E: np.ndarray
+    r: np.ndarray
+    u: np.ndarray  # the factor of nu = u max(1, |Vt|)
+    args: tuple[tuple, ...]  # (E, r, Shape, Jhat) per sample, membership's
+    charts: tuple[JacobiShapeCoords, ...]  # each Shape's to_jacobi()
+    lam_grid: np.ndarray  # the dilations of lambda_grid_member
+
+
+@functools.cache
+def _oracle_samples(samples: int) -> _OracleSamples:
+    """The seeded samples of ``_oracle_suites``, drawn once per process per
+    sample count in a fixed order: the shape (w1, w2), redrawn until its
+    ``math.hypot`` radius is below 0.98; the unit Jhat; E; r; u.  Its
+    arrays are read-only."""
     rng = np.random.default_rng(5150)
     draws = []
     for _ in range(samples):
@@ -508,17 +555,39 @@ def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int)
         jh /= np.linalg.norm(jh)
         E, r = rng.uniform(-3.0, 1.0), rng.uniform(0.2, 2.0)
         draws.append((w1, w2, s, jh, E, r, rng.uniform(-0.5, 3.0)))
-    w1, w2, s, jh, E, r, u = (np.array(x) for x in zip(*draws))
+    arrays = [np.array(x) for x in zip(*draws)]
+    lam_grid = np.logspace(-6.0, 6.0, 1_500)
+    for array in (*arrays, lam_grid):
+        array.setflags(write=False)
+    w1, w2, s, jh, E, r, u = arrays
+    shapes = tuple(map(Shape, w1, w2))
+    args = tuple(zip(E.tolist(), r.tolist(), shapes, jh))
+    return _OracleSamples(*arrays, args, tuple(shape.to_jacobi() for shape in shapes), lam_grid)
+
+
+def _oracle_suites(report: VerificationReport, system: BodySystem, samples: int) -> None:
+    """Membership and the class rule against independent oracles.
+
+    Seeded samples that take no system are drawn once per process and are
+    read-only: ``_oracle_samples`` holds the draws, their shapes and charts.
+    ``membership`` (once per sample) and ``class_codes`` (once per sample
+    kept off the thresholds, on floats) stay scalar calls, as the rules
+    under test, and so do body positions on the oracle side.  Vt comes
+    from one ``shape_value`` call over all samples (the bits of
+    ``shape_eval``, which reads the same rule on floats) and the moments
+    from the drawn radii; the dilation grid and the sphere census take all
+    samples, ``_CHUNK`` at a time, the census on ``_octant_squares``.
+    """
+    o = _oracle_samples(samples)
     # membership against the dilation-grid inequality
-    shapes = list(map(Shape, w1, w2))
-    got = [membership(system, *x).member for x in zip(E.tolist(), r.tolist(), shapes, jh)]
-    bases = np.array([positions_from_jacobi(system, shape.to_jacobi()) for shape in shapes])
-    want = lambda_grid_member(system, bases, jh, E, r, np.logspace(-6.0, 6.0, 1_500))
+    got = [membership(system, *x).member for x in o.args]
+    bases = np.array([positions_from_jacobi(system, chart) for chart in o.charts])
+    want = lambda_grid_member(system, bases, o.jh, o.E, o.r, o.lam_grid)
     note = f"{samples} samples"
     report.add("hill.membership_oracle", float(np.count_nonzero(np.array(got) != want)), 0.0, note)
     # the class rule against the sphere-sampling census
-    V, (m1, m2, m3) = shape_value(system, w1, w2), moments(s)
-    nu = u * np.fmax(1.0, np.abs(V))
+    V, (m1, m2, m3) = shape_value(system, o.w1, o.w2), moments(o.s)
+    nu = o.u * np.fmax(1.0, np.abs(V))
     keep = ~_near_threshold(V, (m1, m2, m3), nu)
     V, m1, m2, nu = V[keep], m1[keep], m2[keep], nu[keep]
     got = [

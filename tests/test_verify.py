@@ -47,6 +47,30 @@ from conftest import (
     verify_workload_systems,
 )
 
+# The builders of verify's seeded samples, each cached per process.
+_SAMPLE_BUILDERS = (verify._fd_samples, verify._oracle_samples, verify._kick_direction)
+
+
+def _clear_sample_caches():
+    for builder in _SAMPLE_BUILDERS:
+        builder.cache_clear()
+
+
+def _cold_and_warm(argnames, cases):
+    """Parameters of a mutant test: each case (id, values) once with cache
+    "cold", under its own id, and once with "warm", under id-warm."""
+    params = [pytest.param(*values, "cold", id=case) for case, values in cases]
+    params += [pytest.param(*values, "warm", id=f"{case}-warm") for case, values in cases]
+    return pytest.mark.parametrize(f"{argnames}, cache", params)
+
+
+def _set_sample_cache(cache):
+    """Called after a mutant test's unpatched calls, before its patch:
+    "cold" clears the seeded samples, so that the patched calls draw them
+    again; "warm" keeps the samples that the unpatched calls drew."""
+    if cache == "cold":
+        _clear_sample_caches()
+
 
 def test_build_relequil_langmuir(helium):
     state = build_relequil_state(helium, nu_langmuir(helium), r=1.0)
@@ -239,22 +263,35 @@ def test_relequil_checks_hold_off_the_exact_start_bits(monkeypatch, all_systems,
         assert any(c.name.endswith(".growth_rate") for c in report.checks), name
 
 
-@pytest.mark.parametrize(
+@_cold_and_warm(
     "func, old, new, catcher",
     [
         # the gauge coupling J.A dropped from the kinetic momentum p - J.A
-        (reduction._flow, "u3 = p3 - J3 * a_phi", "u3 = p3", "linearization"),
+        (
+            "flow_without_gauge_coupling",
+            (reduction._flow, "u3 = p3 - J3 * a_phi", "u3 = p3", "linearization"),
+        ),
         # the virial dilation off by 1e-4
-        (verify.build_relequil_state, "lam = r * r / ", "lam = (1.0 + 1e-4) * r * r / ", "qp_drift"),
+        (
+            "virial_rescale",
+            (
+                verify.build_relequil_state,
+                "lam = r * r / ",
+                "lam = (1.0 + 1e-4) * r * r / ",
+                "qp_drift",
+            ),
+        ),
     ],
-    ids=["flow_without_gauge_coupling", "virial_rescale"],
 )
-def test_relequil_checks_catch_mutants(monkeypatch, all_systems, func, old, new, catcher):
+def test_relequil_checks_catch_mutants(monkeypatch, all_systems, func, old, new, catcher, cache):
     # The old 10,000-step qp_drift caught the gauge mutant on gravity-demo
     # and helium and the virial mutant on all three presets.  The 10-e-fold
     # drift still sees a start off the equilibrium, but not this flow on
     # helium, whose Langmuir start has J3 = p3 = 0; the Jacobian checked
     # against the energy's Hessian does, on every preset.
+    for name, report in _relequil_reports(all_systems):
+        assert report.ok, f"{name}:\n{report.text()}"
+    _set_sample_cache(cache)
     mutant(monkeypatch, func, old, new)
     for name, report in _relequil_reports(all_systems):
         failed = {c.name.split(".")[1] for c in report.checks if not c.passed}
@@ -432,7 +469,8 @@ def test_oracle_suites_call_the_scalar_rules_sample_by_sample(monkeypatch, all_s
             assert all(isinstance(nu, float) and isinstance(v, float) for nu, v, _ in codes)
 
 
-def test_membership_oracle_fails_on_a_wrong_discriminant(monkeypatch, all_systems):
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_membership_oracle_fails_on_a_wrong_discriminant(monkeypatch, all_systems, cache):
     # f_analysis with the factor 4 of disc = 4 E E_R + Vt^2 left out: the
     # dilation-grid oracle must see the wrong members on every preset
     def wrong(system, E, r, shape, j_hat):
@@ -446,6 +484,7 @@ def test_membership_oracle_fails_on_a_wrong_discriminant(monkeypatch, all_system
         return _oracle_checks(system, 150)["hill.membership_oracle"].passed
 
     assert all(passes(system) for system in all_systems.values())
+    _set_sample_cache(cache)
     monkeypatch.setattr(verify, "membership", wrong)
     assert not any(passes(system) for system in all_systems.values())
 
@@ -480,14 +519,16 @@ _MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(_MUTANTS))
-def test_oracle_suites_fail_on_a_mutant(monkeypatch, all_systems, mutant):
+@_cold_and_warm("mutant", [(mutant, (mutant,)) for mutant in sorted(_MUTANTS)])
+def test_oracle_suites_fail_on_a_mutant(monkeypatch, all_systems, mutant, cache):
     name, replacement, check = _MUTANTS[mutant]
 
     def passes(system, samples):
         return _oracle_checks(system, samples)[check].passed
 
-    assert all(passes(system, 150) for system in all_systems.values())
+    for samples in (150, 30):
+        assert all(passes(system, samples) for system in all_systems.values()), samples
+    _set_sample_cache(cache)
     for module in (hill, verify):
         monkeypatch.setattr(module, name, replacement)
     for samples in (150, 30):
@@ -517,8 +558,8 @@ def test_eom_fd_suite_reads_the_flow_not_hamiltonian(monkeypatch, all_systems):
         assert _fd_measured(system) == want[name], name
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
-def test_eom_fd_suite_catches_a_wrong_flow_or_a_wrong_energy(monkeypatch, all_systems, k):
+@_cold_and_warm("k", [(str(k), (k,)) for k in (3, 4, 5)])
+def test_eom_fd_suite_catches_a_wrong_flow_or_a_wrong_energy(monkeypatch, all_systems, k, cache):
     # The suite's flow comes from _flow and its energies from _energies: a
     # relative 1e-4 in one pdot component, or an energy term the flow does
     # not have, fails it on every preset.
@@ -529,6 +570,7 @@ def test_eom_fd_suite_catches_a_wrong_flow_or_a_wrong_energy(monkeypatch, all_sy
 
     flow, energies = verify._flow, verify._energies
     assert all(passes(system) for system in all_systems.values())
+    _set_sample_cache(cache)
 
     def wrong_flow(table, y):
         ydot = flow(table, y)
@@ -537,6 +579,7 @@ def test_eom_fd_suite_catches_a_wrong_flow_or_a_wrong_energy(monkeypatch, all_sy
     monkeypatch.setattr(verify, "_flow", wrong_flow)
     assert not any(passes(system) for system in all_systems.values())
     monkeypatch.setattr(verify, "_flow", flow)
+    _set_sample_cache(cache)
     monkeypatch.setattr(
         verify, "_energies", lambda table, Y: energies(table, Y) + 1e-3 * Y[:, 0] ** 2
     )
@@ -667,6 +710,46 @@ def test_sphere_grid_is_built_once_and_read_only():
     for array in (grid, sq):
         with pytest.raises(ValueError):
             array[0, 0, 0] = 1.0
+
+
+def test_seeded_samples_are_drawn_once_per_sample_count_and_read_only(monkeypatch, helium, eep):
+    # the samples of the finite-difference suite (seed 13), the oracles
+    # (5150) and the kicked start (1875) take no system: two systems at two
+    # depths build each generator once per sample count, and every cached
+    # array refuses writes
+    seeds, default_rng = [], np.random.default_rng
+
+    def recorded(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    _clear_sample_caches()
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    for deep in (True, False):
+        for system in (helium, eep):
+            verify_all(system, deep)
+    assert [seeds.count(seed) for seed in (13, 5150, 1875)] == [2, 2, 1]
+    fd = [verify._fd_samples(n) for n in (300, 50)]
+    oracle = [verify._oracle_samples(n) for n in (150, 30)]
+    assert verify._fd_samples(300) is fd[0] and verify._oracle_samples(150) is oracle[0]
+    arrays = [verify._kick_direction()]
+    for samples in (*fd, *oracle):
+        assert all(isinstance(value, (np.ndarray, tuple)) for value in vars(samples).values())
+        arrays += [value for value in vars(samples).values() if isinstance(value, np.ndarray)]
+    arrays += [jh for samples in oracle for *_, jh in samples.args]
+    assert len(arrays) == 1 + 2 * 3 + 2 * 8 + 150 + 30
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+
+
+@pytest.mark.parametrize("deep", [True, False])
+def test_verify_all_reads_the_same_on_cold_and_warm_samples(all_systems, deep):
+    for name, system in all_systems.items():
+        _clear_sample_caches()
+        cold = verify_all(system, deep).text()
+        assert verify_all(system, deep).text() == cold, name
 
 
 def _sphere_inputs():
