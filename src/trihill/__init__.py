@@ -19,6 +19,7 @@ from .coords import (
 from .critical import (
     CriticalValue,
     LangmuirGeometry,
+    build_relequil_state,
     collinear_configs,
     critical_catalog,
     find_critical_shapes,
@@ -50,6 +51,6 @@ from .reduction import (
 )
 from .scan import CellClass, component_census, contour_grid, render, scan_disk
 from .systems import BodySystem, JacobiFrame, jacobi_frame, gravitational, load_system, preset
-from .verify import build_relequil_state, verify_all
+from .verify import verify_all
 
 __version__ = "0.1.0"

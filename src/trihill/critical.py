@@ -31,13 +31,14 @@ import numpy as np
 from .coords import (
     Shape,
     _jacobi_vectors,
+    dilate,
     jacobi_from_positions,
     normalize_shape,
     pair_geometry,
 )
-from .errors import DomainError, TrihillError, UnsupportedFamilyError, check_index
-from .hill import moments, shape_kernel, shape_value
-from .reduction import relequil_residual, rigid_start
+from .errors import DomainError, TrihillError, UnsupportedFamilyError, check_finite, check_index
+from .hill import moments, shape_eval, shape_kernel, shape_value
+from .reduction import RovibState, relequil_residual, rigid_start
 from .systems import BodySystem, infer_gravity_constant, reduced_mass
 
 FAMILIES = ("zero", "infinity", "diabolic", "lagrange", "langmuir", "collinear")
@@ -81,6 +82,38 @@ class CriticalValue:
         if self.w is None:
             raise UnsupportedFamilyError(f"{self.family} entry stores no shape")
         return Shape(self.w[0], self.w[1])
+
+
+def build_relequil_state(system: BodySystem, critical: CriticalValue, r: float) -> RovibState:
+    """Initial condition of the relative equilibrium behind a catalog entry,
+    the ``_relequil_start`` at its shape and axis with |J| = r.  A
+    non-finite r or an r <= 0 raises DomainError."""
+    check_finite("r", r)
+    if r <= 0.0:
+        raise DomainError("r must be positive")
+    shape = critical.shape()  # raises for entries with no shape or one on the rim
+    if critical.axis is None:
+        raise UnsupportedFamilyError(f"{critical.family} entry has no rotation axis")
+    ev = shape_eval(system, shape)
+    if ev.v_tilde >= 0.0:
+        raise UnsupportedFamilyError("no real spin rate: shape potential is nonnegative")
+    return _relequil_start(shape, critical.axis, ev.m_tilde[critical.axis - 1], ev.v_tilde, r)
+
+
+def _relequil_start(shape: Shape, k: int, mk: float, vt: float, r: float) -> RovibState:
+    """Rigid rotation about principal axis k at ``shape``, where Mt_k = mk
+    and Vt = vt < 0, rescaled so that the virial relation r^2 = -M_k(q) V(q)
+    holds at |J| = r; J points along principal axis k and the momenta are
+    the gauge values p = J.A (zero for in-plane axes)."""
+    lam = r * r / (-mk * vt)
+    return rigid_start(dilate(shape.to_jacobi(), lam), r, np.eye(3)[k - 1])
+
+
+def _relequil_certificate(system: BodySystem, state: RovibState) -> float:
+    """How far ``state`` is from a relative equilibrium: the larger norm of
+    the two rows of ``relequil_residual``, or NaN where either is NaN."""
+    res1, res3 = relequil_residual(system, state.jacobi(), state.J)
+    return float(np.max([np.linalg.norm(res1), np.linalg.norm(res3)]))
 
 
 @dataclass(frozen=True)
@@ -506,7 +539,8 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     |grad|^2.  The loop ends when no seed is live, or after 80 iterations.
     The seeds, all on the annulus, then go back into seed order; those with
     |grad|^2 below 1e-22 and Vt not >= 0, deduplicated within 1e-7 in that
-    order, must pass the relative-equilibrium residual test at 1e-6.  Hits
+    order, must have a ``_relequil_certificate`` below 1e-6 max(1, |Vt|) at
+    the ``_relequil_start`` of |J| = sqrt(-Mt_k Vt), the unit size.  Hits
     hold Python floats.
     A k that is not an integer in {1, 2, 3} raises DomainError.
     """
@@ -579,22 +613,11 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
             continue
         shape = Shape(w1, w2)
         mk = moments(math.hypot(w1, w2))[k - 1]
-        nu = 0.5 * mk * vt**2
-        if not _is_relative_equilibrium(system, shape, k, vt, mk):
+        start = _relequil_start(shape, k, mk, vt, math.sqrt(-mk * vt))
+        if not _relequil_certificate(system, start) < 1e-6 * max(1.0, abs(vt)):
             continue
-        found.append((shape, nu))
+        found.append((shape, 0.5 * mk * vt**2))
     return sorted(found, key=lambda item: (item[1], item[0].w1, item[0].w2))
-
-
-def _is_relative_equilibrium(
-    system: BodySystem, shape: Shape, k: int, vt: float, mk: float
-) -> bool:
-    """Whether rotation about axis k at r^2 = -Mt_k Vt has residuals below 1e-6 max(1, |Vt|)."""
-    j = shape.to_jacobi()
-    J = rigid_start(j, math.sqrt(-mk * vt), np.eye(3)[k - 1]).J
-    res1, res3 = relequil_residual(system, j, J)
-    tol = 1e-6 * max(1.0, abs(vt))
-    return np.linalg.norm(res1) < tol and np.linalg.norm(res3) < tol
 
 
 # ---------------------------------------------------------------------------

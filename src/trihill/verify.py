@@ -2,9 +2,9 @@
 
 Ties the critical-value catalog to the reduced dynamics: every catalog entry
 with a rotation axis, except the diabolic pseudo-critical point, is checked
-as stored against the generic critical-shape search and yields an initial
-condition the integrator must hold fixed, with the virial identity E = V/2
-and nu = -E r^2 recovered to tight tolerances.  ``verify_all`` aggregates
+as stored against the generic critical-shape search, and its start must be
+held fixed for RELEQUIL_STEPS steps (an unstable one within its horizon),
+with E = V/2 and nu = -E r^2 recovered tightly.  ``verify_all`` aggregates
 these dynamical checks with catalog regressions against reference values
 and randomized invariant suites into a line-oriented report.
 """
@@ -31,11 +31,12 @@ from .coords import (
 )
 from .critical import (
     CriticalValue,
+    _relequil_certificate,
+    build_relequil_state,
     critical_catalog,
     find_critical_shapes,
     langmuir_geometry,
 )
-from .errors import DomainError, UnsupportedFamilyError, check_finite
 from .hill import class_codes, membership, moments, shape_eval, shape_value
 from .reduction import (
     SPECTRUM_TOL,
@@ -47,9 +48,7 @@ from .reduction import (
     hamiltonian,
     inertia,
     integrate,
-    relequil_residual,
     relequil_spectrum,
-    rigid_start,
 )
 from .scan import _component_rows, euler_characteristics, scan_disk
 from .systems import PRESETS, BodySystem
@@ -65,28 +64,6 @@ PERTURBATION = 1e-10
 FIT_WINDOW = (1e-9, 1e-4)
 GROWTH_RTOL = 0.05
 HESSIAN_STEP = 1e-4  # the steps of ``_linearization_error``, times the spectrum's scales
-
-
-def build_relequil_state(system: BodySystem, critical: CriticalValue, r: float) -> RovibState:
-    """Initial condition of the relative equilibrium behind a catalog entry.
-
-    The shape is rescaled so that the virial relation r^2 = -M_k(q) V(q)
-    holds at the requested angular-momentum magnitude; J points along
-    principal axis k and the momenta are the gauge values p = J.A (zero for
-    in-plane axes).  A non-finite r or an r <= 0 raises DomainError.
-    """
-    check_finite("r", r)
-    if r <= 0.0:
-        raise DomainError("r must be positive")
-    shape = critical.shape()  # raises for entries with no shape or one on the rim
-    if critical.axis is None:
-        raise UnsupportedFamilyError(f"{critical.family} entry has no rotation axis")
-    k = critical.axis
-    ev = shape_eval(system, shape)
-    if ev.v_tilde >= 0.0:
-        raise UnsupportedFamilyError("no real spin rate: shape potential is nonnegative")
-    lam = r * r / (-ev.m_tilde[k - 1] * ev.v_tilde)
-    return rigid_start(dilate(shape.to_jacobi(), lam), r, np.eye(3)[k - 1])
 
 
 def _worst(*values: float) -> float:
@@ -252,8 +229,7 @@ def _relequil_checks(report: VerificationReport, system: BodySystem, entry: Crit
     tag = entry.family
     r = RELEQUIL_R
     state = build_relequil_state(system, entry, r)
-    res1, res3 = relequil_residual(system, state.jacobi(), state.J)
-    report.add(f"{tag}.residual", _worst(np.linalg.norm(res1), np.linalg.norm(res3)), 1e-8)
+    report.add(f"{tag}.residual", _relequil_certificate(system, state), 1e-8)
 
     E = hamiltonian(system, state)
     # V is the energy at rest, p = J = 0: NaN, and a FAIL, where the flow fails
@@ -280,7 +256,7 @@ def _relequil_checks(report: VerificationReport, system: BodySystem, entry: Crit
         "flow Jacobian vs P grad^2 H",
     )
     dt = VIRIAL_DT_FACTOR * 2.0 * math.pi * r / abs(V)
-    lam = spectrum.growth / spectrum.period  # NaN when the spectrum is
+    lam = spectrum.growth / spectrum.period  # NaN where the flow failed: a full run
     horizon = math.log(FIT_WINDOW[1] / PERTURBATION) / (lam * dt) if lam * dt > 0.0 else math.inf
     unstable = horizon < RELEQUIL_STEPS
     nsteps = math.ceil(horizon) if unstable else RELEQUIL_STEPS

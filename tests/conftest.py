@@ -20,7 +20,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from trihill.coords import Shape, pair_geometry, positions_from_jacobi
-from trihill.critical import _collinear_entry, _is_relative_equilibrium
+from trihill.critical import _collinear_entry, _relequil_certificate, _relequil_start
 from trihill.errors import CollinearError, DomainError
 from trihill.hill import membership, moments, orientation_class, shape_eval, shape_kernel
 from trihill.reduction import (
@@ -522,7 +522,8 @@ def oracle_find_critical_shapes(system: BodySystem, k: int, seeds: int = 64):
             continue
         mk = ev.m_tilde[k - 1]
         nu = 0.5 * mk * ev.v_tilde**2
-        if not _is_relative_equilibrium(system, shape, k, ev.v_tilde, mk):
+        start = _relequil_start(shape, k, mk, ev.v_tilde, math.sqrt(-mk * ev.v_tilde))
+        if not _relequil_certificate(system, start) < 1e-6 * max(1.0, abs(ev.v_tilde)):
             continue
         found.append((shape, nu))
     return sorted(found, key=lambda item: (item[1], item[0].w1, item[0].w2))

@@ -664,7 +664,7 @@ def test_find_critical_shapes_searches_the_annulus_only(monkeypatch, gravity, p,
         return 2.0 * (w1 - p[0]), 2.0 * (w2 - p[1]), two, np.zeros_like(w1), two.copy()
 
     monkeypatch.setattr(critical, "_sqrtmk_v_derivatives", bowl)
-    monkeypatch.setattr(critical, "_is_relative_equilibrium", lambda *args: True)
+    monkeypatch.setattr(critical, "_relequil_certificate", lambda *args: 0.0)
     found = find_critical_shapes(gravity, k)
     assert len(found) == hits
     for shape, _ in found:

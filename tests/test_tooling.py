@@ -13,7 +13,10 @@ distance rule, ``coords._pair_term``: every pair distance and
 every Vt on the shape disk reads it, and a second copy would drift from the
 one that scans, bounds and searches depend on.  So must the Jacobi vectors
 of body positions, ``coords._jacobi_vectors``, which both the closed-form
-shapes and the collinear rim points read.  And verify's event checks
+shapes and the collinear rim points read.  So must the rigidly rotating
+start of a relative equilibrium, ``critical._relequil_start``, and its
+residual certificate, ``critical._relequil_certificate``, which both the
+critical-shape search and verify read.  And verify's event checks
 must read Euler characteristics, not the component census, whose counts
 measure pixel noise as well as topology.  And the package must run on
 numpy alone: scipy serves the tests as a reference, and importing it would
@@ -152,6 +155,26 @@ def test_jacobi_vectors_are_written_once(monkeypatch, gravity, helium):
     for call in entry_points:
         with pytest.raises(AssertionError, match="_jacobi_vectors was called"):
             call()
+
+
+def test_relequil_start_and_certificate_are_written_once(monkeypatch, helium):
+    entry = nu_langmuir(helium)
+    certificate_readers = [
+        lambda: critical.find_critical_shapes(helium, 2),
+        lambda: verify._relequil_checks(verify.VerificationReport(), helium, entry),
+    ]
+    start_readers = certificate_readers + [
+        lambda: verify.build_relequil_state(helium, entry, 1.0),
+    ]
+    for shared, readers in (
+        (critical._relequil_start, start_readers),
+        (critical._relequil_certificate, certificate_readers),
+    ):
+        with monkeypatch.context() as patch:
+            forbid(patch, shared)
+            for call in readers:
+                with pytest.raises(AssertionError, match=f"{shared.__name__} was called"):
+                    call()
 
 
 def package_trees():

@@ -271,11 +271,11 @@ def test_relequil_checks_hold_off_the_exact_start_bits(monkeypatch, all_systems,
             "flow_without_gauge_coupling",
             (reduction._flow, "u3 = p3 - J3 * a_phi", "u3 = p3", "linearization"),
         ),
-        # the virial dilation off by 1e-4
+        # the virial dilation of the shared start off by 1e-4
         (
             "virial_rescale",
             (
-                verify.build_relequil_state,
+                critical._relequil_start,
                 "lam = r * r / ",
                 "lam = (1.0 + 1e-4) * r * r / ",
                 "qp_drift",
