@@ -256,7 +256,7 @@ def _relequil_checks(report: VerificationReport, system: BodySystem, entry: Crit
         "flow Jacobian vs P grad^2 H",
     )
     dt = VIRIAL_DT_FACTOR * 2.0 * math.pi * r / abs(V)
-    lam = spectrum.growth / spectrum.period  # NaN where the flow failed: a full run
+    lam = spectrum.growth / spectrum.period  # NaN where the flow failed: no horizon, a full run
     horizon = math.log(FIT_WINDOW[1] / PERTURBATION) / (lam * dt) if lam * dt > 0.0 else math.inf
     unstable = horizon < RELEQUIL_STEPS
     nsteps = math.ceil(horizon) if unstable else RELEQUIL_STEPS
