@@ -327,29 +327,44 @@ def _collinear_polynomials(
     distance ratio, and I is the moment of inertia.  With A = V x(1+x) and
     B = V' x^2 (1+x)^2, both quadratics, P = 1/2 I' A x(1+x) + I B is
     Euler's collinear quintic with signed couplings: for nu = 1/2 I V^2,
-    dnu/dx = V P/(x^2 (1+x)^2), and V has the sign of A.  P, built by
-    ``np.convolve``, keeps six coefficients even where g_jk = 0.
+    dnu/dx = V P/(x^2 (1+x)^2), and V has the sign of A.  P keeps six
+    coefficients even where g_jk = 0.  Each coefficient is a plain sum of
+    float products, summed left to right in the order ``np.convolve``
+    indexes them, so its bits do not hang on a BLAS dot kernel that may
+    fuse a sum; the + 0.0 writes a zero coefficient unsigned, as that dot
+    does.
 
     A power series in t = x/(1+x) would blur roots next to t = 1 into
     rounding; in x both collisions sit where a coefficient is exact: t -> 0
     is x -> 0 with constant term g_ij I(0), t -> 1 is x -> inf with leading
-    term -g_jk (mi mj + mi mk)/M.  Coefficients that overflow raise
-    DomainError, with numpy's warnings on the way there silenced.
+    term -g_jk (mi mj + mi mk)/M.  Float products, sums and the division by
+    the positive total mass M never raise, so a coefficient that overflows
+    is inf or nan, and that raises DomainError.
     """
     i, j, k = order
     mi, mj, mk = (system.masses[b - 1] for b in order)
     gij, gjk, gik = (system.pair_coupling(*pair) for pair in ((i, j), (j, k), (i, k)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        iw = np.array([mj * mk + mi * mk, 2.0 * mi * mk, mi * mj + mi * mk]) / (mi + mj + mk)
-        a = -np.array([gij, gij + gjk + gik, gjk])
-        scale = np.array([abs(gij), abs(gij) + abs(gjk) + abs(gik), abs(gjk)])
-        b = np.array([gij, 2.0 * gij, gij + gik])
-        quintic = 0.5 * np.convolve(np.convolve(iw[1:] * (1.0, 2.0), a), (0.0, 1.0, 1.0))
-        quintic[:5] += np.convolve(iw, b)
+    mass = mi + mj + mk
+    iw = [(mj * mk + mi * mk) / mass, 2.0 * mi * mk / mass, (mi * mj + mi * mk) / mass]
+    a = [-gij, -(gij + gjk + gik), -gjk]
+    scale = [abs(gij), abs(gij) + abs(gjk) + abs(gik), abs(gjk)]
+    (i0, i1, i2), (a0, a1, a2) = iw, a
+    b0, b1, b2 = gij, 2.0 * gij, gij + gik
+    # I' A with I' = (i1, 2 i2); times x(1+x) it shifts by one and two places
+    d1 = 2.0 * i2
+    h0, h1, h2, h3 = a0 * i1, a0 * d1 + a1 * i1, a1 * d1 + a2 * i1, a2 * d1
+    quintic = [
+        i0 * b0 + 0.0,
+        0.5 * h0 + (i0 * b1 + i1 * b0) + 0.0,
+        0.5 * (h0 + h1) + (i0 * b2 + i1 * b1 + i2 * b0) + 0.0,
+        0.5 * (h1 + h2) + (i1 * b2 + i2 * b1) + 0.0,
+        0.5 * (h2 + h3) + i2 * b2 + 0.0,
+        0.5 * h3 + 0.0,
+    ]
     polys = (quintic, a, scale, iw)
-    if not all(np.isfinite(c).all() for c in polys):
+    if not all(math.isfinite(x) for c in polys for x in c):
         raise DomainError("collinear polynomial coefficients overflow; rescale the system")
-    return tuple(c.tolist() for c in polys)
+    return polys
 
 
 def _polyval(c: list[float], x: float) -> float:

@@ -14,13 +14,20 @@ import itertools
 import math
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
+from numpy.polynomial import polyutils as pu
 
 from trihill.coords import Shape, pair_geometry, positions_from_jacobi
-from trihill.critical import _collinear_entry, _relequil_certificate, _relequil_start
+from trihill.critical import (
+    _collinear_entry,
+    _collinear_polynomials,
+    _relequil_certificate,
+    _relequil_start,
+)
 from trihill.errors import CollinearError, DomainError
 from trihill.hill import membership, moments, orientation_class, shape_eval, shape_kernel
 from trihill.reduction import (
@@ -529,32 +536,81 @@ def oracle_find_critical_shapes(system: BodySystem, k: int, seeds: int = 64):
     return sorted(found, key=lambda item: (item[1], item[0].w1, item[0].w2))
 
 
-# The collinear family as it was when numpy.polynomial built Euler's quintic
-# and solved it one ordering at a time, when the Newton polish ran on arrays
-# with numpy's polyval, and when the roots of the V = 0 quadratic A were
-# solved beside the quintic: the bit-for-bit reference for collinear_configs,
-# with numpy's warnings on extreme systems silenced.
+# The collinear family as it was when numpy.polynomial solved Euler's
+# quintic one ordering at a time, when the Newton polish ran on arrays with
+# numpy's polyval, and when the roots of the V = 0 quadratic A were solved
+# beside the quintic: the bit-for-bit reference for collinear_configs' roots,
+# polish and entries, with numpy's warnings on extreme systems silenced.  It
+# solves critical._collinear_polynomials' own coefficients, since np.convolve
+# may fuse a sum through the BLAS dot; each coefficient is first checked
+# against the exact one, an independent oracle in Fractions.
+
+# Bound on |float - exact| of a collinear coefficient, in eps times the sum of
+# its terms' magnitudes; the worst measured is 1.6.
+COLLINEAR_COEFF_EPS = 4
+
+
+def _exact_polymul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for m, x in enumerate(p):
+        for n, y in enumerate(q):
+            out[m + n] += x * y
+    return out
+
+
+def exact_collinear_polynomials(system: BodySystem, order):
+    """Euler's quintic P = 1/2 I' A x(1+x) + I B, the quadratic A, its scale
+    and I(x) for bodies ``order`` at (0, x, 1 + x), in Fractions of the
+    float masses and couplings.  Each coefficient comes with the sum of its
+    terms' magnitudes (the same polynomials of |g|), and a flag tells
+    whether every product and quotient on the way is 0 or a normal float,
+    where rounding alone bounds the float coefficients."""
+    i, j, k = order
+    mi, mj, mk = (Fraction(system.masses[b - 1]) for b in order)
+    g = [Fraction(system.pair_coupling(*pair)) for pair in ((i, j), (j, k), (i, k))]
+    mass = mi + mj + mk
+    iw = [(mj * mk + mi * mk) / mass, 2 * mi * mk / mass, (mi * mj + mi * mk) / mass]
+
+    def family(gij, gjk, gik, sign):
+        a = [sign * gij, sign * (gij + gjk + gik), sign * gjk]
+        b = [gij, 2 * gij, gij + gik]
+        half = _exact_polymul(_exact_polymul([iw[1], 2 * iw[2]], a), [0, 1, 1])
+        ib = _exact_polymul(iw, b) + [Fraction(0)]
+        return [h / 2 + t for h, t in zip(half, ib)], a, b
+
+    quintic, a, b = family(*g, -1)
+    sizes, scale, _ = family(*map(abs, g), 1)
+    products = [mj * mk, mi * mk, mi * mj, *iw, *(x * y for x in iw for y in a + b)]
+    normal = all(p == 0 or abs(p) >= Fraction(2) ** -1021 for p in products)
+    polys = ((quintic, sizes), (a, scale), (scale, scale), (iw, iw))
+    return [list(zip(c, size)) for c, size in polys], normal
+
+
+def collinear_coefficient_error(system: BodySystem, order) -> float:
+    """The largest |float - exact| over critical._collinear_polynomials'
+    coefficients, in eps times the sum of the terms' magnitudes; None where
+    a product or quotient on the way leaves the normal floats."""
+    exact, normal = exact_collinear_polynomials(system, order)
+    if not normal:
+        return None
+    worst = Fraction(0)
+    for got, want in zip(_collinear_polynomials(system, order), exact):
+        assert len(got) == len(want)
+        for c, (value, size) in zip(got, want):
+            if c != value:
+                worst = max(worst, abs(Fraction(c) - value) / size if size else math.inf)
+    return float(worst * 2**52)
 
 
 def oracle_collinear_polynomials(system: BodySystem, order):
-    """Euler's quintic P, the quadratic A, its scale and I(x) for bodies
-    ``order`` at (0, x, 1 + x), built with numpy.polynomial: P = 1/2 I' A
-    x(1+x) + I B with B = V' x^2 (1+x)^2, trimmed of zero leading
-    coefficients."""
-    i, j, k = order
-    mi, mj, mk = (system.masses[b - 1] for b in order)
-    gij, gjk, gik = (system.pair_coupling(*pair) for pair in ((i, j), (j, k), (i, k)))
-    with np.errstate(all="ignore"):
-        iw = np.array([mj * mk + mi * mk, 2.0 * mi * mk, mi * mj + mi * mk]) / (mi + mj + mk)
-        a = -np.array([gij, gij + gjk + gik, gjk])
-        scale = np.array([abs(gij), abs(gij) + abs(gjk) + abs(gik), abs(gjk)])
-        b = np.array([gij, 2.0 * gij, gij + gik])
-        quintic = P.polyadd(
-            0.5 * P.polymul(P.polymul(P.polyder(iw), a), [0.0, 1.0, 1.0]), P.polymul(iw, b)
-        )
-    if not all(np.isfinite(c).all() for c in (quintic, a, scale, iw)):
-        raise DomainError("collinear polynomial coefficients overflow")
-    return quintic, a, scale, iw
+    """critical._collinear_polynomials' P, A, scale and I as arrays, the
+    quintic trimmed of zero leading coefficients, each coefficient within
+    COLLINEAR_COEFF_EPS of the exact one where the bound holds."""
+    polys = _collinear_polynomials(system, order)
+    error = collinear_coefficient_error(system, order)
+    assert error is None or error <= COLLINEAR_COEFF_EPS, (system, order, error)
+    quintic, a, scale, iw = map(np.array, polys)
+    return pu.trimseq(quintic), a, scale, iw
 
 
 def oracle_roots_in_unit_interval(c):

@@ -30,6 +30,8 @@ from trihill.hill import shape_eval, v_tilde
 from trihill.systems import BodySystem, gravitational
 
 from conftest import (
+    COLLINEAR_COEFF_EPS,
+    collinear_coefficient_error,
     count_calls,
     forbid,
     oracle_collinear_configs,
@@ -338,6 +340,29 @@ def test_collinear_bits_on_seeded_systems_with_zero_couplings():
             )
         )
     assert {(5, 5, 5), (3, 5, 5), (5, 3, 3), (0, 0, 0)} <= degrees
+
+
+def test_collinear_coefficients_are_within_rounding_of_the_exact_ones(all_systems):
+    # the presets, 400 seeded systems (a third of the couplings zero) and 400
+    # across 60 decades: each float coefficient of P, A, its scale and I lies
+    # within COLLINEAR_COEFF_EPS eps of its terms' magnitudes from the exact
+    # one, and some are rounded, so the bound is what the check reads
+    rng = np.random.default_rng(45)
+    systems = list(all_systems.values())
+    for _ in range(400):
+        alphas = rng.uniform(-3.0, 3.0, 3) * (rng.random(3) > 1 / 3)
+        systems.append(BodySystem(rng.uniform(0.1, 5.0, 3).tolist(), alphas.tolist()))
+    for _ in range(400):
+        signs = rng.choice((-1.0, 1.0), 3)
+        masses, magnitudes = 10.0 ** rng.uniform(-30.0, 30.0, (2, 3))
+        systems.append(BodySystem(masses.tolist(), (signs * magnitudes).tolist()))
+    errors = [
+        collinear_coefficient_error(system, order)
+        for system in systems
+        for order in ((2, 1, 3), (1, 2, 3), (1, 3, 2))
+    ]
+    assert None not in errors
+    assert 0.5 < max(errors) <= COLLINEAR_COEFF_EPS
 
 
 def oracle_collinear_terms(system, order, t):

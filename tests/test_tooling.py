@@ -20,7 +20,9 @@ critical-shape search and verify read.  And verify's event checks
 must read Euler characteristics, not the component census, whose counts
 measure pixel noise as well as topology.  And the package must run on
 numpy alone: scipy serves the tests as a reference, and importing it would
-cost every command its start-up time and memory.  And no top-level
+cost every command its start-up time and memory.  And Euler's collinear
+coefficients must be plain float sums, not ``np.convolve``, whose BLAS dot
+may fuse a sum and so make their bits hang on the BLAS build.  And no top-level
 function, class or constant of the package may go unread, unless the
 package exports it or the span tracer names it.  And no exception handler
 of the package may catch every exception.  And the command line may use only
@@ -308,3 +310,25 @@ assert not loaded, loaded
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_collinear_polynomials_are_float_sums(monkeypatch, all_systems):
+    # np.convolve sums through the BLAS dot, which may fuse a sum, so the
+    # coefficients' bits would hang on the BLAS build: the coefficients touch
+    # no numpy, and every preset's catalog runs with np.convolve refused
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} was used")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(critical, "np", NoNumpy())
+        for system in all_systems.values():
+            for order in ((2, 1, 3), (1, 2, 3), (1, 3, 2)):
+                critical._collinear_polynomials(system, order)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve was called")
+
+    monkeypatch.setattr(critical.np, "convolve", refuse)
+    for system in all_systems.values():
+        assert any(cv.family == "collinear" for cv in critical.critical_catalog(system))
