@@ -361,10 +361,9 @@ def _collinear_polynomials(
         0.5 * (h2 + h3) + i2 * b2 + 0.0,
         0.5 * h3 + 0.0,
     ]
-    polys = (quintic, a, scale, iw)
-    if not all(math.isfinite(x) for c in polys for x in c):
+    if not all(map(math.isfinite, quintic + a + scale + iw)):
         raise DomainError("collinear polynomial coefficients overflow; rescale the system")
-    return polys
+    return quintic, a, scale, iw
 
 
 def _polyval(c: list[float], x: float) -> float:

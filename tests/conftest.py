@@ -546,8 +546,13 @@ def oracle_find_critical_shapes(system: BodySystem, k: int, seeds: int = 64):
 # against the exact one, an independent oracle in Fractions.
 
 # Bound on |float - exact| of a collinear coefficient, in eps times the sum of
-# its terms' magnitudes; the worst measured is 1.6.
+# its terms' magnitudes, where no product underflows; the worst measured is
+# 1.8, over the presets and the 600 seeded systems of its test.
 COLLINEAR_COEFF_EPS = 4
+
+
+# Twice the smallest normal float: a product this large rounds to a normal one
+_NORMAL_FLOOR = Fraction(2) ** -1021
 
 
 def _exact_polymul(p, q):
@@ -558,16 +563,16 @@ def _exact_polymul(p, q):
     return out
 
 
-def exact_collinear_polynomials(system: BodySystem, order):
+@functools.cache
+def exact_collinear_polynomials(masses, couplings):
     """Euler's quintic P = 1/2 I' A x(1+x) + I B, the quadratic A, its scale
-    and I(x) for bodies ``order`` at (0, x, 1 + x), in Fractions of the
-    float masses and couplings.  Each coefficient comes with the sum of its
-    terms' magnitudes (the same polynomials of |g|), and a flag tells
-    whether every product and quotient on the way is 0 or a normal float,
-    where rounding alone bounds the float coefficients."""
-    i, j, k = order
-    mi, mj, mk = (Fraction(system.masses[b - 1]) for b in order)
-    g = [Fraction(system.pair_coupling(*pair)) for pair in ((i, j), (j, k), (i, k))]
+    and I(x) for bodies (i, j, k) at (0, x, 1 + x) with float ``masses``
+    (mi, mj, mk) and ``couplings`` (gij, gjk, gik), in Fractions.  Each
+    coefficient comes with the sum of its terms' magnitudes (the same
+    polynomials of |g|), and a flag tells whether every product and
+    quotient on the way is 0 or a normal float, where rounding alone bounds
+    the float coefficients."""
+    mi, mj, mk = map(Fraction, masses)
     mass = mi + mj + mk
     iw = [(mj * mk + mi * mk) / mass, 2 * mi * mk / mass, (mi * mj + mi * mk) / mass]
 
@@ -578,19 +583,24 @@ def exact_collinear_polynomials(system: BodySystem, order):
         ib = _exact_polymul(iw, b) + [Fraction(0)]
         return [h / 2 + t for h, t in zip(half, ib)], a, b
 
+    g = list(map(Fraction, couplings))
     quintic, a, b = family(*g, -1)
     sizes, scale, _ = family(*map(abs, g), 1)
     products = [mj * mk, mi * mk, mi * mj, *iw, *(x * y for x in iw for y in a + b)]
-    normal = all(p == 0 or abs(p) >= Fraction(2) ** -1021 for p in products)
+    normal = all(p == 0 or abs(p) >= _NORMAL_FLOOR for p in products)
     polys = ((quintic, sizes), (a, scale), (scale, scale), (iw, iw))
-    return [list(zip(c, size)) for c, size in polys], normal
+    return tuple(tuple(zip(c, size)) for c, size in polys), normal
 
 
-def collinear_coefficient_error(system: BodySystem, order) -> float:
+def collinear_coefficient_error(system: BodySystem, order) -> float | None:
     """The largest |float - exact| over critical._collinear_polynomials'
-    coefficients, in eps times the sum of the terms' magnitudes; None where
-    a product or quotient on the way leaves the normal floats."""
-    exact, normal = exact_collinear_polynomials(system, order)
+    coefficients for bodies ``order``, in eps times the sum of the terms'
+    magnitudes; None where a product or quotient on the way leaves the
+    normal floats."""
+    i, j, k = order
+    masses = tuple(system.masses[b - 1] for b in order)
+    couplings = tuple(system.pair_coupling(*pair) for pair in ((i, j), (j, k), (i, k)))
+    exact, normal = exact_collinear_polynomials(masses, couplings)
     if not normal:
         return None
     worst = Fraction(0)
@@ -606,10 +616,9 @@ def oracle_collinear_polynomials(system: BodySystem, order):
     """critical._collinear_polynomials' P, A, scale and I as arrays, the
     quintic trimmed of zero leading coefficients, each coefficient within
     COLLINEAR_COEFF_EPS of the exact one where the bound holds."""
-    polys = _collinear_polynomials(system, order)
+    quintic, a, scale, iw = map(np.array, _collinear_polynomials(system, order))
     error = collinear_coefficient_error(system, order)
     assert error is None or error <= COLLINEAR_COEFF_EPS, (system, order, error)
-    quintic, a, scale, iw = map(np.array, polys)
     return pu.trimseq(quintic), a, scale, iw
 
 

@@ -343,16 +343,16 @@ def test_collinear_bits_on_seeded_systems_with_zero_couplings():
 
 
 def test_collinear_coefficients_are_within_rounding_of_the_exact_ones(all_systems):
-    # the presets, 400 seeded systems (a third of the couplings zero) and 400
+    # the presets, 400 seeded systems (a third of the couplings zero) and 200
     # across 60 decades: each float coefficient of P, A, its scale and I lies
     # within COLLINEAR_COEFF_EPS eps of its terms' magnitudes from the exact
-    # one, and some are rounded, so the bound is what the check reads
+    # one; the worst is above 1/2 eps, so rounding shows and the check bites
     rng = np.random.default_rng(45)
     systems = list(all_systems.values())
     for _ in range(400):
         alphas = rng.uniform(-3.0, 3.0, 3) * (rng.random(3) > 1 / 3)
         systems.append(BodySystem(rng.uniform(0.1, 5.0, 3).tolist(), alphas.tolist()))
-    for _ in range(400):
+    for _ in range(200):
         signs = rng.choice((-1.0, 1.0), 3)
         masses, magnitudes = 10.0 ** rng.uniform(-30.0, 30.0, (2, 3))
         systems.append(BodySystem(masses.tolist(), (signs * magnitudes).tolist()))

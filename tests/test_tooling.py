@@ -22,11 +22,11 @@ measure pixel noise as well as topology.  And the package must run on
 numpy alone: scipy serves the tests as a reference, and importing it would
 cost every command its start-up time and memory.  And Euler's collinear
 coefficients must be plain float sums, not ``np.convolve``, whose BLAS dot
-may fuse a sum and so make their bits hang on the BLAS build.  And no top-level
-function, class or constant of the package may go unread, unless the
-package exports it or the span tracer names it.  And no exception handler
-of the package may catch every exception.  And the command line may use only
-public names of the package: it is a shell over the public API."""
+may fuse a sum and so make their bits hang on the BLAS build.  And no
+top-level function, class or constant of the package may go unread, unless
+the package exports it or the span tracer names it.  And no exception
+handler of the package may catch every exception.  And the command line may
+use only public names of the package: it is a shell over the public API."""
 
 import ast
 import os
