@@ -37,7 +37,7 @@ from .coords import (
     pair_geometry,
 )
 from .errors import DomainError, TrihillError, UnsupportedFamilyError, check_finite, check_index
-from .hill import moments, shape_eval, shape_kernel, shape_value
+from .hill import moments, nu_threshold, shape_eval, shape_kernel, shape_value
 from .reduction import RovibState, relequil_residual, rigid_start
 from .systems import BodySystem, infer_gravity_constant, reduced_mass
 
@@ -535,10 +535,10 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     SEARCH_SEEDS x SEARCH_SEEDS grid over the annulus core < s < lim of the
     disk: a 1e-3 margin at the collinear boundary and (for k = 1, 2 only) a
     1e-3 core around the diabolic point where the moments are not
-    differentiable.  Each iteration evaluates the damped steps 1, 0.5 and
-    0.25 of every live seed in one kernel call and moves a seed to its first
-    candidate of least |grad|^2 that is strictly below its own; a candidate
-    off the annulus, or not finite (a singular Hessian), is no improvement.
+    differentiable.  Each iteration evaluates the damped steps 1 and 0.25 of
+    every live seed in one kernel call and moves a seed to its first
+    candidate of least |grad|^2 if that is below its own; a candidate off
+    the annulus, or not finite (a singular Hessian), is no improvement.
     The radii of each batch of points, the seed grid and each iteration's
     candidates, are taken once and serve both the annulus test and the
     kernel.
@@ -576,14 +576,14 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
         return D, D[0] * D[0] + D[1] * D[1]
 
     def candidates(w1, w2, D):
-        """The Newton steps damped by 1, 0.5 and 0.25 from points (w1, w2)
-        with Newton rows D, as rows of 3n points, damping-major; a function
-        so that its temporaries are freed before the kernel call on them."""
+        """The Newton steps damped by 1 and 0.25 from points (w1, w2) with
+        Newton rows D, as rows of 2n points, damping-major; a function so
+        that its temporaries are freed before the kernel call on them."""
         g1, g2, h11, h12, h22 = D
         det = h11 * h22 - h12 * h12
         dx = (g1 * h22 - g2 * h12) / det
         dy = (h11 * g2 - h12 * g1) / det
-        damp = np.array([[1.0], [0.5], [0.25]])
+        damp = np.array([[1.0], [0.25]])
         return (w1 - damp * dx).ravel(), (w2 - damp * dy).ravel()
 
     # The live seeds: points, Newton rows, |grad|^2, seed index and count of
@@ -597,16 +597,13 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
             c1, c2 = candidates(w1, w2, D)
             sc = np.hypot(c1, c2)
             Dc, gnc = newton_data(c1, c2, sc)
-        gnc[~inside(sc)] = np.inf
-        # pick: the row of the best candidate, -1 where none is better.
+        gnc[~inside(sc) | np.isnan(gnc)] = np.inf
+        # pick: each seed's first candidate of least |grad|^2
         n = len(idx)
-        best_gn, pick = gn, np.full(n, -1)
-        for rows in np.arange(3 * n).reshape(3, n):
-            better = gnc[rows] < best_gn
-            best_gn = np.where(better, gnc[rows], best_gn)
-            pick = np.where(better, rows, pick)
-        slow = np.where(best_gn > 0.75 * gn, slow + 1, 0)
-        out = (pick < 0) | (slow >= 4)
+        pick = np.argmin(gnc.reshape(2, n), axis=0) * n + np.arange(n)
+        best = gnc[pick]
+        slow = np.where(best > 0.75 * gn, slow + 1, 0)
+        out = ~(best < gn) | (slow >= 4)
         W1[idx[out]], W2[idx[out]], GN[idx[out]] = w1[out], w2[out], gn[out]
         live = ~out
         pick, idx, slow = pick[live], idx[live], slow[live]
@@ -630,7 +627,7 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
         start = _relequil_start(shape, k, mk, vt, math.sqrt(-mk * vt))
         if not _relequil_certificate(system, start) < 1e-6 * max(1.0, abs(vt)):
             continue
-        found.append((shape, 0.5 * mk * vt**2))
+        found.append((shape, nu_threshold(mk, vt)))
     return sorted(found, key=lambda item: (item[1], item[0].w1, item[0].w2))
 
 

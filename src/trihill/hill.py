@@ -240,9 +240,12 @@ def nu_thresholds(system: BodySystem, shape: Shape) -> tuple[float, float, float
     Meaningful only where Vt < 0.
     """
     ev = shape_eval(system, shape)
-    v2 = ev.v_tilde * ev.v_tilde
-    m1, m2, m3 = ev.m_tilde
-    return 0.5 * m3 * v2, 0.5 * m2 * v2, 0.5 * m1 * v2
+    return tuple(nu_threshold(mk, ev.v_tilde) for mk in reversed(ev.m_tilde))
+
+
+def nu_threshold(mk, v):
+    """The threshold (1/2) Mt_k Vt^2 of floats or arrays mk and v."""
+    return 0.5 * mk * (v * v)
 
 
 def class_codes(nu: float, v_tilde, m_tilde):

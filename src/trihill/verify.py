@@ -37,7 +37,7 @@ from .critical import (
     find_critical_shapes,
     langmuir_geometry,
 )
-from .hill import class_codes, membership, moments, shape_eval, shape_value
+from .hill import class_codes, membership, moments, nu_threshold, shape_eval, shape_value
 from .reduction import (
     SPECTRUM_TOL,
     RovibState,
@@ -607,9 +607,9 @@ def _near_threshold(v_tilde, m_tilde, nu):
     """Where nu lies within 1e-6 of 0 or (scaled) of a class threshold, over
     arrays of Vt, of the moments (Mt1, Mt2, Mt3) and of nu."""
     near = np.abs(nu) < 1e-6
-    v2 = v_tilde**2
+    scale = 1e-6 * np.fmax(1.0, v_tilde * v_tilde)
     for mk in m_tilde:
-        near |= ~(v_tilde >= 0.0) & (np.abs(nu - 0.5 * mk * v2) < 1e-6 * np.fmax(1.0, v2))
+        near |= ~(v_tilde >= 0.0) & (np.abs(nu - nu_threshold(mk, v_tilde)) < scale)
     return near
 
 
@@ -694,7 +694,7 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
         if cv.axis is None:
             continue
         ev = shape_eval(system, cv.shape())
-        worst = _worst(worst, abs(0.5 * ev.m_tilde[cv.axis - 1] * ev.v_tilde**2 - cv.nu) / cv.nu)
+        worst = _worst(worst, abs(nu_threshold(ev.m_tilde[cv.axis - 1], ev.v_tilde) - cv.nu) / cv.nu)
     report.add("catalog.nu_identity", worst, 1e-9, "nu = Mt_k Vt^2 / 2")
 
     _census_event_checks(report, system, catalog)

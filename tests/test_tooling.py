@@ -16,7 +16,9 @@ of body positions, ``coords._jacobi_vectors``, which both the closed-form
 shapes and the collinear rim points read.  So must the rigidly rotating
 start of a relative equilibrium, ``critical._relequil_start``, and its
 residual certificate, ``critical._relequil_certificate``, which both the
-critical-shape search and verify read.  And verify's event checks
+critical-shape search and verify read.  So must the threshold
+nu = (1/2) Mt_k Vt^2, ``hill.nu_threshold``, which the class thresholds, the
+search's hits and verify's nu identity and near-threshold mask read.  And verify's event checks
 must read Euler characteristics, not the component census, whose counts
 measure pixel noise as well as topology.  And the package must run on
 numpy alone: scipy serves the tests as a reference, and importing it would
@@ -33,6 +35,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import trihill  # loads every submodule
@@ -177,6 +180,25 @@ def test_relequil_start_and_certificate_are_written_once(monkeypatch, helium):
             for call in readers:
                 with pytest.raises(AssertionError, match=f"{shared.__name__} was called"):
                     call()
+
+
+def test_nu_threshold_is_written_once(monkeypatch, helium):
+    # verify_all gets the search's hits from before the ban and runs no
+    # oracle suite (which reads _near_threshold), so that its catalog nu
+    # identity is the one reader left
+    hits = {k: critical.find_critical_shapes(helium, k) for k in (1, 2, 3)}
+    monkeypatch.setattr(verify, "find_critical_shapes", lambda system, k: hits[k])
+    monkeypatch.setattr(verify, "_oracle_suites", lambda *args: None)
+    forbid(monkeypatch, hill.nu_threshold)
+    entry_points = [
+        lambda: hill.nu_thresholds(helium, Shape(0.1, 0.2)),
+        lambda: critical.find_critical_shapes(helium, 2),
+        lambda: verify.verify_all(helium, deep=False),
+        lambda: verify._near_threshold(np.array([-1.0]), (np.array([0.25]), 0.75, 1.0), 0.5),
+    ]
+    for call in entry_points:
+        with pytest.raises(AssertionError, match="nu_threshold was called"):
+            call()
 
 
 def package_trees():
