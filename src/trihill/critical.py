@@ -542,15 +542,15 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     The radii of each batch of points, the seed grid and each iteration's
     candidates, are taken once and serve both the annulus test and the
     kernel.
-    A seed that no candidate improves would try the same candidates on
-    every later iteration: it retires with its point and |grad|^2, and the
-    live seeds stay compacted.  So does a stalled seed: on 4 iterations in a
-    row its best candidate kept more than 3/4 of its |grad|^2.  Near a root
-    the Newton step cuts |grad|^2 by far more than a quarter per move, so a
-    converging seed moves until rounding stops it, and then retires; a
-    stalled one sits at a nonzero minimum of |grad|^2 or still far from
-    every root.  No step is clipped: a candidate counts only if it lowers
-    |grad|^2.  The loop ends when no seed is live, or after 80 iterations.
+    A seed that no candidate improves would try the same candidates on every
+    later iteration: it retires with its point and |grad|^2, and the live
+    seeds stay compacted.  So does a stalled seed: on 4 iterations in a row
+    its best candidate kept more than 3/4 of its |grad|^2.  Near a root the
+    Newton step cuts |grad|^2 by far more than a quarter per move, so a
+    converging seed moves until rounding stops or stalls it; other stalled
+    seeds sit at a nonzero minimum of |grad|^2 or far from every root.  No
+    step is clipped: a candidate counts only if it lowers |grad|^2.  The
+    loop ends when no seed is live, or after 80 iterations.
     The seeds, all on the annulus, then go back into seed order; those with
     |grad|^2 below 1e-22 and Vt not >= 0, deduplicated within 1e-7 in that
     order, must have a ``_relequil_certificate`` below 1e-6 max(1, |Vt|) at
