@@ -64,6 +64,7 @@ PERTURBATION = 1e-10
 FIT_WINDOW = (1e-9, 1e-4)
 GROWTH_RTOL = 0.05
 HESSIAN_STEP = 1e-4  # the steps of ``_linearization_error``, times the spectrum's scales
+COMPLEX_STEP = 1e-30  # the imaginary step of ``_eom_suite``
 
 
 def _worst(*values: float) -> float:
@@ -176,7 +177,8 @@ def _linearization_error(system: BodySystem, state: RovibState, spectrum: Spectr
     where it vanishes its Jacobian is P grad^2 H - [grad_J H]x, with P the
     canonical block on (q, p) and [J]x on J.  The Hessian and grad_J H are
     central differences of ``_energies`` with steps HESSIAN_STEP times the
-    spectrum's scales, all from one call over 342 rows.
+    spectrum's scales, all from one call over 330 rows: 324 corners and
+    6 for grad_J.
     """
     y = state.flat()
     steps = np.diag(HESSIAN_STEP * spectrum.scales)
@@ -356,19 +358,18 @@ def _system_free_checks(deep: bool) -> tuple[Check, ...]:
 
 
 @dataclass(frozen=True)
-class _FdSamples:
-    """The random states of ``_eom_fd_suite`` and their displaced rows."""
+class _EomSamples:
+    """The random states of ``_eom_suite`` and their complex-step rows."""
 
     states: tuple[tuple[float, ...], ...]  # y = (q, p, J) per sample, as floats
     J: np.ndarray  # (samples, 3), each sample's J
     J_scales: tuple[float, ...]  # max(1, J.J) per sample
-    hh: np.ndarray  # (samples, 6), the step of each of q and p
-    rows: np.ndarray  # (samples * 12, 9): y with one value moved by +hh or -hh
+    rows: np.ndarray  # (samples * 6, 9) complex: y + i COMPLEX_STEP e_k, k over q and p
 
 
 @functools.cache
-def _fd_samples(samples: int) -> _FdSamples:
-    """The seeded states of ``_eom_fd_suite``, drawn once per process per
+def _eom_samples(samples: int) -> _EomSamples:
+    """The seeded states of ``_eom_suite``, drawn once per process per
     sample count, their arrays read-only."""
     rng = np.random.default_rng(13)
     states = []
@@ -379,44 +380,40 @@ def _fd_samples(samples: int) -> _FdSamples:
         states.append((*q, *p.tolist(), *J.tolist()))
     y = np.array(states).reshape(samples, 9)
     J = y[:, 6:].copy()
-    k = np.arange(6)
-    hh = np.tile(1e-6 * np.maximum(1.0, np.abs(y[:, :3])), 2)  # the step of q_mu serves p_mu too
-    # rows[i, 0 or 1, k]: sample i with value k moved by +hh or -hh
-    rows = np.repeat(y[:, None, :], 12, axis=1).reshape(samples, 2, 6, 9)
-    rows[:, 0, k, k] = y[:, :6] + hh
-    rows[:, 1, k, k] = y[:, :6] - hh
-    rows = rows.reshape(-1, 9)
-    for array in (J, hh, rows):
+    # rows[i, k]: sample i with value k moved by i COMPLEX_STEP
+    rows = (y[:, None, :] + 1j * COMPLEX_STEP * np.eye(6, 9)).reshape(-1, 9)
+    for array in (J, rows):
         array.setflags(write=False)
     J_scales = tuple(max(1.0, float(np.dot(j, j))) for j in J)
-    return _FdSamples(tuple(states), J, J_scales, hh, rows)
+    return _EomSamples(tuple(states), J, J_scales, rows)
 
 
-def _eom_fd_suite(report: VerificationReport, system: BodySystem, samples: int) -> None:
-    """Central differences of H against the flow at random states.
+def _eom_suite(report: VerificationReport, system: BodySystem, samples: int) -> None:
+    """Complex-step derivatives of H against the flow at random states.
 
     Seeded samples that take no system are drawn once per process and are
-    read-only: ``_fd_samples`` holds the states and their displaced rows.
+    read-only: ``_eom_samples`` holds the states and their complex rows.
     Each sample's flow is ``reduction._flow`` on its float state
-    y = (q, p, J), the bits ``eom`` gives.  The twelve energies of its
-    differences, y with one value moved by +-h, come from one ``_energies``
-    call over the rows of all samples: the energy formula ``hamiltonian`` reads.
+    y = (q, p, J), the bits ``eom`` gives.  H is complex-analytic on the
+    chart, so dH/dy_k = Im H(y + i h e_k) / h to rounding, with no step rule
+    and no difference (Squire & Trapp, SIAM Rev. 40, 1998).  The six energies
+    of each sample come from one ``_energies`` call over the rows of all
+    samples: the energy formula ``hamiltonian`` reads.
     """
-    fd = _fd_samples(samples)
+    es = _eom_samples(samples)
     table = _chart_table(system)
-    flows = [_flow(table, y) for y in fd.states]
+    flows = [_flow(table, y) for y in es.states]
     scales = [max(1.0, *map(abs, d[:6])) for d in flows]
     errs = [
         abs(float(np.dot(np.array(d[6:]), J))) / J_scale
-        for d, J, J_scale in zip(flows, fd.J, fd.J_scales)
+        for d, J, J_scale in zip(flows, es.J, es.J_scales)
     ]
     d = np.array(flows).reshape(samples, 9)
-    H = _energies(table, fd.rows).reshape(samples, 2, 6)
     with np.errstate(all="ignore"):
-        diff = (H[:, 0] - H[:, 1]) / (2 * fd.hh)
-        err = np.abs(np.concatenate([-diff[:, :3] - d[:, 3:6], diff[:, 3:] - d[:, :3]], axis=1))
+        dH = _energies(table, es.rows).imag.reshape(samples, 6) / COMPLEX_STEP
+        err = np.abs(np.concatenate([-dH[:, :3] - d[:, 3:6], dH[:, 3:] - d[:, :3]], axis=1))
         errs += (err / np.array(scales)[:, None]).ravel().tolist()
-    report.add("eom.finite_difference", _worst(0.0, *errs), 1e-6, f"{samples} random states")
+    report.add("eom.complex_step", _worst(0.0, *errs), 1e-12, f"{samples} random states")
 
 
 def _collision_angle_check(report: VerificationReport, system: BodySystem) -> None:
@@ -697,8 +694,13 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
         worst = _worst(worst, abs(nu_threshold(ev.m_tilde[cv.axis - 1], ev.v_tilde) - cv.nu) / cv.nu)
     report.add("catalog.nu_identity", worst, 1e-9, "nu = Mt_k Vt^2 / 2")
 
+    # Each collinear root's stored certificate: an unconverged root FAILs.
+    residuals = [cv.residual for cv in catalog if cv.family == "collinear"]
+    if residuals:
+        report.add("collinear.residual", _worst(*residuals), 1e-9, "|dnu/dt| / max(1, nu)")
+
     _census_event_checks(report, system, catalog)
     report.checks.extend(_system_free_checks(deep))
-    _eom_fd_suite(report, system, 300 if deep else 50)
+    _eom_suite(report, system, 300 if deep else 50)
     _oracle_suites(report, system, 150 if deep else 30)
     return report

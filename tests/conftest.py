@@ -35,8 +35,6 @@ from trihill.reduction import (
     ConservationReport,
     RovibState,
     Trajectory,
-    eom,
-    hamiltonian,
 )
 from trihill.systems import BodySystem, preset
 from trihill.verify import (  # noqa: F401
@@ -674,44 +672,8 @@ def oracle_collinear_configs(system: BodySystem):
     return sorted(out, key=lambda cv: cv.nu)
 
 
-# The finite-difference suite and the sphere census as they were before
-# trihill.verify perturbed the float state with reduction._flow and returned
-# the fixed classes without sampling: the bit-for-bit references.
-
-
-def oracle_eom_fd_suite(system: BodySystem, samples: int = 300) -> float:
-    """``measured`` of the check eom.finite_difference, from a RovibState and
-    a ``hamiltonian`` call per energy."""
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(samples):
-        q = np.array(
-            [rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), rng.uniform(0.3, math.pi - 0.3)]
-        )
-        p = rng.normal(0.0, 1.0, 3)
-        J = rng.normal(0.0, 1.0, 3)
-        state = RovibState(q, p, J)
-        d = eom(system, state)
-        scale = max(1.0, float(np.max(np.abs(d.q))), float(np.max(np.abs(d.p))))
-
-        def h_of(qq, pp, JJ):
-            return hamiltonian(system, RovibState(qq, pp, JJ))
-
-        for mu in range(3):
-            hh = 1e-6 * max(1.0, abs(q[mu]))
-            qp, qm = q.copy(), q.copy()
-            qp[mu] += hh
-            qm[mu] -= hh
-            fd = (h_of(qp, p, J) - h_of(qm, p, J)) / (2 * hh)
-            worst = max(worst, abs(-fd - d.p[mu]) / scale)
-            pp_, pm = p.copy(), p.copy()
-            pp_[mu] += hh
-            pm[mu] -= hh
-            fd = (h_of(q, pp_, J) - h_of(q, pm, J)) / (2 * hh)
-            worst = max(worst, abs(fd - d.q[mu]) / scale)
-        jdot_dot_j = abs(float(np.dot(d.J, J)))
-        worst = max(worst, jdot_dot_j / max(1.0, float(np.dot(J, J))))
-    return float(worst)
+# The sphere census as it was before trihill.verify returned the fixed
+# classes without sampling: the bit-for-bit reference.
 
 
 @functools.cache

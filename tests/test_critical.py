@@ -26,7 +26,7 @@ from trihill.critical import (
     nu_langmuir,
 )
 from trihill.errors import DomainError, TrihillError, UnsupportedFamilyError
-from trihill.hill import shape_eval, v_tilde
+from trihill.hill import moments, shape_eval, shape_value, v_tilde
 from trihill.systems import BodySystem, gravitational
 
 from conftest import (
@@ -867,26 +867,26 @@ def test_sqrtmk_v_derivatives_against_central_differences(signs, masses, magnitu
     radius = rng.uniform(0.05, 0.9, 8)
     angle = rng.uniform(0.0, 2.0 * math.pi, 8)
     W = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    # gradient rows against complex steps of f, Im f(w + i h e_j) / h, at
+    # 1e-12; Hessian rows against central differences of the gradient
     for k in (1, 2, 3):
 
         def f(w1, w2):
-            s = math.hypot(w1, w2)
-            mk = {1: 0.5 * (1.0 - s), 2: 0.5 * (1.0 + s), 3: 1.0}[k]
-            return math.sqrt(mk) * v_tilde(system, w1, w2)
+            # sqrt(Mt_k) Vt on real or complex rows; sqrt in place of hypot
+            # keeps it complex-analytic
+            s = np.sqrt(w1 * w1 + w2 * w2)
+            return np.sqrt(moments(s)[k - 1]) * shape_value(system, w1, w2)
 
         g1, g2, h11, h12, h22 = _sqrtmk_v_derivatives(
             system, k, W[:, 0], W[:, 1], np.hypot(W[:, 0], W[:, 1])
         )
         grad = np.stack([g1, g2], axis=1)
         hess = np.stack([np.stack([h11, h12], 1), np.stack([h12, h22], 1)], 1)
+        cs_grad = np.stack([f(*(W + 1e-30j * e).T).imag / 1e-30 for e in np.eye(2)], axis=1)
+        scale = np.fmax(1.0, np.fmax(np.abs(f(*W.T)), np.abs(grad).max(axis=1)))
+        assert np.all(np.abs(grad - cs_grad) <= 1e-12 * scale[:, None])
         h = 1e-6
         for p, (w1, w2) in enumerate(W):
-            fd_grad = [
-                (f(w1 + h, w2) - f(w1 - h, w2)) / (2 * h),
-                (f(w1, w2 + h) - f(w1, w2 - h)) / (2 * h),
-            ]
-            scale = max(1.0, abs(f(w1, w2)), *np.abs(grad[p]))
-            assert np.allclose(grad[p], fd_grad, rtol=0.0, atol=1e-6 * scale)
             shifted = np.array([[w1 + h, w2], [w1 - h, w2], [w1, w2 + h], [w1, w2 - h]])
             sg1, sg2 = _sqrtmk_v_derivatives(
                 system, k, shifted[:, 0], shifted[:, 1], np.hypot(shifted[:, 0], shifted[:, 1])

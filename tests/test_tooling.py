@@ -111,13 +111,13 @@ def test_jacobi_chart_pair_sum_is_written_once(monkeypatch, helium):
         lambda: reduction.eom(helium, state),
         lambda: reduction.relequil_residual(helium, state.jacobi(), state.J),
         lambda: reduction.relequil_spectrum(helium, state),
-        lambda: verify._eom_fd_suite(verify.VerificationReport(), helium, 1),
+        lambda: verify._eom_suite(verify.VerificationReport(), helium, 1),
         lambda: verify._relequil_checks(verify.VerificationReport(), helium, entry),
     ]
     value_readers = [
         lambda: reduction.integrate(helium, state, 1e-3, 1),
         lambda: reduction.hamiltonian(helium, state),
-        lambda: verify._eom_fd_suite(verify.VerificationReport(), helium, 1),
+        lambda: verify._eom_suite(verify.VerificationReport(), helium, 1),
         lambda: verify._relequil_checks(verify.VerificationReport(), helium, entry),
     ]
     for pair_sum, readers in (

@@ -35,7 +35,6 @@ from conftest import (
     mutant,
     _oracle_near_threshold,
     oracle_count_components_periodic,
-    oracle_eom_fd_suite,
     oracle_lambda_grid_rebuild,
     oracle_oracle_suites,
     oracle_positions,
@@ -48,7 +47,7 @@ from conftest import (
 )
 
 # The builders of verify's seeded samples, each cached per process.
-_SAMPLE_BUILDERS = (verify._fd_samples, verify._oracle_samples, verify._kick_direction)
+_SAMPLE_BUILDERS = (verify._eom_samples, verify._oracle_samples, verify._kick_direction)
 
 
 def _clear_sample_caches():
@@ -535,27 +534,52 @@ def test_oracle_suites_fail_on_a_mutant(monkeypatch, all_systems, mutant, cache)
         assert not any(passes(system, samples) for system in all_systems.values()), samples
 
 
-def _fd_measured(system):
+def _eom_measured(system):
     report = VerificationReport()
-    verify._eom_fd_suite(report, system, 300)
+    verify._eom_suite(report, system, 300)
     (check,) = report.checks
-    assert check.name == "eom.finite_difference"
+    assert check.name == "eom.complex_step" and check.tol == 1e-12
     return check.measured
 
 
-def test_eom_fd_suite_matches_the_per_state_oracle(all_systems):
+def _eom_per_state_error(system, samples=300):
+    """The worst error of ``reduction.eom`` against complex-step derivatives
+    of H, dH/dy_k = Im H(y + i h e_k) / h with h = 1e-30, each from a
+    one-row ``_energies`` call, at the eom suite's states (seed 13, drawn
+    here), scaled as the suite scales: by max(1, |qdot|, |pdot|), and
+    J . Jdot by max(1, J . J)."""
+    rng = np.random.default_rng(13)
+    table = reduction._chart_table(system)
+    worst = 0.0
+    for _ in range(samples):
+        q = [rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), rng.uniform(0.3, math.pi - 0.3)]
+        p, J = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3)
+        y = np.array([*q, *p, *J])
+        d = reduction.eom(system, reduction.RovibState(y[:3], p, J)).flat()
+        rows = [(y + 1e-30j * e)[None] for e in np.eye(6, 9)]
+        dH = np.array([reduction._energies(table, row)[0].imag / 1e-30 for row in rows])
+        err = np.abs(np.concatenate([dH[3:] - d[:3], -dH[:3] - d[3:6]])) / max(1.0, *np.abs(d[:6]))
+        worst = verify._worst(worst, *err, abs(np.dot(d[6:], J)) / max(1.0, np.dot(J, J)))
+    return worst
+
+
+def test_eom_matches_complex_steps_of_the_energy_per_state(all_systems):
+    # the flow against its energy state by state, on the presets and two
+    # systems of each sign pattern; the suite reads the same worst case
     rng = np.random.default_rng(1414)
     systems = [*all_systems.values()]
     systems += [_signed_system(rng, signs) for signs in _SIGNS for _ in range(2)]
     for system in systems:
-        assert _fd_measured(system).hex() == oracle_eom_fd_suite(system).hex(), system
+        worst = _eom_per_state_error(system)
+        assert worst <= 1e-12, system
+        assert _eom_measured(system) == pytest.approx(worst, rel=0.0, abs=1e-15), system
 
 
 def test_eom_fd_suite_reads_the_flow_not_hamiltonian(monkeypatch, all_systems):
-    want = {name: oracle_eom_fd_suite(system) for name, system in all_systems.items()}
+    want = {name: _eom_per_state_error(system) for name, system in all_systems.items()}
     forbid(monkeypatch, reduction.hamiltonian)
     for name, system in all_systems.items():
-        assert _fd_measured(system) == want[name], name
+        assert _eom_measured(system) == pytest.approx(want[name], rel=0.0, abs=1e-15), name
 
 
 @_cold_and_warm("k", [(str(k), (k,)) for k in (3, 4, 5)])
@@ -565,7 +589,7 @@ def test_eom_fd_suite_catches_a_wrong_flow_or_a_wrong_energy(monkeypatch, all_sy
     # not have, fails it on every preset.
     def passes(system):
         report = VerificationReport()
-        verify._eom_fd_suite(report, system, 300)
+        verify._eom_suite(report, system, 300)
         return report.checks[0].passed
 
     flow, energies = verify._flow, verify._energies
@@ -586,6 +610,17 @@ def test_eom_fd_suite_catches_a_wrong_flow_or_a_wrong_energy(monkeypatch, all_sy
     assert not any(passes(system) for system in all_systems.values())
 
 
+def test_eom_check_catches_a_flow_term_off_by_1e_8(monkeypatch, all_systems):
+    # phi's rate g33 u3 scaled by 1 + 1e-8: one term of the flow off by
+    # 1e-8 relative, far above the check's 1e-12
+    mutant(monkeypatch, reduction._flow, "g33u3,\n", "g33u3 * (1.0 + 1e-8),\n")
+    for system in all_systems.values():
+        report = VerificationReport()
+        verify._eom_suite(report, system, 300)
+        (check,) = report.checks
+        assert not check.passed and 1e-9 < check.measured < 1e-7, system
+
+
 def test_eom_fd_suite_fails_on_a_nan_flow():
     # hamiltonian and eom are NaN at every state of this system; a worst
     # case taken with Python's max used to drop the NaN and pass
@@ -594,10 +629,27 @@ def test_eom_fd_suite_fails_on_a_nan_flow():
         (-1.5277565253222257e218, -5.212235619593877e288, 2.1188868542402605e274),
     )
     report = VerificationReport()
-    verify._eom_fd_suite(report, system, 20)
+    verify._eom_suite(report, system, 20)
     (check,) = report.checks
     assert math.isnan(check.measured) and not check.passed
-    assert check.line().startswith("CHECK eom.finite_difference FAIL measured=nan")
+    assert check.line().startswith("CHECK eom.complex_step FAIL measured=nan")
+
+
+def test_collinear_residual_check_catches_a_root_moved_by_1e_9(monkeypatch, all_systems):
+    # a collinear root moved by 1e-9 relative is no critical point; of all
+    # the checks only the stored residual tells
+    def failed(system):
+        return [check.name for check in verify_all(system, deep=False).checks if not check.passed]
+
+    assert not any(failed(system) for system in all_systems.values())
+    roots = critical._roots_in_unit_interval
+    monkeypatch.setattr(
+        critical,
+        "_roots_in_unit_interval",
+        lambda quintics: [[x * (1.0 + 1e-9) for x in xs] for xs in roots(quintics)],
+    )
+    for system in all_systems.values():
+        assert failed(system) == ["collinear.residual"], system
 
 
 def test_worst_propagates_nan_and_keeps_max_otherwise():
@@ -729,15 +781,15 @@ def test_seeded_samples_are_drawn_once_per_sample_count_and_read_only(monkeypatc
         for system in (helium, eep):
             verify_all(system, deep)
     assert [seeds.count(seed) for seed in (13, 5150, 1875)] == [2, 2, 1]
-    fd = [verify._fd_samples(n) for n in (300, 50)]
+    eom = [verify._eom_samples(n) for n in (300, 50)]
     oracle = [verify._oracle_samples(n) for n in (150, 30)]
-    assert verify._fd_samples(300) is fd[0] and verify._oracle_samples(150) is oracle[0]
+    assert verify._eom_samples(300) is eom[0] and verify._oracle_samples(150) is oracle[0]
     arrays = [verify._kick_direction()]
-    for samples in (*fd, *oracle):
+    for samples in (*eom, *oracle):
         assert all(isinstance(value, (np.ndarray, tuple)) for value in vars(samples).values())
         arrays += [value for value in vars(samples).values() if isinstance(value, np.ndarray)]
     arrays += [jh for samples in oracle for *_, jh in samples.args]
-    assert len(arrays) == 1 + 2 * 3 + 2 * 8 + 150 + 30
+    assert len(arrays) == 1 + 2 * 2 + 2 * 8 + 150 + 30
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
