@@ -855,7 +855,7 @@ def test_infinite_critical_values_are_rejected():
 
 
 @pytest.mark.parametrize("signs", _SIGNS)
-@settings(max_examples=6, deadline=None, derandomize=True)
+@settings(max_examples=6, deadline=None, derandomize=True, phases=_NO_SHRINK)
 @given(
     masses=st.tuples(*[st.floats(0.1, 5.0)] * 3),
     magnitudes=st.tuples(*[st.floats(0.05, 3.0)] * 3),
