@@ -39,6 +39,7 @@ from .critical import (
 )
 from .hill import class_codes, membership, moments, nu_threshold, shape_eval, shape_value
 from .reduction import (
+    SPECTRUM_STEPS,
     SPECTRUM_TOL,
     RovibState,
     Spectrum,
@@ -63,8 +64,7 @@ DRIFT_EFOLDS = 10.0
 PERTURBATION = 1e-10
 FIT_WINDOW = (1e-9, 1e-4)
 GROWTH_RTOL = 0.05
-HESSIAN_STEP = 1e-4  # the steps of ``_linearization_error``, times the spectrum's scales
-COMPLEX_STEP = 1e-30  # the imaginary step of ``_eom_suite``
+COMPLEX_STEP = 1e-30  # the imaginary step of ``_energy_field``
 
 
 def _worst(*values: float) -> float:
@@ -163,9 +163,17 @@ def _langmuir_force_residual(system: BodySystem) -> float:
     return _worst(abs(r_apex), abs(r_side), abs(r_vert))
 
 
-def _cross_matrix(v) -> np.ndarray:
-    """The matrix of v x ., so that _cross_matrix(v) @ u = v x u."""
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+def _energy_field(table, Y: np.ndarray) -> np.ndarray:
+    """The flow that H implies at each real row (q, p, J) of the (N, 9)
+    array ``Y``: (dH/dp, -dH/dq, J x dH/dJ), an (N, 9) array.  H is
+    complex-analytic on the chart, so dH/dy_k = Im H(y + i h e_k) / h to
+    rounding, with h = COMPLEX_STEP and no step rule (Squire & Trapp, SIAM
+    Rev. 40, 1998); the nine energies of every row come from one
+    ``_energies`` call over N * 9 complex rows."""
+    rows = (Y[:, None, :] + 1j * COMPLEX_STEP * np.eye(9)).reshape(-1, 9)
+    with np.errstate(all="ignore"):
+        dH = _energies(table, rows).imag.reshape(-1, 9) / COMPLEX_STEP
+    return np.concatenate([dH[:, 3:6], -dH[:, :3], np.cross(Y[:, 6:], dH[:, 6:])], axis=1)
 
 
 def _linearization_error(system: BodySystem, state: RovibState, spectrum: Spectrum) -> float:
@@ -173,29 +181,15 @@ def _linearization_error(system: BodySystem, state: RovibState, spectrum: Spectr
     the energy implies, as the worst entry of their difference over the
     largest entry of the latter, both in the spectrum's natural units.
 
-    The flow is qdot = dH/dp, pdot = -dH/dq and Jdot = J x grad_J H, so
-    where it vanishes its Jacobian is P grad^2 H - [grad_J H]x, with P the
-    canonical block on (q, p) and [J]x on J.  The Hessian and grad_J H are
-    central differences of ``_energies`` with steps HESSIAN_STEP times the
-    spectrum's scales, all from one call over 330 rows: 324 corners and
-    6 for grad_J.
+    The energy's Jacobian is the spectrum's own central difference, at the
+    first step of ``SPECTRUM_STEPS`` times ``spectrum.scales``, applied to
+    ``_energy_field`` at the same 18 displaced states as the flow.
     """
+    h = SPECTRUM_STEPS[0]
+    steps = np.diag(h * spectrum.scales)
     y = state.flat()
-    steps = np.diag(HESSIAN_STEP * spectrum.scales)
-    signs = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
-    # corner (c, i, j): y + a_c k_i e_i + b_c k_j e_j
-    corners = y + signs[:, 0, None, None, None] * steps[:, None] + signs[:, 1, None, None, None] * steps
-    rows = np.concatenate([corners.reshape(-1, 9), y + steps[6:], y - steps[6:]])
-    H = _energies(_chart_table(system), rows)
-    pp, pm, mp, mm = H[:324].reshape(4, 9, 9)
-    k = np.diag(steps)
-    hessian = (pp - pm - mp + mm) / (4.0 * np.outer(k, k))
-    grad_J = (H[324:327] - H[327:]) / (2.0 * k[6:])
-    want = np.zeros((9, 9))
-    want[:3], want[3:6] = hessian[3:6], -hessian[:3]
-    want[6:] = _cross_matrix(y[6:]) @ hessian[6:]
-    want[6:, 6:] -= _cross_matrix(grad_J)
-    want *= spectrum.period * spectrum.scales / spectrum.scales[:, None]
+    field = _energy_field(_chart_table(system), np.concatenate([y + steps, y - steps]))
+    want = (field[:9] - field[9:]).T * (0.5 * spectrum.period / h) / spectrum.scales[:, None]
     return float(np.max(np.abs(spectrum.jacobian - want)) / np.max(np.abs(want)))
 
 
@@ -357,20 +351,10 @@ def _system_free_checks(deep: bool) -> tuple[Check, ...]:
     return tuple(report.checks)
 
 
-@dataclass(frozen=True)
-class _EomSamples:
-    """The random states of ``_eom_suite`` and their complex-step rows."""
-
-    states: tuple[tuple[float, ...], ...]  # y = (q, p, J) per sample, as floats
-    J: np.ndarray  # (samples, 3), each sample's J
-    J_scales: tuple[float, ...]  # max(1, J.J) per sample
-    rows: np.ndarray  # (samples * 6, 9) complex: y + i COMPLEX_STEP e_k, k over q and p
-
-
 @functools.cache
-def _eom_samples(samples: int) -> _EomSamples:
-    """The seeded states of ``_eom_suite``, drawn once per process per
-    sample count, their arrays read-only."""
+def _eom_samples(samples: int) -> np.ndarray:
+    """The seeded states y = (q, p, J) of ``_eom_suite``, (samples, 9),
+    drawn once per process per sample count, read-only."""
     rng = np.random.default_rng(13)
     states = []
     for _ in range(samples):
@@ -379,41 +363,28 @@ def _eom_samples(samples: int) -> _EomSamples:
         J = rng.normal(0.0, 1.0, 3)
         states.append((*q, *p.tolist(), *J.tolist()))
     y = np.array(states).reshape(samples, 9)
-    J = y[:, 6:].copy()
-    # rows[i, k]: sample i with value k moved by i COMPLEX_STEP
-    rows = (y[:, None, :] + 1j * COMPLEX_STEP * np.eye(6, 9)).reshape(-1, 9)
-    for array in (J, rows):
-        array.setflags(write=False)
-    J_scales = tuple(max(1.0, float(np.dot(j, j))) for j in J)
-    return _EomSamples(tuple(states), J, J_scales, rows)
+    y.setflags(write=False)
+    return y
 
 
 def _eom_suite(report: VerificationReport, system: BodySystem, samples: int) -> None:
-    """Complex-step derivatives of H against the flow at random states.
+    """The flow against the field its energy implies, at random states.
 
     Seeded samples that take no system are drawn once per process and are
-    read-only: ``_eom_samples`` holds the states and their complex rows.
-    Each sample's flow is ``reduction._flow`` on its float state
-    y = (q, p, J), the bits ``eom`` gives.  H is complex-analytic on the
-    chart, so dH/dy_k = Im H(y + i h e_k) / h to rounding, with no step rule
-    and no difference (Squire & Trapp, SIAM Rev. 40, 1998).  The six energies
-    of each sample come from one ``_energies`` call over the rows of all
-    samples: the energy formula ``hamiltonian`` reads.
+    read-only: ``_eom_samples`` holds the states.  Each sample's flow is
+    ``reduction._flow`` on its float state, the bits ``eom`` gives.  All
+    nine of its rates are compared with ``_energy_field``, the flow that the
+    energy formula of ``hamiltonian`` implies, and each sample's errors are
+    divided by max(1, its largest |rate|).
     """
-    es = _eom_samples(samples)
+    y = _eom_samples(samples)
     table = _chart_table(system)
-    flows = [_flow(table, y) for y in es.states]
-    scales = [max(1.0, *map(abs, d[:6])) for d in flows]
-    errs = [
-        abs(float(np.dot(np.array(d[6:]), J))) / J_scale
-        for d, J, J_scale in zip(flows, es.J, es.J_scales)
-    ]
-    d = np.array(flows).reshape(samples, 9)
+    d = np.array([_flow(table, state) for state in y.tolist()])
+    scale = np.fmax(1.0, np.max(np.abs(d), axis=1, keepdims=True))
     with np.errstate(all="ignore"):
-        dH = _energies(table, es.rows).imag.reshape(samples, 6) / COMPLEX_STEP
-        err = np.abs(np.concatenate([-dH[:, :3] - d[:, 3:6], dH[:, 3:] - d[:, :3]], axis=1))
-        errs += (err / np.array(scales)[:, None]).ravel().tolist()
-    report.add("eom.complex_step", _worst(0.0, *errs), 1e-12, f"{samples} random states")
+        err = np.abs(d - _energy_field(table, y)) / scale
+    # np.max keeps a NaN, so a NaN flow FAILs
+    report.add("eom.complex_step", float(np.max(err)), 1e-12, f"{samples} random states")
 
 
 def _collision_angle_check(report: VerificationReport, system: BodySystem) -> None:

@@ -16,7 +16,9 @@ of body positions, ``coords._jacobi_vectors``, which both the closed-form
 shapes and the collinear rim points read.  So must the rigidly rotating
 start of a relative equilibrium, ``critical._relequil_start``, and its
 residual certificate, ``critical._relequil_certificate``, which both the
-critical-shape search and verify read.  So must the threshold
+critical-shape search and verify read.  So must the flow that the energy
+implies, ``verify._energy_field``, which both verify's eom suite and its
+linearization check read.  So must the threshold
 nu = (1/2) Mt_k Vt^2, ``hill.nu_threshold``, which the class thresholds, the
 search's hits and verify's nu identity and near-threshold mask read.  And verify's event checks
 must read Euler characteristics, not the component census, whose counts
@@ -180,6 +182,18 @@ def test_relequil_start_and_certificate_are_written_once(monkeypatch, helium):
             for call in readers:
                 with pytest.raises(AssertionError, match=f"{shared.__name__} was called"):
                     call()
+
+
+def test_energy_field_is_written_once(monkeypatch, helium):
+    entry = nu_langmuir(helium)
+    forbid(monkeypatch, verify._energy_field)
+    entry_points = [
+        lambda: verify._eom_suite(verify.VerificationReport(), helium, 1),
+        lambda: verify._relequil_checks(verify.VerificationReport(), helium, entry),
+    ]
+    for call in entry_points:
+        with pytest.raises(AssertionError, match="_energy_field was called"):
+            call()
 
 
 def test_nu_threshold_is_written_once(monkeypatch, helium):

@@ -297,6 +297,37 @@ def test_relequil_checks_catch_mutants(monkeypatch, all_systems, func, old, new,
         assert catcher in failed, f"{name}:\n{report.text()}"
 
 
+def _linearization_readings(systems):
+    """``_linearization_error`` at each Lagrange or Langmuir entry of
+    ``systems``, at |J| = 1."""
+    for system in systems:
+        for entry in critical_catalog(system):
+            if entry.family in ("lagrange", "langmuir"):
+                state = build_relequil_state(system, entry, 1.0)
+                yield verify._linearization_error(system, state, relequil_spectrum(system, state))
+
+
+def test_linearization_reads_the_energy_to_rounding(monkeypatch, all_systems):
+    # The energy's Jacobian is the spectrum's own central difference, of
+    # the energy's complex-step field at the flow's displaced states, so
+    # the two differ by rounding over the step: 1.1e-11 to 2.7e-11 on the
+    # presets, where the old Hessian stencil read 2.4e-8 to 4.6e-8.  A flow
+    # term off by 1e-8 relative then shows, on every preset.
+    rng = np.random.default_rng(48)
+    systems = [*all_systems.values()]
+    for _ in range(10):
+        systems.append(gravitational(tuple(rng.uniform(0.1, 5.0, 3).tolist())))
+        (m, apex), g = rng.uniform(0.1, 5.0, 2).tolist(), float(rng.uniform(0.5, 3.0))
+        e = 4.0 * g * float(rng.uniform(0.05, 0.95))  # sin(theta)^3 = e / (4 g)
+        systems.append(BodySystem((m, m, apex), (g, g, -e)))
+    readings = list(_linearization_readings(systems))
+    assert len(readings) == len(systems)
+    assert max(readings) <= 1e-9, readings
+    mutant(monkeypatch, reduction._flow, "g33u3,\n", "g33u3 * (1.0 + 1e-8),\n")
+    readings = list(_linearization_readings(all_systems.values()))
+    assert len(readings) == 3 and min(readings) > 1e-9, readings
+
+
 def test_relequil_checks_of_a_stable_triangle_take_the_full_run():
     # 27 beta = 27 (m1 m2 + m1 m3 + m2 m3) / M^2 is about 0.29: Routh-stable
     system = gravitational((1.0, 0.01, 0.001))
@@ -543,11 +574,11 @@ def _eom_measured(system):
 
 
 def _eom_per_state_error(system, samples=300):
-    """The worst error of ``reduction.eom`` against complex-step derivatives
-    of H, dH/dy_k = Im H(y + i h e_k) / h with h = 1e-30, each from a
-    one-row ``_energies`` call, at the eom suite's states (seed 13, drawn
-    here), scaled as the suite scales: by max(1, |qdot|, |pdot|), and
-    J . Jdot by max(1, J . J)."""
+    """The worst error of ``reduction.eom`` against the flow that H implies,
+    (dH/dp, -dH/dq, J x dH/dJ), with complex-step derivatives
+    dH/dy_k = Im H(y + i h e_k) / h, h = 1e-30, each from a one-row
+    ``_energies`` call, at the eom suite's states (seed 13, drawn here),
+    scaled as the suite scales: by max(1, the state's largest |rate|)."""
     rng = np.random.default_rng(13)
     table = reduction._chart_table(system)
     worst = 0.0
@@ -556,10 +587,10 @@ def _eom_per_state_error(system, samples=300):
         p, J = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3)
         y = np.array([*q, *p, *J])
         d = reduction.eom(system, reduction.RovibState(y[:3], p, J)).flat()
-        rows = [(y + 1e-30j * e)[None] for e in np.eye(6, 9)]
+        rows = [(y + 1e-30j * e)[None] for e in np.eye(9)]
         dH = np.array([reduction._energies(table, row)[0].imag / 1e-30 for row in rows])
-        err = np.abs(np.concatenate([dH[3:] - d[:3], -dH[:3] - d[3:6]])) / max(1.0, *np.abs(d[:6]))
-        worst = verify._worst(worst, *err, abs(np.dot(d[6:], J)) / max(1.0, np.dot(J, J)))
+        want = np.concatenate([dH[3:6], -dH[:3], np.cross(J, dH[6:])])
+        worst = verify._worst(worst, *np.abs(d - want) / max(1.0, *np.abs(d)))
     return worst
 
 
@@ -575,7 +606,7 @@ def test_eom_matches_complex_steps_of_the_energy_per_state(all_systems):
         assert _eom_measured(system) == pytest.approx(worst, rel=0.0, abs=1e-15), system
 
 
-def test_eom_fd_suite_reads_the_flow_not_hamiltonian(monkeypatch, all_systems):
+def test_eom_suite_reads_the_flow_not_hamiltonian(monkeypatch, all_systems):
     want = {name: _eom_per_state_error(system) for name, system in all_systems.items()}
     forbid(monkeypatch, reduction.hamiltonian)
     for name, system in all_systems.items():
@@ -583,7 +614,7 @@ def test_eom_fd_suite_reads_the_flow_not_hamiltonian(monkeypatch, all_systems):
 
 
 @_cold_and_warm("k", [(str(k), (k,)) for k in (3, 4, 5)])
-def test_eom_fd_suite_catches_a_wrong_flow_or_a_wrong_energy(monkeypatch, all_systems, k, cache):
+def test_eom_suite_catches_a_wrong_flow_or_a_wrong_energy(monkeypatch, all_systems, k, cache):
     # The suite's flow comes from _flow and its energies from _energies: a
     # relative 1e-4 in one pdot component, or an energy term the flow does
     # not have, fails it on every preset.
@@ -621,7 +652,28 @@ def test_eom_check_catches_a_flow_term_off_by_1e_8(monkeypatch, all_systems):
         assert not check.passed and 1e-9 < check.measured < 1e-7, system
 
 
-def test_eom_fd_suite_fails_on_a_nan_flow():
+@pytest.mark.parametrize(
+    "new, low, high",
+    [
+        # g3 = dH/dJ3 without its gauge term: Jdot stays normal to J
+        ("g3 = w3\n", 0.5, 2.0),
+        # g3 off by 1e-8 relative, in both Jdot components that read it
+        ("g3 = (w3 - g33u3 * a_phi) * (1.0 + 1e-8)\n", 1e-9, 1e-7),
+    ],
+    ids=["gauge_term_dropped", "off_by_1e_8"],
+)
+def test_eom_check_catches_a_wrong_Jdot(monkeypatch, all_systems, new, low, high):
+    # Both mutants keep J . Jdot = 0, so a check of that identity alone
+    # passes them; Jdot against J x dH/dJ does not, on every preset
+    mutant(monkeypatch, reduction._flow, "g3 = w3 - g33u3 * a_phi\n", new)
+    for system in all_systems.values():
+        report = VerificationReport()
+        verify._eom_suite(report, system, 300)
+        (check,) = report.checks
+        assert not check.passed and low < check.measured < high, (system, check.measured)
+
+
+def test_eom_suite_fails_on_a_nan_flow():
     # hamiltonian and eom are NaN at every state of this system; a worst
     # case taken with Python's max used to drop the NaN and pass
     system = BodySystem(
@@ -784,12 +836,13 @@ def test_seeded_samples_are_drawn_once_per_sample_count_and_read_only(monkeypatc
     eom = [verify._eom_samples(n) for n in (300, 50)]
     oracle = [verify._oracle_samples(n) for n in (150, 30)]
     assert verify._eom_samples(300) is eom[0] and verify._oracle_samples(150) is oracle[0]
-    arrays = [verify._kick_direction()]
-    for samples in (*eom, *oracle):
+    arrays = [verify._kick_direction(), *eom]
+    for samples in oracle:
         assert all(isinstance(value, (np.ndarray, tuple)) for value in vars(samples).values())
         arrays += [value for value in vars(samples).values() if isinstance(value, np.ndarray)]
     arrays += [jh for samples in oracle for *_, jh in samples.args]
-    assert len(arrays) == 1 + 2 * 2 + 2 * 8 + 150 + 30
+    assert [y.shape for y in eom] == [(300, 9), (50, 9)]
+    assert len(arrays) == 1 + 2 + 2 * 8 + 150 + 30
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
