@@ -310,9 +310,8 @@ def _linearization_readings(systems):
 def test_linearization_reads_the_energy_to_rounding(monkeypatch, all_systems):
     # The energy's Jacobian is the spectrum's own central difference, of
     # the energy's complex-step field at the flow's displaced states, so
-    # the two differ by rounding over the step: 1.1e-11 to 2.7e-11 on the
-    # presets, where the old Hessian stencil read 2.4e-8 to 4.6e-8.  A flow
-    # term off by 1e-8 relative then shows, on every preset.
+    # the two differ by rounding over the step (1.1e-11 to 2.7e-11 on the
+    # presets), and a flow term off by 1e-8 relative shows on every preset.
     rng = np.random.default_rng(48)
     systems = [*all_systems.values()]
     for _ in range(10):
