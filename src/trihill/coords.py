@@ -257,6 +257,23 @@ def _jacobi_vectors(system: BodySystem, x):
     return s1, s2
 
 
+def _rim_point(system: BodySystem, x) -> tuple[float, float]:
+    """The point (w1, w2) of the disk's rim for bodies 1..3 at the numbers
+    ``x`` on a line.
+
+    There the Jacobi vectors are numbers a and b, and the rim point is
+    w = (a^2 - b^2, 2 a b)/(a^2 + b^2): the operations of ``w_from_jacobi``
+    over ``moment_of_inertia``, so the bits of the way through the Jacobi
+    chart.  The + 0.0 writes w2 = 0 unsigned where b = 0 (body 2 at the
+    barycentre of bodies 1 and 3), as the chart does.  A moment of inertia
+    that underflows to 0 raises DomainError."""
+    a, b = _jacobi_vectors(system, x)
+    omega = a * a + b * b
+    if omega == 0.0:
+        raise DomainError("collinear moment of inertia underflows; rescale the system")
+    return (a * a - b * b) / omega, 2.0 * a * b / omega + 0.0
+
+
 def collision_angles(system: BodySystem) -> tuple[float, float, float]:
     """Polar angles (psi12, psi23, psi13) of the double-collision rays.
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coords import (
     Shape,
-    _jacobi_vectors,
+    _rim_point,
     dilate,
     jacobi_from_positions,
     normalize_shape,
@@ -463,20 +463,10 @@ def collinear_configs(system: BodySystem) -> list[CriticalValue]:
 
 
 def _collinear_entry(system: BodySystem, order, t, nu, residual) -> CriticalValue:
-    """Entry for bodies ``order`` at (0, t, 1), a point of the disk's rim.
-
-    On a line the Jacobi vectors are numbers a and b, and the rim point is
-    w = (a^2 - b^2, 2 a b)/(a^2 + b^2): the operations of ``w_from_jacobi``
-    over ``moment_of_inertia``, so the bits of the way through the Jacobi
-    chart.  The + 0.0 writes w2 = 0 unsigned where b = 0 (body 2 at the
-    barycentre of bodies 1 and 3), as the chart does.  A moment of inertia
-    that underflows to 0 raises DomainError."""
+    """Entry for bodies ``order`` at (0, t, 1), the point of the disk's rim
+    that ``_rim_point`` gives; one it cannot place raises DomainError."""
     line = dict(zip(order, (0.0, t, 1.0)))
-    a, b = _jacobi_vectors(system, [line[body] for body in (1, 2, 3)])
-    omega = a * a + b * b
-    if omega == 0.0:
-        raise DomainError("collinear moment of inertia underflows; rescale the system")
-    w1, w2 = (a * a - b * b) / omega, 2.0 * a * b / omega + 0.0
+    w1, w2 = _rim_point(system, [line[body] for body in (1, 2, 3)])
     detail = f"order={order} t={t:.12g} psi_deg={math.degrees(math.atan2(w2, w1)):.6f}"
     return CriticalValue(
         nu=nu,

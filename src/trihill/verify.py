@@ -20,7 +20,7 @@ import numpy as np
 from .coords import (
     JacobiShapeCoords,
     Shape,
-    WCoords,
+    _rim_point,
     collision_angles,
     dilate,
     dragt_from_w,
@@ -388,14 +388,13 @@ def _eom_suite(report: VerificationReport, system: BodySystem, samples: int) -> 
 
 
 def _collision_angle_check(report: VerificationReport, system: BodySystem) -> None:
-    """Each pair's distance, over the largest pair distance, measured from
-    body positions at the unit rim point of its ``collision_angles`` ray."""
+    """Each pair's ``collision_angles`` ray against the polar angle, in
+    radians, of the ``_rim_point`` of its collision: the pair's two bodies
+    at 0 on a line and the third body at 1."""
     worst = 0.0
-    for n, psi in enumerate(collision_angles(system)):  # pairs (1,2), (2,3), (1,3)
-        w = WCoords(math.cos(psi), math.sin(psi), 0.0)
-        x = positions_from_jacobi(system, jacobi_from_w(w))
-        d = [float(np.linalg.norm(x[a] - x[b])) for a, b in ((0, 1), (1, 2), (0, 2))]
-        worst = _worst(worst, d[n] / max(d))
+    for (i, j), psi in zip(((1, 2), (2, 3), (1, 3)), collision_angles(system)):
+        w1, w2 = _rim_point(system, [float(body not in (i, j)) for body in (1, 2, 3)])
+        worst = _worst(worst, abs(math.remainder(math.atan2(w2, w1) - psi, 2.0 * math.pi)))
     report.add("coords.collision_angles", worst, 1e-10, "r_ij = 0 on collision rays")
 
 

@@ -13,7 +13,9 @@ distance rule, ``coords._pair_term``: every pair distance and
 every Vt on the shape disk reads it, and a second copy would drift from the
 one that scans, bounds and searches depend on.  So must the Jacobi vectors
 of body positions, ``coords._jacobi_vectors``, which both the closed-form
-shapes and the collinear rim points read.  So must the rigidly rotating
+shapes and the collinear rim points read.  So must the rim point of a
+collinear configuration, ``coords._rim_point``, which both the collinear
+entries and verify's collision-ray check read.  So must the rigidly rotating
 start of a relative equilibrium, ``critical._relequil_start``, and its
 residual certificate, ``critical._relequil_certificate``, which both the
 critical-shape search and verify read.  So must the flow that the energy
@@ -161,6 +163,17 @@ def test_jacobi_vectors_are_written_once(monkeypatch, gravity, helium):
     ]
     for call in entry_points:
         with pytest.raises(AssertionError, match="_jacobi_vectors was called"):
+            call()
+
+
+def test_rim_point_is_written_once(monkeypatch, gravity, helium):
+    forbid(monkeypatch, coords._rim_point)
+    entry_points = [
+        lambda: critical.collinear_configs(gravity),
+        lambda: verify._collision_angle_check(verify.VerificationReport(), helium),
+    ]
+    for call in entry_points:
+        with pytest.raises(AssertionError, match="_rim_point was called"):
             call()
 
 

@@ -396,29 +396,48 @@ def test_verify_all_solves_each_closed_form_once(monkeypatch, all_systems, name)
     assert [len(c) for c in calls] == [1, 1]
 
 
+def _collision_angle_check_passes(system):
+    report = VerificationReport()
+    verify._collision_angle_check(report, system)
+    (result,) = report.checks
+    assert result.name == "coords.collision_angles"
+    return result.passed
+
+
 def test_collision_angle_check_fails_on_a_wrong_angle(monkeypatch, all_systems):
-    # the check measures distances from body positions, so a psi12 off by
-    # 0.1 rad must FAIL; distances built from the angles themselves vanish
-    # on any ray they are given
-    from trihill import coords, verify
+    # the check reads each ray against the rim point of its pair's collision,
+    # placed from the masses alone, so a psi12 off by 0.1 rad or by 1e-9
+    # relative, or psi12 and psi23 swapped, must FAIL on every preset; so
+    # must a rim rule with w2 halved, which makes every collinear w wrong
+    # and yet passes every other check of verify on the presets
+    from trihill import coords
 
     right = coords.collision_angles
+    edits = [
+        lambda psi12, psi23, psi13: (psi12 + 0.1, psi23, psi13),
+        lambda psi12, psi23, psi13: (psi12 * (1.0 + 1e-9), psi23, psi13),
+        lambda psi12, psi23, psi13: (psi23, psi12, psi13),
+    ]
+    assert all(_collision_angle_check_passes(system) for system in all_systems.values())
+    for edit in edits:
+        with monkeypatch.context() as patch:
+            for module in (coords, verify):
+                patch.setattr(module, "collision_angles", lambda system: edit(*right(system)))
+            assert not any(_collision_angle_check_passes(s) for s in all_systems.values())
+    mutant(monkeypatch, coords._rim_point, "2.0 * a * b / omega", "a * b / omega")
+    assert not any(_collision_angle_check_passes(s) for s in all_systems.values())
 
-    def shifted(system):
-        psi12, psi23, psi13 = right(system)
-        return psi12 + 0.1, psi23, psi13
 
-    def check(system):
-        report = VerificationReport()
-        verify._collision_angle_check(report, system)
-        (result,) = report.checks
-        assert result.name == "coords.collision_angles"
-        return result.passed
-
-    assert all(check(system) for system in all_systems.values())
-    for module in (coords, verify):
-        monkeypatch.setattr(module, "collision_angles", shifted)
-    assert not any(check(system) for system in all_systems.values())
+def test_collision_angle_check_passes_on_masses_spanning_decades():
+    # masses and |couplings| 10^U(-30, 30) with random signs: many of these
+    # rays lie within rounding of the w1 axis or of +-pi, where no way
+    # through the chart and a distance ratio can place the collision
+    rng = np.random.default_rng(96)
+    for _ in range(500):
+        masses = tuple(float(m) for m in 10 ** rng.uniform(-30, 30, 3))
+        couplings = 10 ** rng.uniform(-30, 30, 3) * rng.choice([-1, 1], 3)
+        system = BodySystem(masses, tuple(float(a) for a in couplings))
+        assert _collision_angle_check_passes(system), system
 
 
 _SIGNS = list(itertools.product((1.0, -1.0), repeat=3))
