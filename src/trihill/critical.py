@@ -8,7 +8,9 @@ the principal moment about the rotation axis:
 * infinity    one attractive pair co-rotating, the third body at rest
               infinitely far away: nu = (1/2) mu_ij a_ij^2 per pair;
 * diabolic    the pseudo-critical point at the disk centre, where the two
-              in-plane principal moments coincide, if Vt < 0 there;
+              in-plane principal moments coincide, if Vt < 0 there; a cone
+              point of sqrt(Mt_k) Vt, where the Hill region changes only if
+              |grad Vt(0)| < |Vt(0)|/2 (``_diabolic_event``);
 * lagrange    the equilateral central configuration (gravitational couplings);
 * langmuir    the isosceles relative equilibrium of two like charges and an
               opposite charge, rotating about an in-plane principal axis;
@@ -173,6 +175,23 @@ def nu_diabolic(system: BodySystem) -> CriticalValue:
         w=(0.0, 0.0),
         detail="in-plane moments degenerate (Mt1 = Mt2 = 1/2)",
     )
+
+
+def _diabolic_event(system: BodySystem) -> tuple[bool, float]:
+    """Whether the Hill region changes at ``nu_diabolic``, and the ratio
+    |grad Vt(0)| / |Vt(0)| that decides it.
+
+    At the centre sqrt(Mt_k) Vt has a cone point: along a unit direction u,
+    with g = grad Vt(0) and V0 = Vt(0) < 0, f_1 = -sqrt(Mt_1) Vt has slope
+    (-g.u - |V0|/2)/sqrt(2) and f_2 = -sqrt(Mt_2) Vt slope (-g.u + |V0|/2)/sqrt(2).
+    Where |g| < |V0|/2 the centre is a strict local maximum of f_1 and minimum
+    of f_2, so the Full region loses a component there; otherwise each slope
+    takes both signs and the centre is a regular point in the stratified sense
+    (Goresky & MacPherson, Stratified Morse Theory, 1988).
+    """
+    V, grad, _ = shape_kernel(system, 0.0, 0.0)
+    ratio = float(math.hypot(*grad) / abs(V))
+    return ratio < 0.5, ratio
 
 
 def lagrange_shape(system: BodySystem) -> Shape:

@@ -19,7 +19,9 @@ per-pixel scan, bit for bit.
 
 ``euler_characteristics`` gives chi = V - E + F of the regions class >= Caps,
 class >= Ring and Full.  Across a catalog value with rotation axis k, the
-region of class >= 4 - k changes chi by exactly one; verify's event checks
+region of class >= 4 - k changes chi by exactly one, except at the diabolic
+value, where the Full region changes by one only if the centre is an event
+(``critical._diabolic_event``) and by zero otherwise; verify's event checks
 test that rule.
 """
 

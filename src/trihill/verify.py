@@ -31,6 +31,7 @@ from .coords import (
 )
 from .critical import (
     CriticalValue,
+    _diabolic_event,
     _relequil_certificate,
     build_relequil_state,
     critical_catalog,
@@ -548,6 +549,9 @@ def _census_event_checks(
     ``critical_catalog``, with a rotation axis k: a critical value of
     sqrt(Mt_k) Vt, across which the region of class >= 4 - k (Caps, Ring or
     Full for k = 3, 2, 1) changes its Euler characteristic by exactly one.
+    At the diabolic entry, a cone point, the Full region changes by one where
+    ``_diabolic_event`` finds |grad Vt(0)| < |Vt(0)|/2 and by zero elsewhere;
+    its note gives that ratio, and "no event" where the rule predicts none.
     chi is read on N = 400 scans 1% of the catalog gaps below and above the
     entry.  A diabolic entry merged with another, or within 1e-3 nu of a
     neighbour, is skipped."""
@@ -563,10 +567,13 @@ def _census_event_checks(
             euler_characteristics(scan_disk(system, nu, 400))
             for nu in (cv.nu - 0.01 * lo, cv.nu + 0.01 * hi)
         )
+        change, note = 1, f"chi {below}->{above} across nu_{cv.family}"
+        if cv.family == "diabolic":
+            event, ratio = _diabolic_event(system)
+            change = int(event)
+            note += f", |grad Vt(0)|/|Vt(0)| = {ratio:.6g}" + ("" if event else ", no event")
         report.add_flag(
-            f"scan.{cv.family}_event",
-            abs(above[3 - cv.axis] - below[3 - cv.axis]) == 1,
-            f"chi {below}->{above} across nu_{cv.family}",
+            f"scan.{cv.family}_event", abs(above[3 - cv.axis] - below[3 - cv.axis]) == change, note
         )
 
 

@@ -22,7 +22,9 @@ critical-shape search and verify read.  So must the flow that the energy
 implies, ``verify._energy_field``, which both verify's eom suite and its
 linearization check read.  So must the threshold
 nu = (1/2) Mt_k Vt^2, ``hill.nu_threshold``, which the class thresholds, the
-search's hits and verify's nu identity and near-threshold mask read.  And verify's event checks
+search's hits and verify's nu identity and near-threshold mask read.  So
+must the event rule of the diabolic entry, ``critical._diabolic_event``,
+which verify's diabolic event check reads.  And verify's event checks
 must read Euler characteristics, not the component census, whose counts
 measure pixel noise as well as topology.  And the package must run on
 numpy alone: scipy serves the tests as a reference, and importing it would
@@ -226,6 +228,13 @@ def test_nu_threshold_is_written_once(monkeypatch, helium):
     for call in entry_points:
         with pytest.raises(AssertionError, match="nu_threshold was called"):
             call()
+
+
+def test_diabolic_event_rule_is_written_once(monkeypatch, helium):
+    catalog = critical.critical_catalog(helium)
+    forbid(monkeypatch, critical._diabolic_event)
+    with pytest.raises(AssertionError, match="_diabolic_event was called"):
+        verify._census_event_checks(verify.VerificationReport(), helium, catalog)
 
 
 def package_trees():

@@ -25,6 +25,7 @@ from trihill.hill import (
     shape_eval,
 )
 from trihill.reduction import hamiltonian, relequil_residual, relequil_spectrum
+from trihill.scan import euler_characteristics, scan_disk
 from trihill.systems import BodySystem, gravitational
 from trihill.verify import VerificationReport, build_relequil_state, verify_all
 
@@ -209,6 +210,162 @@ def test_event_check_fails_when_its_entry_moves_into_the_gap_above(all_systems, 
     moved = replace(catalog[i], nu=0.5 * (catalog[i].nu + catalog[i + 1].nu))
     check = event([*catalog[:i], moved, *catalog[i + 1 :]])
     assert not check.passed, check.line()
+
+
+# The random systems of the benchmark's verify workload at seeds 1, 2 and 7
+# that get a diabolic event check: masses, couplings and the ratio
+# |grad Vt(0)|/|Vt(0)| to three digits.  On the 8 with ratio > 1/2 the Full
+# region keeps its chi across nu_diabolic, so no event there is expected.
+_WORKLOAD_DIABOLIC = {
+    "seed1-random0": (
+        (2.0346432563515857, 4.2663599352342105, 4.619563008010019),
+        (0.122930342334298, 2.0164352736323705, 2.9511561642842494),
+        0.324,
+    ),
+    "seed1-random2": (
+        (3.684246557545432, 0.18601227343049614, 0.6485148561099292),
+        (-0.3138705358144698, -0.20288149664585742, 1.979125127929148),
+        0.824,
+    ),
+    "seed1-random3": (
+        (2.544170280241229, 3.027558235909911, 1.6740557862752197),
+        (-0.30788918598666815, 2.122048832687015, 0.01988345184225704),
+        0.603,
+    ),
+    "seed1-random8": (
+        (1.7122299430039583, 0.5954619060858373, 4.697739392826468),
+        (0.013571315085862068, 2.9587123097943318, -2.3538599382393572),
+        1.265,
+    ),
+    "seed1-random9": (
+        (2.031843087184729, 4.882287397151246, 3.971518919863578),
+        (-0.4755053790279353, 2.8738892321205327, 1.6900892154664122),
+        0.479,
+    ),
+    "seed2-random0": (
+        (2.632670071740544, 3.2954863423555816, 1.7110484538963129),
+        (2.684494117751292, 0.5499629947925966, 0.7240986283458781),
+        0.248,
+    ),
+    "seed2-random3": (
+        (2.145273830085308, 3.4463283457422773, 4.415987786021374),
+        (-2.0321964065332514, 1.769342431059016, 2.280672211883834),
+        1.529,
+    ),
+    "seed2-random5": (
+        (1.3861771179323408, 1.9856723949408257, 4.584859583109549),
+        (1.12287948406901, -0.9142879776886308, 0.010593475063422453),
+        2.814,
+    ),
+    "seed7-random3": (
+        (4.929663065497663, 4.689351278608639, 2.0498306128036234),
+        (2.3413849251057988, 2.0627155928166827, 0.960213556705761),
+        0.164,
+    ),
+    "seed7-random4": (
+        (4.9297073822446835, 2.5841900165046088, 0.48349297956168047),
+        (-1.0453203489969236, 2.4907475847278366, 1.7958444246659955),
+        0.247,
+    ),
+    "seed7-random5": (
+        (1.587625983032376, 4.709517605751723, 1.4394989789696733),
+        (-1.5872406697344972, 2.6129833760438395, 0.248244097633199),
+        1.803,
+    ),
+    "seed7-random9": (
+        (2.3856669993510797, 4.585123559483765, 1.7790846116163865),
+        (2.3534472497898244, -1.0832642022583883, 1.088949136398666),
+        0.438,
+    ),
+    "seed7-random10": (
+        (0.1960034331600296, 4.942756335404763, 4.780009898358496),
+        (1.1397209962546508, 0.3909753424967777, -2.480540308097394),
+        1.537,
+    ),
+    "seed7-random11": (
+        (2.6724002871156154, 2.6003298378929065, 0.9269207497093876),
+        (1.2660129193975074, -1.8250841619441687, 0.6329183969081553),
+        3.927,
+    ),
+}
+
+
+def _diabolic_check(system):
+    """The ``scan.diabolic_event`` check of ``system``'s own catalog."""
+    report = VerificationReport()
+    verify._census_event_checks(report, system, critical_catalog(system))
+    (check,) = [c for c in report.checks if c.name == "scan.diabolic_event"]
+    return check
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOAD_DIABOLIC))
+def test_diabolic_event_check_passes_on_the_verify_workload(name):
+    # the Full region changes chi by one across nu_diabolic only where the
+    # ratio is below 1/2; above it the check passes with "no event"
+    masses, couplings, ratio = _WORKLOAD_DIABOLIC[name]
+    system = BodySystem(masses, couplings)
+    assert critical._diabolic_event(system) == (ratio < 0.5, pytest.approx(ratio, abs=5e-4))
+    check = _diabolic_check(system)
+    assert check.passed, check.line()
+    assert check.note.endswith(", no event") == (ratio > 0.5), check.line()
+
+
+@pytest.mark.parametrize(
+    "new, failing",
+    [
+        ("ratio > 0.5", ["gravity-demo", "helium"]),  # ratios 0.048 and 0.107
+        ("ratio < 0.25", ["seed1-random0", "seed1-random9"]),
+        ("ratio < 1.0", ["seed1-random2", "seed1-random3"]),
+    ],
+)
+def test_diabolic_event_check_fails_on_a_wrong_rule(monkeypatch, all_systems, new, failing):
+    workload = {name: BodySystem(m, a) for name, (m, a, _) in _WORKLOAD_DIABOLIC.items()}
+    systems = [{**all_systems, **workload}[name] for name in failing]
+    assert all(_diabolic_check(system).passed for system in systems)
+    mutant(monkeypatch, critical._diabolic_event, "ratio < 0.5", new)
+    for system in systems:
+        check = _diabolic_check(system)
+        assert not check.passed, check.line()
+
+
+def test_diabolic_event_check_on_random_systems():
+    # Each diabolic check over 300 draws passes, or has an equilibrium of
+    # sqrt(Mt_1) Vt or sqrt(Mt_2) Vt that the catalog does not list inside
+    # its probe window, or has a Full region finer than the res-400 pixels
+    # that shows the predicted change at res 1600 with the same probes.
+    rng = np.random.default_rng(3)
+    events, unresolved = [], []
+    for _ in range(300):
+        system = BodySystem(tuple(rng.uniform(0.1, 5, 3)), tuple(rng.uniform(-3, 3, 3)))
+        catalog = critical_catalog(system)
+        report = VerificationReport()
+        verify._census_event_checks(report, system, catalog)
+        checks = [c for c in report.checks if c.name == "scan.diabolic_event"]
+        if not checks:
+            continue
+        (check,) = checks
+        event, _ = critical._diabolic_event(system)
+        events.append(event)
+        if check.passed:
+            continue
+        i = next(i for i, cv in enumerate(catalog) if cv.family == "diabolic")
+        nus = [cv.nu for cv in catalog]
+        lo = nus[i] - nus[i - 1] if i > 0 else nus[i]
+        hi = nus[i + 1] - nus[i] if i + 1 < len(nus) else lo
+        probes = (nus[i] - 0.01 * lo, nus[i] + 0.01 * hi)
+        hits = [
+            nu
+            for k in (1, 2)
+            for _, nu in critical.find_critical_shapes(system, k)
+            if probes[0] <= nu <= probes[1]
+        ]
+        if hits:
+            continue
+        below, above = (euler_characteristics(scan_disk(system, nu, 1600)) for nu in probes)
+        assert abs(above[2] - below[2]) == int(event), (system, check.line(), below, above)
+        unresolved.append(system)
+    assert (events.count(True), events.count(False)) == (61, 82)
+    assert len(unresolved) == 1
 
 
 @pytest.mark.parametrize(
