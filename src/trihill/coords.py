@@ -18,12 +18,15 @@ disk point (w1, w2) with w3 = sqrt(1 - w1^2 - w2^2) > 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CollinearError, DomainError, TripleCollisionError, check_finite
 from .systems import BodySystem, Pair, jacobi_frame
+
+_TINY = sys.float_info.min  # the least normal float: a sum of squares below it underflowed
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class WCoords:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(self.w1**2 + self.w2**2 + self.w3**2)
+        return _w_norm(self.w1, self.w2, self.w3)
 
 
 @dataclass(frozen=True)
@@ -119,37 +122,72 @@ class Shape:
         return jacobi_from_w(self.to_w())
 
 
+# The chart maps on floats, each written once; the public maps below wrap
+# them in the validated dataclasses, and verify's round trip reads them bare.
+
+
+def _w_norm(w1: float, w2: float, w3: float) -> float:
+    """|w|.  Where the plain sum of squares underflows, it is taken of w
+    rescaled by an exact power of two, which commutes with every rounding
+    here, so that a tiny nonzero w does not read as the triple collision."""
+    ss = w1**2 + w2**2 + w3**2
+    if ss < _TINY and (w1 or w2 or w3):
+        e = math.frexp(max(abs(w1), abs(w2), abs(w3)))[1]
+        w1, w2, w3 = (math.ldexp(x, -e) for x in (w1, w2, w3))
+        return math.ldexp(math.sqrt(w1**2 + w2**2 + w3**2), e)
+    return math.sqrt(ss)
+
+
+def _jacobi_to_w(rho1: float, rho2: float, phi: float) -> tuple[float, float, float]:
+    r1s, r2s = rho1**2, rho2**2
+    cross = 2.0 * rho1 * rho2
+    return r1s - r2s, cross * math.cos(phi), cross * math.sin(phi)
+
+
+def _w_to_jacobi(w1: float, w2: float, w3: float) -> tuple[float, float, float, bool]:
+    """(rho1, rho2, phi, degenerate); phi reads 0 and degenerate True where
+    rho1 rho2 = 0, as the angle between the Jacobi vectors is undefined."""
+    omega = _w_norm(w1, w2, w3)
+    rho1 = math.sqrt(max(0.5 * (omega + w1), 0.0))
+    rho2 = math.sqrt(max(0.5 * (omega - w1), 0.0))
+    if rho1 * rho2 == 0.0:
+        return rho1, rho2, 0.0, True
+    return rho1, rho2, math.atan2(w3, w2), False
+
+
+def _w_to_dragt(w1: float, w2: float, w3: float) -> tuple[float, float, float, bool]:
+    """(omega, chi, psi, degenerate); degenerate at w = 0 and at the pole
+    w1 = w2 = 0, where the azimuth psi is undefined and reads 0."""
+    omega = _w_norm(w1, w2, w3)
+    if omega == 0.0:
+        return 0.0, 0.0, 0.0, True
+    chi = math.atan2(w3, math.hypot(w1, w2))
+    if w1 == 0.0 and w2 == 0.0:
+        return omega, chi, 0.0, True
+    return omega, chi, math.atan2(w2, w1) % (2.0 * math.pi), False
+
+
+def _dragt_to_w(omega: float, chi: float, psi: float) -> tuple[float, float, float]:
+    cc = omega * math.cos(chi)
+    return cc * math.cos(psi), cc * math.sin(psi), omega * math.sin(chi)
+
+
 def w_from_jacobi(j: JacobiShapeCoords) -> WCoords:
-    r1s, r2s = j.rho1**2, j.rho2**2
-    cross = 2.0 * j.rho1 * j.rho2
-    return WCoords(r1s - r2s, cross * math.cos(j.phi), cross * math.sin(j.phi))
+    return WCoords(*_jacobi_to_w(j.rho1, j.rho2, j.phi))
 
 
 def jacobi_from_w(w: WCoords) -> JacobiShapeCoords:
-    omega = w.norm
-    rho1 = math.sqrt(max(0.5 * (omega + w.w1), 0.0))
-    rho2 = math.sqrt(max(0.5 * (omega - w.w1), 0.0))
-    if rho1 * rho2 == 0.0:
-        # Angle between the Jacobi vectors is undefined when one vanishes.
-        return JacobiShapeCoords(rho1, rho2, 0.0, degenerate=True)
-    return JacobiShapeCoords(rho1, rho2, math.atan2(w.w3, w.w2))
+    *rho_phi, degenerate = _w_to_jacobi(w.w1, w.w2, w.w3)
+    return JacobiShapeCoords(*rho_phi, degenerate=degenerate)
 
 
 def dragt_from_w(w: WCoords) -> DragtCoords:
-    omega = w.norm
-    if omega == 0.0:
-        return DragtCoords(0.0, 0.0, 0.0, degenerate=True)
-    chi = math.atan2(w.w3, math.hypot(w.w1, w.w2))
-    if w.w1 == 0.0 and w.w2 == 0.0:
-        # Pole chi = pi/2: the azimuth is undefined.
-        return DragtCoords(omega, chi, 0.0, degenerate=True)
-    psi = math.atan2(w.w2, w.w1) % (2.0 * math.pi)
-    return DragtCoords(omega, chi, psi)
+    *angles, degenerate = _w_to_dragt(w.w1, w.w2, w.w3)
+    return DragtCoords(*angles, degenerate=degenerate)
 
 
 def w_from_dragt(d: DragtCoords) -> WCoords:
-    cc = d.omega * math.cos(d.chi)
-    return WCoords(cc * math.cos(d.psi), cc * math.sin(d.psi), d.omega * math.sin(d.chi))
+    return WCoords(*_dragt_to_w(d.omega, d.chi, d.psi))
 
 
 def dragt_from_jacobi(j: JacobiShapeCoords) -> DragtCoords:
@@ -175,10 +213,20 @@ def moment_of_inertia(j: JacobiShapeCoords) -> float:
 def normalize_shape(j: JacobiShapeCoords) -> tuple[Shape, float]:
     """Rescale to the I = 1 section; returns (shape, lam) with lam^2 = 1/I.
 
-    Raises TripleCollisionError at I = 0 and CollinearError on the boundary,
-    which is excluded from the shape space.
+    Where the squares in I underflow, j is first rescaled by an exact power
+    of two, which leaves its shape.  Raises TripleCollisionError at
+    rho1 = rho2 = 0, CollinearError on the boundary, which is excluded from
+    the shape space, and DomainError where lam overflows.
     """
     omega = moment_of_inertia(j)
+    if omega < _TINY and (j.rho1 or j.rho2):
+        e = math.frexp(max(j.rho1, j.rho2))[1]
+        unit = JacobiShapeCoords(math.ldexp(j.rho1, -e), math.ldexp(j.rho2, -e), j.phi)
+        shape, lam = normalize_shape(unit)
+        try:
+            return shape, math.ldexp(lam, -e)
+        except OverflowError:
+            raise DomainError(f"1/sqrt(I) overflows at ({j.rho1}, {j.rho2})") from None
     if omega == 0.0:
         raise TripleCollisionError("triple collision has no shape")
     w = w_from_jacobi(j)

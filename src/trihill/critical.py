@@ -561,10 +561,12 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     step is clipped: a candidate counts only if it lowers |grad|^2.  The
     loop ends when no seed is live, or after 80 iterations.
     The seeds, all on the annulus, then go back into seed order; those with
-    |grad|^2 below 1e-22 and Vt not >= 0, deduplicated within 1e-7 in that
-    order, must have a ``_relequil_certificate`` below 1e-6 max(1, |Vt|) at
-    the ``_relequil_start`` of |J| = sqrt(-Mt_k Vt), the unit size.  Hits
-    hold Python floats.
+    |grad|^2 below 1e-22 and Vt not >= 0 are hits.  In that order, the
+    first hit left must have a ``_relequil_certificate`` below
+    1e-6 max(1, |Vt|) at the ``_relequil_start`` of |J| = sqrt(-Mt_k Vt),
+    the unit size; if it has, it is found and drops every hit left within
+    1e-7 of it in w1 and w2, and if not, it drops alone.  Found shapes hold
+    Python floats.
     A k that is not an integer in {1, 2, 3} raises DomainError.
     """
     k = check_index("principal axis index", k, 1, 3)
@@ -627,16 +629,20 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     V = shape_value(system, W1, W2)
     # Only shapes with Vt < 0 rotate at some nu; a NaN goes on to the tests.
     keep = ~(V >= 0.0)
+    W1, W2, V = W1[keep], W2[keep], V[keep]
     found: list[tuple[Shape, float]] = []
-    for w1, w2, vt in zip(W1[keep].tolist(), W2[keep].tolist(), V[keep].tolist()):
-        if any(abs(w1 - s.w1) < 1e-7 and abs(w2 - s.w2) < 1e-7 for s, _ in found):
-            continue
+    todo = np.arange(len(W1))  # the hits left, in seed order
+    while todo.size:
+        i, todo = todo[0], todo[1:]
+        w1, w2, vt = float(W1[i]), float(W2[i]), float(V[i])
         shape = Shape(w1, w2)
         mk = moments(math.hypot(w1, w2))[k - 1]
         start = _relequil_start(shape, k, mk, vt, math.sqrt(-mk * vt))
         if not _relequil_certificate(system, start) < 1e-6 * max(1.0, abs(vt)):
-            continue
+            continue  # drops alone
         found.append((shape, nu_threshold(mk, vt)))
+        # the hits left on the same root, with one mask
+        todo = todo[~((np.abs(W1[todo] - w1) < 1e-7) & (np.abs(W2[todo] - w2) < 1e-7))]
     return sorted(found, key=lambda item: (item[1], item[0].w1, item[0].w2))
 
 

@@ -20,14 +20,14 @@ import numpy as np
 from .coords import (
     JacobiShapeCoords,
     Shape,
+    _dragt_to_w,
+    _jacobi_to_w,
     _rim_point,
+    _w_to_dragt,
+    _w_to_jacobi,
     collision_angles,
     dilate,
-    dragt_from_w,
-    jacobi_from_w,
     positions_from_jacobi,
-    w_from_dragt,
-    w_from_jacobi,
 )
 from .critical import (
     CriticalValue,
@@ -293,49 +293,59 @@ def _kick_direction() -> np.ndarray:
     return direction
 
 
+def _uniform_rows(rng: np.random.Generator, samples: int, bounds) -> np.ndarray:
+    """(samples, len(bounds)) draws from one ``rng.random`` call: row by row
+    the stream of one ``rng.uniform(low, high)`` per (low, high) of
+    ``bounds``, read as numpy reads it, low + (high - low) u."""
+    low, high = np.array(bounds).T
+    return low + (high - low) * rng.random((samples, len(bounds)))
+
+
 def _roundtrip_suite(report: VerificationReport, samples: int) -> None:
-    rng = np.random.default_rng(20260808)
-    worst = 0.0
-    for _ in range(samples):
-        rho1, rho2 = rng.uniform(0.1, 3.0, 2)
-        phi = rng.uniform(0.05, math.pi - 0.05)
-        j = JacobiShapeCoords(rho1, rho2, phi)
-        w = w_from_jacobi(j)
-        j2 = jacobi_from_w(w)
-        d = dragt_from_w(w)
-        w2 = w_from_dragt(d)
-        scale = max(1.0, rho1, rho2)
-        err = _worst(
-            abs(j2.rho1 - rho1) / scale,
-            abs(j2.rho2 - rho2) / scale,
-            abs(j2.phi - phi),
-            abs(w2.w1 - w.w1) / max(1.0, w.norm),
-            abs(w2.w2 - w.w2) / max(1.0, w.norm),
-            abs(w2.w3 - w.w3) / max(1.0, w.norm),
-        )
-        worst = _worst(worst, err)
-    report.add("coords.roundtrip", worst, 1e-10, f"{samples} samples")
+    """Jacobi -> w -> Jacobi and w -> Dragt -> w on the chart maps on floats
+    that the public maps wrap; each sample's errors are relative to
+    max(1, rho1, rho2) for the radii, absolute for phi and relative to
+    max(1, |w|) for w.  The worst is NaN where any error is."""
+    bounds = [(0.1, 3.0), (0.1, 3.0), (0.05, math.pi - 0.05)]
+    j = _uniform_rows(np.random.default_rng(20260808), samples, bounds)
+    rows = []
+    for rho1, rho2, phi in j.tolist():
+        w = _jacobi_to_w(rho1, rho2, phi)
+        omega, chi, psi, _ = _w_to_dragt(*w)  # omega = |w|
+        rows.append((*_w_to_jacobi(*w)[:3], *w, *_dragt_to_w(omega, chi, psi), omega))
+    t = np.array(rows)
+    j2, w, w2, norm = t[:, :3], t[:, 3:6], t[:, 6:9], t[:, 9:]
+    # np.fmax drops a NaN scale, as max(1.0, x) does; np.max keeps a NaN error
+    scale = np.fmax(1.0, np.max(j[:, :2], axis=1, keepdims=True))
+    err = np.column_stack(
+        [
+            np.abs(j2[:, :2] - j[:, :2]) / scale,
+            np.abs(j2[:, 2] - j[:, 2]),
+            np.abs(w2 - w) / np.fmax(1.0, norm),
+        ]
+    )
+    report.add("coords.roundtrip", np.max(err), 1e-10, f"{samples} samples")
 
 
 def _inertia_suite(report: VerificationReport, samples: int) -> None:
-    rng = np.random.default_rng(77)
-    worst_sum = worst_tr = worst_hom = 0.0
-    for _ in range(samples):
-        rho1, rho2 = rng.uniform(0.05, 4.0, 2)
-        phi = rng.uniform(0.0, math.pi)
+    """M1 + M2 = M3 and tr M / 2 = I relative to max(1, I), and
+    M(d_lam q) = lam^2 M(q) relative to max(1, lam^2 I), at seeded
+    (rho1, rho2, phi, lam) through the public ``inertia`` and ``dilate``."""
+    bounds = [(0.05, 4.0), (0.05, 4.0), (0.0, math.pi), (1e-3, 1e3)]
+    draws = _uniform_rows(np.random.default_rng(77), samples, bounds)
+    data, scaled = [], []
+    for rho1, rho2, phi, lam in draws.tolist():
         j = JacobiShapeCoords(rho1, rho2, phi)
-        data = inertia(j)
-        m1, m2, m3 = data.principal
-        scale = max(1.0, data.I)
-        worst_sum = _worst(worst_sum, abs(m1 + m2 - m3) / scale)
-        worst_tr = _worst(worst_tr, abs(0.5 * np.trace(data.tensor) - data.I) / scale)
-        lam = float(rng.uniform(1e-3, 1e3))
-        scaled = inertia(dilate(j, lam))
-        worst_hom = _worst(
-            worst_hom,
-            float(np.max(np.abs(scaled.tensor - lam * lam * data.tensor)))
-            / max(1.0, lam * lam * data.I),
-        )
+        data.append(inertia(j))
+        scaled.append(inertia(dilate(j, lam)).tensor)
+    I = np.array([d.I for d in data])
+    m1, m2, m3 = np.array([d.principal for d in data]).T
+    tensor, scaled = np.array([d.tensor for d in data]), np.array(scaled)
+    lam2, scale = draws[:, 3] * draws[:, 3], np.fmax(1.0, I)
+    hom = np.max(np.abs(scaled - lam2[:, None, None] * tensor), axis=(1, 2))
+    worst_sum = np.max(np.abs(m1 + m2 - m3) / scale)
+    worst_tr = np.max(np.abs(0.5 * np.trace(tensor, axis1=1, axis2=2) - I) / scale)
+    worst_hom = np.max(hom / np.fmax(1.0, lam2 * I))
     report.add("inertia.sum_rule", worst_sum, 1e-12, "M1 + M2 = M3")
     report.add("inertia.trace", worst_tr, 1e-12, "tr M / 2 = I")
     report.add("inertia.homogeneity", worst_hom, 1e-12, "M(d_lam q) = lam^2 M(q)")

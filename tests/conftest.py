@@ -310,6 +310,46 @@ def oracle_traj_csv(traj) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The chart maps as they were before trihill.coords wrote each once on
+# floats, as tuples with the degenerate flag last: the bit-for-bit reference
+# for the chart functions and the public maps wherever no sum of squares
+# underflows (there |w| read 0 and a tiny w the triple collision).
+
+
+def oracle_w_norm(w1, w2, w3):
+    return math.sqrt(w1**2 + w2**2 + w3**2)
+
+
+def oracle_jacobi_to_w(rho1, rho2, phi):
+    r1s, r2s = rho1**2, rho2**2
+    cross = 2.0 * rho1 * rho2
+    return r1s - r2s, cross * math.cos(phi), cross * math.sin(phi)
+
+
+def oracle_w_to_jacobi(w1, w2, w3):
+    omega = oracle_w_norm(w1, w2, w3)
+    rho1 = math.sqrt(max(0.5 * (omega + w1), 0.0))
+    rho2 = math.sqrt(max(0.5 * (omega - w1), 0.0))
+    if rho1 * rho2 == 0.0:
+        return rho1, rho2, 0.0, True
+    return rho1, rho2, math.atan2(w3, w2), False
+
+
+def oracle_w_to_dragt(w1, w2, w3):
+    omega = oracle_w_norm(w1, w2, w3)
+    if omega == 0.0:
+        return 0.0, 0.0, 0.0, True
+    chi = math.atan2(w3, math.hypot(w1, w2))
+    if w1 == 0.0 and w2 == 0.0:
+        return omega, chi, 0.0, True
+    return omega, chi, math.atan2(w2, w1) % (2.0 * math.pi), False
+
+
+def oracle_dragt_to_w(omega, chi, psi):
+    cc = omega * math.cos(chi)
+    return cc * math.cos(psi), cc * math.sin(psi), omega * math.sin(chi)
+
+
 # The reduced flow and RK4 loop on Python floats as they were before
 # trihill.reduction read a chart table and held the state in nine locals:
 # the bit-for-bit reference for trajectories, energies and reports, also on

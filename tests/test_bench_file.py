@@ -109,6 +109,33 @@ def test_verdict_needs_ten_pairs_and_no_more_failures():
         "parent_quartiles": [11.5, 16.5], "failed": [0, 0], "verdict": "no claim"}
 
 
+def test_gate_marks_a_metric_worse_beyond_its_bound_in_its_direction():
+    with open(os.path.join(os.path.dirname(_PATH), "..", "BENCHMARK.json")) as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    bounds = {m["name"]: (m["bound"], m["better"]) for m in end_to_end}
+    assert bounds["op_ms_p50"] == (0.24, "lower") and bounds["ops_per_s"] == (0.24, "higher")
+    ratio = {
+        # just inside the bound, and just outside it, each way
+        "catalog": {"op_ms_p50": 1.2399, "ops_per_s": 0.7601, "peak_rss_mb": 1.0999},
+        "hill": {"op_ms_p50": 1.2401, "ops_per_s": 0.7599, "peak_rss_mb": 1.1001},
+        # far better, in each metric's own direction, is never worse
+        "dynamics": {"op_ms_p50": 0.5, "ops_per_s": 2.0, "setup_s": None},
+        "verify": {},
+    }
+    got = bench_file.gate(ratio, end_to_end)
+    names = [m["name"] for m in end_to_end]
+    assert sorted(got) == sorted(ratio) and all(list(got[w]) == names for w in got)
+    assert [got["catalog"][n] for n in ("op_ms_p50", "ops_per_s", "peak_rss_mb")] == ["ok"] * 3
+    assert [got["hill"][n] for n in ("op_ms_p50", "ops_per_s", "peak_rss_mb")] == ["worse"] * 3
+    assert (got["dynamics"]["op_ms_p50"], got["dynamics"]["ops_per_s"]) == ("ok", "ok")
+    # no ratio, no mark
+    assert got["dynamics"]["setup_s"] is None and set(got["verify"].values()) == {None}
+    # the same ratios read the other way round
+    flipped = [{**m, "better": "higher" if m["better"] == "lower" else "lower"} for m in end_to_end]
+    assert bench_file.gate(ratio, flipped)["dynamics"]["op_ms_p50"] == "worse"
+    assert bench_file.gate(ratio, flipped)["dynamics"]["ops_per_s"] == "worse"
+
+
 _STUB_BENCH = """\
 import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
@@ -134,7 +161,8 @@ def test_claim_runs_ten_alternating_pairs_and_gives_a_verdict(tmp_path, child_fa
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(_STUB_BENCH)
-    end_to_end = [{"name": "op_ms_p50", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+    end_to_end = [{"name": "op_ms_p50", "better": "lower", "bound": 0.24},
+                  {"name": "ops_per_s", "better": "higher", "bound": 0.24}]
     (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": end_to_end}))
     _git(repo, "init", "-q")
     for ms in ("2.0 0", f"1.0 {child_failed}"):
@@ -157,6 +185,8 @@ def test_claim_runs_ten_alternating_pairs_and_gives_a_verdict(tmp_path, child_fa
     for v in pairs["verdicts"].values():
         assert (v["wins"], v["failed"], v["verdict"]) == (10, [10 * child_failed, 0], want)
     assert len(bench["child_runs"]) == len(bench["parent_runs"]) == 24
+    # the child halves the op time, so no end-to-end metric reads worse
+    assert bench["gate"]["hill"] == {"op_ms_p50": "ok", "ops_per_s": "ok"}
     assert len(_git(repo, "worktree", "list").splitlines()) == 1
 
 

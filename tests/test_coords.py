@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from trihill import coords
 from trihill.coords import (
     DragtCoords,
     JacobiShapeCoords,
@@ -27,7 +29,15 @@ from trihill.hill import f_analysis
 from trihill.systems import jacobi_frame, BodySystem, preset
 from trihill.verify import build_relequil_state
 
-from conftest import oracle_distances, oracle_positions
+from conftest import (
+    oracle_distances,
+    oracle_dragt_to_w,
+    oracle_jacobi_to_w,
+    oracle_positions,
+    oracle_w_norm,
+    oracle_w_to_dragt,
+    oracle_w_to_jacobi,
+)
 
 
 def test_jacobi_frame_equal_masses():
@@ -188,6 +198,82 @@ def test_normalize_shape_examples():
         normalize_shape(JacobiShapeCoords(0, 0, 0.3))
 
 
+def _bits(values):
+    """Floats as hex, which tells -0.0 from 0.0, and flags as they are."""
+    return [v if isinstance(v, bool) else float(v).hex() for v in values]
+
+
+# w points off the seeded samples: the triple collision, the pole
+# w1 = w2 = 0, rho2 = 0 and rho1 = 0, and squares that underflow, all of
+# them (the first two) or one beside a normal sum (the last).
+_SPECIAL_W = [
+    (0.0, 0.0, 0.0), (0.0, 0.0, 1.3), (0.0, 0.0, 1e-170),
+    (2.0, 0.0, 0.0), (-2.0, 0.0, 0.0), (0.0, 1e-170, 0.0), (3e-200, -1e-170, 2e-171),
+    (1e-160, 1e-150, 0.0),
+]
+_SPECIAL_JACOBI = [(0.0, 1.5, 0.7), (1.5, 0.0, 0.7), (0.0, 0.0, 0.0), (1e-170, 1e-170, 1.0)]
+
+
+def _chart_inputs():
+    """Seeded Jacobi points, with the w, Dragt and w-from-Dragt points
+    they lead to, plus seeded w of either sign and the special points."""
+    rng = np.random.default_rng(52)
+    jac = [tuple(j) for j in rng.uniform([0.0, 0.0, 0.0], [4.0, 4.0, math.pi], (500, 3)).tolist()]
+    jac += _SPECIAL_JACOBI
+    ws = [tuple(w) for w in rng.uniform([-3.0, -3.0, 0.0], [3.0, 3.0, 3.0], (500, 3)).tolist()]
+    ws += [oracle_jacobi_to_w(*j) for j in jac] + _SPECIAL_W
+    dragts = [oracle_w_to_dragt(*w)[:3] for w in ws]
+    return jac, ws, dragts
+
+
+def test_chart_functions_equal_their_public_maps_bit_for_bit():
+    jac, ws, dragts = _chart_inputs()
+    for j in jac:
+        w = w_from_jacobi(JacobiShapeCoords(*j))
+        assert _bits((w.w1, w.w2, w.w3)) == _bits(coords._jacobi_to_w(*j)), j
+    for w in ws:
+        pub, got = jacobi_from_w(WCoords(*w)), coords._w_to_jacobi(*w)
+        assert _bits((pub.rho1, pub.rho2, pub.phi, pub.degenerate)) == _bits(got), w
+        pub, got = dragt_from_w(WCoords(*w)), coords._w_to_dragt(*w)
+        assert _bits((pub.omega, pub.chi, pub.psi, pub.degenerate)) == _bits(got), w
+        assert _bits([WCoords(*w).norm]) == _bits([coords._w_norm(*w)]), w
+    for d in dragts:
+        w = w_from_dragt(DragtCoords(*d))
+        assert _bits((w.w1, w.w2, w.w3)) == _bits(coords._dragt_to_w(*d)), d
+
+
+def test_chart_functions_keep_the_bits_of_the_old_maps_where_no_sum_underflows():
+    jac, ws, dragts = _chart_inputs()
+    tiny = [w for w in ws if any(w) and sum(x**2 for x in w) < sys.float_info.min]
+    assert len(tiny) == 3 and (0.0, 1e-170, 0.0) in tiny  # the underflowing special points
+    for j in jac:
+        assert _bits(coords._jacobi_to_w(*j)) == _bits(oracle_jacobi_to_w(*j)), j
+    for w in (w for w in ws if w not in tiny):
+        assert _bits(coords._w_to_jacobi(*w)) == _bits(oracle_w_to_jacobi(*w)), w
+        assert _bits(coords._w_to_dragt(*w)) == _bits(oracle_w_to_dragt(*w)), w
+        assert _bits([coords._w_norm(*w)]) == _bits([oracle_w_norm(*w)]), w
+    for d in dragts:
+        assert _bits(coords._dragt_to_w(*d)) == _bits(oracle_dragt_to_w(*d)), d
+    # and where the sum underflows, the old maps read the triple collision
+    assert oracle_w_norm(0.0, 1e-170, 0.0) == 0.0
+
+
+def test_tiny_nonzero_configurations_are_not_the_triple_collision():
+    j = jacobi_from_w(WCoords(0.0, 1e-170, 0.0))
+    assert not j.degenerate and j.phi == 0.0
+    assert j.rho1 == j.rho2 == pytest.approx(math.sqrt(0.5e-170), rel=1e-15)
+    d = dragt_from_w(WCoords(0.0, 1e-170, 0.0))
+    assert not d.degenerate and (d.omega, d.chi, d.psi) == (1e-170, 0.0, math.pi / 2)
+    # a scale-1 shape at 1e-170, and its lam^2 = 1/I
+    shape, lam = normalize_shape(JacobiShapeCoords(1e-170, 1e-170, 1.0))
+    unit, _ = normalize_shape(JacobiShapeCoords(1.0, 1.0, 1.0))
+    assert (shape.w1, shape.w2) == (unit.w1, unit.w2)
+    assert shape.w1 == 0.0 and shape.w2 == pytest.approx(math.cos(1.0), rel=1e-15)
+    assert lam == pytest.approx(math.sqrt(0.5) * 1e170, rel=1e-15)
+    with pytest.raises(TripleCollisionError):
+        normalize_shape(JacobiShapeCoords(0.0, 0.0, 0.3))
+
+
 def test_normalize_shape_dilation_invariant():
     rng = np.random.default_rng(19)
     for _ in range(500):
@@ -313,6 +399,8 @@ _OUT_OF_DOMAIN = {
     "jacobi_from_w overflow": lambda: jacobi_from_w(WCoords(1e200, 1e200, 0.0)),
     "w_from_jacobi overflow": lambda: w_from_jacobi(JacobiShapeCoords(1e100, 1e100, 1.0)),
     "normalize_shape overflow": lambda: normalize_shape(JacobiShapeCoords(1e200, 1e200, 1.0)),
+    # 1/sqrt(I) of a subnormal size is not a float
+    "normalize_shape lam overflow": lambda: normalize_shape(JacobiShapeCoords(5e-324, 5e-324, 1.0)),
     "distances_from_jacobi overflow": lambda: distances_from_jacobi(
         preset("helium"), JacobiShapeCoords(1e160, 1e160, 1.0)
     ),

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from trihill import critical, hill, reduction, verify
+from trihill import coords, critical, hill, reduction, verify
 from trihill.critical import (
     CriticalValue,
     critical_catalog,
@@ -877,6 +877,71 @@ def test_collinear_residual_check_catches_a_root_moved_by_1e_9(monkeypatch, all_
     )
     for system in all_systems.values():
         assert failed(system) == ["collinear.residual"], system
+
+
+# The seed and per-sample rng.uniform calls of each system-free suite as it
+# drew them one sample at a time: (low, high, count) in stream order.
+_SUITE_DRAWS = {
+    "_roundtrip_suite": (20260808, [(0.1, 3.0, 2), (0.05, math.pi - 0.05, 1)]),
+    "_inertia_suite": (77, [(0.05, 4.0, 2), (0.0, math.pi, 1), (1e-3, 1e3, 1)]),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_DRAWS))
+@pytest.mark.parametrize("samples", [1, 200, 1_000])
+def test_system_free_suites_draw_the_per_value_uniform_stream(monkeypatch, suite, samples):
+    drawn, rows = [], verify._uniform_rows
+    monkeypatch.setattr(verify, "_uniform_rows", lambda *a: drawn.append(rows(*a)) or drawn[-1])
+    getattr(verify, suite)(VerificationReport(), samples)
+    seed, calls = _SUITE_DRAWS[suite]
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(samples):
+        draws = [rng.uniform(low, high, n if n > 1 else None) for low, high, n in calls]
+        want.append(np.concatenate([np.atleast_1d(x) for x in draws]))
+    (got,) = drawn
+    assert got.shape == (samples, 4 if suite == "_inertia_suite" else 3)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_system_free_checks_keep_their_measured_bits():
+    # the bits of the per-sample loops on the dataclass maps, deep and quick
+    want = {
+        True: ["0x1.a48a5ad3e1f4cp-50", "0x1.fcd75d47ddd66p-53", "0x1.ffc692d61bf92p-53",
+               "0x1.3965d5ab9c310p-51"],
+        False: ["0x1.a48a5ad3e1f4cp-50", "0x1.e48f0aed9011bp-53", "0x1.ffc692d61bf92p-53",
+                "0x1.ece893b2175fbp-52"],
+    }
+    for deep, measured in want.items():
+        checks = verify._system_free_checks(deep)
+        assert [c.name for c in checks] == [
+            "coords.roundtrip", "inertia.sum_rule", "inertia.trace", "inertia.homogeneity"]
+        assert [c.measured.hex() for c in checks] == measured and all(c.passed for c in checks)
+        assert checks[0].note == f"{10_000 if deep else 1_000} samples"
+
+
+@pytest.mark.parametrize("owner, name", [
+    (verify, "_jacobi_to_w"), (verify, "_w_to_jacobi"), (verify, "_w_to_dragt"),
+    (verify, "_dragt_to_w"), (coords, "_w_norm"),
+])
+def test_roundtrip_fails_on_one_nan_sample_of_a_chart_function(monkeypatch, owner, name):
+    real, calls = getattr(owner, name), []
+
+    def nan_once(*args):
+        out = real(*args)
+        calls.append(args)
+        if len(calls) != 37:
+            return out
+        if not isinstance(out, tuple):
+            return math.nan
+        return tuple(v if isinstance(v, bool) else math.nan for v in out)
+
+    monkeypatch.setattr(owner, name, nan_once)
+    report = VerificationReport()
+    verify._roundtrip_suite(report, 100)
+    (check,) = report.checks
+    assert len(calls) >= 100 and math.isnan(check.measured) and not check.passed
+    assert check.line().startswith("CHECK coords.roundtrip FAIL measured=nan")
 
 
 def test_worst_propagates_nan_and_keeps_max_otherwise():

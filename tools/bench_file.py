@@ -18,7 +18,11 @@ and this commit one after the other, alternating which goes first, so that
 both sides see the same machine.  It writes
 BENCH_<short-sha>_vs_<parent-short-sha>.json with both sides' runs and
 medians and, per workload and metric, the ratio of this commit's median to
-the parent's.
+the parent's.  Under ``gate`` it marks each workload's end-to-end metric of
+``BENCHMARK.json`` "worse" where that ratio is worse than the metric's
+``bound`` in the direction of its ``better`` (above 1 + bound where lower
+is better, below 1 - bound where higher is), and "ok" otherwise: what a
+no-regression gate on these medians sees.
 
 With ``--claim W --seed S`` as well, it then runs ``PAIRS`` (10) more
 untraced pairs of workload W at seed S, alternating which side goes first,
@@ -113,6 +117,23 @@ def compare(child_runs: list[dict], parent_runs: list[dict]) -> dict:
             "ratio_child_over_parent": ratio}
 
 
+def gate(ratio: dict, end_to_end: list[dict]) -> dict:
+    """Per workload, each end-to-end metric's mark from ``ratio``, the
+    child/parent medians of ``compare``: "worse" beyond its bound, as the
+    module docstring says, "ok" within it, None without a ratio."""
+    out = {}
+    for workload, ratios in ratio.items():
+        marks = out[workload] = {}
+        for m in end_to_end:
+            r = ratios.get(m["name"])
+            if r is None:
+                marks[m["name"]] = None
+                continue
+            worse = r > 1.0 + m["bound"] if m["better"] == "lower" else r < 1.0 - m["bound"]
+            marks[m["name"]] = "worse" if worse else "ok"
+    return out
+
+
 def verdict(child: list[float], parent: list[float], better: str, failed: tuple[int, int]) -> dict:
     """The claim rule of the module docstring on one metric's pairs
     (child[i], parent[i]); ``better`` is "lower" or "higher", and
@@ -188,8 +209,10 @@ def main(argv=None) -> int:
             subprocess.run(remove, capture_output=True)
             shutil.rmtree(tmp, ignore_errors=True)
             subprocess.run(["git", "worktree", "prune"], capture_output=True)
+        compared = compare(child_runs, parent_runs)
         bench = {"commit": _git("rev-parse", "HEAD"), "parent": parent, "seconds": seconds,
-                 "seeds": list(SEEDS), **compare(child_runs, parent_runs),
+                 "seeds": list(SEEDS), **compared,
+                 "gate": gate(compared["ratio_child_over_parent"], declared["end_to_end"]),
                  "child_runs": child_runs, "parent_runs": parent_runs}
         if args.claim:
             failed = tuple(sum(run["failed"] for run in runs) for runs in (pair_child, pair_parent))
