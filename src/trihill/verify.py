@@ -11,6 +11,7 @@ and randomized invariant suites into a line-oriented report.
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 from dataclasses import dataclass, field
@@ -301,6 +302,14 @@ def _uniform_rows(rng: np.random.Generator, samples: int, bounds) -> np.ndarray:
     return low + (high - low) * rng.random((samples, len(bounds)))
 
 
+def _float_rows(a: np.ndarray):
+    """The rows of the C-contiguous 2-D array ``a`` as tuples of Python
+    floats, one at a time: unlike ``a.tolist()``, no list of all the floats
+    outlives the loop in Python's small-object heap."""
+    values = iter(memoryview(a.ravel()))
+    return zip(*[values] * a.shape[1])
+
+
 def _roundtrip_suite(report: VerificationReport, samples: int) -> None:
     """Jacobi -> w -> Jacobi and w -> Dragt -> w on the chart maps on floats
     that the public maps wrap; each sample's errors are relative to
@@ -308,12 +317,12 @@ def _roundtrip_suite(report: VerificationReport, samples: int) -> None:
     max(1, |w|) for w.  The worst is NaN where any error is."""
     bounds = [(0.1, 3.0), (0.1, 3.0), (0.05, math.pi - 0.05)]
     j = _uniform_rows(np.random.default_rng(20260808), samples, bounds)
-    rows = []
-    for rho1, rho2, phi in j.tolist():
+    table = array.array("d")
+    for rho1, rho2, phi in _float_rows(j):
         w = _jacobi_to_w(rho1, rho2, phi)
         omega, chi, psi, _ = _w_to_dragt(*w)  # omega = |w|
-        rows.append((*_w_to_jacobi(*w)[:3], *w, *_dragt_to_w(omega, chi, psi), omega))
-    t = np.array(rows)
+        table.extend((*_w_to_jacobi(*w)[:3], *w, *_dragt_to_w(omega, chi, psi), omega))
+    t = np.frombuffer(table).reshape(samples, 10)
     j2, w, w2, norm = t[:, :3], t[:, 3:6], t[:, 6:9], t[:, 9:]
     # np.fmax drops a NaN scale, as max(1.0, x) does; np.max keeps a NaN error
     scale = np.fmax(1.0, np.max(j[:, :2], axis=1, keepdims=True))
@@ -333,14 +342,14 @@ def _inertia_suite(report: VerificationReport, samples: int) -> None:
     (rho1, rho2, phi, lam) through the public ``inertia`` and ``dilate``."""
     bounds = [(0.05, 4.0), (0.05, 4.0), (0.0, math.pi), (1e-3, 1e3)]
     draws = _uniform_rows(np.random.default_rng(77), samples, bounds)
-    data, scaled = [], []
-    for rho1, rho2, phi, lam in draws.tolist():
+    I, principal = np.empty(samples), np.empty((samples, 3))
+    tensor, scaled = np.empty((samples, 3, 3)), np.empty((samples, 3, 3))
+    for i, (rho1, rho2, phi, lam) in enumerate(_float_rows(draws)):
         j = JacobiShapeCoords(rho1, rho2, phi)
-        data.append(inertia(j))
-        scaled.append(inertia(dilate(j, lam)).tensor)
-    I = np.array([d.I for d in data])
-    m1, m2, m3 = np.array([d.principal for d in data]).T
-    tensor, scaled = np.array([d.tensor for d in data]), np.array(scaled)
+        data = inertia(j)
+        I[i], principal[i], tensor[i] = data.I, data.principal, data.tensor
+        scaled[i] = inertia(dilate(j, lam)).tensor
+    m1, m2, m3 = principal.T
     lam2, scale = draws[:, 3] * draws[:, 3], np.fmax(1.0, I)
     hom = np.max(np.abs(scaled - lam2[:, None, None] * tensor), axis=(1, 2))
     worst_sum = np.max(np.abs(m1 + m2 - m3) / scale)

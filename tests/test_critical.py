@@ -568,6 +568,25 @@ def test_find_critical_shapes_lagrange(gravity):
     assert shape.w2 == pytest.approx(cv.w[1], abs=1e-6)
 
 
+def test_find_critical_shapes_certifies_one_hit_per_root_and_drops_a_failed_one_alone(
+    monkeypatch, gravity
+):
+    # all 3,300 seeds of axis 3 land on the Lagrange root: the first hit is
+    # certified and takes the rest with it; a first hit whose certificate
+    # fails drops alone, and the second one is found in its place
+    certificate, calls = critical._relequil_certificate, []
+
+    def first_fails(system, state):
+        calls.append(state)
+        return math.inf if len(calls) == 1 else certificate(system, state)
+
+    (want,) = find_critical_shapes(gravity, 3)
+    monkeypatch.setattr(critical, "_relequil_certificate", first_fails)
+    ((shape, nu),) = find_critical_shapes(gravity, 3)
+    assert len(calls) == 2 and shape != want[0]
+    assert (shape.w1, shape.w2, nu) == pytest.approx((want[0].w1, want[0].w2, want[1]), abs=1e-7)
+
+
 def test_find_critical_shapes_langmuir(helium, eep):
     for system in (helium, eep):
         cv = nu_langmuir(system)
