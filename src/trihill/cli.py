@@ -15,14 +15,13 @@ before it prints; an error, a failed write included, is one ``error:`` line.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from . import critical, hill, scan, verify
 from .coords import Shape
-from .errors import DomainError, TrihillError
+from .errors import TrihillError, check_positive
 from .reduction import integrate, rigid_start
 from .systems import BodySystem, load_system, preset
 
@@ -92,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jhat", nargs=3, type=float, required=True, metavar=("X", "Y", "Z"),
         help="angular-momentum direction in the principal frame",
     )
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--r", type=float, default=1.0, help="|J|, positive")
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--csv", help="trajectory output path (default: stdout)")
@@ -115,10 +114,7 @@ def _unit_jhat(args) -> np.ndarray:
     jh = np.asarray(args.jhat, dtype=float)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(jh))
-    if not (math.isfinite(norm) and norm > 0.0):
-        given = " ".join(map(str, args.jhat))
-        raise DomainError(f"--jhat needs a finite nonzero length, got {given}")
-    return jh / norm
+    return jh / check_positive("the length of --jhat", norm)
 
 
 def _cmd_classify(system, args) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollinearError, DomainError, TripleCollisionError, check_finite
+from .errors import CollinearError, DomainError, TripleCollisionError, check_finite, check_positive
 from .systems import BodySystem, Pair, jacobi_frame
 
 _TINY = sys.float_info.min  # the least normal float: a sum of squares below it underflowed
@@ -98,8 +98,8 @@ class Shape:
     w2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
-            raise DomainError(f"shape ({self.w1}, {self.w2}) is not finite")
+        check_finite("w1", self.w1)
+        check_finite("w2", self.w2)
         # the bounds go first, as the square of a huge coordinate overflows
         if not (abs(self.w1) < 1.0 and abs(self.w2) < 1.0) or self.w1**2 + self.w2**2 >= 1.0:
             raise CollinearError(
@@ -201,8 +201,7 @@ def jacobi_from_dragt(d: DragtCoords) -> JacobiShapeCoords:
 def dilate(j: JacobiShapeCoords, lam: float) -> JacobiShapeCoords:
     """Dilation d_lam in the Jacobi chart; I scales by lam^2.  A factor that
     is not positive and finite raises DomainError."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"dilation factor must be positive and finite, got {lam}")
+    lam = check_positive("lam", lam)
     return JacobiShapeCoords(lam * j.rho1, lam * j.rho2, j.phi)
 
 

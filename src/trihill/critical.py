@@ -38,7 +38,14 @@ from .coords import (
     normalize_shape,
     pair_geometry,
 )
-from .errors import DomainError, TrihillError, UnsupportedFamilyError, check_finite, check_index
+from .errors import (
+    DomainError,
+    TrihillError,
+    UnsupportedFamilyError,
+    check_finite,
+    check_index,
+    check_positive,
+)
 from .hill import moments, nu_threshold, shape_eval, shape_kernel, shape_value
 from .reduction import RovibState, relequil_residual, rigid_start
 from .systems import BodySystem, infer_gravity_constant, reduced_mass
@@ -61,7 +68,8 @@ class CriticalValue:
     meaningful.  Entries merged by the catalog carry ``multiplicity`` > 1.
     ``residual`` certifies an entry found as a root: |dnu/dt| there over
     max(1, nu) for collinear entries, None for the closed forms.  A ``nu``
-    that is negative or not finite raises DomainError.
+    that is negative or not finite, or an ``axis`` that is neither None nor
+    1, 2 or 3, raises DomainError.
     """
 
     nu: float
@@ -75,10 +83,12 @@ class CriticalValue:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        if not self.nu >= 0:
-            raise DomainError("critical nu must be nonnegative")
         if self.nu == math.inf:
             raise DomainError("critical nu overflows; rescale the system")
+        if check_finite("nu", self.nu) < 0.0:
+            raise DomainError("critical nu must be nonnegative")
+        if self.axis is not None:
+            check_index("axis", self.axis, 1, 3)
 
     def shape(self) -> Shape:
         if self.w is None:
@@ -90,9 +100,7 @@ def build_relequil_state(system: BodySystem, critical: CriticalValue, r: float) 
     """Initial condition of the relative equilibrium behind a catalog entry,
     the ``_relequil_start`` at its shape and axis with |J| = r.  A
     non-finite r or an r <= 0 raises DomainError."""
-    check_finite("r", r)
-    if r <= 0.0:
-        raise DomainError("r must be positive")
+    r = check_positive("r", r)
     shape = critical.shape()  # raises for entries with no shape or one on the rim
     if critical.axis is None:
         raise UnsupportedFamilyError(f"{critical.family} entry has no rotation axis")

@@ -1,4 +1,15 @@
-"""Exception types shared across the package, and the input checks."""
+"""Exception types shared across the package, and the input contract.
+
+Every public entry point checks its numbers here, and each rule is written
+once: ``check_finite`` (a finite real number), ``check_positive`` (a finite
+real number above 0), ``check_triple`` (three finite real numbers),
+``check_unit`` (a finite unit 3-vector) and ``check_index`` (an integer in a
+range).  Each returns Python numbers, so a bool or a float32 that passes
+is read as the number it holds, and each refuses what breaks its rule with
+a ``DomainError`` (a ``TrihillError`` and a ``ValueError``): None, a
+string, a complex number, NaN or an infinity, and for a vector a wrong
+count, a nested list or a bare number.
+"""
 
 import math
 import operator
@@ -24,24 +35,43 @@ class UnsupportedFamilyError(TrihillError, ValueError):
     """Raised when a closed-form critical-value family does not apply to a system."""
 
 
-def check_finite(name: str, value: float) -> None:
-    """Reject an input that is not a finite real number, which no comparison
-    or formula can use."""
+def check_finite(name: str, value) -> float:
+    """``value`` as a Python float: reject one that is not a finite real
+    number, which no comparison or formula can use."""
     try:
         finite = math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
     if not finite:
         raise DomainError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a Python float: reject one that is not a finite real
+    number above 0."""
+    if not check_finite(name, value) > 0.0:
+        raise DomainError(f"{name} must be positive, got {value}")
+    return float(value)
+
+
+def check_triple(name: str, vector) -> tuple[float, float, float]:
+    """``vector`` as three Python floats: reject one that is not three
+    finite real numbers (a string, a nested list or a bare number
+    included)."""
+    try:
+        x, y, z = vector
+        return check_finite(name, x), check_finite(name, y), check_finite(name, z)
+    except (TypeError, ValueError):  # DomainError is a ValueError
+        raise DomainError(f"{name} must hold three finite values, got {vector!r}") from None
 
 
 def check_unit(name: str, vector) -> tuple[float, float, float]:
-    """``vector`` as three Python floats: reject a direction that does not
-    have three components or is not a finite unit vector (to 1e-12).  A NaN
-    component fails the comparison as well as an infinite or zero one."""
-    components = tuple(map(float, vector))
-    if len(components) != 3 or not abs(math.hypot(*components) - 1.0) <= 1e-12:
-        raise DomainError(f"{name} must be a finite unit 3-vector, got {components}")
+    """``vector`` as three Python floats: reject one that is not three finite
+    values of unit length (to 1e-12)."""
+    components = check_triple(name, vector)
+    if not abs(math.hypot(*components) - 1.0) <= 1e-12:
+        raise DomainError(f"{name} must be a unit 3-vector, got {components}")
     return components
 
 

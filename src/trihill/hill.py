@@ -40,7 +40,7 @@ from enum import IntEnum
 import numpy as np
 
 from .coords import Shape, _pair_term, pair_geometry
-from .errors import DomainError, check_finite, check_unit
+from .errors import check_finite, check_positive, check_unit
 from .systems import BodySystem
 
 
@@ -166,11 +166,9 @@ def f_analysis(E: float, E_R: float, v_tilde: float) -> HillMembership:
     E = 0 and Vt = 0 are reported as 'axis-degenerate'.  A non-finite
     input or an E_R <= 0 raises DomainError.
     """
-    check_finite("E", E)
-    check_finite("E_R", E_R)
-    check_finite("v_tilde", v_tilde)
-    if E_R <= 0.0:
-        raise DomainError("rotational energy must be positive (r > 0)")
+    E = check_finite("E", E)
+    E_R = check_positive("E_R", E_R)
+    v_tilde = check_finite("v_tilde", v_tilde)
     disc = 4.0 * E * E_R + v_tilde * v_tilde
     lam_minus = lam_plus = None
     if E != 0.0 and disc >= 0.0:
@@ -211,10 +209,8 @@ def membership(
     an r <= 0 or a ``j_hat`` that is not a finite unit vector raises
     DomainError.
     """
-    check_finite("E", E)
-    check_finite("r", r)
-    if r <= 0.0:
-        raise DomainError("the Hill region is defined for r > 0")
+    E = check_finite("E", E)
+    r = check_positive("r", r)
     ev = shape_eval(system, shape)
     E_R = r * r * _normalized_rotational_energy(ev, j_hat)
     return f_analysis(E, E_R, ev.v_tilde)

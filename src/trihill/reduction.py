@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import JacobiShapeCoords, pair_geometry
-from .errors import CollinearError, DomainError, check_finite, check_index, check_unit
+from .errors import CollinearError, DomainError, check_index, check_positive, check_triple, check_unit
 from .systems import BodySystem
 
 # Chart-boundary guard: the chart is rho1, rho2 > 0 and 0 < phi < pi; states
@@ -62,7 +62,7 @@ class RovibState:
             self.q = np.asarray(self.q, dtype=float).reshape(3).copy()
             self.p = np.asarray(self.p, dtype=float).reshape(3).copy()
             self.J = np.asarray(self.J, dtype=float).reshape(3).copy()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise DomainError(f"q, p and J must each hold 3 values: {exc}") from None
 
     def jacobi(self) -> JacobiShapeCoords:
@@ -138,9 +138,9 @@ def rigid_start(j: JacobiShapeCoords, r: float, j_hat: np.ndarray) -> RovibState
     """Rigidly rotating state at configuration j: angular momentum r times
     the unit ``j_hat`` in the principal frame (axes ascending, axis 3 the
     plane normal), momenta the gauge values p = J.A so the shape is at rest.
-    A non-finite r or a ``j_hat`` that is not a finite unit vector raises
-    DomainError."""
-    check_finite("r", r)
+    An r that is not positive and finite or a ``j_hat`` that is not a
+    finite unit vector raises DomainError."""
+    r = check_positive("r", r)
     j_hat = check_unit("j_hat", j_hat)
     _, axes = principal_axes(j)
     J = r * (axes @ j_hat)
@@ -322,9 +322,7 @@ def relequil_residual(
     over q.  Both are near zero exactly at relative equilibria.  A ``J``
     that is not three finite values raises DomainError.
     """
-    J = np.asarray(J, dtype=float)
-    if J.shape != (3,) or not np.isfinite(J).all():
-        raise DomainError(f"J must hold three finite values, got {J.tolist()}")
+    J = check_triple("J", J)
     y = np.concatenate([[j.rho1, j.rho2, j.phi], _gauge_momentum(j, J), J])
     ydot = np.array(_flow(_chart_table(system), y.tolist()))
     return ydot[6:9], -ydot[3:6]
@@ -467,11 +465,8 @@ def integrate(
     flow failed.  A dt that is not positive and finite, or an nsteps that
     is not a nonnegative integer, raises DomainError.
     """
-    check_finite("dt", dt)
-    if not dt > 0.0:
-        raise DomainError(f"dt must be positive and finite, got {dt}")
+    dt = check_positive("dt", dt)
     nsteps = check_index("nsteps", nsteps, 0)
-    dt = float(dt)
     half, sixth = 0.5 * dt, dt / 6.0
     table = _chart_table(system)
     y = RovibState(s0.q, s0.p, s0.J).flat().tolist()

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import DomainError, TrihillError, check_index
+from .errors import DomainError, TrihillError, check_finite, check_index, check_positive, check_triple
 
 
 def _normal(x: float) -> bool:
@@ -66,16 +66,9 @@ class BodySystem:
     pairs: tuple[Pair, Pair, Pair] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.masses) != 3 or len(self.alphas) != 3:
-            raise DomainError("BodySystem needs exactly three masses and three couplings")
-        if not all(math.isfinite(v) for v in (*self.masses, *self.alphas)):
-            raise DomainError(
-                f"masses and couplings must be finite, got {self.masses} and {self.alphas}"
-            )
-        if any(m <= 0 for m in self.masses):
-            raise DomainError(f"masses must be strictly positive, got {self.masses}")
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        masses = tuple(check_positive("masses", m) for m in check_triple("masses", self.masses))
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "alphas", check_triple("alphas", self.alphas))
         object.__setattr__(self, "pairs", _pair_table(self))
         for pair in self.pairs:
             if pair.mu == 0.0:
@@ -142,8 +135,11 @@ def _pair_table(system: BodySystem) -> tuple[Pair, Pair, Pair]:
 
 
 def gravitational(masses: tuple[float, float, float], G: float = 1.0) -> BodySystem:
-    """System with purely gravitational couplings a_k = G*m_i*m_j."""
-    m1, m2, m3 = masses
+    """System with purely gravitational couplings a_k = G*m_i*m_j.  Masses
+    that are not three finite values, or a G that is not a finite real
+    number, raise DomainError before the products are formed."""
+    m1, m2, m3 = masses = check_triple("masses", masses)
+    G = check_finite("G", G)
     return BodySystem(masses, (G * m2 * m3, G * m1 * m3, G * m1 * m2))
 
 
