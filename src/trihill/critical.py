@@ -52,7 +52,7 @@ from .systems import BodySystem, infer_gravity_constant, reduced_mass
 
 FAMILIES = ("zero", "infinity", "diabolic", "lagrange", "langmuir", "collinear")
 
-MERGE_TOL = 1e-9  # absolute, per catalog contract
+MERGE_TOL = 1e-9  # relative, per catalog contract
 
 SEARCH_SEEDS = 64  # seeds per side of find_critical_shapes' square start grid
 
@@ -67,7 +67,7 @@ class CriticalValue:
     family).  ``axis`` is the principal-axis index of the rotation where
     meaningful.  Entries merged by the catalog carry ``multiplicity`` > 1.
     ``residual`` certifies an entry found as a root: |dnu/dt| there over
-    max(1, nu) for collinear entries, None for the closed forms.  A ``nu``
+    nu for collinear entries, None for the closed forms.  A ``nu``
     that is negative or not finite, or an ``axis`` that is neither None nor
     1, 2 or 3, raises DomainError.
     """
@@ -120,10 +120,18 @@ def _relequil_start(shape: Shape, k: int, mk: float, vt: float, r: float) -> Rov
 
 
 def _relequil_certificate(system: BodySystem, state: RovibState) -> float:
-    """How far ``state`` is from a relative equilibrium: the larger norm of
-    the two rows of ``relequil_residual``, or NaN where either is NaN."""
+    """How far ``state`` is from a relative equilibrium, a number free of
+    units: the larger norm of the two rows of ``relequil_residual``, each
+    over its own scale, or NaN where either is NaN.  At the moment of
+    inertia I, res1 = Jdot scales as |J|^2/I, and the rows of
+    res3 = -pdot as |J|^2/I^(3/2) for rho1 and rho2 and as |J|^2/I for the
+    angle phi.  At the unit-size start of the search (I = 1) that is
+    max(|res1|, |res3|)/|J|^2.  A |J|^2 that underflows to 0 raises
+    DomainError."""
     res1, res3 = relequil_residual(system, state.jacobi(), state.J)
-    return float(np.max([np.linalg.norm(res1), np.linalg.norm(res3)]))
+    I = state.q[0] ** 2 + state.q[1] ** 2  # rho1^2 + rho2^2
+    worst = np.max([I * np.linalg.norm(res1), np.linalg.norm(res3 * (I**1.5, I**1.5, I))])
+    return float(worst) / check_positive("|J|^2 of the start", float(state.J @ state.J))
 
 
 @dataclass(frozen=True)
@@ -469,9 +477,11 @@ def collinear_configs(system: BodySystem) -> list[CriticalValue]:
     each root ``_polyval`` reads A = V x(1+x); a root is kept only where
     A < -1e-9 of its scale, for where the potential is not strictly
     negative there is no relative equilibrium (the required spin rate would
-    be imaginary).  From A and P come nu = 1/2 I V^2 with V = A/(x(1+x))
-    and the ``residual`` |dnu/dt| = |V P|/x^2 over max(1, nu).  A nu that
-    overflows raises DomainError.
+    be imaginary).  From A and P come nu = 1/2 I V^2 (``nu_threshold``)
+    with V = A/(x(1+x)) and the ``residual`` |dnu/dt| = |V P|/x^2 over nu,
+    so that neither the cut on A nor the residual depends on the units.  A
+    nu that overflows raises DomainError; one that underflows to 0 has a
+    NaN residual, and ``critical_catalog`` refuses it.
     """
     orders = ((2, 1, 3), (1, 2, 3), (1, 3, 2))  # bodies (i, j, k), j in the middle
     polys = [_collinear_polynomials(system, order) for order in orders]
@@ -483,8 +493,9 @@ def collinear_configs(system: BodySystem) -> list[CriticalValue]:
             if not a < -1e-9 * _polyval(scale, x):
                 continue
             v = a / (x * (1.0 + x))
-            nu = 0.5 * _polyval(iw, x) * v * v
-            residual = abs(v * _polyval(quintic, x) / x / x) / max(1.0, nu)
+            nu = nu_threshold(_polyval(iw, x), v)
+            # a nu that underflows to 0 has no residual
+            residual = abs(v * _polyval(quintic, x) / x / x) / nu if nu else math.nan
             out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual))
     return sorted(out, key=lambda cv: cv.nu)
 
@@ -569,12 +580,12 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
     step is clipped: a candidate counts only if it lowers |grad|^2.  The
     loop ends when no seed is live, or after 80 iterations.
     The seeds, all on the annulus, then go back into seed order; those with
-    |grad|^2 below 1e-22 and Vt not >= 0 are hits.  In that order, the
-    first hit left must have a ``_relequil_certificate`` below
-    1e-6 max(1, |Vt|) at the ``_relequil_start`` of |J| = sqrt(-Mt_k Vt),
-    the unit size; if it has, it is found and drops every hit left within
-    1e-7 of it in w1 and w2, and if not, it drops alone.  Found shapes hold
-    Python floats.
+    Vt < 0 and |grad|^2 below 1e-22 Vt^2 are hits, a ratio of like
+    quantities, so that the hits do not depend on the units.  In that
+    order, the first hit left must have a ``_relequil_certificate`` below
+    1e-6 at the ``_relequil_start`` of |J| = sqrt(-Mt_k Vt), the unit size;
+    if it has, it is found and drops every hit left within 1e-7 of it in w1
+    and w2, and if not, it drops alone.  Found shapes hold Python floats.
     A k that is not an integer in {1, 2, 3} raises DomainError.
     """
     k = check_index("principal axis index", k, 1, 3)
@@ -632,12 +643,10 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
             break
     W1[idx], W2[idx], GN[idx] = w1, w2, gn
 
-    hit = GN < 1e-22
-    W1, W2 = W1[hit], W2[hit]
+    # Only shapes with Vt < 0 rotate at some nu.
     V = shape_value(system, W1, W2)
-    # Only shapes with Vt < 0 rotate at some nu; a NaN goes on to the tests.
-    keep = ~(V >= 0.0)
-    W1, W2, V = W1[keep], W2[keep], V[keep]
+    hit = (GN < 1e-22 * V * V) & (V < 0.0)
+    W1, W2, V = W1[hit], W2[hit], V[hit]
     found: list[tuple[Shape, float]] = []
     todo = np.arange(len(W1))  # the hits left, in seed order
     while todo.size:
@@ -646,7 +655,7 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
         shape = Shape(w1, w2)
         mk = moments(math.hypot(w1, w2))[k - 1]
         start = _relequil_start(shape, k, mk, vt, math.sqrt(-mk * vt))
-        if not _relequil_certificate(system, start) < 1e-6 * max(1.0, abs(vt)):
+        if not _relequil_certificate(system, start) < 1e-6:
             continue  # drops alone
         found.append((shape, nu_threshold(mk, vt)))
         # the hits left on the same root, with one mask
@@ -659,13 +668,17 @@ def find_critical_shapes(system: BodySystem, k: int) -> list[tuple[Shape, float]
 
 
 def critical_catalog(system: BodySystem) -> list[CriticalValue]:
-    """Sorted catalog of all critical values, merged within 1e-9 absolute.
+    """Sorted catalog of all critical values, a value merged into the one
+    below it where they lie within MERGE_TOL = 1e-9 of the larger,
+    relative, so that the catalog does not depend on the units; nothing
+    merges into ``zero`` but a 0.
 
     Each interior closed form is listed where it applies and silently absent
     where it raises UnsupportedFamilyError: the diabolic value where
     Vt(0, 0) >= 0, Lagrange without gravitational couplings, Langmuir
-    without a symmetric like pair.  A family whose nu overflows raises
-    DomainError; Lagrange goes first, so that its overflow is named.
+    without a symmetric like pair.  A family whose nu overflows, or
+    underflows to 0, raises DomainError; Lagrange goes first, so that its
+    overflow is named.
     """
     entries: list[CriticalValue] = [CriticalValue(0.0, "zero", detail="energy sign change")]
     for closed_form in (nu_lagrange, nu_diabolic, nu_langmuir):
@@ -675,12 +688,14 @@ def critical_catalog(system: BodySystem) -> list[CriticalValue]:
             pass
     entries.extend(nu_infinity(system))
     entries.extend(collinear_configs(system))
+    if any(cv.nu == 0.0 for cv in entries[1:]):
+        raise DomainError("critical nu underflows; rescale the system")
 
     order = {fam: i for i, fam in enumerate(FAMILIES)}
     entries.sort(key=lambda cv: (cv.nu, order[cv.family]))
     merged: list[CriticalValue] = []
     for cv in entries:
-        if merged and abs(cv.nu - merged[-1].nu) <= MERGE_TOL:
+        if merged and cv.nu - merged[-1].nu <= MERGE_TOL * cv.nu:
             prev = merged[-1]
             extra = f" +merged {cv.family}" if cv.family != prev.family else ""
             merged[-1] = replace(

@@ -6,7 +6,10 @@ as stored against the generic critical-shape search, and its start must be
 held fixed for RELEQUIL_STEPS steps (an unstable one within its horizon),
 with E = V/2 and nu = -E r^2 recovered tightly.  ``verify_all`` aggregates
 these dynamical checks with catalog regressions against reference values
-and randomized invariant suites into a line-oriented report.
+and randomized invariant suites into a line-oriented report.  Every check
+but the reference regression runs on the system's unit twin
+(``_unit_twin``), so that the report reads the same at any scale of the
+system.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import array
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -637,6 +640,20 @@ def lambda_grid_member(system: BodySystem, base: np.ndarray, j_hat, E, r, lam_gr
     return bool(member) if not lead else member
 
 
+def _unit_twin(system: BodySystem) -> tuple[BodySystem, int]:
+    """The system's unit twin, and the exponent s = 2(a + b) that carries a
+    nu of the twin back as ldexp(nu, s): masses times 4^-a, so that the
+    largest lies in [1, 4), and couplings times 2^-b, so that the largest
+    |coupling| lies in [1, 2), with a and b read off by ``math.frexp``.
+    The factors are exact powers of two, so each nu of the twin is exactly
+    2^-s times the system's, no shape moves, and a system scaled by such
+    powers has the same twin."""
+    a = (math.frexp(max(system.masses))[1] - 1) // 2
+    b = math.frexp(max(map(abs, system.alphas)))[1] - 1
+    masses = tuple(math.ldexp(m, -2 * a) for m in system.masses)
+    return BodySystem(masses, tuple(math.ldexp(c, -b) for c in system.alphas)), 2 * (a + b)
+
+
 def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
     """Run the full verification battery for a system.
 
@@ -644,6 +661,13 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
     everything else (the catalog's relative equilibria against the generic
     search and the dynamics, invariant and oracle suites) runs for any
     system.  ``deep=False`` shrinks the randomized sample counts.
+
+    The catalog is computed once, in the system's units, and checked there
+    against the references.  Every other check runs on the ``_unit_twin``,
+    with each catalog value carried to it exactly by a power of two: the
+    suites draw E, r, q, p and J in absolute units, and in the twin's units
+    those draws, and every tolerance, mean the same at any scale of the
+    system.
     """
     report = VerificationReport()
     catalog = critical_catalog(system)
@@ -667,6 +691,8 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
                 "catalog.reference", False, f"expected {len(refs)} entries, got {len(catalog)}"
             )
 
+    system, shift = _unit_twin(system)
+    catalog = [replace(cv, nu=math.ldexp(cv.nu, -shift)) for cv in catalog]
     _collision_angle_check(report, system)
 
     # The catalog's relative equilibria against the generic critical-shape
@@ -693,7 +719,7 @@ def verify_all(system: BodySystem, deep: bool = True) -> VerificationReport:
     # Each collinear root's stored certificate: an unconverged root FAILs.
     residuals = [cv.residual for cv in catalog if cv.family == "collinear"]
     if residuals:
-        report.add("collinear.residual", _worst(*residuals), 1e-9, "|dnu/dt| / max(1, nu)")
+        report.add("collinear.residual", _worst(*residuals), 1e-9, "|dnu/dt| / nu")
 
     _census_event_checks(report, system, catalog)
     report.checks.extend(_system_free_checks(deep))

@@ -706,8 +706,8 @@ def oracle_collinear_configs(system: BodySystem):
     for order, x, a, p, inertia, physical in oracle_collinear_roots(system):
         if physical:
             v = a / (x * (1.0 + x))
-            nu = 0.5 * inertia * v * v
-            residual = abs(v * p / x / x) / max(1.0, nu)
+            nu = 0.5 * inertia * (v * v)
+            residual = abs(v * p / x / x) / nu if nu else math.nan
             out.append(_collinear_entry(system, order, x / (1.0 + x), nu, residual))
     return sorted(out, key=lambda cv: cv.nu)
 
